@@ -1,5 +1,5 @@
-//! The serving-tier scaling story: thread-per-core vs batch-threaded
-//! RESP serving, idle and during a fork-based BGSAVE.
+//! The serving-tier scaling story: thread-per-core RESP serving, idle and
+//! during a fork-based BGSAVE.
 //!
 //! The paper's Redis experiment (§5.3.3) shows request latency spiking
 //! when the serving process forks. This bench asks the follow-on systems
@@ -8,34 +8,29 @@
 //! scale near-linearly with shards, and does the fork window stay
 //! invisible in the tail under On-demand-fork?
 //!
-//! Two servers over the same sharded store:
-//!
-//! - **percore** — [`PerCoreServer`]: real client threads drive pipelined
-//!   RESP connections placed on per-shard workers (the smart-client
-//!   model); BGSAVE stalls the workers only for the fork call.
-//! - **threaded** — [`ThreadedServer`]: the PR-9-era contrast, one batch
-//!   of worker threads spawned per pipeline flush.
+//! [`PerCoreServer`]: real client threads drive pipelined RESP
+//! connections placed on per-shard workers (the smart-client model);
+//! BGSAVE stalls the workers only for the fork call. (The batch-threaded
+//! contrast tier this bench used to run beside it was removed in PR 13;
+//! its last recorded numbers are in EXPERIMENTS.md.)
 //!
 //! Each configuration runs an idle phase and (for the fork contrast) a
 //! phase with a BGSAVE triggered mid-run under Classic vs OnDemand.
 //!
 //! Outputs (current directory):
 //!
-//! - `BENCH_million_users.json` — one row per {server x shards x pipeline
+//! - `BENCH_million_users.json` — one row per {shards x pipeline
 //!   x phase x fork policy}: requests, throughput, p50/p99/p999, fork ns.
 
 use odf_bench as bench;
 use odf_core::{ForkPolicy, Kernel};
 use odf_kvstore::workload::{preload_percore, run_percore, WorkloadConfig};
-use odf_kvstore::{PerCoreConfig, PerCoreServer, Request, ThreadedServer};
-use odf_metrics::{Histogram, Stopwatch};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use odf_kvstore::{PerCoreConfig, PerCoreServer};
+use odf_metrics::Histogram;
 
 const MIB: u64 = 1 << 20;
 
 struct Row {
-    server: &'static str,
     shards: usize,
     pipeline: usize,
     fork_policy: ForkPolicy,
@@ -49,8 +44,7 @@ struct Row {
 impl Row {
     fn json(&self) -> String {
         format!(
-            r#"{{"server":"{}","shards":{},"pipeline":{},"fork_policy":"{:?}","phase":"{}","requests":{},"rps":{:.0},"p50_ns":{},"p99_ns":{},"p999_ns":{},"fork_ns":{}}}"#,
-            self.server,
+            r#"{{"server":"percore","shards":{},"pipeline":{},"fork_policy":"{:?}","phase":"{}","requests":{},"rps":{:.0},"p50_ns":{},"p99_ns":{},"p999_ns":{},"fork_ns":{}}}"#,
             self.shards,
             self.pipeline,
             self.fork_policy,
@@ -66,8 +60,7 @@ impl Row {
 
     fn print(&self) {
         println!(
-            "{:>8} shards={} pipe={:>3} {:>8?} {:>6}: {:>9.0} req/s p50={} p99={} p999={}{}",
-            self.server,
+            " percore shards={} pipe={:>3} {:>8?} {:>6}: {:>9.0} req/s p50={} p99={} p999={}{}",
             self.shards,
             self.pipeline,
             self.fork_policy,
@@ -131,7 +124,6 @@ fn run_percore_row(
     assert_eq!(report.errors, 0, "routed keys never see MOVED");
     let fork_ns = report.snapshots.first().map_or(0, |s| s.fork_ns);
     Row {
-        server: "percore",
         shards,
         pipeline,
         fork_policy: policy,
@@ -143,88 +135,10 @@ fn run_percore_row(
     }
 }
 
-/// Drives the batch-threaded contrast with the same measurement model:
-/// pipelined batches, each reply's latency measured from batch start.
-fn run_threaded_row(
-    shards: usize,
-    pipeline: usize,
-    requests: u64,
-    policy: ForkPolicy,
-    bgsave: bool,
-) -> Row {
-    let kernel = kernel_for(shards);
-    let mut server =
-        ThreadedServer::new(&kernel, shards, 16 * MIB, BUCKETS, policy).expect("boot threaded");
-    let cfg = workload(pipeline);
-    let value = vec![0xCDu8; cfg.value_size];
-    // Preload without timing, in big batches.
-    let mut load = Vec::with_capacity(512);
-    for i in 0..cfg.key_space {
-        load.push(Request::Set(
-            format!("memtier-{i:012}").into_bytes(),
-            value.clone(),
-        ));
-        if load.len() == 512 {
-            server.run_batch(&load).expect("preload");
-            load.clear();
-        }
-    }
-    if !load.is_empty() {
-        server.run_batch(&load).expect("preload");
-    }
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut latency = Histogram::new();
-    let mut issued = 0u64;
-    let mut fork_ns = 0u64;
-    let mut batch = Vec::with_capacity(pipeline);
-    let wall = Stopwatch::start();
-    while issued < requests {
-        if bgsave && fork_ns == 0 && issued >= requests / 4 {
-            let sw = Stopwatch::start();
-            server.bgsave().expect("bgsave");
-            fork_ns = sw.elapsed_ns();
-        }
-        let n = pipeline.min((requests - issued) as usize);
-        batch.clear();
-        for _ in 0..n {
-            let key = format!("memtier-{:012}", rng.gen_range(0..cfg.key_space)).into_bytes();
-            if rng.gen_bool(cfg.set_ratio) {
-                batch.push(Request::Set(key, value.clone()));
-            } else {
-                batch.push(Request::Get(key));
-            }
-        }
-        let sw = Stopwatch::start();
-        let replies = server.run_batch(&batch).expect("batch");
-        for _ in &replies {
-            latency.record(sw.elapsed_ns());
-        }
-        issued += n as u64;
-    }
-    let wall_ns = wall.elapsed_ns();
-    if bgsave {
-        let snaps = server.wait_snapshots();
-        if let Some(s) = snaps.first() {
-            fork_ns = s.fork_ns;
-        }
-    }
-    Row {
-        server: "threaded",
-        shards,
-        pipeline,
-        fork_policy: policy,
-        phase: if bgsave { "bgsave" } else { "idle" },
-        requests: latency.count(),
-        rps: latency.count() as f64 / (wall_ns as f64 / 1e9).max(1e-9),
-        latency,
-        fork_ns,
-    }
-}
-
 fn main() {
     bench::banner(
         "million_users",
-        "thread-per-core RESP scaling vs batch threading; tail during bgsave forks",
+        "thread-per-core RESP scaling; tail during bgsave forks",
     );
 
     let fast = bench::fast_mode();
@@ -236,29 +150,23 @@ fn main() {
 
     let mut rows = Vec::new();
 
-    // Throughput scaling, idle: percore vs threaded.
+    // Throughput scaling, idle.
     for &shards in shard_sweep {
         for &pipeline in pipeline_sweep {
             let requests = per_shard_requests * shards as u64;
             let row = run_percore_row(shards, pipeline, requests, ForkPolicy::OnDemand, false);
             row.print();
             rows.push(row);
-            let row = run_threaded_row(shards, pipeline, requests, ForkPolicy::OnDemand, false);
-            row.print();
-            rows.push(row);
         }
     }
 
-    // Tail during a bgsave fork: Classic vs OnDemand on both tiers, at the
-    // widest configuration.
+    // Tail during a bgsave fork: Classic vs OnDemand at the widest
+    // configuration.
     let shards = *shard_sweep.last().unwrap();
     let pipeline = *pipeline_sweep.last().unwrap();
     let requests = per_shard_requests * shards as u64;
     for policy in [ForkPolicy::Classic, ForkPolicy::OnDemand] {
         let row = run_percore_row(shards, pipeline, requests, policy, true);
-        row.print();
-        rows.push(row);
-        let row = run_threaded_row(shards, pipeline, requests, policy, true);
         row.print();
         rows.push(row);
     }

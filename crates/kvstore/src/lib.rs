@@ -16,21 +16,26 @@
 //! Modules:
 //!
 //! - [`Store`]: the hash table in simulated memory.
-//! - [`Server`]: request execution + automatic BGSAVE-style snapshots
-//!   ("save after N changed keys", the Redis default policy the paper
-//!   uses), with fork-latency tracking (`latest_fork_usec` analog).
-//! - [`DurableServer`]: the crash-consistent variant — every write is
-//!   journaled to a WAL before it is applied, and BGSAVE publishes the
-//!   forked image into an on-disk snapshot chain (see `odf-durability`).
+//! - [`command`]: the RESP command surface, once — the table (name,
+//!   arity, key position, read/write), the executor for the data
+//!   commands, and the replies that need only the kernel. Every wire
+//!   front end goes through it.
+//! - [`Server`]: the single event loop of the paper's experiment —
+//!   request execution + automatic BGSAVE-style snapshots ("save after N
+//!   changed keys", the Redis default policy the paper uses), with
+//!   fork-latency tracking (`latest_fork_usec` analog).
 //! - [`PerCoreServer`]: the thread-per-core shared-nothing serving tier —
 //!   pinned workers, zero-copy RESP, SPSC mailboxes for rare cross-shard
 //!   ops, and fork-based BGSAVE off the serving threads.
+//! - [`DurableServer`]: the crash-consistent variant — every write is
+//!   journaled to a WAL before it is applied, and BGSAVE publishes the
+//!   forked image into an on-disk snapshot chain (see `odf-durability`).
 //! - [`workload`]: a memtier_benchmark-like pipelined traffic generator.
-//! - [`resp`]: the RESP wire protocol (what memtier actually speaks) and
-//!   command dispatch over it.
+//! - [`resp`]: the RESP wire codec (what memtier actually speaks).
 
 #![forbid(unsafe_code)]
 
+pub mod command;
 pub mod percore;
 mod persist;
 pub mod resp;
@@ -41,10 +46,7 @@ pub mod workload;
 
 pub use percore::{Connection, PerCoreConfig, PerCoreServer};
 pub use persist::{Acked, Command, DurableConfig, DurableServer, PersistError};
-pub use resp::{
-    dispatch, dispatch_args, encode_command, serve_stream, skip_reply, Parsed, RecvBuf, ReplyBuf,
-    RespValue,
-};
+pub use resp::{encode_command, serve_stream, skip_reply, Parsed, RecvBuf, ReplyBuf, RespValue};
 pub use server::{Server, ServerConfig, SnapshotReport};
-pub use sharded::{Request, Response, ShardedSnapshot, ShardedStore, ThreadedServer};
+pub use sharded::{ShardedSnapshot, ShardedStore};
 pub use store::Store;

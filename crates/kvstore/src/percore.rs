@@ -1,12 +1,9 @@
 //! Thread-per-core shared-nothing serving tier.
 //!
-//! [`ThreadedServer`](crate::ThreadedServer) spawns worker threads per
-//! batch and shuttles owned `Request`/`Response` values across channels.
-//! This module is the next order of magnitude, in the seastar/glommio
-//! shape: each shard owns **one long-lived pinned worker** running a
-//! non-blocking event loop that parses RESP in place, executes against its
-//! shard, and writes replies run-to-completion — with **no cross-thread
-//! channels on the request path**.
+//! The seastar/glommio shape: each shard owns **one long-lived pinned
+//! worker** running a non-blocking event loop that parses RESP in place,
+//! executes against its shard, and writes replies run-to-completion — with
+//! **no cross-thread channels on the request path**.
 //!
 //! The invariants:
 //!
@@ -45,8 +42,10 @@ use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
 use odf_core::{ForkPolicy, Kernel, Process, Result};
+use odf_metrics::Summary;
 
-use crate::resp::{skip_reply, Parsed, RecvBuf, ReplyBuf, MAX_INLINE_ARGS};
+use crate::command;
+use crate::resp::{skip_reply, Parsed, RecvBuf, ReplyBuf};
 use crate::server::fork_snapshot_child;
 use crate::sharded::{ShardedSnapshot, ShardedStore};
 use crate::store::Store;
@@ -82,14 +81,15 @@ enum Msg {
     /// Worker `from` asks a peer for its shard's item count.
     LenReq { from: usize, token: u64 },
     /// The peer's answer, routed back by `token`.
-    LenReply { token: u64, count: u64 },
+    LenReply { token: u64, count: Result<u64> },
     /// To the coordinator: run a BGSAVE. `from` is the worker serving the
     /// client's `BGSAVE` command, or `None` for an external caller.
     BgsaveReq { from: Option<usize>, token: u64 },
     /// Coordinator → worker: spin at the fork barrier for `epoch`.
     Barrier { epoch: u64 },
-    /// Coordinator → requesting worker: the fork happened; ack the client.
-    BgsaveStarted { token: u64 },
+    /// Coordinator → requesting worker: the fork was attempted; tell the
+    /// client how it went.
+    BgsaveForked { token: u64, forked: Result<()> },
     /// Coordinator → worker: finish draining client inboxes, then ack.
     Quiesce,
     /// Worker → coordinator: inboxes drained, no new cross-shard requests
@@ -152,6 +152,8 @@ struct Barrier {
 struct SnapshotBox {
     in_flight: u64,
     done: Vec<ShardedSnapshot>,
+    /// Fork stall of every snapshot started, nanoseconds (for `INFO`).
+    fork_times: Summary,
 }
 
 /// One registered client connection: the inbox/outbox pair models the
@@ -552,10 +554,15 @@ fn run_bgsave(n: usize, shared: &Shared, proc: &Arc<Process>, from: Option<usize
     let forked = fork_snapshot_child(proc, shared.policy, false);
     shared.barrier.released.store(epoch, Ordering::Release);
     if let Some(w) = from {
+        let forked = forked.as_ref().map(|_| ()).map_err(|&e| e);
         shared
             .mesh
-            .post(w, ctl_slot(n), Msg::BgsaveStarted { token });
+            .post(w, ctl_slot(n), Msg::BgsaveForked { token, forked });
         shared.wake(w);
+    }
+    if let Ok((_, fork_ns, _, _)) = forked {
+        let mut snaps = shared.snapshots.lock().expect("snapshots poisoned");
+        snaps.fork_times.record(fork_ns as f64);
     }
     let result = forked.and_then(|(child, fork_ns, _, _)| {
         let dumps = shared.store.serialize(&child)?;
@@ -624,7 +631,7 @@ struct PendingOp {
 }
 
 enum PendingKind {
-    Len { remaining: usize, sum: u64 },
+    Len { remaining: usize, sum: Result<u64> },
     Bgsave,
 }
 
@@ -730,28 +737,23 @@ fn handle_msg(
 ) {
     match msg {
         Msg::LenReq { from, token } => {
-            let count = store.len(proc).unwrap_or(0);
+            let count = store.len(proc);
             shared.mesh.post(from, me, Msg::LenReply { token, count });
             shared.wake(from);
         }
         Msg::LenReply { token, count } => {
-            let done = {
-                let op = state.pending.get_mut(&token).expect("pending len op");
-                let PendingKind::Len { remaining, sum } = &mut op.kind else {
-                    panic!("token {token} is not a DBSIZE op");
-                };
-                *sum += count;
-                *remaining -= 1;
-                *remaining == 0
+            let op = state.pending.get_mut(&token).expect("pending len op");
+            let PendingKind::Len { remaining, sum } = &mut op.kind else {
+                panic!("token {token} is not a DBSIZE op");
             };
-            if done {
+            *sum = sum.and_then(|sum| Ok(sum + count?));
+            *remaining -= 1;
+            if *remaining == 0 {
+                let sum = *sum;
                 let op = state.pending.remove(&token).expect("pending len op");
-                let PendingKind::Len { sum, .. } = op.kind else {
-                    unreachable!();
-                };
-                state.conns[op.conn].reply.complete(op.reply_token, |buf| {
-                    let _ = write!(buf, ":{sum}\r\n");
-                });
+                state.conns[op.conn]
+                    .reply
+                    .complete(op.reply_token, |buf| write_len(buf, sum));
             }
         }
         Msg::Barrier { epoch } => {
@@ -762,12 +764,17 @@ fn handle_msg(
                 std::thread::yield_now();
             }
         }
-        Msg::BgsaveStarted { token } => {
+        Msg::BgsaveForked { token, forked } => {
             let op = state.pending.remove(&token).expect("pending bgsave op");
             assert!(matches!(op.kind, PendingKind::Bgsave));
-            state.conns[op.conn].reply.complete(op.reply_token, |buf| {
-                buf.extend_from_slice(b"+Background saving started\r\n");
-            });
+            state.conns[op.conn]
+                .reply
+                .complete(op.reply_token, |buf| match forked {
+                    Ok(()) => buf.extend_from_slice(b"+Background saving started\r\n"),
+                    Err(e) => {
+                        let _ = write!(buf, "-ERR {e}\r\n");
+                    }
+                });
         }
         Msg::Quiesce => *quiesce_seen = true,
         Msg::Shutdown => state.shutdown = true,
@@ -832,7 +839,9 @@ fn pump_conn(
 }
 
 /// Executes one parsed command (`args` ranges into the connection's
-/// `RecvBuf`) against this worker's shard, run to completion.
+/// `RecvBuf`) run to completion: a data command against this worker's
+/// shard — or a `-MOVED` redirect when the key lives elsewhere — and the
+/// two cross-shard operations over the mailbox mesh.
 #[allow(clippy::too_many_arguments)]
 fn execute_command(
     me: usize,
@@ -844,17 +853,6 @@ fn execute_command(
     conn_index: usize,
     args: &[(usize, usize)],
 ) {
-    if args.is_empty() {
-        state.conns[conn_index].reply.error("ERR empty command");
-        return;
-    }
-    if args.len() > MAX_INLINE_ARGS {
-        state.conns[conn_index]
-            .reply
-            .error("ERR wrong number of arguments");
-        return;
-    }
-
     // Split-borrow the worker state: the connection's rx (read-only arg
     // slices) and reply (written), plus the pending-op table.
     let WorkerState {
@@ -863,116 +861,32 @@ fn execute_command(
         next_token,
         ..
     } = state;
-    let conn = &mut conns[conn_index];
-    let mut argv: [&[u8]; MAX_INLINE_ARGS] = [b""; MAX_INLINE_ARGS];
-    for (slot, &range) in argv.iter_mut().zip(args.iter()) {
-        *slot = conn.rx.arg(range);
-    }
-    let argv = &argv[..args.len()];
-    let (&name, rest) = argv.split_first().expect("non-empty");
-    let mut upper = [0u8; 16];
-    let too_long = name.len() > upper.len();
-    for (dst, &src) in upper.iter_mut().zip(name) {
-        *dst = src.to_ascii_uppercase();
-    }
-    let upper = &upper[..name.len().min(16)];
-
-    let reply = &mut conn.reply;
-    // Data commands belong to this shard or get a smart-client redirect.
-    let route = |key: &[u8], reply: &mut ReplyBuf| -> bool {
-        let shard = shared.store.shard_for(key);
-        if shard == me {
-            return true;
-        }
-        reply.error(&format!("MOVED {shard}"));
-        false
-    };
-    let vm_err = |e: odf_core::VmError, reply: &mut ReplyBuf| {
-        reply.error(&format!("ERR {e}"));
-    };
-
-    if too_long {
-        unknown(name, reply);
-        return;
-    }
-    match upper {
-        b"PING" => reply.simple("PONG"),
-        b"SET" => match rest {
-            [key, value] => {
-                if route(key, reply) {
-                    match store.set(proc, key, value) {
-                        Ok(()) => reply.simple("OK"),
-                        Err(e) => vm_err(e, reply),
-                    }
-                }
-            }
-            _ => reply.error("ERR wrong number of arguments"),
-        },
-        b"GET" => match rest {
-            [key] => {
-                if route(key, reply) {
-                    match store.get(proc, key) {
-                        Ok(v) => reply.bulk(v.as_deref()),
-                        Err(e) => vm_err(e, reply),
-                    }
-                }
-            }
-            _ => reply.error("ERR wrong number of arguments"),
-        },
-        b"DEL" => match rest {
-            [key] => {
-                if route(key, reply) {
-                    match store.del(proc, key) {
-                        Ok(existed) => reply.integer(i64::from(existed)),
-                        Err(e) => vm_err(e, reply),
-                    }
-                }
-            }
-            _ => reply.error("ERR wrong number of arguments"),
-        },
-        b"EXISTS" => match rest {
-            [key] => {
-                if route(key, reply) {
-                    match store.exists(proc, key) {
-                        Ok(e) => reply.integer(i64::from(e)),
-                        Err(e) => vm_err(e, reply),
-                    }
-                }
-            }
-            _ => reply.error("ERR wrong number of arguments"),
-        },
-        b"INCR" => match rest {
-            [key] => {
-                if route(key, reply) {
-                    match store.incr(proc, key) {
-                        Ok(v) => reply.integer(v),
-                        Err(_) => reply.error("ERR value is not an integer or out of range"),
-                    }
-                }
-            }
-            _ => reply.error("ERR wrong number of arguments"),
-        },
-        b"APPEND" => match rest {
-            [key, suffix] => {
-                if route(key, reply) {
-                    match store.append(proc, key, suffix) {
-                        Ok(len) => reply.integer(len as i64),
-                        Err(e) => vm_err(e, reply),
-                    }
-                }
-            }
-            _ => reply.error("ERR wrong number of arguments"),
-        },
-        b"DBSIZE" => {
-            // The cross-shard op: reserve the reply slot (ordering), count
-            // locally, and ask every peer over the mailbox mesh.
-            let reply_token = reply.reserve_pending();
-            let local = store.len(proc).unwrap_or(0);
-            if n == 1 {
-                reply.complete(reply_token, |buf| {
-                    let _ = write!(buf, ":{local}\r\n");
-                });
+    let WorkerConn { rx, reply, .. } = &mut conns[conn_index];
+    rx.with_argv(args, |argv| {
+        let Some(spec) = command::resolve(argv, reply) else {
+            return;
+        };
+        if spec.key_pos > 0 {
+            // Data commands belong to this shard or get a smart-client
+            // redirect, before anything executes.
+            let shard = shared.store.shard_for(argv[spec.key_pos]);
+            if shard == me {
+                command::execute(spec, store, proc, argv, reply);
             } else {
+                reply.error(&format!("MOVED {shard}"));
+            }
+            return;
+        }
+        match spec.name {
+            b"DBSIZE" => {
+                // The cross-shard op: reserve the reply slot (ordering),
+                // count locally, and ask every peer over the mailbox mesh.
+                let reply_token = reply.reserve_pending();
+                let local = store.len(proc);
+                if n == 1 {
+                    reply.complete(reply_token, |buf| write_len(buf, local));
+                    return;
+                }
                 *next_token += 1;
                 let token = *next_token;
                 pending.insert(
@@ -991,51 +905,53 @@ fn execute_command(
                     shared.wake(peer);
                 }
             }
-        }
-        b"BGSAVE" => {
-            let reply_token = reply.reserve_pending();
-            *next_token += 1;
-            let token = *next_token;
-            pending.insert(
-                token,
-                PendingOp {
-                    conn: conn_index,
-                    reply_token,
-                    kind: PendingKind::Bgsave,
-                },
-            );
-            {
-                let mut snaps = shared.snapshots.lock().expect("snapshots poisoned");
-                snaps.in_flight += 1;
-            }
-            shared.mesh.post(
-                ctl_slot(n),
-                me,
-                Msg::BgsaveReq {
-                    from: Some(me),
+            b"BGSAVE" => {
+                let reply_token = reply.reserve_pending();
+                *next_token += 1;
+                let token = *next_token;
+                pending.insert(
                     token,
-                },
-            );
-            shared.wake(ctl_slot(n));
-        }
-        b"STATS" => match rest {
-            // Kernel counters are process-global and thread-safe; no
-            // cross-shard coordination needed to render them.
-            [] => reply.bulk(Some(proc.kernel().metrics_prometheus().as_bytes())),
-            [fmt] if fmt.eq_ignore_ascii_case(b"json") => {
-                reply.bulk(Some(proc.kernel().metrics_json().as_bytes()));
+                    PendingOp {
+                        conn: conn_index,
+                        reply_token,
+                        kind: PendingKind::Bgsave,
+                    },
+                );
+                {
+                    let mut snaps = shared.snapshots.lock().expect("snapshots poisoned");
+                    snaps.in_flight += 1;
+                }
+                shared.mesh.post(
+                    ctl_slot(n),
+                    me,
+                    Msg::BgsaveReq {
+                        from: Some(me),
+                        token,
+                    },
+                );
+                shared.wake(ctl_slot(n));
             }
-            _ => reply.error("ERR wrong number of arguments"),
-        },
-        _ => unknown(name, reply),
-    }
+            b"INFO" => {
+                // Copy the numbers out: rendering walks the address space,
+                // and the coordinator takes this lock around every fork.
+                let (saving, fork_times) = {
+                    let snaps = shared.snapshots.lock().expect("snapshots poisoned");
+                    (snaps.in_flight > 0, snaps.fork_times.clone())
+                };
+                let section = argv.get(1).copied();
+                command::info(proc, shared.policy, saving, &fork_times, section, reply);
+            }
+            _ => command::execute_admin(spec, proc.kernel(), argv, reply),
+        }
+    });
 }
 
-fn unknown(name: &[u8], reply: &mut ReplyBuf) {
-    reply.error(&format!(
-        "ERR unknown command '{}'",
-        String::from_utf8_lossy(name)
-    ));
+/// Encodes a `DBSIZE` reply: the count, or the error reading it hit.
+fn write_len(buf: &mut Vec<u8>, len: Result<u64>) {
+    let _ = match len {
+        Ok(len) => write!(buf, ":{len}\r\n"),
+        Err(e) => write!(buf, "-ERR {e}\r\n"),
+    };
 }
 
 #[cfg(test)]

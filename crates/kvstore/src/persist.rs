@@ -24,9 +24,9 @@ use odf_durability::{
     recover, ChainStore, FsError, ManifestEntry, RecoveryReport, StorageFs, Wal, WalConfig,
 };
 use odf_metrics::Stopwatch;
-use odf_snapshot::{capture_delta, capture_full};
 use odf_trace::Event;
 
+use crate::server::{capture_frozen, fork_snapshot_child};
 use crate::store::Store;
 
 /// Errors from the durable serving path.
@@ -393,18 +393,11 @@ impl DurableServer {
         self.mutate(Command::Del { key: key.to_vec() })
     }
 
-    /// Journaled `INCR`. Validated *before* journaling so a record that
-    /// enters the log always replays cleanly.
+    /// Journaled `INCR`. Validated *before* journaling — with the parse
+    /// replay itself runs — so a record that enters the log always replays
+    /// cleanly.
     pub fn incr(&mut self, key: &[u8]) -> Result<Acked, PersistError> {
-        if let Some(bytes) = self.store.get(&self.proc, key)? {
-            let ok = std::str::from_utf8(&bytes)
-                .ok()
-                .and_then(|s| s.parse::<i64>().ok())
-                .is_some_and(|v| v.checked_add(1).is_some());
-            if !ok {
-                return Err(PersistError::Vm(VmError::InvalidArgument));
-            }
-        }
+        self.store.next_incr(&self.proc, key)?;
         self.mutate(Command::Incr { key: key.to_vec() })
     }
 
@@ -435,55 +428,13 @@ impl DurableServer {
     ///
     /// Synchronous, unlike [`crate::Server::bgsave`]: the durability
     /// story needs a defined order of storage operations (and the
-    /// crash-injection harness enumerates exactly that order), so the
-    /// serialize step runs on the calling thread.
+    /// crash-injection harness enumerates exactly that order), so this is
+    /// [`DurableServer::bgsave_async`] joined at once — the caller is
+    /// blocked for as long as the helper runs.
     pub fn bgsave(&mut self) -> Result<ManifestEntry, PersistError> {
-        self.wait_bgsave()?;
-        let (child, wal_seq, child_epoch, delta) = self.fork_frozen()?;
-
-        let mut image = if delta {
-            capture_delta(child.mm(), child_epoch, child_epoch - 1)
-        } else {
-            capture_full(child.mm(), child_epoch)
-        };
-        child.exit();
-        // Rebase the epoch so it keeps increasing across recoveries (the
-        // capture ran with the process's own epoch counter, which restarts
-        // at 0 after a restore).
-        image.epoch = self.epoch_base + child_epoch;
-        image.parent_epoch = if delta { image.epoch - 1 } else { image.epoch };
-
-        let meta = self.store_meta().encode();
-        let chain = self.chain.as_mut().expect("no snapshot in flight");
-        let entry = chain.publish(&image, wal_seq, &meta)?;
-        self.wal.truncate_through(wal_seq)?;
+        self.bgsave_async()?;
+        let (entry, _) = self.wait_bgsave()?.expect("a snapshot was just started");
         Ok(entry)
-    }
-
-    /// Shared front half of both bgsave flavors: reset the dirty counter,
-    /// pin the covered WAL sequence, fork, and advance the epoch — the
-    /// only part that must happen on the serving thread, and the only part
-    /// that stalls it.
-    fn fork_frozen(&mut self) -> Result<(Process, u64, u64, bool), PersistError> {
-        self.dirty = 0;
-        // Every applied mutation is journaled first, so the fork below
-        // freezes exactly the state through this sequence number.
-        let wal_seq = self.wal.appended_seq();
-        let child = self.proc.fork_with(self.config.fork_policy)?;
-        let child_epoch = child.checkpoint_epoch();
-        let delta = self.config.incremental && child_epoch > 0;
-        // Advance before any post-fork write (see Server::bgsave), even in
-        // full-image mode: monotone epochs keep chain ordering unambiguous.
-        self.proc.advance_checkpoint_epoch()?;
-        Ok((child, wal_seq, child_epoch, delta))
-    }
-
-    fn store_meta(&self) -> StoreMeta {
-        StoreMeta {
-            heap_base: self.store.heap().base(),
-            heap_capacity: self.store.heap().capacity(),
-            header: self.store.header_addr(),
-        }
     }
 
     /// Starts a snapshot without blocking the serving thread for the
@@ -498,19 +449,35 @@ impl DurableServer {
     /// covers, so the untruncated overlap is harmless).
     pub fn bgsave_async(&mut self) -> Result<(), PersistError> {
         self.wait_bgsave()?;
-        let sw = Stopwatch::start();
-        let (child, wal_seq, child_epoch, delta) = self.fork_frozen()?;
-        let fork_ns = sw.elapsed_ns();
+        // The stall this thread pays is the whole handshake — fork *and*
+        // the epoch advance that must precede the next write — so that,
+        // not the fork call alone, is what `wait_bgsave` reports.
+        let stall = Stopwatch::start();
+        self.dirty = 0;
+        // Every applied mutation is journaled first, so the fork below
+        // freezes exactly the state through this sequence number.
+        let wal_seq = self.wal.appended_seq();
+        // Asked for as incremental whatever the config says, so the epoch
+        // advances even in full-image mode: monotone epochs keep chain
+        // ordering unambiguous.
+        let (child, _, child_epoch, has_base) =
+            fork_snapshot_child(&self.proc, self.config.fork_policy, true)?;
+        let fork_ns = stall.elapsed_ns();
+        let delta = self.config.incremental && has_base;
         let epoch_base = self.epoch_base;
-        let meta = self.store_meta().encode();
+        let meta = StoreMeta {
+            heap_base: self.store.heap().base(),
+            heap_capacity: self.store.heap().capacity(),
+            header: self.store.header_addr(),
+        }
+        .encode();
         let mut chain = self.chain.take().expect("no snapshot in flight");
         let handle = std::thread::spawn(move || {
-            let mut image = if delta {
-                capture_delta(child.mm(), child_epoch, child_epoch - 1)
-            } else {
-                capture_full(child.mm(), child_epoch)
-            };
+            let mut image = capture_frozen(&child, child_epoch, delta);
             child.exit();
+            // Rebase the epoch so it keeps increasing across recoveries
+            // (the capture ran with the process's own epoch counter, which
+            // restarts at 0 after a restore).
             image.epoch = epoch_base + child_epoch;
             image.parent_epoch = if delta { image.epoch - 1 } else { image.epoch };
             let result = chain.publish(&image, wal_seq, &meta).map_err(Into::into);

@@ -1,12 +1,11 @@
-//! RESP (REdis Serialization Protocol) codec and command dispatch.
+//! RESP (REdis Serialization Protocol) codec.
 //!
 //! The paper drives Redis with memtier_benchmark, which speaks RESP over
-//! TCP. This module provides the wire layer for the reproduction's server:
-//! RESP2 value encoding/decoding and the command surface the workloads
-//! use (`GET`, `SET`, `DEL`, `EXISTS`, `INCR`, `APPEND`, `DBSIZE`,
-//! `BGSAVE`, `PING`), plus the observability commands `INFO [section]`
-//! (Redis-style sectioned report) and `STATS [JSON]` (Prometheus text or
-//! JSON export of every kernel counter and trace latency class).
+//! TCP. This module is the wire layer for the reproduction's servers: the
+//! in-place request parser ([`RecvBuf`]), the reply writer ([`ReplyBuf`]),
+//! and [`RespValue`], the owned form clients and tests encode commands and
+//! decode replies with. What the commands *are* lives in
+//! [`crate::command`].
 
 use std::collections::VecDeque;
 use std::io::Write as _;
@@ -217,6 +216,22 @@ impl RecvBuf {
     /// until the next `push` or `consume`.
     pub fn arg(&self, range: (usize, usize)) -> &[u8] {
         &self.buf[self.start + range.0..self.start + range.0 + range.1]
+    }
+
+    /// Resolves the ranges `parse_command` filled in to borrowed argument
+    /// slices and hands them to `f`. Up to [`MAX_INLINE_ARGS`] arguments
+    /// sit in a stack array; only a longer command allocates.
+    pub fn with_argv<R>(&self, ranges: &[(usize, usize)], f: impl FnOnce(&[&[u8]]) -> R) -> R {
+        if ranges.len() <= MAX_INLINE_ARGS {
+            let mut argv: [&[u8]; MAX_INLINE_ARGS] = [b""; MAX_INLINE_ARGS];
+            for (slot, &range) in argv.iter_mut().zip(ranges) {
+                *slot = self.arg(range);
+            }
+            f(&argv[..ranges.len()])
+        } else {
+            let argv: Vec<&[u8]> = ranges.iter().map(|&r| self.arg(r)).collect();
+            f(&argv)
+        }
     }
 
     /// Discards `used` bytes from the front (one parsed or skipped frame).
@@ -522,213 +537,6 @@ pub fn skip_reply(input: &[u8]) -> Option<usize> {
     }
 }
 
-/// Dispatches one decoded command against the server, returning the reply.
-///
-/// Legacy convenience wrapper over [`dispatch_args`]; the zero-copy paths
-/// ([`serve_stream`], the per-core workers) never build a `RespValue`.
-pub fn dispatch(server: &mut Server, command: &RespValue) -> RespValue {
-    let RespValue::Array(items) = command else {
-        return RespValue::Error("ERR expected array".into());
-    };
-    let mut args: Vec<&[u8]> = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            RespValue::Bulk(Some(data)) => args.push(data),
-            _ => return RespValue::Error("ERR expected bulk strings".into()),
-        }
-    }
-    let mut reply = ReplyBuf::new();
-    dispatch_args(server, &args, &mut reply);
-    let mut wire = Vec::new();
-    reply.flush_into(&mut wire);
-    match RespValue::decode(&wire) {
-        Some((value, _)) => value,
-        None => RespValue::Error("ERR truncated reply".into()),
-    }
-}
-
-/// Executes one command given as borrowed argument slices, writing the
-/// reply into `out`. This is the command surface; every serving path
-/// (single-threaded, streamed, per-core) funnels through it or mirrors
-/// its replies.
-pub fn dispatch_args(server: &mut Server, args: &[&[u8]], out: &mut ReplyBuf) {
-    let Some((&name, rest)) = args.split_first() else {
-        out.error("ERR empty command");
-        return;
-    };
-    let mut upper = [0u8; 16];
-    let Some(upper) = upper_name(name, &mut upper) else {
-        unknown_command(name, out);
-        return;
-    };
-    match upper {
-        b"PING" => out.simple("PONG"),
-        b"SET" => match rest {
-            [key, value] => match server.set(key, value) {
-                Ok(()) => out.simple("OK"),
-                Err(e) => vm_err(e, out),
-            },
-            _ => wrong_arity(out),
-        },
-        b"GET" => match rest {
-            [key] => match server.get(key) {
-                Ok(v) => out.bulk(v.as_deref()),
-                Err(e) => vm_err(e, out),
-            },
-            _ => wrong_arity(out),
-        },
-        b"DEL" => match rest {
-            [key] => match server.del(key) {
-                Ok(existed) => out.integer(i64::from(existed)),
-                Err(e) => vm_err(e, out),
-            },
-            _ => wrong_arity(out),
-        },
-        b"EXISTS" => match rest {
-            [key] => match server.exists(key) {
-                Ok(e) => out.integer(i64::from(e)),
-                Err(e) => vm_err(e, out),
-            },
-            _ => wrong_arity(out),
-        },
-        b"INCR" => match rest {
-            [key] => match server.incr(key) {
-                Ok(v) => out.integer(v),
-                Err(_) => out.error("ERR value is not an integer or out of range"),
-            },
-            _ => wrong_arity(out),
-        },
-        b"APPEND" => match rest {
-            [key, suffix] => match server.append(key, suffix) {
-                Ok(n) => out.integer(n as i64),
-                Err(e) => vm_err(e, out),
-            },
-            _ => wrong_arity(out),
-        },
-        b"DBSIZE" => match server.store().len(server.process()) {
-            Ok(n) => out.integer(n as i64),
-            Err(e) => vm_err(e, out),
-        },
-        b"BGSAVE" => match server.bgsave() {
-            Ok(()) => out.simple("Background saving started"),
-            Err(e) => vm_err(e, out),
-        },
-        b"INFO" => match rest {
-            [] => out.bulk(Some(server.info(None).as_bytes())),
-            [section] => {
-                let section = String::from_utf8_lossy(section).to_string();
-                out.bulk(Some(server.info(Some(&section)).as_bytes()));
-            }
-            _ => wrong_arity(out),
-        },
-        b"STATS" => match rest {
-            [] => out.bulk(Some(server.metrics_prometheus().as_bytes())),
-            [fmt] if fmt.eq_ignore_ascii_case(b"json") => {
-                out.bulk(Some(server.metrics_json().as_bytes()));
-            }
-            [sub] if sub.eq_ignore_ascii_case(b"reset") => {
-                server.reset_metrics_window();
-                out.simple("OK");
-            }
-            _ => wrong_arity(out),
-        },
-        b"PROBE" => {
-            let reply = probe_dispatch(rest);
-            let buf = reply.encode();
-            let chunk = out.tail();
-            chunk.extend_from_slice(&buf);
-        }
-        _ => unknown_command(name, out),
-    }
-}
-
-/// Uppercases a command name into a stack buffer; `None` if it is longer
-/// than any known command (then it is necessarily unknown).
-fn upper_name<'a>(name: &[u8], scratch: &'a mut [u8; 16]) -> Option<&'a [u8]> {
-    if name.len() > scratch.len() {
-        return None;
-    }
-    for (dst, &src) in scratch.iter_mut().zip(name) {
-        *dst = src.to_ascii_uppercase();
-    }
-    Some(&scratch[..name.len()])
-}
-
-fn wrong_arity(out: &mut ReplyBuf) {
-    out.error("ERR wrong number of arguments");
-}
-
-fn vm_err(e: odf_core::VmError, out: &mut ReplyBuf) {
-    out.error(&format!("ERR {e}"));
-}
-
-fn unknown_command(name: &[u8], out: &mut ReplyBuf) {
-    out.error(&format!(
-        "ERR unknown command '{}'",
-        String::from_utf8_lossy(name)
-    ));
-}
-
-/// The `PROBE` command family: live attach/detach/read of probe programs
-/// against the process-wide engine.
-///
-/// ```text
-/// PROBE LIST
-/// PROBE ATTACH <name> <point> <program> [key=pid|vma|kind|order|none]
-///              [pid=N] [kind=LABEL] [minlat=NS] [maxkeys=N]
-/// PROBE DETACH <name>
-/// PROBE READ [name]
-/// PROBE RESET
-/// ```
-fn probe_dispatch(rest: &[&[u8]]) -> RespValue {
-    let usage = || RespValue::Error("ERR PROBE LIST|ATTACH|DETACH|READ|RESET".into());
-    let Some((&sub, args)) = rest.split_first() else {
-        return usage();
-    };
-    let engine = odf_probe::engine();
-    match sub.to_ascii_uppercase().as_slice() {
-        b"LIST" => RespValue::Array(
-            engine
-                .list()
-                .into_iter()
-                .map(|(spec, hits)| {
-                    RespValue::Bulk(Some(format!("{spec} hits={hits}").into_bytes()))
-                })
-                .collect(),
-        ),
-        b"ATTACH" => {
-            let tokens: Vec<String> = args
-                .iter()
-                .map(|a| String::from_utf8_lossy(a).to_string())
-                .collect();
-            let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
-            match odf_probe::ProbeSpec::parse(&refs).and_then(|s| engine.attach(s)) {
-                Ok(()) => RespValue::Simple("OK".into()),
-                Err(msg) => RespValue::Error(format!("ERR {msg}")),
-            }
-        }
-        b"DETACH" => match args {
-            [name] => RespValue::Integer(i64::from(engine.detach(&String::from_utf8_lossy(name)))),
-            _ => RespValue::Error("ERR usage: PROBE DETACH <name>".into()),
-        },
-        b"READ" => match args {
-            [] => RespValue::Bulk(Some(
-                odf_probe::reports_json(&engine.read_all()).into_bytes(),
-            )),
-            [name] => match engine.read(&String::from_utf8_lossy(name)) {
-                Some(r) => RespValue::Bulk(Some(r.to_json().into_bytes())),
-                None => RespValue::Bulk(None),
-            },
-            _ => RespValue::Error("ERR usage: PROBE READ [name]".into()),
-        },
-        b"RESET" => {
-            engine.reset_all();
-            RespValue::Simple("OK".into())
-        }
-        _ => usage(),
-    }
-}
-
 /// Feeds a byte stream of pipelined commands to the server, as a
 /// connection handler would, returning the concatenated replies.
 ///
@@ -748,16 +556,7 @@ pub fn serve_stream(server: &mut Server, input: &[u8]) -> Vec<u8> {
                 rx.consume(used);
             }
             Parsed::Cmd { used } => {
-                if args.len() <= MAX_INLINE_ARGS {
-                    let mut argv: [&[u8]; MAX_INLINE_ARGS] = [b""; MAX_INLINE_ARGS];
-                    for (slot, &range) in argv.iter_mut().zip(args.iter()) {
-                        *slot = rx.arg(range);
-                    }
-                    dispatch_args(server, &argv[..args.len()], &mut reply);
-                } else {
-                    let argv: Vec<&[u8]> = args.iter().map(|&r| rx.arg(r)).collect();
-                    dispatch_args(server, &argv, &mut reply);
-                }
+                rx.with_argv(&args, |argv| server.execute(argv, &mut reply));
                 rx.consume(used);
             }
         }
@@ -783,6 +582,14 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    /// One command over the wire path, its reply decoded.
+    fn run(s: &mut Server, parts: &[&[u8]]) -> RespValue {
+        let wire = serve_stream(s, &encode_command(parts));
+        let (reply, used) = RespValue::decode(&wire).expect("one complete reply");
+        assert_eq!(used, wire.len());
+        reply
     }
 
     #[test]
@@ -843,11 +650,6 @@ mod tests {
     #[test]
     fn command_dispatch_covers_the_surface() {
         let mut s = server();
-        let run = |s: &mut Server, parts: &[&[u8]]| {
-            let wire = encode_command(parts);
-            let (v, _) = RespValue::decode(&wire).unwrap();
-            dispatch(s, &v)
-        };
         assert_eq!(run(&mut s, &[b"PING"]), RespValue::Simple("PONG".into()));
         assert_eq!(
             run(&mut s, &[b"SET", b"k", b"v"]),
@@ -876,11 +678,6 @@ mod tests {
     #[test]
     fn info_and_stats_report_kernel_state() {
         let mut s = server();
-        let run = |s: &mut Server, parts: &[&[u8]]| {
-            let wire = encode_command(parts);
-            let (v, _) = RespValue::decode(&wire).unwrap();
-            dispatch(s, &v)
-        };
         s.set(b"k", b"v").unwrap();
         let RespValue::Bulk(Some(info)) = run(&mut s, &[b"INFO"]) else {
             panic!("INFO must return a bulk string");

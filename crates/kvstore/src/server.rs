@@ -6,8 +6,10 @@ use std::thread::JoinHandle;
 
 use odf_core::{ForkPolicy, Kernel, Process, Result};
 use odf_metrics::{Stopwatch, Summary};
-use odf_snapshot::{capture_delta, capture_full};
+use odf_snapshot::{capture_delta, capture_full, SnapshotImage};
 
+use crate::command;
+use crate::resp::ReplyBuf;
 use crate::store::Store;
 
 /// Server configuration.
@@ -97,6 +99,16 @@ pub(crate) fn fork_snapshot_child(
         proc.advance_checkpoint_epoch()?;
     }
     Ok((child, fork_ns, epoch, delta))
+}
+
+/// Walks the frozen child into a snapshot image at `epoch`: a delta over
+/// the previous epoch when `delta`, the full address space otherwise.
+pub(crate) fn capture_frozen(child: &Process, epoch: u64, delta: bool) -> SnapshotImage {
+    if delta {
+        capture_delta(child.mm(), epoch, epoch - 1)
+    } else {
+        capture_full(child.mm(), epoch)
+    }
 }
 
 /// A single-threaded Redis-like server with background snapshots.
@@ -194,10 +206,48 @@ impl Server {
     fn note_dirty(&mut self) -> Result<()> {
         self.dirty += 1;
         if self.dirty >= self.config.snapshot_every {
-            self.dirty = 0;
             self.bgsave()?;
+            self.dirty = 0;
         }
         Ok(())
+    }
+
+    /// Executes one RESP command given as borrowed argument slices,
+    /// writing the reply to `out` — the wire-path front end over
+    /// [`crate::command`].
+    pub fn execute(&mut self, argv: &[&[u8]], out: &mut ReplyBuf) {
+        let Some(spec) = command::resolve(argv, out) else {
+            return;
+        };
+        if spec.key_pos > 0 {
+            if command::execute(spec, self.store, &self.proc, argv, out) {
+                // The change is applied and acknowledged whatever becomes
+                // of the snapshot it triggers: a failed one leaves `dirty`
+                // over the threshold, so the next change tries again, and
+                // an explicit BGSAVE reports the error.
+                let _ = self.note_dirty();
+            }
+            return;
+        }
+        match spec.name {
+            b"DBSIZE" => match self.store.len(&self.proc) {
+                Ok(n) => out.integer(n as i64),
+                Err(e) => out.error(&format!("ERR {e}")),
+            },
+            b"BGSAVE" => match self.bgsave() {
+                Ok(()) => out.simple("Background saving started"),
+                Err(e) => out.error(&format!("ERR {e}")),
+            },
+            b"INFO" => command::info(
+                &self.proc,
+                self.config.fork_policy,
+                !self.pending.is_empty(),
+                &self.fork_times,
+                argv.get(1).copied(),
+                out,
+            ),
+            _ => command::execute_admin(spec, self.proc.kernel(), argv, out),
+        }
     }
 
     /// Forks a snapshot child now (blocking, measured) and serializes it in
@@ -213,11 +263,7 @@ impl Server {
             // The child serializes its frozen image ("disk I/O" is the
             // in-memory dump) and exits.
             let ser = Stopwatch::start();
-            let image = if delta {
-                capture_delta(child.mm(), epoch, epoch - 1)
-            } else {
-                capture_full(child.mm(), epoch)
-            };
+            let image = capture_frozen(&child, epoch, delta);
             let image_bytes = image.to_bytes().len();
             let stats = image.stats();
             let serialize_ns = ser.elapsed_ns();
@@ -262,92 +308,6 @@ impl Server {
     /// Number of snapshots started.
     pub fn snapshots_started(&self) -> u64 {
         self.fork_times.count()
-    }
-
-    /// Kernel + trace metrics in Prometheus text exposition format (the
-    /// `STATS` command payload).
-    pub fn metrics_prometheus(&self) -> String {
-        self.proc.kernel().metrics_prometheus()
-    }
-
-    /// Kernel + trace metrics as one JSON object (`STATS JSON`).
-    pub fn metrics_json(&self) -> String {
-        self.proc.kernel().metrics_json()
-    }
-
-    /// Starts a fresh metrics window (`STATS RESET`): subsequent `STATS`
-    /// reads report counters since this call; the trace rings are cleared.
-    pub fn reset_metrics_window(&self) {
-        self.proc.kernel().reset_metrics_window();
-    }
-
-    /// Redis-`INFO`-style report. `section` filters to one section
-    /// (case-insensitive); `None` renders all of them.
-    ///
-    /// Sections: `server` (process table, fork policy), `memory`
-    /// (occupancy plus this process's smaps totals), `persistence`
-    /// (snapshot fork latencies), `stats` (every kernel counter), and —
-    /// when tracing is enabled — `trace` (per-event-class latency table).
-    pub fn info(&self, section: Option<&str>) -> String {
-        let kernel = self.proc.kernel();
-        let smaps = self.proc.smaps();
-        let mut sections: Vec<(&str, String)> = Vec::new();
-        sections.push((
-            "server",
-            format!(
-                "processes:{}\r\nfork_policy:{:?}\r\n",
-                kernel.process_count(),
-                self.config.fork_policy
-            ),
-        ));
-        sections.push((
-            "memory",
-            format!(
-                "used_memory:{}\r\ntotal_memory:{}\r\nrss_bytes:{}\r\nshared_bytes:{}\r\nprivate_bytes:{}\r\nshared_pt_tables:{}\r\n",
-                kernel.total_bytes() - kernel.free_bytes(),
-                kernel.total_bytes(),
-                smaps.rss(),
-                smaps.shared(),
-                smaps.private(),
-                smaps.shared_tables(),
-            ),
-        ));
-        let f = &self.fork_times;
-        sections.push((
-            "persistence",
-            format!(
-                "bgsave_in_progress:{}\r\nsnapshots_started:{}\r\nlatest_fork_usec:{}\r\nmean_fork_usec:{}\r\n",
-                u64::from(!self.pending.is_empty()),
-                self.snapshots_started(),
-                (f.max() / 1_000.0) as u64,
-                (f.mean() / 1_000.0) as u64,
-            ),
-        ));
-        let stats = kernel.stats();
-        let mut body = String::new();
-        for (name, value) in stats.vm.fields() {
-            body.push_str(&format!("vm_{name}:{value}\r\n"));
-        }
-        for (name, value) in stats.pool.fields() {
-            body.push_str(&format!("pool_{name}:{value}\r\n"));
-        }
-        sections.push(("stats", body));
-        if odf_trace::enabled() {
-            let summary = odf_trace::TraceSummary::build(&odf_trace::snapshot());
-            sections.push(("trace", summary.render_text().replace('\n', "\r\n")));
-        }
-        let mut out = String::new();
-        for (name, body) in sections {
-            if let Some(want) = section {
-                if !want.eq_ignore_ascii_case(name) {
-                    continue;
-                }
-            }
-            let mut title: String = name.to_string();
-            title[..1].make_ascii_uppercase();
-            out.push_str(&format!("# {title}\r\n{body}\r\n"));
-        }
-        out
     }
 }
 

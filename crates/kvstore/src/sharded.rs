@@ -1,20 +1,12 @@
-//! Multi-threaded serving: a sharded store served by one thread per shard.
+//! A hash-partitioned store: the data layout under the per-core tier.
 //!
-//! The single-threaded [`Server`](crate::Server) mirrors Redis's event
-//! loop. This module adds the serving mode the shared-lock fault path makes
-//! profitable: keys are routed by hash onto independent shards (each shard
-//! a [`Store`] with its own simulated heap in the *same* address space),
-//! and a request batch is executed by one thread per shard. Every thread
-//! faults pages concurrently — demand-zero on first touch, COW after a
-//! snapshot fork — under the shared mm lock, so a background
-//! [`ThreadedServer::bgsave`] stalls serving only for the fork call itself.
+//! Keys are routed by hash onto independent shards — each shard a
+//! [`Store`] with its own simulated heap in the *same* address space — so
+//! one fork freezes every shard at once and one thread per shard can serve
+//! without sharing any store state
+//! ([`PerCoreServer`](crate::PerCoreServer)).
 
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use odf_core::{ForkPolicy, Kernel, Process, Result};
-use odf_metrics::Stopwatch;
+use odf_core::{Process, Result};
 
 use crate::store::Store;
 
@@ -70,77 +62,10 @@ impl ShardedStore {
         self.shards[index]
     }
 
-    /// Sets `key` to `value` in its shard.
-    pub fn set(&self, proc: &Process, key: &[u8], value: &[u8]) -> Result<()> {
-        self.shards[self.shard_for(key)].set(proc, key, value)
-    }
-
-    /// Looks up `key` in its shard.
-    pub fn get(&self, proc: &Process, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.shards[self.shard_for(key)].get(proc, key)
-    }
-
-    /// Deletes `key` from its shard.
-    pub fn del(&self, proc: &Process, key: &[u8]) -> Result<bool> {
-        self.shards[self.shard_for(key)].del(proc, key)
-    }
-
-    /// Total items across all shards.
-    pub fn len(&self, proc: &Process) -> Result<u64> {
-        let mut total = 0;
-        for s in &self.shards {
-            total += s.len(proc)?;
-        }
-        Ok(total)
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self, proc: &Process) -> Result<bool> {
-        Ok(self.len(proc)? == 0)
-    }
-
     /// Serializes every shard (in shard order) from `proc`'s view.
     pub fn serialize(&self, proc: &Process) -> Result<Vec<Vec<u8>>> {
         self.shards.iter().map(|s| s.serialize(proc)).collect()
     }
-}
-
-/// One request in a [`ThreadedServer`] batch.
-#[derive(Clone, Debug)]
-pub enum Request {
-    /// Set a key.
-    Set(Vec<u8>, Vec<u8>),
-    /// Read a key.
-    Get(Vec<u8>),
-    /// Delete a key.
-    Del(Vec<u8>),
-    /// Export kernel + trace metrics (the `STATS` command). Keyless:
-    /// always routed to shard 0, so its position relative to same-batch
-    /// data requests on other shards is unordered — like `INFO` racing
-    /// data commands on a threaded Redis.
-    Stats,
-}
-
-impl Request {
-    fn key(&self) -> Option<&[u8]> {
-        match self {
-            Request::Set(k, _) | Request::Get(k) | Request::Del(k) => Some(k),
-            Request::Stats => None,
-        }
-    }
-}
-
-/// The response to one [`Request`], in batch order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Response {
-    /// A completed `Set`.
-    Stored,
-    /// A `Get` result.
-    Value(Option<Vec<u8>>),
-    /// Whether `Del` removed anything.
-    Deleted(bool),
-    /// A `Stats` export (Prometheus text).
-    Stats(String),
 }
 
 /// Report from one background snapshot of the whole sharded store.
@@ -152,270 +77,35 @@ pub struct ShardedSnapshot {
     pub dumps: Vec<Vec<u8>>,
 }
 
-/// A multi-threaded server: one worker thread per shard per batch, plus
-/// Redis-style background snapshots of the frozen forked child.
-pub struct ThreadedServer {
-    proc: Arc<Process>,
-    store: ShardedStore,
-    policy: ForkPolicy,
-    pending: Vec<JoinHandle<()>>,
-    results_rx: mpsc::Receiver<ShardedSnapshot>,
-    results_tx: mpsc::Sender<ShardedSnapshot>,
-    /// Per-shard request-index routing lists, reused across batches (under
-    /// pipeline=100 the per-batch `Vec` churn dominated the alloc profile).
-    route_scratch: Vec<Vec<usize>>,
-    /// Per-shard response staging, likewise reused; entry capacity tracks
-    /// the largest batch each shard has served.
-    reply_scratch: Vec<Vec<(usize, Response)>>,
-}
-
-impl ThreadedServer {
-    /// Boots a server process with `shards` serving shards.
-    pub fn new(
-        kernel: &Arc<Kernel>,
-        shards: usize,
-        heap_per_shard: u64,
-        buckets: u64,
-        policy: ForkPolicy,
-    ) -> Result<ThreadedServer> {
-        let proc = kernel.spawn()?;
-        let store = ShardedStore::create(&proc, shards, heap_per_shard, buckets)?;
-        let (tx, rx) = mpsc::channel();
-        Ok(ThreadedServer {
-            proc: Arc::new(proc),
-            store,
-            policy,
-            pending: Vec::new(),
-            results_rx: rx,
-            results_tx: tx,
-            route_scratch: (0..shards).map(|_| Vec::new()).collect(),
-            reply_scratch: (0..shards).map(|_| Vec::new()).collect(),
-        })
-    }
-
-    /// The serving process.
-    pub fn process(&self) -> &Process {
-        &self.proc
-    }
-
-    /// The sharded store handle.
-    pub fn store(&self) -> &ShardedStore {
-        &self.store
-    }
-
-    /// Executes a batch of requests, one worker thread per shard touched,
-    /// and returns responses in request order.
-    ///
-    /// Requests for the same key keep their relative order (they land on
-    /// the same shard thread); requests for different shards race — which
-    /// is exactly the concurrent-fault workload the shared-lock fault path
-    /// exists for.
-    pub fn run_batch(&mut self, requests: &[Request]) -> Result<Vec<Response>> {
-        for route in &mut self.route_scratch {
-            route.clear();
-        }
-        for (i, req) in requests.iter().enumerate() {
-            let shard = match req.key() {
-                Some(key) => self.store.shard_for(key),
-                None => 0,
-            };
-            self.route_scratch[shard].push(i);
-        }
-        let store = &self.store;
-        let proc = &self.proc;
-        std::thread::scope(|s| -> Result<()> {
-            let mut handles = Vec::new();
-            for (shard, (route, replies)) in self
-                .route_scratch
-                .iter()
-                .zip(self.reply_scratch.iter_mut())
-                .enumerate()
-            {
-                if route.is_empty() {
-                    continue;
-                }
-                let shard_store = store.shard(shard);
-                let proc = Arc::clone(proc);
-                handles.push(s.spawn(move || -> Result<()> {
-                    replies.clear();
-                    replies.reserve(route.len());
-                    for &i in route {
-                        let resp = match &requests[i] {
-                            Request::Set(k, v) => {
-                                shard_store.set(&proc, k, v)?;
-                                Response::Stored
-                            }
-                            Request::Get(k) => Response::Value(shard_store.get(&proc, k)?),
-                            Request::Del(k) => Response::Deleted(shard_store.del(&proc, k)?),
-                            Request::Stats => Response::Stats(proc.kernel().metrics_prometheus()),
-                        };
-                        replies.push((i, resp));
-                    }
-                    Ok(())
-                }));
-            }
-            for h in handles {
-                h.join().expect("shard worker panicked")?;
-            }
-            Ok(())
-        })?;
-        // Pre-sized from the request count; filled in request order from
-        // the per-shard staging areas (every slot is written exactly once).
-        let mut out: Vec<Option<Response>> = Vec::with_capacity(requests.len());
-        out.resize_with(requests.len(), || None);
-        for replies in &mut self.reply_scratch {
-            for (i, resp) in replies.drain(..) {
-                out[i] = Some(resp);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|r| r.expect("response filled"))
-            .collect())
-    }
-
-    /// Forks a snapshot child now (the only stall) and serializes every
-    /// shard from the frozen image on a background thread. Serving threads
-    /// keep faulting concurrently while the dump runs.
-    pub fn bgsave(&mut self) -> Result<()> {
-        let sw = Stopwatch::start();
-        let child = self.proc.fork_with(self.policy)?;
-        let fork_ns = sw.elapsed_ns();
-        let store = self.store.clone();
-        let tx = self.results_tx.clone();
-        self.pending.push(std::thread::spawn(move || {
-            if let Ok(dumps) = store.serialize(&child) {
-                let _ = tx.send(ShardedSnapshot { fork_ns, dumps });
-            }
-            child.exit();
-        }));
-        Ok(())
-    }
-
-    /// Waits for all in-flight snapshots and returns them.
-    pub fn wait_snapshots(&mut self) -> Vec<ShardedSnapshot> {
-        for h in self.pending.drain(..) {
-            let _ = h.join();
-        }
-        let mut done = Vec::new();
-        while let Ok(r) = self.results_rx.try_recv() {
-            done.push(r);
-        }
-        done
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn items_in(dump: &[u8]) -> u64 {
-        u64::from_le_bytes(dump[0..8].try_into().expect("dump header"))
-    }
+    use odf_core::Kernel;
 
     #[test]
     fn routing_is_stable_and_covers_all_shards() {
         let k = Kernel::new(128 << 20);
-        let server = ThreadedServer::new(&k, 4, 8 << 20, 128, ForkPolicy::OnDemand).unwrap();
-        let store = server.store();
+        let proc = k.spawn().unwrap();
+        let store = ShardedStore::create(&proc, 4, 8 << 20, 128).unwrap();
         let mut hit = [false; 4];
         for i in 0..64u32 {
             let key = format!("key-{i}");
-            hit[store.shard_for(key.as_bytes())] = true;
+            let shard = store.shard_for(key.as_bytes());
+            hit[shard] = true;
             store
-                .set(server.process(), key.as_bytes(), key.as_bytes())
+                .shard(shard)
+                .set(&proc, key.as_bytes(), key.as_bytes())
                 .unwrap();
         }
         assert!(hit.iter().all(|&h| h), "64 keys must touch all 4 shards");
-        assert_eq!(store.len(server.process()).unwrap(), 64);
         for i in 0..64u32 {
             let key = format!("key-{i}");
+            let shard = store.shard(store.shard_for(key.as_bytes()));
             assert_eq!(
-                store
-                    .get(server.process(), key.as_bytes())
-                    .unwrap()
-                    .unwrap(),
+                shard.get(&proc, key.as_bytes()).unwrap().unwrap(),
                 key.as_bytes()
             );
         }
-    }
-
-    #[test]
-    fn batches_serve_concurrently_and_in_key_order() {
-        let k = Kernel::new(128 << 20);
-        let mut server = ThreadedServer::new(&k, 4, 8 << 20, 128, ForkPolicy::OnDemand).unwrap();
-        let mut batch = Vec::new();
-        for i in 0..200u32 {
-            let key = format!("k{i}").into_bytes();
-            batch.push(Request::Set(key.clone(), format!("v{i}").into_bytes()));
-            batch.push(Request::Get(key));
-        }
-        let responses = server.run_batch(&batch).unwrap();
-        assert_eq!(responses.len(), 400);
-        for i in 0..200usize {
-            assert_eq!(responses[2 * i], Response::Stored);
-            assert_eq!(
-                responses[2 * i + 1],
-                Response::Value(Some(format!("v{i}").into_bytes())),
-                "get after set on the same key must observe the set"
-            );
-        }
-        let dels =
-            server.run_batch(&[Request::Del(b"k0".to_vec()), Request::Del(b"nope".to_vec())]);
-        assert_eq!(
-            dels.unwrap(),
-            vec![Response::Deleted(true), Response::Deleted(false)]
-        );
-    }
-
-    #[test]
-    fn stats_request_rides_a_batch() {
-        let k = Kernel::new(128 << 20);
-        let mut server = ThreadedServer::new(&k, 2, 8 << 20, 128, ForkPolicy::OnDemand).unwrap();
-        let responses = server
-            .run_batch(&[
-                Request::Set(b"a".to_vec(), b"1".to_vec()),
-                Request::Stats,
-                Request::Get(b"a".to_vec()),
-            ])
-            .unwrap();
-        let Response::Stats(text) = &responses[1] else {
-            panic!("stats response in batch position");
-        };
-        assert!(text.contains("odf_vm_faults_total"));
-        assert!(text.contains("odf_pool_allocs_total"));
-    }
-
-    #[test]
-    fn bgsave_freezes_a_consistent_image_under_concurrent_serving() {
-        let k = Kernel::new(256 << 20);
-        let mut server = ThreadedServer::new(&k, 4, 8 << 20, 256, ForkPolicy::OnDemand).unwrap();
-        let gen0: Vec<Request> = (0..300u32)
-            .map(|i| Request::Set(format!("k{i}").into_bytes(), b"gen0".to_vec()))
-            .collect();
-        server.run_batch(&gen0).unwrap();
-
-        server.bgsave().unwrap();
-        // Overwrite everything while the snapshot serializes.
-        let gen1: Vec<Request> = (0..300u32)
-            .map(|i| Request::Set(format!("k{i}").into_bytes(), b"gen1".to_vec()))
-            .collect();
-        server.run_batch(&gen1).unwrap();
-
-        let snaps = server.wait_snapshots();
-        assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0].dumps.len(), 4);
-        let total: u64 = snaps[0].dumps.iter().map(|d| items_in(d)).sum();
-        assert_eq!(total, 300, "frozen child must hold the full gen0 set");
-        assert!(snaps[0].fork_ns > 0);
-        // The live store moved on.
-        assert_eq!(
-            server
-                .store()
-                .get(server.process(), b"k0")
-                .unwrap()
-                .unwrap(),
-            b"gen1"
-        );
+        proc.exit();
     }
 }

@@ -177,9 +177,11 @@ impl Store {
         Ok(self.get(proc, key)?.is_some())
     }
 
-    /// Atomically increments the integer value of a key (`INCR`): a
-    /// missing key counts as 0; a non-integer value is an error.
-    pub fn incr(&self, proc: &Process, key: &[u8]) -> Result<i64> {
+    /// The value `INCR key` would store: a missing key counts as 0; a
+    /// non-integer value or an overflow is `InvalidArgument`. The durable
+    /// server validates with this before journaling, so the check it runs
+    /// is the one replay runs.
+    pub fn next_incr(&self, proc: &Process, key: &[u8]) -> Result<i64> {
         let current = match self.get(proc, key)? {
             None => 0,
             Some(bytes) => std::str::from_utf8(&bytes)
@@ -187,7 +189,13 @@ impl Store {
                 .and_then(|s| s.parse::<i64>().ok())
                 .ok_or(VmError::InvalidArgument)?,
         };
-        let next = current.checked_add(1).ok_or(VmError::InvalidArgument)?;
+        current.checked_add(1).ok_or(VmError::InvalidArgument)
+    }
+
+    /// Increments the integer value of a key (`INCR`), returning the new
+    /// value.
+    pub fn incr(&self, proc: &Process, key: &[u8]) -> Result<i64> {
+        let next = self.next_incr(proc, key)?;
         self.set(proc, key, next.to_string().as_bytes())?;
         Ok(next)
     }

@@ -354,7 +354,11 @@ mod tests {
             ..Default::default()
         };
         preload_percore(&server, &cfg);
-        assert_eq!(server.store().len(server.process().as_ref()).unwrap(), 200);
+        let conn = server.connect_to(0);
+        conn.send(&encode_command(&[b"DBSIZE"]));
+        let mut reply = Vec::new();
+        conn.await_replies(1, &mut reply);
+        assert_eq!(reply, b":200\r\n");
         let report = run_percore(&server, &cfg, 2, 400, Some(100));
         assert_eq!(report.requests, 400);
         assert_eq!(report.errors, 0, "smart-client routing never sees MOVED");

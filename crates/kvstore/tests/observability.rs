@@ -9,7 +9,7 @@
 use std::sync::Mutex;
 
 use odf_core::Kernel;
-use odf_kvstore::{dispatch, encode_command, RespValue, Server, ServerConfig};
+use odf_kvstore::{encode_command, serve_stream, RespValue, Server, ServerConfig};
 
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -31,9 +31,10 @@ fn server() -> Server {
 }
 
 fn run(s: &mut Server, parts: &[&[u8]]) -> RespValue {
-    let wire = encode_command(parts);
-    let (v, _) = RespValue::decode(&wire).unwrap();
-    dispatch(s, &v)
+    let wire = serve_stream(s, &encode_command(parts));
+    let (reply, used) = RespValue::decode(&wire).expect("one complete reply");
+    assert_eq!(used, wire.len());
+    reply
 }
 
 fn bulk_string(v: RespValue) -> String {

@@ -436,9 +436,11 @@ mod tests {
             },
         );
         daemon.kick();
-        // Wait for the daemon to lift the pool back above high.
+        // Wait for the daemon to lift the pool back above high (and to
+        // have counted the pass that did it: frames are freed inside the
+        // scan, the counter is bumped after it).
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while machine.pool().free_frames() < marks.high {
+        while machine.pool().free_frames() < marks.high || daemon.stats().pages_evicted == 0 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "daemon failed to restore watermarks: free={} high={}",

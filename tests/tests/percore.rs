@@ -251,3 +251,46 @@ fn moved_redirects_route_smart_clients_to_the_owner() {
     assert_eq!(kernel.process_count(), 0);
     assert_pool_balanced(kernel.machine().pool(), baseline);
 }
+
+#[test]
+fn failed_bgsave_fork_is_reported_and_serving_continues() {
+    // A kernel too small to Classic-fork the server: ballast touched once
+    // per 2 MiB leaves the process with more page tables than half the
+    // pool, so the fork's table copy cannot fit however much data reclaim
+    // swaps out.
+    const TABLES: u64 = 1200;
+    let kernel = Kernel::new(8 * MIB);
+    let baseline = kernel.machine().pool().balance();
+    {
+        let mut server = boot(&kernel, 1, ForkPolicy::Classic);
+        let proc = server.process();
+        let ballast = proc.mmap_anon(TABLES * 2 * MIB).unwrap();
+        for t in 0..TABLES {
+            proc.write_u64(ballast + t * 2 * MIB, t).unwrap();
+        }
+        drop(proc);
+
+        let conn = server.connect_to(0);
+        let mut out = Vec::new();
+        conn.send(&encode_command(&[b"SET", b"k", b"before"]));
+        assert_eq!(conn.await_replies(1, &mut out), 0);
+
+        conn.send(&encode_command(&[b"BGSAVE"]));
+        out.clear();
+        assert_eq!(conn.await_replies(1, &mut out), 1, "BGSAVE must fail");
+        assert_eq!(out, b"-ERR out of physical memory\r\n");
+        assert!(server.wait_snapshots().is_empty(), "no snapshot appeared");
+
+        // The failed fork cost the server nothing it had.
+        let mut burst = encode_command(&[b"APPEND", b"k", b"-after"]);
+        burst.extend_from_slice(&encode_command(&[b"GET", b"k"]));
+        burst.extend_from_slice(&encode_command(&[b"DBSIZE"]));
+        conn.send(&burst);
+        out.clear();
+        assert_eq!(conn.await_replies(3, &mut out), 0);
+        assert_eq!(out, b":12\r\n$12\r\nbefore-after\r\n:1\r\n");
+        server.shutdown();
+    }
+    assert_eq!(kernel.process_count(), 0);
+    assert_pool_balanced(kernel.machine().pool(), baseline);
+}
