@@ -528,8 +528,14 @@ impl FramePool {
     /// is indivisible, so a concurrent `ref_dec`/`try_ref_inc` observes a
     /// subset of the states `n` sequential `ref_inc` calls could produce —
     /// never a torn or intermediate count. Callers hold the same locks
-    /// (the parent's mm write lock during fork) they would for the
-    /// per-entry path.
+    /// they would for the per-entry path: the parent's mm write lock
+    /// during Classic fork, and — for the fault-time copy of a shared page
+    /// table — only the faulting process's mm lock *shared* plus the
+    /// shared table's split lock. That is still sound: the heads come from
+    /// a table other processes share, whose entries no sharer changes
+    /// (reclaim and THP skip shared tables), so each head is held by that
+    /// table's own reference for the whole pass and cannot be freed or
+    /// split under it; the increments land before the copy is published.
     pub fn ref_inc_many(&self, heads: &[FrameId]) {
         if heads.is_empty() {
             return;

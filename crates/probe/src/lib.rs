@@ -931,6 +931,31 @@ thread_local! {
     static LOCAL: RefCell<LocalState> = RefCell::new(LocalState::default());
 }
 
+/// Serialises this crate's map-creating unit tests: [`ShardedMap::live_maps`]
+/// is process-global, so a test comparing it must not overlap another test
+/// that creates or drops maps.
+#[cfg(test)]
+pub(crate) struct SerialMaps {
+    _lock: std::sync::MutexGuard<'static, ()>,
+}
+
+#[cfg(test)]
+pub(crate) fn serial_maps() -> SerialMaps {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SerialMaps {
+        _lock: LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()),
+    }
+}
+
+#[cfg(test)]
+impl Drop for SerialMaps {
+    fn drop(&mut self) {
+        // This thread's caches hold `Arc`s to the probes it hit; drop them
+        // now, while the lock is held, rather than at thread exit.
+        let _ = LOCAL.try_with(|cell| cell.borrow_mut().caches.clear());
+    }
+}
+
 /// Compiles a spec's declarative filter fields into one predicate, or
 /// `None` when the spec filters nothing (skips the indirect call).
 fn compile_filter(spec: &ProbeSpec) -> Option<Filter> {
@@ -1090,6 +1115,7 @@ mod tests {
 
     #[test]
     fn engine_attach_dispatch_read_detach() {
+        let _serial = serial_maps();
         let e = ProbeEngine::new();
         let mut spec = ProbeSpec::new("faults_by_pid", ProbePoint::Fault, ProgramKind::LatHist);
         spec.key = Keying::Pid;
@@ -1130,6 +1156,7 @@ mod tests {
 
     #[test]
     fn filters_reject_and_count() {
+        let _serial = serial_maps();
         let e = ProbeEngine::new();
         let spec = ProbeSpec::parse(&["slow", "fault", "count_by", "pid=7", "minlat=500"]).unwrap();
         e.attach(spec).unwrap();
@@ -1143,6 +1170,7 @@ mod tests {
 
     #[test]
     fn kind_filter_uses_point_labels() {
+        let _serial = serial_maps();
         let e = ProbeEngine::new();
         let spec = ProbeSpec::parse(&["cowonly", "fault", "count_by", "kind=cow_data"]).unwrap();
         e.attach(spec).unwrap();
@@ -1159,6 +1187,7 @@ mod tests {
 
     #[test]
     fn detach_all_flips_active_off_and_drops_maps() {
+        let _serial = serial_maps();
         let live_before = ShardedMap::live_maps();
         let e = ProbeEngine::new();
         for (i, point) in [ProbePoint::Fault, ProbePoint::Fork, ProbePoint::Evict]
@@ -1184,6 +1213,7 @@ mod tests {
 
     #[test]
     fn reset_all_clears_aggregates_but_keeps_probes() {
+        let _serial = serial_maps();
         let e = ProbeEngine::new();
         let mut spec = ProbeSpec::new("w", ProbePoint::Evict, ProgramKind::Watermark);
         spec.key = Keying::Order;
@@ -1201,6 +1231,7 @@ mod tests {
 
     #[test]
     fn prometheus_export_is_well_formed() {
+        let _serial = serial_maps();
         let e = ProbeEngine::new();
         let mut spec = ProbeSpec::new("lh", ProbePoint::Fault, ProgramKind::LatHist);
         spec.key = Keying::Pid;

@@ -149,6 +149,7 @@ mod tests {
 
     #[test]
     fn update_creates_and_aggregates() {
+        let _serial = crate::serial_maps();
         let m = ShardedMap::new(DEFAULT_MAX_KEYS);
         for _ in 0..5 {
             m.update(42, || "k42".into(), |s| s.hits += 1);
@@ -164,6 +165,7 @@ mod tests {
 
     #[test]
     fn cardinality_is_bounded_with_least_hit_eviction() {
+        let _serial = crate::serial_maps();
         let m = ShardedMap::new(16);
         // Two hits make key 0 hot; a flood of cold keys must never evict
         // more than the bound allows and must keep the map at cap.
@@ -178,6 +180,7 @@ mod tests {
 
     #[test]
     fn snapshot_orders_hottest_first_deterministically() {
+        let _serial = crate::serial_maps();
         let m = ShardedMap::new(DEFAULT_MAX_KEYS);
         for (k, n) in [(1u64, 3u64), (2, 7), (3, 3)] {
             for _ in 0..n {
@@ -191,6 +194,7 @@ mod tests {
 
     #[test]
     fn live_map_accounting_balances() {
+        let _serial = crate::serial_maps();
         let before = ShardedMap::live_maps();
         {
             let _a = ShardedMap::new(8);
@@ -202,6 +206,7 @@ mod tests {
 
     #[test]
     fn clear_empties_but_keeps_capacity_semantics() {
+        let _serial = crate::serial_maps();
         let m = ShardedMap::new(8);
         for k in 0..100u64 {
             m.update(k, || format!("k{k}"), |s| s.hits += 1);

@@ -16,8 +16,12 @@
 //! thread that loses an install race simply re-translates: the retry loop
 //! here absorbs both benign races (a concurrent table COW replacing the
 //! entry we just installed) and the handler's own `Raced` outcomes. The
-//! bound exists to convert a livelocked or buggy handler into a typed
-//! [`VmError::FaultRetriesExhausted`] instead of spinning forever.
+//! bound counts only iterations that made no progress — a pin that missed,
+//! a fault that found nothing to do — and converts a livelocked or buggy
+//! handler into a typed [`VmError::FaultRetriesExhausted`] instead of
+//! spinning forever. A fault that did real work resets it even when its
+//! translation is gone again by the re-walk (a swap-in the evictor undid, a
+//! sibling's COW): that is thrashing, a latency problem, not a failure.
 //!
 //! Because the walk is lock-free, a successful translation can be
 //! invalidated before the copy runs: a sibling thread's COW swaps the PTE
@@ -30,6 +34,7 @@
 
 use odf_pagetable::VirtAddr;
 use odf_pmem::PAGE_SIZE;
+use odf_trace::FaultKind;
 
 use crate::error::{Result, VmError};
 use crate::fault;
@@ -43,14 +48,15 @@ use crate::walk;
 type AccessOp<'a> =
     dyn FnMut(odf_pmem::FrameId, usize, std::ops::Range<usize>, &odf_pmem::FramePool) + 'a;
 
-/// Fault handler invoked when a translation is missing. Injectable so tests
-/// can exercise the retry-exhaustion path deterministically.
-type FaultFn<'a> = dyn Fn(&Machine, &MmInner, VirtAddr, bool) -> Result<()> + 'a;
+/// Fault handler invoked when a translation is missing, returning what the
+/// fault did. Injectable so tests can exercise the retry-exhaustion path
+/// deterministically.
+type FaultFn<'a> = dyn Fn(&Machine, &MmInner, VirtAddr, bool) -> Result<FaultKind> + 'a;
 
-/// Retry bound for the translate/fault loop. A handful of iterations
-/// absorbs benign races (e.g. a concurrent table COW); exceeding it means
-/// the handler keeps claiming success without establishing the translation,
-/// which is surfaced as [`VmError::FaultRetriesExhausted`].
+/// Bound on consecutive no-progress iterations of the translate/fault
+/// loop. A handful absorbs benign races (e.g. a concurrent table COW);
+/// exceeding it means the handler keeps claiming success without doing
+/// anything, which is surfaced as [`VmError::FaultRetriesExhausted`].
 const MAX_FAULT_RETRIES: u32 = 32;
 
 impl Mm {
@@ -166,8 +172,16 @@ impl Mm {
             let va = VirtAddr::new(addr + done as u64);
             let page_off = va.page_offset();
             let piece = (PAGE_SIZE - page_off).min(len - done);
-            let mut retries: u32 = 0;
+            // Consecutive iterations without progress, and handler calls.
+            let mut stalled: u32 = 0;
+            let mut faults: u32 = 0;
             loop {
+                if stalled >= MAX_FAULT_RETRIES {
+                    return Err(VmError::FaultRetriesExhausted {
+                        addr: va.as_u64(),
+                        retries: stalled,
+                    });
+                }
                 let inner = self.inner.read();
                 if let Some(t) = walk::translate(&machine, inner.pgd, va, write) {
                     debug_assert!(
@@ -205,27 +219,19 @@ impl Mm {
                     // forever, but no fault handler runs — the next
                     // iteration simply re-translates.
                     VmStats::bump(&machine.stats().access_pin_retries);
-                    retries += 1;
-                    if retries >= MAX_FAULT_RETRIES {
-                        return Err(VmError::FaultRetriesExhausted {
-                            addr: va.as_u64(),
-                            retries,
-                        });
-                    }
+                    stalled += 1;
                     continue;
                 }
-                if retries == MAX_FAULT_RETRIES {
-                    return Err(VmError::FaultRetriesExhausted {
-                        addr: va.as_u64(),
-                        retries,
-                    });
-                }
-                if retries > 0 {
+                if faults > 0 {
                     VmStats::bump(&machine.stats().fault_retries);
                 }
-                retries += 1;
+                faults += 1;
                 VmStats::bump(&machine.stats().faults_shared_lock);
-                handler(&machine, &inner, va, write)?;
+                if handler(&machine, &inner, va, write)? == FaultKind::Spurious {
+                    stalled += 1;
+                } else {
+                    stalled = 0;
+                }
             }
             done += piece;
         }
@@ -251,7 +257,9 @@ mod tests {
         let mut op =
             |_: odf_pmem::FrameId, _: usize, _: std::ops::Range<usize>, _: &odf_pmem::FramePool| {};
         let err = mm
-            .access_with_handler(addr, 1, true, &mut op, &|_, _, _, _| Ok(()))
+            .access_with_handler(addr, 1, true, &mut op, &|_, _, _, _| {
+                Ok(FaultKind::Spurious)
+            })
             .unwrap_err();
         assert_eq!(
             err,

@@ -3,41 +3,25 @@
 //! This module implements §3.4 of the paper. Beyond the classic duties of a
 //! fault handler (demand paging, data-page copy-on-write, huge-page COW),
 //! it performs the operation On-demand-fork adds: **copy-on-write of a
-//! shared last-level page table**. When a write (or any structural change)
-//! targets a 2 MiB range whose PTE table is shared — detected by reading
-//! the table frame's reference counter — the handler:
-//!
-//! 1. allocates a dedicated PTE table for the faulting process,
-//! 2. copies all 512 entries (preserving accessed bits, §3.2),
-//! 3. performs the refcounting work classic fork would have done at fork
-//!    time: one `compound_head` + `page_ref_inc` per present entry,
-//! 4. write-protects the copied entries (restoring the COW invariant
-//!    "writable PTE ⇒ exclusively owned page"),
-//! 5. decrements the shared table's counter and re-points the PMD entry,
-//!    with its writable bit restored.
-//!
-//! This is why the worst-case On-demand-fork fault costs ~5x a classic COW
-//! fault (Table 1) — and why it can happen only once per process per 2 MiB
-//! range.
+//! shared last-level page table**, on the first write (or insertion) into
+//! a 2 MiB range whose PTE table a fork shared — and one level up for PMD
+//! tables shared under the §4 extension. Both go through the ownership
+//! protocol in `share` (DESIGN.md §4.1, "The ownership protocol"); this
+//! module only decides when a fault needs a dedicated table. The table
+//! copy repeats the refcounting classic fork would have done at fork time,
+//! which is why the worst-case On-demand-fork fault costs ~5x a classic
+//! COW fault (Table 1) — and why it happens at most once per process per
+//! 2 MiB range.
 //!
 //! # Concurrency
 //!
 //! Faults run while holding the owning `mm` lock only **shared** (Linux's
 //! `mmap_sem`-held-for-read fault path), so many threads resolve faults in
-//! parallel. Mutual exclusion comes from two mechanisms:
-//!
-//! - **Split locks** ([`Machine::split_lock`]): every structural
-//!   transition — installing a table into an empty PMD/PUD slot, COWing a
-//!   shared table, restoring sole ownership, installing or COWing a huge
-//!   entry, installing a PTE — happens under the stripe keyed by the frame
-//!   of the table holding the entry, and *revalidates* the walk after
-//!   acquiring (the upper-level entry must still point where it did).
-//! - **Monotone share counts**: fork (the only incrementer of
-//!   `pt_share_count`) holds the `mm` lock exclusively, so during a fault
-//!   a table's share count can only *decrease*. A count observed as 1
-//!   under the split lock is final, which is what makes the
-//!   "collapsed-to-sole-owner" rechecks sound and prevents two sharers
-//!   from double-decrementing a count of 2 down to 0.
+//! parallel. Every structural transition — installing a table into an
+//! empty slot, taking ownership of a shared table, installing or COWing a
+//! huge entry, installing a PTE — happens under the split lock
+//! ([`Machine::split_lock`]) of the table holding the entry and
+//! *revalidates* the walk after acquiring it (DESIGN.md §4.1).
 //!
 //! Expensive data copies (the 4 KiB COW) happen *outside* the lock against
 //! a pinned source page, with a revalidate-and-install step afterwards —
@@ -56,9 +40,10 @@ use odf_trace::{Event, FaultKind, LockSite};
 use crate::error::{Result, VmError};
 use crate::machine::Machine;
 use crate::mm::MmInner;
+use crate::share::{self, Policy, Slot, Take};
 use crate::stats::VmStats;
 use crate::vma::{Backing, Vma};
-use crate::walk::{self, PmdSlot};
+use crate::walk::{self, lock_retry, resolve_table, PmdSlot};
 
 /// Bound on consecutive lost install races for one fault. Losing a race
 /// requires another thread to have made progress on the same entry, so any
@@ -92,18 +77,6 @@ fn rank(kind: FaultKind) -> u8 {
     }
 }
 
-/// Emits a `LockRetry` trace event and mirrors it to the probe layer. The
-/// probe context carries the lock class in `kind` so `count_by kind`
-/// programs attribute contention per site.
-fn lock_retry(site: LockSite) {
-    odf_trace::emit(Event::LockRetry { site });
-    if odf_trace::probes_active() {
-        let mut cx = odf_trace::ProbeContext::at(odf_trace::ProbePoint::LockRetry);
-        cx.kind = site.as_u8();
-        odf_trace::probe_hit(&cx);
-    }
-}
-
 /// The costlier of two classifications (see [`rank`]).
 fn stronger(a: FaultKind, b: FaultKind) -> FaultKind {
     if rank(b) > rank(a) {
@@ -113,12 +86,18 @@ fn stronger(a: FaultKind, b: FaultKind) -> FaultKind {
     }
 }
 
-/// Handles a fault at `va` for the given access kind.
+/// Handles a fault at `va` for the given access kind, returning what the
+/// fault did ([`FaultKind::Spurious`] when it found nothing to do).
 ///
 /// Runs under the **shared** `mm` lock (`populate` also calls it under the
 /// exclusive lock, which trivially satisfies the contract). Retries
 /// internally when an attempt loses an install race to a concurrent fault.
-pub(crate) fn handle(machine: &Machine, inner: &MmInner, va: VirtAddr, write: bool) -> Result<()> {
+pub(crate) fn handle(
+    machine: &Machine,
+    inner: &MmInner,
+    va: VirtAddr,
+    write: bool,
+) -> Result<FaultKind> {
     // Probes share the trace clock reads: one timestamp pair serves both
     // the ring record and the probe context. With tracing off, probe-only
     // faults sample the clock 1-in-N — the two monotonic reads would
@@ -177,7 +156,7 @@ pub(crate) fn handle(machine: &Machine, inner: &MmInner, va: VirtAddr, write: bo
                     cx.retries = attempts;
                     odf_trace::probe_hit(&cx);
                 }
-                return Ok(());
+                return Ok(kind);
             }
             Outcome::Raced => {
                 VmStats::bump(&machine.stats().install_races_lost);
@@ -225,11 +204,16 @@ fn try_handle(
     let pmd = walk::pmd_slot_create(machine, inner.pgd, va)?;
     // Huge-page extension (§4): the PMD table itself may be shared. A
     // read of a present entry proceeds through it (accessed bits only);
-    // anything else needs a dedicated copy first.
-    let need_pmd_modify = write || !pmd.load().is_present();
+    // anything else needs a dedicated copy first — the last-level table
+    // COW one level up, with the deferred per-huge-page refcounting.
     let pmd_frame_before = pmd.frame;
-    let Some(pmd) = ensure_pmd_ownership(machine, pmd, need_pmd_modify)? else {
-        return Ok(Outcome::Raced);
+    let pmd = if write || !pmd.load().is_present() {
+        match share::own_pmd_table(machine, pmd)? {
+            Some(pmd) => pmd,
+            None => return Ok(Outcome::Raced),
+        }
+    } else {
+        pmd
     };
     // A changed frame means the attempt just paid for a PMD-table COW —
     // the dominant cost unless something rarer follows.
@@ -257,49 +241,31 @@ fn try_handle(
         lock_retry(LockSite::PmdInstall);
         return Ok(Outcome::Raced);
     };
-    let pte = table.load(idx);
-
-    // The share count can only decrease during a fault (fork holds the
-    // exclusive lock), so a count of 1 observed here is final; a count > 1
-    // is rechecked under the split lock inside `acquire_table_ownership`.
-    let (table_frame, table) = if machine.pool().pt_share_count(table_frame) > 1 {
-        if write || !pte.is_present() {
-            // Any structural change — a write, or inserting a missing PTE
-            // (populating a shared table would leak the mapping into every
-            // sharer) — requires a dedicated copy first (§3.4).
-            match acquire_table_ownership(machine, &pmd, table_frame)? {
-                Some(owned) => {
-                    if owned.0 != table_frame {
-                        kind = stronger(kind, FaultKind::TableCow);
-                    }
-                    owned
+    let shared = machine.pool().pt_share_count(table_frame) > 1;
+    if shared && !write && table.load(idx).is_present() {
+        // Read of a present PTE through the shared table: only the
+        // accessed bit is touched, which §3.2 permits.
+        table.fetch_set(idx, EntryFlags::ACCESSED);
+        return Ok(Outcome::Done(kind));
+    }
+    // Any structural change to a shared table — a write, or inserting a
+    // missing PTE (populating a shared table would leak the mapping into
+    // every sharer) — needs a dedicated copy first (§3.4); a write through
+    // a table whose sharers have all left restores its write permission.
+    let (table_frame, table) = if shared || (write && !pmd.load().is_writable()) {
+        match share::take(machine, Slot::pte_table(&pmd, table_frame), |_| {
+            Policy::Copy
+        })? {
+            Take::Owned(None) => (table_frame, table),
+            Take::Owned(Some(owned)) => {
+                if owned.0 != table_frame {
+                    kind = stronger(kind, FaultKind::TableCow);
                 }
-                None => return Ok(Outcome::Raced),
+                owned
             }
-        } else {
-            // Fast path: read of a present PTE through the shared table.
-            // Only the accessed bit is touched, which §3.2 permits.
-            table.fetch_set(idx, EntryFlags::ACCESSED);
-            return Ok(Outcome::Done(kind));
+            _ => return Ok(Outcome::Raced),
         }
     } else {
-        if write && !pmd.load().is_writable() {
-            // Previously shared, now solely owned (§3.4: "both the
-            // previously shared table and the new table become dedicated").
-            // A former sharer may have copied this table and still
-            // co-reference its pages, so restore the COW invariant
-            // conservatively before re-enabling the PMD writable bit.
-            let _guard = machine.split_lock(table_frame);
-            let cur = pmd.load();
-            if !cur.is_present() || cur.is_huge() || cur.frame() != table_frame {
-                lock_retry(LockSite::PmdInstall);
-                return Ok(Outcome::Raced);
-            }
-            if !cur.is_writable() {
-                table.wrprotect_all();
-                pmd.set_flags(EntryFlags::WRITABLE);
-            }
-        }
         (table_frame, table)
     };
 
@@ -360,179 +326,6 @@ fn merge(outcome: Outcome, earlier: FaultKind) -> Outcome {
         Outcome::Done(k) => Outcome::Done(stronger(earlier, k)),
         Outcome::Raced => Outcome::Raced,
     }
-}
-
-/// Resolves the PTE table referenced by a PMD entry, allocating and linking
-/// a fresh one under the split lock if the entry is absent. No sharing
-/// decisions are made here. Returns `None` when the slot turned huge
-/// meanwhile, or when the referenced table vanished mid-walk (either way
-/// dispatch must be redone).
-///
-/// Both lookups use `try_get`: `e` is a pre-lock read, and the split lock
-/// taken below stripes on the *PMD table's* frame — it does not exclude a
-/// sibling thread's table-COW of this slot, which stripes on the PTE
-/// table's frame. Either way the referenced table can be COWed away and,
-/// once its last co-referencing process exits, freed before the lookup. A
-/// miss is that race (the kernel RCU-frees page tables to bridge the same
-/// window), surfaced as `Outcome::Raced` so the attempt re-walks.
-fn resolve_table(
-    machine: &Machine,
-    pmd: &PmdSlot,
-    e: Entry,
-) -> Result<Option<(FrameId, Arc<Table>)>> {
-    if e.is_present() {
-        let frame = e.frame();
-        return Ok(machine.store().try_get(frame).map(|t| (frame, t)));
-    }
-    let _guard = machine.split_lock(pmd.frame);
-    let cur = pmd.load();
-    if cur.is_present() {
-        if cur.is_huge() {
-            return Ok(None);
-        }
-        let frame = cur.frame();
-        return Ok(machine.store().try_get(frame).map(|t| (frame, t)));
-    }
-    let (frame, table) = machine.alloc_table()?;
-    pmd.store(Entry::table(frame));
-    Ok(Some((frame, table)))
-}
-
-/// Acquires a dedicated, writable-at-PMD table for a slot whose table was
-/// observed shared: COWs the shared table, or — if the count collapsed to 1
-/// while racing — restores sole ownership in place. Returns `None` when
-/// the PMD entry no longer points at `table_frame` (another thread of this
-/// process already replaced it).
-fn acquire_table_ownership(
-    machine: &Machine,
-    pmd: &PmdSlot,
-    table_frame: FrameId,
-) -> Result<Option<(FrameId, Arc<Table>)>> {
-    let _guard = machine.split_lock(table_frame);
-    let cur = pmd.load();
-    if !cur.is_present() || cur.is_huge() || cur.frame() != table_frame {
-        lock_retry(LockSite::TableOwnership);
-        return Ok(None);
-    }
-    let table = machine.store().get(table_frame);
-    if machine.pool().pt_share_count(table_frame) > 1 {
-        let (new_frame, new_table) = table_cow_for(machine, &table)?;
-        machine.pool().pt_share_dec(table_frame);
-        pmd.store(Entry::table(new_frame));
-        return Ok(Some((new_frame, new_table)));
-    }
-    // The other sharer COWed first and the count collapsed to 1: this
-    // table is ours alone now. Restore the COW invariant like the
-    // dedicated path does, then proceed through it.
-    if !cur.is_writable() {
-        table.wrprotect_all();
-        pmd.set_flags(EntryFlags::WRITABLE);
-    }
-    Ok(Some((table_frame, table)))
-}
-
-/// Copies a shared PTE table for the faulting process: the deferred
-/// fork-time work (entry copies + per-page refcounting) plus
-/// write-protection of the copy. Also used by the unmap/remap paths
-/// (§3.3). Callers hold the split lock of the shared table's frame.
-pub(crate) fn table_cow_for(machine: &Machine, src: &Table) -> Result<(FrameId, Arc<Table>)> {
-    VmStats::bump(&machine.stats().cow_table_copies);
-    let (frame, table) = machine.alloc_table()?;
-    table.copy_from(src);
-    let pool = machine.pool();
-    for i in 0..ENTRIES_PER_TABLE {
-        let pe = table.load(i);
-        if pe.is_present() {
-            let head = pool.compound_head(pe.frame());
-            pool.ref_inc(head);
-        } else if pe.is_swap() {
-            // The copy holds a second reference to the swap slot; each
-            // copy swaps in (or is zapped) independently.
-            machine.swap().slot_get(pe.swap_slot());
-        }
-    }
-    table.wrprotect_all();
-    Ok((frame, table))
-}
-
-/// Ensures the PMD table behind `pmd` may be modified, applying the
-/// huge-page extension of §4: a shared PMD table (one whose entries all
-/// describe 2 MiB pages, shared at fork time through the PUD entry) is
-/// copied on the first modifying fault, with the deferred per-huge-page
-/// refcounting performed during the copy — the exact analog of the
-/// last-level table COW one level up.
-///
-/// Returns `None` when the PUD entry stopped pointing at this PMD table
-/// (a concurrent fault already performed the copy): retry from the top.
-fn ensure_pmd_ownership(
-    machine: &Machine,
-    pmd: PmdSlot,
-    need_modify: bool,
-) -> Result<Option<PmdSlot>> {
-    let pool = machine.pool();
-    // Unlocked fast path: reads may go through a shared table (§3.2).
-    if !need_modify {
-        return Ok(Some(pmd));
-    }
-    // Unlocked fast path for a dedicated + writable slot. All facts must
-    // be read against one load of the PUD entry, and the entry must still
-    // reference *this* PMD table: a concurrent fault may have COWed the
-    // shared table (collapsing the count to 1 and installing a writable
-    // entry pointing at the copy), in which case the stale slot must not
-    // be returned — the locked path below revalidates the same linkage.
-    let pud_e = pmd.load_pud();
-    if pud_e.is_present()
-        && pud_e.frame() == pmd.frame
-        && pud_e.is_writable()
-        && pool.pt_share_count(pmd.frame) == 1
-    {
-        return Ok(Some(pmd));
-    }
-    let _guard = machine.split_lock(pmd.frame);
-    let pud_e = pmd.load_pud();
-    if !pud_e.is_present() || pud_e.frame() != pmd.frame {
-        lock_retry(LockSite::PmdOwnership);
-        return Ok(None);
-    }
-    if pool.pt_share_count(pmd.frame) > 1 {
-        let (new_frame, new_table) = pmd_table_cow_for(machine, &pmd.table)?;
-        pool.pt_share_dec(pmd.frame);
-        pmd.store_pud(Entry::table(new_frame));
-        return Ok(Some(PmdSlot {
-            pud_table: pmd.pud_table,
-            pud_idx: pmd.pud_idx,
-            table: new_table,
-            frame: new_frame,
-            idx: pmd.idx,
-        }));
-    }
-    // Sole owner again after sharing: restore the COW invariant on the
-    // entries, then re-enable the PUD writable bit.
-    if !pud_e.is_writable() {
-        pmd.table.wrprotect_all();
-        pmd.set_pud_flags(EntryFlags::WRITABLE);
-    }
-    Ok(Some(pmd))
-}
-
-/// Copies a shared PMD table: entry copies plus the deferred refcount
-/// increments on the described huge pages. Shared PMD tables contain only
-/// huge entries by construction (only all-huge tables are ever shared).
-pub(crate) fn pmd_table_cow_for(machine: &Machine, src: &Table) -> Result<(FrameId, Arc<Table>)> {
-    VmStats::bump(&machine.stats().cow_pmd_table_copies);
-    let (frame, table) = machine.alloc_table()?;
-    table.copy_from(src);
-    let pool = machine.pool();
-    for i in 0..ENTRIES_PER_TABLE {
-        let e = table.load(i);
-        if e.is_present() {
-            debug_assert!(e.is_huge(), "shared PMD tables must be all-huge");
-            let head = pool.compound_head(e.frame());
-            pool.ref_inc(head);
-        }
-    }
-    table.wrprotect_all();
-    Ok((frame, table))
 }
 
 /// Maps a brand-new page for an absent PTE (demand paging).
@@ -845,7 +638,7 @@ pub(crate) fn populate(
             while at < stop {
                 let pmd = walk::pmd_slot_create(machine, inner.pgd, at)?;
                 if !pmd.load().is_present() {
-                    if let Some(pmd) = ensure_pmd_ownership(machine, pmd, true)? {
+                    if let Some(pmd) = share::own_pmd_table(machine, pmd)? {
                         if let Outcome::Done(_) = fault_in_huge(machine, inner, &vma, &pmd, write)?
                         {
                             VmStats::bump(&machine.stats().pages_populated);
@@ -860,7 +653,7 @@ pub(crate) fn populate(
             // absent) dedicated, writable table. Anything touched by
             // sharing goes through the real fault handler so the
             // table-COW rules of §3.4 apply.
-            let fast_table = match ensure_pmd_ownership(machine, pmd, true)? {
+            let fast_table = match share::own_pmd_table(machine, pmd)? {
                 Some(pmd) => {
                     let e = pmd.load();
                     let fast = !e.is_present()
@@ -981,7 +774,7 @@ mod tests {
         let vma = inner.vmas.find(addr).unwrap().clone();
         let stale = walk::pmd_slot(&machine, inner.pgd, va).unwrap();
         // Simulate the concurrent COW: repoint the PUD entry at a copy.
-        let (new_frame, new_table) = pmd_table_cow_for(&machine, &stale.table).unwrap();
+        let (new_frame, new_table) = share::cow_table(&machine, &stale.table, Level::Pmd).unwrap();
         stale.store_pud(Entry::table(new_frame));
 
         // The unlocked fast path must not hand the stale slot back even
@@ -994,7 +787,7 @@ mod tests {
             frame: stale.frame,
             idx: stale.idx,
         };
-        assert!(ensure_pmd_ownership(&machine, stale_again, true)
+        assert!(share::own_pmd_table(&machine, stale_again)
             .unwrap()
             .is_none());
         assert!(matches!(

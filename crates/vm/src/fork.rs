@@ -32,6 +32,7 @@ use odf_trace::Event;
 use crate::error::Result;
 use crate::machine::Machine;
 use crate::mm::MmInner;
+use crate::share;
 use crate::stats::VmStats;
 use crate::walk;
 use crate::PTE_TABLE_SPAN;
@@ -86,7 +87,8 @@ struct ForkTally {
 /// per-table passes never allocate.
 #[derive(Default)]
 struct ForkScratch {
-    /// `(pte index, parent entry)` for each present entry of one chunk.
+    /// `(pte index, parent entry)` for each present or swap entry of one
+    /// chunk.
     entries: Vec<(usize, Entry)>,
     /// The entries' frames, resolved in place to compound heads.
     heads: Vec<FrameId>,
@@ -311,14 +313,15 @@ fn share_pte_table(
 }
 
 /// Classic per-PTE copy of one chunk (the `copy_one_pte` loop of Figure 3),
-/// batched: the per-entry `compound_head` + `ref_inc` pair is replaced by
-/// one vectorized resolve/increment pass over the whole table, so a full
-/// 512-entry table costs one stats update and one grouped atomic pass
-/// instead of 512 independent calls. Safe because fork holds the parent's
-/// mm lock exclusively: no entry can change between the collection pass
-/// and the store pass, and references are taken *before* any child entry
-/// becomes visible, so the invariant "a stored entry holds a reference"
-/// is never violated mid-copy.
+/// batched: the per-entry `compound_head` + `ref_inc` pair is the table
+/// copy's refcount pass ([`share::ref_entries`], shared with the fault-time
+/// table COW), so a full 512-entry table costs one stats update and one
+/// grouped atomic pass instead of 512 independent calls. Safe because fork
+/// holds the parent's mm lock exclusively: no entry can change between the
+/// refcount pass and the store pass, and references are taken *before* any
+/// child entry becomes visible, so the invariant "a stored entry holds a
+/// reference" is never violated mid-copy. Unlike the table COW it copies a
+/// sub-range and write-protects the parent's entries one by one.
 #[allow(clippy::too_many_arguments)]
 fn copy_pte_range(
     machine: &Machine,
@@ -347,38 +350,25 @@ fn copy_pte_range(
         table
     };
 
-    // Pass 1: collect the present entries and their frames.
+    // The two hot spots of Figure 3, batched over the range. Evicted pages
+    // are inherited as swap entries: the child takes its own slot
+    // reference and swaps in independently (the `copy_one_pte` swap arm).
     scratch.entries.clear();
-    scratch.heads.clear();
     let first = at.index(Level::Pte);
     let last = first + ((chunk_end.as_u64() - at.as_u64()) as usize).div_ceil(odf_pmem::PAGE_SIZE);
-    for idx in first..last.min(ENTRIES_PER_TABLE) {
-        let pte = parent_table.load(idx);
-        if pte.is_swap() {
-            // Evicted pages are inherited as swap entries: the child takes
-            // its own slot reference and swaps in independently (the
-            // `copy_one_pte` swap arm).
-            machine.swap().slot_get(pte.swap_slot());
-            child_table.store(idx, pte);
-            tally.pte_copies += 1;
-            VmStats::bump(&machine.stats().fork_pte_copies);
-            continue;
-        }
-        if !pte.is_present() {
-            continue;
-        }
-        scratch.entries.push((idx, pte));
-        scratch.heads.push(pte.frame());
-    }
+    let range = first..last.min(ENTRIES_PER_TABLE);
+    share::ref_entries(
+        machine,
+        &parent_table,
+        range,
+        &mut scratch.heads,
+        |idx, pte| scratch.entries.push((idx, pte)),
+    );
 
-    // Pass 2: the two hot spots of Figure 3, batched over the table.
-    pool.compound_heads(&mut scratch.heads);
-    pool.ref_inc_many(&scratch.heads);
-
-    // Pass 3: publish child entries; write-protect the parent's copies.
+    // Publish child entries; write-protect the parent's copies.
     for &(idx, pte) in scratch.entries.iter() {
         let mut child_pte = pte;
-        if !vma.shared {
+        if pte.is_present() && !vma.shared {
             child_pte = child_pte.with_cleared(EntryFlags::WRITABLE);
             if !parent_is_shared {
                 parent_table.store(idx, pte.with_cleared(EntryFlags::WRITABLE));

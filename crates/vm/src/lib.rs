@@ -23,6 +23,9 @@
 //! - `munmap` / `mremap` / `mprotect` with the shared-table copy-on-write
 //!   rules of §3.3, and file-backed mappings through an in-memory page
 //!   cache (§3.7).
+//! - One shared-table ownership protocol (`share`): every path that
+//!   modifies a table a fork may have shared — fault, unmap, remap,
+//!   soft-dirty sweep — copies or releases it through the same code.
 //!
 //! The fork engines perform the same per-entry work as the kernel paths
 //! they model (per-PTE `compound_head` + atomic refcount for Classic; one
@@ -41,6 +44,7 @@ mod machine;
 mod mm;
 mod prot;
 mod reclaim;
+mod share;
 mod snapshot;
 mod stats;
 mod thp;

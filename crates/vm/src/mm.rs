@@ -318,7 +318,7 @@ impl Mm {
     pub fn fault(&self, addr: u64, write: bool) -> Result<()> {
         let inner = self.inner.read();
         VmStats::bump(&self.machine.stats().faults_shared_lock);
-        fault::handle(&self.machine, &inner, VirtAddr::new(addr), write)
+        fault::handle(&self.machine, &inner, VirtAddr::new(addr), write).map(drop)
     }
 
     /// Forks this address space under the given policy, returning the

@@ -21,13 +21,13 @@
 
 use std::collections::HashSet;
 
-use odf_pagetable::{Entry, EntryFlags, Level, VirtAddr, ENTRIES_PER_TABLE};
+use odf_pagetable::{EntryFlags, Level, Table, VirtAddr, ENTRIES_PER_TABLE};
 use odf_pmem::{FrameId, PAGE_SIZE};
 
 use crate::error::Result;
-use crate::fault;
 use crate::mm::{Mm, MmInner};
 use crate::prot::Prot;
+use crate::share::{self, Policy, Slot, Take};
 use crate::walk;
 use crate::PTE_TABLE_SPAN;
 
@@ -206,36 +206,16 @@ impl Mm {
     /// chunk.
     fn sweep_chunk(&self, inner: &mut MmInner, at: VirtAddr) -> Result<u64> {
         let machine = self.machine();
-        let pool = machine.pool();
         let Some(pmd) = walk::pmd_slot(machine, inner.pgd, at) else {
             return Ok(0);
         };
         // Huge-page extension: the PMD table itself may be shared through
-        // the PUD entry. Copy it only if it carries soft-dirty bits — the
-        // transition runs under the split lock with a count recheck, like
-        // every shared-table transition, because the *other* sharer may be
-        // COWing the same table from its fault path concurrently.
-        let pmd = if pool.pt_share_count(pmd.frame) > 1 {
-            let _guard = machine.split_lock(pmd.frame);
-            if pool.pt_share_count(pmd.frame) > 1 {
-                if !table_has_soft_dirty(&pmd.table) {
-                    return Ok(0);
-                }
-                let (new_frame, new_table) = fault::pmd_table_cow_for(machine, &pmd.table)?;
-                pool.pt_share_dec(pmd.frame);
-                pmd.store_pud(Entry::table(new_frame));
-                walk::PmdSlot {
-                    pud_table: pmd.pud_table,
-                    pud_idx: pmd.pud_idx,
-                    table: new_table,
-                    frame: new_frame,
-                    idx: pmd.idx,
-                }
-            } else {
-                pmd
-            }
-        } else {
-            pmd
+        // the PUD entry, and the *other* sharer may be COWing it from its
+        // fault path concurrently — hence the protocol, not a bare check.
+        let pmd = match share::take(machine, Slot::pmd_table(&pmd), copy_if_dirty)? {
+            Take::Owned(None) => pmd,
+            Take::Owned(Some(owned)) => pmd.with_table(owned),
+            _ => return Ok(0),
         };
         let e = pmd.load();
         if !e.is_present() {
@@ -245,20 +225,11 @@ impl Mm {
             let old = pmd.table.fetch_clear(pmd.idx, EntryFlags::SOFT_DIRTY);
             return Ok(old.is_soft_dirty() as u64);
         }
-        let table_frame = e.frame();
-        let mut table = machine.store().get(table_frame);
-        if pool.pt_share_count(table_frame) > 1 {
-            let _guard = machine.split_lock(table_frame);
-            if pool.pt_share_count(table_frame) > 1 {
-                if !table_has_soft_dirty(&table) {
-                    return Ok(0);
-                }
-                let (new_frame, new_table) = fault::table_cow_for(machine, &table)?;
-                pool.pt_share_dec(table_frame);
-                pmd.store(Entry::table(new_frame));
-                table = new_table;
-            }
-        }
+        let table = match share::take(machine, Slot::pte_table(&pmd, e.frame()), copy_if_dirty)? {
+            Take::Owned(None) => machine.store().get(e.frame()),
+            Take::Owned(Some((_, table))) => table,
+            _ => return Ok(0),
+        };
         // The table is now exclusively ours: clear every entry's bit.
         let mut cleared = 0u64;
         for idx in 0..ENTRIES_PER_TABLE {
@@ -271,8 +242,15 @@ impl Mm {
     }
 }
 
-fn table_has_soft_dirty(table: &odf_pagetable::Table) -> bool {
-    (0..ENTRIES_PER_TABLE).any(|i| table.load(i).is_soft_dirty())
+/// The sweep's policy for a table that is still shared: copy it when it
+/// carries soft-dirty bits, so the other sharers keep their dirty view;
+/// leave a clean one shared, keeping the sweep O(dirtied area).
+fn copy_if_dirty(table: &Table) -> Policy {
+    if (0..ENTRIES_PER_TABLE).any(|i| table.load(i).is_soft_dirty()) {
+        Policy::Copy
+    } else {
+        Policy::Leave
+    }
 }
 
 #[cfg(test)]

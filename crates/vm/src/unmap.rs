@@ -1,25 +1,22 @@
 //! Unmapping, remapping, and reprotection under shared page tables (§3.3).
 //!
-//! When a memory region is unmapped or moved, the kernel must clear the
-//! corresponding page-table entries. With On-demand-fork two cases arise
-//! for a shared last-level table:
-//!
-//! - the operation removes *everything this process maps* through the
-//!   table: the process drops its share (decrement the counter, clear the
-//!   PMD entry) and the entry values are preserved for the remaining
-//!   sharers;
-//! - other VMAs of this process still map through the table: the table is
-//!   copied first (copy-on-write on the unmap path), and the clearing
-//!   happens in the private copy.
+//! Clearing or moving entries modifies their table, so every table a fork
+//! may have shared goes through the ownership protocol first (`share`,
+//! DESIGN.md §4.1 "The ownership protocol"): an unmap releases this
+//! process's share when none of its VMAs maps through the table any more
+//! and copies it otherwise; a move copies both the source and the
+//! destination table.
+
+use std::sync::Arc;
 
 use odf_pagetable::{Entry, EntryFlags, Level, Table, VirtAddr, ENTRIES_PER_TABLE};
 use odf_pmem::PAGE_SIZE;
 
 use crate::error::{Result, VmError};
-use crate::fault;
 use crate::machine::Machine;
 use crate::mm::MmInner;
 use crate::prot::Prot;
+use crate::share::{self, Policy, Slot, Take};
 use crate::stats::VmStats;
 use crate::walk::{self, PmdSlot};
 use crate::{HUGE_PAGE_SIZE, PTE_TABLE_SPAN};
@@ -82,9 +79,10 @@ pub(crate) fn zap_range(machine: &Machine, inner: &mut MmInner, start: u64, end:
             // Huge-page extension (§4): the PMD table itself may be
             // shared; resolve ownership at 1 GiB-span granularity before
             // touching any of its entries.
-            let pmd = match resolve_shared_pmd(machine, inner, pmd, at) {
-                Some(pmd) => pmd,
-                None => {
+            let pmd = match unmap_take(machine, inner, Slot::pmd_table(&pmd), at) {
+                Take::Owned(None) => pmd,
+                Take::Owned(Some(owned)) => pmd.with_table(owned),
+                _ => {
                     // Our share of the whole span was released; nothing
                     // of it remains mapped in this process.
                     at = chunk_end;
@@ -139,57 +137,38 @@ pub(crate) fn zap_range(machine: &Machine, inner: &mut MmInner, start: u64, end:
     odf_trace::emit(odf_trace::Event::TlbFlush);
 }
 
-/// Applies the §3.3 rules one level up for a shared PMD table: if this
-/// process no longer maps anything in the covered 1 GiB span, release the
-/// share (preserving the table for the other sharers) and return `None`;
-/// otherwise copy the table and return the dedicated slot.
-fn resolve_shared_pmd(
-    machine: &Machine,
-    inner: &mut MmInner,
-    pmd: walk::PmdSlot,
-    at: VirtAddr,
-) -> Option<walk::PmdSlot> {
-    let pool = machine.pool();
-    if pool.pt_share_count(pmd.frame) <= 1 {
-        return Some(pmd);
-    }
-    // Serialize against concurrent faults in *other* sharer processes
-    // transitioning the same table, and recheck the count under the lock:
-    // if the last other sharer COWed away meanwhile, the table is ours and
-    // must be torn down entry by entry, not released.
-    let _guard = machine.split_lock(pmd.frame);
-    if pool.pt_share_count(pmd.frame) <= 1 {
-        return Some(pmd);
-    }
-    let span = Level::Pud.entry_span();
-    let span_start = at.as_u64() & !(span - 1);
-    let still_needed = inner.vmas.overlaps(span_start, span_start + span);
-    if !still_needed {
-        // Shared PMD tables are all-huge: account the whole span.
-        let present = pmd.table.count_present() as u64;
-        inner.rss_sub(present * ENTRIES_PER_TABLE as u64);
-        pool.pt_share_dec(pmd.frame);
-        pmd.store_pud(Entry::NONE);
-        return None;
-    }
-    VmStats::bump(&machine.stats().unmap_table_copies);
-    let Ok((new_frame, new_table)) = fault::pmd_table_cow_for(machine, &pmd.table) else {
-        // Allocation failure: release the span; surviving VMAs re-fault.
-        let present = pmd.table.count_present() as u64;
-        inner.rss_sub(present * ENTRIES_PER_TABLE as u64);
-        pool.pt_share_dec(pmd.frame);
-        pmd.store_pud(Entry::NONE);
-        return None;
+/// The §3.3 rule on an unmap path, for one slot whose table may be shared:
+/// release this process's share when none of its VMAs still maps through
+/// the table's span, copy the table otherwise — and release anyway when
+/// the copy cannot be allocated (the surviving VMAs re-fault their pages
+/// through fresh tables). Released pages leave the rss. Returns `Owned` or
+/// `Released`.
+fn unmap_take(machine: &Machine, inner: &MmInner, slot: Slot<'_>, at: VirtAddr) -> Take {
+    let span = slot.level.table_span();
+    let start = at.as_u64() & !(span - 1);
+    let still_needed = |_: &Table| {
+        if inner.vmas.overlaps(start, start + span) {
+            Policy::Copy
+        } else {
+            Policy::Release
+        }
     };
-    pool.pt_share_dec(pmd.frame);
-    pmd.store_pud(Entry::table(new_frame));
-    Some(walk::PmdSlot {
-        pud_table: pmd.pud_table,
-        pud_idx: pmd.pud_idx,
-        table: new_table,
-        frame: new_frame,
-        idx: pmd.idx,
-    })
+    let taken = share::take(machine, slot, still_needed).unwrap_or_else(|_| {
+        share::take(machine, slot, |_| Policy::Release).expect("a release allocates nothing")
+    });
+    match taken {
+        Take::Released { present } => {
+            inner.rss_sub(present as u64 * slot.level.entry_span() / PAGE_SIZE as u64);
+        }
+        Take::Owned(Some((frame, _))) if frame != slot.frame => {
+            VmStats::bump(&machine.stats().unmap_table_copies);
+        }
+        Take::Owned(_) => {}
+        // Never asked to leave a table shared, and the exclusive mm lock
+        // keeps every other thread of this process off the slot.
+        Take::StillShared | Take::Raced => unreachable!("unmap paths hold the mm lock exclusively"),
+    }
+    taken
 }
 
 /// Clears the PTEs of `[at, chunk_end)` within one last-level table,
@@ -205,51 +184,12 @@ fn zap_table_chunk(
     batch: &mut odf_pmem::FreeBatch<'_>,
 ) {
     let pool = machine.pool();
-    let table_frame = e.frame();
-    let mut table = machine.store().get(table_frame);
-    let mut frame_for_free = table_frame;
-
-    if pool.pt_share_count(table_frame) > 1 {
-        // Serialize against the other sharers' concurrent fault-time
-        // transitions of this table, and recheck: a count collapsed to 1
-        // means the table (and one reference per present page) is now ours
-        // alone and must be torn down below, not released.
-        let _guard = machine.split_lock(table_frame);
-        if pool.pt_share_count(table_frame) > 1 {
-            let chunk_start = at.pte_table_align_down();
-            let chunk_full_end = chunk_start.add(PTE_TABLE_SPAN);
-            let still_needed = inner
-                .vmas
-                .overlaps(chunk_start.as_u64(), chunk_full_end.as_u64());
-            if !still_needed {
-                // Fast release: drop our share; entries survive for the
-                // other sharers (§3.5: tables may outlive the creating
-                // process). Every present entry in the chunk belonged to
-                // this process's (now removed) mappings, so account all of
-                // them.
-                inner.rss_sub(table.count_present() as u64);
-                pool.pt_share_dec(table_frame);
-                pmd.store(Entry::NONE);
-                return;
-            }
-            // Copy-on-write on the unmap path: other VMAs of this process
-            // still map through this table.
-            VmStats::bump(&machine.stats().unmap_table_copies);
-            let Ok((new_frame, new_table)) = fault::table_cow_for(machine, &table) else {
-                // Allocation failure while unmapping: fall back to
-                // releasing the whole chunk (the remaining VMAs will
-                // re-fault their pages through fresh tables).
-                inner.rss_sub(table.count_present() as u64);
-                pool.pt_share_dec(table_frame);
-                pmd.store(Entry::NONE);
-                return;
-            };
-            pool.pt_share_dec(table_frame);
-            pmd.store(Entry::table(new_frame));
-            table = new_table;
-            frame_for_free = new_frame;
-        }
-    }
+    let (frame, table) = match unmap_take(machine, inner, Slot::pte_table(pmd, e.frame()), at) {
+        Take::Owned(None) => (e.frame(), machine.store().get(e.frame())),
+        Take::Owned(Some(owned)) => owned,
+        // Released: the entries survive for the other sharers.
+        _ => return,
+    };
 
     // Dedicated table: clear the range, dropping page references and
     // swap-slot references (an evicted page dies with its mapping, like
@@ -269,7 +209,7 @@ fn zap_table_chunk(
     }
     if table.is_empty() {
         pmd.store(Entry::NONE);
-        machine.free_table(frame_for_free);
+        machine.free_table(frame);
     }
 }
 
@@ -379,6 +319,9 @@ pub(crate) fn mremap(
 
 /// Moves every present translation of `[start, end)` to the congruent
 /// position at `new_start`, preserving entry bits and page references.
+/// Both ends are modified, so both go through the ownership protocol: a
+/// source or destination table a fork shared is copied first (§3.3; the
+/// old range's VMA still exists, so release is never an option).
 fn move_mappings(
     machine: &Machine,
     inner: &mut MmInner,
@@ -386,7 +329,6 @@ fn move_mappings(
     end: u64,
     new_start: u64,
 ) -> Result<()> {
-    let pool = machine.pool();
     let mut at = VirtAddr::new(start);
     let end_va = VirtAddr::new(end);
     while at < end_va {
@@ -395,32 +337,7 @@ fn move_mappings(
             let Some(pmd) = walk::pmd_slot(machine, inner.pgd, at) else {
                 break 'chunk;
             };
-            // §3.3 one level up: moving entries out of a shared PMD table
-            // requires a dedicated copy first (the old range's VMA still
-            // exists at this point, so release is never an option here).
-            let pmd = if pool.pt_share_count(pmd.frame) > 1 {
-                // Same discipline as the fault path: transition under the
-                // split lock, recheck the count (it may have collapsed to
-                // sole ownership while we raced another sharer's fault).
-                let _guard = machine.split_lock(pmd.frame);
-                if pool.pt_share_count(pmd.frame) > 1 {
-                    VmStats::bump(&machine.stats().unmap_table_copies);
-                    let (new_frame, new_table) = fault::pmd_table_cow_for(machine, &pmd.table)?;
-                    pool.pt_share_dec(pmd.frame);
-                    pmd.store_pud(Entry::table(new_frame));
-                    walk::PmdSlot {
-                        pud_table: pmd.pud_table,
-                        pud_idx: pmd.pud_idx,
-                        table: new_table,
-                        frame: new_frame,
-                        idx: pmd.idx,
-                    }
-                } else {
-                    pmd
-                }
-            } else {
-                pmd
-            };
+            let pmd = own_pmd(machine, pmd)?;
             let mut e = pmd.load();
             if !e.is_present() {
                 break 'chunk;
@@ -436,7 +353,8 @@ fn move_mappings(
                     // granularity (huge VMAs always hit this arm — the
                     // caller enforces their alignment).
                     let dest = VirtAddr::new(dest_u);
-                    let dest_pmd = walk::pmd_slot_create(machine, inner.pgd, dest)?;
+                    let dest_pmd =
+                        own_pmd(machine, walk::pmd_slot_create(machine, inner.pgd, dest)?)?;
                     // Mark moved entries soft-dirty: the destination range is
                     // in the epoch dirty-range log, and without the bit a delta
                     // snapshot would materialize these pages as zeros.
@@ -457,21 +375,7 @@ fn move_mappings(
                     break 'chunk;
                 }
             }
-            let table_frame = e.frame();
-            let mut table = machine.store().get(table_frame);
-            if pool.pt_share_count(table_frame) > 1 {
-                // §3.3: remapping a shared table copies it first — under
-                // the split lock, with a count recheck (a collapse to sole
-                // ownership means the table is already ours to mutate).
-                let _guard = machine.split_lock(table_frame);
-                if pool.pt_share_count(table_frame) > 1 {
-                    VmStats::bump(&machine.stats().unmap_table_copies);
-                    let (new_frame, new_table) = fault::table_cow_for(machine, &table)?;
-                    pool.pt_share_dec(table_frame);
-                    pmd.store(Entry::table(new_frame));
-                    table = new_table;
-                }
-            }
+            let table = own_pte(machine, &pmd, e)?;
 
             let mut page = at;
             while page < chunk_end {
@@ -481,15 +385,9 @@ fn move_mappings(
                 // leak its slot and lose the page contents.
                 if pte.is_present() || pte.is_swap() {
                     let dest = VirtAddr::new(new_start + (page.as_u64() - start));
-                    let dest_pmd = walk::pmd_slot_create(machine, inner.pgd, dest)?;
-                    let dest_table = match dest_pmd.load() {
-                        de if de.is_present() => machine.store().get(de.frame()),
-                        _ => {
-                            let (f, t) = machine.alloc_table()?;
-                            dest_pmd.store(Entry::table(f));
-                            t
-                        }
-                    };
+                    let dest_pmd =
+                        own_pmd(machine, walk::pmd_slot_create(machine, inner.pgd, dest)?)?;
+                    let dest_table = own_pte(machine, &dest_pmd, dest_pmd.load())?;
                     dest_table.store(dest.index(Level::Pte), pte.with_set(EntryFlags::SOFT_DIRTY));
                     table.store(idx, Entry::NONE);
                 }
@@ -501,6 +399,36 @@ fn move_mappings(
     VmStats::bump(&machine.stats().tlb_flushes);
     odf_trace::emit(odf_trace::Event::TlbFlush);
     Ok(())
+}
+
+/// [`share::own_pmd_table`] under the exclusive mm lock, where no other
+/// thread of this process can re-point the slot. A copy counts as an
+/// unmap-path table copy.
+fn own_pmd(machine: &Machine, pmd: PmdSlot) -> Result<PmdSlot> {
+    let shared_frame = pmd.frame;
+    let pmd = share::own_pmd_table(machine, pmd)?.expect("the exclusive mm lock pins the slot");
+    if pmd.frame != shared_frame {
+        VmStats::bump(&machine.stats().unmap_table_copies);
+    }
+    Ok(pmd)
+}
+
+/// The PTE table behind the (non-huge) PMD entry `e` of `pmd`, linked in
+/// fresh when absent and copied first when shared, under the exclusive mm
+/// lock. A copy counts as an unmap-path table copy.
+fn own_pte(machine: &Machine, pmd: &PmdSlot, e: Entry) -> Result<Arc<Table>> {
+    let (frame, table) =
+        walk::resolve_table(machine, pmd, e)?.expect("a moved range never lands on a huge entry");
+    Ok(
+        match share::take(machine, Slot::pte_table(pmd, frame), |_| Policy::Copy)? {
+            Take::Owned(Some((owned, copy))) if owned != frame => {
+                VmStats::bump(&machine.stats().unmap_table_copies);
+                copy
+            }
+            Take::Owned(_) => table,
+            _ => unreachable!("the exclusive mm lock pins the slot"),
+        },
+    )
 }
 
 /// Implements `mprotect`.

@@ -1,6 +1,7 @@
 //! Page-table walkers.
 //!
-//! Three walks cover every need of the subsystem:
+//! Three walks cover every need of the subsystem (plus [`resolve_table`]
+//! and [`lock_retry`], shared by the fault, unmap and ownership paths):
 //!
 //! - [`pmd_slot`] / [`pmd_slot_create`]: resolve (or build) the path from
 //!   the PGD down to the PMD entry covering an address. The fork engines
@@ -15,9 +16,22 @@ use std::sync::Arc;
 
 use odf_pagetable::{Entry, EntryFlags, Level, Table, VirtAddr};
 use odf_pmem::FrameId;
+use odf_trace::{Event, LockSite};
 
 use crate::error::Result;
 use crate::machine::Machine;
+
+/// Emits a `LockRetry` trace event and mirrors it to the probe layer. The
+/// probe context carries the lock class in `kind` so `count_by kind`
+/// programs attribute contention per site.
+pub(crate) fn lock_retry(site: LockSite) {
+    odf_trace::emit(Event::LockRetry { site });
+    if odf_trace::probes_active() {
+        let mut cx = odf_trace::ProbeContext::at(odf_trace::ProbePoint::LockRetry);
+        cx.kind = site.as_u8();
+        odf_trace::probe_hit(&cx);
+    }
+}
 
 /// A handle on one PMD entry: the PMD table, its backing frame, the entry
 /// index for a given address — plus the PUD slot referencing the PMD
@@ -64,10 +78,14 @@ impl PmdSlot {
         self.table.fetch_set(self.idx, bits)
     }
 
-    /// Atomically sets flag bits on the PUD entry referencing this PMD
-    /// table.
-    pub fn set_pud_flags(&self, bits: u64) -> Entry {
-        self.pud_table.fetch_set(self.pud_idx, bits)
+    /// The same PMD entry, reached through `table` (backed by `frame`): the
+    /// PMD table the PUD entry references once the ownership protocol ran.
+    pub fn with_table(self, (frame, table): (FrameId, Arc<Table>)) -> PmdSlot {
+        PmdSlot {
+            table,
+            frame,
+            ..self
+        }
     }
 }
 
@@ -113,6 +131,42 @@ pub(crate) fn pmd_slot_create(machine: &Machine, pgd: FrameId, va: VirtAddr) -> 
         frame: pmd_frame,
         idx: va.index(Level::Pmd),
     })
+}
+
+/// Resolves the PTE table referenced by a PMD entry, allocating and linking
+/// a fresh one under the split lock if the entry is absent. No sharing
+/// decisions are made here. Returns `None` when the slot turned huge
+/// meanwhile, or when the referenced table vanished mid-walk (either way
+/// dispatch must be redone).
+///
+/// Both lookups use `try_get`: `e` is a pre-lock read, and the split lock
+/// taken below stripes on the *PMD table's* frame — it does not exclude a
+/// sibling thread's table-COW of this slot, which stripes on the PTE
+/// table's frame. Either way the referenced table can be COWed away and,
+/// once its last co-referencing process exits, freed before the lookup. A
+/// miss is that race (the kernel RCU-frees page tables to bridge the same
+/// window), surfaced as `Outcome::Raced` so the attempt re-walks.
+pub(crate) fn resolve_table(
+    machine: &Machine,
+    pmd: &PmdSlot,
+    e: Entry,
+) -> Result<Option<(FrameId, Arc<Table>)>> {
+    if e.is_present() {
+        let frame = e.frame();
+        return Ok(machine.store().try_get(frame).map(|t| (frame, t)));
+    }
+    let _guard = machine.split_lock(pmd.frame);
+    let cur = pmd.load();
+    if cur.is_present() {
+        if cur.is_huge() {
+            return Ok(None);
+        }
+        let frame = cur.frame();
+        return Ok(machine.store().try_get(frame).map(|t| (frame, t)));
+    }
+    let (frame, table) = machine.alloc_table()?;
+    pmd.store(Entry::table(frame));
+    Ok(Some((frame, table)))
 }
 
 /// Resolves (creating if needed) the PUD table and entry index covering

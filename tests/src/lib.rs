@@ -41,10 +41,21 @@ pub enum Action {
     },
     /// Discard a sub-range's contents without unmapping (MADV_DONTNEED).
     Madvise { who: usize, offset: u64, len: u64 },
+    /// Grow a sub-range of the region in process `who` with `mremap`,
+    /// moving it to the address the bump allocator picks next (the same
+    /// under every fork policy, so images stay comparable).
+    Mremap {
+        who: usize,
+        offset: u64,
+        len: u64,
+        new_len: u64,
+    },
 }
 
 /// Result of replaying a script: the final memory images (hashes) of the
 /// surviving processes, in process order, with `None` for unmapped reads.
+/// Each image covers the region, then every range the process (or an
+/// ancestor, before forking it) moved out of the region with `mremap`.
 pub type Replay = Vec<Vec<Option<u64>>>;
 
 /// Generates a random script over a region of `region_pages` pages.
@@ -54,9 +65,12 @@ pub fn random_script(seed: u64, steps: usize, region_pages: u64) -> Vec<Action> 
     let mut total = 1usize;
     let mut actions = Vec::new();
     let region = region_pages * 4096;
+    // Pages written so far: `mremap` mostly moves one of them, so moves
+    // carry real entries into the tables at their destination.
+    let mut written: Vec<u64> = Vec::new();
     for _ in 0..steps {
         let who = rng.gen_range(0..total);
-        match rng.gen_range(0..10) {
+        match rng.gen_range(0..11) {
             0..=2 if total < 8 => {
                 actions.push(Action::Fork { who });
                 total += 1;
@@ -96,9 +110,24 @@ pub fn random_script(seed: u64, steps: usize, region_pages: u64) -> Vec<Action> 
                     .max(4096);
                 actions.push(Action::Madvise { who, offset, len });
             }
+            7 => {
+                let offset = match written.len() {
+                    n if n > 0 && rng.gen_bool(0.75) => written[rng.gen_range(0..n)],
+                    _ => rng.gen_range(0..region_pages) * 4096,
+                };
+                let len = (rng.gen_range(1..=4u64) * 4096).min(region - offset);
+                let new_len = len + rng.gen_range(1..=4u64) * 4096;
+                actions.push(Action::Mremap {
+                    who,
+                    offset,
+                    len,
+                    new_len,
+                });
+            }
             _ => {
                 let offset = rng.gen_range(0..region - 8);
                 let len = rng.gen_range(1..512usize).min((region - offset) as usize);
+                written.push(offset & !4095);
                 actions.push(Action::Write {
                     who,
                     offset,
@@ -158,6 +187,9 @@ pub fn replay_on(
 /// resident before the first action. Populating is residency-only (all
 /// pages exist, zero-filled) and never changes contents, so populated and
 /// unpopulated replays of the same script stay bit-identical.
+///
+/// Every frame, table and swap slot the replay used must be back once its
+/// processes have exited; a leak panics here.
 pub fn replay_on_with(
     kernel: &std::sync::Arc<Kernel>,
     script: &[Action],
@@ -165,6 +197,7 @@ pub fn replay_on_with(
     region_pages: u64,
     populate: bool,
 ) -> Replay {
+    let baseline = kernel.machine().pool().balance();
     let root = kernel.spawn().expect("spawn");
     let region = region_pages * 4096;
     let addr = root
@@ -174,6 +207,7 @@ pub fn replay_on_with(
         root.populate(addr, region, true).expect("populate");
     }
     let mut procs: Vec<Option<Process>> = vec![Some(root)];
+    let mut moved: Vec<Vec<(u64, u64)>> = vec![Vec::new()];
 
     for action in script {
         match action {
@@ -182,6 +216,7 @@ pub fn replay_on_with(
                     .as_ref()
                     .map(|p| p.fork_with(policy).expect("fork"));
                 procs.push(child);
+                moved.push(moved[*who].clone());
             }
             Action::Write {
                 who,
@@ -229,19 +264,47 @@ pub fn replay_on_with(
                     let _ = p.madvise_dontneed(addr + offset, len);
                 }
             }
+            Action::Mremap {
+                who,
+                offset,
+                len,
+                new_len,
+            } => {
+                if let Some(p) = &procs[*who] {
+                    // A range that no longer lies within one VMA fails the
+                    // same way under every policy.
+                    if let Ok(to) = p.mremap(addr + offset, *len, *new_len) {
+                        moved[*who].push((to, *new_len));
+                    }
+                }
+            }
         }
     }
 
+    let images = images(&procs, &moved, (addr, region), 4096);
+    drop(procs);
+    assert_eq!(kernel.machine().swap().used_slots(), 0, "swap slots leaked");
+    odf_pmem::assert_pool_balanced(kernel.machine().pool(), baseline);
+    images
+}
+
+/// Hashes every surviving process's region and moved ranges, `stride`
+/// bytes at a time.
+fn images(
+    procs: &[Option<Process>],
+    moved: &[Vec<(u64, u64)>],
+    region: (u64, u64),
+    stride: u64,
+) -> Replay {
     procs
         .iter()
-        .map(|slot| match slot {
+        .zip(moved)
+        .map(|(slot, moved)| match slot {
             None => Vec::new(),
-            Some(p) => (0..region_pages)
-                .map(|pg| {
-                    p.read_vec(addr + pg * 4096, 4096)
-                        .ok()
-                        .map(|bytes| fnv(&bytes))
-                })
+            Some(p) => std::iter::once(&region)
+                .chain(moved)
+                .flat_map(|&(start, len)| (0..len / stride).map(move |i| start + i * stride))
+                .map(|at| p.read_vec(at, stride as usize).ok().map(|b| fnv(&b)))
                 .collect(),
         })
         .collect()
@@ -255,11 +318,13 @@ pub fn replay_huge(script: &[Action], policy: ForkPolicy, huge_pages: u64) -> Re
     const HUGE: u64 = 2 << 20;
     let region = huge_pages * HUGE;
     let kernel = Kernel::new(region * 12 + (64 << 20));
+    let baseline = kernel.machine().pool().balance();
     let root = kernel.spawn().expect("spawn");
     let addr = root
         .mmap_fixed(1 << 31, region, odf_core::MapParams::anon_rw_huge())
         .expect("mmap huge");
     let mut procs: Vec<Option<Process>> = vec![Some(root)];
+    let mut moved: Vec<Vec<(u64, u64)>> = vec![Vec::new()];
 
     for action in script {
         match action {
@@ -268,6 +333,7 @@ pub fn replay_huge(script: &[Action], policy: ForkPolicy, huge_pages: u64) -> Re
                     .as_ref()
                     .map(|p| p.fork_with(policy).expect("fork"));
                 procs.push(child);
+                moved.push(moved[*who].clone());
             }
             Action::Write {
                 who,
@@ -319,24 +385,30 @@ pub fn replay_huge(script: &[Action], policy: ForkPolicy, huge_pages: u64) -> Re
                     let _ = p.madvise_dontneed(addr + offset, len);
                 }
             }
+            Action::Mremap {
+                who,
+                offset,
+                len,
+                new_len,
+            } => {
+                if let Some(p) = &procs[*who] {
+                    let grow = (new_len - len).next_multiple_of(HUGE);
+                    let offset = (offset % region) & !(HUGE - 1);
+                    let len = (*len).max(HUGE).next_multiple_of(HUGE).min(region - offset);
+                    let new_len = len + grow;
+                    if let Ok(to) = p.mremap(addr + offset, len, new_len) {
+                        moved[*who].push((to, new_len));
+                    }
+                }
+            }
         }
     }
 
     // Hash at 64 KiB granularity to keep verification fast.
-    const STRIDE: u64 = 64 << 10;
-    procs
-        .iter()
-        .map(|slot| match slot {
-            None => Vec::new(),
-            Some(p) => (0..region / STRIDE)
-                .map(|i| {
-                    p.read_vec(addr + i * STRIDE, STRIDE as usize)
-                        .ok()
-                        .map(|bytes| fnv(&bytes))
-                })
-                .collect(),
-        })
-        .collect()
+    let images = images(&procs, &moved, (addr, region), 64 << 10);
+    drop(procs);
+    odf_pmem::assert_pool_balanced(kernel.machine().pool(), baseline);
+    images
 }
 
 /// A deliberately thrashing promotion policy for differential tests:
