@@ -187,8 +187,9 @@ fn main() {
     // 4. The traced run above becomes the chrome://tracing dump, and its
     //    summary is printed for eyeballing.
     let trace = odf_trace::snapshot();
-    let summary = trace.summary();
-    print!("{}", summary.render_text());
+    let mut summary = odf_trace::Exposition::new();
+    trace.summary().export(&mut summary);
+    print!("{}", summary.info(|_| true));
     std::fs::write("BENCH_trace_chrome.json", trace.chrome_json()).expect("write chrome dump");
     println!(
         "wrote BENCH_trace_chrome.json ({} events, {} dropped)",
@@ -196,8 +197,8 @@ fn main() {
         odf_trace::dropped_events()
     );
 
-    // 5. The machine-wide Prometheus export after the workload, for the
-    //    CI parse/duplicate check.
+    // 5. The machine-wide Prometheus export after the workload, for CI to
+    //    archive.
     std::fs::write("BENCH_metrics.prom", kernel.metrics_prometheus()).expect("write prom export");
     println!("wrote BENCH_metrics.prom");
 }

@@ -1,41 +1,42 @@
-//! Kernel-wide metrics exporters.
+//! The kernel's metrics exposition.
 //!
-//! One place turns every counter the simulation keeps — the VM-layer
-//! [`odf_vm::VmStats`], the physical-layer [`odf_pmem::PoolStats`], and
-//! the per-event-class latency summaries of [`odf_trace`] — into the two
-//! wire formats the application substrates serve: Prometheus text
-//! exposition (`GET /metrics` in `odf-httpd`, the node-exporter shape) and
-//! JSON (`STATS`/`INFO` in `odf-kvstore`, the `INFO` shape).
+//! [`Kernel::metrics`] is the one list of everything the simulation
+//! exports — the windowed VM-layer [`odf_vm::VmStats`], physical-layer
+//! [`odf_pmem::PoolStats`] and durability counters, buddy, WAL and memory
+//! gauges, probe aggregates and trace latency summaries — as one
+//! [`Exposition`]. Every surface renders that value: Prometheus text
+//! (`GET /metrics` in `odf-httpd`, `STATS` in `odf-kvstore`), JSON
+//! (`STATS JSON`) and Redis `INFO` lines.
 //!
 //! Counter enumeration rides on the `fields()` method the
-//! [`odf_trace::counters!`] macro generates, so a counter added to either
-//! stats block shows up in both exports with no exporter change.
+//! [`odf_trace::counters!`] macro generates, so a counter added to any of
+//! the three stats blocks shows up on every surface with no change here.
 
-use odf_trace::{PromText, TraceSummary};
+use odf_trace::Exposition;
 
 use crate::kernel::Kernel;
 
 impl Kernel {
-    /// All kernel counters plus trace latency summaries in Prometheus
-    /// text exposition format.
-    ///
-    /// Counter metrics are prefixed `odf_vm_` / `odf_pool_`; gauge metrics
-    /// cover memory occupancy; when tracing is enabled
-    /// (`ODF_TRACE=1`), per-class latency quantiles are appended.
-    pub fn metrics_prometheus(&self) -> String {
+    /// Every metric the kernel exports, counters relative to the last
+    /// [`Kernel::reset_metrics_window`]. A new metric is one insertion
+    /// here; probe aggregates appear while probes are attached, and trace
+    /// summaries while tracing is enabled (`ODF_TRACE=1`).
+    pub fn metrics(&self) -> Exposition {
+        let mut e = Exposition::new();
         let stats = self.windowed_stats();
-        let mut p = PromText::new();
         for (name, value) in stats.vm.fields() {
-            p.counter(
+            e.counter(
                 &format!("odf_vm_{name}_total"),
                 "VM-subsystem operation counter",
+                &[],
                 value,
             );
         }
         for (name, value) in stats.pool.fields() {
-            p.counter(
+            e.counter(
                 &format!("odf_pool_{name}_total"),
                 "Frame-pool operation counter",
+                &[],
                 value,
             );
         }
@@ -45,32 +46,36 @@ impl Kernel {
         // huge allocations — the number the THP collapse path lives or
         // dies by.
         for (order, count) in pool.free_blocks_per_order().iter().enumerate() {
-            p.labeled_gauge(
+            e.gauge(
                 "odf_pool_free_blocks",
                 "Free buddy blocks by order (/proc/buddyinfo analog)",
                 &[("order", &order.to_string())],
                 *count as f64,
             );
         }
-        p.gauge(
+        e.gauge(
             "odf_pool_external_fragmentation",
             "Fraction of buddy-free memory unusable for an order-9 block",
+            &[],
             pool.external_fragmentation(odf_pmem::HUGE_ORDER),
         );
-        p.counter(
+        e.counter(
             "odf_pool_mt_fallbacks_total",
             "Allocations served from the other migratetype's free lists",
+            &[],
             pool.mt_fallbacks(),
         );
-        p.counter(
+        e.counter(
             "odf_pool_mt_steals_total",
             "Pageblocks re-tagged to the requesting migratetype",
+            &[],
             pool.mt_steals(),
         );
         for (name, value) in self.windowed_durability_stats().fields() {
-            p.counter(
+            e.counter(
                 &format!("odf_durability_{name}_total"),
                 "Durability-subsystem operation counter (WAL/chain/recovery)",
+                &[],
                 value,
             );
         }
@@ -78,105 +83,60 @@ impl Kernel {
         // gauge the SLO watchdog budgets against. Seqs are high-water
         // marks, not windowed counters.
         let (appended, durable) = odf_durability::wal_seqs();
-        p.gauge(
+        e.gauge(
             "odf_durability_wal_appended_seq",
             "Highest WAL sequence number appended",
+            &[],
             appended as f64,
         );
-        p.gauge(
+        e.gauge(
             "odf_durability_wal_durable_seq",
             "Highest WAL sequence number known durable",
+            &[],
             durable as f64,
         );
-        p.gauge(
+        e.gauge(
             "odf_durability_group_commit_lag",
             "WAL records appended but not yet durable (appended_seq - durable_seq)",
+            &[],
             odf_durability::group_commit_lag() as f64,
         );
-        p.gauge(
+        e.gauge(
             "odf_mem_free_bytes",
             "Free simulated physical memory",
+            &[],
             self.free_bytes() as f64,
         );
-        p.gauge(
+        e.gauge(
             "odf_mem_total_bytes",
             "Total simulated physical memory",
+            &[],
             self.total_bytes() as f64,
         );
-        p.gauge(
+        e.gauge(
             "odf_processes",
             "Live simulated processes",
+            &[],
             self.process_count() as f64,
         );
-        // Probe aggregates, when any are attached. Cardinality is bounded
-        // per probe, so the exposition cannot blow up.
-        let reports = odf_probe::engine().read_all();
-        if !reports.is_empty() {
-            odf_probe::reports_prometheus(&mut p, &reports);
-        }
-        let mut out = p.finish();
+        // Cardinality is bounded per probe, so the exposition cannot blow
+        // up.
+        odf_probe::export(&mut e, &odf_probe::engine().read_all());
         if odf_trace::enabled() {
-            out.push_str(&TraceSummary::build(&odf_trace::snapshot()).prometheus());
+            odf_trace::snapshot().summary().export(&mut e);
         }
-        out
+        e
     }
 
-    /// All kernel counters plus trace latency summaries as one JSON
-    /// object: `{"vm": {...}, "pool": {...}, "mem": {...}, "trace": {...}}`.
+    /// [`Kernel::metrics`] in Prometheus text exposition format.
+    pub fn metrics_prometheus(&self) -> String {
+        self.metrics().prometheus()
+    }
+
+    /// [`Kernel::metrics`] as one JSON object (see
+    /// [`Exposition::json`]).
     pub fn metrics_json(&self) -> String {
-        let stats = self.windowed_stats();
-        let field_obj = |fields: Vec<(&'static str, u64)>| {
-            let parts: Vec<String> = fields
-                .iter()
-                .map(|(name, value)| format!("\"{name}\":{value}"))
-                .collect();
-            format!("{{{}}}", parts.join(","))
-        };
-        let pool = self.machine().pool();
-        let free_blocks: Vec<String> = pool
-            .free_blocks_per_order()
-            .iter()
-            .map(u64::to_string)
-            .collect();
-        let mut parts = vec![
-            format!("\"vm\":{}", field_obj(stats.vm.fields())),
-            format!("\"pool\":{}", field_obj(stats.pool.fields())),
-            format!(
-                "\"buddy\":{{\"free_blocks_per_order\":[{}],\"external_fragmentation\":{:.6},\"mt_fallbacks\":{},\"mt_steals\":{}}}",
-                free_blocks.join(","),
-                pool.external_fragmentation(odf_pmem::HUGE_ORDER),
-                pool.mt_fallbacks(),
-                pool.mt_steals()
-            ),
-            format!(
-                "\"durability\":{}",
-                field_obj(self.windowed_durability_stats().fields())
-            ),
-            {
-                let (appended, durable) = odf_durability::wal_seqs();
-                format!(
-                    "\"wal\":{{\"appended_seq\":{appended},\"durable_seq\":{durable},\"group_commit_lag\":{}}}",
-                    odf_durability::group_commit_lag()
-                )
-            },
-            format!(
-                "\"mem\":{{\"free_bytes\":{},\"total_bytes\":{},\"processes\":{}}}",
-                self.free_bytes(),
-                self.total_bytes(),
-                self.process_count()
-            ),
-        ];
-        let reports = odf_probe::engine().read_all();
-        if !reports.is_empty() {
-            parts.push(format!("\"probes\":{}", odf_probe::reports_json(&reports)));
-        }
-        if odf_trace::enabled() {
-            parts.push(format!(
-                "\"trace\":{}",
-                TraceSummary::build(&odf_trace::snapshot()).to_json()
-            ));
-        }
-        format!("{{{}}}", parts.join(","))
+        self.metrics().json()
     }
 }
 
@@ -228,26 +188,34 @@ mod tests {
     fn json_export_is_balanced_and_nested() {
         let k = Kernel::new(16 << 20);
         let j = k.metrics_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"vm\":{"));
-        assert!(j.contains("\"pool\":{"));
-        assert!(j.contains("\"faults\":"));
-        assert!(j.contains("\"buddy\":{"));
-        assert!(j.contains("\"durability\":{"));
-        assert!(j.contains("\"wal_appends\":"));
-        assert!(j.contains("\"snapshots_published\":"));
-        assert!(j.contains("\"free_blocks_per_order\":["));
-        assert!(j.contains("\"external_fragmentation\":"));
-        assert!(j.contains("\"mt_fallbacks\":"));
+        assert!(j.starts_with("{\"vm\":{\"odf_vm_faults_total\":") && j.ends_with('}'));
+        assert!(j.contains("\"pool\":{\"odf_pool_"));
+        assert!(j.contains("\"odf_pool_allocs_total\":"));
+        assert!(j.contains("\"durability\":{\"odf_durability_"));
+        assert!(j.contains("\"odf_durability_wal_appends_total\":"));
+        assert!(j.contains("\"odf_durability_snapshots_published_total\":"));
+        assert!(j.contains("\"odf_durability_group_commit_lag\":"));
+        assert!(j.contains("\"odf_pool_external_fragmentation\":"));
+        assert!(j.contains("\"odf_pool_mt_fallbacks_total\":"));
+        assert!(j.contains("\"mem\":{\"odf_mem_free_bytes\":"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-        // The per-order vector covers orders 0..=MAX_ORDER.
+        // The per-order family has one labeled sample per order,
+        // 0..=MAX_ORDER.
         let arr = j
-            .split("\"free_blocks_per_order\":[")
+            .split("\"odf_pool_free_blocks\":[")
             .nth(1)
             .and_then(|s| s.split(']').next())
             .unwrap();
+        for order in 0..=odf_pmem::MAX_ORDER {
+            assert!(
+                arr.contains(&format!(
+                    "{{\"labels\":{{\"order\":\"{order}\"}},\"value\":"
+                )),
+                "missing per-order sample for order {order}"
+            );
+        }
         assert_eq!(
-            arr.split(',').count(),
+            arr.matches("\"order\":").count(),
             odf_pmem::MAX_ORDER as usize + 1,
             "one entry per buddy order"
         );

@@ -12,6 +12,7 @@
 
 use odf_core::{ForkPolicy, Kernel, Process, Result, VmError};
 use odf_metrics::Summary;
+use odf_trace::MetricKind;
 
 use crate::resp::ReplyBuf;
 use crate::store::Store;
@@ -218,8 +219,10 @@ fn probe(sub: &[u8], args: &[&[u8]], out: &mut ReplyBuf) {
 /// Sections: `server` (process table, fork policy), `memory` (occupancy
 /// plus `proc`'s smaps totals), `persistence` (the front end's snapshot
 /// numbers: whether one is in flight and its fork-stall distribution in
-/// nanoseconds), `stats` (every kernel counter), and — when tracing is
-/// enabled — `trace` (per-event-class latency table).
+/// nanoseconds), `stats` (every unlabeled counter and gauge of
+/// [`Kernel::metrics`], in the current metrics window), and — when
+/// tracing is enabled — `trace` (every trace distribution and event
+/// count).
 pub fn info(
     proc: &Process,
     policy: ForkPolicy,
@@ -260,18 +263,13 @@ pub fn info(
             (fork_times.mean() / 1_000.0) as u64,
         ),
     ));
-    let stats = kernel.stats();
-    let mut body = String::new();
-    for (name, value) in stats.vm.fields() {
-        body.push_str(&format!("vm_{name}:{value}\r\n"));
-    }
-    for (name, value) in stats.pool.fields() {
-        body.push_str(&format!("pool_{name}:{value}\r\n"));
-    }
-    sections.push(("stats", body));
+    let metrics = kernel.metrics();
+    sections.push((
+        "stats",
+        metrics.info(|f| f.kind != MetricKind::Summary && !f.labeled()),
+    ));
     if odf_trace::enabled() {
-        let summary = odf_trace::TraceSummary::build(&odf_trace::snapshot());
-        sections.push(("trace", summary.render_text().replace('\n', "\r\n")));
+        sections.push(("trace", metrics.info(|f| f.name.starts_with("odf_trace_"))));
     }
     let mut text = String::new();
     for (name, body) in sections {

@@ -44,8 +44,8 @@ fn bulk_string(v: RespValue) -> String {
     }
 }
 
-/// Extracts `"hits":N` from the probe object named `name` inside a JSON
-/// document (either a `PROBE READ` report or the `STATS JSON` export).
+/// Extracts `"hits":N` from the probe object named `name` inside a
+/// `PROBE READ` report.
 fn probe_hits_in_json(doc: &str, name: &str) -> u64 {
     let obj = doc
         .split(&format!("\"name\":\"{name}\""))
@@ -56,6 +56,23 @@ fn probe_hits_in_json(doc: &str, name: &str) -> u64 {
         .and_then(|s| s.split([',', '}']).next())
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| panic!("no hits field for {name} in {doc}"))
+}
+
+/// Extracts the value of the `odf_probe_hits_total` sample labeled
+/// `probe="name"` from the `STATS JSON` export.
+fn probe_hits_in_stats_json(doc: &str, name: &str) -> u64 {
+    let family = doc
+        .split("\"odf_probe_hits_total\":[")
+        .nth(1)
+        .and_then(|s| s.split(']').next())
+        .unwrap_or_else(|| panic!("no odf_probe_hits_total in {doc}"));
+    family
+        .split(&format!("\"probe\":\"{name}\""))
+        .nth(1)
+        .and_then(|s| s.split("\"value\":").nth(1))
+        .and_then(|s| s.split([',', '}']).next())
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no hits sample for {name} in {doc}"))
 }
 
 /// Extracts the value of `odf_probe_hits_total{probe="name",...}` from a
@@ -174,7 +191,7 @@ fn probe_metrics_agree_across_prometheus_json_and_resp() {
     let resp = bulk_string(run(&mut s, &[b"PROBE", b"READ", b"xc_fault"]));
 
     let from_prom = probe_hits_in_prom(&prom, "xc_fault");
-    let from_json = probe_hits_in_json(&json, "xc_fault");
+    let from_json = probe_hits_in_stats_json(&json, "xc_fault");
     let from_resp = probe_hits_in_json(&resp, "xc_fault");
     assert!(from_prom > 0);
     assert_eq!(from_prom, from_json, "Prometheus vs STATS JSON");
@@ -269,4 +286,37 @@ fn stats_reset_opens_a_fresh_window() {
         windowed < faults(&before),
         "window excludes pre-reset traffic"
     );
+}
+
+/// `INFO stats` reads the same metrics window as `STATS`, and lists every
+/// unlabeled counter and gauge, not only the VM and pool counters.
+#[test]
+fn info_stats_reads_the_metrics_window() {
+    let _g = lock();
+    let mut s = server();
+    for i in 0..64u32 {
+        let k = format!("i-{i}");
+        run(&mut s, &[b"SET", k.as_bytes(), &[5u8; 2048]]);
+    }
+    let info = |s: &mut Server| bulk_string(run(s, &[b"INFO", b"stats"]));
+    assert!(!info(&mut s).contains("vm_faults:0\r\n"));
+    assert_eq!(
+        run(&mut s, &[b"STATS", b"RESET"]),
+        RespValue::Simple("OK".into())
+    );
+    let stats = info(&mut s);
+    assert!(stats.contains("\r\nvm_faults:0\r\n"), "{stats}");
+    for key in [
+        "pool_allocs:",
+        "pool_external_fragmentation:",
+        "durability_wal_appends:",
+        "durability_group_commit_lag:",
+        "mem_free_bytes:",
+        "processes:",
+    ] {
+        assert!(
+            stats.contains(&format!("\r\n{key}")),
+            "{key} missing:\n{stats}"
+        );
+    }
 }

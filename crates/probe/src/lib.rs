@@ -996,7 +996,7 @@ pub fn engine() -> &'static ProbeEngine {
 }
 
 /// Renders every probe report as one JSON object keyed by probe name (the
-/// `GET /probes` / `INFO` payload).
+/// `PROBE READ` / `GET /probes` payload).
 pub fn reports_json(reports: &[ProbeReport]) -> String {
     let parts: Vec<String> = reports
         .iter()
@@ -1005,27 +1005,27 @@ pub fn reports_json(reports: &[ProbeReport]) -> String {
     format!("{{{}}}", parts.join(","))
 }
 
-/// Appends Prometheus samples for every report to `p`. Per-key series are
-/// labeled `{probe, point, key}`; `lat_hist` probes additionally export
-/// quantile summaries per key. Cardinality is bounded by each probe's map
-/// bound, so the exposition cannot blow up.
-pub fn reports_prometheus(p: &mut odf_trace::PromText, reports: &[ProbeReport]) {
+/// Adds every report's families to `e`. Per-probe series are labeled
+/// `{probe, point}` and per-key series `{probe, key}`; `lat_hist` probes
+/// additionally export per-key latency quantiles. Cardinality is bounded
+/// by each probe's map bound, so the exposition cannot blow up.
+pub fn export(e: &mut odf_trace::Exposition, reports: &[ProbeReport]) {
     for r in reports {
         let name = r.spec.name.as_str();
         let point = r.spec.point.label();
-        p.labeled_counter(
+        e.counter(
             "odf_probe_hits_total",
             "Contexts that passed a probe's filter",
             &[("probe", name), ("point", point)],
             r.hits,
         );
-        p.labeled_counter(
+        e.counter(
             "odf_probe_filtered_total",
             "Contexts rejected by a probe's filter",
             &[("probe", name), ("point", point)],
             r.filtered_out,
         );
-        p.labeled_counter(
+        e.counter(
             "odf_probe_evicted_keys_total",
             "Map keys evicted to honor a probe's cardinality bound",
             &[("probe", name), ("point", point)],
@@ -1033,19 +1033,19 @@ pub fn reports_prometheus(p: &mut odf_trace::PromText, reports: &[ProbeReport]) 
         );
         for k in &r.keys {
             match r.spec.program {
-                ProgramKind::CountBy | ProgramKind::LatHist => p.labeled_counter(
+                ProgramKind::CountBy | ProgramKind::LatHist => e.counter(
                     "odf_probe_key_hits_total",
                     "Per-key hits aggregated by a probe",
                     &[("probe", name), ("key", &k.label)],
                     k.hits,
                 ),
-                ProgramKind::SumBy => p.labeled_counter(
+                ProgramKind::SumBy => e.counter(
                     "odf_probe_key_sum_total",
                     "Per-key sample sum aggregated by a probe",
                     &[("probe", name), ("key", &k.label)],
                     k.sum.min(u128::from(u64::MAX)) as u64,
                 ),
-                ProgramKind::Watermark => p.labeled_gauge(
+                ProgramKind::Watermark => e.gauge(
                     "odf_probe_key_max",
                     "Per-key sample high watermark aggregated by a probe",
                     &[("probe", name), ("key", &k.label)],
@@ -1054,7 +1054,7 @@ pub fn reports_prometheus(p: &mut odf_trace::PromText, reports: &[ProbeReport]) 
             }
             if let Some(l) = &k.lat {
                 for (q, v) in [("0.5", l.p50_ns), ("0.99", l.p99_ns), ("0.999", l.p999_ns)] {
-                    p.labeled_gauge(
+                    e.gauge(
                         "odf_probe_latency_ns",
                         "Per-key latency quantiles aggregated by a lat_hist probe",
                         &[("probe", name), ("key", &k.label), ("quantile", q)],
@@ -1242,9 +1242,9 @@ mod tests {
         let mut c = cx(ProbePoint::Evict, 3, 0);
         c.value = 10;
         e.inject(&c);
-        let mut p = odf_trace::PromText::new();
-        reports_prometheus(&mut p, &e.read_all());
-        let text = p.finish();
+        let mut x = odf_trace::Exposition::new();
+        export(&mut x, &e.read_all());
+        let text = x.prometheus();
         assert!(text.contains("odf_probe_hits_total{probe=\"lh\",point=\"fault\"} 1"));
         assert!(text.contains("odf_probe_key_hits_total{probe=\"lh\",key=\"pid 3\"} 1"));
         assert!(

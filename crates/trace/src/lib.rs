@@ -42,8 +42,8 @@ use std::time::Instant;
 mod export;
 mod summary;
 
-pub use export::{json_escape, PromText};
-pub use summary::{ClassSummary, TraceSummary};
+pub use export::{json_escape, Exposition, Family, MetricKind};
+pub use summary::TraceSummary;
 
 /// Fork policy tag carried by fork events.
 ///

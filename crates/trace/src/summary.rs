@@ -4,69 +4,25 @@
 
 use std::collections::BTreeMap;
 
-use odf_metrics::{fmt_ns, Histogram};
+use odf_metrics::Histogram;
 
-use crate::export::{json_escape, PromText};
+use crate::export::Exposition;
 use crate::{Event, FaultKind, ForkPolicyKind, Trace};
 
-/// A named latency/size distribution extracted from a trace.
-#[derive(Clone)]
-pub struct ClassSummary {
-    /// Stable class name, e.g. `fault_cow_data` or `fork_odf`.
-    pub name: String,
-    /// The sample distribution (nanoseconds for latency classes).
-    pub hist: Histogram,
-}
+/// A distribution's label: `(name, value)`.
+type Label = (&'static str, &'static str);
 
-impl ClassSummary {
-    /// p50 of the distribution.
-    pub fn p50(&self) -> u64 {
-        self.hist.percentile(50.0)
-    }
-
-    /// p99 of the distribution.
-    pub fn p99(&self) -> u64 {
-        self.hist.percentile(99.0)
-    }
-
-    /// p99.9 of the distribution.
-    pub fn p999(&self) -> u64 {
-        self.hist.percentile(99.9)
-    }
-}
+/// One sample an event feeds: (Prometheus family, help, label, value).
+type Dist = (&'static str, &'static str, Option<Label>, u64);
 
 /// Per-event-class rollup of one [`Trace`].
 #[derive(Clone, Default)]
 pub struct TraceSummary {
-    /// Fault latency per [`FaultKind`] (only kinds that occurred).
-    pub faults: Vec<(FaultKind, Histogram)>,
-    /// Fork latency per policy (only policies that occurred).
-    pub forks: Vec<(ForkPolicyKind, Histogram)>,
-    /// Bytes physically copied per COW event.
-    pub cow_bytes: Histogram,
-    /// Install races lost per fault (the `retries` field distribution).
-    pub fault_retries: Histogram,
-    /// Blocks moved per magazine refill/drain (batch-size distribution).
-    pub mag_transfer_blocks: Histogram,
-    /// Blocks returned per mmu_gather-style batched free flush.
-    pub bulk_free_blocks: Histogram,
-    /// Per-page eviction latency (copy-out + swap-slot write + PTE store).
-    pub evict_latency: Histogram,
-    /// Swap-in data-path latency (slot read + frame write), excluding the
-    /// fault-dispatch overhead already covered by the `Fault` record.
-    pub swapin_latency: Histogram,
-    /// Huge-page collapse latency (candidate validation to installed PMD).
-    pub collapse_latency: Histogram,
-    /// WAL group-commit fsync latency (the durability cost per ack).
-    pub wal_fsync_latency: Histogram,
-    /// Snapshot-image publish latency (encode + tmp-write + fsync + rename).
-    pub snapshot_publish_latency: Histogram,
-    /// Recovery WAL-replay latency (records re-applied after restore).
-    pub recovery_replay_latency: Histogram,
-    /// Reclaim-daemon scan-pass latency (one `reclaim_pass` span each).
-    pub reclaim_pass_latency: Histogram,
-    /// THP-daemon scan-pass latency (one `thp_pass` span each).
-    pub thp_pass_latency: Histogram,
+    /// Every distribution the trace fed, keyed by (Prometheus family,
+    /// label), with the family's help text beside the histogram.
+    pub hists: BTreeMap<(&'static str, Option<Label>), (&'static str, Histogram)>,
+    /// Install races lost, summed over the faults' `retries` fields.
+    pub fault_retries: u64,
     /// Instant-event counts keyed by class (`tlb_flush`,
     /// `lock_retry_<site>`, `reclaim`, ...).
     pub counts: BTreeMap<String, u64>,
@@ -75,122 +31,151 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Rolls `trace` up into per-class distributions.
+    /// Rolls `trace` up into per-class distributions. Its one `match` is
+    /// the only place a trace distribution is named.
     pub fn build(trace: &Trace) -> TraceSummary {
-        let mut faults: BTreeMap<u8, (FaultKind, Histogram)> = BTreeMap::new();
-        let mut forks: BTreeMap<u8, (ForkPolicyKind, Histogram)> = BTreeMap::new();
         let mut s = TraceSummary {
             dropped: trace.dropped,
             ..TraceSummary::default()
         };
-        let bump = |counts: &mut BTreeMap<String, u64>, key: &str| {
-            *counts.entry(key.to_string()).or_insert(0) += 1;
-        };
         for r in &trace.events {
-            match r.event {
+            let (class, dist): (Option<&str>, Option<Dist>) = match r.event {
                 Event::Fault {
                     kind,
                     latency_ns,
                     retries,
                     ..
                 } => {
-                    faults
-                        .entry(kind.as_u8())
-                        .or_insert_with(|| (kind, Histogram::new()))
-                        .1
-                        .record(latency_ns);
-                    s.fault_retries.record(u64::from(retries));
+                    s.fault_retries += u64::from(retries);
+                    let help = "Page-fault latency by fault kind";
+                    let label = Some(("kind", kind.label()));
+                    let dist = ("odf_trace_fault_latency_ns", help, label, latency_ns);
+                    (None, Some(dist))
                 }
-                Event::ForkStart { .. } => bump(&mut s.counts, "fork_start"),
                 Event::ForkEnd {
                     policy, latency_ns, ..
                 } => {
-                    forks
-                        .entry(policy.as_u8())
-                        .or_insert_with(|| (policy, Histogram::new()))
-                        .1
-                        .record(latency_ns);
+                    let help = "Fork latency by policy";
+                    let label = Some(("policy", policy.label()));
+                    let dist = ("odf_trace_fork_latency_ns", help, label, latency_ns);
+                    (None, Some(dist))
+                }
+                Event::LockRetry { site } => {
+                    s.bump(&format!("lock_retry_{}", site.label()));
+                    (Some("lock_retry_total"), None)
                 }
                 Event::CowCopy { bytes, .. } => {
-                    s.cow_bytes.record(bytes);
-                    bump(&mut s.counts, "cow_copy");
+                    let help = "Bytes physically copied per COW event";
+                    let dist = ("odf_trace_cow_bytes", help, None, bytes);
+                    (Some("cow_copy"), Some(dist))
                 }
-                Event::TlbFlush => bump(&mut s.counts, "tlb_flush"),
-                Event::LockRetry { site } => {
-                    bump(&mut s.counts, &format!("lock_retry_{}", site.label()));
-                    bump(&mut s.counts, "lock_retry_total");
-                }
-                Event::Reclaim { .. } => bump(&mut s.counts, "reclaim"),
-                Event::FrameAlloc { .. } => bump(&mut s.counts, "frame_alloc"),
-                Event::FrameFree { .. } => bump(&mut s.counts, "frame_free"),
-                Event::MagRefill { blocks, .. } => {
-                    bump(&mut s.counts, "mag_refill");
-                    s.mag_transfer_blocks.record(blocks);
-                }
-                Event::MagDrain { blocks, .. } => {
-                    bump(&mut s.counts, "mag_drain");
-                    s.mag_transfer_blocks.record(blocks);
+                Event::MagRefill { blocks, .. } | Event::MagDrain { blocks, .. } => {
+                    let help = "Blocks moved per magazine refill/drain";
+                    let dist = ("odf_trace_mag_transfer_blocks", help, None, blocks);
+                    (Some(r.event.class()), Some(dist))
                 }
                 Event::BulkFree { blocks, .. } => {
-                    bump(&mut s.counts, "bulk_free");
-                    s.bulk_free_blocks.record(blocks);
+                    let help = "Blocks returned per batched free flush";
+                    let dist = ("odf_trace_bulk_free_blocks", help, None, blocks);
+                    (Some("bulk_free"), Some(dist))
                 }
-                Event::ReclaimScanStart { .. } => bump(&mut s.counts, "reclaim_scan_start"),
                 Event::Evicted { latency_ns, .. } => {
-                    bump(&mut s.counts, "evicted");
-                    s.evict_latency.record(latency_ns);
+                    let help = "Per-page eviction latency (copy-out + slot write)";
+                    let dist = ("odf_trace_evict_latency_ns", help, None, latency_ns);
+                    (Some("evicted"), Some(dist))
                 }
                 Event::SwappedIn { latency_ns, .. } => {
-                    bump(&mut s.counts, "swapped_in");
-                    s.swapin_latency.record(latency_ns);
+                    let help = "Swap-in data-path latency (slot read + frame write)";
+                    let dist = ("odf_trace_swapin_latency_ns", help, None, latency_ns);
+                    (Some("swapped_in"), Some(dist))
                 }
-                Event::CollapseStart { .. } => bump(&mut s.counts, "collapse_start"),
                 Event::CollapseEnd { latency_ns, .. } => {
-                    bump(&mut s.counts, "collapse");
-                    s.collapse_latency.record(latency_ns);
+                    let help = "Huge-page collapse latency (validate + copy + install)";
+                    let dist = ("odf_trace_collapse_latency_ns", help, None, latency_ns);
+                    (Some("collapse"), Some(dist))
                 }
-                Event::Demote { .. } => bump(&mut s.counts, "demote"),
-                Event::CompactScan { .. } => bump(&mut s.counts, "compact_scan"),
                 Event::WalFsync { latency_ns, .. } => {
-                    bump(&mut s.counts, "wal_fsync");
-                    s.wal_fsync_latency.record(latency_ns);
+                    let help = "WAL group-commit fsync latency";
+                    let dist = ("odf_trace_wal_fsync_latency_ns", help, None, latency_ns);
+                    (Some("wal_fsync"), Some(dist))
                 }
                 Event::SnapshotPublish { latency_ns, .. } => {
-                    bump(&mut s.counts, "snapshot_publish");
-                    s.snapshot_publish_latency.record(latency_ns);
+                    let help = "Snapshot-image publish latency (encode + fsync + rename)";
+                    let dist = (
+                        "odf_trace_snapshot_publish_latency_ns",
+                        help,
+                        None,
+                        latency_ns,
+                    );
+                    (Some("snapshot_publish"), Some(dist))
                 }
                 Event::RecoveryReplay { latency_ns, .. } => {
-                    bump(&mut s.counts, "recovery_replay");
-                    s.recovery_replay_latency.record(latency_ns);
+                    let help = "Recovery WAL-replay latency";
+                    let dist = (
+                        "odf_trace_recovery_replay_latency_ns",
+                        help,
+                        None,
+                        latency_ns,
+                    );
+                    (Some("recovery_replay"), Some(dist))
                 }
                 Event::ReclaimPass { latency_ns, .. } => {
-                    bump(&mut s.counts, "reclaim_pass");
-                    s.reclaim_pass_latency.record(latency_ns);
+                    let help = "Reclaim-daemon scan-pass latency";
+                    let dist = ("odf_trace_reclaim_pass_latency_ns", help, None, latency_ns);
+                    (Some("reclaim_pass"), Some(dist))
                 }
-                Event::ReclaimBackoff { .. } => bump(&mut s.counts, "reclaim_backoff"),
                 Event::ThpPass { latency_ns, .. } => {
-                    bump(&mut s.counts, "thp_pass");
-                    s.thp_pass_latency.record(latency_ns);
+                    let help = "THP-daemon scan-pass latency";
+                    let dist = ("odf_trace_thp_pass_latency_ns", help, None, latency_ns);
+                    (Some("thp_pass"), Some(dist))
                 }
-                Event::ThpBackoff { .. } => bump(&mut s.counts, "thp_backoff"),
+                Event::ForkStart { .. }
+                | Event::TlbFlush
+                | Event::Reclaim { .. }
+                | Event::FrameAlloc { .. }
+                | Event::FrameFree { .. }
+                | Event::ReclaimScanStart { .. }
+                | Event::CollapseStart { .. }
+                | Event::Demote { .. }
+                | Event::CompactScan { .. }
+                | Event::ReclaimBackoff { .. }
+                | Event::ThpBackoff { .. } => (Some(r.event.class()), None),
+            };
+            if let Some(class) = class {
+                s.bump(class);
+            }
+            if let Some((family, help, label, value)) = dist {
+                s.hists
+                    .entry((family, label))
+                    .or_insert_with(|| (help, Histogram::new()))
+                    .1
+                    .record(value);
             }
         }
-        s.faults = faults.into_values().collect();
-        s.forks = forks.into_values().collect();
         s
+    }
+
+    fn bump(&mut self, class: &str) {
+        *self.counts.entry(class.to_string()).or_insert(0) += 1;
     }
 
     /// Latency histogram for one fault kind, if any such fault was traced.
     pub fn fault_hist(&self, kind: FaultKind) -> Option<&Histogram> {
-        self.faults.iter().find(|(k, _)| *k == kind).map(|(_, h)| h)
+        self.labeled(("kind", kind.label()))
     }
 
     /// Latency histogram for one fork policy, if any such fork was traced.
     pub fn fork_hist(&self, policy: ForkPolicyKind) -> Option<&Histogram> {
-        self.forks
+        self.labeled(("policy", policy.label()))
+    }
+
+    /// The histogram carrying `label`; each label name belongs to one
+    /// family.
+    fn labeled(&self, label: Label) -> Option<&Histogram> {
+        self.hists
             .iter()
-            .find(|(p, _)| *p == policy)
-            .map(|(_, h)| h)
+            .find(|((_, l), _)| *l == Some(label))
+            .map(|(_, (_, h))| h)
     }
 
     /// Install races lost, as observed by the trace. `LockRetry` events
@@ -199,251 +184,29 @@ impl TraceSummary {
     /// more rather than summing them.
     pub fn lost_install_races(&self) -> u64 {
         let explicit = self.counts.get("lock_retry_total").copied().unwrap_or(0);
-        explicit.max(self.retry_sum())
+        explicit.max(self.fault_retries)
     }
 
-    /// Sum of per-fault retry counts (mean × count, exact because the mean
-    /// is sum/count of integers).
-    fn retry_sum(&self) -> u64 {
-        (self.fault_retries.mean() * self.fault_retries.count() as f64).round() as u64
-    }
-
-    /// All latency classes, flattened with stable names (for exporters).
-    pub fn classes(&self) -> Vec<ClassSummary> {
-        let mut out = Vec::new();
-        for (kind, hist) in &self.faults {
-            out.push(ClassSummary {
-                name: format!("fault_{}", kind.label()),
-                hist: hist.clone(),
-            });
-        }
-        for (policy, hist) in &self.forks {
-            out.push(ClassSummary {
-                name: format!("fork_{}", policy.label()),
-                hist: hist.clone(),
-            });
-        }
-        if self.evict_latency.count() > 0 {
-            out.push(ClassSummary {
-                name: "reclaim_evict".to_string(),
-                hist: self.evict_latency.clone(),
-            });
-        }
-        if self.swapin_latency.count() > 0 {
-            out.push(ClassSummary {
-                name: "reclaim_swapin".to_string(),
-                hist: self.swapin_latency.clone(),
-            });
-        }
-        if self.collapse_latency.count() > 0 {
-            out.push(ClassSummary {
-                name: "thp_collapse".to_string(),
-                hist: self.collapse_latency.clone(),
-            });
-        }
-        if self.wal_fsync_latency.count() > 0 {
-            out.push(ClassSummary {
-                name: "wal_fsync".to_string(),
-                hist: self.wal_fsync_latency.clone(),
-            });
-        }
-        if self.snapshot_publish_latency.count() > 0 {
-            out.push(ClassSummary {
-                name: "snapshot_publish".to_string(),
-                hist: self.snapshot_publish_latency.clone(),
-            });
-        }
-        if self.recovery_replay_latency.count() > 0 {
-            out.push(ClassSummary {
-                name: "recovery_replay".to_string(),
-                hist: self.recovery_replay_latency.clone(),
-            });
-        }
-        if self.reclaim_pass_latency.count() > 0 {
-            out.push(ClassSummary {
-                name: "reclaim_pass".to_string(),
-                hist: self.reclaim_pass_latency.clone(),
-            });
-        }
-        if self.thp_pass_latency.count() > 0 {
-            out.push(ClassSummary {
-                name: "thp_pass".to_string(),
-                hist: self.thp_pass_latency.clone(),
-            });
-        }
-        out
-    }
-
-    /// Renders the summary in Prometheus text exposition format.
-    pub fn prometheus(&self) -> String {
-        let mut p = PromText::new();
-        for (kind, hist) in &self.faults {
-            p.quantiles(
-                "odf_trace_fault_latency_ns",
-                "Page-fault latency by fault kind",
-                &[("kind", kind.label())],
-                hist,
-            );
-        }
-        for (policy, hist) in &self.forks {
-            p.quantiles(
-                "odf_trace_fork_latency_ns",
-                "Fork latency by policy",
-                &[("policy", policy.label())],
-                hist,
-            );
-        }
-        if self.cow_bytes.count() > 0 {
-            p.quantiles(
-                "odf_trace_cow_bytes",
-                "Bytes physically copied per COW event",
-                &[],
-                &self.cow_bytes,
-            );
-        }
-        if self.mag_transfer_blocks.count() > 0 {
-            p.quantiles(
-                "odf_trace_mag_transfer_blocks",
-                "Blocks moved per magazine refill/drain",
-                &[],
-                &self.mag_transfer_blocks,
-            );
-        }
-        if self.bulk_free_blocks.count() > 0 {
-            p.quantiles(
-                "odf_trace_bulk_free_blocks",
-                "Blocks returned per batched free flush",
-                &[],
-                &self.bulk_free_blocks,
-            );
-        }
-        if self.evict_latency.count() > 0 {
-            p.quantiles(
-                "odf_trace_evict_latency_ns",
-                "Per-page eviction latency (copy-out + slot write)",
-                &[],
-                &self.evict_latency,
-            );
-        }
-        if self.swapin_latency.count() > 0 {
-            p.quantiles(
-                "odf_trace_swapin_latency_ns",
-                "Swap-in data-path latency (slot read + frame write)",
-                &[],
-                &self.swapin_latency,
-            );
-        }
-        if self.collapse_latency.count() > 0 {
-            p.quantiles(
-                "odf_trace_collapse_latency_ns",
-                "Huge-page collapse latency (validate + copy + install)",
-                &[],
-                &self.collapse_latency,
-            );
-        }
-        if self.wal_fsync_latency.count() > 0 {
-            p.quantiles(
-                "odf_trace_wal_fsync_latency_ns",
-                "WAL group-commit fsync latency",
-                &[],
-                &self.wal_fsync_latency,
-            );
-        }
-        if self.snapshot_publish_latency.count() > 0 {
-            p.quantiles(
-                "odf_trace_snapshot_publish_latency_ns",
-                "Snapshot-image publish latency (encode + fsync + rename)",
-                &[],
-                &self.snapshot_publish_latency,
-            );
-        }
-        if self.recovery_replay_latency.count() > 0 {
-            p.quantiles(
-                "odf_trace_recovery_replay_latency_ns",
-                "Recovery WAL-replay latency",
-                &[],
-                &self.recovery_replay_latency,
-            );
-        }
-        if self.reclaim_pass_latency.count() > 0 {
-            p.quantiles(
-                "odf_trace_reclaim_pass_latency_ns",
-                "Reclaim-daemon scan-pass latency",
-                &[],
-                &self.reclaim_pass_latency,
-            );
-        }
-        if self.thp_pass_latency.count() > 0 {
-            p.quantiles(
-                "odf_trace_thp_pass_latency_ns",
-                "THP-daemon scan-pass latency",
-                &[],
-                &self.thp_pass_latency,
-            );
+    /// Adds every distribution as a summary family, the instant-event
+    /// counts and the dropped-record count to `e`.
+    pub fn export(&self, e: &mut Exposition) {
+        for (&(family, label), (help, hist)) in &self.hists {
+            e.summary(family, help, label.as_slice(), hist);
         }
         for (class, count) in &self.counts {
-            p.labeled_counter(
+            e.counter(
                 "odf_trace_events_total",
                 "Instant trace events by class",
                 &[("class", class)],
                 *count,
             );
         }
-        p.counter(
+        e.counter(
             "odf_trace_dropped_events_total",
             "Trace records lost to ring-buffer drop-oldest overwrites",
+            &[],
             self.dropped,
         );
-        p.finish()
-    }
-
-    /// Renders the summary as a JSON object (class → stats).
-    pub fn to_json(&self) -> String {
-        let mut parts = Vec::new();
-        for c in self.classes() {
-            parts.push(format!(
-                "\"{}\":{{\"count\":{},\"mean_ns\":{:.1},\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"max_ns\":{}}}",
-                json_escape(&c.name),
-                c.hist.count(),
-                c.hist.mean(),
-                c.p50(),
-                c.p99(),
-                c.p999(),
-                c.hist.max(),
-            ));
-        }
-        let counts: Vec<String> = self
-            .counts
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), v))
-            .collect();
-        parts.push(format!("\"counts\":{{{}}}", counts.join(",")));
-        parts.push(format!("\"dropped_events\":{}", self.dropped));
-        format!("{{{}}}", parts.join(","))
-    }
-
-    /// Renders a human-readable table (for bench output and `STATS`).
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "class                     count       mean        p50        p99      p99.9\n",
-        );
-        for c in self.classes() {
-            out.push_str(&format!(
-                "{:<24} {:>6} {:>10} {:>10} {:>10} {:>10}\n",
-                c.name,
-                c.hist.count(),
-                fmt_ns(c.hist.mean() as u64),
-                fmt_ns(c.p50()),
-                fmt_ns(c.p99()),
-                fmt_ns(c.p999()),
-            ));
-        }
-        for (class, count) in &self.counts {
-            out.push_str(&format!("{:<24} {:>6}\n", class, count));
-        }
-        out.push_str(&format!("dropped_events           {:>6}\n", self.dropped));
-        out
     }
 }
 
@@ -489,6 +252,35 @@ mod tests {
                 site: crate::LockSite::PteInstall,
             },
         ));
+        events.push(rec(
+            203,
+            Event::CowCopy {
+                order: 9,
+                bytes: 2 << 20,
+                frame: 512,
+            },
+        ));
+        events.push(rec(
+            204,
+            Event::MagRefill {
+                order: 0,
+                blocks: 32,
+            },
+        ));
+        events.push(rec(
+            205,
+            Event::MagDrain {
+                order: 0,
+                blocks: 16,
+            },
+        ));
+        events.push(rec(
+            206,
+            Event::BulkFree {
+                blocks: 8,
+                frames: 8,
+            },
+        ));
         Trace { events, dropped: 3 }
     }
 
@@ -508,9 +300,15 @@ mod tests {
         assert!(s.lost_install_races() >= 15);
     }
 
+    fn exposition(s: &TraceSummary) -> Exposition {
+        let mut e = Exposition::new();
+        s.export(&mut e);
+        e
+    }
+
     #[test]
     fn prometheus_output_has_unique_headers() {
-        let text = sample_trace().summary().prometheus();
+        let text = exposition(&sample_trace().summary()).prometheus();
         assert!(text.contains("# TYPE odf_trace_fault_latency_ns summary"));
         assert!(text.contains("odf_trace_fault_latency_ns{kind=\"cow_data\",quantile=\"0.5\"}"));
         assert!(text.contains("odf_trace_dropped_events_total 3"));
@@ -523,10 +321,21 @@ mod tests {
 
     #[test]
     fn json_output_is_well_formed_enough() {
-        let j = sample_trace().summary().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"fault_cow_data\""));
-        assert!(j.contains("\"dropped_events\":3"));
+        let j = exposition(&sample_trace().summary()).json();
+        assert!(j.starts_with("{\"trace\":{") && j.ends_with('}'));
+        assert!(j.contains("\"odf_trace_fault_latency_ns\":[{\"labels\":{\"kind\":\"cow_data\"}"));
+        // The size distributions render like the latency ones.
+        for family in [
+            "odf_trace_cow_bytes",
+            "odf_trace_mag_transfer_blocks",
+            "odf_trace_bulk_free_blocks",
+        ] {
+            assert!(
+                j.contains(&format!("\"{family}\":{{\"count\":")),
+                "{family}: {j}"
+            );
+        }
+        assert!(j.contains("\"odf_trace_dropped_events_total\":3"));
         assert_eq!(
             j.matches('{').count(),
             j.matches('}').count(),
@@ -535,10 +344,13 @@ mod tests {
     }
 
     #[test]
-    fn render_text_lists_every_class() {
-        let t = sample_trace().summary().render_text();
-        assert!(t.contains("fault_cow_data"));
-        assert!(t.contains("fork_odf"));
-        assert!(t.contains("dropped_events"));
+    fn info_lists_every_distribution() {
+        let e = exposition(&sample_trace().summary());
+        let t = e.info(|_| true);
+        assert!(t.contains("trace_fault_latency_ns:kind=cow_data,count=100,"));
+        assert!(t.contains("trace_fork_latency_ns:policy=odf,count=1,"));
+        assert!(t.contains("trace_mag_transfer_blocks:count=2,"));
+        assert!(t.contains("trace_events:class=tlb_flush,value=1\r\n"));
+        assert!(t.contains("trace_dropped_events:3\r\n"));
     }
 }

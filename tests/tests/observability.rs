@@ -5,11 +5,13 @@
 //! The tracing layer is process-global (per-thread rings behind one enable
 //! flag), so every test that toggles it serializes on [`TRACE_GATE`].
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use odf_core::{ForkPolicy, Kernel};
+use odf_kvstore::{encode_command, serve_stream, RespValue, Server, ServerConfig};
 use odf_pmem::assert_pool_balanced;
-use odf_trace::FaultKind;
+use odf_trace::{EventClass, FaultKind};
 
 const MIB: u64 = 1 << 20;
 const PAGE: u64 = 4096;
@@ -98,6 +100,7 @@ fn concurrent_fault_workload_yields_per_kind_latency_and_chrome_dump() {
 /// shared/private split with what a COW fork implies.
 #[test]
 fn smaps_totals_agree_with_kernel_accounting() {
+    let _gate = trace_gate();
     let kernel = Kernel::new(128 * MIB);
     let baseline = kernel.machine().pool().balance();
     let parent = kernel.spawn().unwrap();
@@ -146,6 +149,7 @@ fn smaps_totals_agree_with_kernel_accounting() {
 /// flips the pagemap swap bit — and a read fault reverses all three.
 #[test]
 fn smaps_accounts_swapped_pages_exactly() {
+    let _gate = trace_gate();
     let kernel = Kernel::new(128 * MIB);
     let baseline = kernel.machine().pool().balance();
     let proc = kernel.spawn().unwrap();
@@ -206,58 +210,355 @@ fn smaps_accounts_swapped_pages_exactly() {
     assert_pool_balanced(kernel.machine().pool(), baseline);
 }
 
-/// The exporters agree with each other: every counter in the Prometheus
-/// text shows up in the JSON document, and the kvstore INFO text carries
-/// the same RSS the process's smaps reports.
+/// A server on `kernel`: its RESP surface attaches probes and reads
+/// `INFO`.
+fn server_on(kernel: &Arc<Kernel>) -> Server {
+    Server::new(
+        kernel,
+        ServerConfig {
+            heap_capacity: 4 * MIB,
+            snapshot_every: u64::MAX,
+            ..Default::default()
+        },
+    )
+    .unwrap()
+}
+
+fn command(server: &mut Server, parts: &[&[u8]]) -> RespValue {
+    let wire = serve_stream(server, &encode_command(parts));
+    RespValue::decode(&wire).expect("one complete reply").0
+}
+
+fn attach(server: &mut Server, spec: &[&[u8]]) {
+    let argv: Vec<&[u8]> = [&b"PROBE"[..], b"ATTACH"]
+        .into_iter()
+        .chain(spec.iter().copied())
+        .collect();
+    assert_eq!(command(server, &argv), RespValue::Simple("OK".into()));
+}
+
+fn detach(server: &mut Server, name: &[u8]) {
+    assert_eq!(
+        command(server, &[b"PROBE", b"DETACH", name]),
+        RespValue::Integer(1)
+    );
+}
+
+/// The family a Prometheus sample or header line belongs to: a summary's
+/// `_sum` and `_count` series are part of the summary.
+fn family_of<'a>(line: &'a str, summaries: &[&'a str]) -> &'a str {
+    let name = match line
+        .strip_prefix("# HELP ")
+        .or_else(|| line.strip_prefix("# TYPE "))
+    {
+        Some(rest) => rest.split(' ').next().unwrap(),
+        None => line.split(['{', ' ']).next().unwrap(),
+    };
+    summaries
+        .iter()
+        .copied()
+        .find(|s| {
+            name.strip_prefix(s)
+                .is_some_and(|rest| ["", "_sum", "_count"].contains(&rest))
+        })
+        .unwrap_or(name)
+}
+
+fn summary_families(prom: &str) -> Vec<&str> {
+    prom.lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_suffix(" summary"))
+        .collect()
+}
+
+/// The text format requires all lines of one family to form one group.
+fn assert_families_contiguous(prom: &str) {
+    let summaries = summary_families(prom);
+    let mut seen: Vec<&str> = Vec::new();
+    for line in prom.lines() {
+        let family = family_of(line, &summaries);
+        if seen.last() != Some(&family) {
+            assert!(!seen.contains(&family), "family {family} is split:\n{prom}");
+            seen.push(family);
+        }
+    }
+}
+
+/// Write faults under two pids: a fresh process each touches a region.
+fn fault_under_two_pids(kernel: &Arc<Kernel>) {
+    for _ in 0..2 {
+        let p = kernel.spawn().unwrap();
+        let addr = p.mmap_anon(64 * PAGE).unwrap();
+        for page in 0..64 {
+            p.write_u64(addr + page * PAGE, page).unwrap();
+        }
+        p.exit();
+    }
+}
+
+/// Each family's Prometheus lines form one group however its samples
+/// arrive: two probes, each with per-key lines; then one `lat_hist` probe
+/// whose per-key hits and latency quantiles are two families.
+#[test]
+fn prometheus_families_are_contiguous() {
+    let _gate = trace_gate();
+    odf_trace::set_enabled(true);
+    let kernel = Kernel::new(128 * MIB);
+    let mut server = server_on(&kernel);
+    let setups: [&[[&[u8]; 4]]; 2] = [
+        &[
+            [b"a", b"fault", b"count_by", b"key=pid"],
+            [b"b", b"fault", b"count_by", b"key=pid"],
+        ],
+        &[[b"c", b"fault", b"lat_hist", b"key=pid"]],
+    ];
+    for probes in setups {
+        for spec in probes {
+            attach(&mut server, spec);
+        }
+        fault_under_two_pids(&kernel);
+        assert_families_contiguous(&kernel.metrics_prometheus());
+        for spec in probes {
+            detach(&mut server, spec[0]);
+        }
+    }
+    odf_trace::set_enabled(false);
+}
+
+type Pairs = BTreeSet<(String, Vec<(String, String)>)>;
+
+/// (family, label set) of every Prometheus sample; a summary's `quantile`
+/// label selects a line within one sample, so it is dropped.
+fn prom_pairs(prom: &str) -> Pairs {
+    let summaries = summary_families(prom);
+    let mut pairs = Pairs::new();
+    for line in prom.lines().filter(|l| !l.starts_with('#')) {
+        let family = family_of(line, &summaries);
+        let mut labels = Vec::new();
+        if let Some((_, rest)) = line.split_once('{') {
+            let mut rest = rest.rsplit_once('}').unwrap().0;
+            while let Some((k, v)) = rest.split_once("=\"") {
+                let (v, tail) = v.split_once('"').unwrap();
+                if !(summaries.contains(&family) && k == "quantile") {
+                    labels.push((k.to_string(), v.to_string()));
+                }
+                rest = tail.trim_start_matches(',');
+            }
+        }
+        labels.sort();
+        pairs.insert((family.to_string(), labels));
+    }
+    pairs
+}
+
+/// A JSON value, parsed just far enough to walk the metrics document.
+enum Json {
+    Num,
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+fn parse_json(text: &str) -> Json {
+    fn string(s: &[u8], i: &mut usize) -> String {
+        assert_eq!(s[*i], b'"');
+        let start = *i + 1;
+        *i = start;
+        while s[*i] != b'"' {
+            *i += if s[*i] == b'\\' { 2 } else { 1 };
+        }
+        *i += 1;
+        String::from_utf8(s[start..*i - 1].to_vec()).unwrap()
+    }
+    fn value(s: &[u8], i: &mut usize) -> Json {
+        match s[*i] {
+            open @ (b'{' | b'[') => {
+                let close = if open == b'{' { b'}' } else { b']' };
+                *i += 1;
+                let (mut fields, mut items) = (Vec::new(), Vec::new());
+                while s[*i] != close {
+                    if open == b'{' {
+                        let key = string(s, i);
+                        assert_eq!(s[*i], b':');
+                        *i += 1;
+                        fields.push((key, value(s, i)));
+                    } else {
+                        items.push(value(s, i));
+                    }
+                    if s[*i] == b',' {
+                        *i += 1;
+                    }
+                }
+                *i += 1;
+                if open == b'{' {
+                    Json::Obj(fields)
+                } else {
+                    Json::Arr(items)
+                }
+            }
+            b'"' => Json::Str(string(s, i)),
+            _ => {
+                let start = *i;
+                while *i < s.len() && !b",]}".contains(&s[*i]) {
+                    *i += 1;
+                }
+                let text = std::str::from_utf8(&s[start..*i]).unwrap();
+                assert!(text.parse::<f64>().is_ok(), "bad number {text:?}");
+                Json::Num
+            }
+        }
+    }
+    let mut i = 0;
+    let doc = value(text.as_bytes(), &mut i);
+    assert_eq!(i, text.len(), "trailing bytes after the document");
+    doc
+}
+
+/// (family, label set) of every sample in the JSON document, checking
+/// that each family sits under its subsystem.
+fn json_pairs(json: &str) -> Pairs {
+    let Json::Obj(groups) = parse_json(json) else {
+        panic!("document is not an object: {json}");
+    };
+    let mut pairs = Pairs::new();
+    for (group, families) in groups {
+        let Json::Obj(families) = families else {
+            panic!("group {group} is not an object");
+        };
+        for (family, value) in families {
+            assert!(
+                family.starts_with(&format!("odf_{group}")),
+                "{family} under {group}"
+            );
+            let rows = match value {
+                Json::Arr(rows) => rows,
+                unlabeled => vec![unlabeled],
+            };
+            for row in rows {
+                let mut labels = Vec::new();
+                if let Json::Obj(fields) = row {
+                    for (key, field) in fields {
+                        match (key.as_str(), field) {
+                            ("labels", Json::Obj(ls)) => {
+                                for (k, v) in ls {
+                                    let Json::Str(v) = v else {
+                                        panic!("{family}: label {k}")
+                                    };
+                                    labels.push((k, v));
+                                }
+                            }
+                            (_, Json::Num) => {}
+                            (key, _) => panic!("{family}: field {key} is not a number"),
+                        }
+                    }
+                }
+                labels.sort();
+                pairs.insert((family.clone(), labels));
+            }
+        }
+    }
+    pairs
+}
+
+/// One structural check over every surface the kernel's metrics reach,
+/// after a fork-and-fault workload with tracing on (the allocator's
+/// events included) and two probes attached: Prometheus text and JSON
+/// carry the same (family, label set) pairs; every VM, pool and
+/// durability counter is a family; and every summary is an `INFO trace`
+/// row.
 #[test]
 fn exporters_are_mutually_consistent() {
+    let _gate = trace_gate();
+    odf_trace::set_enabled(true);
+    odf_trace::set_class_enabled(EventClass::Kmem, true);
     let kernel = Kernel::new(128 * MIB);
-    let proc = kernel.spawn().unwrap();
-    let addr = proc.mmap_anon(2 * MIB).unwrap();
-    proc.populate(addr, 2 * MIB, true).unwrap();
+    let mut server = server_on(&kernel);
+    attach(&mut server, &[b"xa", b"fault", b"count_by", b"key=pid"]);
+    attach(&mut server, &[b"xb", b"fault", b"lat_hist", b"key=pid"]);
+    let parent = kernel.spawn().unwrap();
+    let size = 512 << 10;
+    let addr = parent.mmap_anon(size).unwrap();
+    parent.populate(addr, size, true).unwrap();
+    // Keep the ring from wrapping: the fork, the COW faults, the frees and
+    // the allocator's batches below all fit.
+    odf_trace::clear();
+    let child = parent.fork_with(ForkPolicy::OnDemand).unwrap();
+    for page in 0..size / PAGE {
+        child.write_u64(addr + page * PAGE, page).unwrap();
+    }
+    child.exit();
 
-    let prom = kernel.metrics_prometheus();
-    let json = kernel.metrics_json();
-    for line in prom.lines() {
-        if let Some(name) = line
-            .strip_prefix("odf_vm_")
-            .and_then(|r| r.split_whitespace().next())
-        {
-            let key = name.trim_end_matches("_total");
+    let metrics = kernel.metrics();
+    let prom = metrics.prometheus();
+    let json = metrics.json();
+    let pairs = prom_pairs(&prom);
+    assert_eq!(
+        pairs,
+        json_pairs(&json),
+        "Prometheus vs JSON:\n{prom}\n{json}"
+    );
+    for probe in ["xa", "xb"] {
+        assert!(
+            pairs
+                .iter()
+                .any(|(f, l)| f == "odf_probe_key_hits_total" && l.iter().any(|(_, v)| v == probe)),
+            "probe {probe} has no per-key samples"
+        );
+    }
+
+    let families: BTreeSet<&str> = pairs.iter().map(|(f, _)| f.as_str()).collect();
+    let stats = kernel.stats();
+    let counters = [
+        ("vm", stats.vm.fields()),
+        ("pool", stats.pool.fields()),
+        ("durability", odf_durability::stats().snapshot().fields()),
+    ];
+    for (subsystem, fields) in counters {
+        for (name, _) in fields {
+            let family = format!("odf_{subsystem}_{name}_total");
             assert!(
-                json.contains(&format!("\"{key}\"")),
-                "{key} missing in JSON"
+                families.contains(family.as_str()),
+                "{family} is not a family"
             );
         }
     }
-    // No duplicate sample names (the PromText builder panics on exact
-    // duplicates; this checks the assembled document end-to-end).
-    let mut names: Vec<&str> = prom
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.is_empty())
-        .filter_map(|l| l.split([' ', '{']).next())
-        .collect();
-    let total = names.len();
-    names.sort_unstable();
-    names.dedup();
-    assert!(total > 0);
-    // Quantile summaries repeat the name with different labels; dedup by
-    // full sample key instead for the un-labeled lines.
-    let mut plain: Vec<&str> = prom
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.is_empty() && !l.contains('{'))
-        .map(|l| l.split(' ').next().unwrap())
-        .collect();
-    let plain_total = plain.len();
-    plain.sort_unstable();
-    plain.dedup();
-    assert_eq!(plain_total, plain.len(), "duplicate plain sample names");
+
+    let summaries = summary_families(&prom);
+    for family in [
+        "odf_trace_fault_latency_ns",
+        "odf_trace_fork_latency_ns",
+        "odf_trace_mag_transfer_blocks",
+        "odf_trace_bulk_free_blocks",
+    ] {
+        assert!(summaries.contains(&family), "workload fed no {family}");
+    }
+    let RespValue::Bulk(Some(info)) = command(&mut server, &[b"INFO", b"trace"]) else {
+        panic!("INFO trace must return a bulk string");
+    };
+    let info = String::from_utf8(info).unwrap();
+    for family in summaries {
+        let row = format!("{}:", family.strip_prefix("odf_").unwrap());
+        assert!(
+            info.lines().any(|l| l.starts_with(&row)),
+            "{family} is not an INFO trace row:\n{info}"
+        );
+    }
+
+    detach(&mut server, b"xa");
+    detach(&mut server, b"xb");
+    odf_trace::set_class_enabled(EventClass::Kmem, false);
+    odf_trace::set_enabled(false);
 }
+
+/// Bound on the time tracing adds to a swap-in sweep per record written.
+/// Measured on a 2-core x86-64 host: ~75 ns in release builds, 120–480 ns
+/// in debug builds.
+const RECORD_COST_BOUND_NS: f64 = 800.0;
 
 /// The `Reclaim` trace class end to end: an evict/swap-in workload emits
 /// `ReclaimScanStart`/`Evicted`/`SwappedIn` with latencies, the events
-/// reach the summary and the chrome://tracing dump, and the <5%
-/// enabled-overhead budget still holds with reclaim events firing.
+/// reach the summary and the chrome://tracing dump, and with reclaim
+/// events firing each trace record costs the sweep less than
+/// [`RECORD_COST_BOUND_NS`].
 #[test]
 fn reclaim_events_fire_and_enabled_overhead_stays_bounded() {
     let _gate = trace_gate();
@@ -288,14 +589,13 @@ fn reclaim_events_fire_and_enabled_overhead_stays_bounded() {
     let summary = trace.summary();
 
     // Latency histograms for both directions of the swap round trip.
-    let classes = summary.classes();
-    for name in ["reclaim_evict", "reclaim_swapin"] {
-        let class = classes
-            .iter()
-            .find(|c| c.name == name)
-            .unwrap_or_else(|| panic!("no {name} latency class"));
-        assert!(class.hist.count() >= pages, "{name} count");
-        assert!(class.hist.percentile(50.0) > 0, "{name} p50");
+    for name in ["odf_trace_evict_latency_ns", "odf_trace_swapin_latency_ns"] {
+        let (_, hist) = summary
+            .hists
+            .get(&(name, None))
+            .unwrap_or_else(|| panic!("no {name} distribution"));
+        assert!(hist.count() >= pages, "{name} count");
+        assert!(hist.percentile(50.0) > 0, "{name} p50");
     }
 
     // The same records render into the chrome://tracing dump.
@@ -307,13 +607,14 @@ fn reclaim_events_fire_and_enabled_overhead_stays_bounded() {
         );
     }
 
-    // Enabled-overhead budget with reclaim events on: paired passes of a
-    // deterministic evict-all/fault-all-back cycle, timing only the
-    // application-visible fault-back sweep. Each attempt re-rolls
-    // allocation layout on a fresh thread; the budget holds if any
-    // attempt demonstrates it — the tracepoint cost is paid by every
-    // attempt and cannot hide behind a retry.
-    let overhead_once = || {
+    // Enabled cost per trace record with reclaim events on: paired passes
+    // of a deterministic evict-all/fault-all-back cycle, timing only the
+    // application-visible fault-back sweep, divided by the records the
+    // traced sweep wrote. Each attempt re-rolls allocation layout on a
+    // fresh thread; the bound holds if any attempt demonstrates it — the
+    // per-record cost is paid by every attempt and cannot hide behind a
+    // retry.
+    let cost_once = || {
         let kernel = Kernel::new(64 * MIB);
         let proc = kernel.spawn().unwrap();
         let ws = 64u64;
@@ -329,6 +630,7 @@ fn reclaim_events_fire_and_enabled_overhead_stays_bounded() {
                     .evicted;
             }
             assert_eq!(evicted, ws);
+            odf_trace::clear();
             odf_trace::set_enabled(on);
             let start = std::time::Instant::now();
             for pg in 0..ws {
@@ -336,10 +638,10 @@ fn reclaim_events_fire_and_enabled_overhead_stays_bounded() {
             }
             let ns = start.elapsed().as_nanos() as u64;
             odf_trace::set_enabled(false);
-            ns
+            (ns, odf_trace::snapshot().len() as u64)
         };
         let _ = pass(false);
-        let (mut offs, mut ons) = (Vec::new(), Vec::new());
+        let (mut offs, mut ons, mut records) = (Vec::new(), Vec::new(), 0);
         for i in 0..16 {
             let (off, on) = if i % 2 == 0 {
                 let off = pass(false);
@@ -348,25 +650,28 @@ fn reclaim_events_fire_and_enabled_overhead_stays_bounded() {
                 let on = pass(true);
                 (pass(false), on)
             };
-            offs.push(off);
-            ons.push(on);
+            offs.push(off.0);
+            ons.push(on.0);
+            records = records.max(on.1);
         }
+        // A fault record and a swap-in record per page.
+        assert!(records >= 2 * ws, "traced sweep wrote {records} records");
         offs.sort_unstable();
         ons.sort_unstable();
         // Low quantile: timing noise is strictly additive.
-        (ons[4] as f64 - offs[4] as f64) / offs[4] as f64 * 100.0
+        (ons[4] as f64 - offs[4] as f64) / records as f64
     };
     let mut attempts = Vec::new();
     for _ in 0..5 {
-        let overhead = overhead_once();
-        attempts.push(overhead);
-        if overhead < 5.0 {
+        let ns = cost_once();
+        attempts.push(ns);
+        if ns < RECORD_COST_BOUND_NS {
             break;
         }
     }
     assert!(
-        attempts.iter().any(|&o| o < 5.0),
-        "enabled overhead with reclaim events on exceeded 5% in every attempt: {attempts:?}"
+        attempts.iter().any(|&ns| ns < RECORD_COST_BOUND_NS),
+        "enabled cost per trace record exceeded {RECORD_COST_BOUND_NS} ns in every attempt: {attempts:?}"
     );
 
     drop(proc);
