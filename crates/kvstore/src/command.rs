@@ -100,7 +100,10 @@ pub fn execute(
     let run = |out: &mut ReplyBuf| -> Result<bool> {
         Ok(match spec.name {
             b"GET" => {
-                out.bulk(store.get(proc, key)?.as_deref());
+                match store.lookup(proc, key)? {
+                    Some((value, len)) => out.bulk_fill(len, |buf| proc.read(value, buf))?,
+                    None => out.bulk(None),
+                }
                 false
             }
             b"SET" => {
@@ -286,6 +289,7 @@ pub fn info(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odf_core::PAGE_SIZE;
 
     #[test]
     fn table_is_well_formed() {
@@ -302,6 +306,33 @@ mod tests {
             assert!(c.key_pos < c.min_args, "{c:?}");
             assert!(!c.write || c.key_pos > 0, "a write names its key: {c:?}");
         }
+    }
+
+    #[test]
+    fn get_whose_value_cannot_be_read_replies_one_error() {
+        let kernel = Kernel::new(64 << 20);
+        let proc = kernel.spawn().unwrap();
+        let store = Store::create(&proc, 1 << 20, 16).unwrap();
+        store.set(&proc, b"big", &[7u8; 100_000]).unwrap();
+        store.set(&proc, b"small", b"v").unwrap();
+        // Unmap a page inside the value, past the entry's header and key,
+        // so the GET finds the key and fails while copying the value.
+        let (value, _) = store.lookup(&proc, b"big").unwrap().unwrap();
+        let page = PAGE_SIZE as u64;
+        proc.munmap(value.next_multiple_of(page), page).unwrap();
+        let mut out = ReplyBuf::new();
+        let gets: [&[&[u8]]; 2] = [&[b"GET", b"big"], &[b"GET", b"small"]];
+        for argv in gets {
+            let spec = resolve(argv, &mut out).expect("known command");
+            assert!(!execute(spec, store, &proc, argv, &mut out));
+        }
+        let mut wire = Vec::new();
+        out.flush_into(&mut wire);
+        let wire = String::from_utf8(wire).unwrap();
+        assert!(wire.starts_with("-ERR "), "{wire}");
+        assert!(wire.ends_with("\r\n$1\r\nv\r\n"), "{wire}");
+        assert_eq!(wire.matches("\r\n").count(), 3, "{wire}");
+        proc.exit();
     }
 
     #[test]

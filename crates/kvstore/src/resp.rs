@@ -447,6 +447,28 @@ impl ReplyBuf {
         }
     }
 
+    /// `$len\r\n`, then `len` bytes that `fill` writes in place, then
+    /// `\r\n`: a bulk reply copied straight from where its payload lives.
+    /// When `fill` fails the buffer is cut back to where it started and the
+    /// error returned, so the reply the caller writes next is well-formed.
+    pub fn bulk_fill<E>(
+        &mut self,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let buf = self.tail();
+        let start = buf.len();
+        let _ = write!(buf, "${len}\r\n");
+        let body = buf.len();
+        buf.resize(body + len, 0);
+        if let Err(e) = fill(&mut buf[body..]) {
+            buf.truncate(start);
+            return Err(e);
+        }
+        buf.extend_from_slice(b"\r\n");
+        Ok(())
+    }
+
     /// `*len\r\n` — the caller then writes `len` elements.
     pub fn array_header(&mut self, len: usize) {
         let buf = self.tail();
@@ -841,6 +863,34 @@ mod tests {
         reply.flush_into(&mut out);
         assert_eq!(out, b"+OK\r\n:42\r\n:7\r\n");
         assert!(!reply.has_pending());
+    }
+
+    #[test]
+    fn bulk_fill_leaves_no_trace_when_fill_fails() {
+        let mut reply = ReplyBuf::new();
+        reply.simple("OK");
+        assert_eq!(reply.bulk_fill(5, |_| Err("no")), Err("no"));
+        reply.error("ERR no");
+        assert_eq!(
+            reply.bulk_fill(3, |buf| {
+                buf.copy_from_slice(b"hey");
+                Ok::<_, ()>(())
+            }),
+            Ok(())
+        );
+        let mut wire = Vec::new();
+        reply.flush_into(&mut wire);
+        assert_eq!(wire, b"+OK\r\n-ERR no\r\n$3\r\nhey\r\n");
+        let mut at = 0;
+        for want in [
+            RespValue::Simple("OK".into()),
+            RespValue::Error("ERR no".into()),
+            RespValue::Bulk(Some(b"hey".to_vec())),
+        ] {
+            let (got, used) = RespValue::decode(&wire[at..]).expect("whole reply");
+            assert_eq!(got, want);
+            at += used;
+        }
     }
 
     #[test]

@@ -30,6 +30,39 @@ const ENT_KLEN: u64 = 8;
 const ENT_VLEN: u64 = 12;
 const ENT_DATA: u64 = 16;
 
+/// Bytes one chain probe reads from an entry: the header plus up to
+/// `PROBE - ENT_DATA` key bytes, in one access. A probe must stay inside
+/// its entry's heap block even when the stored key is shorter than the one
+/// looked up, so this may not exceed the block of the smallest entry (a
+/// 1-byte key and an empty value); `smallest_entry_holds_a_probe` checks
+/// that against the heap's size classes.
+const PROBE: usize = 32;
+
+fn u64_at(bytes: &[u8], at: u64) -> u64 {
+    let at = at as usize;
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+fn u32_at(bytes: &[u8], at: u64) -> u32 {
+    let at = at as usize;
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+}
+
+/// Whether the bytes stored at `at` equal `bytes`, compared a stack buffer
+/// at a time.
+fn stored_equals(proc: &Process, mut at: u64, bytes: &[u8]) -> Result<bool> {
+    let mut buf = [0u8; PROBE];
+    for part in bytes.chunks(PROBE) {
+        let stored = &mut buf[..part.len()];
+        proc.read(at, stored)?;
+        if stored != part {
+            return Ok(false);
+        }
+        at += part.len() as u64;
+    }
+    Ok(true)
+}
+
 /// A chained hash table whose every byte lives in simulated process
 /// memory.
 ///
@@ -91,9 +124,37 @@ impl Store {
     }
 
     fn bucket_addr(&self, proc: &Process, key: &[u8]) -> Result<u64> {
-        let buckets = proc.read_u64(self.header + HDR_BUCKETS)?;
-        let array = proc.read_u64(self.header + HDR_ARRAY)?;
+        let mut header = [0u8; HEADER_SIZE as usize];
+        proc.read(self.header, &mut header)?;
+        let buckets = u64_at(&header, HDR_BUCKETS);
+        let array = u64_at(&header, HDR_ARRAY);
         Ok(array + (Self::hash(key) & (buckets - 1)) * 8)
+    }
+
+    /// Finds `key`, returning the address and length of its value.
+    ///
+    /// Each probe of the chain is one access: the entry header and the
+    /// first key bytes together (see [`PROBE`]). Only an entry whose key
+    /// length and leading bytes match reads the rest of its key, through a
+    /// stack buffer; no value is read.
+    pub(crate) fn lookup(&self, proc: &Process, key: &[u8]) -> Result<Option<(u64, usize)>> {
+        let bucket = self.bucket_addr(proc, key)?;
+        let (head, tail) = key.split_at(key.len().min(PROBE - ENT_DATA as usize));
+        let mut probe = [0u8; PROBE];
+        let probe = &mut probe[..ENT_DATA as usize + head.len()];
+        let mut at = proc.read_u64(bucket)?;
+        while at != 0 {
+            proc.read(at, probe)?;
+            if u32_at(probe, ENT_KLEN) as usize == key.len()
+                && probe[ENT_DATA as usize..] == *head
+                && stored_equals(proc, at + ENT_DATA + head.len() as u64, tail)?
+            {
+                let value = at + ENT_DATA + key.len() as u64;
+                return Ok(Some((value, u32_at(probe, ENT_VLEN) as usize)));
+            }
+            at = u64_at(probe, ENT_NEXT);
+        }
+        Ok(None)
     }
 
     /// Number of items.
@@ -132,24 +193,18 @@ impl Store {
 
     /// Looks a key up.
     pub fn get(&self, proc: &Process, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let bucket = self.bucket_addr(proc, key)?;
-        let mut at = proc.read_u64(bucket)?;
-        while at != 0 {
-            let klen = proc.read_u32(at + ENT_KLEN)? as usize;
-            if klen == key.len() {
-                let stored = proc.read_vec(at + ENT_DATA, klen)?;
-                if stored == key {
-                    let vlen = proc.read_u32(at + ENT_VLEN)? as usize;
-                    return Ok(Some(proc.read_vec(at + ENT_DATA + klen as u64, vlen)?));
-                }
-            }
-            at = proc.read_u64(at + ENT_NEXT)?;
-        }
-        Ok(None)
+        self.lookup(proc, key)?
+            .map(|(value, len)| proc.read_vec(value, len))
+            .transpose()
     }
 
     /// Removes a key, returning whether it existed.
     pub fn del(&self, proc: &Process, key: &[u8]) -> Result<bool> {
+        // This walk keeps its field-at-a-time reads instead of `lookup`'s
+        // probe on purpose. `set` is a `del` plus an insert, so a faster
+        // walk here speeds up every write, and on the durable workload
+        // peak RSS grows with write throughput (`CrashFs` keeps every byte
+        // ever written): see DESIGN.md §11, "GET path".
         let bucket = self.bucket_addr(proc, key)?;
         let mut prev: Option<u64> = None;
         let mut at = proc.read_u64(bucket)?;
@@ -174,7 +229,7 @@ impl Store {
 
     /// Whether a key exists (`EXISTS`).
     pub fn exists(&self, proc: &Process, key: &[u8]) -> Result<bool> {
-        Ok(self.get(proc, key)?.is_some())
+        Ok(self.lookup(proc, key)?.is_some())
     }
 
     /// The value `INCR key` would store: a missing key counts as 0; a
@@ -237,21 +292,39 @@ impl Store {
     }
 
     /// Rebuilds a store from a serialized dump (recovery).
+    ///
+    /// A dump that is cut short, or runs on past its last item, is
+    /// [`VmError::InvalidArgument`]; it is checked whole before the store
+    /// is created.
     pub fn restore(proc: &Process, heap_capacity: u64, buckets: u64, dump: &[u8]) -> Result<Store> {
+        let entries = parse_dump(dump).ok_or(VmError::InvalidArgument)?;
         let store = Store::create(proc, heap_capacity, buckets)?;
-        let mut at = 8usize;
-        let items = u64::from_le_bytes(dump[0..8].try_into().expect("dump header"));
-        for _ in 0..items {
-            let klen = u32::from_le_bytes(dump[at..at + 4].try_into().expect("klen")) as usize;
-            let vlen = u32::from_le_bytes(dump[at + 4..at + 8].try_into().expect("vlen")) as usize;
-            at += 8;
-            let key = &dump[at..at + klen];
-            let value = &dump[at + klen..at + klen + vlen];
-            at += klen + vlen;
+        for (key, value) in entries {
             store.set(proc, key, value)?;
         }
         Ok(store)
     }
+}
+
+/// The `(key, value)` items of a [`Store::serialize`] dump, or `None` when
+/// its length disagrees with what its item count and lengths announce.
+fn parse_dump(dump: &[u8]) -> Option<Vec<(&[u8], &[u8])>> {
+    let (items, mut rest) = dump.split_first_chunk::<8>()?;
+    let mut entries = Vec::new();
+    for _ in 0..u64::from_le_bytes(*items) {
+        let (klen, after) = rest.split_first_chunk::<4>()?;
+        let (vlen, after) = after.split_first_chunk::<4>()?;
+        let klen = u32::from_le_bytes(*klen) as usize;
+        let vlen = u32::from_le_bytes(*vlen) as usize;
+        if after.len() < klen + vlen {
+            return None;
+        }
+        let (key, after) = after.split_at(klen);
+        let (value, after) = after.split_at(vlen);
+        entries.push((key, value));
+        rest = after;
+    }
+    rest.is_empty().then_some(entries)
 }
 
 #[cfg(test)]
@@ -395,6 +468,53 @@ mod tests {
     fn empty_keys_are_rejected() {
         let (_k, p, s) = setup();
         assert!(s.set(&p, b"", b"v").is_err());
+    }
+
+    #[test]
+    fn smallest_entry_holds_a_probe() {
+        // A probe reads PROBE bytes of an entry whatever its stored key
+        // length; a heap class below that would let it read past the block.
+        let (_k, p, s) = setup();
+        s.set(&p, b"k", b"").unwrap();
+        let (value, len) = s.lookup(&p, b"k").unwrap().unwrap();
+        assert_eq!(len, 0);
+        let entry = value - ENT_DATA - 1;
+        assert!(s.heap().size_of(&p, entry).unwrap() >= PROBE as u64);
+    }
+
+    #[test]
+    fn restore_rejects_a_cut_or_overlong_dump() {
+        let (_k, p, s) = setup();
+        let items = [(&b"a"[..], &b""[..]), (b"bb", b"22"), (b"ccc", b"333")];
+        for (key, value) in items {
+            s.set(&p, key, value).unwrap();
+        }
+        let dump = s.serialize(&p).unwrap();
+        for cut in 0..dump.len() {
+            assert_eq!(
+                Store::restore(&p, 1 << 20, 16, &dump[..cut]).map(|_| ()),
+                Err(VmError::InvalidArgument),
+                "cut at {cut}"
+            );
+        }
+        let whole = Store::restore(&p, 1 << 20, 16, &dump).unwrap();
+        assert_eq!(whole.len(&p).unwrap(), 3);
+        for (key, value) in items {
+            assert_eq!(whole.get(&p, key).unwrap().unwrap(), value);
+        }
+        let mut overlong = dump.clone();
+        overlong.push(0);
+        assert_eq!(
+            Store::restore(&p, 1 << 20, 16, &overlong).map(|_| ()),
+            Err(VmError::InvalidArgument)
+        );
+        // An item count past what the bytes hold.
+        let mut inflated = dump;
+        inflated[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            Store::restore(&p, 1 << 20, 16, &inflated).map(|_| ()),
+            Err(VmError::InvalidArgument)
+        );
     }
 
     #[test]
