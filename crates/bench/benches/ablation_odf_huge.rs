@@ -58,29 +58,32 @@ fn main() {
     ];
 
     println!("Fork invocation latency on huge-backed regions:");
-    let mut table = bench::Table::new(&["Size", policies[0].0, policies[1].0, policies[2].0]);
+    let mut report = bench::Report::new(
+        "ablation_odf_huge_fork",
+        "size_mib fork_ms odf_paper_ms odf_huge_ext_ms",
+    );
     for size in bench::size_sweep() {
         let kernel = bench::kernel_for(size);
         let proc = kernel.spawn().expect("spawn");
-        let mut cells = vec![bench::fmt_bytes(size)];
+        let mut cells = vec![(size / bench::MIB).into()];
         for &(_, policy) in &policies {
             let (avg, _) = bench::repeat(|| time_fork_huge(&proc, size, policy)).expect("run");
             cells.push(bench::ms(avg));
         }
-        table.row_owned(cells);
+        report.row(cells);
     }
-    println!("{table}");
+    report.emit();
 
     println!("Worst-case write-fault cost after fork (2 MiB COW included):");
     let size = bench::scaled(512 * bench::MIB);
     let kernel = bench::kernel_for(3 * size);
     let proc = kernel.spawn().expect("spawn");
-    let mut table = bench::Table::new(&["Policy", "Avg fault (ms)"]);
+    let mut report = bench::Report::new("ablation_odf_huge_fault", "policy avg_fault_ms");
     for &(name, policy) in &policies {
         let avg = fault_cost_huge(&proc, size, policy).expect("fault run");
-        table.row_owned(vec![name.into(), bench::ms(avg)]);
+        report.row(vec![name.into(), bench::ms(avg)]);
     }
-    println!("{table}");
+    report.emit();
     println!(
         "Expectation from §4: the extension removes the remaining per-entry \
          fork cost for huge pages (gains bounded by the 512x smaller entry \

@@ -20,8 +20,8 @@
 //!    p50/p99 so the regression gate can check that batching the
 //!    allocator did not add latency to the fault path that feeds it.
 //!
-//! Output: `BENCH_alloc.json` (same shape as the other bench JSON
-//! exports), archived and validated by CI.
+//! Output: `BENCH_alloc.json` (churn) and `BENCH_alloc_storm.json` (COW
+//! storm), the rows of the two printed tables.
 //!
 //! Host-core caveat: allocs/sec *scaling* across thread counts is bounded
 //! by available cores, but the tiered:flat *ratio* at a given width is
@@ -154,16 +154,6 @@ fn run_storm(
     (wall, hist)
 }
 
-fn write_json(rows: &[String]) {
-    let body: Vec<String> = rows.iter().map(|r| format!("    {r}")).collect();
-    let doc = format!(
-        "{{\n  \"bench\": \"alloc_scaling\",\n  \"unit\": \"ns\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        body.join(",\n")
-    );
-    std::fs::write("BENCH_alloc.json", doc).expect("write bench json");
-    println!("wrote BENCH_alloc.json ({} rows)", rows.len());
-}
-
 fn main() {
     bench::banner(
         "alloc scaling",
@@ -174,8 +164,6 @@ fn main() {
         .unwrap_or(1);
     println!("host cores: {cores}\n");
 
-    let mut rows: Vec<String> = Vec::new();
-
     // ---- Part 1: alloc/free churn, tiered vs flat, same run. ----
     // 8 workers x 64 live frames = 512 live peak. The pool itself is
     // paper-scale (256 MiB simulated): the buddy's free-list state then
@@ -183,8 +171,10 @@ fn main() {
     // the memory stalls the kernel's zone lock pays over `struct page`
     // arrays rather than a toy in-cache cost.
     const POOL_FRAMES: usize = 1 << 16;
-    let mut table =
-        bench::Table::new(&["Allocator", "Threads", "Wall (ms)", "Allocs/s", "vs flat"]);
+    let mut churn = bench::Report::new(
+        "alloc",
+        "allocator threads allocs wall_ms allocs_per_s vs_flat_x",
+    );
     let mut ratio_at = [0.0f64; THREAD_SWEEP.len()];
     for (i, &threads) in THREAD_SWEEP.iter().enumerate() {
         let mut flat_rate = 0.0f64;
@@ -207,39 +197,36 @@ fn main() {
                 per_op(a).total_cmp(&per_op(b))
             });
             let (ns, allocs) = runs[runs.len() / 2];
+            assert!(allocs > 0 && ns > 0, "empty churn run: {runs:?}");
             let rate = allocs as f64 / (ns as f64 / 1e9);
-            let name = if tiered { "tiered" } else { "flat" };
-            if tiered {
+            let vs_flat = if tiered {
                 ratio_at[i] = rate / flat_rate.max(1.0);
+                ratio_at[i]
             } else {
                 flat_rate = rate;
-            }
-            table.row_owned(vec![
-                name.to_string(),
-                threads.to_string(),
-                format!("{:.3}", ns as f64 / 1e6),
-                format!("{rate:.0}"),
-                if tiered {
-                    format!("{:.2}x", ratio_at[i])
-                } else {
-                    "1.00x".to_string()
-                },
+                1.0
+            };
+            churn.row(vec![
+                if tiered { "tiered" } else { "flat" }.into(),
+                threads.into(),
+                allocs.into(),
+                bench::ms(ns as f64),
+                bench::num(rate, 0),
+                bench::num(vs_flat, 2),
             ]);
-            rows.push(format!(
-                r#"{{"section":"churn","allocator":"{name}","threads":{threads},"allocs":{allocs},"wall_ns":{ns},"allocs_per_sec":{rate:.0}}}"#
-            ));
         }
     }
-    println!("{table}");
+    churn.emit();
     let last = THREAD_SWEEP.len() - 1;
     println!(
         "tiered:flat allocs/sec at {} threads = {:.2}x (target >= 3x)\n",
         THREAD_SWEEP[last], ratio_at[last]
     );
-    rows.push(format!(
-        r#"{{"section":"summary","metric":"tiered_vs_flat_{}t","ratio":{:.3}}}"#,
-        THREAD_SWEEP[last], ratio_at[last]
-    ));
+    // Shared CI cores are noisy: require the tiered allocator to at least
+    // keep pace with the global-lock baseline here; the >= 3x scaling
+    // claim is validated on dedicated hardware and recorded in
+    // EXPERIMENTS.md.
+    assert!(ratio_at[last] >= 1.0, "tiered slower than flat baseline");
 
     // ---- Part 2: concurrent COW-fault storm, Classic vs OnDemand. ----
     let size = bench::scaled(if bench::fast_mode() {
@@ -259,30 +246,29 @@ fn main() {
     } else {
         &[1, 4, 8]
     };
-    let mut table = bench::Table::new(&["Policy", "Threads", "Faults/s", "p50 (ns)", "p99 (ns)"]);
+    let mut storm = bench::Report::new(
+        "alloc_storm",
+        "policy threads faults wall_ms faults_per_s mean_ns p50_ns p99_ns",
+    );
     for policy in [ForkPolicy::Classic, ForkPolicy::OnDemand] {
         for &threads in storm_threads {
             let (wall, hist) = run_storm(&proc, addr, size, policy, threads);
             let rate = hist.count() as f64 / (wall as f64 / 1e9);
-            table.row_owned(vec![
-                format!("{policy:?}"),
-                threads.to_string(),
-                format!("{rate:.0}"),
-                hist.percentile(50.0).to_string(),
-                hist.percentile(99.0).to_string(),
+            let (p50, p99) = (hist.percentile(50.0), hist.percentile(99.0));
+            assert!(p50 <= p99, "{policy:?} x{threads}: p50 {p50} > p99 {p99}");
+            storm.row(vec![
+                format!("{policy:?}").into(),
+                threads.into(),
+                hist.count().into(),
+                bench::ms(wall as f64),
+                bench::num(rate, 0),
+                bench::num(hist.mean(), 1),
+                p50.into(),
+                p99.into(),
             ]);
-            rows.push(format!(
-                r#"{{"section":"cow_storm","policy":"{policy:?}","threads":{threads},"faults":{},"wall_ns":{wall},"faults_per_sec":{rate:.0},"mean_ns":{:.1},"p50_ns":{},"p99_ns":{}}}"#,
-                hist.count(),
-                hist.mean(),
-                hist.percentile(50.0),
-                hist.percentile(99.0),
-            ));
         }
     }
-    println!("{table}");
-
-    write_json(&rows);
+    storm.emit();
 
     let stats = kernel.machine().pool().stats().snapshot();
     println!(

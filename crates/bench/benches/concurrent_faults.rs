@@ -87,13 +87,10 @@ fn main() {
     // would otherwise be billed entirely to the first configuration.
     let _ = run_config(&kernel, &proc, addr, size, ForkPolicy::Classic, 1);
 
-    let mut table = bench::Table::new(&[
-        "Policy",
-        "Threads",
-        "Wall (ms)",
-        "Faults/s",
-        "Speedup vs 1T",
-    ]);
+    let mut report = bench::Report::new(
+        "concurrent_faults",
+        "policy threads wall_ms faults_per_s speedup_vs_1t_x",
+    );
     for policy in [ForkPolicy::Classic, ForkPolicy::OnDemand] {
         let mut base_rate = 0.0f64;
         for threads in THREAD_SWEEP {
@@ -102,16 +99,16 @@ fn main() {
             if threads == 1 {
                 base_rate = rate;
             }
-            table.row_owned(vec![
-                format!("{policy:?}"),
-                threads.to_string(),
-                format!("{:.3}", ns as f64 / 1e6),
-                format!("{rate:.0}"),
-                format!("{:.2}x", rate / base_rate.max(1.0)),
+            report.row(vec![
+                format!("{policy:?}").into(),
+                threads.into(),
+                bench::ms(ns as f64),
+                bench::num(rate, 0),
+                bench::num(rate / base_rate.max(1.0), 2),
             ]);
         }
     }
-    println!("{table}");
+    report.emit();
 
     let stats = kernel.machine().stats().snapshot();
     println!(

@@ -15,11 +15,11 @@
 //! It also times a full crash-recovery cycle (chain restore + WAL tail
 //! replay) for each configuration.
 //!
-//! Outputs (written to the current directory):
-//!
-//! - `BENCH_durability.json` — one row per {fsync policy x fork policy}:
-//!   acked-write throughput, write-latency distribution, bgsave count,
-//!   recovery wall time and records replayed.
+//! Output: `BENCH_durability.json` — one row per {fsync policy x fork
+//! policy}: acked-write throughput, write-latency distribution, bgsave
+//! count, recovery wall time and records replayed. The bench then asserts
+//! every configuration snapshotted and replayed a WAL tail, `always` acked
+//! every write durable, and group commit never lost throughput.
 
 use odf_bench as bench;
 use odf_core::{ForkPolicy, Kernel};
@@ -40,24 +40,6 @@ struct Row {
     write_hist: Histogram,
     recovery_ns: u64,
     replayed: u64,
-}
-
-impl Row {
-    fn json(&self) -> String {
-        format!(
-            r#"{{"fsync":"{}","fork_policy":"{:?}","writes":{},"acked_durable":{},"snapshots":{},"acked_writes_per_s":{:.0},"write_p50_ns":{},"write_p99_ns":{},"recovery_ns":{},"wal_records_replayed":{}}}"#,
-            self.fsync,
-            self.fork_policy,
-            self.writes,
-            self.acked_durable,
-            self.snapshots,
-            self.throughput_per_s,
-            self.write_hist.percentile(50.0),
-            self.write_hist.percentile(99.0),
-            self.recovery_ns,
-            self.replayed,
-        )
-    }
 }
 
 fn fresh_dir(tag: &str) -> std::path::PathBuf {
@@ -163,29 +145,61 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
+    let mut report = bench::Report::new(
+        "durability",
+        "fsync fork_policy writes acked_durable snapshots acked_writes_per_s \
+         write_p50_ns write_p99_ns recovery_ns wal_records_replayed",
+    );
     for &(name, fsync) in policies {
         for fork_policy in [ForkPolicy::Classic, ForkPolicy::OnDemand] {
             let row = run_config(name, fsync, fork_policy, writes);
-            println!(
-                "{:>7} {:>8?} {:>9.0} acked-writes/s p50={} p99={} snaps={} recovery={} (+{} replayed)",
-                row.fsync,
-                row.fork_policy,
-                row.throughput_per_s,
-                bench::fmt_ns(row.write_hist.percentile(50.0)),
-                bench::fmt_ns(row.write_hist.percentile(99.0)),
-                row.snapshots,
-                bench::fmt_ns(row.recovery_ns),
-                row.replayed,
-            );
+            report.row(vec![
+                row.fsync.into(),
+                format!("{:?}", row.fork_policy).into(),
+                row.writes.into(),
+                row.acked_durable.into(),
+                row.snapshots.into(),
+                bench::num(row.throughput_per_s, 0),
+                row.write_hist.percentile(50.0).into(),
+                row.write_hist.percentile(99.0).into(),
+                row.recovery_ns.into(),
+                row.replayed.into(),
+            ]);
             rows.push(row);
         }
     }
+    report.emit();
 
-    let body: Vec<String> = rows.iter().map(|r| format!("    {}", r.json())).collect();
-    let doc = format!(
-        "{{\n  \"bench\": \"durability\",\n  \"unit\": \"ns\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        body.join(",\n")
-    );
-    std::fs::write("BENCH_durability.json", doc).expect("write BENCH_durability.json");
-    println!("wrote BENCH_durability.json ({} rows)", rows.len());
+    for row in &rows {
+        let at = format!("{} x {:?}", row.fsync, row.fork_policy);
+        let (p50, p99) = (
+            row.write_hist.percentile(50.0),
+            row.write_hist.percentile(99.0),
+        );
+        assert!(
+            row.writes > 0 && p50 <= p99,
+            "{at}: write p50 {p50} p99 {p99}"
+        );
+        assert!(row.snapshots > 0, "{at}: no bgsave ran");
+        assert!(row.recovery_ns > 0, "{at}: recovery took no time");
+        assert!(row.replayed > 0, "{at}: recovery replayed no WAL tail");
+        if row.fsync == "always" {
+            assert_eq!(row.acked_durable, row.writes, "{at}: non-durable ack");
+        }
+    }
+    // Group commit is the whole point of EveryN/Never: relaxing the fsync
+    // policy must not make acked-write throughput worse.
+    for fp in [ForkPolicy::Classic, ForkPolicy::OnDemand] {
+        let tput = |fsync| {
+            let row = rows
+                .iter()
+                .find(|r| (r.fsync, r.fork_policy) == (fsync, fp));
+            row.expect("row").throughput_per_s
+        };
+        let (always, never) = (tput("always"), tput("never"));
+        assert!(
+            never >= always,
+            "no group-commit win for {fp:?}: always {always:.0}/s, never {never:.0}/s"
+        );
+    }
 }

@@ -57,25 +57,21 @@ fn main() {
     let classic = campaign(ForkPolicy::Classic, guest_mem);
     let odf = campaign(ForkPolicy::OnDemand, guest_mem);
 
-    let mut table = bench::Table::new(&[
-        "Policy",
-        "Execs",
-        "Mean execs/s",
-        "Crashes",
-        "Hangs",
-        "Edges",
-    ]);
+    let mut report = bench::Report::new(
+        "fig10_triforce",
+        "policy execs mean_execs_per_s crashes hangs edges",
+    );
     for (name, s) in [("fork", &classic), ("on-demand-fork", &odf)] {
-        table.row_owned(vec![
+        report.row(vec![
             name.into(),
-            s.execs.to_string(),
-            format!("{:.1}", s.mean_execs_per_sec),
-            s.crashes.to_string(),
-            s.hangs.to_string(),
-            s.edges.to_string(),
+            s.execs.into(),
+            bench::num(s.mean_execs_per_sec, 1),
+            s.crashes.into(),
+            s.hangs.into(),
+            s.edges.into(),
         ]);
     }
-    println!("{table}");
+    report.emit();
     println!(
         "Throughput improvement: {:+.1}% with guest memory {} (paper: +59.3% \
          at 188 MiB)",
@@ -84,20 +80,5 @@ fn main() {
         bench::fmt_bytes(guest_mem)
     );
     println!("\nThroughput timeline (execs/s per 1 s bucket):");
-    let mut tl = bench::Table::new(&["t (s)", "fork", "on-demand-fork"]);
-    for i in 0..classic.series.len().max(odf.series.len()) {
-        tl.row_owned(vec![
-            i.to_string(),
-            classic
-                .series
-                .get(i)
-                .map(|&(_, r)| format!("{r:.0}"))
-                .unwrap_or_default(),
-            odf.series
-                .get(i)
-                .map(|&(_, r)| format!("{r:.0}"))
-                .unwrap_or_default(),
-        ]);
-    }
-    println!("{tl}");
+    bench::timeline("fig10_triforce_timeline", &classic.series, &odf.series).emit();
 }

@@ -19,13 +19,10 @@ fn main() {
         "Figure 2",
         "fork time vs allocated memory, sequential and 3x concurrent",
     );
-    let mut table = bench::Table::new(&[
-        "Size",
-        "Sequential avg (ms)",
-        "Sequential min (ms)",
-        "Concurrent avg (ms)",
-        "Concurrent min (ms)",
-    ]);
+    let mut report = bench::Report::new(
+        "fig2_fork_scaling",
+        "size_mib sequential_avg_ms sequential_min_ms concurrent_avg_ms concurrent_min_ms",
+    );
 
     for size in bench::size_sweep() {
         // Sequential: one instance.
@@ -73,15 +70,15 @@ fn main() {
         let conc_avg = sums.iter().map(|&(a, _)| a).sum::<f64>() / sums.len() as f64;
         let conc_min = sums.iter().map(|&(_, m)| m).min().unwrap_or(0);
 
-        table.row_owned(vec![
-            bench::fmt_bytes(size),
+        report.row(vec![
+            (size / bench::MIB).into(),
             bench::ms(seq_avg),
             bench::ms(seq_min as f64),
             bench::ms(conc_avg),
             bench::ms(conc_min as f64),
         ]);
     }
-    println!("{table}");
+    report.emit();
     println!(
         "Paper reference: ~6.5 ms sequential / ~22.4 ms concurrent at 1 GiB; \
          linear growth to ~254 ms at 50 GiB."

@@ -39,30 +39,28 @@ fn main() {
         d.vm.fork_pte_copies += delta.vm.fork_pte_copies;
     }
 
-    let per_fork = |v: u64| (v / reps).to_string();
-    let mut table = bench::Table::new(&["Operation (per fork)", "Count", "Per 2MiB chunk"]);
+    let mut report = bench::Report::new(
+        "fig3_fork_profile",
+        "operation count_per_fork per_2mib_chunk",
+    );
     let chunks = (size / (2 * bench::MIB)).max(1) * reps;
-    table.row_owned(vec![
-        "compound_head() struct-page loads".into(),
-        per_fork(d.pool.compound_head_lookups),
-        format!("{:.1}", d.pool.compound_head_lookups as f64 / chunks as f64),
-    ]);
-    table.row_owned(vec![
-        "page_ref_inc() atomic increments".into(),
-        per_fork(d.pool.page_ref_incs),
-        format!("{:.1}", d.pool.page_ref_incs as f64 / chunks as f64),
-    ]);
-    table.row_owned(vec![
-        "PTE entries copied".into(),
-        per_fork(d.vm.fork_pte_copies),
-        format!("{:.1}", d.vm.fork_pte_copies as f64 / chunks as f64),
-    ]);
-    table.row_owned(vec![
-        "page-table frames allocated (all levels)".into(),
-        per_fork(d.pool.allocs),
-        format!("{:.2}", d.pool.allocs as f64 / chunks as f64),
-    ]);
-    println!("{table}");
+    for (op, total, places) in [
+        (
+            "compound_head() struct-page loads",
+            d.pool.compound_head_lookups,
+            1,
+        ),
+        ("page_ref_inc() atomic increments", d.pool.page_ref_incs, 1),
+        ("PTE entries copied", d.vm.fork_pte_copies, 1),
+        ("page-table frames allocated (all levels)", d.pool.allocs, 2),
+    ] {
+        report.row(vec![
+            op.into(),
+            (total / reps).into(),
+            bench::num(total as f64 / chunks as f64, places),
+        ]);
+    }
+    report.emit();
 
     let last_level_ops = d.pool.compound_head_lookups + d.pool.page_ref_incs;
     let upper_level_ops = d.pool.allocs;

@@ -9,18 +9,21 @@ use odf_bench as bench;
 
 fn main() {
     bench::banner("Figure 4", "fork time vs size with 2 MiB huge pages");
-    let mut table = bench::Table::new(&["Size", "Fork w/ huge pages avg (ms)", "min (ms)"]);
+    let mut report = bench::Report::new(
+        "fig4_hugepage_fork",
+        "size_mib fork_huge_avg_ms fork_huge_min_ms",
+    );
     for size in bench::size_sweep() {
         let kernel = bench::kernel_for(size);
         let proc = kernel.spawn().expect("spawn");
         let (avg, min) =
             bench::repeat(|| bench::fill_and_time_fork_huge(&proc, size)).expect("run");
-        table.row_owned(vec![
-            bench::fmt_bytes(size),
+        report.row(vec![
+            (size / bench::MIB).into(),
             bench::ms(avg),
             bench::ms(min as f64),
         ]);
     }
-    println!("{table}");
+    report.emit();
     println!("Paper reference: ~0.17 ms at 1 GiB (vs ~6.5 ms with 4 KiB pages).");
 }

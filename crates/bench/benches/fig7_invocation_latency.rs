@@ -13,14 +13,10 @@ fn main() {
         "Figure 7",
         "invocation latency: fork vs fork w/ huge pages vs on-demand-fork",
     );
-    let mut table = bench::Table::new(&[
-        "Size",
-        "fork (ms)",
-        "fork w/ huge (ms)",
-        "on-demand-fork (ms)",
-        "odf speedup vs fork",
-        "odf vs huge",
-    ]);
+    let mut report = bench::Report::new(
+        "fig7_invocation_latency",
+        "size_mib fork_ms fork_huge_ms odf_ms odf_speedup_vs_fork_x odf_vs_huge_x",
+    );
     for size in bench::size_sweep() {
         let kernel = bench::kernel_for(size);
         let proc = kernel.spawn().expect("spawn");
@@ -32,16 +28,16 @@ fn main() {
         let (odf, _) =
             bench::repeat(|| bench::fill_and_time_fork(&proc, size, ForkPolicy::OnDemand))
                 .expect("odf");
-        table.row_owned(vec![
-            bench::fmt_bytes(size),
+        report.row(vec![
+            (size / bench::MIB).into(),
             bench::ms(classic),
             bench::ms(huge),
             bench::ms(odf),
-            format!("{:.1}x", classic / odf.max(1.0)),
-            format!("{:.2}x", huge / odf.max(1.0)),
+            bench::num(classic / odf.max(1.0), 1),
+            bench::num(huge / odf.max(1.0), 2),
         ]);
     }
-    println!("{table}");
+    report.emit();
     println!(
         "Paper reference: odf 0.10 ms at 1 GiB (65x over fork), 0.94 ms at \
          50 GiB (270x); odf slightly faster than fork w/ huge pages."

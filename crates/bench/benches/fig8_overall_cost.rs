@@ -79,10 +79,11 @@ fn main() {
     };
     let mixes: &[u64] = &[100, 75, 50, 25, 0];
 
-    let mut header: Vec<String> = vec!["Accessed".into()];
-    header.extend(mixes.iter().map(|m| format!("{m}% read")));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = bench::Table::new(&header_refs);
+    let mut columns = "accessed_pct".to_string();
+    for m in mixes {
+        columns += &format!(" reduction_pct_at_{m}pct_read");
+    }
+    let mut report = bench::Report::new("fig8_overall_cost", &columns);
 
     let mut buf = vec![0u8; COPY_BUF];
     let min_of = |proc: &_, policy, accessed, read_pct, buf: &mut Vec<u8>| {
@@ -92,16 +93,16 @@ fn main() {
             .expect("at least one rep")
     };
     for &accessed in accessed_steps {
-        let mut cells = vec![format!("{accessed}%")];
+        let mut cells = vec![accessed.into()];
         for &read_pct in mixes {
             let classic = min_of(&proc, ForkPolicy::Classic, accessed, read_pct, &mut buf);
             let odf = min_of(&proc, ForkPolicy::OnDemand, accessed, read_pct, &mut buf);
             let reduction = 100.0 * (classic as f64 - odf as f64) / classic as f64;
-            cells.push(format!("{reduction:+.1}%"));
+            cells.push(bench::num(reduction, 1));
         }
-        table.row_owned(cells);
+        report.row(cells);
     }
-    println!("{table}");
+    report.emit();
     println!(
         "(cells: time reduction of on-demand-fork vs fork; region {} — \
          paper used 50 GiB)",

@@ -85,45 +85,25 @@ fn main() {
     let classic = campaign(ForkPolicy::Classic, rows);
     let odf = campaign(ForkPolicy::OnDemand, rows);
 
-    let mut table = bench::Table::new(&[
-        "Policy",
-        "Execs",
-        "Mean execs/s",
-        "Paths",
-        "Edges",
-        "Crashes",
-    ]);
+    let mut report = bench::Report::new(
+        "fig9_afl_sqlite",
+        "policy execs mean_execs_per_s paths edges crashes",
+    );
     for (name, s) in [("fork", &classic), ("on-demand-fork", &odf)] {
-        table.row_owned(vec![
+        report.row(vec![
             name.into(),
-            s.execs.to_string(),
-            format!("{:.1}", s.mean_execs_per_sec),
-            s.paths.to_string(),
-            s.edges.to_string(),
-            s.crashes.to_string(),
+            s.execs.into(),
+            bench::num(s.mean_execs_per_sec, 1),
+            s.paths.into(),
+            s.edges.into(),
+            s.crashes.into(),
         ]);
     }
-    println!("{table}");
+    report.emit();
     println!(
         "Throughput improvement: {:.2}x (paper: 2.26x — 63 vs 206 execs/s)",
         odf.mean_execs_per_sec / classic.mean_execs_per_sec.max(1e-9)
     );
     println!("\nThroughput timeline (execs/s per 1 s bucket):");
-    let mut tl = bench::Table::new(&["t (s)", "fork", "on-demand-fork"]);
-    let n = classic.series.len().max(odf.series.len());
-    for i in 0..n {
-        tl.row_owned(vec![
-            i.to_string(),
-            classic
-                .series
-                .get(i)
-                .map(|&(_, r)| format!("{r:.0}"))
-                .unwrap_or_default(),
-            odf.series
-                .get(i)
-                .map(|&(_, r)| format!("{r:.0}"))
-                .unwrap_or_default(),
-        ]);
-    }
-    println!("{tl}");
+    bench::timeline("fig9_afl_sqlite_timeline", &classic.series, &odf.series).emit();
 }

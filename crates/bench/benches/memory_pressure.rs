@@ -9,15 +9,13 @@
 //! latency can be read as a function of the measured reclaim rate across
 //! eviction policies and fork policies.
 //!
-//! Outputs (written to the current directory):
-//!
-//! - `BENCH_reclaim.json` — access-latency distribution + reclaim rate
-//!   per {eviction policy x fork policy x pressure ratio}
-//!
-//! It also asserts the tracing-overhead budget (<5%) still holds with
-//! reclaim events firing, and that the kvstore completes its bgsave
-//! workload with the dataset at 2x physical memory under both fork
-//! policies.
+//! Output: `BENCH_reclaim.json` — access-latency distribution + reclaim
+//! rate per {eviction policy x fork policy x pressure ratio}. The bench
+//! asserts that every above-capacity row swapped pages out and back in,
+//! and that the kvstore completes its bgsave workload with the dataset at
+//! 2x physical memory under both fork policies. (The cost of tracing
+//! reclaim events is bounded per record by
+//! `tests/tests/observability.rs`, not here.)
 
 use std::time::Duration;
 
@@ -41,24 +39,6 @@ struct Row {
     swapped_out: u64,
     swapped_in: u64,
     hist: Histogram,
-}
-
-impl Row {
-    fn json(&self) -> String {
-        format!(
-            r#"{{"eviction_policy":"{}","fork_policy":"{:?}","pressure_pct":{},"reclaim_pages_per_s":{:.0},"swapped_out":{},"swapped_in":{},"samples":{},"mean_ns":{:.1},"p50_ns":{},"p99_ns":{}}}"#,
-            self.eviction_policy,
-            self.fork_policy,
-            self.pressure_pct,
-            self.reclaim_rate,
-            self.swapped_out,
-            self.swapped_in,
-            self.hist.count(),
-            self.hist.mean(),
-            self.hist.percentile(50.0),
-            self.hist.percentile(99.0),
-        )
-    }
 }
 
 /// Random-access read-modify-write over `ws_pages` against a pool of
@@ -159,116 +139,6 @@ fn kvstore_under_pressure(fork_policy: ForkPolicy) -> (usize, usize) {
     (snaps, verified)
 }
 
-/// Tracing overhead with reclaim events firing: paired off/on passes of a
-/// deterministic evict-everything-then-fault-it-back cycle, median paired
-/// delta (the observability bench's method, pointed at the reclaim path).
-///
-/// No daemon: a background daemon reacts to tracing slowing *it* down by
-/// shifting work onto the foreground's direct-reclaim path, which makes
-/// the measurement bistable. The explicit cycle does identical work every
-/// pass, and only the fault-back sweep is timed with tracing in the probed
-/// state — that sweep is the application-visible path (every page is a
-/// major fault emitting `Fault` + `SwappedIn`), while the evict phase is
-/// kswapd's work and runs untraced in both arms so it cannot leak into
-/// the comparison.
-fn reclaim_tracing_overhead(pairs: usize) -> f64 {
-    let ws_pages = 512u64;
-    let kernel = Kernel::new(4 * ws_pages * PAGE);
-    let proc = kernel.spawn().expect("spawn");
-    let addr = proc.mmap_anon(ws_pages * PAGE).expect("mmap");
-    // Fill every page with incompressible bytes: a page of zeros RLE-swaps
-    // almost for free, which would make the fixed per-event cost look like
-    // a huge fraction of an unrealistically cheap operation. The paper's
-    // workloads (Redis values) carry real data.
-    let mut rng = StdRng::seed_from_u64(0xc0ffee);
-    let mut page = vec![0u8; PAGE as usize];
-    for pg in 0..ws_pages {
-        for chunk in page.chunks_mut(8) {
-            chunk.copy_from_slice(&rng.gen::<u64>().to_le_bytes());
-        }
-        proc.write(addr + pg * PAGE, &page).expect("fill");
-    }
-    let pass = |on: bool| {
-        odf_trace::set_enabled(false);
-        // Two scans: the first clears accessed bits (second chance), the
-        // second evicts.
-        let mut evicted = 0u64;
-        for _ in 0..2 {
-            evicted += proc
-                .mm()
-                .evict_scan(ws_pages as usize, &mut |c| {
-                    if c.accessed {
-                        odf_core::EvictDecision::ClearAccessed
-                    } else {
-                        odf_core::EvictDecision::Evict
-                    }
-                })
-                .evicted;
-        }
-        assert_eq!(evicted, ws_pages);
-        odf_trace::set_enabled(on);
-        let mut buf = vec![0u8; PAGE as usize];
-        let mut sum = 0u64;
-        let sw = Stopwatch::start();
-        for pg in 0..ws_pages {
-            // Major fault, then consume the page: an application faults a
-            // page in to use its contents (the kvstore reads the value,
-            // checksums it, updates it), so the measured unit is fault-in
-            // plus that work — not a bare PTE touch no workload issues.
-            let va = addr + pg * PAGE;
-            proc.read(va, &mut buf).expect("swap-in");
-            sum = buf.iter().fold(sum, |s, &b| s.wrapping_add(u64::from(b)));
-            buf[0] = buf[0].wrapping_add(1);
-            proc.write(va, &buf).expect("write-back");
-        }
-        let ns = sw.elapsed_ns();
-        std::hint::black_box(sum);
-        ns
-    };
-    let _ = pass(false); // warm-up
-                         // An even pair count puts each tracing state first equally often, so
-                         // any second-position cache/frequency effect cancels out of the
-                         // position-balanced medians compared below. Comparing medians of the
-                         // two arms (rather than the median of pairwise deltas) keeps a single
-                         // descheduling spike from contaminating the pair it landed in.
-    let pairs = pairs & !1;
-    let mut offs = Vec::new();
-    let mut ons = Vec::new();
-    for i in 0..pairs {
-        let (off, on) = if i % 2 == 0 {
-            let off = pass(false);
-            (off, pass(true))
-        } else {
-            let on = pass(true);
-            (pass(false), on)
-        };
-        offs.push(off);
-        ons.push(on);
-    }
-    odf_trace::set_enabled(false);
-    // Judge time-contiguous blocks of pairs and report the best block.
-    // Noise on a shared 1-vCPU host comes in multi-millisecond windows
-    // (steal time, cgroup throttling, cache-layout luck) that dwarf the
-    // ~100ns/fault being measured; the tracepoint cost is paid in *every*
-    // block, so it cannot hide, while a noisy run only needs one clean
-    // window to be judged fairly. Within a block, the 25th percentile of
-    // each arm discards the passes an interruption landed on (noise is
-    // strictly additive — a descheduling only ever slows a pass).
-    const BLOCK: usize = 8;
-    let mut best = f64::INFINITY;
-    for block in offs.chunks(BLOCK).zip(ons.chunks(BLOCK)) {
-        let (mut off_b, mut on_b) = (block.0.to_vec(), block.1.to_vec());
-        if off_b.len() < BLOCK {
-            continue;
-        }
-        off_b.sort_unstable();
-        on_b.sort_unstable();
-        let (off, on) = (off_b[BLOCK / 4] as f64, on_b[BLOCK / 4] as f64);
-        best = best.min((on - off) / off * 100.0);
-    }
-    best
-}
-
 fn main() {
     bench::banner(
         "memory_pressure",
@@ -285,31 +155,54 @@ fn main() {
         &[50, 100, 150, 200, 300]
     };
     let mut rows = Vec::new();
+    let mut report = bench::Report::new(
+        "reclaim",
+        "eviction_policy fork_policy pressure_pct reclaim_pages_per_s \
+         swapped_out swapped_in samples mean_ns p50_ns p99_ns",
+    );
     for policy in ["clock", "lru", "fifo"] {
         for fork_policy in [ForkPolicy::Classic, ForkPolicy::OnDemand] {
             for &pct in ratios {
                 let ws_pages = pool_pages * pct / 100;
                 let row = pressure_pass(policy, fork_policy, pool_pages, ws_pages, accesses);
-                println!(
-                    "{:>5} {:>8?} ws={}% reclaim={:>9.0} pg/s p50={} p99={}",
-                    row.eviction_policy,
-                    row.fork_policy,
-                    row.pressure_pct,
-                    row.reclaim_rate,
-                    bench::fmt_ns(row.hist.percentile(50.0)),
-                    bench::fmt_ns(row.hist.percentile(99.0)),
-                );
+                report.row(vec![
+                    row.eviction_policy.into(),
+                    format!("{:?}", row.fork_policy).into(),
+                    row.pressure_pct.into(),
+                    bench::num(row.reclaim_rate, 0),
+                    row.swapped_out.into(),
+                    row.swapped_in.into(),
+                    row.hist.count().into(),
+                    bench::num(row.hist.mean(), 1),
+                    row.hist.percentile(50.0).into(),
+                    row.hist.percentile(99.0).into(),
+                ]);
                 rows.push(row);
             }
         }
     }
-    let body: Vec<String> = rows.iter().map(|r| format!("    {}", r.json())).collect();
-    let doc = format!(
-        "{{\n  \"bench\": \"reclaim_latency\",\n  \"unit\": \"ns\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        body.join(",\n")
+    report.emit();
+
+    for row in &rows {
+        let at = format!(
+            "{} x {:?} at {}%",
+            row.eviction_policy, row.fork_policy, row.pressure_pct
+        );
+        let h = &row.hist;
+        let (p50, p99) = (h.percentile(50.0), h.percentile(99.0));
+        assert!(h.count() > 0 && p50 <= p99, "{at}: p50 {p50} p99 {p99}");
+        assert!(row.reclaim_rate >= 0.0, "{at}: negative reclaim rate");
+        // The fault-latency-vs-reclaim-rate curve: above-capacity ratios
+        // must actually exercise the swap tier.
+        if row.pressure_pct > 100 {
+            assert!(row.swapped_out > 0, "{at}: no eviction");
+            assert!(row.swapped_in > 0, "{at}: no swap-in");
+        }
+    }
+    assert!(
+        rows.iter().any(|r| r.pressure_pct > 100),
+        "no above-capacity pressure rows"
     );
-    std::fs::write("BENCH_reclaim.json", doc).expect("write BENCH_reclaim.json");
-    println!("wrote BENCH_reclaim.json ({} rows)", rows.len());
 
     // 2. The acceptance workload: kvstore with the dataset at 2x physical
     //    memory completes its bgsave snapshots under both fork policies.
@@ -322,32 +215,4 @@ fn main() {
             bench::fmt_ns(sw.elapsed_ns())
         );
     }
-
-    // 3. Tracing overhead with reclaim events on: the <5% budget must
-    //    hold even when every miss emits Evicted/SwappedIn events. Each
-    //    attempt runs on a fresh thread (fresh trace ring, fresh simulated
-    //    kernel) so a retry re-rolls allocation/cache layout; the budget
-    //    holds if any attempt demonstrates it — the tracepoint cost is
-    //    paid by every attempt and cannot hide behind a retry.
-    let pairs = if bench::fast_mode() { 40 } else { 80 };
-    let mut attempts = Vec::new();
-    for attempt in 1..=5 {
-        let overhead = std::thread::spawn(move || reclaim_tracing_overhead(pairs))
-            .join()
-            .expect("overhead probe");
-        println!(
-            "tracing overhead under reclaim, attempt {attempt} (best block of \
-             {pairs} paired passes): {overhead:+.2}% (target <5%)"
-        );
-        attempts.push(overhead);
-        if overhead < 5.0 {
-            break;
-        }
-    }
-    let best = attempts.iter().copied().fold(f64::INFINITY, f64::min);
-    assert!(
-        best < 5.0,
-        "tracing overhead {attempts:?}% exceeds the 5% budget with reclaim events on \
-         in every attempt"
-    );
 }

@@ -17,10 +17,10 @@
 //! Each configuration runs an idle phase and (for the fork contrast) a
 //! phase with a BGSAVE triggered mid-run under Classic vs OnDemand.
 //!
-//! Outputs (current directory):
-//!
-//! - `BENCH_million_users.json` — one row per {shards x pipeline
-//!   x phase x fork policy}: requests, throughput, p50/p99/p999, fork ns.
+//! Output: `BENCH_million_users.json` — one row per {shards x pipeline
+//! x phase x fork policy}: requests, throughput, p50/p99/p999, fork ns.
+//! The bench asserts every bgsave row forked and the OnDemand bgsave p999
+//! stays within 10x of the idle p999 at the same configuration.
 
 use odf_bench as bench;
 use odf_core::{ForkPolicy, Kernel};
@@ -42,39 +42,8 @@ struct Row {
 }
 
 impl Row {
-    fn json(&self) -> String {
-        format!(
-            r#"{{"server":"percore","shards":{},"pipeline":{},"fork_policy":"{:?}","phase":"{}","requests":{},"rps":{:.0},"p50_ns":{},"p99_ns":{},"p999_ns":{},"fork_ns":{}}}"#,
-            self.shards,
-            self.pipeline,
-            self.fork_policy,
-            self.phase,
-            self.requests,
-            self.rps,
-            self.latency.percentile(50.0),
-            self.latency.percentile(99.0),
-            self.latency.percentile(99.9),
-            self.fork_ns,
-        )
-    }
-
-    fn print(&self) {
-        println!(
-            " percore shards={} pipe={:>3} {:>8?} {:>6}: {:>9.0} req/s p50={} p99={} p999={}{}",
-            self.shards,
-            self.pipeline,
-            self.fork_policy,
-            self.phase,
-            self.rps,
-            bench::fmt_ns(self.latency.percentile(50.0)),
-            bench::fmt_ns(self.latency.percentile(99.0)),
-            bench::fmt_ns(self.latency.percentile(99.9)),
-            if self.fork_ns > 0 {
-                format!(" fork={}", bench::fmt_ns(self.fork_ns))
-            } else {
-                String::new()
-            },
-        );
+    fn p(&self, percentile: f64) -> u64 {
+        self.latency.percentile(percentile)
     }
 }
 
@@ -154,9 +123,13 @@ fn main() {
     for &shards in shard_sweep {
         for &pipeline in pipeline_sweep {
             let requests = per_shard_requests * shards as u64;
-            let row = run_percore_row(shards, pipeline, requests, ForkPolicy::OnDemand, false);
-            row.print();
-            rows.push(row);
+            rows.push(run_percore_row(
+                shards,
+                pipeline,
+                requests,
+                ForkPolicy::OnDemand,
+                false,
+            ));
         }
     }
 
@@ -166,16 +139,55 @@ fn main() {
     let pipeline = *pipeline_sweep.last().unwrap();
     let requests = per_shard_requests * shards as u64;
     for policy in [ForkPolicy::Classic, ForkPolicy::OnDemand] {
-        let row = run_percore_row(shards, pipeline, requests, policy, true);
-        row.print();
-        rows.push(row);
+        rows.push(run_percore_row(shards, pipeline, requests, policy, true));
     }
 
-    let body: Vec<String> = rows.iter().map(|r| format!("    {}", r.json())).collect();
-    let doc = format!(
-        "{{\n  \"bench\": \"million_users\",\n  \"unit\": \"ns\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        body.join(",\n")
+    let mut report = bench::Report::new(
+        "million_users",
+        "shards pipeline fork_policy phase requests rps p50_ns p99_ns p999_ns fork_ns",
     );
-    std::fs::write("BENCH_million_users.json", doc).expect("write BENCH_million_users.json");
-    println!("wrote BENCH_million_users.json ({} rows)", rows.len());
+    for row in &rows {
+        report.row(vec![
+            row.shards.into(),
+            row.pipeline.into(),
+            format!("{:?}", row.fork_policy).into(),
+            row.phase.into(),
+            row.requests.into(),
+            bench::num(row.rps, 0),
+            row.p(50.0).into(),
+            row.p(99.0).into(),
+            row.p(99.9).into(),
+            row.fork_ns.into(),
+        ]);
+    }
+    report.emit();
+
+    for row in &rows {
+        let at = format!(
+            "{} shards x{} {:?} {}",
+            row.shards, row.pipeline, row.fork_policy, row.phase
+        );
+        assert!(row.requests > 0 && row.rps > 0.0, "{at}: no requests");
+        assert!(
+            row.p(50.0) <= row.p(99.0) && row.p(99.0) <= row.p(99.9),
+            "{at}: percentiles out of order"
+        );
+        if row.phase == "bgsave" {
+            assert!(row.fork_ns > 0, "{at}: bgsave row without a fork");
+        }
+    }
+    // Tail during bgsave, order-of-magnitude sanity only: on the reduced
+    // sweep the coordinator's snapshot serialization shares the host's
+    // cores with the workers, inflating p999 well past the
+    // dedicated-hardware figure (<2x idle, see EXPERIMENTS.md).
+    let p999 = |phase: &str| {
+        let row = rows.iter().find(|r| {
+            (r.shards, r.pipeline, r.phase) == (shards, pipeline, phase)
+                && r.fork_policy == ForkPolicy::OnDemand
+        });
+        row.expect("OnDemand row at the widest configuration")
+            .p(99.9)
+    };
+    let (idle, bgsave) = (p999("idle"), p999("bgsave"));
+    assert!(bgsave < 10 * idle, "bgsave p999 {bgsave} vs idle {idle}");
 }

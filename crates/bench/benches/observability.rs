@@ -2,60 +2,45 @@
 //! tracing itself.
 //!
 //! Unlike the table/figure benches, this target exists for tooling: it
-//! emits the fork and fault latency distributions as JSON files that CI
-//! archives and trend-checks, plus a `chrome://tracing` dump of a traced
-//! run for flamegraph-style inspection. It also answers the question every
-//! tracepoint layer must answer — what does instrumentation cost? — by
-//! running the fault microbenchmark with tracing off and on and reporting
-//! the delta (target: <5% enabled, ~0 disabled).
+//! emits the fork and fault latency distributions for trend checks, plus
+//! a `chrome://tracing` dump of a traced run for flamegraph-style
+//! inspection. It also answers the question every tracepoint layer must
+//! answer — what does instrumentation cost? — by running the fault
+//! microbenchmark with tracing off and on and reporting the delta
+//! (target: <5% enabled, ~0 disabled).
 //!
 //! Outputs (written to the current directory):
 //!
 //! - `BENCH_fork.json`   — mean/p50/p99 fork ns per size x policy
 //! - `BENCH_faults.json` — mean/p50/p99 write-fault ns per size x policy
 //! - `BENCH_trace_chrome.json` — chrome://tracing dump of the traced run
+//! - `BENCH_metrics.prom` — the machine-wide Prometheus export
 
 use odf_bench as bench;
-use odf_core::{ForkPolicy, Process};
-use odf_metrics::{Histogram, Stopwatch};
+use odf_core::ForkPolicy;
+use odf_metrics::Histogram;
 
-const PAGE: u64 = 4096;
-
-/// One measured configuration: a latency distribution for `policy` at
-/// `size` bytes.
-struct Row {
-    size: u64,
-    policy: ForkPolicy,
-    hist: Histogram,
-}
-
-impl Row {
-    fn json(&self) -> String {
-        format!(
-            r#"{{"size_bytes":{},"policy":"{:?}","samples":{},"mean_ns":{:.1},"p50_ns":{},"p99_ns":{}}}"#,
-            self.size,
-            self.policy,
-            self.hist.count(),
-            self.hist.mean(),
-            self.hist.percentile(50.0),
-            self.hist.percentile(99.0),
-        )
+/// A latency-distribution report: one row per size x policy.
+fn latency_report(name: &str, rows: &[(u64, ForkPolicy, Histogram)]) -> bench::Report {
+    let mut report = bench::Report::new(name, "size_mib policy samples mean_ns p50_ns p99_ns");
+    for (size, policy, hist) in rows {
+        let (p50, p99) = (hist.percentile(50.0), hist.percentile(99.0));
+        let at = format!("{name} {size} {policy:?}");
+        assert!(hist.count() > 0 && p50 <= p99, "{at}: p50 {p50} p99 {p99}");
+        report.row(vec![
+            (size / bench::MIB).into(),
+            format!("{policy:?}").into(),
+            hist.count().into(),
+            bench::num(hist.mean(), 1),
+            p50.into(),
+            p99.into(),
+        ]);
     }
-}
-
-fn write_rows(path: &str, bench_name: &str, rows: &[Row]) {
-    let body: Vec<String> = rows.iter().map(|r| format!("    {}", r.json())).collect();
-    let doc = format!(
-        "{{\n  \"bench\": \"{}\",\n  \"unit\": \"ns\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        bench_name,
-        body.join(",\n")
-    );
-    std::fs::write(path, doc).expect("write bench json");
-    println!("wrote {path} ({} rows)", rows.len());
+    report
 }
 
 /// Fork latency distribution: `reps()` timed forks per size x policy.
-fn fork_rows() -> Vec<Row> {
+fn fork_rows() -> Vec<(u64, ForkPolicy, Histogram)> {
     let mut rows = Vec::new();
     for &size in &bench::size_sweep() {
         let kernel = bench::kernel_for(size);
@@ -66,30 +51,14 @@ fn fork_rows() -> Vec<Row> {
                 let ns = bench::fill_and_time_fork(&proc, size, policy).expect("fork");
                 hist.record(ns);
             }
-            rows.push(Row { size, policy, hist });
+            rows.push((size, policy, hist));
         }
     }
     rows
 }
 
-/// Post-fork write faults over every page of `size` bytes; returns the
-/// per-fault latency distribution and the total wall time.
-fn fault_pass(proc: &Process, addr: u64, size: u64, policy: ForkPolicy) -> (Histogram, u64) {
-    let child = proc.fork_with(policy).expect("fork");
-    let mut hist = Histogram::new();
-    let sw = Stopwatch::start();
-    for page in 0..size / PAGE {
-        let one = Stopwatch::start();
-        child.write_u64(addr + page * PAGE, page).expect("fault");
-        hist.record(one.elapsed_ns());
-    }
-    let wall = sw.elapsed_ns();
-    child.exit();
-    (hist, wall)
-}
-
 /// Fault latency distribution per size x policy.
-fn fault_rows(sizes: &[u64]) -> Vec<Row> {
+fn fault_rows(sizes: &[u64]) -> Vec<(u64, ForkPolicy, Histogram)> {
     let mut rows = Vec::new();
     for &size in sizes {
         // COW copies of the full region must fit alongside the original.
@@ -98,52 +67,19 @@ fn fault_rows(sizes: &[u64]) -> Vec<Row> {
         let addr = proc.mmap_anon(size).expect("mmap");
         proc.populate(addr, size, true).expect("populate");
         for policy in [ForkPolicy::Classic, ForkPolicy::OnDemand] {
-            let (hist, _) = fault_pass(&proc, addr, size, policy);
-            rows.push(Row { size, policy, hist });
+            let (hist, _) = bench::fault_pass(&proc, addr, size, policy);
+            rows.push((size, policy, hist));
         }
         proc.munmap(addr, size).expect("munmap");
     }
     rows
 }
 
-/// Tracing overhead on the fault microbenchmark, measured as the median
-/// of paired (disabled, enabled) back-to-back passes. Pairing and the
-/// median cancel host drift, which on shared machines is easily larger
-/// than the effect being measured. Returns (median off ns, median on ns,
-/// median paired overhead %).
-fn tracing_overhead(proc: &Process, addr: u64, size: u64, pairs: usize) -> (u64, u64, f64) {
-    // Warm-up pass: first-touch lazy materialization is billed to no one.
-    let _ = fault_pass(proc, addr, size, ForkPolicy::OnDemand);
-    let (mut offs, mut ons, mut deltas) = (Vec::new(), Vec::new(), Vec::new());
-    for i in 0..pairs {
-        // ABBA ordering: alternate which side of the pair runs first, so
-        // monotone host drift biases neither state.
-        let run = |on: bool| {
-            odf_trace::set_enabled(on);
-            fault_pass(proc, addr, size, ForkPolicy::OnDemand).1
-        };
-        let (off, on) = if i % 2 == 0 {
-            let off = run(false);
-            (off, run(true))
-        } else {
-            let on = run(true);
-            (run(false), on)
-        };
-        offs.push(off);
-        ons.push(on);
-        deltas.push((on as f64 - off as f64) / off as f64 * 100.0);
-    }
-    offs.sort_unstable();
-    ons.sort_unstable();
-    deltas.sort_by(f64::total_cmp);
-    (offs[pairs / 2], ons[pairs / 2], deltas[pairs / 2])
-}
-
 fn main() {
     bench::banner("observability", "bench JSON exports + tracing overhead");
 
     // 1. Fork dataset (tracing state inherited from ODF_TRACE).
-    write_rows("BENCH_fork.json", "fork_latency", &fork_rows());
+    latency_report("fork", &fork_rows()).emit();
 
     // 2. Fault dataset over a reduced sweep (every page is touched, so the
     //    sweep is in fault count, not bytes).
@@ -158,11 +94,7 @@ fn main() {
             bench::scaled(256 * bench::MIB),
         ]
     };
-    write_rows(
-        "BENCH_faults.json",
-        "fault_latency",
-        &fault_rows(&fault_sizes),
-    );
+    latency_report("faults", &fault_rows(&fault_sizes)).emit();
 
     // 3. Tracing overhead on the fault microbenchmark: paired off/on
     //    passes, median paired delta.
@@ -175,11 +107,14 @@ fn main() {
     let addr = proc.mmap_anon(size).expect("mmap");
     proc.populate(addr, size, true).expect("populate");
     odf_trace::clear();
-    let (off, on, overhead) = tracing_overhead(&proc, addr, size, pairs);
+    let (off, on, overhead) = bench::paired(pairs, |on| {
+        odf_trace::set_enabled(on);
+        bench::fault_pass(&proc, addr, size, ForkPolicy::OnDemand).1
+    });
     println!(
         "tracing overhead on fault microbench ({}, median of {pairs} paired passes): \
          disabled {} -> enabled {} = {overhead:+.2}% (target <5%)",
-        bench::bytes(size),
+        bench::fmt_bytes(size),
         bench::fmt_ns(off),
         bench::fmt_ns(on),
     );

@@ -10,32 +10,21 @@
 //!
 //! Outputs (written to the current directory):
 //!
-//! - `BENCH_probe.json` — per-probe-count overhead rows; CI validates the
-//!   schema and asserts the 4-probe row under the 5% budget
+//! - `BENCH_probe.json` — per-probe-count overhead rows; the bench asserts
+//!   the 0-probe row is ~free and the 4-probe row is under the 5% budget
 //! - `BLACKBOX_*.json` — one deliberately provoked SLO-watchdog incident
 //!   bundle, uploaded as a CI artifact so the flight-recorder path stays
 //!   exercised end to end
 
 use odf_bench as bench;
-use odf_core::{ForkPolicy, Keying, ProbeSpec, Process, ProgramKind};
-use odf_metrics::Stopwatch;
+use odf_core::{ForkPolicy, Keying, ProbeSpec, ProgramKind};
 use odf_trace::ProbePoint;
 
-const PAGE: u64 = 4096;
 const SWEEP: [usize; 4] = [0, 1, 4, 16];
-
-/// One pass of the fault microbench: fork, write-fault every page of the
-/// region in the child, return the wall time.
-fn fault_pass(proc: &Process, addr: u64, size: u64) -> u64 {
-    let child = proc.fork_with(ForkPolicy::OnDemand).expect("fork");
-    let sw = Stopwatch::start();
-    for page in 0..size / PAGE {
-        child.write_u64(addr + page * PAGE, page).expect("fault");
-    }
-    let ns = sw.elapsed_ns();
-    child.exit();
-    ns
-}
+/// Overhead budget for four probes attached to the fault tracepoint, %.
+const BUDGET_PCT: f64 = 5.0;
+/// How far from zero the detached (0-probe) row may read, %.
+const DETACHED_NOISE_PCT: f64 = 3.0;
 
 /// Attaches `count` probes spread across the prefab programs, all at the
 /// fault tracepoint so every microbench fault pays the full dispatch.
@@ -73,45 +62,6 @@ fn attach_probes(count: usize) {
     }
 }
 
-/// Median paired overhead of `count` attached probes vs none, ABBA order.
-/// Returns (median detached ns, median attached ns, median paired %).
-fn probe_overhead(
-    proc: &Process,
-    addr: u64,
-    size: u64,
-    count: usize,
-    pairs: usize,
-) -> (u64, u64, f64) {
-    let _ = fault_pass(proc, addr, size); // warm-up: lazy init billed to no one
-    let (mut offs, mut ons, mut deltas) = (Vec::new(), Vec::new(), Vec::new());
-    for i in 0..pairs {
-        let run = |attached: bool| {
-            if attached {
-                attach_probes(count);
-            }
-            let ns = fault_pass(proc, addr, size);
-            if attached {
-                odf_probe::engine().detach_all();
-            }
-            ns
-        };
-        let (off, on) = if i % 2 == 0 {
-            let off = run(false);
-            (off, run(true))
-        } else {
-            let on = run(true);
-            (run(false), on)
-        };
-        offs.push(off);
-        ons.push(on);
-        deltas.push((on as f64 - off as f64) / off as f64 * 100.0);
-    }
-    offs.sort_unstable();
-    ons.sort_unstable();
-    deltas.sort_by(f64::total_cmp);
-    (offs[pairs / 2], ons[pairs / 2], deltas[pairs / 2])
-}
-
 fn main() {
     bench::banner(
         "probe_overhead",
@@ -125,30 +75,54 @@ fn main() {
     let addr = proc.mmap_anon(size).expect("mmap");
     proc.populate(addr, size, true).expect("populate");
     odf_probe::engine().detach_all();
+    let fault_pass = || bench::fault_pass(&proc, addr, size, ForkPolicy::OnDemand).1;
 
-    let mut rows = Vec::new();
-    for &count in &SWEEP {
-        let (off, on, pct) = probe_overhead(&proc, addr, size, count, pairs);
-        println!(
-            "{count:>2} probes: detached {} -> attached {} = {pct:+.2}% (median of {pairs} pairs)",
-            bench::fmt_ns(off),
-            bench::fmt_ns(on),
-        );
-        rows.push(format!(
-            r#"    {{"probes":{count},"pairs":{pairs},"median_detached_ns":{off},"median_attached_ns":{on},"overhead_pct":{pct:.3}}}"#
-        ));
-    }
-    let doc = format!(
-        "{{\n  \"bench\": \"probe_overhead\",\n  \"unit\": \"ns\",\n  \"budget_pct\": 5.0,\n  \"rows\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
+    let mut report = bench::Report::new(
+        "probe",
+        "probes pairs median_detached_ns median_attached_ns overhead_pct",
     );
-    std::fs::write("BENCH_probe.json", doc).expect("write bench json");
-    println!("wrote BENCH_probe.json ({} rows)", SWEEP.len());
+    let mut overhead = Vec::new();
+    for count in SWEEP {
+        let (off, on, pct) = bench::paired(pairs, |attached| {
+            if attached {
+                attach_probes(count);
+            }
+            let ns = fault_pass();
+            if attached {
+                odf_probe::engine().detach_all();
+            }
+            ns
+        });
+        assert!(off > 0 && on > 0, "{count} probes: empty pass");
+        report.row(vec![
+            count.into(),
+            pairs.into(),
+            off.into(),
+            on.into(),
+            bench::num(pct, 3),
+        ]);
+        overhead.push(pct);
+    }
+    report.emit();
+
+    // The contract: ~0 cost detached, under budget with four probes
+    // attached to the fault tracepoint.
+    let pct = |count| overhead[SWEEP.iter().position(|&c| c == count).expect("in sweep")];
+    assert!(
+        pct(0).abs() < DETACHED_NOISE_PCT,
+        "detached probes must be ~free: {:+.2}%",
+        pct(0)
+    );
+    assert!(
+        pct(4) < BUDGET_PCT,
+        "4-probe overhead {:+.2}% over the {BUDGET_PCT}% budget",
+        pct(4)
+    );
 
     // Provoke one watchdog incident so CI archives a real bundle: a 1ns
     // fault-p999 budget cannot survive a single traced fault pass.
     kernel.start_default_slo_watchdog(std::path::PathBuf::from("."), 1, u64::MAX, u64::MAX);
-    let _ = fault_pass(&proc, addr, size);
+    let _ = fault_pass();
     let breaches = kernel.evaluate_slo_now().expect("watchdog running");
     assert!(!breaches.is_empty(), "1ns budget must breach");
     let bundle = kernel.last_incident_bundle().expect("bundle written");

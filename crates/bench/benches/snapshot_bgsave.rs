@@ -72,31 +72,28 @@ fn main() {
     let fractions = [0.01f64, 0.05, 0.25, 1.0];
 
     for policy in [ForkPolicy::Classic, ForkPolicy::OnDemand] {
-        let mut table = bench::Table::new(&[
-            "Dirty keys",
-            "Full img",
-            "Delta img",
-            "Delta/Full",
-            "Fork (ms)",
-            "Serialize (ms)",
-            "Dedup",
-        ]);
+        let mut report = bench::Report::new(
+            &format!("snapshot_bgsave_{policy:?}").to_lowercase(),
+            "dirty_keys dirty_pct full_img_bytes delta_img_bytes delta_over_full \
+             fork_ms serialize_ms dedup",
+        );
         for &frac in &fractions {
             let dirty = ((keys as f64 * frac) as u64).max(1);
             let full = measure(policy, false, keys, dirty);
             let delta = measure(policy, true, keys, dirty);
-            table.row_owned(vec![
-                format!("{dirty} ({:.0}%)", frac * 100.0),
-                bench::bytes(full.image_bytes as u64),
-                bench::bytes(delta.image_bytes as u64),
-                format!("{:.3}", delta.image_bytes as f64 / full.image_bytes as f64),
-                format!("{:.3}", delta.fork_ms),
-                format!("{:.3}", delta.serialize_ms),
-                format!("{:.2}", delta.dedup),
+            report.row(vec![
+                dirty.into(),
+                bench::num(frac * 100.0, 0),
+                full.image_bytes.into(),
+                delta.image_bytes.into(),
+                bench::num(delta.image_bytes as f64 / full.image_bytes as f64, 3),
+                bench::num(delta.fork_ms, 3),
+                bench::num(delta.serialize_ms, 3),
+                bench::num(delta.dedup, 2),
             ]);
         }
         println!("policy = {policy:?} over {keys} keys");
-        println!("{table}");
+        report.emit();
     }
     println!(
         "(full images stay flat; incremental images shrink with the \

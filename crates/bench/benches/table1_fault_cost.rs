@@ -51,19 +51,19 @@ fn main() {
     let huge = fault_cost(&proc, size, true, ForkPolicy::Classic).expect("huge");
     let odf = fault_cost(&proc, size, false, ForkPolicy::OnDemand).expect("odf");
 
-    let mut table = bench::Table::new(&["Type", "Avg. time (ms)", "vs fork"]);
-    table.row_owned(vec!["Fork".into(), bench::ms(classic), "1.0x".into()]);
-    table.row_owned(vec![
-        "Fork w/ huge pages".into(),
-        bench::ms(huge),
-        format!("{:.1}x", huge / classic.max(1.0)),
-    ]);
-    table.row_owned(vec![
-        "On-demand-fork".into(),
-        bench::ms(odf),
-        format!("{:.1}x", odf / classic.max(1.0)),
-    ]);
-    println!("{table}");
+    let mut report = bench::Report::new("table1_fault_cost", "type avg_ms vs_fork_x");
+    for (name, ns) in [
+        ("Fork", classic),
+        ("Fork w/ huge pages", huge),
+        ("On-demand-fork", odf),
+    ] {
+        report.row(vec![
+            name.into(),
+            bench::ms(ns),
+            bench::num(ns / classic.max(1.0), 1),
+        ]);
+    }
+    report.emit();
     println!(
         "Paper reference: 0.0023 / 0.1984 / 0.0122 ms — odf ~5.3x fork, \
          huge pages ~16x odf."

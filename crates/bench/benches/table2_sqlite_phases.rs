@@ -49,25 +49,20 @@ fn main() {
     let test_ns = test_ns / UNIT_TESTS.len() as u64;
 
     let total = init_ns + fork_ns + test_ns;
-    let pct = |v: u64| format!("{:.2}%", 100.0 * v as f64 / total as f64);
-    let mut table = bench::Table::new(&["Phase", "Avg. time (ms)", "Relative"]);
-    table.row_owned(vec![
-        "Initialization".into(),
-        bench::ms(init_ns as f64),
-        pct(init_ns),
-    ]);
-    table.row_owned(vec![
-        "Forking".into(),
-        bench::ms(fork_ns as f64),
-        pct(fork_ns),
-    ]);
-    table.row_owned(vec![
-        "Testing".into(),
-        bench::ms(test_ns as f64),
-        pct(test_ns),
-    ]);
-    table.row_owned(vec!["Total".into(), bench::ms(total as f64), "100%".into()]);
-    println!("{table}");
+    let mut report = bench::Report::new("table2_sqlite_phases", "phase avg_ms relative_pct");
+    for (phase, ns) in [
+        ("Initialization", init_ns),
+        ("Forking", fork_ns),
+        ("Testing", test_ns),
+        ("Total", total),
+    ] {
+        report.row(vec![
+            phase.into(),
+            bench::ms(ns as f64),
+            bench::num(100.0 * ns as f64 / total as f64, 2),
+        ]);
+    }
+    report.emit();
     println!(
         "Paper reference: initialization 99.94%, forking 0.05%, testing \
          0.01% of 24,202 ms total ({rows} rows here)."

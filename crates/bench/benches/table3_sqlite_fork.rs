@@ -40,24 +40,24 @@ fn main() {
     let (f_fork, f_test) = measure(ForkPolicy::Classic, &dataset);
     let (o_fork, o_test) = measure(ForkPolicy::OnDemand, &dataset);
 
-    let pct = |part: f64, total: f64| format!("{:.1}%", 100.0 * part / total);
-    let mut table = bench::Table::new(&["Phase", "Fork", "On-demand-fork"]);
-    table.row_owned(vec![
-        "Forking (ms)".into(),
-        format!("{} ({})", bench::ms(f_fork), pct(f_fork, f_fork + f_test)),
-        format!("{} ({})", bench::ms(o_fork), pct(o_fork, o_fork + o_test)),
-    ]);
-    table.row_owned(vec![
-        "Testing (ms)".into(),
-        format!("{} ({})", bench::ms(f_test), pct(f_test, f_fork + f_test)),
-        format!("{} ({})", bench::ms(o_test), pct(o_test, o_fork + o_test)),
-    ]);
-    table.row_owned(vec![
-        "Total (ms)".into(),
-        bench::ms(f_fork + f_test),
-        bench::ms(o_fork + o_test),
-    ]);
-    println!("{table}");
+    let mut report = bench::Report::new(
+        "table3_sqlite_fork",
+        "phase fork_ms fork_share_pct odf_ms odf_share_pct",
+    );
+    for (phase, f, o) in [
+        ("Forking", f_fork, o_fork),
+        ("Testing", f_test, o_test),
+        ("Total", f_fork + f_test, o_fork + o_test),
+    ] {
+        report.row(vec![
+            phase.into(),
+            bench::ms(f),
+            bench::num(100.0 * f / (f_fork + f_test), 1),
+            bench::ms(o),
+            bench::num(100.0 * o / (o_fork + o_test), 1),
+        ]);
+    }
+    report.emit();
     println!(
         "Fork time reduction: {:.1}% (paper: 99.1%; fork share drops from \
          98.6% to 36.4%)",

@@ -71,23 +71,21 @@ fn main() {
     let classic = sessions(ForkPolicy::Classic, keys, requests);
     let odf = sessions(ForkPolicy::OnDemand, keys, requests);
 
-    let mut table = bench::Table::new(&[
-        "Percentile",
-        "Fork (us)",
-        "On-demand-fork (us)",
-        "Reduction",
-    ]);
+    let mut report = bench::Report::new(
+        "table4_redis_latency",
+        "percentile fork_us odf_us reduction_pct",
+    );
     for p in [50.0, 90.0, 95.0, 99.0, 99.9, 99.99] {
         let f = classic.percentile(p) as f64 / 1e3;
         let o = odf.percentile(p) as f64 / 1e3;
-        table.row_owned(vec![
-            format!(">={p}%"),
-            format!("{f:.1}"),
-            format!("{o:.1}"),
-            format!("{:+.2}%", 100.0 * (f - o) / f.max(1e-9)),
+        report.row(vec![
+            bench::num(p, 2),
+            bench::num(f, 1),
+            bench::num(o, 1),
+            bench::num(100.0 * (f - o) / f.max(1e-9), 2),
         ]);
     }
-    println!("{table}");
+    report.emit();
     println!(
         "Paper reference: reductions grow toward the tail — 10% at p50, \
          24% at p99.9, 66% at p99.99."

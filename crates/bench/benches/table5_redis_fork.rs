@@ -56,26 +56,19 @@ fn main() {
     let classic = measure(ForkPolicy::Classic, keys);
     let odf = measure(ForkPolicy::OnDemand, keys);
 
-    let mut table = bench::Table::new(&["Type", "Fork", "On-demand-fork", "Reduction"]);
-    table.row_owned(vec![
-        "Mean (ms)".into(),
-        bench::ms(classic.mean()),
-        bench::ms(odf.mean()),
-        format!(
-            "{:.2}%",
-            100.0 * (classic.mean() - odf.mean()) / classic.mean().max(1.0)
-        ),
-    ]);
-    table.row_owned(vec![
-        "Std. Dev. (ms)".into(),
-        bench::ms(classic.stddev()),
-        bench::ms(odf.stddev()),
-        format!(
-            "{:.2}%",
-            100.0 * (classic.stddev() - odf.stddev()) / classic.stddev().max(1.0)
-        ),
-    ]);
-    println!("{table}");
+    let mut report = bench::Report::new("table5_redis_fork", "type fork_ms odf_ms reduction_pct");
+    for (name, f, o) in [
+        ("Mean", classic.mean(), odf.mean()),
+        ("Std. Dev.", classic.stddev(), odf.stddev()),
+    ] {
+        report.row(vec![
+            name.into(),
+            bench::ms(f),
+            bench::ms(o),
+            bench::num(100.0 * (f - o) / f.max(1.0), 2),
+        ]);
+    }
+    report.emit();
     println!(
         "({} snapshots each over {} keys; paper: 7.40 ms -> 0.12 ms mean, \
          98.4% reduction)",

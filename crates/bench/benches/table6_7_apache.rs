@@ -55,40 +55,30 @@ fn main() {
     let (o_sum, o_hist) = session(ForkPolicy::OnDemand);
 
     println!("\nTable 6 — mean/max response latency:");
-    let mut t6 = bench::Table::new(&["", "Fork (us)", "On-demand-fork (us)", "Difference"]);
-    let diff = |a: f64, b: f64| format!("{:+.2}%", 100.0 * (b - a) / a.max(1e-9));
-    t6.row_owned(vec![
-        "Mean".into(),
-        format!("{:.2}", f_sum.mean() / 1e3),
-        format!("{:.2}", o_sum.mean() / 1e3),
-        diff(f_sum.mean(), o_sum.mean()),
-    ]);
-    t6.row_owned(vec![
-        "Max".into(),
-        format!("{:.2}", f_hist.max() as f64 / 1e3),
-        format!("{:.2}", o_hist.max() as f64 / 1e3),
-        diff(f_hist.max() as f64, o_hist.max() as f64),
-    ]);
-    println!("{t6}");
+    // Both tables: label, fork us, on-demand-fork us, difference %.
+    let row = |label: bench::Cell, f: f64, o: f64| {
+        vec![
+            label,
+            bench::num(f / 1e3, 2),
+            bench::num(o / 1e3, 2),
+            bench::num(100.0 * (o - f) / f.max(1e-9), 2),
+        ]
+    };
+    let mut t6 = bench::Report::new("table6_apache", "stat fork_us odf_us difference_pct");
+    t6.row(row("Mean".into(), f_sum.mean(), o_sum.mean()));
+    t6.row(row("Max".into(), f_hist.max() as f64, o_hist.max() as f64));
+    t6.emit();
 
     println!("Table 7 — latency percentiles:");
-    let mut t7 = bench::Table::new(&[
-        "Percentile",
-        "Fork (us)",
-        "On-demand-fork (us)",
-        "Difference",
-    ]);
+    let mut t7 = bench::Report::new("table7_apache", "percentile fork_us odf_us difference_pct");
     for p in [50.0, 75.0, 90.0, 99.0] {
-        let f = f_hist.percentile(p) as f64;
-        let o = o_hist.percentile(p) as f64;
-        t7.row_owned(vec![
-            format!(">={p}%"),
-            format!("{:.2}", f / 1e3),
-            format!("{:.2}", o / 1e3),
-            diff(f, o),
-        ]);
+        t7.row(row(
+            bench::num(p, 0),
+            f_hist.percentile(p) as f64,
+            o_hist.percentile(p) as f64,
+        ));
     }
-    println!("{t7}");
+    t7.emit();
     println!(
         "Paper reference: all differences within noise (mean -1.75%, \
          percentiles -7.4%..+4.7%) — not all workloads benefit."

@@ -10,10 +10,8 @@
 //! promotes everything resident, `heat` promotes only ranges that stay
 //! hot across scans.
 //!
-//! Outputs (written to the current directory):
-//!
-//! - `BENCH_thp.json` — fork p50/p99, fault p50/p99, huge-page coverage,
-//!   and promotion rate per {promotion policy x fork policy}
+//! Output: `BENCH_thp.json` — fork p50/p99, fault p50/p99, huge-page
+//! coverage, and promotion rate per {promotion policy x fork policy}.
 
 use std::time::{Duration, Instant};
 
@@ -38,26 +36,6 @@ struct Row {
     promote_rate: f64,
     fork_hist: Histogram,
     fault_hist: Histogram,
-}
-
-impl Row {
-    fn json(&self) -> String {
-        format!(
-            r#"{{"thp_policy":"{}","fork_policy":"{:?}","region_bytes":{},"huge_pct":{},"collapses":{},"promote_rate_per_s":{:.0},"fork_samples":{},"fork_p50_ns":{},"fork_p99_ns":{},"fault_samples":{},"fault_p50_ns":{},"fault_p99_ns":{}}}"#,
-            self.thp_policy,
-            self.fork_policy,
-            self.region_bytes,
-            self.huge_pct,
-            self.collapses,
-            self.promote_rate,
-            self.fork_hist.count(),
-            self.fork_hist.percentile(50.0),
-            self.fork_hist.percentile(99.0),
-            self.fault_hist.count(),
-            self.fault_hist.percentile(50.0),
-            self.fault_hist.percentile(99.0),
-        )
-    }
 }
 
 /// Warm a working set, let the chosen promotion policy run to quiescence,
@@ -172,6 +150,11 @@ fn main() {
     let faults = if bench::fast_mode() { 1024 } else { 4096 };
 
     let mut rows = Vec::new();
+    let mut report = bench::Report::new(
+        "thp",
+        "thp_policy fork_policy region_mib huge_pct collapses promote_rate_per_s \
+         fork_samples fork_p50_ns fork_p99_ns fault_samples fault_p50_ns fault_p99_ns",
+    );
     for thp_policy in ["never", "greedy", "heat"] {
         for fork_policy in [
             ForkPolicy::Classic,
@@ -179,34 +162,41 @@ fn main() {
             ForkPolicy::OnDemandHuge,
         ] {
             let row = ablation_pass(thp_policy, fork_policy, region, forks, faults);
-            println!(
-                "{:>6} {:>12?} huge={:>3}% promoted={:>3} ({:>6.0}/s) \
-                 fork p50={} p99={} fault p50={} p99={}",
-                row.thp_policy,
-                row.fork_policy,
-                row.huge_pct,
-                row.collapses,
-                row.promote_rate,
-                bench::fmt_ns(row.fork_hist.percentile(50.0)),
-                bench::fmt_ns(row.fork_hist.percentile(99.0)),
-                bench::fmt_ns(row.fault_hist.percentile(50.0)),
-                bench::fmt_ns(row.fault_hist.percentile(99.0)),
-            );
+            report.row(vec![
+                row.thp_policy.into(),
+                format!("{:?}", row.fork_policy).into(),
+                (row.region_bytes / bench::MIB).into(),
+                row.huge_pct.into(),
+                row.collapses.into(),
+                bench::num(row.promote_rate, 0),
+                row.fork_hist.count().into(),
+                row.fork_hist.percentile(50.0).into(),
+                row.fork_hist.percentile(99.0).into(),
+                row.fault_hist.count().into(),
+                row.fault_hist.percentile(50.0).into(),
+                row.fault_hist.percentile(99.0).into(),
+            ]);
             rows.push(row);
         }
     }
+    report.emit();
 
     // Structural invariants the sweep must satisfy regardless of runner
     // noise: `never` promotes nothing; the active policies promote the
     // whole warmed region (it is fully resident and continuously hot).
     let chunks = region / HUGE_PAGE_SIZE as u64;
     for row in &rows {
+        let at = format!("{} x {:?}", row.thp_policy, row.fork_policy);
+        for (what, h) in [("fork", &row.fork_hist), ("fault", &row.fault_hist)] {
+            let (p50, p99) = (h.percentile(50.0), h.percentile(99.0));
+            assert!(h.count() > 0 && p50 <= p99, "{at} {what}: {p50} {p99}");
+        }
         if row.thp_policy == "never" {
             assert_eq!(row.collapses, 0, "never-policy promoted");
             assert_eq!(row.huge_pct, 0, "never-policy left huge pages");
         } else {
             assert!(
-                row.collapses >= chunks,
+                row.collapses >= chunks.max(1),
                 "{} promoted {}/{chunks} chunks",
                 row.thp_policy,
                 row.collapses
@@ -238,12 +228,4 @@ fn main() {
         (on as f64) <= off as f64 * 1.10,
         "promotion did not reduce classic fork latency: off={off}ns on={on}ns"
     );
-
-    let body: Vec<String> = rows.iter().map(|r| format!("    {}", r.json())).collect();
-    let doc = format!(
-        "{{\n  \"bench\": \"thp_ablation\",\n  \"unit\": \"ns\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        body.join(",\n")
-    );
-    std::fs::write("BENCH_thp.json", doc).expect("write BENCH_thp.json");
-    println!("wrote BENCH_thp.json ({} rows)", rows.len());
 }

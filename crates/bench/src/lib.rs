@@ -1,12 +1,14 @@
 //! Shared infrastructure for the paper-reproduction benchmarks.
 //!
 //! Each bench target in `benches/` regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md §3 for the full index) and prints its
-//! rows in the paper's layout. This library holds the common pieces:
-//! scaling knobs, the fill-then-fork microbenchmark core (the program of
-//! the paper's Figure 1), and output helpers.
+//! paper's evaluation (see DESIGN.md §3 for the full index), prints and
+//! writes its rows through [`Report`], and asserts the claims its rows
+//! must show. This library holds the common pieces: scaling knobs, the
+//! fill-then-fork microbenchmark core (the program of the paper's Figure
+//! 1), the fault pass and paired off/on loop, and [`Report`].
 //!
-//! Scaling knobs (environment variables):
+//! Scaling knobs (environment variables; a value that is not a positive
+//! number panics):
 //!
 //! - `ODF_BENCH_SCALE`: multiplies simulated region sizes (default 1.0).
 //! - `ODF_BENCH_FAST`: if set, shrinks sweeps and durations for smoke
@@ -16,26 +18,60 @@
 
 #![forbid(unsafe_code)]
 
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use odf_core::{ForkPolicy, Kernel, Process, Result};
 use odf_metrics::Stopwatch;
 
-pub use odf_metrics::{fmt_bytes, fmt_ns, Histogram, Summary, Table, Throughput};
+pub use odf_metrics::{fmt_bytes, fmt_ns, Histogram, Summary, Throughput};
 
 /// One mebibyte.
 pub const MIB: u64 = 1 << 20;
 /// One gibibyte.
 pub const GIB: u64 = 1 << 30;
+const PAGE: u64 = 4096;
+
+/// A numeric environment knob.
+struct Knob<T> {
+    var: &'static str,
+    default: T,
+    valid: fn(&T) -> bool,
+}
+
+const SCALE: Knob<f64> = Knob {
+    var: "ODF_BENCH_SCALE",
+    default: 1.0,
+    valid: |s| s.is_finite() && *s > 0.0,
+};
+
+const REPS: Knob<usize> = Knob {
+    var: "ODF_BENCH_REPS",
+    default: 3,
+    valid: |&r| r > 0,
+};
+
+impl<T: FromStr + Copy> Knob<T> {
+    fn read(&self) -> T {
+        let raw = std::env::var_os(self.var).map(|v| v.to_string_lossy().into_owned());
+        self.parse(raw.as_deref())
+    }
+
+    /// Unset means the default; anything else must parse and be valid, so
+    /// a typo cannot silently turn a smoke run into a paper-scale one.
+    fn parse(&self, raw: Option<&str>) -> T {
+        match raw.map(|r| (r, r.parse())) {
+            None => self.default,
+            Some((_, Ok(v))) if (self.valid)(&v) => v,
+            Some((raw, _)) => panic!("{}={raw:?} is not a positive number", self.var),
+        }
+    }
+}
 
 /// Reads the global size multiplier.
 pub fn scale() -> f64 {
-    std::env::var("ODF_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s: &f64| s > 0.0)
-        .unwrap_or(1.0)
+    SCALE.read()
 }
 
 /// Whether fast (smoke) mode is on.
@@ -45,11 +81,7 @@ pub fn fast_mode() -> bool {
 
 /// Repetitions per configuration.
 pub fn reps() -> usize {
-    std::env::var("ODF_BENCH_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&r| r > 0)
-        .unwrap_or(3)
+    REPS.read()
 }
 
 /// Scales a byte size by `ODF_BENCH_SCALE`, rounding to whole MiB.
@@ -124,22 +156,215 @@ pub fn repeat(mut f: impl FnMut() -> Result<u64>) -> Result<(f64, u64)> {
     Ok((sum as f64 / n as f64, min))
 }
 
-/// Milliseconds with three decimals, for table cells.
-pub fn ms(ns: f64) -> String {
-    format!("{:.3}", ns / 1e6)
+/// The fault microbenchmark: fork `proc` under `policy`, write-fault every
+/// page of `size` bytes at `addr` in the child, and return the per-fault
+/// latency distribution and the pass's wall time.
+pub fn fault_pass(proc: &Process, addr: u64, size: u64, policy: ForkPolicy) -> (Histogram, u64) {
+    let child = proc.fork_with(policy).expect("fork");
+    let mut hist = Histogram::new();
+    let sw = Stopwatch::start();
+    for page in 0..size / PAGE {
+        let one = Stopwatch::start();
+        child.write_u64(addr + page * PAGE, page).expect("fault");
+        hist.record(one.elapsed_ns());
+    }
+    let wall = sw.elapsed_ns();
+    child.exit();
+    (hist, wall)
 }
 
-/// Human-readable byte count, for table cells.
-pub fn bytes(n: u64) -> String {
-    if n >= GIB {
-        format!("{:.2} GiB", n as f64 / GIB as f64)
-    } else if n >= MIB {
-        format!("{:.2} MiB", n as f64 / MIB as f64)
-    } else if n >= 1024 {
-        format!("{:.1} KiB", n as f64 / 1024.0)
-    } else {
-        format!("{n} B")
+/// Measures what switching a feature on costs `pass`, which runs once in
+/// the given state and returns its time: one discarded warm-up pass (lazy
+/// initialization is billed to no one), then `pairs` back-to-back off/on
+/// pairs in ABBA order, so monotone host drift biases neither state.
+/// Pairing and the median cancel host drift, which on shared machines is
+/// easily larger than the effect being measured. Returns (median off ns,
+/// median on ns, median paired overhead %).
+pub fn paired(pairs: usize, mut pass: impl FnMut(bool) -> u64) -> (u64, u64, f64) {
+    assert!(pairs > 0, "paired needs at least one pair");
+    let _ = pass(false);
+    let (mut offs, mut ons, mut deltas) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..pairs {
+        let (off, on) = if i % 2 == 0 {
+            let off = pass(false);
+            (off, pass(true))
+        } else {
+            let on = pass(true);
+            (pass(false), on)
+        };
+        offs.push(off);
+        ons.push(on);
+        deltas.push((on as f64 - off as f64) / off as f64 * 100.0);
     }
+    offs.sort_unstable();
+    ons.sort_unstable();
+    deltas.sort_by(f64::total_cmp);
+    (offs[pairs / 2], ons[pairs / 2], deltas[pairs / 2])
+}
+
+/// One typed report cell.
+#[derive(Debug)]
+pub enum Cell {
+    /// A quantity: the text table shows the given number of decimals, the
+    /// JSON the full value (`null` when not finite).
+    Num(f64, usize),
+    /// A label.
+    Text(String),
+}
+
+impl Cell {
+    fn text(&self) -> String {
+        match self {
+            Cell::Num(v, places) => format!("{v:.places$}"),
+            Cell::Text(s) => s.clone(),
+        }
+    }
+
+    fn json(&self) -> String {
+        match self {
+            Cell::Num(v, _) if v.is_finite() => v.to_string(),
+            Cell::Num(..) => "null".to_string(),
+            Cell::Text(s) => format!("\"{}\"", odf_trace::json_escape(s)),
+        }
+    }
+}
+
+impl From<u64> for Cell {
+    fn from(v: u64) -> Cell {
+        Cell::Num(v as f64, 0)
+    }
+}
+
+impl From<usize> for Cell {
+    fn from(v: usize) -> Cell {
+        Cell::Num(v as f64, 0)
+    }
+}
+
+impl From<&str> for Cell {
+    fn from(s: &str) -> Cell {
+        Cell::Text(s.to_string())
+    }
+}
+
+impl From<String> for Cell {
+    fn from(s: String) -> Cell {
+        Cell::Text(s)
+    }
+}
+
+/// A cell shown with `places` decimals.
+pub fn num(v: f64, places: usize) -> Cell {
+    Cell::Num(v, places)
+}
+
+/// Nanoseconds as a milliseconds cell with three decimals.
+pub fn ms(ns: f64) -> Cell {
+    num(ns / 1e6, 3)
+}
+
+/// A bench's rows: fixed columns (units live in the column names), one
+/// typed cell per column per row, and two renderings of them — the
+/// aligned text table (`Display`) and [`Report::json`].
+#[derive(Debug)]
+pub struct Report {
+    name: String,
+    columns: Vec<String>,
+    rows: Vec<Vec<Cell>>,
+}
+
+impl Report {
+    /// An empty report with whitespace-separated `columns`; `name` is both
+    /// the file name and the `"bench"` field.
+    pub fn new(name: &str, columns: &str) -> Report {
+        Report {
+            name: name.to_string(),
+            columns: columns.split_whitespace().map(str::to_string).collect(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Appends a row.
+    ///
+    /// # Panics
+    ///
+    /// If the row does not have exactly one cell per column.
+    pub fn row(&mut self, cells: Vec<Cell>) {
+        assert_eq!(
+            cells.len(),
+            self.columns.len(),
+            "report {}: row {cells:?} does not match columns {:?}",
+            self.name,
+            self.columns
+        );
+        self.rows.push(cells);
+    }
+
+    /// `{"bench": "<name>", "rows": [{"<column>": value, …}]}`, one row
+    /// per line.
+    pub fn json(&self) -> String {
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|row| {
+                let fields: Vec<String> = (self.columns.iter().zip(row))
+                    .map(|(c, v)| format!("\"{}\": {}", odf_trace::json_escape(c), v.json()))
+                    .collect();
+                format!("    {{{}}}", fields.join(", "))
+            })
+            .collect();
+        format!(
+            "{{\n  \"bench\": \"{}\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+            odf_trace::json_escape(&self.name),
+            rows.join(",\n")
+        )
+    }
+
+    /// Prints the text table and writes `BENCH_<name>.json` to the current
+    /// directory (the package root under `cargo bench`).
+    pub fn emit(&self) {
+        println!("{self}");
+        let path = format!("BENCH_{}.json", self.name);
+        std::fs::write(&path, self.json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("wrote {path} ({} rows)\n", self.rows.len());
+    }
+}
+
+/// The aligned text table: header, dashes, one line per row.
+impl std::fmt::Display for Report {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let rows: Vec<Vec<String>> = (self.rows.iter())
+            .map(|r| r.iter().map(Cell::text).collect())
+            .collect();
+        let mut widths: Vec<usize> = self.columns.iter().map(String::len).collect();
+        for row in &rows {
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.len());
+            }
+        }
+        let dashes = "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1));
+        for row in [&self.columns, &vec![dashes]].into_iter().chain(&rows) {
+            for (i, (cell, width)) in row.iter().zip(&widths).enumerate() {
+                if i + 1 == row.len() {
+                    writeln!(f, "{cell}")?;
+                } else {
+                    write!(f, "{cell:<width$}  ")?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Figures 9 and 10's throughput timeline: execs/s per 1 s bucket of each
+/// campaign's `(t, rate)` series, fork vs on-demand-fork.
+pub fn timeline(name: &str, fork: &[(f64, f64)], odf: &[(f64, f64)]) -> Report {
+    let mut report = Report::new(name, "t_s fork_execs_per_s odf_execs_per_s");
+    let rate = |s: &[(f64, f64)], i: usize| num(s.get(i).map_or(f64::NAN, |&(_, r)| r), 0);
+    for i in 0..fork.len().max(odf.len()) {
+        report.row(vec![i.into(), rate(fork, i), rate(odf, i)]);
+    }
+    report
 }
 
 /// Duration for campaign-style benches (fuzzing, Redis sessions).
@@ -186,6 +411,11 @@ mod tests {
         assert!(ns > 0);
         let ns = fill_and_time_fork_huge(&p, 16 * MIB).unwrap();
         assert!(ns > 0);
+        let addr = p.mmap_anon(4 * MIB).unwrap();
+        p.populate(addr, 4 * MIB, true).unwrap();
+        let (hist, wall) = fault_pass(&p, addr, 4 * MIB, ForkPolicy::OnDemand);
+        assert_eq!(hist.count(), 4 * MIB / PAGE);
+        assert!(wall > 0);
         assert_eq!(k.process_count(), 1);
     }
 
@@ -199,5 +429,123 @@ mod tests {
         .unwrap();
         assert!(min >= 100);
         assert!(mean >= min as f64);
+    }
+
+    #[test]
+    fn paired_warms_up_alternates_order_and_takes_medians() {
+        let mut calls = Vec::new();
+        let p = paired(4, |on| {
+            calls.push(on);
+            100 + 10 * u64::from(on)
+        });
+        let (f, t) = (false, true);
+        assert_eq!(calls, [f, f, t, t, f, f, t, t, f]);
+        assert_eq!(p, (100, 110, 10.0));
+    }
+
+    fn panic_message<R: std::fmt::Debug>(f: impl FnOnce() -> R + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn knobs_default_when_unset_and_reject_anything_but_a_positive_number() {
+        assert_eq!((SCALE.parse(None), SCALE.parse(Some("0.25"))), (1.0, 0.25));
+        assert_eq!((REPS.parse(None), REPS.parse(Some("5"))), (3, 5));
+        for raw in ["0", "-1", "0,5", "", "nan", "inf", "fast"] {
+            let msg = panic_message(|| SCALE.parse(Some(raw)));
+            assert!(msg.contains(&format!("ODF_BENCH_SCALE={raw:?}")), "{msg}");
+        }
+        for raw in ["0", "-1", "2.5", " 3"] {
+            let msg = panic_message(|| REPS.parse(Some(raw)));
+            assert!(msg.contains(&format!("ODF_BENCH_REPS={raw:?}")), "{msg}");
+        }
+    }
+
+    #[test]
+    fn columns_are_aligned() {
+        let mut r = Report::new("t", "a bbbb");
+        r.row(vec!["xxxx".into(), "y".into()]);
+        // "a" padded to the width of "xxxx"; the last column is not padded.
+        assert_eq!(r.to_string(), "a     bbbb\n----------\nxxxx  y\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match columns")]
+    fn short_rows_panic() {
+        Report::new("t", "a b c").row(vec![1u64.into()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match columns")]
+    fn long_rows_panic() {
+        Report::new("t", "a").row(vec![1u64.into(), 2u64.into()]);
+    }
+
+    #[test]
+    fn display_renders_typed_cells() {
+        let mut r = Report::new("t", "h n");
+        r.row(vec![num(1.5, 2), 7usize.into()]);
+        assert_eq!(format!("{r}"), "h     n\n-------\n1.50  7\n");
+    }
+
+    #[test]
+    fn empty_table_renders_header_only() {
+        let r = Report::new("empty", "only");
+        assert_eq!(r.to_string().lines().count(), 2);
+        assert_eq!(
+            r.json(),
+            "{\n  \"bench\": \"empty\",\n  \"rows\": [\n\n  ]\n}\n"
+        );
+    }
+
+    #[test]
+    fn json_escapes_text_and_writes_non_finite_numbers_as_null() {
+        let mut r = Report::new("esc", "label v n");
+        r.row(vec!["q\"b\\s\n\u{1}".into(), num(f64::NAN, 1), 7u64.into()]);
+        r.row(vec!["inf".into(), num(f64::NEG_INFINITY, 2), 0u64.into()]);
+        r.row(vec!["x".into(), num(-0.25, 2), 3usize.into()]);
+        let expected = r#"{
+  "bench": "esc",
+  "rows": [
+    {"label": "q\"b\\s\n\u0001", "v": null, "n": 7},
+    {"label": "inf", "v": null, "n": 0},
+    {"label": "x", "v": -0.25, "n": 3}
+  ]
+}
+"#;
+        assert_eq!(r.json(), expected);
+    }
+
+    /// Every bench target except criterion's `micro_ops` prints and
+    /// writes its rows through [`Report`]; only the chrome dump and the
+    /// Prometheus export, which are not rows, keep their own writers.
+    #[test]
+    fn every_bench_reports_through_report() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("benches");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&dir).expect("benches dir") {
+            let path = entry.expect("dir entry").path();
+            if path.extension() != Some("rs".as_ref())
+                || path.file_stem() == Some("micro_ops".as_ref())
+            {
+                continue;
+            }
+            let src = std::fs::read_to_string(&path).expect("read bench");
+            let name = path.display();
+            assert!(!src.contains("Table::new"), "{name} renders its own table");
+            assert!(src.contains("Report::new("), "{name} builds no Report");
+            let not_rows = ["\"BENCH_trace_chrome.json\"", "\"BENCH_metrics.prom\""];
+            let rest = not_rows.iter().fold(src.clone(), |s, f| s.replace(f, ""));
+            assert!(
+                !rest.contains("\"BENCH_"),
+                "{name} writes BENCH_ outside Report"
+            );
+            checked += 1;
+        }
+        assert!(checked >= 23, "only {checked} benches found in {dir:?}");
     }
 }

@@ -11,20 +11,16 @@
 //! - [`Stopwatch`] and [`time`]: wall-clock measurement helpers.
 //! - [`Throughput`]: a time-bucketed event counter used for the
 //!   executions-per-second timelines of Figures 9 and 10.
-//! - [`Table`]: plain-text table rendering so each bench target can print
-//!   rows directly comparable to the paper's tables.
 
 #![forbid(unsafe_code)]
 
 mod hist;
 mod summary;
-mod table;
 mod throughput;
 mod timer;
 
 pub use hist::Histogram;
 pub use summary::Summary;
-pub use table::Table;
 pub use throughput::Throughput;
 pub use timer::{time, Stopwatch};
 
