@@ -607,36 +607,26 @@ pub(crate) fn populate(
     if len == 0 {
         return Ok(());
     }
-    let start = VirtAddr::new(addr).page_align_down();
-    let end = VirtAddr::new(addr + len - 1).add(1).page_align_up();
-    let mut chunk = start;
-    while chunk < end {
-        let chunk_end = chunk
-            .pte_table_align_down()
-            .add(crate::PTE_TABLE_SPAN)
-            .min(end);
-        let vma = match inner.vmas.find(chunk.as_u64()) {
-            Some(v) => v.clone(),
-            None => {
-                return Err(VmError::Fault {
-                    addr: chunk.as_u64(),
-                    write,
-                })
-            }
-        };
-        if !vma.prot.allows(write) {
-            return Err(VmError::Fault {
-                addr: chunk.as_u64(),
-                write,
-            });
-        }
-        // Clamp the chunk to this VMA (ranges can span VMAs).
-        let stop = chunk_end.min(VirtAddr::new(vma.end));
-        if vma.huge {
-            // Whole-PMD granularity.
-            let mut at = chunk;
-            while at < stop {
-                let pmd = walk::pmd_slot_create(machine, inner.pgd, at)?;
+    let start = VirtAddr::new(addr).page_align_down().as_u64();
+    let end = VirtAddr::new(addr + len - 1)
+        .add(1)
+        .page_align_up()
+        .as_u64();
+    let mut at = start;
+    // One VMA piece at a time (ranges can span VMAs); the first hole or
+    // forbidden VMA fails the call, with the pages before it populated.
+    while at < end {
+        let vma = inner
+            .vmas
+            .find(at)
+            .filter(|vma| vma.prot.allows(write))
+            .ok_or(VmError::Fault { addr: at, write })?
+            .clone();
+        let stop = end.min(vma.end);
+        for c in walk::chunks(at, stop) {
+            let pmd = walk::pmd_slot_create(machine, inner.pgd, c.at)?;
+            if vma.huge {
+                // Whole-PMD granularity.
                 if !pmd.load().is_present() {
                     if let Some(pmd) = share::own_pmd_table(machine, pmd)? {
                         if let Outcome::Done(_) = fault_in_huge(machine, inner, &vma, &pmd, write)?
@@ -645,14 +635,12 @@ pub(crate) fn populate(
                         }
                     }
                 }
-                at = at.add(crate::HUGE_PAGE_SIZE as u64);
+                continue;
             }
-        } else {
-            let pmd = walk::pmd_slot_create(machine, inner.pgd, chunk)?;
-            // Fast bulk path only for a pristine chunk: a fresh (or
-            // absent) dedicated, writable table. Anything touched by
-            // sharing goes through the real fault handler so the
-            // table-COW rules of §3.4 apply.
+            // Fast bulk path only for a pristine chunk: a fresh (or absent)
+            // dedicated, writable table. Anything touched by sharing goes
+            // through the real fault handler so the table-COW rules of
+            // §3.4 apply.
             let fast_table = match share::own_pmd_table(machine, pmd)? {
                 Some(pmd) => {
                     let e = pmd.load();
@@ -668,38 +656,30 @@ pub(crate) fn populate(
                 }
                 None => None,
             };
-            match fast_table {
-                Some(table) => {
-                    let mut at = chunk;
-                    while at < stop {
-                        let idx = at.index(Level::Pte);
-                        let cur = table.load(idx);
-                        if cur.is_swap() {
-                            // Evicted page: the bulk path must not clobber
-                            // the swap entry with a zero page — route
-                            // through the fault handler's swap-in.
-                            handle(machine, inner, at, write)?;
-                        } else if !cur.is_present() {
-                            let entry = map_new_page(machine, &vma, at)?;
-                            table.store(idx, entry.with_set(EntryFlags::ACCESSED));
-                            inner.rss.fetch_add(1, Ordering::Relaxed);
-                            VmStats::bump(&machine.stats().pages_populated);
-                        } else if write && !cur.is_writable() {
-                            handle(machine, inner, at, true)?;
-                        }
-                        at = at.add(PAGE_SIZE as u64);
-                    }
+            let Some(table) = fast_table else {
+                for idx in c.ptes() {
+                    handle(machine, inner, c.va(idx), write)?;
                 }
-                None => {
-                    let mut at = chunk;
-                    while at < stop {
-                        handle(machine, inner, at, write)?;
-                        at = at.add(PAGE_SIZE as u64);
-                    }
+                continue;
+            };
+            for idx in c.ptes() {
+                let cur = table.load(idx);
+                if cur.is_swap() {
+                    // Evicted page: the bulk path must not clobber the swap
+                    // entry with a zero page — route through the fault
+                    // handler's swap-in.
+                    handle(machine, inner, c.va(idx), write)?;
+                } else if !cur.is_present() {
+                    let entry = map_new_page(machine, &vma, c.va(idx))?;
+                    table.store(idx, entry.with_set(EntryFlags::ACCESSED));
+                    inner.rss.fetch_add(1, Ordering::Relaxed);
+                    VmStats::bump(&machine.stats().pages_populated);
+                } else if write && !cur.is_writable() {
+                    handle(machine, inner, c.va(idx), true)?;
                 }
             }
         }
-        chunk = stop;
+        at = stop;
     }
     Ok(())
 }

@@ -25,7 +25,7 @@
 
 use std::sync::atomic::Ordering;
 
-use odf_pagetable::{Entry, EntryFlags, Level, VirtAddr, ENTRIES_PER_TABLE};
+use odf_pagetable::{Entry, EntryFlags, VirtAddr};
 use odf_pmem::FrameId;
 use odf_trace::Event;
 
@@ -34,8 +34,7 @@ use crate::machine::Machine;
 use crate::mm::MmInner;
 use crate::share;
 use crate::stats::VmStats;
-use crate::walk;
-use crate::PTE_TABLE_SPAN;
+use crate::walk::{self, Chunk};
 
 /// Which fork implementation to use.
 ///
@@ -184,21 +183,15 @@ fn copy_all(
     // Iterate VMAs in address order, chunked at PTE-table (2 MiB) spans.
     let vmas: Vec<_> = parent.vmas.iter().cloned().collect();
     for vma in &vmas {
-        let mut at = VirtAddr::new(vma.start);
-        let end = VirtAddr::new(vma.end);
-        while at < end {
-            let chunk_end = at.pte_table_align_down().add(PTE_TABLE_SPAN).min(end);
-            copy_chunk(
-                machine, parent, child, policy, vma, at, chunk_end, tally, scratch,
-            )?;
-            at = chunk_end;
+        for c in walk::chunks(vma.start, vma.end) {
+            copy_chunk(machine, parent, child, policy, vma, c, tally, scratch)?;
         }
     }
     Ok(())
 }
 
 /// Copies (or shares) the translations of one 2 MiB chunk restricted to
-/// `[at, chunk_end)` of one VMA.
+/// the part `c` of one VMA.
 #[allow(clippy::too_many_arguments)]
 fn copy_chunk(
     machine: &Machine,
@@ -206,11 +199,11 @@ fn copy_chunk(
     child: &mut MmInner,
     policy: ForkPolicy,
     vma: &crate::vma::Vma,
-    at: VirtAddr,
-    chunk_end: VirtAddr,
+    c: Chunk,
     tally: &mut ForkTally,
     scratch: &mut ForkScratch,
 ) -> Result<()> {
+    let at = c.at;
     let Some(parent_pmd) = walk::pmd_slot(machine, parent.pgd, at) else {
         return Ok(());
     };
@@ -232,16 +225,7 @@ fn copy_chunk(
         ForkPolicy::OnDemand | ForkPolicy::OnDemandHuge => {
             share_pte_table(machine, child, &parent_pmd, pe, at, tally)
         }
-        ForkPolicy::Classic => copy_pte_range(
-            machine,
-            child,
-            vma,
-            pe.frame(),
-            at,
-            chunk_end,
-            tally,
-            scratch,
-        ),
+        ForkPolicy::Classic => copy_pte_range(machine, child, vma, pe.frame(), c, tally, scratch),
     }
 }
 
@@ -322,14 +306,12 @@ fn share_pte_table(
 /// child entry becomes visible, so the invariant "a stored entry holds a
 /// reference" is never violated mid-copy. Unlike the table COW it copies a
 /// sub-range and write-protects the parent's entries one by one.
-#[allow(clippy::too_many_arguments)]
 fn copy_pte_range(
     machine: &Machine,
     child: &mut MmInner,
     vma: &crate::vma::Vma,
     parent_table_frame: FrameId,
-    at: VirtAddr,
-    chunk_end: VirtAddr,
+    c: Chunk,
     tally: &mut ForkTally,
     scratch: &mut ForkScratch,
 ) -> Result<()> {
@@ -340,7 +322,7 @@ fn copy_pte_range(
     // through its PMD bit and the entries must not be mutated.
     let parent_is_shared = pool.pt_share_count(parent_table_frame) > 1;
 
-    let child_pmd = walk::pmd_slot_create(machine, child.pgd, at)?;
+    let child_pmd = walk::pmd_slot_create(machine, child.pgd, c.at)?;
     let ce = child_pmd.load();
     let child_table = if ce.is_present() {
         machine.store().get(ce.frame())
@@ -354,13 +336,10 @@ fn copy_pte_range(
     // are inherited as swap entries: the child takes its own slot
     // reference and swaps in independently (the `copy_one_pte` swap arm).
     scratch.entries.clear();
-    let first = at.index(Level::Pte);
-    let last = first + ((chunk_end.as_u64() - at.as_u64()) as usize).div_ceil(odf_pmem::PAGE_SIZE);
-    let range = first..last.min(ENTRIES_PER_TABLE);
     share::ref_entries(
         machine,
         &parent_table,
-        range,
+        c.ptes(),
         &mut scratch.heads,
         |idx, pte| scratch.entries.push((idx, pte)),
     );

@@ -11,12 +11,11 @@
 
 use std::collections::HashSet;
 
-use odf_pagetable::{Level, VirtAddr, ENTRIES_PER_TABLE};
+use odf_pagetable::{Entry, EntryFlags, VirtAddr, ENTRIES_PER_TABLE};
 use odf_pmem::PAGE_SIZE;
 
 use crate::mm::Mm;
-use crate::walk;
-use crate::PTE_TABLE_SPAN;
+use crate::walk::{self, PmdSlot};
 
 /// Exact frame pin count of one address space: every physical frame
 /// reachable from its page tables, split by what the frame holds.
@@ -255,64 +254,56 @@ impl Mm {
                 map_shared: vma.shared,
                 ..SmapsEntry::default()
             };
-            let mut at = VirtAddr::new(vma.start);
-            let end = VirtAddr::new(vma.end);
-            while at < end {
-                let chunk_end = at.pte_table_align_down().add(PTE_TABLE_SPAN).min(end);
-                if let Some(pmd) = walk::pmd_slot(machine, inner.pgd, at) {
-                    let pmd_shared = pool.pt_share_count(pmd.frame) > 1;
-                    let pe = pmd.load();
-                    if pe.is_present() {
-                        if pe.is_huge() {
-                            let bytes = chunk_end.as_u64() - at.as_u64();
-                            let head = pool.compound_head(pe.frame());
-                            let shared = pmd_shared || pool.ref_count(head) > 1;
-                            e.rss += bytes;
-                            e.huge += bytes;
-                            if shared {
-                                e.shared += bytes;
-                            } else {
-                                e.private += bytes;
-                            }
-                        } else {
-                            let table_shared = pool.pt_share_count(pe.frame()) > 1;
-                            if table_shared {
-                                e.shared_tables += 1;
-                            }
-                            // The walk holds only the shared mm lock, so a
-                            // sibling fault can COW this slot and the old
-                            // table can vanish between the entry read and
-                            // the lookup. Skip the span mid-transition —
-                            // /proc/<pid>/smaps is the same kind of racy
-                            // snapshot.
-                            let Some(table) = machine.store().try_get(pe.frame()) else {
-                                at = chunk_end;
-                                continue;
-                            };
-                            let first = at.index(Level::Pte);
-                            let count = ((chunk_end.as_u64() - at.as_u64()) as usize) / PAGE_SIZE;
-                            for idx in first..(first + count).min(ENTRIES_PER_TABLE) {
-                                let pte = table.load(idx);
-                                if pte.is_swap() {
-                                    e.swap += PAGE_SIZE as u64;
-                                    continue;
-                                }
-                                if !pte.is_present() {
-                                    continue;
-                                }
-                                let head = pool.compound_head(pte.frame());
-                                let shared = table_shared || pool.ref_count(head) > 1;
-                                e.rss += PAGE_SIZE as u64;
-                                if shared {
-                                    e.shared += PAGE_SIZE as u64;
-                                } else {
-                                    e.private += PAGE_SIZE as u64;
-                                }
-                            }
-                        }
+            for c in walk::chunks(vma.start, vma.end) {
+                let Some(pmd) = walk::pmd_slot(machine, inner.pgd, c.at) else {
+                    continue;
+                };
+                let pe = pmd.load();
+                if !pe.is_present() {
+                    continue;
+                }
+                if pe.is_huge() {
+                    let bytes = c.end.as_u64() - c.at.as_u64();
+                    let head = pool.compound_head(pe.frame());
+                    let shared = pool.pt_share_count(pmd.frame) > 1 || pool.ref_count(head) > 1;
+                    e.rss += bytes;
+                    e.huge += bytes;
+                    if shared {
+                        e.shared += bytes;
+                    } else {
+                        e.private += bytes;
+                    }
+                    continue;
+                }
+                let table_shared = pool.pt_share_count(pe.frame()) > 1;
+                if table_shared {
+                    e.shared_tables += 1;
+                }
+                // The walk holds only the shared mm lock, so a sibling fault
+                // can COW this slot and the old table can vanish between the
+                // entry read and the lookup. Skip the span mid-transition —
+                // /proc/<pid>/smaps is the same kind of racy snapshot.
+                let Some(table) = machine.store().try_get(pe.frame()) else {
+                    continue;
+                };
+                for idx in c.ptes() {
+                    let pte = table.load(idx);
+                    if pte.is_swap() {
+                        e.swap += PAGE_SIZE as u64;
+                        continue;
+                    }
+                    if !pte.is_present() {
+                        continue;
+                    }
+                    let head = pool.compound_head(pte.frame());
+                    let shared = table_shared || pool.ref_count(head) > 1;
+                    e.rss += PAGE_SIZE as u64;
+                    if shared {
+                        e.shared += PAGE_SIZE as u64;
+                    } else {
+                        e.private += PAGE_SIZE as u64;
                     }
                 }
-                at = chunk_end;
             }
             report.entries.push(e);
         }
@@ -333,94 +324,48 @@ impl Mm {
         let pool = machine.pool();
         let first = VirtAddr::new(start).page_align_down();
         let end = VirtAddr::new(start + len - 1).add(1).page_align_up();
-        let mut at = first;
-        while at < end {
-            let chunk_end = at.pte_table_align_down().add(PTE_TABLE_SPAN).min(end);
-            let absent = |at: VirtAddr| PagemapEntry {
-                va: at.as_u64(),
-                present: false,
-                writable: false,
-                huge: false,
-                swapped: false,
-                soft_dirty: false,
-                frame: 0,
-                refcount: 0,
-            };
-            let Some(pmd) = walk::pmd_slot(machine, inner.pgd, at) else {
-                while at < chunk_end {
-                    out.push(absent(at));
-                    at = at.add(PAGE_SIZE as u64);
-                }
-                continue;
-            };
-            let pud_writable = pmd.load_pud().is_writable();
-            let pe = pmd.load();
-            if !pe.is_present() {
-                while at < chunk_end {
-                    out.push(absent(at));
-                    at = at.add(PAGE_SIZE as u64);
-                }
-                continue;
-            }
-            if pe.is_huge() {
-                let head = pool.compound_head(pe.frame());
-                let refcount = u64::from(pool.ref_count(head));
-                while at < chunk_end {
-                    let sub = at.index(Level::Pte);
-                    out.push(PagemapEntry {
-                        va: at.as_u64(),
-                        present: true,
-                        writable: pud_writable && pe.is_writable(),
-                        huge: true,
-                        swapped: false,
-                        soft_dirty: pe.is_soft_dirty(),
-                        frame: pe.frame().offset(sub).index() as u64,
-                        refcount,
-                    });
-                    at = at.add(PAGE_SIZE as u64);
-                }
-                continue;
-            }
-            let pmd_writable = pe.is_writable();
+        for c in walk::chunks(first.as_u64(), end.as_u64()) {
+            let pmd = walk::pmd_slot(machine, inner.pgd, c.at);
+            let pe = pmd.as_ref().map_or(Entry::NONE, PmdSlot::load);
+            let upper_writable =
+                pmd.is_some_and(|pmd| pmd.load_pud().is_writable()) && pe.is_writable();
             // Shared-mm-lock walk: the slot can be COWed (and the old
             // table freed) between the entry read and this lookup. Report
             // the span absent for this racy snapshot rather than panic.
-            let Some(table) = machine.store().try_get(pe.frame()) else {
-                while at < chunk_end {
-                    out.push(absent(at));
-                    at = at.add(PAGE_SIZE as u64);
-                }
-                continue;
-            };
-            while at < chunk_end {
-                let pte = table.load(at.index(Level::Pte));
-                if pte.is_present() {
-                    let head = pool.compound_head(pte.frame());
-                    out.push(PagemapEntry {
-                        va: at.as_u64(),
-                        present: true,
-                        writable: pud_writable && pmd_writable && pte.is_writable(),
-                        huge: false,
-                        swapped: false,
-                        soft_dirty: pte.is_soft_dirty(),
-                        frame: pte.frame().index() as u64,
-                        refcount: u64::from(pool.ref_count(head)),
-                    });
-                } else if pte.is_swap() {
-                    out.push(PagemapEntry {
-                        va: at.as_u64(),
-                        present: false,
-                        writable: false,
-                        huge: false,
-                        swapped: true,
-                        soft_dirty: pte.is_soft_dirty(),
-                        frame: u64::from(pte.swap_slot()),
-                        refcount: 0,
-                    });
-                } else {
-                    out.push(absent(at));
-                }
-                at = at.add(PAGE_SIZE as u64);
+            let table = (pe.is_present() && !pe.is_huge())
+                .then(|| machine.store().try_get(pe.frame()))
+                .flatten();
+            for idx in c.ptes() {
+                let pte = match &table {
+                    Some(table) => table.load(idx),
+                    // Each 4 KiB piece of a huge mapping reads as a PTE
+                    // mapping its sub-frame.
+                    None if pe.is_present() && pe.is_huge() => {
+                        Entry::page(pe.frame().offset(idx), pe.is_writable())
+                            .with_set(pe.0 & EntryFlags::SOFT_DIRTY)
+                    }
+                    None => Entry::NONE,
+                };
+                out.push(PagemapEntry {
+                    va: c.va(idx).as_u64(),
+                    present: pte.is_present(),
+                    writable: pte.is_present() && upper_writable && pte.is_writable(),
+                    huge: pte.is_present() && pe.is_huge(),
+                    swapped: pte.is_swap(),
+                    soft_dirty: (pte.is_present() || pte.is_swap()) && pte.is_soft_dirty(),
+                    frame: if pte.is_swap() {
+                        u64::from(pte.swap_slot())
+                    } else if pte.is_present() {
+                        pte.frame().index() as u64
+                    } else {
+                        0
+                    },
+                    refcount: if pte.is_present() {
+                        u64::from(pool.ref_count(pool.compound_head(pte.frame())))
+                    } else {
+                        0
+                    },
+                });
             }
         }
         out

@@ -67,3 +67,49 @@ pub use vma::{Backing, MapParams, Vma};
 
 pub use odf_pagetable::{VirtAddr, PTE_TABLE_SPAN};
 pub use odf_pmem::{FrameId, HUGE_PAGE_SIZE, PAGE_SIZE};
+
+/// Every source file of the crate, for the tests that guard a rule
+/// written in one module only (`share`, `walk`). A file missing from the
+/// list fails `every_source_file_is_listed`.
+#[cfg(test)]
+mod sources {
+    const ALL: [(&str, &str); 18] = [
+        ("access.rs", include_str!("access.rs")),
+        ("error.rs", include_str!("error.rs")),
+        ("fault.rs", include_str!("fault.rs")),
+        ("file.rs", include_str!("file.rs")),
+        ("fork.rs", include_str!("fork.rs")),
+        ("introspect.rs", include_str!("introspect.rs")),
+        ("lib.rs", include_str!("lib.rs")),
+        ("machine.rs", include_str!("machine.rs")),
+        ("mm.rs", include_str!("mm.rs")),
+        ("prot.rs", include_str!("prot.rs")),
+        ("reclaim.rs", include_str!("reclaim.rs")),
+        ("share.rs", include_str!("share.rs")),
+        ("snapshot.rs", include_str!("snapshot.rs")),
+        ("stats.rs", include_str!("stats.rs")),
+        ("thp.rs", include_str!("thp.rs")),
+        ("unmap.rs", include_str!("unmap.rs")),
+        ("vma.rs", include_str!("vma.rs")),
+        ("walk.rs", include_str!("walk.rs")),
+    ];
+
+    /// `(file name, contents)` of every source file but `module`.
+    pub(crate) fn except(module: &str) -> impl Iterator<Item = (&'static str, &'static str)> + '_ {
+        ALL.into_iter().filter(move |&(name, _)| name != module)
+    }
+
+    #[test]
+    fn every_source_file_is_listed() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            if name.ends_with(".rs") {
+                assert!(
+                    ALL.iter().any(|&(n, _)| n == name),
+                    "src/{name} is not covered by the source guards"
+                );
+            }
+        }
+    }
+}

@@ -34,7 +34,7 @@
 
 use std::sync::atomic::Ordering;
 
-use odf_pagetable::{Entry, EntryFlags, Level, Table, VirtAddr, ENTRIES_PER_TABLE};
+use odf_pagetable::{Entry, EntryFlags, Table};
 use odf_pmem::{FrameId, PageKind, PAGE_SIZE};
 use odf_trace::Event;
 
@@ -42,7 +42,7 @@ use crate::machine::Machine;
 use crate::mm::{Mm, MmInner};
 use crate::stats::VmStats;
 use crate::vma::Backing;
-use crate::{walk, PTE_TABLE_SPAN};
+use crate::walk::{self, Chunk};
 
 /// One page offered to the eviction policy.
 #[derive(Clone, Copy, Debug)]
@@ -148,20 +148,15 @@ impl Mm {
         let ordered = ranges[pivot..].iter().chain(ranges[..pivot].iter());
 
         'scan: for &(start, end) in ordered {
-            let mut at = VirtAddr::new(start.max(if (start..end).contains(&hand) {
+            let from = if (start..end).contains(&hand) {
                 hand
             } else {
                 start
-            }));
-            let end_va = VirtAddr::new(end);
-            while at < end_va {
-                let chunk_end = at.pte_table_align_down().add(PTE_TABLE_SPAN).min(end_va);
-                self.scan_chunk(
-                    inner, at, chunk_end, try_locks, policy, max_evict, &mut stats,
-                );
-                at = chunk_end;
+            };
+            for c in walk::chunks(from, end) {
+                self.scan_chunk(inner, c, try_locks, policy, max_evict, &mut stats);
                 if stats.evicted as usize >= max_evict {
-                    self.clock_hand.store(at.as_u64(), Ordering::Relaxed);
+                    self.clock_hand.store(c.end.as_u64(), Ordering::Relaxed);
                     break 'scan;
                 }
             }
@@ -174,12 +169,10 @@ impl Mm {
         stats
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn scan_chunk(
         &self,
         inner: &MmInner,
-        at: VirtAddr,
-        chunk_end: VirtAddr,
+        c: Chunk,
         try_locks: bool,
         policy: &mut dyn FnMut(&EvictCandidate) -> EvictDecision,
         max_evict: usize,
@@ -187,7 +180,7 @@ impl Mm {
     ) {
         let machine = self.machine();
         let pool = machine.pool();
-        let Some(pmd) = walk::pmd_slot(machine, inner.pgd, at) else {
+        let Some(pmd) = walk::pmd_slot(machine, inner.pgd, c.at) else {
             return;
         };
         let e = pmd.load();
@@ -210,10 +203,9 @@ impl Mm {
                 pmd.table.fetch_clear(pmd.idx, EntryFlags::ACCESSED);
                 stats.cleared += 1;
             } else {
-                let demoted =
-                    crate::thp::demote_at(machine, inner, at.pte_table_align_down().as_u64())
-                        .map(|o| o == crate::thp::ThpOutcome::Demoted)
-                        .unwrap_or(false);
+                let demoted = crate::thp::demote_at(machine, inner, c.base().as_u64())
+                    .map(|o| o == crate::thp::ThpOutcome::Demoted)
+                    .unwrap_or(false);
                 if !demoted {
                     stats.skipped += 1;
                 }
@@ -244,9 +236,7 @@ impl Mm {
         }
         let table = machine.store().get(table_frame);
 
-        let first = at.index(Level::Pte);
-        let pages = ((chunk_end.as_u64() - at.as_u64()) as usize) / PAGE_SIZE;
-        for idx in first..(first + pages).min(ENTRIES_PER_TABLE) {
+        for idx in c.ptes() {
             if stats.evicted as usize >= max_evict {
                 break;
             }
@@ -258,9 +248,8 @@ impl Mm {
             if pool.compound_head(frame) != frame || pool.page(frame).kind() != PageKind::Anon {
                 continue;
             }
-            let va = at.as_u64() + ((idx - first) * PAGE_SIZE) as u64;
             let candidate = EvictCandidate {
-                va,
+                va: c.va(idx).as_u64(),
                 frame,
                 accessed: pte.is_accessed(),
                 dirty: pte.is_dirty(),

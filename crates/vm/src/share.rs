@@ -602,48 +602,17 @@ mod tests {
 }
 
 /// Dropping a table share (`pt_share_dec`) is written in this module only,
-/// so a tenth copy of the protocol cannot come back silently. Every other
-/// source file of the crate is included below; one missing from the list
-/// fails the test as well.
+/// so a tenth copy of the protocol cannot come back silently (every other
+/// source file of the crate is checked).
 #[cfg(test)]
 mod guard {
-    const OTHERS: [(&str, &str); 17] = [
-        ("access.rs", include_str!("access.rs")),
-        ("error.rs", include_str!("error.rs")),
-        ("fault.rs", include_str!("fault.rs")),
-        ("file.rs", include_str!("file.rs")),
-        ("fork.rs", include_str!("fork.rs")),
-        ("introspect.rs", include_str!("introspect.rs")),
-        ("lib.rs", include_str!("lib.rs")),
-        ("machine.rs", include_str!("machine.rs")),
-        ("mm.rs", include_str!("mm.rs")),
-        ("prot.rs", include_str!("prot.rs")),
-        ("reclaim.rs", include_str!("reclaim.rs")),
-        ("snapshot.rs", include_str!("snapshot.rs")),
-        ("stats.rs", include_str!("stats.rs")),
-        ("thp.rs", include_str!("thp.rs")),
-        ("unmap.rs", include_str!("unmap.rs")),
-        ("vma.rs", include_str!("vma.rs")),
-        ("walk.rs", include_str!("walk.rs")),
-    ];
-
     #[test]
     fn only_the_share_module_drops_table_shares() {
-        for (name, text) in OTHERS {
+        for (name, text) in crate::sources::except("share.rs") {
             assert!(
                 !text.contains("pt_share_dec("),
                 "{name} drops a table share outside share.rs: route it through share::take"
             );
-        }
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let name = entry.unwrap().file_name().into_string().unwrap();
-            if name.ends_with(".rs") && name != "share.rs" {
-                assert!(
-                    OTHERS.iter().any(|&(n, _)| n == name),
-                    "src/{name} is not covered by this guard"
-                );
-            }
         }
     }
 }

@@ -21,15 +21,14 @@
 
 use std::collections::HashSet;
 
-use odf_pagetable::{EntryFlags, Level, Table, VirtAddr, ENTRIES_PER_TABLE};
-use odf_pmem::{FrameId, PAGE_SIZE};
+use odf_pagetable::{EntryFlags, Table, VirtAddr, ENTRIES_PER_TABLE};
+use odf_pmem::FrameId;
 
 use crate::error::Result;
 use crate::mm::{Mm, MmInner};
 use crate::prot::Prot;
 use crate::share::{self, Policy, Slot, Take};
 use crate::walk;
-use crate::PTE_TABLE_SPAN;
 
 /// One VMA of a captured address space, reduced to what a snapshot image
 /// records.
@@ -89,11 +88,13 @@ impl Mm {
     /// Takes the address-space lock shared: the view is consistent with
     /// respect to mapping changes. Faults also run under the shared lock,
     /// so a capture of a *live* address space may interleave with them —
-    /// each leaf is read atomically, but concurrently faulted-in or COWed
-    /// pages may or may not appear. The bgsave pattern captures a frozen
-    /// forked child, whose view is exact.
+    /// each leaf is read atomically and a table COWed mid-read is read
+    /// again through its copy, but concurrently faulted-in pages may or may
+    /// not appear. The bgsave pattern captures a frozen forked child, whose
+    /// view is exact.
     pub fn capture_view(&self) -> AddressSpaceView {
         let inner = self.inner.read();
+        let machine = self.machine();
         let mut view = AddressSpaceView {
             dirty_ranges: inner.dirty_ranges.clone(),
             ..Default::default()
@@ -107,66 +108,63 @@ impl Mm {
                 huge: vma.huge,
                 file_backed: matches!(vma.backing, crate::vma::Backing::File { .. }),
             });
-            let mut at = VirtAddr::new(vma.start);
-            let end = VirtAddr::new(vma.end);
-            while at < end {
-                let chunk_end = at.pte_table_align_down().add(PTE_TABLE_SPAN).min(end);
-                if let Some(pmd) = walk::pmd_slot(self.machine(), inner.pgd, at) {
-                    let e = pmd.load();
-                    if e.is_present() {
-                        if e.is_huge() {
-                            let first_sub = at.index(Level::Pte);
-                            let pages = (chunk_end.as_u64() - at.as_u64()) / PAGE_SIZE as u64;
-                            view.pages.push(LeafPage {
-                                va: at.as_u64(),
-                                frame: e.frame().offset(first_sub),
-                                pages: pages as u32,
-                                huge: true,
-                                soft_dirty: e.is_soft_dirty(),
-                            });
-                        } else {
-                            let mut table = self.machine().store().get(e.frame());
-                            let first = at.index(Level::Pte);
-                            let count = ((chunk_end.as_u64() - at.as_u64()) as usize) / PAGE_SIZE;
-                            for idx in first..(first + count).min(ENTRIES_PER_TABLE) {
-                                let mut pte = table.load(idx);
-                                if pte.is_swap() {
-                                    // An evicted page still belongs in the
-                                    // snapshot: fault it back in (capture
-                                    // holds the shared lock, same as any
-                                    // fault). On allocation failure the
-                                    // page is skipped — best effort, like
-                                    // a racing unmap.
-                                    let va = VirtAddr::new(
-                                        at.as_u64() + ((idx - first) * PAGE_SIZE) as u64,
-                                    );
-                                    if crate::fault::handle(self.machine(), &inner, va, false)
-                                        .is_ok()
-                                    {
-                                        // The swap-in may have COWed a
-                                        // shared table away; re-resolve so
-                                        // the fresh entry is visible.
-                                        let cur = pmd.load();
-                                        if cur.is_present() && !cur.is_huge() {
-                                            table = self.machine().store().get(cur.frame());
-                                        }
-                                        pte = table.load(idx);
-                                    }
-                                }
-                                if pte.is_present() {
-                                    view.pages.push(LeafPage {
-                                        va: at.as_u64() + ((idx - first) * PAGE_SIZE) as u64,
-                                        frame: pte.frame(),
-                                        pages: 1,
-                                        huge: false,
-                                        soft_dirty: pte.is_soft_dirty(),
-                                    });
-                                }
+            for c in walk::chunks(vma.start, vma.end) {
+                let Some(pmd) = walk::pmd_slot(machine, inner.pgd, c.at) else {
+                    continue;
+                };
+                let mut e = pmd.load();
+                if e.is_present() && e.is_huge() {
+                    let ptes = c.ptes();
+                    view.pages.push(LeafPage {
+                        va: c.at.as_u64(),
+                        frame: e.frame().offset(ptes.start),
+                        pages: ptes.len() as u32,
+                        huge: true,
+                        soft_dirty: e.is_soft_dirty(),
+                    });
+                    continue;
+                }
+                // A live capture holds the mm lock shared only: a sibling
+                // thread's table COW can re-point the slot mid-read, and the
+                // old table's last sharer can then clear and free it. The
+                // leaves read count only if the slot still referenced their
+                // table afterwards; otherwise read the chunk again through
+                // the copy, which holds the same entries (DESIGN.md §4.1
+                // rule 7). Each retry needs a table COW, so this ends.
+                while e.is_present() && !e.is_huge() {
+                    let read = view.pages.len();
+                    if let Some(table) = machine.store().try_get(e.frame()) {
+                        for idx in c.ptes() {
+                            let mut pte = table.load(idx);
+                            // An evicted page still belongs in the snapshot:
+                            // fault it back in (capture holds the shared
+                            // lock, same as any fault). On allocation failure
+                            // the page is skipped — best effort, like a
+                            // racing unmap. A swap-in that COWed the table
+                            // re-points the slot, and the chunk is re-read.
+                            if pte.is_swap()
+                                && crate::fault::handle(machine, &inner, c.va(idx), false).is_ok()
+                            {
+                                pte = table.load(idx);
+                            }
+                            if pte.is_present() {
+                                view.pages.push(LeafPage {
+                                    va: c.va(idx).as_u64(),
+                                    frame: pte.frame(),
+                                    pages: 1,
+                                    huge: false,
+                                    soft_dirty: pte.is_soft_dirty(),
+                                });
                             }
                         }
                     }
+                    let now = pmd.load();
+                    if now.frame() == e.frame() {
+                        break;
+                    }
+                    view.pages.truncate(read);
+                    e = now;
                 }
-                at = chunk_end;
             }
         }
         view
@@ -188,14 +186,10 @@ impl Mm {
         let mut done = HashSet::new();
         let ranges: Vec<(u64, u64)> = inner.vmas.iter().map(|v| (v.start, v.end)).collect();
         for (start, end) in ranges {
-            let mut at = VirtAddr::new(start);
-            let end = VirtAddr::new(end);
-            while at < end {
-                let chunk_end = at.pte_table_align_down().add(PTE_TABLE_SPAN).min(end);
-                if done.insert(at.pte_table_align_down().as_u64()) {
-                    cleared += self.sweep_chunk(&mut inner, at)?;
+            for c in walk::chunks(start, end) {
+                if done.insert(c.base()) {
+                    cleared += self.sweep_chunk(&mut inner, c.at)?;
                 }
-                at = chunk_end;
             }
         }
         inner.dirty_ranges.clear();
@@ -260,6 +254,7 @@ mod tests {
     use crate::fork::ForkPolicy;
     use crate::machine::Machine;
     use crate::vma::MapParams;
+    use odf_pmem::PAGE_SIZE;
 
     fn mm() -> Mm {
         Mm::new(Machine::new(128 << 20)).unwrap()

@@ -124,17 +124,14 @@ impl Mm {
             if vma.huge || vma.shared || !matches!(vma.backing, Backing::Anonymous) {
                 continue;
             }
-            let mut at = vma.start.next_multiple_of(HUGE_PAGE_SIZE as u64);
-            while at + HUGE_PAGE_SIZE as u64 <= vma.end {
-                let va = VirtAddr::new(at);
-                let Some(pmd) = walk::pmd_slot(machine, inner.pgd, va) else {
-                    at += HUGE_PAGE_SIZE as u64;
+            for c in walk::chunks(vma.start, vma.end).filter(|c| c.is_full()) {
+                let Some(pmd) = walk::pmd_slot(machine, inner.pgd, c.at) else {
                     continue;
                 };
                 let e = pmd.load();
                 if e.is_present() && e.is_huge() {
                     out.push(ThpCandidate {
-                        va: at,
+                        va: c.at.as_u64(),
                         huge: true,
                         resident: ENTRIES_PER_TABLE as u32,
                         accessed: if e.is_accessed() {
@@ -155,7 +152,7 @@ impl Mm {
                     let table_shared = pool.pt_share_count(e.frame()) > 1;
                     if let Some(table) = machine.store().try_get(e.frame()) {
                         let (mut resident, mut accessed, mut soft_dirty) = (0u32, 0u32, 0u32);
-                        for idx in 0..ENTRIES_PER_TABLE {
+                        for idx in c.ptes() {
                             let pte = table.load(idx);
                             if !pte.is_present() {
                                 continue;
@@ -173,7 +170,7 @@ impl Mm {
                         }
                         if resident > 0 {
                             out.push(ThpCandidate {
-                                va: at,
+                                va: c.at.as_u64(),
                                 huge: false,
                                 resident,
                                 accessed,
@@ -182,7 +179,6 @@ impl Mm {
                         }
                     }
                 }
-                at += HUGE_PAGE_SIZE as u64;
             }
         }
         out

@@ -18,8 +18,8 @@ use crate::mm::MmInner;
 use crate::prot::Prot;
 use crate::share::{self, Policy, Slot, Take};
 use crate::stats::VmStats;
-use crate::walk::{self, PmdSlot};
-use crate::{HUGE_PAGE_SIZE, PTE_TABLE_SPAN};
+use crate::walk::{self, Chunk, PmdSlot};
+use crate::HUGE_PAGE_SIZE;
 
 /// Validates an `(addr, len)` range argument for the given granularity.
 fn checked_range(addr: u64, len: u64, align: u64) -> Result<(u64, u64)> {
@@ -71,70 +71,66 @@ pub(crate) fn munmap(machine: &Machine, inner: &mut MmInner, addr: u64, len: u64
 /// ends the sweep, mirroring `tlb_finish_mmu`.
 pub(crate) fn zap_range(machine: &Machine, inner: &mut MmInner, start: u64, end: u64) {
     let mut batch = machine.pool().free_batch();
-    let mut at = VirtAddr::new(start);
-    let end_va = VirtAddr::new(end);
-    while at < end_va {
-        let chunk_end = at.pte_table_align_down().add(PTE_TABLE_SPAN).min(end_va);
-        if let Some(pmd) = walk::pmd_slot(machine, inner.pgd, at) {
-            // Huge-page extension (§4): the PMD table itself may be
-            // shared; resolve ownership at 1 GiB-span granularity before
-            // touching any of its entries.
-            let pmd = match unmap_take(machine, inner, Slot::pmd_table(&pmd), at) {
-                Take::Owned(None) => pmd,
-                Take::Owned(Some(owned)) => pmd.with_table(owned),
-                _ => {
-                    // Our share of the whole span was released; nothing
-                    // of it remains mapped in this process.
-                    at = chunk_end;
-                    continue;
-                }
-            };
-            let e = pmd.load();
-            if e.is_present() {
-                if e.is_huge() {
-                    let chunk_base = at.pte_table_align_down();
-                    let full = at == chunk_base && chunk_end == chunk_base.add(PTE_TABLE_SPAN);
-                    if full {
-                        batch.ref_dec(e.frame());
-                        pmd.store(Entry::NONE);
-                        inner.rss_sub(ENTRIES_PER_TABLE as u64);
-                    } else {
-                        // A collapsed chunk partially covered by the zap
-                        // (huge VMAs never get here — their ranges are
-                        // 2 MiB-aligned by construction): demote first,
-                        // then clear only the covered PTEs. A compound
-                        // must never leak page by page into the order-0
-                        // free lane.
-                        match crate::thp::demote_at(machine, inner, chunk_base.as_u64()) {
-                            Ok(crate::thp::ThpOutcome::Demoted) => {
-                                let ne = pmd.load();
-                                debug_assert!(ne.is_present() && !ne.is_huge());
-                                zap_table_chunk(
-                                    machine, inner, &pmd, ne, at, chunk_end, &mut batch,
-                                );
-                            }
-                            _ => {
-                                // Demotion failed (no frame for the PTE
-                                // table): drop the whole huge page. The
-                                // surviving sub-range re-faults as zeros —
-                                // the same last-resort fallback the
-                                // shared-table OOM paths take.
-                                batch.ref_dec(e.frame());
-                                pmd.store(Entry::NONE);
-                                inner.rss_sub(ENTRIES_PER_TABLE as u64);
-                            }
-                        }
-                    }
-                } else {
-                    zap_table_chunk(machine, inner, &pmd, e, at, chunk_end, &mut batch);
-                }
-            }
+    for c in walk::chunks(start, end) {
+        let Some(pmd) = walk::pmd_slot(machine, inner.pgd, c.at) else {
+            continue;
+        };
+        // Huge-page extension (§4): the PMD table itself may be shared;
+        // resolve ownership at 1 GiB-span granularity before touching any
+        // of its entries.
+        let pmd = match unmap_take(machine, inner, Slot::pmd_table(&pmd), c.at) {
+            Take::Owned(None) => pmd,
+            Take::Owned(Some(owned)) => pmd.with_table(owned),
+            // Our share of the whole span was released; nothing of it
+            // remains mapped in this process.
+            _ => continue,
+        };
+        let mut e = pmd.load();
+        if !e.is_present() {
+            continue;
         }
-        at = chunk_end;
+        if e.is_huge() && !c.is_full() {
+            // A collapsed chunk partly covered by the zap (huge VMAs never
+            // get here — their ranges are 2 MiB-aligned by construction).
+            // When demotion cannot allocate, drop the whole huge page: the
+            // surviving sub-range re-faults as zeros — the same last-resort
+            // fallback the shared-table OOM paths take.
+            e = demote_first(machine, inner, &pmd, c)
+                .ok()
+                .flatten()
+                .unwrap_or(e);
+        }
+        if e.is_huge() {
+            batch.ref_dec(e.frame());
+            pmd.store(Entry::NONE);
+            inner.rss_sub(ENTRIES_PER_TABLE as u64);
+        } else {
+            zap_table_chunk(machine, inner, &pmd, e, c, &mut batch);
+        }
     }
     batch.flush();
     VmStats::bump(&machine.stats().tlb_flushes);
     odf_trace::emit(odf_trace::Event::TlbFlush);
+}
+
+/// Demotes the collapsed chunk behind `pmd` so an operation that covers it
+/// only partly (or moves it off 2 MiB alignment) can work on its PTEs — a
+/// compound must never leak page by page into the order-0 free lane.
+/// Returns the PMD entry now referencing the PTE table, or `None` if the
+/// chunk did not demote; the error is an allocation failure, and each
+/// caller keeps its own fallback for it.
+fn demote_first(
+    machine: &Machine,
+    inner: &MmInner,
+    pmd: &PmdSlot,
+    c: Chunk,
+) -> Result<Option<Entry>> {
+    if crate::thp::demote_at(machine, inner, c.base().as_u64())? != crate::thp::ThpOutcome::Demoted
+    {
+        return Ok(None);
+    }
+    let e = pmd.load();
+    Ok((e.is_present() && !e.is_huge()).then_some(e))
 }
 
 /// The §3.3 rule on an unmap path, for one slot whose table may be shared:
@@ -171,20 +167,19 @@ fn unmap_take(machine: &Machine, inner: &MmInner, slot: Slot<'_>, at: VirtAddr) 
     taken
 }
 
-/// Clears the PTEs of `[at, chunk_end)` within one last-level table,
-/// applying the shared-table rules of §3.3. Dying pages are parked in
-/// `batch`; the caller flushes once per sweep.
+/// Clears the PTEs chunk `c` covers within one last-level table, applying
+/// the shared-table rules of §3.3. Dying pages are parked in `batch`; the
+/// caller flushes once per sweep.
 fn zap_table_chunk(
     machine: &Machine,
     inner: &mut MmInner,
     pmd: &PmdSlot,
     e: Entry,
-    at: VirtAddr,
-    chunk_end: VirtAddr,
+    c: Chunk,
     batch: &mut odf_pmem::FreeBatch<'_>,
 ) {
     let pool = machine.pool();
-    let (frame, table) = match unmap_take(machine, inner, Slot::pte_table(pmd, e.frame()), at) {
+    let (frame, table) = match unmap_take(machine, inner, Slot::pte_table(pmd, e.frame()), c.at) {
         Take::Owned(None) => (e.frame(), machine.store().get(e.frame())),
         Take::Owned(Some(owned)) => owned,
         // Released: the entries survive for the other sharers.
@@ -194,9 +189,7 @@ fn zap_table_chunk(
     // Dedicated table: clear the range, dropping page references and
     // swap-slot references (an evicted page dies with its mapping, like
     // `free_swap_and_cache` on the kernel's zap path).
-    let first = at.index(Level::Pte);
-    let pages = ((chunk_end.as_u64() - at.as_u64()) as usize) / PAGE_SIZE;
-    for idx in first..(first + pages).min(ENTRIES_PER_TABLE) {
+    for idx in c.ptes() {
         let pte = table.load(idx);
         if pte.is_present() {
             batch.ref_dec(pool.compound_head(pte.frame()));
@@ -226,19 +219,9 @@ pub(crate) fn madvise_dontneed(
 ) -> Result<()> {
     let (start, end) = checked_range(addr, len, PAGE_SIZE as u64)?;
     let align = range_align(inner, start, end);
-    if start % align != 0 || end % align != 0 {
-        return Err(VmError::InvalidArgument);
-    }
     // The whole range must be mapped (madvise on holes is EINVAL here;
     // Linux returns ENOMEM).
-    let mut cursor = start;
-    for vma in inner.vmas.iter_range(start, end) {
-        if vma.start > cursor {
-            return Err(VmError::InvalidArgument);
-        }
-        cursor = vma.end;
-    }
-    if cursor < end {
+    if start % align != 0 || end % align != 0 || !inner.vmas.covers(start, end) {
         return Err(VmError::InvalidArgument);
     }
     // Zapping consults the remaining VMAs for the shared-table release
@@ -329,72 +312,50 @@ fn move_mappings(
     end: u64,
     new_start: u64,
 ) -> Result<()> {
-    let mut at = VirtAddr::new(start);
-    let end_va = VirtAddr::new(end);
-    while at < end_va {
-        let chunk_end = at.pte_table_align_down().add(PTE_TABLE_SPAN).min(end_va);
-        'chunk: {
-            let Some(pmd) = walk::pmd_slot(machine, inner.pgd, at) else {
-                break 'chunk;
+    let dest = |va: VirtAddr| VirtAddr::new(new_start + (va.as_u64() - start));
+    for c in walk::chunks(start, end) {
+        let Some(pmd) = walk::pmd_slot(machine, inner.pgd, c.at) else {
+            continue;
+        };
+        let pmd = own_pmd(machine, pmd)?;
+        let mut e = pmd.load();
+        if !e.is_present() {
+            continue;
+        }
+        if e.is_huge() {
+            let to = dest(c.at);
+            if c.is_full() && to.as_u64().is_multiple_of(HUGE_PAGE_SIZE as u64) {
+                // Whole chunk, congruent destination: move at PMD
+                // granularity (huge VMAs always hit this arm — the caller
+                // enforces their alignment).
+                let dest_pmd = own_pmd(machine, walk::pmd_slot_create(machine, inner.pgd, to)?)?;
+                // Mark moved entries soft-dirty: the destination range is
+                // in the epoch dirty-range log, and without the bit a delta
+                // snapshot would materialize these pages as zeros.
+                dest_pmd.store(e.with_set(EntryFlags::SOFT_DIRTY));
+                pmd.store(Entry::NONE);
+                continue;
+            }
+            // A collapsed chunk moving partly or to a non-2 MiB-aligned
+            // destination moves PTE by PTE.
+            let Some(table_e) = demote_first(machine, inner, &pmd, c)? else {
+                continue;
             };
-            let pmd = own_pmd(machine, pmd)?;
-            let mut e = pmd.load();
-            if !e.is_present() {
-                break 'chunk;
-            }
-            if e.is_huge() {
-                let chunk_base = at.pte_table_align_down();
-                let dest_u = new_start + (at.as_u64() - start);
-                if at == chunk_base
-                    && chunk_end == chunk_base.add(PTE_TABLE_SPAN)
-                    && dest_u.is_multiple_of(HUGE_PAGE_SIZE as u64)
-                {
-                    // Whole chunk, congruent destination: move at PMD
-                    // granularity (huge VMAs always hit this arm — the
-                    // caller enforces their alignment).
-                    let dest = VirtAddr::new(dest_u);
-                    let dest_pmd =
-                        own_pmd(machine, walk::pmd_slot_create(machine, inner.pgd, dest)?)?;
-                    // Mark moved entries soft-dirty: the destination range is
-                    // in the epoch dirty-range log, and without the bit a delta
-                    // snapshot would materialize these pages as zeros.
-                    dest_pmd.store(e.with_set(EntryFlags::SOFT_DIRTY));
-                    pmd.store(Entry::NONE);
-                    break 'chunk;
-                }
-                // A collapsed chunk moving partially or to a non-2 MiB-
-                // aligned destination: demote, then fall through to the
-                // per-PTE move below.
-                if crate::thp::demote_at(machine, inner, chunk_base.as_u64())?
-                    != crate::thp::ThpOutcome::Demoted
-                {
-                    break 'chunk;
-                }
-                e = pmd.load();
-                if !e.is_present() || e.is_huge() {
-                    break 'chunk;
-                }
-            }
-            let table = own_pte(machine, &pmd, e)?;
-
-            let mut page = at;
-            while page < chunk_end {
-                let idx = page.index(Level::Pte);
-                let pte = table.load(idx);
-                // Swap entries move with the mapping — dropping one would
-                // leak its slot and lose the page contents.
-                if pte.is_present() || pte.is_swap() {
-                    let dest = VirtAddr::new(new_start + (page.as_u64() - start));
-                    let dest_pmd =
-                        own_pmd(machine, walk::pmd_slot_create(machine, inner.pgd, dest)?)?;
-                    let dest_table = own_pte(machine, &dest_pmd, dest_pmd.load())?;
-                    dest_table.store(dest.index(Level::Pte), pte.with_set(EntryFlags::SOFT_DIRTY));
-                    table.store(idx, Entry::NONE);
-                }
-                page = page.add(PAGE_SIZE as u64);
+            e = table_e;
+        }
+        let table = own_pte(machine, &pmd, e)?;
+        for idx in c.ptes() {
+            let pte = table.load(idx);
+            // Swap entries move with the mapping — dropping one would
+            // leak its slot and lose the page contents.
+            if pte.is_present() || pte.is_swap() {
+                let to = dest(c.va(idx));
+                let dest_pmd = own_pmd(machine, walk::pmd_slot_create(machine, inner.pgd, to)?)?;
+                let dest_table = own_pte(machine, &dest_pmd, dest_pmd.load())?;
+                dest_table.store(to.index(Level::Pte), pte.with_set(EntryFlags::SOFT_DIRTY));
+                table.store(idx, Entry::NONE);
             }
         }
-        at = chunk_end;
     }
     VmStats::bump(&machine.stats().tlb_flushes);
     odf_trace::emit(odf_trace::Event::TlbFlush);
@@ -441,18 +402,8 @@ pub(crate) fn mprotect(
 ) -> Result<()> {
     let (start, end) = checked_range(addr, len, PAGE_SIZE as u64)?;
     let align = range_align(inner, start, end);
-    if start % align != 0 || end % align != 0 {
-        return Err(VmError::InvalidArgument);
-    }
     // The whole range must be mapped.
-    let mut cursor = start;
-    for vma in inner.vmas.iter_range(start, end) {
-        if vma.start > cursor {
-            return Err(VmError::InvalidArgument);
-        }
-        cursor = vma.end;
-    }
-    if cursor < end {
+    if start % align != 0 || end % align != 0 || !inner.vmas.covers(start, end) {
         return Err(VmError::InvalidArgument);
     }
 
@@ -478,62 +429,46 @@ pub(crate) fn mprotect(
 /// Write-protects the existing translations of `[start, end)`.
 fn wrprotect_range(machine: &Machine, inner: &mut MmInner, start: u64, end: u64) {
     let pool = machine.pool();
-    let mut at = VirtAddr::new(start);
-    let end_va = VirtAddr::new(end);
-    while at < end_va {
-        let chunk_end = at.pte_table_align_down().add(PTE_TABLE_SPAN).min(end_va);
-        if let Some(pmd) = walk::pmd_slot(machine, inner.pgd, at) {
-            if pool.pt_share_count(pmd.frame) > 1 {
-                // Shared PMD table (huge extension): every sharer is
-                // already write-protected through the PUD bit, and the
-                // eventual dedication write-protects all entries, after
-                // which the VMA protection check governs. Nothing to do.
-                at = chunk_end;
-                continue;
-            }
-            let e = pmd.load();
-            if e.is_present() {
-                if e.is_huge() {
-                    let chunk_base = at.pte_table_align_down();
-                    if at == chunk_base && chunk_end == chunk_base.add(PTE_TABLE_SPAN) {
-                        pmd.store(e.with_cleared(EntryFlags::WRITABLE));
-                    } else if crate::thp::demote_at(machine, inner, chunk_base.as_u64())
-                        .map(|o| o == crate::thp::ThpOutcome::Demoted)
-                        .unwrap_or(false)
-                    {
-                        // Collapsed chunk partially reprotected: split to
-                        // PTE granularity so the rest of the chunk keeps
-                        // its write permission.
-                        let ne = pmd.load();
-                        if ne.is_present() && !ne.is_huge() {
-                            wrprotect_table_range(&machine.store().get(ne.frame()), at, chunk_end);
-                        }
-                    } else {
-                        // Demotion failed (OOM): conservatively protect the
-                        // whole entry; writes to the still-writable part
-                        // COW-fault and are re-validated against their VMA.
-                        pmd.store(e.with_cleared(EntryFlags::WRITABLE));
-                    }
-                } else if pool.pt_share_count(e.frame()) > 1 {
-                    // Already effectively read-only through the cleared
-                    // PMD writable bit; the fault path re-checks the VMA
-                    // protection after any future table COW.
-                } else {
-                    wrprotect_table_range(&machine.store().get(e.frame()), at, chunk_end);
+    for c in walk::chunks(start, end) {
+        let Some(pmd) = walk::pmd_slot(machine, inner.pgd, c.at) else {
+            continue;
+        };
+        if pool.pt_share_count(pmd.frame) > 1 {
+            // Shared PMD table (huge extension): every sharer is already
+            // write-protected through the PUD bit, and the eventual
+            // dedication write-protects all entries, after which the VMA
+            // protection check governs. Nothing to do.
+            continue;
+        }
+        let mut e = pmd.load();
+        if !e.is_present() {
+            continue;
+        }
+        if e.is_huge() && !c.is_full() {
+            // A collapsed chunk partly reprotected: split it to PTE
+            // granularity so the rest keeps its write permission. When
+            // demotion cannot allocate, protect the whole entry; writes to
+            // the still-writable part COW-fault and are re-validated
+            // against their VMA.
+            e = demote_first(machine, inner, &pmd, c)
+                .ok()
+                .flatten()
+                .unwrap_or(e);
+        }
+        if e.is_huge() {
+            pmd.store(e.with_cleared(EntryFlags::WRITABLE));
+        } else if pool.pt_share_count(e.frame()) > 1 {
+            // Already effectively read-only through the cleared PMD
+            // writable bit; the fault path re-checks the VMA protection
+            // after any future table COW.
+        } else {
+            let table = machine.store().get(e.frame());
+            for idx in c.ptes() {
+                let pte = table.load(idx);
+                if pte.is_present() && pte.is_writable() {
+                    table.store(idx, pte.with_cleared(EntryFlags::WRITABLE));
                 }
             }
-        }
-        at = chunk_end;
-    }
-}
-
-fn wrprotect_table_range(table: &Table, at: VirtAddr, chunk_end: VirtAddr) {
-    let first = at.index(Level::Pte);
-    let pages = ((chunk_end.as_u64() - at.as_u64()) as usize) / PAGE_SIZE;
-    for idx in first..(first + pages).min(ENTRIES_PER_TABLE) {
-        let pte = table.load(idx);
-        if pte.is_present() && pte.is_writable() {
-            table.store(idx, pte.with_cleared(EntryFlags::WRITABLE));
         }
     }
 }

@@ -169,6 +169,18 @@ impl VmaTree {
         self.iter_range(start, end).next().is_some()
     }
 
+    /// Whether VMAs map all of `[start, end)`, with no hole.
+    pub fn covers(&self, start: u64, end: u64) -> bool {
+        let mut cursor = start;
+        for vma in self.iter_range(start, end) {
+            if vma.start > cursor {
+                return false;
+            }
+            cursor = vma.end;
+        }
+        cursor >= end
+    }
+
     /// Iterates over VMAs overlapping `[start, end)`, in address order.
     pub fn iter_range(&self, start: u64, end: u64) -> impl Iterator<Item = &Vma> {
         // The candidate set: the VMA starting at or before `start` plus all

@@ -3,6 +3,12 @@
 //! Three walks cover every need of the subsystem (plus [`resolve_table`]
 //! and [`lock_retry`], shared by the fault, unmap and ownership paths):
 //!
+//! - [`chunks`]: cuts an address range into the parts each PMD entry's
+//!   2 MiB span covers — On-demand-fork's unit of work (§3.1–3.5): fork
+//!   shares, the first write copies, and unmap/mremap/mprotect decide per
+//!   chunk. Every range operation of the crate iterates through it, so the
+//!   PTE-index arithmetic and the "is this chunk whole?" test live here
+//!   only.
 //! - [`pmd_slot`] / [`pmd_slot_create`]: resolve (or build) the path from
 //!   the PGD down to the PMD entry covering an address. The fork engines
 //!   and the fault handler operate at PMD granularity, because that is
@@ -12,14 +18,64 @@
 //!   the writable bits along the path, §3.2) and accessed/dirty bit
 //!   updates, exactly like the hardware walker.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use odf_pagetable::{Entry, EntryFlags, Level, Table, VirtAddr};
-use odf_pmem::FrameId;
+use odf_pagetable::{Entry, EntryFlags, Level, Table, VirtAddr, PTE_TABLE_SPAN};
+use odf_pmem::{FrameId, PAGE_SIZE};
 use odf_trace::{Event, LockSite};
 
 use crate::error::Result;
 use crate::machine::Machine;
+
+/// The part of one PMD entry's 2 MiB span that a range covers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Chunk {
+    /// First covered address.
+    pub at: VirtAddr,
+    /// One past the last covered address; never past the span's end.
+    pub end: VirtAddr,
+}
+
+impl Chunk {
+    /// Start of the 2 MiB span (the first address the PMD entry maps).
+    pub fn base(self) -> VirtAddr {
+        self.at.pte_table_align_down()
+    }
+
+    /// Whether the range covers the whole span.
+    pub fn is_full(self) -> bool {
+        self.at == self.base() && self.end.as_u64() - self.at.as_u64() == PTE_TABLE_SPAN
+    }
+
+    /// Indices of the covered entries of the span's PTE table (or
+    /// sub-frames of its huge page); never past 512.
+    pub fn ptes(self) -> Range<usize> {
+        let covered = (self.end.as_u64() - self.base().as_u64()) as usize;
+        self.at.index(Level::Pte)..covered.div_ceil(PAGE_SIZE)
+    }
+
+    /// The address that PTE index `idx` of the span maps.
+    pub fn va(self, idx: usize) -> VirtAddr {
+        self.base().add((idx * PAGE_SIZE) as u64)
+    }
+}
+
+/// Cuts `[start, end)` into [`Chunk`]s, in address order.
+pub(crate) fn chunks(start: u64, end: u64) -> impl Iterator<Item = Chunk> {
+    let mut at = start;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let next = ((at & !(PTE_TABLE_SPAN - 1)) + PTE_TABLE_SPAN).min(end);
+            let chunk = Chunk {
+                at: VirtAddr::new(at),
+                end: VirtAddr::new(next),
+            };
+            at = next;
+            chunk
+        })
+    })
+}
 
 /// Emits a `LockRetry` trace event and mirrors it to the probe layer. The
 /// probe context carries the lock class in `kind` so `count_by kind`
@@ -297,6 +353,7 @@ pub(crate) fn translate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odf_pagetable::ENTRIES_PER_TABLE;
     use odf_pmem::PageKind;
 
     fn setup() -> (Arc<Machine>, FrameId) {
@@ -393,5 +450,87 @@ mod tests {
         let _ = pmd_slot_create(&m, pgd, va).unwrap();
         // PMD entry still absent.
         assert!(translate(&m, pgd, va, false).is_none());
+    }
+
+    #[test]
+    fn chunks_tile_the_range_one_span_at_a_time() {
+        const SPAN: u64 = PTE_TABLE_SPAN;
+        const PG: u64 = PAGE_SIZE as u64;
+        let base = 0x4000_0000u64;
+        // (case, start, end, whether each expected chunk is a whole span)
+        let cases: [(&str, u64, u64, &[bool]); 6] = [
+            ("inside one chunk", base + 3 * PG, base + 9 * PG, &[false]),
+            ("exactly one chunk", base, base + SPAN, &[true]),
+            (
+                "straddling a boundary",
+                base + SPAN - 2 * PG,
+                base + SPAN + 5 * PG,
+                &[false, false],
+            ),
+            (
+                "ending on a boundary",
+                base + 7 * PG,
+                base + 2 * SPAN,
+                &[false, true],
+            ),
+            (
+                "starting mid-chunk",
+                base + SPAN / 2,
+                base + 3 * SPAN + PG,
+                &[false, true, true, false],
+            ),
+            ("an empty range", base + 5 * PG, base + 5 * PG, &[]),
+        ];
+        for (case, start, end, full) in cases {
+            let got: Vec<Chunk> = chunks(start, end).collect();
+            assert_eq!(
+                got.iter().map(|c| c.is_full()).collect::<Vec<_>>(),
+                full,
+                "{case}: chunk count and whole spans"
+            );
+            let mut cursor = start;
+            for c in got {
+                assert_eq!(c.at.as_u64(), cursor, "{case}: chunks tile in order");
+                assert!(c.at < c.end, "{case}: no empty chunk");
+                assert_eq!(c.base().as_u64() % SPAN, 0, "{case}");
+                assert!(
+                    c.end.as_u64() <= c.base().as_u64() + SPAN,
+                    "{case}: one span"
+                );
+                let ptes = c.ptes();
+                assert!(ptes.end <= ENTRIES_PER_TABLE, "{case}: ptes within 0..512");
+                assert_eq!(ptes.len() as u64 * PG, c.end.as_u64() - c.at.as_u64());
+                assert_eq!(c.va(ptes.start), c.at, "{case}");
+                for idx in ptes {
+                    let va = c.va(idx);
+                    assert_eq!(va.index(Level::Pte), idx, "{case}: va round-trips");
+                    assert!(c.at <= va && va < c.end, "{case}");
+                }
+                cursor = c.end.as_u64();
+            }
+            assert_eq!(cursor, end, "{case}: chunks cover the range");
+        }
+    }
+}
+
+/// The 2 MiB span arithmetic is written in this module only, so a
+/// hand-rolled range loop cannot come back silently: every other source
+/// file iterates ranges through [`chunks`] (`lib.rs` only re-exports the
+/// span).
+#[cfg(test)]
+mod guard {
+    #[test]
+    fn only_the_walk_module_does_span_arithmetic() {
+        for (name, text) in crate::sources::except("walk.rs") {
+            for line in text.lines() {
+                let reexport = name == "lib.rs" && line.starts_with("pub use ");
+                assert!(
+                    reexport
+                        || !(line.contains("pte_table_align_down")
+                            || line.contains("PTE_TABLE_SPAN")),
+                    "{name} does span arithmetic outside walk.rs: iterate with walk::chunks\n{line}"
+                );
+            }
+        }
     }
 }

@@ -400,6 +400,65 @@ fn reads_pin_frames_against_concurrent_cow_and_release() {
 }
 
 #[test]
+fn capture_of_a_live_process_survives_concurrent_table_cow_and_release() {
+    // `capture_view` walks under the shared mm lock, as faults do. A
+    // sibling thread's write COWs a table the fork shared, and the child's
+    // exit then frees the old table — possibly between the capture reading
+    // a PMD entry and looking the table up. The capture must resolve the
+    // copy (same entries), never panic or skip the span.
+    let kernel = Kernel::new(256 * MIB);
+    let baseline = kernel.machine().pool().balance();
+    {
+        const CHUNKS: u64 = 32;
+        const PAGES_PER_CHUNK: u64 = 4;
+        const ROUNDS: u64 = 150;
+        let proc = Arc::new(kernel.spawn().unwrap());
+        let addr = proc.mmap_anon(CHUNKS * 2 * MIB).unwrap();
+        let pages: Vec<u64> = (0..CHUNKS)
+            .flat_map(|c| (0..PAGES_PER_CHUNK).map(move |p| addr + c * 2 * MIB + p * PAGE))
+            .collect();
+        for &va in &pages {
+            proc.write_u64(va, va).unwrap();
+        }
+        for _ in 0..ROUNDS {
+            let child = proc.fork_with(ForkPolicy::OnDemand).unwrap();
+            std::thread::scope(|s| {
+                {
+                    // Capturer: every written page, every time.
+                    let proc = Arc::clone(&proc);
+                    let pages = &pages;
+                    s.spawn(move || {
+                        for _ in 0..3 {
+                            let view = proc.mm().capture_view();
+                            let captured = view.pages.iter().filter(|p| pages.contains(&p.va));
+                            assert_eq!(captured.count(), pages.len(), "capture skipped pages");
+                        }
+                    });
+                }
+                {
+                    // Writer: COWs every shared table away, same values.
+                    let proc = Arc::clone(&proc);
+                    let pages = &pages;
+                    s.spawn(move || {
+                        for &va in pages.iter().step_by(PAGES_PER_CHUNK as usize) {
+                            proc.write_u64(va, va).unwrap();
+                        }
+                    });
+                }
+                // Child: exits untouched, dropping its share of each table
+                // — the last one for every table the writer already left.
+                s.spawn(move || child.exit());
+            });
+        }
+        for &va in &pages {
+            assert_eq!(proc.read_u64(va).unwrap(), va);
+        }
+        Arc::try_unwrap(proc).ok().unwrap().exit();
+    }
+    assert_pool_balanced(kernel.machine().pool(), baseline);
+}
+
+#[test]
 fn faults_race_forks_on_the_same_address_space() {
     // One thread writes (faulting COW pages) while another forks the same
     // address space in a loop. Fork holds the mm lock exclusively, faults

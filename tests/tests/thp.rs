@@ -8,9 +8,9 @@
 //! a deliberately thrashing promotion policy against a THP-off oracle.
 //! Every stress ends in the frame-pool leak check.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use odf_core::{
     EvictDecision, ForkPolicy, GreedyPolicy, Kernel, MapParams, ThpDaemonConfig, ThpOutcome,
@@ -185,24 +185,32 @@ fn collapse_vs_reclaim_eviction_round_trips_cleanly() {
     }
 
     let stop = Arc::new(AtomicBool::new(false));
+    let collapsed = Arc::new(AtomicU64::new(0));
     let churner = {
         let proc = Arc::clone(&proc);
         let stop = Arc::clone(&stop);
+        let collapsed = Arc::clone(&collapsed);
         std::thread::spawn(move || {
-            let mut collapses = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 if proc.mm().collapse_huge(addr) == Ok(ThpOutcome::Collapsed) {
-                    collapses += 1;
+                    collapsed.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            collapses
         })
     };
+    // Set once the writer's 100 racing rounds are done without a collapse.
+    let hold_eviction = Arc::new(AtomicBool::new(false));
     let evictor = {
         let proc = Arc::clone(&proc);
         let stop = Arc::clone(&stop);
+        let collapsed = Arc::clone(&collapsed);
+        let hold_eviction = Arc::clone(&hold_eviction);
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
+                if hold_eviction.load(Ordering::Relaxed) && collapsed.load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                    continue;
+                }
                 // Evict everything it can see; huge entries get the
                 // accessed-clear / demote treatment instead.
                 proc.mm().evict_scan(16, &mut |_| EvictDecision::Evict);
@@ -210,7 +218,18 @@ fn collapse_vs_reclaim_eviction_round_trips_cleanly() {
         })
     };
 
-    for round in 0..100u64 {
+    // At least 100 write/verify rounds with all three threads racing, and
+    // on until the churner has collapsed the chunk once, within a generous
+    // deadline. A collapse needs all 512 pages resident at once, which a
+    // running evictor can prevent for a minute on a slow build, so after
+    // the 100 rounds the evictor holds off until that first collapse.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut rounds = 0u64;
+    while rounds < 100 || (collapsed.load(Ordering::Relaxed) == 0 && Instant::now() < deadline) {
+        if rounds == 100 {
+            hold_eviction.store(true, Ordering::Relaxed);
+        }
+        let round = rounds;
         for pg in 0..pages {
             let va = addr + pg * PAGE;
             assert_eq!(
@@ -221,16 +240,18 @@ fn collapse_vs_reclaim_eviction_round_trips_cleanly() {
             proc.write_u64(va, 0xaaaa_0000 + pg + ((round + 1) << 32))
                 .unwrap();
         }
+        rounds += 1;
     }
     stop.store(true, Ordering::Relaxed);
-    let collapses = churner.join().unwrap();
+    churner.join().unwrap();
     evictor.join().unwrap();
+    let collapses = collapsed.load(Ordering::Relaxed);
     assert!(collapses > 0, "churner never collapsed");
 
     for pg in 0..pages {
         assert_eq!(
             proc.read_u64(addr + pg * PAGE).unwrap(),
-            0xaaaa_0000 + pg + (100u64 << 32)
+            0xaaaa_0000 + pg + (rounds << 32)
         );
     }
     drop(proc);
