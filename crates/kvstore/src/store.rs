@@ -38,6 +38,9 @@ const ENT_DATA: u64 = 16;
 /// that against the heap's size classes.
 const PROBE: usize = 32;
 
+/// Bucket slots [`Store::serialize`] reads per access: one page's worth.
+const SERIALIZE_BUCKETS: u64 = 512;
+
 fn u64_at(bytes: &[u8], at: u64) -> u64 {
     let at = at as usize;
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
@@ -270,22 +273,35 @@ impl Store {
     ///
     /// Format: `[item count: u64]` then per item
     /// `[klen: u32][vlen: u32][key][value]`.
+    ///
+    /// Two accesses per item: the entry header, then key and value straight
+    /// into the dump (an entry's length fields are already the dump's item
+    /// header). The bucket array is read [`SERIALIZE_BUCKETS`] slots at a
+    /// time.
     pub fn serialize(&self, proc: &Process) -> Result<Vec<u8>> {
-        let items = proc.read_u64(self.header + HDR_ITEMS)?;
-        let buckets = proc.read_u64(self.header + HDR_BUCKETS)?;
-        let array = proc.read_u64(self.header + HDR_ARRAY)?;
+        let mut header = [0u8; HEADER_SIZE as usize];
+        proc.read(self.header, &mut header)?;
+        let buckets = u64_at(&header, HDR_BUCKETS);
+        let items = u64_at(&header, HDR_ITEMS);
+        let array = u64_at(&header, HDR_ARRAY);
         let mut out = Vec::with_capacity(64 + items as usize * 32);
         out.extend_from_slice(&items.to_le_bytes());
-        for b in 0..buckets {
-            let mut at = proc.read_u64(array + b * 8)?;
-            while at != 0 {
-                let klen = proc.read_u32(at + ENT_KLEN)?;
-                let vlen = proc.read_u32(at + ENT_VLEN)?;
-                out.extend_from_slice(&klen.to_le_bytes());
-                out.extend_from_slice(&vlen.to_le_bytes());
-                let data = proc.read_vec(at + ENT_DATA, (klen + vlen) as usize)?;
-                out.extend_from_slice(&data);
-                at = proc.read_u64(at + ENT_NEXT)?;
+        let mut heads = [0u8; SERIALIZE_BUCKETS as usize * 8];
+        let mut entry = [0u8; ENT_DATA as usize];
+        for first in (0..buckets).step_by(SERIALIZE_BUCKETS as usize) {
+            let heads = &mut heads[..(buckets - first).min(SERIALIZE_BUCKETS) as usize * 8];
+            proc.read(array + first * 8, heads)?;
+            for head in heads.chunks_exact(8) {
+                let mut at = u64_at(head, 0);
+                while at != 0 {
+                    proc.read(at, &mut entry)?;
+                    out.extend_from_slice(&entry[ENT_KLEN as usize..ENT_DATA as usize]);
+                    let len = u32_at(&entry, ENT_KLEN) as usize + u32_at(&entry, ENT_VLEN) as usize;
+                    let from = out.len();
+                    out.resize(from + len, 0);
+                    proc.read(at + ENT_DATA, &mut out[from..])?;
+                    at = u64_at(&entry, ENT_NEXT);
+                }
             }
         }
         Ok(out)
@@ -412,6 +428,52 @@ mod tests {
                 format!("value-{i}").as_bytes()
             );
         }
+    }
+
+    #[test]
+    fn serialize_matches_a_field_at_a_time_walk_across_bucket_blocks() {
+        // Buckets span several SERIALIZE_BUCKETS blocks and chains run
+        // several entries deep; the dump must be the bytes a walk that reads
+        // each field on its own produces, for the parent and a forked child.
+        let k = Kernel::new(128 << 20);
+        let p = k.spawn().unwrap();
+        let s = Store::create(&p, 32 << 20, 4 * SERIALIZE_BUCKETS + 1).unwrap();
+        for i in 0..20_000u32 {
+            let value = "v".repeat(i as usize % 300);
+            s.set(&p, format!("key-{i}").as_bytes(), value.as_bytes())
+                .unwrap();
+        }
+        let child = p.fork_with(ForkPolicy::OnDemand).unwrap();
+        s.set(&p, b"key-7", b"after the fork").unwrap();
+        for proc in [&p, &child] {
+            let buckets = proc.read_u64(s.header + HDR_BUCKETS).unwrap();
+            let array = proc.read_u64(s.header + HDR_ARRAY).unwrap();
+            let mut expected = proc
+                .read_u64(s.header + HDR_ITEMS)
+                .unwrap()
+                .to_le_bytes()
+                .to_vec();
+            for b in 0..buckets {
+                let mut at = proc.read_u64(array + b * 8).unwrap();
+                while at != 0 {
+                    let klen = proc.read_u32(at + ENT_KLEN).unwrap();
+                    let vlen = proc.read_u32(at + ENT_VLEN).unwrap();
+                    expected.extend_from_slice(&klen.to_le_bytes());
+                    expected.extend_from_slice(&vlen.to_le_bytes());
+                    expected.extend(
+                        proc.read_vec(at + ENT_DATA, (klen + vlen) as usize)
+                            .unwrap(),
+                    );
+                    at = proc.read_u64(at + ENT_NEXT).unwrap();
+                }
+            }
+            assert_eq!(s.serialize(proc).unwrap(), expected);
+        }
+        assert_eq!(
+            parse_dump(&s.serialize(&child).unwrap()).unwrap().len(),
+            20_000
+        );
+        child.exit();
     }
 
     #[test]

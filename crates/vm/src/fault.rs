@@ -43,7 +43,7 @@ use crate::mm::MmInner;
 use crate::share::{self, Policy, Slot, Take};
 use crate::stats::VmStats;
 use crate::vma::{Backing, Vma};
-use crate::walk::{self, lock_retry, resolve_table, PmdSlot};
+use crate::walk::{self, lock_retry, resolve_table, PmdCursor, PmdSlot};
 
 /// Bound on consecutive lost install races for one fault. Losing a race
 /// requires another thread to have made progress on the same entry, so any
@@ -201,7 +201,8 @@ fn try_handle(
         *counted = true;
     }
 
-    let pmd = walk::pmd_slot_create(machine, inner.pgd, va)?;
+    let mut cursor = PmdCursor::new(machine, inner.pgd);
+    let pmd = cursor.slot_create(va)?;
     // Huge-page extension (§4): the PMD table itself may be shared. A
     // read of a present entry proceeds through it (accessed bits only);
     // anything else needs a dedicated copy first — the last-level table
@@ -612,6 +613,7 @@ pub(crate) fn populate(
         .add(1)
         .page_align_up()
         .as_u64();
+    let mut cursor = PmdCursor::new(machine, inner.pgd);
     let mut at = start;
     // One VMA piece at a time (ranges can span VMAs); the first hole or
     // forbidden VMA fails the call, with the pages before it populated.
@@ -624,7 +626,7 @@ pub(crate) fn populate(
             .clone();
         let stop = end.min(vma.end);
         for c in walk::chunks(at, stop) {
-            let pmd = walk::pmd_slot_create(machine, inner.pgd, c.at)?;
+            let pmd = cursor.slot_create(c.at)?;
             if vma.huge {
                 // Whole-PMD granularity.
                 if !pmd.load().is_present() {
@@ -707,7 +709,8 @@ mod tests {
         let inner = mm.inner.read();
         let va = VirtAddr::new(addr);
         let vma = inner.vmas.find(addr).unwrap().clone();
-        let pmd = walk::pmd_slot(&machine, inner.pgd, va).unwrap();
+        let mut cursor = PmdCursor::new(&machine, inner.pgd);
+        let pmd = cursor.slot(va).unwrap();
         assert!(pmd.load().is_present() && pmd.load().is_huge());
 
         let rss_before = inner.rss.load(Ordering::Relaxed);
@@ -752,7 +755,8 @@ mod tests {
         let inner = mm.inner.read();
         let va = VirtAddr::new(addr);
         let vma = inner.vmas.find(addr).unwrap().clone();
-        let stale = walk::pmd_slot(&machine, inner.pgd, va).unwrap();
+        let mut cursor = PmdCursor::new(&machine, inner.pgd);
+        let stale = cursor.slot(va).unwrap();
         // Simulate the concurrent COW: repoint the PUD entry at a copy.
         let (new_frame, new_table) = share::cow_table(&machine, &stale.table, Level::Pmd).unwrap();
         stale.store_pud(Entry::table(new_frame));
@@ -760,14 +764,7 @@ mod tests {
         // The unlocked fast path must not hand the stale slot back even
         // though its table's share count is 1 and the (replaced) PUD entry
         // is writable — the entry no longer references this table.
-        let stale_again = PmdSlot {
-            pud_table: Arc::clone(&stale.pud_table),
-            pud_idx: stale.pud_idx,
-            table: Arc::clone(&stale.table),
-            frame: stale.frame,
-            idx: stale.idx,
-        };
-        assert!(share::own_pmd_table(&machine, stale_again)
+        assert!(share::own_pmd_table(&machine, stale.clone())
             .unwrap()
             .is_none());
         assert!(matches!(

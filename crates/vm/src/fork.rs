@@ -34,7 +34,7 @@ use crate::machine::Machine;
 use crate::mm::MmInner;
 use crate::share;
 use crate::stats::VmStats;
-use crate::walk::{self, Chunk};
+use crate::walk::{self, Chunk, PmdCursor, PmdSlot};
 
 /// Which fork implementation to use.
 ///
@@ -128,14 +128,7 @@ pub(crate) fn run(machine: &Machine, parent: &mut MmInner, policy: ForkPolicy) -
     child.dirty_ranges = parent.dirty_ranges.clone();
 
     let mut scratch = ForkScratch::default();
-    let result = copy_all(
-        machine,
-        parent,
-        &mut child,
-        policy,
-        &mut tally,
-        &mut scratch,
-    );
+    let result = copy_all(machine, parent, &child, policy, &mut tally, &mut scratch);
     if let Err(e) = result {
         // Failed mid-copy (allocation failure): unwind the partial child.
         // The wholesale rss copy above over-counts the pages actually
@@ -175,28 +168,43 @@ pub(crate) fn run(machine: &Machine, parent: &mut MmInner, policy: ForkPolicy) -
 fn copy_all(
     machine: &Machine,
     parent: &MmInner,
-    child: &mut MmInner,
+    child: &MmInner,
     policy: ForkPolicy,
     tally: &mut ForkTally,
     scratch: &mut ForkScratch,
 ) -> Result<()> {
+    // One cursor per tree for the whole fork: the upper tables are
+    // resolved once per 1 GiB span, not once per chunk.
+    let mut parent_cursor = PmdCursor::new(machine, parent.pgd);
+    let mut child_cursor = PmdCursor::new(machine, child.pgd);
     // Iterate VMAs in address order, chunked at PTE-table (2 MiB) spans.
-    let vmas: Vec<_> = parent.vmas.iter().cloned().collect();
-    for vma in &vmas {
+    for vma in parent.vmas.iter() {
         for c in walk::chunks(vma.start, vma.end) {
-            copy_chunk(machine, parent, child, policy, vma, c, tally, scratch)?;
+            let Some(parent_pmd) = parent_cursor.slot(c.at) else {
+                continue;
+            };
+            copy_chunk(
+                machine,
+                &parent_pmd,
+                &mut child_cursor,
+                policy,
+                vma,
+                c,
+                tally,
+                scratch,
+            )?;
         }
     }
     Ok(())
 }
 
 /// Copies (or shares) the translations of one 2 MiB chunk restricted to
-/// the part `c` of one VMA.
+/// the part `c` of one VMA, from the parent's slot `parent_pmd`.
 #[allow(clippy::too_many_arguments)]
 fn copy_chunk(
     machine: &Machine,
-    parent: &MmInner,
-    child: &mut MmInner,
+    parent_pmd: &PmdSlot,
+    child: &mut PmdCursor,
     policy: ForkPolicy,
     vma: &crate::vma::Vma,
     c: Chunk,
@@ -204,9 +212,6 @@ fn copy_chunk(
     scratch: &mut ForkScratch,
 ) -> Result<()> {
     let at = c.at;
-    let Some(parent_pmd) = walk::pmd_slot(machine, parent.pgd, at) else {
-        return Ok(());
-    };
     let pe = parent_pmd.load();
     if !pe.is_present() {
         return Ok(());
@@ -214,16 +219,16 @@ fn copy_chunk(
 
     if pe.is_huge() {
         if policy == ForkPolicy::OnDemandHuge
-            && try_share_pmd_table(machine, child, &parent_pmd, at, tally)?
+            && try_share_pmd_table(machine, child, parent_pmd, at, tally)?
         {
             return Ok(());
         }
-        return copy_huge_entry(machine, child, vma, &parent_pmd, pe, at, tally);
+        return copy_huge_entry(machine, child, vma, parent_pmd, pe, at, tally);
     }
 
     match policy {
         ForkPolicy::OnDemand | ForkPolicy::OnDemandHuge => {
-            share_pte_table(machine, child, &parent_pmd, pe, at, tally)
+            share_pte_table(machine, child, parent_pmd, pe, at, tally)
         }
         ForkPolicy::Classic => copy_pte_range(machine, child, vma, pe.frame(), c, tally, scratch),
     }
@@ -235,12 +240,12 @@ fn copy_chunk(
 /// 512 per-huge-page copies. Returns whether the chunk was handled.
 fn try_share_pmd_table(
     machine: &Machine,
-    child: &mut MmInner,
-    parent_pmd: &walk::PmdSlot,
+    child: &mut PmdCursor,
+    parent_pmd: &PmdSlot,
     at: VirtAddr,
     tally: &mut ForkTally,
 ) -> Result<bool> {
-    let (child_pud, child_idx) = walk::pud_slot_create(machine, child.pgd, at)?;
+    let (child_pud, child_idx) = child.pud_create(at)?;
     let existing = child_pud.load(child_idx);
     if existing.is_present() {
         // Either this span was already shared by an earlier chunk
@@ -273,13 +278,13 @@ fn try_share_pmd_table(
 /// On-demand-fork sharing of one last-level table (§3.1, §3.5).
 fn share_pte_table(
     machine: &Machine,
-    child: &mut MmInner,
-    parent_pmd: &walk::PmdSlot,
+    child: &mut PmdCursor,
+    parent_pmd: &PmdSlot,
     pe: Entry,
     at: VirtAddr,
     tally: &mut ForkTally,
 ) -> Result<()> {
-    let child_pmd = walk::pmd_slot_create(machine, child.pgd, at)?;
+    let child_pmd = child.slot_create(at)?;
     if child_pmd.load().is_present() {
         // A previous VMA in the same 2 MiB chunk already shared this
         // table; the share count tracks processes, not VMAs.
@@ -308,7 +313,7 @@ fn share_pte_table(
 /// sub-range and write-protects the parent's entries one by one.
 fn copy_pte_range(
     machine: &Machine,
-    child: &mut MmInner,
+    child: &mut PmdCursor,
     vma: &crate::vma::Vma,
     parent_table_frame: FrameId,
     c: Chunk,
@@ -322,7 +327,7 @@ fn copy_pte_range(
     // through its PMD bit and the entries must not be mutated.
     let parent_is_shared = pool.pt_share_count(parent_table_frame) > 1;
 
-    let child_pmd = walk::pmd_slot_create(machine, child.pgd, c.at)?;
+    let child_pmd = child.slot_create(c.at)?;
     let ce = child_pmd.load();
     let child_table = if ce.is_present() {
         machine.store().get(ce.frame())
@@ -366,14 +371,14 @@ fn copy_pte_range(
 /// classic way, §4 "Huge Page Support").
 fn copy_huge_entry(
     machine: &Machine,
-    child: &mut MmInner,
+    child: &mut PmdCursor,
     vma: &crate::vma::Vma,
-    parent_pmd: &walk::PmdSlot,
+    parent_pmd: &PmdSlot,
     pe: Entry,
     at: VirtAddr,
     tally: &mut ForkTally,
 ) -> Result<()> {
-    let child_pmd = walk::pmd_slot_create(machine, child.pgd, at)?;
+    let child_pmd = child.slot_create(at)?;
     if child_pmd.load().is_present() {
         return Ok(());
     }

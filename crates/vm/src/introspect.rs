@@ -15,7 +15,7 @@ use odf_pagetable::{Entry, EntryFlags, VirtAddr, ENTRIES_PER_TABLE};
 use odf_pmem::PAGE_SIZE;
 
 use crate::mm::Mm;
-use crate::walk::{self, PmdSlot};
+use crate::walk::{self, PmdCursor, PmdSlot};
 
 /// Exact frame pin count of one address space: every physical frame
 /// reachable from its page tables, split by what the frame holds.
@@ -245,6 +245,7 @@ impl Mm {
         let machine = self.machine();
         let pool = machine.pool();
         let mut report = Smaps::default();
+        let mut cursor = PmdCursor::new(machine, inner.pgd);
         for vma in inner.vmas.iter() {
             let mut e = SmapsEntry {
                 start: vma.start,
@@ -255,7 +256,7 @@ impl Mm {
                 ..SmapsEntry::default()
             };
             for c in walk::chunks(vma.start, vma.end) {
-                let Some(pmd) = walk::pmd_slot(machine, inner.pgd, c.at) else {
+                let Some(pmd) = cursor.slot(c.at) else {
                     continue;
                 };
                 let pe = pmd.load();
@@ -324,8 +325,9 @@ impl Mm {
         let pool = machine.pool();
         let first = VirtAddr::new(start).page_align_down();
         let end = VirtAddr::new(start + len - 1).add(1).page_align_up();
+        let mut cursor = PmdCursor::new(machine, inner.pgd);
         for c in walk::chunks(first.as_u64(), end.as_u64()) {
-            let pmd = walk::pmd_slot(machine, inner.pgd, c.at);
+            let pmd = cursor.slot(c.at);
             let pe = pmd.as_ref().map_or(Entry::NONE, PmdSlot::load);
             let upper_writable =
                 pmd.is_some_and(|pmd| pmd.load_pud().is_writable()) && pe.is_writable();

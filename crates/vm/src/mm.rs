@@ -14,7 +14,8 @@ use crate::prot::Prot;
 use crate::stats::VmStats;
 use crate::unmap;
 use crate::vma::{Backing, MapParams, Vma, VmaTree};
-use crate::{fault, walk, HUGE_PAGE_SIZE};
+use crate::walk::PmdCursor;
+use crate::{fault, HUGE_PAGE_SIZE};
 
 /// Lowest address handed out by the `mmap` address allocator.
 const MMAP_BASE: u64 = 0x1000_0000;
@@ -354,7 +355,8 @@ impl Mm {
     pub fn resolve(&self, addr: u64) -> Option<FrameId> {
         let inner = self.inner.read();
         let va = VirtAddr::new(addr);
-        let slot = walk::pmd_slot(&self.machine, inner.pgd, va)?;
+        let mut cursor = PmdCursor::new(&self.machine, inner.pgd);
+        let slot = cursor.slot(va)?;
         let e = slot.load();
         if !e.is_present() {
             return None;
@@ -374,7 +376,8 @@ impl Mm {
     /// tests to observe sharing state).
     pub fn pmd_entry(&self, addr: u64) -> Option<Entry> {
         let inner = self.inner.read();
-        let slot = walk::pmd_slot(&self.machine, inner.pgd, VirtAddr::new(addr))?;
+        let mut cursor = PmdCursor::new(&self.machine, inner.pgd);
+        let slot = cursor.slot(VirtAddr::new(addr))?;
         let e = slot.load();
         e.is_present().then_some(e)
     }

@@ -42,7 +42,7 @@ use crate::machine::Machine;
 use crate::mm::{Mm, MmInner};
 use crate::stats::VmStats;
 use crate::vma::Backing;
-use crate::walk::{self, Chunk};
+use crate::walk::{self, Chunk, PmdCursor, PmdSlot};
 
 /// One page offered to the eviction policy.
 #[derive(Clone, Copy, Debug)]
@@ -146,6 +146,7 @@ impl Mm {
         // after) the hand, giving clock semantics across VMAs.
         let pivot = ranges.partition_point(|&(_, end)| end <= hand);
         let ordered = ranges[pivot..].iter().chain(ranges[..pivot].iter());
+        let mut cursor = PmdCursor::new(machine, inner.pgd);
 
         'scan: for &(start, end) in ordered {
             let from = if (start..end).contains(&hand) {
@@ -154,7 +155,10 @@ impl Mm {
                 start
             };
             for c in walk::chunks(from, end) {
-                self.scan_chunk(inner, c, try_locks, policy, max_evict, &mut stats);
+                let Some(pmd) = cursor.slot(c.at) else {
+                    continue;
+                };
+                self.scan_chunk(inner, &pmd, c, try_locks, policy, max_evict, &mut stats);
                 if stats.evicted as usize >= max_evict {
                     self.clock_hand.store(c.end.as_u64(), Ordering::Relaxed);
                     break 'scan;
@@ -169,9 +173,11 @@ impl Mm {
         stats
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn scan_chunk(
         &self,
         inner: &MmInner,
+        pmd: &PmdSlot,
         c: Chunk,
         try_locks: bool,
         policy: &mut dyn FnMut(&EvictCandidate) -> EvictDecision,
@@ -180,9 +186,6 @@ impl Mm {
     ) {
         let machine = self.machine();
         let pool = machine.pool();
-        let Some(pmd) = walk::pmd_slot(machine, inner.pgd, c.at) else {
-            return;
-        };
         let e = pmd.load();
         if !e.is_present() {
             return;

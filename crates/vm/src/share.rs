@@ -37,7 +37,7 @@ pub(crate) struct Slot<'a> {
 
 impl<'a> Slot<'a> {
     /// The PMD entry of `pmd`, which referenced the PTE table in `frame`.
-    pub fn pte_table(pmd: &'a PmdSlot, frame: FrameId) -> Self {
+    pub fn pte_table(pmd: &'a PmdSlot<'_>, frame: FrameId) -> Self {
         Slot {
             upper: &pmd.table,
             idx: pmd.idx,
@@ -47,9 +47,9 @@ impl<'a> Slot<'a> {
     }
 
     /// The PUD entry referencing `pmd`'s PMD table.
-    pub fn pmd_table(pmd: &'a PmdSlot) -> Self {
+    pub fn pmd_table(pmd: &'a PmdSlot<'_>) -> Self {
         Slot {
-            upper: &pmd.pud_table,
+            upper: pmd.pud_table,
             idx: pmd.pud_idx,
             frame: pmd.frame,
             level: Level::Pmd,
@@ -169,7 +169,10 @@ fn take_locked(
 /// through a PMD table it may modify, or `None` if raced. Inlined: on the
 /// fault path an unshared, writable PMD table costs a few loads.
 #[inline]
-pub(crate) fn own_pmd_table(machine: &Machine, pmd: PmdSlot) -> Result<Option<PmdSlot>> {
+pub(crate) fn own_pmd_table<'t>(
+    machine: &Machine,
+    pmd: PmdSlot<'t>,
+) -> Result<Option<PmdSlot<'t>>> {
     Ok(
         match take(machine, Slot::pmd_table(&pmd), |_| Policy::Copy)? {
             Take::Owned(None) => Some(pmd),

@@ -21,14 +21,14 @@
 
 use std::collections::HashSet;
 
-use odf_pagetable::{EntryFlags, Table, VirtAddr, ENTRIES_PER_TABLE};
+use odf_pagetable::{EntryFlags, Table, ENTRIES_PER_TABLE};
 use odf_pmem::FrameId;
 
 use crate::error::Result;
-use crate::mm::{Mm, MmInner};
+use crate::mm::Mm;
 use crate::prot::Prot;
 use crate::share::{self, Policy, Slot, Take};
-use crate::walk;
+use crate::walk::{self, PmdCursor, PmdSlot};
 
 /// One VMA of a captured address space, reduced to what a snapshot image
 /// records.
@@ -99,6 +99,7 @@ impl Mm {
             dirty_ranges: inner.dirty_ranges.clone(),
             ..Default::default()
         };
+        let mut cursor = PmdCursor::new(machine, inner.pgd);
         for vma in inner.vmas.iter() {
             view.vmas.push(VmaInfo {
                 start: vma.start,
@@ -109,7 +110,7 @@ impl Mm {
                 file_backed: matches!(vma.backing, crate::vma::Backing::File { .. }),
             });
             for c in walk::chunks(vma.start, vma.end) {
-                let Some(pmd) = walk::pmd_slot(machine, inner.pgd, c.at) else {
+                let Some(pmd) = cursor.slot(c.at) else {
                     continue;
                 };
                 let mut e = pmd.load();
@@ -185,10 +186,13 @@ impl Mm {
         // through one 2 MiB span).
         let mut done = HashSet::new();
         let ranges: Vec<(u64, u64)> = inner.vmas.iter().map(|v| (v.start, v.end)).collect();
+        let mut cursor = PmdCursor::new(self.machine(), inner.pgd);
         for (start, end) in ranges {
             for c in walk::chunks(start, end) {
                 if done.insert(c.base()) {
-                    cleared += self.sweep_chunk(&mut inner, c.at)?;
+                    if let Some(pmd) = cursor.slot(c.at) {
+                        cleared += self.sweep_chunk(pmd)?;
+                    }
                 }
             }
         }
@@ -198,11 +202,8 @@ impl Mm {
 
     /// Sweeps the soft-dirty bits of the whole table(s) behind one 2 MiB
     /// chunk.
-    fn sweep_chunk(&self, inner: &mut MmInner, at: VirtAddr) -> Result<u64> {
+    fn sweep_chunk(&self, pmd: PmdSlot) -> Result<u64> {
         let machine = self.machine();
-        let Some(pmd) = walk::pmd_slot(machine, inner.pgd, at) else {
-            return Ok(0);
-        };
         // Huge-page extension: the PMD table itself may be shared through
         // the PUD entry, and the *other* sharer may be COWing it from its
         // fault path concurrently — hence the protocol, not a bare check.

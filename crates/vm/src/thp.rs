@@ -40,7 +40,7 @@ use crate::machine::Machine;
 use crate::mm::{Mm, MmInner};
 use crate::stats::VmStats;
 use crate::vma::Backing;
-use crate::walk;
+use crate::walk::{self, PmdCursor};
 
 /// Entry bits that travel between a huge PMD entry and its 512 PTEs when
 /// a range changes granularity. `WRITABLE` is deliberately absent: it is
@@ -120,12 +120,13 @@ impl Mm {
         let machine = self.machine();
         let pool = machine.pool();
         let mut out = Vec::new();
+        let mut cursor = PmdCursor::new(machine, inner.pgd);
         for vma in inner.vmas.iter() {
             if vma.huge || vma.shared || !matches!(vma.backing, Backing::Anonymous) {
                 continue;
             }
             for c in walk::chunks(vma.start, vma.end).filter(|c| c.is_full()) {
-                let Some(pmd) = walk::pmd_slot(machine, inner.pgd, c.at) else {
+                let Some(pmd) = cursor.slot(c.at) else {
                     continue;
                 };
                 let e = pmd.load();
@@ -202,7 +203,8 @@ pub(crate) fn collapse_at(machine: &Machine, inner: &MmInner, addr: u64) -> Resu
     {
         return Ok(ThpOutcome::Ineligible);
     }
-    let Some(pmd) = walk::pmd_slot(machine, inner.pgd, va) else {
+    let mut cursor = PmdCursor::new(machine, inner.pgd);
+    let Some(pmd) = cursor.slot(va) else {
         return Ok(ThpOutcome::NotResident);
     };
     let e = pmd.load();
@@ -371,7 +373,8 @@ pub(crate) fn demote_at(machine: &Machine, inner: &MmInner, addr: u64) -> Result
     }
     let va = VirtAddr::new(addr);
     let pool = machine.pool();
-    let Some(pmd) = walk::pmd_slot(machine, inner.pgd, va) else {
+    let mut cursor = PmdCursor::new(machine, inner.pgd);
+    let Some(pmd) = cursor.slot(va) else {
         return Ok(ThpOutcome::NotHuge);
     };
     {

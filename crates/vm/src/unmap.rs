@@ -18,7 +18,7 @@ use crate::mm::MmInner;
 use crate::prot::Prot;
 use crate::share::{self, Policy, Slot, Take};
 use crate::stats::VmStats;
-use crate::walk::{self, Chunk, PmdSlot};
+use crate::walk::{self, Chunk, PmdCursor, PmdSlot};
 use crate::HUGE_PAGE_SIZE;
 
 /// Validates an `(addr, len)` range argument for the given granularity.
@@ -71,8 +71,9 @@ pub(crate) fn munmap(machine: &Machine, inner: &mut MmInner, addr: u64, len: u64
 /// ends the sweep, mirroring `tlb_finish_mmu`.
 pub(crate) fn zap_range(machine: &Machine, inner: &mut MmInner, start: u64, end: u64) {
     let mut batch = machine.pool().free_batch();
+    let mut cursor = PmdCursor::new(machine, inner.pgd);
     for c in walk::chunks(start, end) {
-        let Some(pmd) = walk::pmd_slot(machine, inner.pgd, c.at) else {
+        let Some(pmd) = cursor.slot(c.at) else {
             continue;
         };
         // Huge-page extension (§4): the PMD table itself may be shared;
@@ -313,8 +314,10 @@ fn move_mappings(
     new_start: u64,
 ) -> Result<()> {
     let dest = |va: VirtAddr| VirtAddr::new(new_start + (va.as_u64() - start));
+    let mut src_cursor = PmdCursor::new(machine, inner.pgd);
+    let mut dst_cursor = PmdCursor::new(machine, inner.pgd);
     for c in walk::chunks(start, end) {
-        let Some(pmd) = walk::pmd_slot(machine, inner.pgd, c.at) else {
+        let Some(pmd) = src_cursor.slot(c.at) else {
             continue;
         };
         let pmd = own_pmd(machine, pmd)?;
@@ -328,7 +331,7 @@ fn move_mappings(
                 // Whole chunk, congruent destination: move at PMD
                 // granularity (huge VMAs always hit this arm — the caller
                 // enforces their alignment).
-                let dest_pmd = own_pmd(machine, walk::pmd_slot_create(machine, inner.pgd, to)?)?;
+                let dest_pmd = own_pmd(machine, dst_cursor.slot_create(to)?)?;
                 // Mark moved entries soft-dirty: the destination range is
                 // in the epoch dirty-range log, and without the bit a delta
                 // snapshot would materialize these pages as zeros.
@@ -350,7 +353,7 @@ fn move_mappings(
             // leak its slot and lose the page contents.
             if pte.is_present() || pte.is_swap() {
                 let to = dest(c.va(idx));
-                let dest_pmd = own_pmd(machine, walk::pmd_slot_create(machine, inner.pgd, to)?)?;
+                let dest_pmd = own_pmd(machine, dst_cursor.slot_create(to)?)?;
                 let dest_table = own_pte(machine, &dest_pmd, dest_pmd.load())?;
                 dest_table.store(to.index(Level::Pte), pte.with_set(EntryFlags::SOFT_DIRTY));
                 table.store(idx, Entry::NONE);
@@ -365,7 +368,7 @@ fn move_mappings(
 /// [`share::own_pmd_table`] under the exclusive mm lock, where no other
 /// thread of this process can re-point the slot. A copy counts as an
 /// unmap-path table copy.
-fn own_pmd(machine: &Machine, pmd: PmdSlot) -> Result<PmdSlot> {
+fn own_pmd<'t>(machine: &Machine, pmd: PmdSlot<'t>) -> Result<PmdSlot<'t>> {
     let shared_frame = pmd.frame;
     let pmd = share::own_pmd_table(machine, pmd)?.expect("the exclusive mm lock pins the slot");
     if pmd.frame != shared_frame {
@@ -429,8 +432,9 @@ pub(crate) fn mprotect(
 /// Write-protects the existing translations of `[start, end)`.
 fn wrprotect_range(machine: &Machine, inner: &mut MmInner, start: u64, end: u64) {
     let pool = machine.pool();
+    let mut cursor = PmdCursor::new(machine, inner.pgd);
     for c in walk::chunks(start, end) {
-        let Some(pmd) = walk::pmd_slot(machine, inner.pgd, c.at) else {
+        let Some(pmd) = cursor.slot(c.at) else {
             continue;
         };
         if pool.pt_share_count(pmd.frame) > 1 {

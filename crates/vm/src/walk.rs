@@ -9,15 +9,18 @@
 //!   chunk. Every range operation of the crate iterates through it, so the
 //!   PTE-index arithmetic and the "is this chunk whole?" test live here
 //!   only.
-//! - [`pmd_slot`] / [`pmd_slot_create`]: resolve (or build) the path from
-//!   the PGD down to the PMD entry covering an address. The fork engines
-//!   and the fault handler operate at PMD granularity, because that is
-//!   where On-demand-fork's table sharing lives.
+//! - [`PmdCursor`]: resolves (or builds) the path from the PGD down to the
+//!   PMD entry covering an address. The fork engines and the fault handler
+//!   operate at PMD granularity, because that is where On-demand-fork's
+//!   table sharing lives. A range walk takes one cursor and resolves each
+//!   chunk through it, so the upper tables are looked up once per 1 GiB
+//!   span, not once per chunk; a per-address caller uses it once.
 //! - [`translate`]: the simulated MMU's translation: full walk with
 //!   hierarchical attribute resolution (effective writability is the AND of
 //!   the writable bits along the path, §3.2) and accessed/dirty bit
 //!   updates, exactly like the hardware walker.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -92,14 +95,17 @@ pub(crate) fn lock_retry(site: LockSite) {
 /// A handle on one PMD entry: the PMD table, its backing frame, the entry
 /// index for a given address — plus the PUD slot referencing the PMD
 /// table, needed by the huge-page extension to copy-on-write whole PMD
-/// tables (§4 "Huge Page Support").
-pub(crate) struct PmdSlot {
+/// tables (§4 "Huge Page Support"). It borrows the tables of the
+/// [`PmdCursor`] that resolved it.
+#[derive(Clone)]
+pub(crate) struct PmdSlot<'t> {
     /// The PUD table whose entry references this PMD table.
-    pub pud_table: Arc<Table>,
+    pub pud_table: &'t Table,
     /// Index of that entry within the PUD table.
     pub pud_idx: usize,
-    /// The PMD table containing the entry.
-    pub table: Arc<Table>,
+    /// The PMD table containing the entry: the cursor's, or the table the
+    /// ownership protocol put in its place ([`PmdSlot::with_table`]).
+    pub table: Cow<'t, Arc<Table>>,
     /// Frame backing the PMD table (used for split-lock striping and as
     /// the anchor of the shared-PMD-table reference counter).
     pub frame: FrameId,
@@ -107,7 +113,7 @@ pub(crate) struct PmdSlot {
     pub idx: usize,
 }
 
-impl PmdSlot {
+impl<'t> PmdSlot<'t> {
     /// Loads the PMD entry.
     pub fn load(&self) -> Entry {
         self.table.load(self.idx)
@@ -136,57 +142,120 @@ impl PmdSlot {
 
     /// The same PMD entry, reached through `table` (backed by `frame`): the
     /// PMD table the PUD entry references once the ownership protocol ran.
-    pub fn with_table(self, (frame, table): (FrameId, Arc<Table>)) -> PmdSlot {
+    pub fn with_table(self, (frame, table): (FrameId, Arc<Table>)) -> PmdSlot<'t> {
         PmdSlot {
-            table,
+            table: Cow::Owned(table),
             frame,
             ..self
         }
     }
 }
 
-/// Resolves the PMD entry covering `va`, without creating tables.
-pub(crate) fn pmd_slot(machine: &Machine, pgd: FrameId, va: VirtAddr) -> Option<PmdSlot> {
-    let pgd_table = machine.store().get(pgd);
-    let pud_e = pgd_table.load(va.index(Level::Pgd));
-    if !pud_e.is_present() {
-        return None;
-    }
-    let pud_table = machine.store().get(pud_e.frame());
-    let pud_idx = va.index(Level::Pud);
-    let pmd_e = pud_table.load(pud_idx);
-    if !pmd_e.is_present() {
-        return None;
-    }
-    let frame = pmd_e.frame();
-    Some(PmdSlot {
-        pud_table,
-        pud_idx,
-        table: machine.store().get(frame),
-        frame,
-        idx: va.index(Level::Pmd),
-    })
+/// The one way to a PMD slot: a walk's path from its PGD down to the PMD
+/// entries it visits. It holds the PUD and PMD tables of the last slot it
+/// resolved. At each address it reloads the PGD entry and the PUD entry
+/// from the tables it holds (loads only), and reuses a held table only if
+/// it was reached through that same entry and the entry still names its
+/// frame; otherwise it looks the table up (or creates it). A range walk
+/// takes one cursor, so resolving the slot of each 2 MiB chunk costs two
+/// entry loads, and a store lookup only where the walk enters another
+/// 1 GiB (PUD) or 512 GiB (PGD) span or an entry was re-pointed meanwhile
+/// (a PMD-table COW, a release). DESIGN.md §4.1 rule 8 says, per lock
+/// mode, why an entry that still names the held frame still names the held
+/// table.
+pub(crate) struct PmdCursor<'m> {
+    machine: &'m Machine,
+    pgd: Arc<Table>,
+    pud: Held,
+    pmd: Held,
 }
 
-/// Resolves the PMD entry covering `va`, creating the PUD/PMD tables on the
-/// way if absent.
-///
-/// Building the upper levels of a child tree at fork time is the only
-/// table-construction work On-demand-fork performs (§3.1: "copies the top
-/// levels of page tables of the parent").
-pub(crate) fn pmd_slot_create(machine: &Machine, pgd: FrameId, va: VirtAddr) -> Result<PmdSlot> {
-    let pgd_table = machine.store().get(pgd);
-    let pud_frame = ensure_child_table(machine, &pgd_table, va.index(Level::Pgd))?;
-    let pud_table = machine.store().get(pud_frame);
-    let pud_idx = va.index(Level::Pud);
-    let pmd_frame = ensure_child_table(machine, &pud_table, pud_idx)?;
-    Ok(PmdSlot {
-        pud_table,
-        pud_idx,
-        table: machine.store().get(pmd_frame),
-        frame: pmd_frame,
-        idx: va.index(Level::Pmd),
-    })
+/// One level's table as a [`PmdCursor`] last resolved it, with the upper
+/// entry it was reached through (numbered by the address span it maps).
+#[derive(Default)]
+struct Held(Option<(u64, FrameId, Arc<Table>)>);
+
+impl Held {
+    /// The table backing `frame`, which the `level` entry covering `va`
+    /// names: the held one if it was reached through that same entry and
+    /// the entry still names its frame, else the store's.
+    fn resolve(
+        &mut self,
+        machine: &Machine,
+        level: Level,
+        va: VirtAddr,
+        frame: FrameId,
+    ) -> &Arc<Table> {
+        let entry = va.as_u64() >> level.index_shift();
+        if !matches!(&self.0, Some((e, f, _)) if *e == entry && *f == frame) {
+            self.0 = Some((entry, frame, machine.store().get(frame)));
+        }
+        &self.0.as_ref().expect("resolved above").2
+    }
+}
+
+impl<'m> PmdCursor<'m> {
+    /// A cursor over the tree rooted at `pgd`, holding no lower table yet.
+    pub fn new(machine: &'m Machine, pgd: FrameId) -> Self {
+        PmdCursor {
+            machine,
+            pgd: machine.store().get(pgd),
+            pud: Held::default(),
+            pmd: Held::default(),
+        }
+    }
+
+    /// Resolves the PMD entry covering `va`, without creating tables.
+    pub fn slot(&mut self, va: VirtAddr) -> Option<PmdSlot<'_>> {
+        let pud_e = self.pgd.load(va.index(Level::Pgd));
+        if !pud_e.is_present() {
+            return None;
+        }
+        let pud_table = self
+            .pud
+            .resolve(self.machine, Level::Pgd, va, pud_e.frame());
+        let pud_idx = va.index(Level::Pud);
+        let pmd_e = pud_table.load(pud_idx);
+        if !pmd_e.is_present() {
+            return None;
+        }
+        let frame = pmd_e.frame();
+        Some(PmdSlot {
+            pud_table,
+            pud_idx,
+            table: Cow::Borrowed(self.pmd.resolve(self.machine, Level::Pud, va, frame)),
+            frame,
+            idx: va.index(Level::Pmd),
+        })
+    }
+
+    /// Resolves the PMD entry covering `va`, creating the PUD/PMD tables
+    /// on the way if absent.
+    ///
+    /// Building the upper levels of a child tree at fork time is the only
+    /// table-construction work On-demand-fork performs (§3.1: "copies the
+    /// top levels of page tables of the parent").
+    pub fn slot_create(&mut self, va: VirtAddr) -> Result<PmdSlot<'_>> {
+        let pud_frame = ensure_child_table(self.machine, &self.pgd, va.index(Level::Pgd))?;
+        let pud_table = self.pud.resolve(self.machine, Level::Pgd, va, pud_frame);
+        let pud_idx = va.index(Level::Pud);
+        let frame = ensure_child_table(self.machine, pud_table, pud_idx)?;
+        Ok(PmdSlot {
+            pud_table,
+            pud_idx,
+            table: Cow::Borrowed(self.pmd.resolve(self.machine, Level::Pud, va, frame)),
+            frame,
+            idx: va.index(Level::Pmd),
+        })
+    }
+
+    /// Resolves (creating if needed) the PUD table and entry index covering
+    /// `va` — the level at which the huge-page extension shares PMD tables.
+    pub fn pud_create(&mut self, va: VirtAddr) -> Result<(&Table, usize)> {
+        let pud_frame = ensure_child_table(self.machine, &self.pgd, va.index(Level::Pgd))?;
+        let pud_table = self.pud.resolve(self.machine, Level::Pgd, va, pud_frame);
+        Ok((pud_table, va.index(Level::Pud)))
+    }
 }
 
 /// Resolves the PTE table referenced by a PMD entry, allocating and linking
@@ -223,18 +292,6 @@ pub(crate) fn resolve_table(
     let (frame, table) = machine.alloc_table()?;
     pmd.store(Entry::table(frame));
     Ok(Some((frame, table)))
-}
-
-/// Resolves (creating if needed) the PUD table and entry index covering
-/// `va` — the level at which the huge-page extension shares PMD tables.
-pub(crate) fn pud_slot_create(
-    machine: &Machine,
-    pgd: FrameId,
-    va: VirtAddr,
-) -> Result<(Arc<Table>, usize)> {
-    let pgd_table = machine.store().get(pgd);
-    let pud_frame = ensure_child_table(machine, &pgd_table, va.index(Level::Pgd))?;
-    Ok((machine.store().get(pud_frame), va.index(Level::Pud)))
 }
 
 /// Returns the child-table frame of `table[idx]`, allocating and linking a
@@ -366,10 +423,12 @@ mod tests {
     fn create_then_lookup_round_trips() {
         let (m, pgd) = setup();
         let va = VirtAddr::new(0x1234_5678_9000);
-        assert!(pmd_slot(&m, pgd, va).is_none());
-        let slot = pmd_slot_create(&m, pgd, va).unwrap();
+        assert!(PmdCursor::new(&m, pgd).slot(va).is_none());
+        let mut create = PmdCursor::new(&m, pgd);
+        let slot = create.slot_create(va).unwrap();
         assert!(!slot.load().is_present());
-        let again = pmd_slot(&m, pgd, va).unwrap();
+        let mut lookup = PmdCursor::new(&m, pgd);
+        let again = lookup.slot(va).unwrap();
         assert_eq!(again.frame, slot.frame);
         assert_eq!(again.idx, slot.idx);
         // Three tables were created: PGD existed, plus PUD and PMD.
@@ -380,17 +439,66 @@ mod tests {
     fn create_is_idempotent() {
         let (m, pgd) = setup();
         let va = VirtAddr::new(0x4000_0000);
-        let a = pmd_slot_create(&m, pgd, va).unwrap();
-        let b = pmd_slot_create(&m, pgd, va).unwrap();
-        assert_eq!(a.frame, b.frame);
+        let a = PmdCursor::new(&m, pgd).slot_create(va).unwrap().frame;
+        let b = PmdCursor::new(&m, pgd).slot_create(va).unwrap().frame;
+        assert_eq!(a, b);
         assert_eq!(m.store().len(), 3);
+    }
+
+    #[test]
+    fn a_cursor_re_resolves_where_an_upper_entry_names_another_table() {
+        let (m, pgd) = setup();
+        const GIB: u64 = 1 << 30;
+        // The last chunk below 1 GiB, the first above it, and the first
+        // above 512 GiB: three PMD tables, the last under its own PUD table.
+        let vas = [GIB - PTE_TABLE_SPAN, GIB, 512 * GIB].map(VirtAddr::new);
+        let mut cursor = PmdCursor::new(&m, pgd);
+        let mut frames = Vec::new();
+        for va in vas {
+            let slot = cursor.slot_create(va).unwrap();
+            assert_eq!(slot.idx, va.index(Level::Pmd));
+            frames.push(slot.frame);
+        }
+        assert_eq!(
+            m.store().len(),
+            1 + 2 + 3,
+            "PGD, two PUD and three PMD tables"
+        );
+        // Walking back and forth, the cursor lands on each span's own table.
+        for (va, frame) in vas
+            .into_iter()
+            .zip(&frames)
+            .rev()
+            .chain(vas.into_iter().zip(&frames))
+        {
+            assert_eq!(cursor.slot(va).unwrap().frame, *frame);
+            assert_eq!(PmdCursor::new(&m, pgd).slot(va).unwrap().frame, *frame);
+        }
+        // Re-pointing or clearing the PUD entry above the held table (a
+        // PMD-table COW, a release) shows at the next slot of the span.
+        assert_eq!(cursor.slot(vas[0]).unwrap().frame, frames[0]);
+        let (copy, _) = m.alloc_table().unwrap();
+        let mut other = PmdCursor::new(&m, pgd);
+        let slot = other.slot(vas[0]).unwrap();
+        let pud_e = slot.load_pud();
+        slot.store_pud(Entry::table(copy));
+        assert_eq!(
+            cursor.slot(vas[0].add(PAGE_SIZE as u64)).unwrap().frame,
+            copy
+        );
+        slot.store_pud(Entry::NONE);
+        assert!(cursor.slot(vas[0]).is_none());
+        slot.store_pud(pud_e);
+        assert_eq!(cursor.slot(vas[0]).unwrap().frame, frames[0]);
+        m.free_table(copy);
     }
 
     #[test]
     fn translate_resolves_pte_mappings_and_sets_bits() {
         let (m, pgd) = setup();
         let va = VirtAddr::new(0x7000_2000);
-        let slot = pmd_slot_create(&m, pgd, va).unwrap();
+        let mut cursor = PmdCursor::new(&m, pgd);
+        let slot = cursor.slot_create(va).unwrap();
         let (ptf, pte_table) = m.alloc_table().unwrap();
         slot.store(Entry::table(ptf));
         let data = m.pool().alloc_page(PageKind::Anon).unwrap();
@@ -408,7 +516,8 @@ mod tests {
     fn hierarchical_writable_bit_blocks_writes() {
         let (m, pgd) = setup();
         let va = VirtAddr::new(0x7000_2000);
-        let slot = pmd_slot_create(&m, pgd, va).unwrap();
+        let mut cursor = PmdCursor::new(&m, pgd);
+        let slot = cursor.slot_create(va).unwrap();
         let (ptf, pte_table) = m.alloc_table().unwrap();
         // PTE says writable, but the PMD entry write-protects the table —
         // exactly the On-demand-fork shared-table state.
@@ -429,7 +538,8 @@ mod tests {
     fn translate_resolves_huge_mappings_to_subframes() {
         let (m, pgd) = setup();
         let base = VirtAddr::new(0x4020_0000); // 2 MiB aligned
-        let slot = pmd_slot_create(&m, pgd, base).unwrap();
+        let mut cursor = PmdCursor::new(&m, pgd);
+        let slot = cursor.slot_create(base).unwrap();
         let huge = m.pool().alloc_huge(PageKind::Anon).unwrap();
         slot.store(Entry::huge_page(huge, true));
 
@@ -447,7 +557,7 @@ mod tests {
         let (m, pgd) = setup();
         assert!(translate(&m, pgd, VirtAddr::new(0x1000), false).is_none());
         let va = VirtAddr::new(0x5000_0000);
-        let _ = pmd_slot_create(&m, pgd, va).unwrap();
+        let _ = PmdCursor::new(&m, pgd).slot_create(va).unwrap();
         // PMD entry still absent.
         assert!(translate(&m, pgd, va, false).is_none());
     }
@@ -513,10 +623,11 @@ mod tests {
     }
 }
 
-/// The 2 MiB span arithmetic is written in this module only, so a
-/// hand-rolled range loop cannot come back silently: every other source
+/// The 2 MiB span arithmetic and the walk down to a PMD slot are written
+/// in this module only, so neither a hand-rolled range loop nor a
+/// per-chunk upper-level lookup can come back silently: every other source
 /// file iterates ranges through [`chunks`] (`lib.rs` only re-exports the
-/// span).
+/// span) and reaches PMD slots through a [`PmdCursor`].
 #[cfg(test)]
 mod guard {
     #[test]
@@ -529,6 +640,26 @@ mod guard {
                         || !(line.contains("pte_table_align_down")
                             || line.contains("PTE_TABLE_SPAN")),
                     "{name} does span arithmetic outside walk.rs: iterate with walk::chunks\n{line}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_walk_module_resolves_pmd_slots() {
+        for (name, text) in crate::sources::except("walk.rs") {
+            for line in text.lines() {
+                assert!(
+                    ![
+                        "PmdSlot {",
+                        "walk::pmd_slot",
+                        "index(Level::Pgd)",
+                        "index(Level::Pud)",
+                        "index(Level::Pmd)",
+                    ]
+                    .iter()
+                    .any(|walk| line.contains(walk)),
+                    "{name} resolves a PMD slot outside walk.rs: use a walk::PmdCursor\n{line}"
                 );
             }
         }

@@ -3,7 +3,8 @@
 
 use std::sync::Arc;
 
-use odf_vm::{ForkPolicy, Machine, MapParams, Mm};
+use odf_pmem::assert_pool_balanced;
+use odf_vm::{ForkPolicy, Machine, MapParams, Mm, Prot};
 
 const MIB: u64 = 1 << 20;
 const GIB: u64 = 1 << 30;
@@ -231,4 +232,68 @@ fn resources_conserved_across_huge_extension_lifecycles() {
     }
     assert_eq!(m.pool().free_frames(), free0, "frame leak");
     assert!(m.store().is_empty(), "table leak");
+}
+
+/// A range walk whose first chunk makes the unmap path swap an owned copy
+/// of the shared PMD table into the PUD entry must act on that copy for
+/// every later chunk of the 1 GiB span: the walk's cursor reloads the PUD
+/// entry at each chunk instead of reusing the table it resolved first.
+/// `munmap` and `madvise(MADV_DONTNEED)` swap mid-walk; `mprotect` never
+/// swaps (it skips a shared PMD table whole), so its case walks the span
+/// right after a one-chunk `munmap` swapped the table.
+#[test]
+fn range_walks_follow_the_pmd_table_swapped_in_at_their_first_chunk() {
+    const LEN: u64 = 16 * MIB;
+    for op in ["munmap", "madvise_dontneed", "mprotect"] {
+        let m = machine();
+        let baseline = m.pool().balance();
+        {
+            let parent = new_mm(&m);
+            let addr = huge_region(&parent, LEN);
+            let child = parent.fork(ForkPolicy::OnDemandHuge).unwrap();
+            // Chunks 1..=4 of the 8; the span keeps mapped chunks on both
+            // sides, so the first chunk copies the table instead of
+            // releasing it.
+            let (at, len) = (addr + 2 * MIB, 8 * MIB);
+            let before = m.stats().snapshot();
+            match op {
+                "munmap" => parent.munmap(at, len).unwrap(),
+                "madvise_dontneed" => parent.madvise_dontneed(at, len).unwrap(),
+                _ => {
+                    parent.munmap(addr, 2 * MIB).unwrap();
+                    parent.mprotect(at, len, Prot::READ).unwrap();
+                }
+            }
+            let d = m.stats().snapshot() - before;
+            assert_eq!(d.unmap_table_copies, 1, "{op}: one PMD-table copy");
+
+            check_region(&child, addr, LEN);
+            for off in (0..LEN).step_by(2 * MIB as usize) {
+                let (va, old) = (addr + off, 0xBEEF_0000 + off);
+                let walked = (at..at + len).contains(&va);
+                match op {
+                    "munmap" if walked => assert!(parent.read_u64(va).is_err(), "{op} {off:#x}"),
+                    "madvise_dontneed" if walked => {
+                        assert_eq!(parent.read_u64(va).unwrap(), 0, "{op} {off:#x}")
+                    }
+                    "mprotect" if off == 0 => {}
+                    "mprotect" if walked => {
+                        assert_eq!(parent.read_u64(va).unwrap(), old, "{op} {off:#x}");
+                        assert!(parent.write_u64(va, 1).is_err(), "{op} {off:#x}");
+                    }
+                    _ => {
+                        assert_eq!(parent.read_u64(va).unwrap(), old, "{op} {off:#x}");
+                        parent.write_u64(va, off).unwrap();
+                    }
+                }
+            }
+            // The parent's writes went to its own table.
+            check_region(&child, addr, LEN);
+            for off in (0..LEN).step_by(2 * MIB as usize) {
+                child.write_u64(addr + off, !off).unwrap();
+                assert_eq!(child.read_u64(addr + off).unwrap(), !off);
+            }
+        }
+        assert_pool_balanced(m.pool(), baseline);
+    }
 }

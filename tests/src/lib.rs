@@ -140,14 +140,26 @@ pub fn random_script(seed: u64, steps: usize, region_pages: u64) -> Vec<Action> 
     actions
 }
 
+/// Where [`replay`] maps the region: at 1 GiB, so a region of up to
+/// 1 GiB lies within one PMD table.
+pub const REPLAY_BASE: u64 = 1 << 30;
+
 /// Replays a script with the given fork policy and returns per-process
 /// page hashes of the region.
 ///
 /// Exited processes are represented by empty vectors so the shape is
 /// policy-independent.
 pub fn replay(script: &[Action], policy: ForkPolicy, region_pages: u64) -> Replay {
+    replay_at(script, policy, REPLAY_BASE, region_pages)
+}
+
+/// [`replay`] with the region mapped at `base` (page-aligned). A base just
+/// below a 1 GiB or 512 GiB boundary puts the region across two PMD (or
+/// PUD) tables, so every range walk of the script crosses from one table
+/// into the next.
+pub fn replay_at(script: &[Action], policy: ForkPolicy, base: u64, region_pages: u64) -> Replay {
     let kernel = Kernel::new((region_pages * 4096) * 16 + (64 << 20));
-    replay_on(&kernel, script, policy, region_pages)
+    replay_on_with(&kernel, script, policy, base, region_pages, false)
 }
 
 /// Replays a script under **memory pressure**: the pool is a fraction of
@@ -180,13 +192,14 @@ pub fn replay_on(
     policy: ForkPolicy,
     region_pages: u64,
 ) -> Replay {
-    replay_on_with(kernel, script, policy, region_pages, false)
+    replay_on_with(kernel, script, policy, REPLAY_BASE, region_pages, false)
 }
 
-/// [`replay_on`] with control over whether the region is made fully
-/// resident before the first action. Populating is residency-only (all
-/// pages exist, zero-filled) and never changes contents, so populated and
-/// unpopulated replays of the same script stay bit-identical.
+/// [`replay_on`] with the region mapped at `base`, and control over
+/// whether it is made fully resident before the first action. Populating
+/// is residency-only (all pages exist, zero-filled) and never changes
+/// contents, so populated and unpopulated replays of the same script stay
+/// bit-identical.
 ///
 /// Every frame, table and swap slot the replay used must be back once its
 /// processes have exited; a leak panics here.
@@ -194,6 +207,7 @@ pub fn replay_on_with(
     kernel: &std::sync::Arc<Kernel>,
     script: &[Action],
     policy: ForkPolicy,
+    base: u64,
     region_pages: u64,
     populate: bool,
 ) -> Replay {
@@ -201,7 +215,7 @@ pub fn replay_on_with(
     let root = kernel.spawn().expect("spawn");
     let region = region_pages * 4096;
     let addr = root
-        .mmap_fixed(0x4000_0000, region, odf_core::MapParams::anon_rw())
+        .mmap_fixed(base, region, odf_core::MapParams::anon_rw())
         .expect("mmap");
     if populate {
         root.populate(addr, region, true).expect("populate");
@@ -315,13 +329,18 @@ fn images(
 /// vs the baselines). Unmap offsets are rounded to 2 MiB so they are valid
 /// for huge mappings; all other actions replay as-is.
 pub fn replay_huge(script: &[Action], policy: ForkPolicy, huge_pages: u64) -> Replay {
+    replay_huge_at(script, policy, 1 << 31, huge_pages)
+}
+
+/// [`replay_huge`] with the region mapped at `base` (2 MiB-aligned).
+pub fn replay_huge_at(script: &[Action], policy: ForkPolicy, base: u64, huge_pages: u64) -> Replay {
     const HUGE: u64 = 2 << 20;
     let region = huge_pages * HUGE;
     let kernel = Kernel::new(region * 12 + (64 << 20));
     let baseline = kernel.machine().pool().balance();
     let root = kernel.spawn().expect("spawn");
     let addr = root
-        .mmap_fixed(1 << 31, region, odf_core::MapParams::anon_rw_huge())
+        .mmap_fixed(base, region, odf_core::MapParams::anon_rw_huge())
         .expect("mmap huge");
     let mut procs: Vec<Option<Process>> = vec![Some(root)];
     let mut moved: Vec<Vec<(u64, u64)>> = vec![Vec::new()];
@@ -453,7 +472,7 @@ pub fn replay_thp(script: &[Action], policy: ForkPolicy, region_pages: u64) -> R
             clear_accessed: false,
         },
     );
-    let images = replay_on_with(&kernel, script, policy, region_pages, true);
+    let images = replay_on_with(&kernel, script, policy, REPLAY_BASE, region_pages, true);
     kernel.stop_thp_daemon();
     images
 }

@@ -6,8 +6,22 @@
 //! "the exact same semantics").
 
 use odf_core::ForkPolicy;
-use odf_tests::{random_script, replay, Action};
+use odf_tests::{random_script, replay, replay_at, replay_huge_at, Action};
 use proptest::prelude::*;
+
+/// One huge page.
+const HUGE: u64 = 2 << 20;
+
+/// Upper-level boundaries a region can straddle: a 1 GiB one (two PMD
+/// tables under one PUD table) and a 512 GiB one (two PUD tables). A range
+/// walk over such a region must re-resolve the tables it holds where it
+/// crosses.
+const BOUNDARIES: [(&str, u64); 2] = [("1 GiB", 1 << 30), ("512 GiB", 1 << 39)];
+
+/// A base that puts half of a `len`-byte region on each side of `boundary`.
+fn straddling(boundary: u64, len: u64) -> u64 {
+    boundary - len / 2
+}
 
 #[test]
 fn fixed_scripts_agree_across_policies() {
@@ -16,6 +30,22 @@ fn fixed_scripts_agree_across_policies() {
         let classic = replay(&script, ForkPolicy::Classic, 64);
         let odf = replay(&script, ForkPolicy::OnDemand, 64);
         assert_eq!(classic, odf, "seed {seed} diverged:\n{script:#?}");
+    }
+}
+
+#[test]
+fn scripts_straddling_upper_level_boundaries_agree() {
+    for (name, boundary) in BOUNDARIES {
+        let base = straddling(boundary, 64 * 4096);
+        for seed in 100..110u64 {
+            let script = random_script(seed, 60, 64);
+            let classic = replay_at(&script, ForkPolicy::Classic, base, 64);
+            let odf = replay_at(&script, ForkPolicy::OnDemand, base, 64);
+            assert_eq!(
+                classic, odf,
+                "across the {name} boundary, seed {seed} diverged:\n{script:#?}"
+            );
+        }
     }
 }
 
@@ -100,6 +130,20 @@ proptest! {
         let odf = replay(&script, ForkPolicy::OnDemand, 32);
         prop_assert_eq!(classic, odf);
     }
+
+    /// Property: the same holds for a region straddling a 1 GiB or a
+    /// 512 GiB boundary.
+    #[test]
+    fn prop_policies_agree_across_upper_level_boundaries(
+        seed in 0u64..10_000,
+        which in 0usize..2,
+    ) {
+        let base = straddling(BOUNDARIES[which].1, 32 * 4096);
+        let script = random_script(seed, 40, 32);
+        let classic = replay_at(&script, ForkPolicy::Classic, base, 32);
+        let odf = replay_at(&script, ForkPolicy::OnDemand, base, 32);
+        prop_assert_eq!(classic, odf);
+    }
 }
 
 #[test]
@@ -109,6 +153,22 @@ fn huge_extension_matches_classic_on_fixed_scripts() {
         let classic = odf_tests::replay_huge(&script, ForkPolicy::Classic, 4);
         let ext = odf_tests::replay_huge(&script, ForkPolicy::OnDemandHuge, 4);
         assert_eq!(classic, ext, "seed {seed} diverged:\n{script:#?}");
+    }
+}
+
+#[test]
+fn huge_extension_matches_classic_across_upper_level_boundaries() {
+    for (name, boundary) in BOUNDARIES {
+        let base = straddling(boundary, 4 * HUGE);
+        for seed in 80..86u64 {
+            let script = random_script(seed, 40, 64);
+            let classic = replay_huge_at(&script, ForkPolicy::Classic, base, 4);
+            let ext = replay_huge_at(&script, ForkPolicy::OnDemandHuge, base, 4);
+            assert_eq!(
+                classic, ext,
+                "across the {name} boundary, seed {seed} diverged:\n{script:#?}"
+            );
+        }
     }
 }
 
