@@ -131,6 +131,13 @@ impl Process {
         self.mm.read(addr, out)
     }
 
+    /// Hands `f` the bytes from `addr` to `addr + max` or the end of its
+    /// page, whichever comes first, in one access and with no copy (see
+    /// [`Mm::read_with`]: `f` must not touch any address space).
+    pub fn read_with<R>(&self, addr: u64, max: usize, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
+        self.mm.read_with(addr, max, f)
+    }
+
     /// Writes bytes at `addr`.
     pub fn write(&self, addr: u64, data: &[u8]) -> Result<()> {
         self.mm.write(addr, data)

@@ -211,11 +211,35 @@ pub struct CrashPlan {
     pub mode: CrashMode,
 }
 
+/// A file's bytes. `crash()` hands the rebooted store the same allocation,
+/// cut to the synced prefix by `len`; a side copies only when it writes
+/// while the other still holds the bytes.
 #[derive(Clone, Default)]
 struct Inode {
-    data: Vec<u8>,
-    /// Bytes of `data` that have reached stable storage.
+    /// The file is `data[..len]`; bytes past `len` belong to another store
+    /// sharing the allocation.
+    data: Arc<Vec<u8>>,
+    len: usize,
+    /// Bytes of the file that have reached stable storage.
     synced: usize,
+}
+
+impl Inode {
+    fn bytes(&self) -> &[u8] {
+        &self.data[..self.len]
+    }
+
+    fn append(&mut self, bytes: &[u8]) {
+        if Arc::get_mut(&mut self.data).is_none() {
+            // Shared with another store: copy this file's bytes, not the
+            // other store's tail.
+            self.data = Arc::new(self.bytes().to_vec());
+        }
+        let data = Arc::get_mut(&mut self.data).expect("unshared");
+        data.truncate(self.len);
+        data.extend_from_slice(bytes);
+        self.len = data.len();
+    }
 }
 
 #[derive(Default)]
@@ -286,7 +310,8 @@ impl CrashFs {
             let src = &s.inodes[ino];
             let idx = next.inodes.len();
             next.inodes.push(Inode {
-                data: src.data[..src.synced].to_vec(),
+                data: Arc::clone(&src.data),
+                len: src.synced,
                 synced: src.synced,
             });
             next.live.insert(name.clone(), idx);
@@ -314,7 +339,7 @@ impl CrashFs {
                     if let Some(name) = fsync_target {
                         if let Some(&ino) = s.live.get(name) {
                             let inode = &mut s.inodes[ino];
-                            let pending = inode.data.len() - inode.synced;
+                            let pending = inode.len - inode.synced;
                             inode.synced += pending.div_ceil(2);
                             let ino_copy = ino;
                             let name = name.to_string();
@@ -349,7 +374,7 @@ impl StorageFs for CrashFs {
             .live
             .get(name)
             .ok_or_else(|| FsError::NotFound(name.to_string()))?;
-        s.inodes[ino].data.extend_from_slice(data);
+        s.inodes[ino].append(data);
         Ok(())
     }
 
@@ -360,7 +385,7 @@ impl StorageFs for CrashFs {
             .live
             .get(name)
             .ok_or_else(|| FsError::NotFound(name.to_string()))?;
-        s.inodes[ino].synced = s.inodes[ino].data.len();
+        s.inodes[ino].synced = s.inodes[ino].len;
         s.durable.insert(name.to_string(), ino);
         Ok(())
     }
@@ -374,7 +399,7 @@ impl StorageFs for CrashFs {
             .live
             .get(name)
             .ok_or_else(|| FsError::NotFound(name.to_string()))?;
-        Ok(s.inodes[ino].data.clone())
+        Ok(s.inodes[ino].bytes().to_vec())
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<(), FsError> {
@@ -519,6 +544,56 @@ mod tests {
             ]
         );
         assert_eq!(fs.ops(), 4);
+    }
+
+    #[test]
+    fn a_crashed_copy_shares_the_synced_bytes() {
+        let fs = CrashFs::new();
+        fs.create("a").unwrap();
+        fs.append("a", b"synced").unwrap();
+        fs.fsync("a").unwrap();
+        fs.append("a", b" pending").unwrap();
+        let after = fs.crash();
+        let data = |fs: &CrashFs| Arc::clone(&fs.state.lock().unwrap().inodes[0].data);
+        assert!(Arc::ptr_eq(&data(&fs), &data(&after)));
+        assert_eq!(after.read("a").unwrap(), b"synced");
+    }
+
+    #[test]
+    fn appends_after_a_crash_leave_the_other_side_unchanged() {
+        let fs = CrashFs::new();
+        fs.create("a").unwrap();
+        fs.append("a", b"synced").unwrap();
+        fs.fsync("a").unwrap();
+        fs.append("a", b" pending").unwrap();
+        let after = fs.crash();
+        after.append("a", b"+rebooted").unwrap();
+        fs.append("a", b"+original").unwrap();
+        assert_eq!(after.read("a").unwrap(), b"synced+rebooted");
+        assert_eq!(fs.read("a").unwrap(), b"synced pending+original");
+        // A second crash of each side sees only what that side synced.
+        after.fsync("a").unwrap();
+        assert_eq!(after.crash().read("a").unwrap(), b"synced+rebooted");
+        assert_eq!(fs.crash().read("a").unwrap(), b"synced");
+    }
+
+    #[test]
+    fn crashing_a_torn_fsync_and_then_its_copy_is_stable() {
+        let fs = CrashFs::new();
+        fs.create("a").unwrap(); // op 0
+        fs.append("a", b"0123456789").unwrap(); // op 1
+        fs.arm(CrashPlan {
+            at: 2,
+            mode: CrashMode::TornFsync,
+        });
+        assert_eq!(fs.fsync("a"), Err(FsError::Crashed)); // op 2: torn
+        let once = fs.crash();
+        let twice = once.crash();
+        assert_eq!(once.read("a").unwrap(), b"01234");
+        assert_eq!(twice.read("a").unwrap(), b"01234");
+        once.append("a", b"x").unwrap();
+        assert_eq!(twice.read("a").unwrap(), b"01234");
+        assert_eq!(twice.crash().read("a").unwrap(), b"01234");
     }
 
     #[test]

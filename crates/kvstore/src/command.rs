@@ -100,10 +100,7 @@ pub fn execute(
     let run = |out: &mut ReplyBuf| -> Result<bool> {
         Ok(match spec.name {
             b"GET" => {
-                match store.lookup(proc, key)? {
-                    Some((value, len)) => out.bulk_fill(len, |buf| proc.read(value, buf))?,
-                    None => out.bulk(None),
-                }
+                out.bulk_found(|buf, header| store.get_into(proc, key, buf, header))?;
                 false
             }
             b"SET" => {
@@ -317,7 +314,11 @@ mod tests {
         store.set(&proc, b"small", b"v").unwrap();
         // Unmap a page inside the value, past the entry's header and key,
         // so the GET finds the key and fails while copying the value.
-        let (value, _) = store.lookup(&proc, b"big").unwrap().unwrap();
+        let value = store
+            .probe(&proc, b"big", |_, _| ())
+            .unwrap()
+            .unwrap()
+            .value;
         let page = PAGE_SIZE as u64;
         proc.munmap(value.next_multiple_of(page), page).unwrap();
         let mut out = ReplyBuf::new();

@@ -283,9 +283,10 @@ impl DurableServer {
                 let meta = StoreMeta::decode(&recovered.meta)
                     .ok_or(PersistError::Corrupt("store geometry metadata"))?;
                 let store = Store::attach(
+                    &proc,
                     odf_core::UserHeap::attach(meta.heap_base, meta.heap_capacity),
                     meta.header,
-                );
+                )?;
                 let tip = report.chain_epoch.expect("image implies a chain epoch");
                 (proc, store, tip + 1)
             }

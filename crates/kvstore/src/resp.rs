@@ -447,25 +447,29 @@ impl ReplyBuf {
         }
     }
 
-    /// `$len\r\n`, then `len` bytes that `fill` writes in place, then
-    /// `\r\n`: a bulk reply copied straight from where its payload lives.
-    /// When `fill` fails the buffer is cut back to where it started and the
+    /// A bulk reply copied straight from where its payload lives, whose
+    /// length is learnt while it is copied: `find` writes the `$len\r\n`
+    /// line through the `header` it is handed, appends the payload to the
+    /// buffer, and returns `true`; or returns `false` for the null bulk.
+    /// When `find` fails the buffer is cut back to where it started and the
     /// error returned, so the reply the caller writes next is well-formed.
-    pub fn bulk_fill<E>(
+    pub fn bulk_found<E>(
         &mut self,
-        len: usize,
-        fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+        find: impl FnOnce(&mut Vec<u8>, fn(&mut Vec<u8>, usize)) -> Result<bool, E>,
     ) -> Result<(), E> {
         let buf = self.tail();
         let start = buf.len();
-        let _ = write!(buf, "${len}\r\n");
-        let body = buf.len();
-        buf.resize(body + len, 0);
-        if let Err(e) = fill(&mut buf[body..]) {
-            buf.truncate(start);
-            return Err(e);
+        let header: fn(&mut Vec<u8>, usize) = |buf, len| {
+            let _ = write!(buf, "${len}\r\n");
+        };
+        match find(buf, header) {
+            Ok(true) => buf.extend_from_slice(b"\r\n"),
+            Ok(false) => buf.extend_from_slice(b"$-1\r\n"),
+            Err(e) => {
+                buf.truncate(start);
+                return Err(e);
+            }
         }
-        buf.extend_from_slice(b"\r\n");
         Ok(())
     }
 
@@ -866,26 +870,32 @@ mod tests {
     }
 
     #[test]
-    fn bulk_fill_leaves_no_trace_when_fill_fails() {
+    fn bulk_found_leaves_no_trace_when_find_fails() {
         let mut reply = ReplyBuf::new();
         reply.simple("OK");
-        assert_eq!(reply.bulk_fill(5, |_| Err("no")), Err("no"));
+        let failed = reply.bulk_found(|buf, header| {
+            header(buf, 5);
+            buf.extend_from_slice(b"par");
+            Err("no")
+        });
+        assert_eq!(failed, Err("no"));
         reply.error("ERR no");
-        assert_eq!(
-            reply.bulk_fill(3, |buf| {
-                buf.copy_from_slice(b"hey");
-                Ok::<_, ()>(())
-            }),
-            Ok(())
-        );
+        let found = reply.bulk_found(|buf, header| {
+            header(buf, 3);
+            buf.extend_from_slice(b"hey");
+            Ok::<_, ()>(true)
+        });
+        assert_eq!(found, Ok(()));
+        assert_eq!(reply.bulk_found(|_, _| Ok::<_, ()>(false)), Ok(()));
         let mut wire = Vec::new();
         reply.flush_into(&mut wire);
-        assert_eq!(wire, b"+OK\r\n-ERR no\r\n$3\r\nhey\r\n");
+        assert_eq!(wire, b"+OK\r\n-ERR no\r\n$3\r\nhey\r\n$-1\r\n");
         let mut at = 0;
         for want in [
             RespValue::Simple("OK".into()),
             RespValue::Error("ERR no".into()),
             RespValue::Bulk(Some(b"hey".to_vec())),
+            RespValue::Bulk(None),
         ] {
             let (got, used) = RespValue::decode(&wire[at..]).expect("whole reply");
             assert_eq!(got, want);

@@ -30,16 +30,9 @@ const ENT_KLEN: u64 = 8;
 const ENT_VLEN: u64 = 12;
 const ENT_DATA: u64 = 16;
 
-/// Bytes one chain probe reads from an entry: the header plus up to
-/// `PROBE - ENT_DATA` key bytes, in one access. A probe must stay inside
-/// its entry's heap block even when the stored key is shorter than the one
-/// looked up, so this may not exceed the block of the smallest entry (a
-/// 1-byte key and an empty value); `smallest_entry_holds_a_probe` checks
-/// that against the heap's size classes.
-const PROBE: usize = 32;
-
-/// Bucket slots [`Store::serialize`] reads per access: one page's worth.
-const SERIALIZE_BUCKETS: u64 = 512;
+/// Bucket slots one page holds: [`Store::serialize`] copies the bucket
+/// array out one view (one page) at a time.
+const SERIALIZE_BUCKETS: usize = odf_core::PAGE_SIZE / 8;
 
 fn u64_at(bytes: &[u8], at: u64) -> u64 {
     let at = at as usize;
@@ -51,25 +44,70 @@ fn u32_at(bytes: &[u8], at: u64) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
 }
 
-/// Whether the bytes stored at `at` equal `bytes`, compared a stack buffer
-/// at a time.
-fn stored_equals(proc: &Process, mut at: u64, bytes: &[u8]) -> Result<bool> {
-    let mut buf = [0u8; PROBE];
-    for part in bytes.chunks(PROBE) {
-        let stored = &mut buf[..part.len()];
-        proc.read(at, stored)?;
-        if stored != part {
+/// An entry's header as `(next, key length, value length)`, or `None` when
+/// `bytes` ends inside it.
+fn entry_header(bytes: &[u8]) -> Option<(u64, usize, usize)> {
+    (bytes.len() >= ENT_DATA as usize).then(|| {
+        (
+            u64_at(bytes, ENT_NEXT),
+            u32_at(bytes, ENT_KLEN) as usize,
+            u32_at(bytes, ENT_VLEN) as usize,
+        )
+    })
+}
+
+/// Reads the header of the entry at `at` whole: the fallback for a view
+/// that ended inside it.
+fn read_entry_header(proc: &Process, at: u64) -> Result<(u64, usize, usize)> {
+    let mut header = [0u8; ENT_DATA as usize];
+    proc.read(at, &mut header)?;
+    Ok(entry_header(&header).expect("a whole header"))
+}
+
+/// Whether the bytes stored at `at` equal `bytes`, compared one view per
+/// page: the fallback for a key that crosses its view's page end.
+fn stored_equals(proc: &Process, mut at: u64, mut bytes: &[u8]) -> Result<bool> {
+    while !bytes.is_empty() {
+        let matched = proc.read_with(at, bytes.len(), |stored| {
+            (*stored == bytes[..stored.len()]).then_some(stored.len())
+        })?;
+        let Some(n) = matched else {
             return Ok(false);
-        }
-        at += part.len() as u64;
+        };
+        bytes = &bytes[n..];
+        at += n as u64;
     }
     Ok(true)
+}
+
+/// A key [`Store::probe`] found.
+#[derive(Debug)]
+pub(crate) struct Hit {
+    /// Address of the value.
+    pub value: u64,
+    /// Length of the value.
+    pub len: usize,
+    /// Leading value bytes the probe's view held and handed over; the rest
+    /// starts at `value + held`, past the view's page end.
+    pub held: usize,
+}
+
+/// What one view of a chain entry decided.
+enum Step {
+    /// Not the key: the next entry's address.
+    Next(u64),
+    /// The key: its value's length, and how many value bytes the view held.
+    Hit(usize, usize),
+    /// The view ended inside the header (`None`), or inside the key after
+    /// `matched` bytes that equal the key's.
+    Split(Option<(u64, usize, usize)>, usize),
 }
 
 /// A chained hash table whose every byte lives in simulated process
 /// memory.
 ///
-/// The handle holds only addresses; operations take the [`Process`] whose
+/// The handle holds addresses and the table's geometry, which never
+/// changes after [`Store::create`]; operations take the [`Process`] whose
 /// address space to operate in. After a fork, the *same* handle used with
 /// the child process reads the child's copy-on-write image — which is how
 /// the snapshot serializer sees a frozen point-in-time view.
@@ -77,6 +115,10 @@ fn stored_equals(proc: &Process, mut at: u64, bytes: &[u8]) -> Result<bool> {
 pub struct Store {
     heap: UserHeap,
     header: u64,
+    /// Bucket count minus one (the count is a power of two).
+    mask: u64,
+    /// Address of the bucket array.
+    array: u64,
 }
 
 impl Store {
@@ -94,7 +136,12 @@ impl Store {
         proc.write_u64(header + HDR_ARRAY, array)?;
         // Zero the bucket array.
         proc.fill(array, (buckets * 8) as usize, 0)?;
-        Ok(Store { heap, header })
+        Ok(Store {
+            heap,
+            header,
+            mask: buckets - 1,
+            array,
+        })
     }
 
     /// The heap backing this store.
@@ -107,13 +154,25 @@ impl Store {
         self.header
     }
 
-    /// Re-creates a handle onto a store that already lives in a process's
+    /// Re-creates a handle onto a store that already lives in `proc`'s
     /// address space — the durability path uses this after a snapshot
-    /// restore rebuilds the memory image byte-for-byte (the handle holds
-    /// only addresses, so the geometry round-trips through the chain
-    /// manifest).
-    pub fn attach(heap: UserHeap, header: u64) -> Store {
-        Store { heap, header }
+    /// restore rebuilds the memory image byte-for-byte (the heap and header
+    /// addresses round-trip through the chain manifest). Reads the geometry
+    /// from the table header, once; a bucket count that is not a power of
+    /// two is [`VmError::InvalidArgument`].
+    pub fn attach(proc: &Process, heap: UserHeap, header: u64) -> Result<Store> {
+        let mut bytes = [0u8; HEADER_SIZE as usize];
+        proc.read(header, &mut bytes)?;
+        let buckets = u64_at(&bytes, HDR_BUCKETS);
+        if !buckets.is_power_of_two() {
+            return Err(VmError::InvalidArgument);
+        }
+        Ok(Store {
+            heap,
+            header,
+            mask: buckets - 1,
+            array: u64_at(&bytes, HDR_ARRAY),
+        })
     }
 
     fn hash(key: &[u8]) -> u64 {
@@ -126,38 +185,106 @@ impl Store {
         h
     }
 
-    fn bucket_addr(&self, proc: &Process, key: &[u8]) -> Result<u64> {
-        let mut header = [0u8; HEADER_SIZE as usize];
-        proc.read(self.header, &mut header)?;
-        let buckets = u64_at(&header, HDR_BUCKETS);
-        let array = u64_at(&header, HDR_ARRAY);
-        Ok(array + (Self::hash(key) & (buckets - 1)) * 8)
+    /// Address of `key`'s bucket slot: no access, the geometry is in the
+    /// handle.
+    fn slot(&self, key: &[u8]) -> u64 {
+        self.array + (Self::hash(key) & self.mask) * 8
     }
 
-    /// Finds `key`, returning the address and length of its value.
+    /// Finds `key`: the one probe routine behind every read.
     ///
-    /// Each probe of the chain is one access: the entry header and the
-    /// first key bytes together (see [`PROBE`]). Only an entry whose key
-    /// length and leading bytes match reads the rest of its key, through a
-    /// stack buffer; no value is read.
-    pub(crate) fn lookup(&self, proc: &Process, key: &[u8]) -> Result<Option<(u64, usize)>> {
-        let bucket = self.bucket_addr(proc, key)?;
-        let (head, tail) = key.split_at(key.len().min(PROBE - ENT_DATA as usize));
-        let mut probe = [0u8; PROBE];
-        let probe = &mut probe[..ENT_DATA as usize + head.len()];
-        let mut at = proc.read_u64(bucket)?;
+    /// One access reads the bucket slot, then one view per chain entry
+    /// checks its header, compares the key and, on a hit, hands `take` the
+    /// value's length and the value bytes the view holds, all in that
+    /// access. `take` runs inside the view, so it must not touch an address
+    /// space. Only an entry whose header or key crosses its page end is
+    /// finished field by field; a value that crosses it is left to the
+    /// caller, from `value + held`.
+    pub(crate) fn probe(
+        &self,
+        proc: &Process,
+        key: &[u8],
+        take: impl FnOnce(usize, &[u8]),
+    ) -> Result<Option<Hit>> {
+        let mut take = Some(take);
+        let mut at = proc.read_u64(self.slot(key))?;
         while at != 0 {
-            proc.read(at, probe)?;
-            if u32_at(probe, ENT_KLEN) as usize == key.len()
-                && probe[ENT_DATA as usize..] == *head
-                && stored_equals(proc, at + ENT_DATA + head.len() as u64, tail)?
-            {
-                let value = at + ENT_DATA + key.len() as u64;
-                return Ok(Some((value, u32_at(probe, ENT_VLEN) as usize)));
-            }
-            at = u64_at(probe, ENT_NEXT);
+            let step = proc.read_with(at, usize::MAX, |view| {
+                let Some((next, klen, vlen)) = entry_header(view) else {
+                    return Step::Split(None, 0);
+                };
+                if klen != key.len() {
+                    return Step::Next(next);
+                }
+                let stored = &view[ENT_DATA as usize..];
+                let held = stored.len().min(klen);
+                if stored[..held] != key[..held] {
+                    return Step::Next(next);
+                }
+                if held < klen {
+                    return Step::Split(Some((next, klen, vlen)), held);
+                }
+                let value = &stored[klen..stored.len().min(klen + vlen)];
+                take.take().expect("one hit")(vlen, value);
+                Step::Hit(vlen, value.len())
+            })?;
+            let (len, held) = match step {
+                Step::Next(next) => {
+                    at = next;
+                    continue;
+                }
+                Step::Hit(len, held) => (len, held),
+                Step::Split(header, matched) => {
+                    let (next, klen, vlen) = match header {
+                        Some(header) => header,
+                        None => read_entry_header(proc, at)?,
+                    };
+                    let rest = at + ENT_DATA + matched as u64;
+                    if klen != key.len() || !stored_equals(proc, rest, &key[matched..])? {
+                        at = next;
+                        continue;
+                    }
+                    take.take().expect("one hit")(vlen, &[]);
+                    (vlen, 0)
+                }
+            };
+            let value = at + ENT_DATA + key.len() as u64;
+            return Ok(Some(Hit { value, len, held }));
         }
         Ok(None)
+    }
+
+    /// Appends `key`'s value to `out` and returns whether the key exists.
+    /// `start(out, len)` runs first, to write whatever goes before the
+    /// value (a reply header) or to reserve room; it may run inside the
+    /// probe's view, so it must not touch an address space.
+    ///
+    /// The value goes straight from simulated memory into `out`: the part
+    /// the probe's view held in that access, the rest (when the value
+    /// crosses a page end) in one more read. If that read fails, `out` is
+    /// cut back to its length on entry.
+    pub(crate) fn get_into(
+        &self,
+        proc: &Process,
+        key: &[u8],
+        out: &mut Vec<u8>,
+        start: impl FnOnce(&mut Vec<u8>, usize),
+    ) -> Result<bool> {
+        let from = out.len();
+        let found = self.probe(proc, key, |len, held| {
+            start(out, len);
+            out.extend_from_slice(held);
+        })?;
+        let Some(hit) = found else {
+            return Ok(false);
+        };
+        let to = out.len();
+        out.resize(to + hit.len - hit.held, 0);
+        if let Err(e) = proc.read(hit.value + hit.held as u64, &mut out[to..]) {
+            out.truncate(from);
+            return Err(e);
+        }
+        Ok(true)
     }
 
     /// Number of items.
@@ -178,7 +305,7 @@ impl Store {
         // Replace = delete + insert at chain head (Redis semantics: SET
         // overwrites).
         self.del(proc, key)?;
-        let bucket = self.bucket_addr(proc, key)?;
+        let bucket = self.slot(key);
         let head = proc.read_u64(bucket)?;
         let entry = self
             .heap
@@ -196,19 +323,19 @@ impl Store {
 
     /// Looks a key up.
     pub fn get(&self, proc: &Process, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.lookup(proc, key)?
-            .map(|(value, len)| proc.read_vec(value, len))
-            .transpose()
+        let mut value = Vec::new();
+        let found = self.get_into(proc, key, &mut value, Vec::reserve_exact)?;
+        Ok(found.then_some(value))
     }
 
     /// Removes a key, returning whether it existed.
     pub fn del(&self, proc: &Process, key: &[u8]) -> Result<bool> {
-        // This walk keeps its field-at-a-time reads instead of `lookup`'s
-        // probe on purpose. `set` is a `del` plus an insert, so a faster
+        // This walk keeps its field-at-a-time reads instead of `probe`'s
+        // views on purpose. `set` is a `del` plus an insert, so a faster
         // walk here speeds up every write, and on the durable workload
-        // peak RSS grows with write throughput (`CrashFs` keeps every byte
-        // ever written): see DESIGN.md §11, "GET path".
-        let bucket = self.bucket_addr(proc, key)?;
+        // peak RSS grows with write throughput: see DESIGN.md §11, "GET
+        // path".
+        let bucket = self.slot(key);
         let mut prev: Option<u64> = None;
         let mut at = proc.read_u64(bucket)?;
         while at != 0 {
@@ -232,7 +359,7 @@ impl Store {
 
     /// Whether a key exists (`EXISTS`).
     pub fn exists(&self, proc: &Process, key: &[u8]) -> Result<bool> {
-        Ok(self.lookup(proc, key)?.is_some())
+        Ok(self.probe(proc, key, |_, _| ())?.is_some())
     }
 
     /// The value `INCR key` would store: a missing key counts as 0; a
@@ -274,37 +401,61 @@ impl Store {
     /// Format: `[item count: u64]` then per item
     /// `[klen: u32][vlen: u32][key][value]`.
     ///
-    /// Two accesses per item: the entry header, then key and value straight
-    /// into the dump (an entry's length fields are already the dump's item
-    /// header). The bucket array is read [`SERIALIZE_BUCKETS`] slots at a
-    /// time.
+    /// One view per item: an entry's length fields are already the dump's
+    /// item header, so header, key and value go into the dump in the access
+    /// that reads the header (`dump_entry`). The bucket array is copied out
+    /// one view (up to [`SERIALIZE_BUCKETS`] slots) per page.
     pub fn serialize(&self, proc: &Process) -> Result<Vec<u8>> {
-        let mut header = [0u8; HEADER_SIZE as usize];
-        proc.read(self.header, &mut header)?;
-        let buckets = u64_at(&header, HDR_BUCKETS);
-        let items = u64_at(&header, HDR_ITEMS);
-        let array = u64_at(&header, HDR_ARRAY);
+        let items = proc.read_u64(self.header + HDR_ITEMS)?;
         let mut out = Vec::with_capacity(64 + items as usize * 32);
         out.extend_from_slice(&items.to_le_bytes());
-        let mut heads = [0u8; SERIALIZE_BUCKETS as usize * 8];
-        let mut entry = [0u8; ENT_DATA as usize];
-        for first in (0..buckets).step_by(SERIALIZE_BUCKETS as usize) {
-            let heads = &mut heads[..(buckets - first).min(SERIALIZE_BUCKETS) as usize * 8];
-            proc.read(array + first * 8, heads)?;
-            for head in heads.chunks_exact(8) {
-                let mut at = u64_at(head, 0);
+        let mut heads = [0u64; SERIALIZE_BUCKETS];
+        let end = self.array + (self.mask + 1) * 8;
+        let mut slot = self.array;
+        while slot < end {
+            // Slots are 8-byte aligned, so none crosses a page end.
+            let n = proc.read_with(slot, (end - slot) as usize, |view| {
+                for (head, bytes) in heads.iter_mut().zip(view.chunks_exact(8)) {
+                    *head = u64_at(bytes, 0);
+                }
+                view.len() / 8
+            })?;
+            for &head in &heads[..n] {
+                let mut at = head;
                 while at != 0 {
-                    proc.read(at, &mut entry)?;
-                    out.extend_from_slice(&entry[ENT_KLEN as usize..ENT_DATA as usize]);
-                    let len = u32_at(&entry, ENT_KLEN) as usize + u32_at(&entry, ENT_VLEN) as usize;
-                    let from = out.len();
-                    out.resize(from + len, 0);
-                    proc.read(at + ENT_DATA, &mut out[from..])?;
-                    at = u64_at(&entry, ENT_NEXT);
+                    at = Self::dump_entry(proc, at, &mut out)?;
                 }
             }
+            slot += n as u64 * 8;
         }
         Ok(out)
+    }
+
+    /// Appends the entry at `at` to a dump as `[klen][vlen][key][value]` and
+    /// returns the next entry's address. One view copies whatever of the
+    /// entry it holds; only an entry that crosses its page end reads the
+    /// rest (and a header cut by the page end is read whole).
+    fn dump_entry(proc: &Process, at: u64, out: &mut Vec<u8>) -> Result<u64> {
+        let from = out.len();
+        let viewed = proc.read_with(at, usize::MAX, |view| {
+            let (next, klen, vlen) = entry_header(view)?;
+            let item = &view[ENT_KLEN as usize..];
+            out.extend_from_slice(&item[..item.len().min(8 + klen + vlen)]);
+            Some((next, klen, vlen))
+        })?;
+        let (next, klen, vlen) = match viewed {
+            Some(header) => header,
+            None => {
+                let header = read_entry_header(proc, at)?;
+                out.extend_from_slice(&(header.1 as u32).to_le_bytes());
+                out.extend_from_slice(&(header.2 as u32).to_le_bytes());
+                header
+            }
+        };
+        let have = out.len() - from;
+        out.resize(from + 8 + klen + vlen, 0);
+        proc.read(at + ENT_KLEN + have as u64, &mut out[from + have..])?;
+        Ok(next)
     }
 
     /// Rebuilds a store from a serialized dump (recovery).
@@ -353,6 +504,130 @@ mod tests {
         let p = k.spawn().unwrap();
         let s = Store::create(&p, 32 << 20, 256).unwrap();
         (k, p, s)
+    }
+
+    /// The `(key, value)` entries of the chain `s` hashes `key` to, or of
+    /// bucket `bucket` when `key` is `None`, each field read on its own:
+    /// the oracle the views are checked against.
+    fn oracle_chain(
+        s: &Store,
+        proc: &Process,
+        bucket: Option<u64>,
+        key: &[u8],
+    ) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let buckets = proc.read_u64(s.header + HDR_BUCKETS).unwrap();
+        let array = proc.read_u64(s.header + HDR_ARRAY).unwrap();
+        let bucket = bucket.unwrap_or(Store::hash(key) & (buckets - 1));
+        let mut at = proc.read_u64(array + bucket * 8).unwrap();
+        let mut entries = Vec::new();
+        while at != 0 {
+            let klen = proc.read_u32(at + ENT_KLEN).unwrap() as usize;
+            let vlen = proc.read_u32(at + ENT_VLEN).unwrap() as usize;
+            let key = proc.read_vec(at + ENT_DATA, klen).unwrap();
+            let value = proc.read_vec(at + ENT_DATA + klen as u64, vlen).unwrap();
+            entries.push((key, value));
+            at = proc.read_u64(at + ENT_NEXT).unwrap();
+        }
+        entries
+    }
+
+    fn oracle_get(s: &Store, proc: &Process, key: &[u8]) -> Option<Vec<u8>> {
+        oracle_chain(s, proc, None, key)
+            .into_iter()
+            .find_map(|(k, v)| (k == key).then_some(v))
+    }
+
+    /// The dump a walk that reads each field on its own produces.
+    fn oracle_dump(s: &Store, proc: &Process) -> Vec<u8> {
+        let mut dump = proc
+            .read_u64(s.header + HDR_ITEMS)
+            .unwrap()
+            .to_le_bytes()
+            .to_vec();
+        for bucket in 0..proc.read_u64(s.header + HDR_BUCKETS).unwrap() {
+            for (key, value) in oracle_chain(s, proc, Some(bucket), b"") {
+                dump.extend_from_slice(&(key.len() as u32).to_le_bytes());
+                dump.extend_from_slice(&(value.len() as u32).to_le_bytes());
+                dump.extend(key);
+                dump.extend(value);
+            }
+        }
+        dump
+    }
+
+    /// `GET key` through the command table, the reply's payload decoded.
+    fn wire_get(s: Store, proc: &Process, key: &[u8]) -> Option<Vec<u8>> {
+        let argv: [&[u8]; 2] = [b"GET", key];
+        let mut out = crate::ReplyBuf::new();
+        let spec = crate::command::resolve(&argv, &mut out).unwrap();
+        crate::command::execute(spec, s, proc, &argv, &mut out);
+        let mut wire = Vec::new();
+        out.flush_into(&mut wire);
+        match crate::RespValue::decode(&wire) {
+            Some((crate::RespValue::Bulk(value), used)) if used == wire.len() => value,
+            other => panic!("not one bulk reply: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn entries_crossing_a_page_end_read_like_a_field_at_a_time_walk() {
+        // Every entry is carved at the heap's bump cursor (nothing is
+        // freed), so padding with 16-byte blocks (24 bytes a block, and
+        // gcd(24, 4096) = 8) places its payload any 8-byte multiple short
+        // of a page end. Keys of one length differ only in their last
+        // byte's high bits, so with 16 buckets they share one chain and
+        // every probe passes over the others' split entries.
+        let page = odf_core::PAGE_SIZE as u64;
+        let k = Kernel::new(64 << 20);
+        let p = k.spawn().unwrap();
+        let s = Store::create(&p, 16 << 20, 16).unwrap();
+        let key = |len: usize, last: u8| {
+            let mut key: Vec<u8> = (0..len - 1).map(|i| b'a' + (i % 26) as u8).collect();
+            key.push(last << 4);
+            key
+        };
+        // (bytes of the entry before the page end, key length, value length)
+        let mut cases = Vec::new();
+        // Each key length has 15 cases; their keys end in 0..15 and 15 is
+        // the miss.
+        let last_byte = |case: usize| (case % 15) as u8;
+        for klen in [3, 8, 20, 5000] {
+            for before_end in [8, 16, 24, 40, 64] {
+                for vlen in [0, 30, 9000] {
+                    cases.push((before_end, klen, vlen));
+                }
+            }
+        }
+        let (mut header_split, mut key_split, mut value_split) = (0, 0, 0);
+        for (i, &(before_end, klen, vlen)) in cases.iter().enumerate() {
+            while (s.heap().used(&p).unwrap() + 8) % page != page - before_end {
+                s.heap().alloc(&p, 16).unwrap();
+            }
+            let value: Vec<u8> = (0..vlen).map(|j| (i * 7 + j) as u8).collect();
+            s.set(&p, &key(klen, last_byte(i)), &value).unwrap();
+            let end = before_end as usize;
+            header_split += usize::from(end < ENT_DATA as usize);
+            key_split += usize::from((16..16 + klen).contains(&end));
+            value_split += usize::from((16 + klen..16 + klen + vlen).contains(&end));
+        }
+        assert!(header_split > 0 && key_split > 0 && value_split > 0);
+        let child = p.fork_with(ForkPolicy::OnDemand).unwrap();
+        s.set(&p, &key(20, 2), b"after the fork").unwrap();
+        for proc in [&p, &child] {
+            for (i, &(_, klen, _)) in cases.iter().enumerate() {
+                // Each stored key, and a miss of the same length and chain.
+                for last in [last_byte(i), 15] {
+                    let key = key(klen, last);
+                    let want = oracle_get(&s, proc, &key);
+                    assert_eq!(want.is_some(), last != 15);
+                    assert_eq!(s.get(proc, &key).unwrap(), want, "get {i}");
+                    assert_eq!(s.exists(proc, &key).unwrap(), want.is_some(), "exists {i}");
+                    assert_eq!(wire_get(s, proc, &key), want, "GET {i}");
+                }
+            }
+            assert_eq!(s.serialize(proc).unwrap(), oracle_dump(&s, proc));
+        }
+        child.exit();
     }
 
     #[test]
@@ -437,7 +712,7 @@ mod tests {
         // each field on its own produces, for the parent and a forked child.
         let k = Kernel::new(128 << 20);
         let p = k.spawn().unwrap();
-        let s = Store::create(&p, 32 << 20, 4 * SERIALIZE_BUCKETS + 1).unwrap();
+        let s = Store::create(&p, 32 << 20, 4 * SERIALIZE_BUCKETS as u64 + 1).unwrap();
         for i in 0..20_000u32 {
             let value = "v".repeat(i as usize % 300);
             s.set(&p, format!("key-{i}").as_bytes(), value.as_bytes())
@@ -446,28 +721,7 @@ mod tests {
         let child = p.fork_with(ForkPolicy::OnDemand).unwrap();
         s.set(&p, b"key-7", b"after the fork").unwrap();
         for proc in [&p, &child] {
-            let buckets = proc.read_u64(s.header + HDR_BUCKETS).unwrap();
-            let array = proc.read_u64(s.header + HDR_ARRAY).unwrap();
-            let mut expected = proc
-                .read_u64(s.header + HDR_ITEMS)
-                .unwrap()
-                .to_le_bytes()
-                .to_vec();
-            for b in 0..buckets {
-                let mut at = proc.read_u64(array + b * 8).unwrap();
-                while at != 0 {
-                    let klen = proc.read_u32(at + ENT_KLEN).unwrap();
-                    let vlen = proc.read_u32(at + ENT_VLEN).unwrap();
-                    expected.extend_from_slice(&klen.to_le_bytes());
-                    expected.extend_from_slice(&vlen.to_le_bytes());
-                    expected.extend(
-                        proc.read_vec(at + ENT_DATA, (klen + vlen) as usize)
-                            .unwrap(),
-                    );
-                    at = proc.read_u64(at + ENT_NEXT).unwrap();
-                }
-            }
-            assert_eq!(s.serialize(proc).unwrap(), expected);
+            assert_eq!(s.serialize(proc).unwrap(), oracle_dump(&s, proc));
         }
         assert_eq!(
             parse_dump(&s.serialize(&child).unwrap()).unwrap().len(),
@@ -533,18 +787,6 @@ mod tests {
     }
 
     #[test]
-    fn smallest_entry_holds_a_probe() {
-        // A probe reads PROBE bytes of an entry whatever its stored key
-        // length; a heap class below that would let it read past the block.
-        let (_k, p, s) = setup();
-        s.set(&p, b"k", b"").unwrap();
-        let (value, len) = s.lookup(&p, b"k").unwrap().unwrap();
-        assert_eq!(len, 0);
-        let entry = value - ENT_DATA - 1;
-        assert!(s.heap().size_of(&p, entry).unwrap() >= PROBE as u64);
-    }
-
-    #[test]
     fn restore_rejects_a_cut_or_overlong_dump() {
         let (_k, p, s) = setup();
         let items = [(&b"a"[..], &b""[..]), (b"bb", b"22"), (b"ccc", b"333")];
@@ -585,5 +827,65 @@ mod tests {
         let big: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         s.set(&p, b"big", &big).unwrap();
         assert_eq!(s.get(&p, b"big").unwrap().unwrap(), big);
+    }
+}
+
+#[cfg(test)]
+mod guard {
+    /// `(function, line)` for each line of this file before its tests:
+    /// the function whose body the line is in, or the last one declared
+    /// above it ("" before the first).
+    fn lines_by_fn() -> Vec<(&'static str, &'static str)> {
+        let src = include_str!("store.rs");
+        let code = &src[..src.find("#[cfg(test)]").expect("a test module")];
+        let mut current = "";
+        let mut lines = Vec::new();
+        for line in code.lines() {
+            if let Some((before, after)) = line.split_once("fn ") {
+                if before
+                    .trim()
+                    .chars()
+                    .all(|c| c.is_alphanumeric() || "() ".contains(c))
+                {
+                    current = after.split(['(', '<']).next().unwrap_or("");
+                }
+            }
+            lines.push((current, line));
+        }
+        lines
+    }
+
+    #[test]
+    fn only_create_and_attach_read_the_geometry() {
+        for (name, line) in lines_by_fn() {
+            let geometry = line.contains("HDR_BUCKETS") || line.contains("HDR_ARRAY");
+            let declared = line.starts_with("const ");
+            assert!(
+                !geometry || declared || ["create", "attach"].contains(&name),
+                "{name} reads the table geometry: it lives in the Store handle\n{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn read_paths_take_entry_fields_from_views() {
+        let read_paths = [
+            "probe",
+            "get_into",
+            "get",
+            "exists",
+            "serialize",
+            "dump_entry",
+        ];
+        for (name, line) in lines_by_fn() {
+            let field_read = line.contains("read_u32(")
+                || (line.contains("read_u64(")
+                    && !line.contains("self.slot(")
+                    && !line.contains("HDR_ITEMS"));
+            assert!(
+                !(read_paths.contains(&name) && field_read),
+                "{name} reads an entry field on its own: take it from the entry's view\n{line}"
+            );
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! last byte, so a lookup keeps probing entries whose length and leading
 //! bytes match its key. Every read is checked three ways — `get`,
 //! `exists` and a wire `GET` — on the live store and on an OnDemand-forked
-//! child, and a read sweep over a fully written store must not fault.
+//! child, and a read sweep over a fully written store must not fault. The
+//! `serialize` dump's items, as a multiset, equal the model.
 
 use std::collections::HashMap;
 
@@ -16,8 +17,9 @@ use proptest::prelude::*;
 /// (see [`key_bytes`]).
 type Key = (usize, u8);
 
-/// Key lengths either side of the 16 key bytes a chain probe reads with
-/// the entry header and of the 32-byte pieces the rest is compared in.
+/// Key lengths either side of 16 and 32 bytes, and the longest key, so
+/// probes compare keys of every length against entries that share their
+/// length and leading bytes.
 const EDGE_LENS: [usize; 9] = [1, 2, 15, 16, 17, 32, 48, 49, 80];
 
 /// Last bytes a key may end in.
@@ -30,6 +32,7 @@ enum Op {
     Get { key: Key },
     Exists { key: Key },
     WireGet { key: Key },
+    Dump,
 }
 
 fn key_strategy() -> impl Strategy<Value = Key> {
@@ -52,6 +55,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => key_strategy().prop_map(|key| Op::Get { key }),
         1 => key_strategy().prop_map(|key| Op::Exists { key }),
         1 => key_strategy().prop_map(|key| Op::WireGet { key }),
+        1 => Just(Op::Dump),
     ]
 }
 
@@ -95,6 +99,37 @@ fn reads_agree(
         wire_get(store, proc, &bytes),
         RespValue::Bulk(want.cloned())
     );
+    Ok(())
+}
+
+/// The items of `store.serialize`, taken as a multiset, equal `model`,
+/// and the dump's item count is the model's size.
+fn dump_agrees(
+    store: Store,
+    proc: &Process,
+    model: &HashMap<Key, Vec<u8>>,
+) -> Result<(), TestCaseError> {
+    let dump = store.serialize(proc).unwrap();
+    let (count, mut rest) = dump.split_at(8);
+    prop_assert_eq!(
+        u64::from_le_bytes(count.try_into().unwrap()),
+        model.len() as u64
+    );
+    let mut items = Vec::new();
+    while !rest.is_empty() {
+        let len = |at: usize| u32::from_le_bytes(rest[at..at + 4].try_into().unwrap()) as usize;
+        let (klen, vlen) = (len(0), len(4));
+        let (key, value) = rest[8..8 + klen + vlen].split_at(klen);
+        items.push((key.to_vec(), value.to_vec()));
+        rest = &rest[8 + klen + vlen..];
+    }
+    let mut want: Vec<_> = model
+        .iter()
+        .map(|(&key, value)| (key_bytes(key), value.clone()))
+        .collect();
+    items.sort();
+    want.sort();
+    prop_assert_eq!(items, want);
     Ok(())
 }
 
@@ -152,6 +187,7 @@ proptest! {
                     let reply = wire_get(store, &proc, &key_bytes(key));
                     prop_assert_eq!(reply, RespValue::Bulk(model.get(&key).cloned()));
                 }
+                Op::Dump => dump_agrees(store, &proc, &model)?,
             }
             prop_assert_eq!(store.len(&proc).unwrap(), model.len() as u64);
         }
@@ -195,12 +231,14 @@ proptest! {
             prop_assert_eq!(got.as_deref(), Some(value.as_slice()));
         }
         sweep(&kernel, store, &child, &frozen)?;
+        dump_agrees(store, &child, &frozen)?;
         // And the parent's matches the live model.
         for (key, value) in &model {
             let got = store.get(&proc, &key_bytes(*key)).unwrap();
             prop_assert_eq!(got.as_deref(), Some(value.as_slice()));
         }
         sweep(&kernel, store, &proc, &model)?;
+        dump_agrees(store, &proc, &model)?;
     }
 }
 

@@ -781,20 +781,36 @@ impl FramePool {
     // Data access
     // ------------------------------------------------------------------
 
-    /// Reads bytes from one frame into `out`.
+    /// Hands `f` the `len` bytes of one frame at `offset`, borrowed under
+    /// the frame's data lock, and returns what `f` returns.
     ///
-    /// Unmaterialized frames read as zeros.
+    /// Unmaterialized frames read as the zero page. `f` runs with the data
+    /// lock held, so it must not write to this frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset + len` exceeds the frame size.
+    pub fn view_frame<R>(
+        &self,
+        frame: FrameId,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> R {
+        assert!(offset + len <= PAGE_SIZE, "read crosses frame end");
+        let slot = self.data[frame.index()].read();
+        let page: &[u8; PAGE_SIZE] = slot.as_deref().unwrap_or(&ZERO_PAGE);
+        f(&page[offset..offset + len])
+    }
+
+    /// Reads bytes from one frame into `out`: a copy through
+    /// [`FramePool::view_frame`].
     ///
     /// # Panics
     ///
     /// Panics if `offset + out.len()` exceeds the frame size.
     pub fn read_frame(&self, frame: FrameId, offset: usize, out: &mut [u8]) {
-        assert!(offset + out.len() <= PAGE_SIZE, "read crosses frame end");
-        let slot = self.data[frame.index()].read();
-        match slot.as_deref() {
-            Some(buf) => out.copy_from_slice(&buf[offset..offset + out.len()]),
-            None => out.fill(0),
-        }
+        self.view_frame(frame, offset, out.len(), |bytes| out.copy_from_slice(bytes));
     }
 
     /// Writes bytes into one frame, materializing its buffer on first use.
@@ -975,6 +991,17 @@ mod tests {
         pool.read_frame(f, 4000, &mut buf);
         assert_eq!(&buf, b"hello");
         assert!(pool.is_materialized(f));
+    }
+
+    #[test]
+    fn views_borrow_the_frame_or_the_zero_page() {
+        let pool = FramePool::new(16);
+        let f = pool.alloc_page(PageKind::Anon).unwrap();
+        assert!(pool.view_frame(f, 0, PAGE_SIZE, |b| b.iter().all(|&x| x == 0)));
+        assert!(!pool.is_materialized(f), "a view never materializes");
+        pool.write_frame(f, PAGE_SIZE - 3, b"end");
+        assert_eq!(pool.view_frame(f, PAGE_SIZE - 3, 3, <[u8]>::to_vec), b"end");
+        assert_eq!(pool.view_frame(f, PAGE_SIZE, 0, |b| b.len()), 0);
     }
 
     #[test]

@@ -59,11 +59,60 @@ type FaultFn<'a> = dyn Fn(&Machine, &MmInner, VirtAddr, bool) -> Result<FaultKin
 /// anything, which is surfaced as [`VmError::FaultRetriesExhausted`].
 const MAX_FAULT_RETRIES: u32 = 32;
 
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Set while a [`Mm::read_with`] closure runs on this thread.
+    static IN_VIEW: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Clears [`IN_VIEW`] when dropped, also when a view's closure panics.
+#[cfg(debug_assertions)]
+struct ViewMark;
+
+#[cfg(debug_assertions)]
+impl Drop for ViewMark {
+    fn drop(&mut self) {
+        IN_VIEW.set(false);
+    }
+}
+
 impl Mm {
     /// Reads `out.len()` bytes from the address space at `addr`.
     pub fn read(&self, addr: u64, out: &mut [u8]) -> Result<()> {
         self.access(addr, out.len(), |frame, off, range, pool| {
             pool.read_frame(frame, off, &mut out[range]);
+        })
+    }
+
+    /// Hands `f` the bytes from `addr` up to `addr + max` or the end of
+    /// `addr`'s page, whichever comes first, in one access and with no
+    /// copy: a borrowed page view. Returns what `f` returns.
+    ///
+    /// The view is the frame [`Mm::read`] would copy from, translated,
+    /// faulted in and pinned the same way; an unmaterialized frame reads
+    /// as zeros. `f` runs under the shared mm guard, the pin and the
+    /// frame's data lock, so it must not touch any address space: a nested
+    /// access would take the shared guard a second time, and the guard
+    /// favours a queued writer, so that deadlocks. Debug builds assert it.
+    pub fn read_with<R>(&self, addr: u64, max: usize, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
+        let len = max.min(PAGE_SIZE - (addr % PAGE_SIZE as u64) as usize);
+        let mut f = Some(f);
+        let mut viewed = None;
+        self.access(addr, len, |frame, off, range, pool| {
+            let f = f.take().expect("a view spans one page");
+            viewed = Some(pool.view_frame(frame, off, range.len(), |bytes| {
+                #[cfg(debug_assertions)]
+                let _mark = {
+                    IN_VIEW.set(true);
+                    ViewMark
+                };
+                f(bytes)
+            }));
+        })?;
+        Ok(match viewed {
+            Some(r) => r,
+            // `len` is 0: there was nothing to translate.
+            None => f.expect("an empty view has not run")(&[]),
         })
     }
 
@@ -157,6 +206,11 @@ impl Mm {
         op: &mut AccessOp<'_>,
         handler: &FaultFn<'_>,
     ) -> Result<()> {
+        #[cfg(debug_assertions)]
+        assert!(
+            !IN_VIEW.get(),
+            "an access from inside a read_with view: the closure must not touch an address space"
+        );
         if len == 0 {
             return Ok(());
         }
@@ -285,5 +339,83 @@ mod tests {
         mm.read(addr, &mut back).unwrap();
         assert_eq!(back, [0xAB; 64]);
         assert_eq!(machine.stats().snapshot().fault_retries, 0);
+    }
+
+    fn mm_with(bytes: u64, params: MapParams) -> (Arc<Machine>, Mm, u64) {
+        let machine = Machine::new(16 << 20);
+        let mm = Mm::new(Arc::clone(&machine)).unwrap();
+        let addr = mm.mmap(bytes, params).unwrap();
+        (machine, mm, addr)
+    }
+
+    #[test]
+    fn a_view_stops_at_the_page_end() {
+        let page = PAGE_SIZE as u64;
+        let (_machine, mm, addr) = mm_with(2 * page, MapParams::anon_rw());
+        let bytes: Vec<u8> = (0..2 * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+        mm.write(addr, &bytes).unwrap();
+        let at = PAGE_SIZE - 10;
+        let view = mm.read_with(addr + at as u64, 100, <[u8]>::to_vec).unwrap();
+        assert_eq!(view, &bytes[at..PAGE_SIZE]);
+        let view = mm.read_with(addr + at as u64, 4, <[u8]>::to_vec).unwrap();
+        assert_eq!(view, &bytes[at..at + 4]);
+        let view = mm
+            .read_with(addr + page, usize::MAX, <[u8]>::to_vec)
+            .unwrap();
+        assert_eq!(view, &bytes[PAGE_SIZE..]);
+        assert_eq!(mm.read_with(addr, 0, <[u8]>::len).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_never_touched_page_demand_faults_once_and_reads_zeros() {
+        let (machine, mm, addr) = mm_with(PAGE_SIZE as u64, MapParams::anon_rw());
+        let faults = || machine.stats().snapshot().faults;
+        let before = faults();
+        let zeros = |b: &[u8]| b.len() == PAGE_SIZE && b.iter().all(|&x| x == 0);
+        assert!(mm.read_with(addr, PAGE_SIZE, zeros).unwrap());
+        assert_eq!(faults() - before, 1);
+        assert!(mm.read_with(addr, PAGE_SIZE, zeros).unwrap());
+        assert_eq!(faults() - before, 1, "the second view hits");
+    }
+
+    #[test]
+    fn an_unmapped_or_out_of_range_view_faults() {
+        let (_machine, mm, addr) = mm_with(PAGE_SIZE as u64, MapParams::anon_rw());
+        let unmapped = addr + PAGE_SIZE as u64;
+        for at in [unmapped, VirtAddr::LIMIT, VirtAddr::LIMIT + 5, u64::MAX] {
+            assert_eq!(
+                mm.read_with(at, 8, |_| ()),
+                Err(VmError::Fault {
+                    addr: at,
+                    write: false
+                }),
+                "{at:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_huge_page_is_viewed_at_its_sub_frame() {
+        let huge = crate::HUGE_PAGE_SIZE as u64;
+        let (_machine, mm, addr) = mm_with(huge, MapParams::anon_rw_huge());
+        let at = addr + 7 * PAGE_SIZE as u64 + 100;
+        mm.write(at, b"sub-frame seven").unwrap();
+        mm.write(at - PAGE_SIZE as u64, b"sub-frame six").unwrap();
+        let view = mm.read_with(at, 15, <[u8]>::to_vec).unwrap();
+        assert_eq!(view, b"sub-frame seven");
+        let end = addr + 8 * PAGE_SIZE as u64;
+        assert_eq!(
+            mm.read_with(at, usize::MAX, <[u8]>::len).unwrap() as u64,
+            end - at
+        );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "from inside a read_with view")]
+    fn an_access_from_inside_a_view_panics() {
+        let (_machine, mm, addr) = mm_with(PAGE_SIZE as u64, MapParams::anon_rw());
+        mm.write_u64(addr, 1).unwrap();
+        let _ = mm.read_with(addr, 8, |_| mm.read_u64(addr));
     }
 }

@@ -400,6 +400,80 @@ fn reads_pin_frames_against_concurrent_cow_and_release() {
 }
 
 #[test]
+fn views_pin_frames_against_concurrent_cow_and_release() {
+    // `reads_pin_frames_against_concurrent_cow_and_release`, reading
+    // through `read_with`: a view borrows the frame for as long as its
+    // closure runs, so the pin must hold the frame live until the closure
+    // returns, not just for a copy.
+    let kernel = Kernel::new(256 * MIB);
+    let baseline = kernel.machine().pool().balance();
+    {
+        const PAGES: u64 = 48;
+        const ROUNDS: u64 = 120;
+        let proc = Arc::new(kernel.spawn().unwrap());
+        let addr = proc.mmap_anon(PAGES * PAGE).unwrap();
+        for page in 0..PAGES {
+            proc.write_u64(addr + page * PAGE, 0x5EED_0000 + page)
+                .unwrap();
+        }
+        let bad_reads = AtomicU64::new(0);
+        for _ in 0..ROUNDS {
+            let child = proc.fork_with(ForkPolicy::OnDemand).unwrap();
+            std::thread::scope(|s| {
+                {
+                    // Reader: sweeps every page while the frames churn.
+                    let proc = Arc::clone(&proc);
+                    let bad_reads = &bad_reads;
+                    s.spawn(move || {
+                        for _ in 0..4 {
+                            for page in 0..PAGES {
+                                let v = proc
+                                    .read_with(addr + page * PAGE, 8, |b| {
+                                        u64::from_le_bytes(b.try_into().unwrap())
+                                    })
+                                    .unwrap();
+                                if v != 0x5EED_0000 + page {
+                                    bad_reads.fetch_add(1, Ordering::Relaxed);
+                                }
+                            }
+                        }
+                    });
+                }
+                {
+                    // Writer: re-faults every page writable (COW), keeping
+                    // the content identical so the reader's oracle holds.
+                    let proc = Arc::clone(&proc);
+                    s.spawn(move || {
+                        for page in 0..PAGES {
+                            proc.write_u64(addr + page * PAGE, 0x5EED_0000 + page)
+                                .unwrap();
+                        }
+                    });
+                }
+                {
+                    // Child: diverges on every page, then exits — dropping
+                    // the last references to the pre-fork frames so they
+                    // return to the pool mid-race and can be recycled.
+                    s.spawn(move || {
+                        for page in 0..PAGES {
+                            child.write_u64(addr + page * PAGE, 0xDEAD_BEEF).unwrap();
+                        }
+                        child.exit();
+                    });
+                }
+            });
+        }
+        assert_eq!(
+            bad_reads.load(Ordering::Relaxed),
+            0,
+            "a view observed data from a freed or recycled frame"
+        );
+        Arc::try_unwrap(proc).ok().unwrap().exit();
+    }
+    assert_pool_balanced(kernel.machine().pool(), baseline);
+}
+
+#[test]
 fn capture_of_a_live_process_survives_concurrent_table_cow_and_release() {
     // `capture_view` walks under the shared mm lock, as faults do. A
     // sibling thread's write COWs a table the fork shared, and the child's
