@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use odf_bench as bench;
 use odf_core::{DaemonConfig, ForkPolicy, Kernel};
-use odf_kvstore::{Server, ServerConfig};
+use odf_kvstore::{encode_command, Connection, PerCoreConfig, PerCoreServer, RespValue};
 use odf_metrics::{Histogram, Stopwatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,34 +105,53 @@ fn kvstore_under_pressure(fork_policy: ForkPolicy) -> (usize, usize) {
     let pool_bytes = 4 << 20; // 4 MiB of simulated physical memory
     let kernel = Kernel::new(pool_bytes);
     kernel.start_default_reclaim_daemon();
-    let mut server = Server::new(
+    let server = PerCoreServer::new(
         &kernel,
-        ServerConfig {
-            heap_capacity: 24 << 20,
-            snapshot_every: 500,
+        PerCoreConfig {
+            shards: 1,
+            heap_per_shard: 24 << 20,
+            buckets: 4096,
             fork_policy,
-            ..ServerConfig::default()
         },
     )
     .expect("server");
+    let conn = server.connect_to(0);
+    let call = |conn: &Connection, request: &[u8], replies: usize| {
+        conn.send(request);
+        let mut out = Vec::new();
+        assert_eq!(
+            conn.await_replies(replies, &mut out),
+            0,
+            "refused under pressure"
+        );
+        out
+    };
 
-    // ~8 MiB of values: 2x the pool.
+    // ~8 MiB of values: 2x the pool; a BGSAVE after every 500th SET.
     let keys = 2048u64;
-    let value = vec![0x5au8; 4096];
+    let mut value = vec![0x5au8; 4096];
     for k in 0..keys {
-        let mut v = value.clone();
-        v[..8].copy_from_slice(&k.to_le_bytes());
-        server.set(format!("key:{k}").as_bytes(), &v).expect("set");
+        value[..8].copy_from_slice(&k.to_le_bytes());
+        let mut request = encode_command(&[b"SET", format!("key:{k}").as_bytes(), &value]);
+        let bgsave = (k + 1) % 500 == 0;
+        if bgsave {
+            request.extend_from_slice(&encode_command(&[b"BGSAVE"]));
+        }
+        call(&conn, &request, 1 + usize::from(bgsave));
     }
     let snaps = server.wait_snapshots().len();
     assert!(snaps > 0, "no bgsave snapshot completed under pressure");
 
     let mut verified = 0usize;
     for k in 0..keys {
-        let v = server
-            .get(format!("key:{k}").as_bytes())
-            .expect("get")
-            .expect("key lost under pressure");
+        let reply = call(
+            &conn,
+            &encode_command(&[b"GET", format!("key:{k}").as_bytes()]),
+            1,
+        );
+        let Some((RespValue::Bulk(Some(v)), _)) = RespValue::decode(&reply) else {
+            panic!("key:{k} lost under pressure");
+        };
         assert_eq!(&v[..8], &k.to_le_bytes());
         verified += 1;
     }

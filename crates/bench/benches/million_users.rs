@@ -10,7 +10,7 @@
 //!
 //! [`PerCoreServer`]: real client threads drive pipelined RESP
 //! connections placed on per-shard workers (the smart-client model);
-//! BGSAVE stalls the workers only for the fork call. (The batch-threaded
+//! BGSAVE, sent in-band, stalls the workers only for the fork call. (The batch-threaded
 //! contrast tier this bench used to run beside it was removed in PR 13;
 //! its last recorded numbers are in EXPERIMENTS.md.)
 //!
@@ -65,8 +65,8 @@ fn workload(pipeline: usize) -> WorkloadConfig {
     }
 }
 
-/// Drives the per-core tier; `bgsave` triggers a mid-run snapshot under
-/// the given policy and reports the fork stall.
+/// Drives the per-core tier; `bgsave` sends one in-band BGSAVE under the
+/// given policy and reports the fork stall.
 fn run_percore_row(
     shards: usize,
     pipeline: usize,
@@ -89,7 +89,9 @@ fn run_percore_row(
     preload_percore(&server, &cfg);
     // One connection per shard: on an oversubscribed box, more clients
     // only add scheduler churn, not parallelism.
-    let report = run_percore(&server, &cfg, 1, requests, bgsave.then_some(requests / 4));
+    // Half the requests are SETs, so a period of a third of the requests
+    // sends one BGSAVE, two thirds of the way through the run.
+    let report = run_percore(&server, &cfg, 1, requests, bgsave.then_some(requests / 3));
     assert_eq!(report.errors, 0, "routed keys never see MOVED");
     let fork_ns = report.snapshots.first().map_or(0, |s| s.fork_ns);
     Row {
@@ -177,7 +179,7 @@ fn main() {
         }
     }
     // Tail during bgsave, order-of-magnitude sanity only: on the reduced
-    // sweep the coordinator's snapshot serialization shares the host's
+    // sweep the serializer thread's snapshot dump shares the host's
     // cores with the workers, inflating p999 well past the
     // dedicated-hardware figure (<2x idle, see EXPERIMENTS.md).
     let p999 = |phase: &str| {

@@ -2,16 +2,20 @@
 //! serialization cost, swept over the fraction of keys dirtied between
 //! snapshots, under Classic fork and On-demand fork.
 //!
-//! This is the `odf-snapshot` subsystem measured end-to-end: fork a child
-//! (blocking, the paper's metric), then serialize its frozen address space
-//! in the background — either a self-contained full image every time, or a
-//! delta carrying only pages written since the previous snapshot. The
+//! This is the `odf-snapshot` subsystem measured end-to-end: a one-shard
+//! `PerCoreServer` is loaded and dirtied over the wire, and the bench forks
+//! its serving process (blocking, the paper's metric) and serializes the
+//! frozen child's address space — either a self-contained full image every
+//! time, or a delta carrying only pages written since the previous
+//! snapshot. The
 //! interesting curve is image size versus dirty fraction: full images stay
 //! flat while deltas shrink toward nothing as the write rate drops.
 
 use odf_bench as bench;
-use odf_core::ForkPolicy;
-use odf_kvstore::{workload, Server, ServerConfig, SnapshotReport};
+use odf_core::{ForkPolicy, Process};
+use odf_kvstore::{workload, PerCoreConfig, PerCoreServer};
+use odf_metrics::Stopwatch;
+use odf_snapshot::{capture_delta, capture_full};
 
 struct Measured {
     fork_ms: f64,
@@ -20,20 +24,46 @@ struct Measured {
     dedup: f64,
 }
 
+/// Forks `proc` and serializes the frozen child: a delta over the previous
+/// epoch when `delta`, the full address space otherwise. The parent moves
+/// to the next soft-dirty epoch before any post-fork write, so the next
+/// delta misses nothing.
+fn snapshot(proc: &Process, policy: ForkPolicy, delta: bool) -> Measured {
+    let fork = Stopwatch::start();
+    let child = proc.fork_with(policy).expect("fork");
+    let fork_ns = fork.elapsed_ns();
+    let epoch = child.checkpoint_epoch();
+    proc.advance_checkpoint_epoch().expect("next epoch");
+    let serialize = Stopwatch::start();
+    let image = if delta {
+        capture_delta(child.mm(), epoch, epoch - 1)
+    } else {
+        capture_full(child.mm(), epoch)
+    };
+    let image_bytes = image.to_bytes().len();
+    let dedup = image.stats().dedup_ratio();
+    let serialize_ns = serialize.elapsed_ns();
+    child.exit();
+    Measured {
+        fork_ms: fork_ns as f64 / 1e6,
+        image_bytes,
+        serialize_ms: serialize_ns as f64 / 1e6,
+        dedup,
+    }
+}
+
 /// One base snapshot, then one measured snapshot after dirtying
-/// `dirty_keys` of `keys`. Returns the second (steady-state) report.
+/// `dirty_keys` of `keys`. Returns the second (steady-state) one.
 fn measure(policy: ForkPolicy, incremental: bool, keys: u64, dirty_keys: u64) -> Measured {
     let heap = bench::scaled(64 * bench::MIB);
     let kernel = bench::kernel_for(heap + 128 * bench::MIB);
-    let mut server = Server::new(
+    let server = PerCoreServer::new(
         &kernel,
-        ServerConfig {
-            heap_capacity: heap,
-            resident_bytes: 0,
+        PerCoreConfig {
+            shards: 1,
+            heap_per_shard: heap,
             buckets: (keys * 2).next_power_of_two(),
-            snapshot_every: u64::MAX,
             fork_policy: policy,
-            incremental,
         },
     )
     .expect("server");
@@ -44,23 +74,16 @@ fn measure(policy: ForkPolicy, incremental: bool, keys: u64, dirty_keys: u64) ->
         pipeline: 100,
         seed: 11,
     };
-    workload::preload(&mut server, &cfg).expect("preload");
-    server.bgsave().expect("base snapshot");
-    server.wait_snapshots();
+    workload::preload_percore(&server, &cfg);
+    let proc = server.process();
+    snapshot(&proc, policy, false);
 
     let dirty_cfg = workload::WorkloadConfig {
         key_space: dirty_keys.max(1),
         ..cfg
     };
-    workload::run(&mut server, &dirty_cfg, dirty_keys.max(1)).expect("dirty");
-    server.bgsave().expect("measured snapshot");
-    let report: &SnapshotReport = server.wait_snapshots().last().expect("report");
-    Measured {
-        fork_ms: report.fork_ns as f64 / 1e6,
-        image_bytes: report.image_bytes,
-        serialize_ms: report.serialize_ns as f64 / 1e6,
-        dedup: report.dedup_ratio,
-    }
+    workload::run_percore(&server, &dirty_cfg, 1, dirty_keys.max(1), None);
+    snapshot(&proc, policy, incremental)
 }
 
 fn main() {

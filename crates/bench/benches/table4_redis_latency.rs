@@ -3,15 +3,17 @@
 //!
 //! Methodology (paper §5.3.3): preload ~1 GiB of data, run a pipelined
 //! memtier-like workload, snapshot after every 10,000 changed keys, and
-//! report client-observed latency percentiles. The fork call blocks the
-//! serving thread, so its duration surfaces directly in the tail.
+//! report client-observed latency percentiles. The server is a one-shard
+//! `PerCoreServer`; the client sends `BGSAVE` in-band after every 10,000th
+//! SET (Redis's `save` rule), and the worker forks before serving the next
+//! request, so the fork's duration surfaces directly in the tail.
 //!
 //! Paper reference: p99.9 6.335 ms → 4.799 ms (24% lower), p99.99
 //! 16.255 ms → 5.535 ms (66% lower) under On-demand-fork.
 
 use odf_bench as bench;
 use odf_core::ForkPolicy;
-use odf_kvstore::{workload, Server, ServerConfig};
+use odf_kvstore::{workload, PerCoreConfig, PerCoreServer};
 use odf_metrics::Histogram;
 
 fn sessions(policy: ForkPolicy, keys: u64, requests: u64) -> Histogram {
@@ -28,18 +30,22 @@ fn session(policy: ForkPolicy, keys: u64, requests: u64, rep: u64) -> Histogram 
     let heap = bench::scaled(128 * bench::MIB);
     let resident = bench::scaled(bench::GIB);
     let kernel = bench::kernel_for(heap + resident + 256 * bench::MIB);
-    let mut server = Server::new(
+    let server = PerCoreServer::new(
         &kernel,
-        ServerConfig {
-            heap_capacity: heap,
-            resident_bytes: resident,
+        PerCoreConfig {
+            shards: 1,
+            heap_per_shard: heap,
             buckets: (keys * 2).next_power_of_two(),
-            snapshot_every: 10_000,
             fork_policy: policy,
-            incremental: false,
         },
     )
     .expect("server");
+    // The rest of the paper's ~1 GiB instance: resident memory beside the
+    // dataset (allocator arenas, expiry metadata, replication buffers).
+    let proc = server.process();
+    let arena = proc.mmap_anon(resident).expect("resident arena");
+    proc.populate(arena, resident, true).expect("populate");
+    drop(proc);
     let cfg = workload::WorkloadConfig {
         key_space: keys,
         value_size: 512,
@@ -47,14 +53,13 @@ fn session(policy: ForkPolicy, keys: u64, requests: u64, rep: u64) -> Histogram 
         pipeline: 200,
         seed: 7 + rep,
     };
-    workload::preload(&mut server, &cfg).expect("preload");
-    let hist = workload::run(&mut server, &cfg, requests).expect("run");
-    server.wait_snapshots();
+    workload::preload_percore(&server, &cfg);
+    let report = workload::run_percore(&server, &cfg, 1, requests, Some(10_000));
     assert!(
-        server.snapshots_started() > 0,
+        !report.snapshots.is_empty(),
         "workload must trigger snapshots for the table to be meaningful"
     );
-    hist
+    report.latency
 }
 
 fn main() {

@@ -1,5 +1,6 @@
 //! Table 5: time Redis spends inside the fork call when taking snapshots
-//! (the `latest_fork_usec` metric), fork vs On-demand-fork.
+//! (the `latest_fork_usec` metric), fork vs On-demand-fork: the fork call a
+//! one-shard `PerCoreServer` makes for each in-band `BGSAVE`.
 //!
 //! Paper reference: mean 7.40 ms → 0.12 ms (98.4% reduction), standard
 //! deviation 0.42 ms → 0.007 ms — On-demand-fork is both faster and far
@@ -7,27 +8,29 @@
 
 use odf_bench as bench;
 use odf_core::ForkPolicy;
-use odf_kvstore::{workload, Server, ServerConfig};
+use odf_kvstore::{workload, PerCoreConfig, PerCoreServer};
 use odf_metrics::Summary;
 
-const SNAPSHOTS: usize = 5;
+const SNAPSHOTS: u64 = 5;
 
 fn measure(policy: ForkPolicy, keys: u64) -> Summary {
     let heap = bench::scaled(128 * bench::MIB);
     let resident = bench::scaled(bench::GIB);
     let kernel = bench::kernel_for(heap + resident + 256 * bench::MIB);
-    let mut server = Server::new(
+    let server = PerCoreServer::new(
         &kernel,
-        ServerConfig {
-            heap_capacity: heap,
-            resident_bytes: resident,
+        PerCoreConfig {
+            shards: 1,
+            heap_per_shard: heap,
             buckets: (keys * 2).next_power_of_two(),
-            snapshot_every: u64::MAX, // snapshots issued explicitly below
             fork_policy: policy,
-            incremental: false,
         },
     )
     .expect("server");
+    let proc = server.process();
+    let arena = proc.mmap_anon(resident).expect("resident arena");
+    proc.populate(arena, resident, true).expect("populate");
+    drop(proc);
     let cfg = workload::WorkloadConfig {
         key_space: keys,
         value_size: 512,
@@ -35,15 +38,16 @@ fn measure(policy: ForkPolicy, keys: u64) -> Summary {
         pipeline: 100,
         seed: 3,
     };
-    workload::preload(&mut server, &cfg).expect("preload");
-    for i in 0..SNAPSHOTS {
-        // Touch some keys between snapshots so each fork sees fresh dirt.
-        workload::run(&mut server, &cfg, 2_000).expect("mutate");
-        server.bgsave().expect("bgsave");
-        let _ = i;
+    workload::preload_percore(&server, &cfg);
+    // Every request is a SET: a BGSAVE after each 2,000, so each fork sees
+    // fresh dirt.
+    let report = workload::run_percore(&server, &cfg, 1, SNAPSHOTS * 2_000, Some(2_000));
+    let mut forks = Summary::new();
+    for snap in &report.snapshots {
+        forks.record(snap.fork_ns as f64);
     }
-    server.wait_snapshots();
-    server.fork_times().clone()
+    assert_eq!(forks.count(), SNAPSHOTS, "one fork per BGSAVE");
+    forks
 }
 
 fn main() {

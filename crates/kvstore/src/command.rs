@@ -4,11 +4,10 @@
 //! owns the name, arity and key position of each command, and therefore
 //! the unknown-command and wrong-arity replies — and then calls
 //! [`execute`] for the six data commands or [`execute_admin`] / [`info`]
-//! for the replies that need only the kernel. What is left in a front end
-//! is what genuinely differs between them: [`Server`](crate::Server)
-//! counts changed keys and auto-snapshots; a
-//! [`PerCoreServer`](crate::PerCoreServer) worker answers `-MOVED` for a
-//! key it does not own and runs `DBSIZE`/`BGSAVE` across shards.
+//! for the replies that need only the kernel. What is left in the wire
+//! engine is what only it knows: a [`PerCoreServer`](crate::PerCoreServer)
+//! worker answers `-MOVED` for a key it does not own and runs
+//! `DBSIZE`/`BGSAVE` across shards.
 
 use odf_core::{ForkPolicy, Kernel, Process, Result, VmError};
 use odf_metrics::Summary;
@@ -29,8 +28,6 @@ pub struct CommandSpec {
     /// Index in `argv` of the key the command addresses (what a sharded
     /// front end routes by); 0 for a keyless command.
     pub key_pos: usize,
-    /// Whether the command can change the store.
-    pub write: bool,
 }
 
 const fn spec(
@@ -38,31 +35,29 @@ const fn spec(
     min_args: usize,
     max_args: usize,
     key_pos: usize,
-    write: bool,
 ) -> CommandSpec {
     CommandSpec {
         name,
         min_args,
         max_args,
         key_pos,
-        write,
     }
 }
 
 /// The command table. Lookup is a linear scan, so the hot commands lead.
 pub static COMMANDS: [CommandSpec; 12] = [
-    spec(b"GET", 2, 2, 1, false),
-    spec(b"SET", 3, 3, 1, true),
-    spec(b"DEL", 2, 2, 1, true),
-    spec(b"EXISTS", 2, 2, 1, false),
-    spec(b"INCR", 2, 2, 1, true),
-    spec(b"APPEND", 3, 3, 1, true),
-    spec(b"PING", 1, 1, 0, false),
-    spec(b"DBSIZE", 1, 1, 0, false),
-    spec(b"BGSAVE", 1, 1, 0, false),
-    spec(b"INFO", 1, 2, 0, false),
-    spec(b"STATS", 1, 2, 0, false),
-    spec(b"PROBE", 2, usize::MAX, 0, false),
+    spec(b"GET", 2, 2, 1),
+    spec(b"SET", 3, 3, 1),
+    spec(b"DEL", 2, 2, 1),
+    spec(b"EXISTS", 2, 2, 1),
+    spec(b"INCR", 2, 2, 1),
+    spec(b"APPEND", 3, 3, 1),
+    spec(b"PING", 1, 1, 0),
+    spec(b"DBSIZE", 1, 1, 0),
+    spec(b"BGSAVE", 1, 1, 0),
+    spec(b"INFO", 1, 2, 0),
+    spec(b"STATS", 1, 2, 0),
+    spec(b"PROBE", 2, usize::MAX, 0),
 ];
 
 /// Resolves `argv` to its table row. On an empty, unknown or wrong-arity
@@ -88,60 +83,39 @@ pub fn resolve(argv: &[&[u8]], out: &mut ReplyBuf) -> Option<&'static CommandSpe
 
 /// Executes a keyed (data) command — one whose `key_pos` is non-zero —
 /// against `store` in `proc`'s address space, writing the reply to `out`.
-/// Returns whether the store changed.
 pub fn execute(
     spec: &CommandSpec,
     store: Store,
     proc: &Process,
     argv: &[&[u8]],
     out: &mut ReplyBuf,
-) -> bool {
+) {
     let key = argv[spec.key_pos];
-    let run = |out: &mut ReplyBuf| -> Result<bool> {
-        Ok(match spec.name {
-            b"GET" => {
-                out.bulk_found(|buf, header| store.get_into(proc, key, buf, header))?;
-                false
-            }
+    let run = |out: &mut ReplyBuf| -> Result<()> {
+        match spec.name {
+            b"GET" => out.bulk_found(|buf, header| store.get_into(proc, key, buf, header))?,
             b"SET" => {
                 store.set(proc, key, argv[2])?;
                 out.simple("OK");
-                true
             }
-            b"DEL" => {
-                let existed = store.del(proc, key)?;
-                out.integer(i64::from(existed));
-                existed
-            }
-            b"EXISTS" => {
-                out.integer(i64::from(store.exists(proc, key)?));
-                false
-            }
+            b"DEL" => out.integer(i64::from(store.del(proc, key)?)),
+            b"EXISTS" => out.integer(i64::from(store.exists(proc, key)?)),
             b"INCR" => match store.incr(proc, key) {
                 // Only the parse can be a type error; a failed write-back
                 // (heap or frame exhaustion) reports what it is.
                 Err(VmError::InvalidArgument) => {
                     out.error("ERR value is not an integer or out of range");
-                    false
                 }
-                next => {
-                    out.integer(next?);
-                    true
-                }
+                next => out.integer(next?),
             },
-            b"APPEND" => {
-                out.integer(store.append(proc, key, argv[2])? as i64);
-                true
-            }
+            b"APPEND" => out.integer(store.append(proc, key, argv[2])? as i64),
             _ => unreachable!("{spec:?} is not a data command"),
-        })
+        }
+        Ok(())
     };
-    let changed = run(out).unwrap_or_else(|e| {
+    if let Err(e) = run(out) {
         out.error(&format!("ERR {e}"));
-        false
-    });
-    debug_assert!(spec.write || !changed);
-    changed
+    }
 }
 
 /// Executes `PING`, `STATS [JSON|RESET]` or `PROBE …`: the keyless
@@ -301,7 +275,6 @@ mod tests {
             assert!(c.min_args >= 1 && c.min_args <= c.max_args, "{c:?}");
             // Every accepted argv holds the key a front end routes by.
             assert!(c.key_pos < c.min_args, "{c:?}");
-            assert!(!c.write || c.key_pos > 0, "a write names its key: {c:?}");
         }
     }
 
@@ -325,7 +298,7 @@ mod tests {
         let gets: [&[&[u8]]; 2] = [&[b"GET", b"big"], &[b"GET", b"small"]];
         for argv in gets {
             let spec = resolve(argv, &mut out).expect("known command");
-            assert!(!execute(spec, store, &proc, argv, &mut out));
+            execute(spec, store, &proc, argv, &mut out);
         }
         let mut wire = Vec::new();
         out.flush_into(&mut wire);
@@ -353,17 +326,16 @@ mod tests {
         let run = |argv: &[&[u8]]| {
             let mut out = ReplyBuf::new();
             let spec = resolve(argv, &mut out).expect("known command");
-            let changed = execute(spec, store, &proc, argv, &mut out);
+            execute(spec, store, &proc, argv, &mut out);
             let mut wire = Vec::new();
             out.flush_into(&mut wire);
-            (String::from_utf8(wire).unwrap(), changed)
+            String::from_utf8(wire).unwrap()
         };
-        let (reply, changed) = run(&[b"INCR", b"newkey"]);
+        let reply = run(&[b"INCR", b"newkey"]);
         assert!(reply.starts_with("-ERR "), "{reply}");
         assert!(!reply.contains("not an integer"), "{reply}");
-        assert!(!changed);
         // The type error keeps its own message.
-        let (reply, _) = run(&[b"INCR", b"fill-0"]);
+        let reply = run(&[b"INCR", b"fill-0"]);
         assert_eq!(reply, "-ERR value is not an integer or out of range\r\n");
         proc.exit();
     }

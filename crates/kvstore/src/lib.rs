@@ -17,20 +17,18 @@
 //!
 //! - [`Store`]: the hash table in simulated memory.
 //! - [`command`]: the RESP command surface, once — the table (name,
-//!   arity, key position, read/write), the executor for the data
-//!   commands, and the replies that need only the kernel. Every wire
-//!   front end goes through it.
-//! - [`Server`]: the single event loop of the paper's experiment —
-//!   request execution + automatic BGSAVE-style snapshots ("save after N
-//!   changed keys", the Redis default policy the paper uses), with
-//!   fork-latency tracking (`latest_fork_usec` analog).
-//! - [`PerCoreServer`]: the thread-per-core shared-nothing serving tier —
-//!   pinned workers, zero-copy RESP, SPSC mailboxes for rare cross-shard
-//!   ops, and fork-based BGSAVE off the serving threads.
+//!   arity, key position), the executor for the data commands, and the
+//!   replies that need only the kernel. The wire engine goes through it.
+//! - [`PerCoreServer`]: the one wire engine — pinned thread-per-core
+//!   workers, zero-copy RESP, SPSC mailboxes for rare cross-shard ops, and
+//!   a `BGSAVE` that forks on the worker that parsed it. One shard is the
+//!   single event loop of the paper's experiment.
 //! - [`DurableServer`]: the crash-consistent variant — every write is
 //!   journaled to a WAL before it is applied, and BGSAVE publishes the
 //!   forked image into an on-disk snapshot chain (see `odf-durability`).
-//! - [`workload`]: a memtier_benchmark-like pipelined traffic generator.
+//! - [`workload`]: a memtier_benchmark-like pipelined traffic generator,
+//!   which also plays Redis's `save <n>` rule by sending `BGSAVE` in-band
+//!   every n SETs.
 //! - [`resp`]: the RESP wire codec (what memtier actually speaks).
 
 #![forbid(unsafe_code)]
@@ -39,14 +37,12 @@ pub mod command;
 pub mod percore;
 mod persist;
 pub mod resp;
-mod server;
 mod sharded;
 mod store;
 pub mod workload;
 
 pub use percore::{Connection, PerCoreConfig, PerCoreServer};
 pub use persist::{Acked, Command, DurableConfig, DurableServer, PersistError};
-pub use resp::{encode_command, serve_stream, skip_reply, Parsed, RecvBuf, ReplyBuf, RespValue};
-pub use server::{Server, ServerConfig, SnapshotReport};
+pub use resp::{encode_command, skip_reply, Parsed, RecvBuf, ReplyBuf, RespValue};
 pub use sharded::{ShardedSnapshot, ShardedStore};
 pub use store::Store;

@@ -1,9 +1,10 @@
-//! Thread-per-core shared-nothing serving tier.
+//! Thread-per-core shared-nothing serving tier — the one wire engine.
 //!
 //! The seastar/glommio shape: each shard owns **one long-lived pinned
 //! worker** running a non-blocking event loop that parses RESP in place,
 //! executes against its shard, and writes replies run-to-completion — with
-//! **no cross-thread channels on the request path**.
+//! **no cross-thread channels on the request path**. One shard is the
+//! paper's single Redis event loop (Tables 4–5).
 //!
 //! The invariants:
 //!
@@ -19,20 +20,23 @@
 //!   per request. The per-connection inbox/outbox `Mutex`es model the
 //!   socket between client and server; they are touched by exactly one
 //!   client thread and one worker.
-//! - **Mailboxes for the rare ops only**: `DBSIZE` (cross-shard sum) and
-//!   `BGSAVE`/shutdown coordination travel over an SPSC mailbox mesh —
-//!   each cell written by one thread and drained by one thread. A
-//!   cross-shard reply parks in a pending [`ReplyBuf`] slot so younger
-//!   shard-local replies still leave in request order.
+//! - **Mailboxes for the rare ops only**: `DBSIZE` (cross-shard sum), the
+//!   `BGSAVE` barrier and shutdown travel over an SPSC mailbox mesh — each
+//!   cell written by one thread and drained by one thread. A cross-shard
+//!   reply parks in a pending [`ReplyBuf`] slot so younger shard-local
+//!   replies still leave in request order.
 //! - **Per-thread state binds at startup**: the worker warms its shard
 //!   before serving, so the first allocator touch pins this thread's
 //!   frame-magazine stripe, the first fault event lands in this thread's
 //!   trace ring, and probe caches attach here — not lazily mid-benchmark.
 //!
-//! BGSAVE runs off the serving threads: the coordinator thread stalls all
-//! workers at an epoch barrier for the duration of the fork call *only*
-//! (the paper's microsecond window), then releases them and serializes the
-//! frozen child itself while serving continues.
+//! `BGSAVE` forks on the worker that parsed it, between two requests of
+//! that connection, as Redis forks inside its event loop: the snapshot
+//! holds exactly the writes served before the `BGSAVE`, and the fork call
+//! is the client's stall. At one shard nothing else happens. At more, that
+//! worker leads a barrier that holds every peer between two of its own
+//! requests for the fork call only. The frozen child then goes to the
+//! `percore-ctl` thread, which serializes it while serving continues.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
@@ -42,11 +46,10 @@ use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
 use odf_core::{ForkPolicy, Kernel, Process, Result};
-use odf_metrics::Summary;
+use odf_metrics::{Stopwatch, Summary};
 
 use crate::command;
 use crate::resp::{skip_reply, Parsed, RecvBuf, ReplyBuf};
-use crate::server::fork_snapshot_child;
 use crate::sharded::{ShardedSnapshot, ShardedStore};
 use crate::store::Store;
 
@@ -82,21 +85,14 @@ enum Msg {
     LenReq { from: usize, token: u64 },
     /// The peer's answer, routed back by `token`.
     LenReply { token: u64, count: Result<u64> },
-    /// To the coordinator: run a BGSAVE. `from` is the worker serving the
-    /// client's `BGSAVE` command, or `None` for an external caller.
-    BgsaveReq { from: Option<usize>, token: u64 },
-    /// Coordinator → worker: spin at the fork barrier for `epoch`.
+    /// Barrier leader → worker: hold at the fork barrier for `epoch`.
     Barrier { epoch: u64 },
-    /// Coordinator → requesting worker: the fork was attempted; tell the
-    /// client how it went.
-    BgsaveForked { token: u64, forked: Result<()> },
-    /// Coordinator → worker: finish draining client inboxes, then ack.
+    /// Shutdown caller → worker: finish draining client inboxes, then ack.
     Quiesce,
-    /// Worker → coordinator: inboxes drained, no new cross-shard requests
-    /// will be issued.
-    QuiesceAck { from: usize },
-    /// Coordinator → worker: answer remaining mailbox traffic and exit.
-    /// External caller → coordinator: begin the shutdown protocol.
+    /// Worker → shutdown caller: inboxes drained, no new cross-shard
+    /// requests or barriers will be issued.
+    QuiesceAck,
+    /// Shutdown caller → worker: answer remaining mailbox traffic and exit.
     Shutdown,
 }
 
@@ -138,22 +134,37 @@ impl Mesh {
     }
 }
 
-/// Fork-barrier state: the coordinator posts a target epoch, workers
-/// arrive and spin until the matching release — the spin window covers
-/// exactly the fork call.
+/// No worker leads the fork barrier.
+const NO_LEADER: usize = usize::MAX;
+
+/// Fork-barrier state. One worker at a time leads: it posts the next
+/// epoch, waits for every peer to arrive, forks, and releases the epoch.
 struct Barrier {
-    epoch: AtomicU64,
+    /// The leading worker or [`NO_LEADER`]: claimed with an `Acquire`
+    /// CAS, handed back with a `Release` store, so each leader sees the
+    /// previous one's writes to the fields below.
+    leader: AtomicUsize,
+    /// Peers at the current epoch's barrier: each adds itself (`AcqRel`),
+    /// the leader waits for all of them (`Acquire`).
     arrived: AtomicUsize,
+    /// The last epoch released (`Release`); held peers spin until they
+    /// read theirs (`Acquire`). Only the leader writes it.
     released: AtomicU64,
 }
 
-/// In-flight/completed snapshot accounting behind [`PerCoreServer::bgsave`].
+/// Snapshot accounting, shared by the workers that fork, the serializer,
+/// and [`PerCoreServer::wait_snapshots`].
 #[derive(Default)]
-struct SnapshotBox {
+struct Snapshots {
+    /// Forked children awaiting the serializer, with their fork stall.
+    frozen: VecDeque<(Process, u64)>,
+    /// Forked and not yet serialized.
     in_flight: u64,
     done: Vec<ShardedSnapshot>,
     /// Fork stall of every snapshot started, nanoseconds (for `INFO`).
     fork_times: Summary,
+    /// Set at shutdown: the serializer exits once `frozen` is empty.
+    closed: bool,
 }
 
 /// One registered client connection: the inbox/outbox pair models the
@@ -171,7 +182,6 @@ struct ConnShared {
     /// is waiting for.
     reader: Mutex<Option<Thread>>,
 }
-
 /// A client's handle to one connection, placed on one shard's worker.
 pub struct Connection {
     shared: Arc<ConnShared>,
@@ -270,7 +280,7 @@ impl Connection {
     }
 }
 
-/// Everything the workers, the coordinator, and the external handle share.
+/// Everything the workers, the serializer, and the external handle share.
 struct Shared {
     store: ShardedStore,
     /// Taken (and exited) at shutdown, once every thread has dropped its
@@ -278,11 +288,12 @@ struct Shared {
     proc: Mutex<Option<Arc<Process>>>,
     mesh: Mesh,
     barrier: Barrier,
-    /// Thread handles for unparking: workers `0..n`, coordinator at `n`.
+    /// Thread handles for unparking: workers `0..n`, then the thread
+    /// running [`PerCoreServer::shutdown`] at `n`.
     threads: Mutex<Vec<Thread>>,
     /// Per-worker registration queues for new connections.
     incoming: Vec<Mutex<Vec<Arc<ConnShared>>>>,
-    snapshots: Mutex<SnapshotBox>,
+    snapshots: Mutex<Snapshots>,
     snapshots_cv: Condvar,
     policy: ForkPolicy,
 }
@@ -306,30 +317,20 @@ impl Shared {
     }
 }
 
-/// The thread-per-core server: `shards` pinned workers plus one
-/// coordinator thread, all serving one simulated process.
+/// The thread-per-core server: `shards` pinned workers plus the
+/// `percore-ctl` serializer thread, all serving one simulated process.
 pub struct PerCoreServer {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    ctl: Option<JoinHandle<()>>,
+    serializer: Option<JoinHandle<()>>,
     next_conn: AtomicUsize,
     down: bool,
     shards: usize,
 }
 
-/// Mesh slot of the coordinator for a server with `n` workers.
-fn ctl_slot(n: usize) -> usize {
-    n
-}
-
-/// Mesh slot external callers ([`PerCoreServer`] methods) post from.
-fn ext_slot(n: usize) -> usize {
-    n + 1
-}
-
 impl PerCoreServer {
     /// Boots the serving process, creates the sharded store, and spawns
-    /// one worker per shard plus the coordinator. Workers bind their
+    /// one worker per shard plus the serializer. Workers bind their
     /// per-thread allocator stripe, trace ring, and probe cache before the
     /// server is returned to the caller.
     pub fn new(kernel: &Arc<Kernel>, cfg: PerCoreConfig) -> Result<PerCoreServer> {
@@ -340,44 +341,43 @@ impl PerCoreServer {
         let shared = Arc::new(Shared {
             store,
             proc: Mutex::new(Some(Arc::new(proc))),
-            mesh: Mesh::new(n + 2),
+            mesh: Mesh::new(n + 1),
             barrier: Barrier {
-                epoch: AtomicU64::new(0),
+                leader: AtomicUsize::new(NO_LEADER),
                 arrived: AtomicUsize::new(0),
                 released: AtomicU64::new(0),
             },
             threads: Mutex::new(Vec::new()),
             incoming: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            snapshots: Mutex::new(SnapshotBox::default()),
+            snapshots: Mutex::new(Snapshots::default()),
             snapshots_cv: Condvar::new(),
             policy: cfg.fork_policy,
         });
-        let mut workers = Vec::with_capacity(n);
-        for me in 0..n {
-            let shared = Arc::clone(&shared);
-            workers.push(
+        let workers: Vec<JoinHandle<()>> = (0..n)
+            .map(|me| {
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("percore-{me}"))
                     .spawn(move || worker_main(me, &shared))
-                    .expect("spawn worker"),
-            );
-        }
-        let ctl = {
+                    .expect("spawn worker")
+            })
+            .collect();
+        let serializer = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("percore-ctl".into())
-                .spawn(move || ctl_main(n, &shared))
-                .expect("spawn coordinator")
+                .spawn(move || serializer_main(&shared))
+                .expect("spawn serializer")
         };
-        {
-            let mut threads = shared.threads.lock().expect("threads poisoned");
-            threads.extend(workers.iter().map(|h| h.thread().clone()));
-            threads.push(ctl.thread().clone());
-        }
+        shared
+            .threads
+            .lock()
+            .expect("threads poisoned")
+            .extend(workers.iter().map(|h| h.thread().clone()));
         Ok(PerCoreServer {
             shared,
             workers,
-            ctl: Some(ctl),
+            serializer: Some(serializer),
             next_conn: AtomicUsize::new(0),
             down: false,
             shards: n,
@@ -433,27 +433,8 @@ impl PerCoreServer {
         }
     }
 
-    /// Requests a background snapshot: the coordinator stalls workers for
-    /// the fork call only, then serializes the frozen child while serving
-    /// continues. Collect results with [`PerCoreServer::wait_snapshots`].
-    pub fn bgsave(&self) {
-        {
-            let mut snaps = self.shared.snapshots.lock().expect("snapshots poisoned");
-            snaps.in_flight += 1;
-        }
-        self.shared.mesh.post(
-            ctl_slot(self.shards),
-            ext_slot(self.shards),
-            Msg::BgsaveReq {
-                from: None,
-                token: 0,
-            },
-        );
-        self.shared.wake(ctl_slot(self.shards));
-    }
-
-    /// Blocks until every requested snapshot has materialized, returning
-    /// them in completion order.
+    /// Blocks until every snapshot a `BGSAVE` started has been serialized,
+    /// returning them in completion order.
     pub fn wait_snapshots(&self) -> Vec<ShardedSnapshot> {
         let mut snaps = self.shared.snapshots.lock().expect("snapshots poisoned");
         while snaps.in_flight > 0 {
@@ -468,21 +449,31 @@ impl PerCoreServer {
 
     /// Stops the server: workers drain every request received so far plus
     /// all in-flight mailbox traffic (pending cross-shard replies
-    /// complete), then exit; the serving process exits last. Idempotent.
+    /// complete), then exit; the serializer finishes the children already
+    /// forked; the serving process exits last. Idempotent.
     pub fn shutdown(&mut self) {
         if self.down {
             return;
         }
         self.down = true;
+        let n = self.shards;
         self.shared
-            .mesh
-            .post(ctl_slot(self.shards), ext_slot(self.shards), Msg::Shutdown);
-        self.shared.wake(ctl_slot(self.shards));
+            .threads
+            .lock()
+            .expect("threads poisoned")
+            .push(std::thread::current());
+        quiesce(n, &self.shared);
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        if let Some(ctl) = self.ctl.take() {
-            let _ = ctl.join();
+        self.shared
+            .snapshots
+            .lock()
+            .expect("snapshots poisoned")
+            .closed = true;
+        self.shared.snapshots_cv.notify_all();
+        if let Some(serializer) = self.serializer.take() {
+            let _ = serializer.join();
         }
         let proc = self
             .shared
@@ -504,109 +495,53 @@ impl Drop for PerCoreServer {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Coordinator
-// ---------------------------------------------------------------------------
-
-fn ctl_main(n: usize, shared: &Shared) {
-    let proc = shared.proc();
-    let me = ctl_slot(n);
-    let mut row: Vec<(usize, Msg)> = Vec::new();
-    let mut shutdown_requested = false;
-    loop {
-        shared.mesh.drain_row(me, &mut row);
-        let progressed = !row.is_empty();
-        for (_, msg) in row.drain(..) {
-            match msg {
-                Msg::BgsaveReq { from, token } => run_bgsave(n, shared, &proc, from, token),
-                Msg::QuiesceAck { .. } => unreachable!("acks are consumed by run_shutdown"),
-                Msg::Shutdown => shutdown_requested = true,
-                other => unreachable!("coordinator got {other:?}"),
-            }
-        }
-        if shutdown_requested {
-            run_shutdown(n, shared, &proc);
-            return;
-        }
-        if !progressed {
-            std::thread::park_timeout(Duration::from_millis(5));
-        }
-    }
-}
-
-/// Stalls every worker at the barrier, forks (the only serving stall),
-/// releases them, then serializes the frozen child on this thread.
-fn run_bgsave(n: usize, shared: &Shared, proc: &Arc<Process>, from: Option<usize>, token: u64) {
-    let epoch = shared.barrier.epoch.load(Ordering::Relaxed) + 1;
-    shared.barrier.arrived.store(0, Ordering::Release);
-    shared.barrier.epoch.store(epoch, Ordering::Release);
+/// Two-phase shutdown, on the calling thread (mesh slot `n`): quiesce
+/// every worker (drain client inboxes, finish the `BGSAVE`s they parse,
+/// stop issuing cross-shard requests), then release them to answer
+/// residual mailbox traffic and exit.
+fn quiesce(n: usize, shared: &Shared) {
     for w in 0..n {
-        shared.mesh.post(w, ctl_slot(n), Msg::Barrier { epoch });
+        shared.mesh.post(w, n, Msg::Quiesce);
         shared.wake(w);
     }
-    while shared.barrier.arrived.load(Ordering::Acquire) < n {
-        // Yield, don't spin: with fewer cores than workers a spinning
-        // coordinator would stop stragglers from ever reaching the barrier.
-        std::thread::yield_now();
-    }
-    // Every worker is spinning between two requests: a quiescent point.
-    // The fork call is the entire stall the serving tier observes.
-    let forked = fork_snapshot_child(proc, shared.policy, false);
-    shared.barrier.released.store(epoch, Ordering::Release);
-    if let Some(w) = from {
-        let forked = forked.as_ref().map(|_| ()).map_err(|&e| e);
-        shared
-            .mesh
-            .post(w, ctl_slot(n), Msg::BgsaveForked { token, forked });
-        shared.wake(w);
-    }
-    if let Ok((_, fork_ns, _, _)) = forked {
-        let mut snaps = shared.snapshots.lock().expect("snapshots poisoned");
-        snaps.fork_times.record(fork_ns as f64);
-    }
-    let result = forked.and_then(|(child, fork_ns, _, _)| {
-        let dumps = shared.store.serialize(&child)?;
-        child.exit();
-        Ok(ShardedSnapshot { fork_ns, dumps })
-    });
-    let mut snaps = shared.snapshots.lock().expect("snapshots poisoned");
-    snaps.in_flight -= 1;
-    if let Ok(snapshot) = result {
-        snaps.done.push(snapshot);
-    }
-    shared.snapshots_cv.notify_all();
-}
-
-/// Two-phase shutdown: quiesce every worker (drain client inboxes, stop
-/// issuing new cross-shard requests), run any BGSAVEs those drains queued,
-/// then release the workers to answer residual mailbox traffic and exit.
-fn run_shutdown(n: usize, shared: &Shared, proc: &Arc<Process>) {
-    for w in 0..n {
-        shared.mesh.post(w, ctl_slot(n), Msg::Quiesce);
-        shared.wake(w);
-    }
-    let mut acked = vec![false; n];
+    let mut acked = 0;
     let mut row: Vec<(usize, Msg)> = Vec::new();
-    while acked.iter().any(|&a| !a) {
-        shared.mesh.drain_row(ctl_slot(n), &mut row);
-        let progressed = !row.is_empty();
-        for (_, msg) in row.drain(..) {
-            match msg {
-                // Per-cell FIFO: a worker's BgsaveReqs precede its ack, so
-                // every snapshot queued by the final drain still runs.
-                Msg::BgsaveReq { from, token } => run_bgsave(n, shared, proc, from, token),
-                Msg::QuiesceAck { from } => acked[from] = true,
-                Msg::Shutdown => {} // duplicate external shutdown
-                other => unreachable!("coordinator got {other:?} during shutdown"),
-            }
-        }
-        if !progressed {
+    while acked < n {
+        shared.mesh.drain_row(n, &mut row);
+        if row.is_empty() {
             std::thread::park_timeout(Duration::from_micros(200));
         }
+        for (_, msg) in row.drain(..) {
+            assert!(matches!(msg, Msg::QuiesceAck), "shutdown got {msg:?}");
+            acked += 1;
+        }
     }
     for w in 0..n {
-        shared.mesh.post(w, ctl_slot(n), Msg::Shutdown);
+        shared.mesh.post(w, n, Msg::Shutdown);
         shared.wake(w);
+    }
+}
+
+/// The `percore-ctl` thread: serializes each frozen child off the serving
+/// threads, then exits it.
+fn serializer_main(shared: &Shared) {
+    let mut snaps = shared.snapshots.lock().expect("snapshots poisoned");
+    loop {
+        if let Some((child, fork_ns)) = snaps.frozen.pop_front() {
+            drop(snaps);
+            let dumps = shared.store.serialize(&child);
+            child.exit();
+            snaps = shared.snapshots.lock().expect("snapshots poisoned");
+            snaps.in_flight -= 1;
+            if let Ok(dumps) = dumps {
+                snaps.done.push(ShardedSnapshot { fork_ns, dumps });
+            }
+            shared.snapshots_cv.notify_all();
+        } else if snaps.closed {
+            return;
+        } else {
+            snaps = shared.snapshots_cv.wait(snaps).expect("snapshots poisoned");
+        }
     }
 }
 
@@ -622,23 +557,28 @@ struct WorkerConn {
     reply: ReplyBuf,
 }
 
-/// A cross-shard operation awaiting mailbox replies; its client reply slot
-/// is already reserved so ordering is preserved.
-struct PendingOp {
+/// A `DBSIZE` awaiting its peers' counts; its client reply slot is already
+/// reserved so ordering is preserved.
+struct PendingLen {
     conn: usize,
     reply_token: u64,
-    kind: PendingKind,
+    remaining: usize,
+    sum: Result<u64>,
 }
 
-enum PendingKind {
-    Len { remaining: usize, sum: Result<u64> },
-    Bgsave,
-}
-
-struct WorkerState {
+/// What one worker owns. `me` and `n` are its shard and the shard count.
+struct Worker<'a> {
+    me: usize,
+    n: usize,
+    shared: &'a Shared,
+    proc: Arc<Process>,
+    store: Store,
     conns: Vec<WorkerConn>,
-    pending: HashMap<u64, PendingOp>,
+    pending: HashMap<u64, PendingLen>,
     next_token: u64,
+    /// Mailbox drain buffer, reused.
+    row: Vec<(usize, Msg)>,
+    quiesce_seen: bool,
     quiesced: bool,
     shutdown: bool,
 }
@@ -646,7 +586,6 @@ struct WorkerState {
 fn worker_main(me: usize, shared: &Shared) {
     let proc = shared.proc();
     let store = shared.store.shard(me);
-    let n = shared.store.shard_count();
 
     // Bind this thread's lazily-initialized per-CPU state *before* serving:
     // the set/del pair touches the allocator (magazine stripe), faults
@@ -655,16 +594,21 @@ fn worker_main(me: usize, shared: &Shared) {
     let _ = store.set(&proc, b"__percore-warm__", b"w");
     let _ = store.del(&proc, b"__percore-warm__");
 
-    let mut state = WorkerState {
+    let mut w = Worker {
+        me,
+        n: shared.store.shard_count(),
+        shared,
+        proc,
+        store,
         conns: Vec::new(),
         pending: HashMap::new(),
         next_token: 0,
+        row: Vec::new(),
+        quiesce_seen: false,
         quiesced: false,
         shutdown: false,
     };
-    let mut row: Vec<(usize, Msg)> = Vec::new();
     let mut args: Vec<(usize, usize)> = Vec::new();
-    let mut quiesce_seen = false;
     loop {
         let mut progressed = false;
 
@@ -672,7 +616,7 @@ fn worker_main(me: usize, shared: &Shared) {
         {
             let mut incoming = shared.incoming[me].lock().expect("incoming poisoned");
             for conn in incoming.drain(..) {
-                state.conns.push(WorkerConn {
+                w.conns.push(WorkerConn {
                     shared: conn,
                     rx: RecvBuf::new(),
                     reply: ReplyBuf::new(),
@@ -682,29 +626,26 @@ fn worker_main(me: usize, shared: &Shared) {
         }
 
         // Control-plane mailbox traffic (rare).
-        shared.mesh.drain_row(me, &mut row);
-        for (_, msg) in row.drain(..) {
-            progressed = true;
-            handle_msg(me, shared, &proc, store, &mut state, msg, &mut quiesce_seen);
+        progressed |= w.drain_mailbox();
+
+        // The request path: parse → execute → reply, run to completion. A
+        // quiesce first seen *during* this pass waits for the next one, so
+        // every connection is drained after it.
+        let quiescing = w.quiesce_seen;
+        for i in 0..w.conns.len() {
+            progressed |= w.pump_conn(i, &mut args);
         }
 
-        // The request path: parse → execute → reply, run to completion.
-        for i in 0..state.conns.len() {
-            progressed |= pump_conn(me, n, shared, &proc, store, &mut state, i, &mut args);
-        }
-
-        if quiesce_seen && !state.quiesced {
+        if quiescing && !w.quiesced {
             // All inboxes were drained of complete frames this iteration;
             // from here this worker issues no new cross-shard requests.
-            state.quiesced = true;
-            shared
-                .mesh
-                .post(ctl_slot(n), me, Msg::QuiesceAck { from: me });
-            shared.wake(ctl_slot(n));
+            w.quiesced = true;
+            shared.mesh.post(w.n, me, Msg::QuiesceAck);
+            shared.wake(w.n);
             progressed = true;
         }
 
-        if state.shutdown && state.pending.is_empty() && !progressed {
+        if w.shutdown && w.pending.is_empty() && !progressed {
             break;
         }
 
@@ -717,7 +658,7 @@ fn worker_main(me: usize, shared: &Shared) {
             std::thread::park_timeout(Duration::from_millis(5));
         }
     }
-    for conn in &state.conns {
+    for conn in &w.conns {
         conn.shared.closed.store(true, Ordering::Release);
         if let Some(reader) = conn.shared.reader.lock().expect("reader poisoned").take() {
             reader.unpark();
@@ -725,225 +666,227 @@ fn worker_main(me: usize, shared: &Shared) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn handle_msg(
-    me: usize,
-    shared: &Shared,
-    proc: &Arc<Process>,
-    store: Store,
-    state: &mut WorkerState,
-    msg: Msg,
-    quiesce_seen: &mut bool,
-) {
-    match msg {
-        Msg::LenReq { from, token } => {
-            let count = store.len(proc);
-            shared.mesh.post(from, me, Msg::LenReply { token, count });
-            shared.wake(from);
+impl Worker<'_> {
+    /// Handles every message addressed to this worker; returns whether
+    /// there were any.
+    fn drain_mailbox(&mut self) -> bool {
+        let mut row = std::mem::take(&mut self.row);
+        self.shared.mesh.drain_row(self.me, &mut row);
+        let progressed = !row.is_empty();
+        for (_, msg) in row.drain(..) {
+            self.handle_msg(msg);
         }
-        Msg::LenReply { token, count } => {
-            let op = state.pending.get_mut(&token).expect("pending len op");
-            let PendingKind::Len { remaining, sum } = &mut op.kind else {
-                panic!("token {token} is not a DBSIZE op");
-            };
-            *sum = sum.and_then(|sum| Ok(sum + count?));
-            *remaining -= 1;
-            if *remaining == 0 {
-                let sum = *sum;
-                let op = state.pending.remove(&token).expect("pending len op");
-                state.conns[op.conn]
-                    .reply
-                    .complete(op.reply_token, |buf| write_len(buf, sum));
-            }
-        }
-        Msg::Barrier { epoch } => {
-            shared.barrier.arrived.fetch_add(1, Ordering::AcqRel);
-            // The wait below is the *entire* stall a worker experiences
-            // during BGSAVE: the coordinator forks, then releases.
-            while shared.barrier.released.load(Ordering::Acquire) < epoch {
-                std::thread::yield_now();
-            }
-        }
-        Msg::BgsaveForked { token, forked } => {
-            let op = state.pending.remove(&token).expect("pending bgsave op");
-            assert!(matches!(op.kind, PendingKind::Bgsave));
-            state.conns[op.conn]
-                .reply
-                .complete(op.reply_token, |buf| match forked {
-                    Ok(()) => buf.extend_from_slice(b"+Background saving started\r\n"),
-                    Err(e) => {
-                        let _ = write!(buf, "-ERR {e}\r\n");
-                    }
-                });
-        }
-        Msg::Quiesce => *quiesce_seen = true,
-        Msg::Shutdown => state.shutdown = true,
-        other => unreachable!("worker got {other:?}"),
+        self.row = row;
+        progressed
     }
-}
 
-/// Drains one connection's inbox, executes every complete frame, and
-/// flushes ready replies to the outbox. Returns whether anything happened.
-#[allow(clippy::too_many_arguments)]
-fn pump_conn(
-    me: usize,
-    n: usize,
-    shared: &Shared,
-    proc: &Arc<Process>,
-    store: Store,
-    state: &mut WorkerState,
-    conn_index: usize,
-    args: &mut Vec<(usize, usize)>,
-) -> bool {
-    let mut progressed = false;
-    if !state.quiesced {
-        {
-            let conn = &mut state.conns[conn_index];
-            let mut inbox = conn.shared.inbox.lock().expect("inbox poisoned");
-            if !inbox.is_empty() {
-                conn.rx.push(&inbox);
-                inbox.clear();
+    fn handle_msg(&mut self, msg: Msg) {
+        let shared = self.shared;
+        match msg {
+            Msg::LenReq { from, token } => {
+                let count = self.store.len(&self.proc);
+                shared
+                    .mesh
+                    .post(from, self.me, Msg::LenReply { token, count });
+                shared.wake(from);
+            }
+            Msg::LenReply { token, count } => {
+                let op = self.pending.get_mut(&token).expect("pending DBSIZE");
+                op.sum = op.sum.and_then(|sum| Ok(sum + count?));
+                op.remaining -= 1;
+                if op.remaining == 0 {
+                    let op = self.pending.remove(&token).expect("pending DBSIZE");
+                    self.conns[op.conn]
+                        .reply
+                        .complete(op.reply_token, |buf| write_len(buf, op.sum));
+                }
+            }
+            Msg::Barrier { epoch } => {
+                shared.barrier.arrived.fetch_add(1, Ordering::AcqRel);
+                // The wait below is the *entire* stall a peer experiences
+                // during BGSAVE: the leader forks, then releases.
+                while shared.barrier.released.load(Ordering::Acquire) < epoch {
+                    std::thread::yield_now();
+                }
+            }
+            Msg::Quiesce => self.quiesce_seen = true,
+            Msg::Shutdown => self.shutdown = true,
+            Msg::QuiesceAck => unreachable!("worker got {msg:?}"),
+        }
+    }
+
+    /// Drains one connection's inbox, executes every complete frame, and
+    /// flushes ready replies to the outbox. Returns whether anything
+    /// happened.
+    fn pump_conn(&mut self, i: usize, args: &mut Vec<(usize, usize)>) -> bool {
+        let mut progressed = false;
+        if !self.quiesced {
+            {
+                let conn = &mut self.conns[i];
+                let mut inbox = conn.shared.inbox.lock().expect("inbox poisoned");
+                if !inbox.is_empty() {
+                    conn.rx.push(&inbox);
+                    inbox.clear();
+                    progressed = true;
+                }
+            }
+            loop {
+                let parsed = self.conns[i].rx.parse_command(args);
+                match parsed {
+                    Parsed::Incomplete => break,
+                    Parsed::Error { used, msg } => {
+                        let conn = &mut self.conns[i];
+                        conn.reply.error(&format!("ERR {msg}"));
+                        conn.rx.consume(used);
+                    }
+                    Parsed::Cmd { used } => {
+                        if self.execute_command(i, args) {
+                            let forked = self.bgsave();
+                            let reply = &mut self.conns[i].reply;
+                            match forked {
+                                Ok(()) => reply.simple("Background saving started"),
+                                Err(e) => reply.error(&format!("ERR {e}")),
+                            }
+                        }
+                        self.conns[i].rx.consume(used);
+                    }
+                }
                 progressed = true;
             }
         }
-        loop {
-            let parsed = state.conns[conn_index].rx.parse_command(args);
-            match parsed {
-                Parsed::Incomplete => break,
-                Parsed::Error { used, msg } => {
-                    let conn = &mut state.conns[conn_index];
-                    conn.reply.error(&format!("ERR {msg}"));
-                    conn.rx.consume(used);
-                    progressed = true;
-                }
-                Parsed::Cmd { used } => {
-                    execute_command(me, n, shared, proc, store, state, conn_index, args);
-                    state.conns[conn_index].rx.consume(used);
-                    progressed = true;
-                }
-            }
-        }
-    }
-    let conn = &mut state.conns[conn_index];
-    let flushed = {
-        let mut outbox = conn.shared.outbox.lock().expect("outbox poisoned");
-        conn.reply.flush_into(&mut outbox)
-    };
-    if flushed > 0 {
-        progressed = true;
-        if let Some(reader) = conn.shared.reader.lock().expect("reader poisoned").take() {
-            reader.unpark();
-        }
-    }
-    progressed
-}
-
-/// Executes one parsed command (`args` ranges into the connection's
-/// `RecvBuf`) run to completion: a data command against this worker's
-/// shard — or a `-MOVED` redirect when the key lives elsewhere — and the
-/// two cross-shard operations over the mailbox mesh.
-#[allow(clippy::too_many_arguments)]
-fn execute_command(
-    me: usize,
-    n: usize,
-    shared: &Shared,
-    proc: &Arc<Process>,
-    store: Store,
-    state: &mut WorkerState,
-    conn_index: usize,
-    args: &[(usize, usize)],
-) {
-    // Split-borrow the worker state: the connection's rx (read-only arg
-    // slices) and reply (written), plus the pending-op table.
-    let WorkerState {
-        conns,
-        pending,
-        next_token,
-        ..
-    } = state;
-    let WorkerConn { rx, reply, .. } = &mut conns[conn_index];
-    rx.with_argv(args, |argv| {
-        let Some(spec) = command::resolve(argv, reply) else {
-            return;
+        let conn = &mut self.conns[i];
+        let flushed = {
+            let mut outbox = conn.shared.outbox.lock().expect("outbox poisoned");
+            conn.reply.flush_into(&mut outbox)
         };
-        if spec.key_pos > 0 {
-            // Data commands belong to this shard or get a smart-client
-            // redirect, before anything executes.
-            let shard = shared.store.shard_for(argv[spec.key_pos]);
-            if shard == me {
-                command::execute(spec, store, proc, argv, reply);
-            } else {
-                reply.error(&format!("MOVED {shard}"));
+        if flushed > 0 {
+            progressed = true;
+            if let Some(reader) = conn.shared.reader.lock().expect("reader poisoned").take() {
+                reader.unpark();
             }
-            return;
         }
-        match spec.name {
-            b"DBSIZE" => {
-                // The cross-shard op: reserve the reply slot (ordering),
-                // count locally, and ask every peer over the mailbox mesh.
-                let reply_token = reply.reserve_pending();
-                let local = store.len(proc);
-                if n == 1 {
-                    reply.complete(reply_token, |buf| write_len(buf, local));
-                    return;
+        progressed
+    }
+
+    /// Executes one parsed command (`args` ranges into connection `i`'s
+    /// `RecvBuf`) run to completion: a data command against this worker's
+    /// shard — or a `-MOVED` redirect when the key lives elsewhere — and
+    /// the keyless commands. Returns `true` for a `BGSAVE`, which the
+    /// caller runs before the connection's next request.
+    fn execute_command(&mut self, i: usize, args: &[(usize, usize)]) -> bool {
+        let (me, n, shared, proc, store) = (self.me, self.n, self.shared, &*self.proc, self.store);
+        let WorkerConn { rx, reply, .. } = &mut self.conns[i];
+        let (pending, next_token) = (&mut self.pending, &mut self.next_token);
+        rx.with_argv(args, |argv| {
+            let Some(spec) = command::resolve(argv, reply) else {
+                return false;
+            };
+            if spec.key_pos > 0 {
+                // Data commands belong to this shard or get a smart-client
+                // redirect, before anything executes.
+                let shard = shared.store.shard_for(argv[spec.key_pos]);
+                if shard == me {
+                    command::execute(spec, store, proc, argv, reply);
+                } else {
+                    reply.error(&format!("MOVED {shard}"));
                 }
-                *next_token += 1;
-                let token = *next_token;
-                pending.insert(
-                    token,
-                    PendingOp {
-                        conn: conn_index,
-                        reply_token,
-                        kind: PendingKind::Len {
+                return false;
+            }
+            match spec.name {
+                b"DBSIZE" => {
+                    // The cross-shard op: reserve the reply slot (ordering),
+                    // count locally, and ask every peer over the mailbox mesh.
+                    let reply_token = reply.reserve_pending();
+                    let local = store.len(proc);
+                    if n == 1 {
+                        reply.complete(reply_token, |buf| write_len(buf, local));
+                        return false;
+                    }
+                    *next_token += 1;
+                    let token = *next_token;
+                    pending.insert(
+                        token,
+                        PendingLen {
+                            conn: i,
+                            reply_token,
                             remaining: n - 1,
                             sum: local,
                         },
-                    },
-                );
-                for peer in (0..n).filter(|&p| p != me) {
-                    shared.mesh.post(peer, me, Msg::LenReq { from: me, token });
-                    shared.wake(peer);
+                    );
+                    for peer in (0..n).filter(|&p| p != me) {
+                        shared.mesh.post(peer, me, Msg::LenReq { from: me, token });
+                        shared.wake(peer);
+                    }
                 }
-            }
-            b"BGSAVE" => {
-                let reply_token = reply.reserve_pending();
-                *next_token += 1;
-                let token = *next_token;
-                pending.insert(
-                    token,
-                    PendingOp {
-                        conn: conn_index,
-                        reply_token,
-                        kind: PendingKind::Bgsave,
-                    },
-                );
-                {
-                    let mut snaps = shared.snapshots.lock().expect("snapshots poisoned");
-                    snaps.in_flight += 1;
+                b"BGSAVE" => return true,
+                b"INFO" => {
+                    // Copy the numbers out: rendering walks the address
+                    // space, and every fork takes this lock.
+                    let (saving, fork_times) = {
+                        let snaps = shared.snapshots.lock().expect("snapshots poisoned");
+                        (snaps.in_flight > 0, snaps.fork_times.clone())
+                    };
+                    let section = argv.get(1).copied();
+                    command::info(proc, shared.policy, saving, &fork_times, section, reply);
                 }
-                shared.mesh.post(
-                    ctl_slot(n),
-                    me,
-                    Msg::BgsaveReq {
-                        from: Some(me),
-                        token,
-                    },
-                );
-                shared.wake(ctl_slot(n));
+                _ => command::execute_admin(spec, proc.kernel(), argv, reply),
             }
-            b"INFO" => {
-                // Copy the numbers out: rendering walks the address space,
-                // and the coordinator takes this lock around every fork.
-                let (saving, fork_times) = {
-                    let snaps = shared.snapshots.lock().expect("snapshots poisoned");
-                    (snaps.in_flight > 0, snaps.fork_times.clone())
-                };
-                let section = argv.get(1).copied();
-                command::info(proc, shared.policy, saving, &fork_times, section, reply);
-            }
-            _ => command::execute_admin(spec, proc.kernel(), argv, reply),
+            false
+        })
+    }
+
+    /// Runs a `BGSAVE` between two requests of the connection that sent
+    /// it: forks — at more than one shard, with every peer held at the
+    /// barrier for the fork call only — and hands the frozen child to the
+    /// serializer.
+    fn bgsave(&mut self) -> Result<()> {
+        let epoch = (self.n > 1).then(|| self.lead_barrier());
+        let sw = Stopwatch::start();
+        let forked = self.proc.fork_with(self.shared.policy);
+        let fork_ns = sw.elapsed_ns();
+        if let Some(epoch) = epoch {
+            let barrier = &self.shared.barrier;
+            barrier.released.store(epoch, Ordering::Release);
+            barrier.leader.store(NO_LEADER, Ordering::Release);
         }
-    });
+        let child = forked?;
+        let mut snaps = self.shared.snapshots.lock().expect("snapshots poisoned");
+        snaps.fork_times.record(fork_ns as f64);
+        snaps.in_flight += 1;
+        snaps.frozen.push_back((child, fork_ns));
+        self.shared.snapshots_cv.notify_all();
+        Ok(())
+    }
+
+    /// Makes this worker the barrier's one leader and holds every peer at
+    /// it; returns the epoch to release. While another worker leads, this
+    /// one keeps answering its mailbox — that leader's barrier post
+    /// included — so two workers parsing `BGSAVE` at once take turns.
+    fn lead_barrier(&mut self) -> u64 {
+        let barrier = &self.shared.barrier;
+        while barrier
+            .leader
+            .compare_exchange(NO_LEADER, self.me, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            self.drain_mailbox();
+            std::thread::yield_now();
+        }
+        // Every peer arrived at the previous epoch before it was released,
+        // and only the leader writes `released`.
+        let epoch = barrier.released.load(Ordering::Relaxed) + 1;
+        barrier.arrived.store(0, Ordering::Relaxed);
+        for peer in (0..self.n).filter(|&p| p != self.me) {
+            self.shared.mesh.post(peer, self.me, Msg::Barrier { epoch });
+            self.shared.wake(peer);
+        }
+        while barrier.arrived.load(Ordering::Acquire) < self.n - 1 {
+            // Yield, don't spin: with fewer cores than workers a spinning
+            // leader would stop stragglers from ever reaching the barrier.
+            std::thread::yield_now();
+        }
+        epoch
+    }
 }
 
 /// Encodes a `DBSIZE` reply: the count, or the error reading it hit.
@@ -1079,6 +1022,47 @@ mod tests {
         server.shutdown();
     }
 
+    /// The value `key` holds in a `Store::serialize` dump, if any.
+    fn dumped_value<'a>(mut dump: &'a [u8], key: &[u8]) -> Option<&'a [u8]> {
+        dump = &dump[8..];
+        while !dump.is_empty() {
+            let len = |at: usize| u32::from_le_bytes(dump[at..at + 4].try_into().unwrap());
+            let (klen, vlen) = (len(0) as usize, len(4) as usize);
+            let (k, v) = dump[8..8 + klen + vlen].split_at(klen);
+            if k == key {
+                return Some(v);
+            }
+            dump = &dump[8 + klen + vlen..];
+        }
+        None
+    }
+
+    #[test]
+    fn bgsave_freezes_exactly_the_writes_sent_before_it() {
+        for shards in [1, 2] {
+            let (_k, mut server) = boot(shards);
+            let key = b"ordered";
+            let shard = server.shard_for(key);
+            let conn = server.connect_to(shard);
+            let mut burst = encode_command(&[b"SET", key, b"before"]);
+            burst.extend_from_slice(&encode_command(&[b"BGSAVE"]));
+            for _ in 0..8 {
+                burst.extend_from_slice(&encode_command(&[b"SET", key, b"after"]));
+            }
+            conn.send(&burst);
+            let mut out = Vec::new();
+            assert_eq!(conn.await_replies(10, &mut out), 0);
+            let snaps = server.wait_snapshots();
+            assert_eq!(snaps.len(), 1);
+            assert_eq!(
+                dumped_value(&snaps[0].dumps[shard], key),
+                Some(&b"before"[..]),
+                "{shards} shards: the snapshot holds what was served before BGSAVE"
+            );
+            server.shutdown();
+        }
+    }
+
     #[test]
     fn stats_render_locally() {
         let (_k, mut server) = boot(2);
@@ -1097,5 +1081,64 @@ mod tests {
         assert!(reply.starts_with(b"-ERR unknown command"));
         assert_eq!(roundtrip(&conn, &[b"PING"]), b"+PONG\r\n");
         server.shutdown();
+    }
+}
+
+/// What keeps the one engine one: a check over this crate's sources, each
+/// cut at its first `#[cfg(test)]`.
+#[cfg(test)]
+mod guard {
+    /// `(file, function, line)` for each line of every source file before
+    /// its tests: the function whose body the line is in, or the last one
+    /// declared above it ("" before the first).
+    fn lines_by_fn() -> Vec<(String, String, String)> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src");
+        let mut lines = Vec::new();
+        for entry in std::fs::read_dir(dir).expect("source directory") {
+            let path = entry.expect("source entry").path();
+            let file = path.file_name().unwrap().to_string_lossy().into_owned();
+            let src = std::fs::read_to_string(&path).expect("source file");
+            let code = &src[..src.find("#[cfg(test)]").unwrap_or(src.len())];
+            let mut current = "";
+            for line in code.lines() {
+                if let Some((before, after)) = line.split_once("fn ") {
+                    if before
+                        .trim()
+                        .chars()
+                        .all(|c| c.is_alphanumeric() || "() ".contains(c))
+                    {
+                        current = after.split(['(', '<']).next().unwrap_or("");
+                    }
+                }
+                lines.push((file.clone(), current.to_owned(), line.to_owned()));
+            }
+        }
+        lines
+    }
+
+    #[test]
+    fn one_wire_front_end_parses_requests() {
+        let loops: Vec<_> = lines_by_fn()
+            .into_iter()
+            .filter(|(_, _, line)| line.contains(".parse_command("))
+            .map(|(file, name, _)| format!("{file}:{name}"))
+            .collect();
+        assert_eq!(
+            loops,
+            ["percore.rs:pump_conn"],
+            "a second RESP front end: serve requests through PerCoreServer"
+        );
+    }
+
+    #[test]
+    fn only_bgsave_and_the_durable_snapshot_fork() {
+        for (file, name, line) in lines_by_fn() {
+            let allowed = (file == "percore.rs" && name == "bgsave")
+                || (file == "persist.rs" && name == "bgsave_async");
+            assert!(
+                !line.contains("fork_with(") || allowed,
+                "{file}:{name} forks: snapshots fork in BGSAVE or in persist.rs\n{line}"
+            );
+        }
     }
 }

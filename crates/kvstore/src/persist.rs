@@ -1,13 +1,14 @@
 //! Durable serving: WAL-journaled writes + fork-snapshot chains.
 //!
-//! [`DurableServer`] is the crash-consistent sibling of [`crate::Server`]:
-//! every mutation is framed as a [`Command`], appended to the WAL *before*
-//! it touches the store (write-ahead), applied, then group-committed; the
-//! returned [`Acked`] carries whether the write is already durable under
-//! the configured fsync policy. Periodically (or on demand) `bgsave`
-//! forks the serving process, captures the frozen image exactly as the
-//! in-memory server does, publishes it to the [`ChainStore`], and
-//! truncates the WAL segments the snapshot covers.
+//! [`DurableServer`] is the crash-consistent sibling of
+//! [`PerCoreServer`](crate::PerCoreServer): every mutation is framed as a
+//! [`Command`], appended to the WAL *before* it touches the store
+//! (write-ahead), applied, then group-committed; the returned [`Acked`]
+//! carries whether the write is already durable under the configured
+//! fsync policy. Periodically (or on demand) `bgsave` forks the serving
+//! process, captures the frozen child's image (full, or a delta over the
+//! previous snapshot), publishes it to the [`ChainStore`], and truncates
+//! the WAL segments the snapshot covers.
 //!
 //! Recovery ([`DurableServer::open`] on a non-empty directory) restores
 //! the newest materializable chain into a fresh process via
@@ -24,9 +25,9 @@ use odf_durability::{
     recover, ChainStore, FsError, ManifestEntry, RecoveryReport, StorageFs, Wal, WalConfig,
 };
 use odf_metrics::Stopwatch;
+use odf_snapshot::{capture_delta, capture_full};
 use odf_trace::Event;
 
-use crate::server::{capture_frozen, fork_snapshot_child};
 use crate::store::Store;
 
 /// Errors from the durable serving path.
@@ -427,7 +428,7 @@ impl DurableServer {
     /// (full, or a delta when configured and a base exists), atomically
     /// publish it to the chain, then truncate WAL segments it covers.
     ///
-    /// Synchronous, unlike [`crate::Server::bgsave`]: the durability
+    /// Synchronous, unlike the wire engine's `BGSAVE`: the durability
     /// story needs a defined order of storage operations (and the
     /// crash-injection harness enumerates exactly that order), so this is
     /// [`DurableServer::bgsave_async`] joined at once — the caller is
@@ -458,13 +459,15 @@ impl DurableServer {
         // Every applied mutation is journaled first, so the fork below
         // freezes exactly the state through this sequence number.
         let wal_seq = self.wal.appended_seq();
-        // Asked for as incremental whatever the config says, so the epoch
-        // advances even in full-image mode: monotone epochs keep chain
-        // ordering unambiguous.
-        let (child, _, child_epoch, has_base) =
-            fork_snapshot_child(&self.proc, self.config.fork_policy, true)?;
+        // The soft-dirty epoch handshake: the child's frozen view is epoch
+        // `n`, and the parent moves to `n + 1` before any post-fork write,
+        // so the next delta cannot miss one. It advances in full-image
+        // mode too: monotone epochs keep chain ordering unambiguous.
+        let child = self.proc.fork_with(self.config.fork_policy)?;
+        let child_epoch = child.checkpoint_epoch();
+        self.proc.advance_checkpoint_epoch()?;
         let fork_ns = stall.elapsed_ns();
-        let delta = self.config.incremental && has_base;
+        let delta = self.config.incremental && child_epoch > 0;
         let epoch_base = self.epoch_base;
         let meta = StoreMeta {
             heap_base: self.store.heap().base(),
@@ -474,7 +477,11 @@ impl DurableServer {
         .encode();
         let mut chain = self.chain.take().expect("no snapshot in flight");
         let handle = std::thread::spawn(move || {
-            let mut image = capture_frozen(&child, child_epoch, delta);
+            let mut image = if delta {
+                capture_delta(child.mm(), child_epoch, child_epoch - 1)
+            } else {
+                capture_full(child.mm(), child_epoch)
+            };
             child.exit();
             // Rebase the epoch so it keeps increasing across recoveries
             // (the capture ran with the process's own epoch counter, which

@@ -10,8 +10,6 @@
 use std::collections::VecDeque;
 use std::io::Write as _;
 
-use crate::server::Server;
-
 /// Commands with at most this many arguments dispatch from a stack array
 /// of borrowed slices — no per-command allocation on the hot path.
 pub const MAX_INLINE_ARGS: usize = 8;
@@ -563,56 +561,39 @@ pub fn skip_reply(input: &[u8]) -> Option<usize> {
     }
 }
 
-/// Feeds a byte stream of pipelined commands to the server, as a
-/// connection handler would, returning the concatenated replies.
-///
-/// Runs on the zero-copy path: commands are parsed in place from a
-/// [`RecvBuf`] and argument slices borrow the receive buffer.
-pub fn serve_stream(server: &mut Server, input: &[u8]) -> Vec<u8> {
-    let mut rx = RecvBuf::new();
-    rx.push(input);
-    let mut reply = ReplyBuf::new();
-    let mut args = Vec::new();
-    let mut out = Vec::new();
-    loop {
-        match rx.parse_command(&mut args) {
-            Parsed::Incomplete => break, // incomplete trailing command
-            Parsed::Error { used, msg } => {
-                reply.error(&format!("ERR {msg}"));
-                rx.consume(used);
-            }
-            Parsed::Cmd { used } => {
-                rx.with_argv(&args, |argv| server.execute(argv, &mut reply));
-                rx.consume(used);
-            }
-        }
-        reply.flush_into(&mut out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::ServerConfig;
+    use crate::{Connection, PerCoreConfig, PerCoreServer};
     use odf_core::Kernel;
 
-    fn server() -> Server {
+    /// A one-shard server and a connection to it.
+    fn server() -> (PerCoreServer, Connection) {
         let kernel = Kernel::new(64 << 20);
-        Server::new(
+        let server = PerCoreServer::new(
             &kernel,
-            ServerConfig {
-                heap_capacity: 16 << 20,
-                snapshot_every: u64::MAX,
+            PerCoreConfig {
+                shards: 1,
+                heap_per_shard: 16 << 20,
                 ..Default::default()
             },
         )
-        .unwrap()
+        .unwrap();
+        let conn = server.connect_to(0);
+        (server, conn)
+    }
+
+    /// Sends `stream` and returns the first `n` replies to it.
+    fn serve(conn: &Connection, stream: &[u8], n: usize) -> Vec<u8> {
+        conn.send(stream);
+        let mut wire = Vec::new();
+        conn.await_replies(n, &mut wire);
+        wire
     }
 
     /// One command over the wire path, its reply decoded.
-    fn run(s: &mut Server, parts: &[&[u8]]) -> RespValue {
-        let wire = serve_stream(s, &encode_command(parts));
+    fn run(conn: &Connection, parts: &[&[u8]]) -> RespValue {
+        let wire = serve(conn, &encode_command(parts), 1);
         let (reply, used) = RespValue::decode(&wire).expect("one complete reply");
         assert_eq!(used, wire.len());
         reply
@@ -675,37 +656,34 @@ mod tests {
 
     #[test]
     fn command_dispatch_covers_the_surface() {
-        let mut s = server();
-        assert_eq!(run(&mut s, &[b"PING"]), RespValue::Simple("PONG".into()));
+        let (server, s) = server();
+        assert_eq!(run(&s, &[b"PING"]), RespValue::Simple("PONG".into()));
         assert_eq!(
-            run(&mut s, &[b"SET", b"k", b"v"]),
+            run(&s, &[b"SET", b"k", b"v"]),
             RespValue::Simple("OK".into())
         );
         assert_eq!(
-            run(&mut s, &[b"GET", b"k"]),
+            run(&s, &[b"GET", b"k"]),
             RespValue::Bulk(Some(b"v".to_vec()))
         );
-        assert_eq!(run(&mut s, &[b"EXISTS", b"k"]), RespValue::Integer(1));
-        assert_eq!(run(&mut s, &[b"DBSIZE"]), RespValue::Integer(1));
-        assert_eq!(run(&mut s, &[b"INCR", b"n"]), RespValue::Integer(1));
-        assert_eq!(run(&mut s, &[b"APPEND", b"k", b"2"]), RespValue::Integer(2));
-        assert_eq!(run(&mut s, &[b"DEL", b"k"]), RespValue::Integer(1));
-        assert_eq!(run(&mut s, &[b"GET", b"k"]), RespValue::Bulk(None));
-        assert!(matches!(
-            run(&mut s, &[b"INCR", b"bad"]),
-            RespValue::Integer(1)
-        ));
-        assert!(matches!(run(&mut s, &[b"SET", b"k"]), RespValue::Error(_)));
-        assert!(matches!(run(&mut s, &[b"FLUSHALL"]), RespValue::Error(_)));
-        assert!(matches!(run(&mut s, &[b"BGSAVE"]), RespValue::Simple(_)));
-        s.wait_snapshots();
+        assert_eq!(run(&s, &[b"EXISTS", b"k"]), RespValue::Integer(1));
+        assert_eq!(run(&s, &[b"DBSIZE"]), RespValue::Integer(1));
+        assert_eq!(run(&s, &[b"INCR", b"n"]), RespValue::Integer(1));
+        assert_eq!(run(&s, &[b"APPEND", b"k", b"2"]), RespValue::Integer(2));
+        assert_eq!(run(&s, &[b"DEL", b"k"]), RespValue::Integer(1));
+        assert_eq!(run(&s, &[b"GET", b"k"]), RespValue::Bulk(None));
+        assert!(matches!(run(&s, &[b"INCR", b"bad"]), RespValue::Integer(1)));
+        assert!(matches!(run(&s, &[b"SET", b"k"]), RespValue::Error(_)));
+        assert!(matches!(run(&s, &[b"FLUSHALL"]), RespValue::Error(_)));
+        assert!(matches!(run(&s, &[b"BGSAVE"]), RespValue::Simple(_)));
+        assert_eq!(server.wait_snapshots().len(), 1);
     }
 
     #[test]
     fn info_and_stats_report_kernel_state() {
-        let mut s = server();
-        s.set(b"k", b"v").unwrap();
-        let RespValue::Bulk(Some(info)) = run(&mut s, &[b"INFO"]) else {
+        let (_server, s) = server();
+        run(&s, &[b"SET", b"k", b"v"]);
+        let RespValue::Bulk(Some(info)) = run(&s, &[b"INFO"]) else {
             panic!("INFO must return a bulk string");
         };
         let info = String::from_utf8(info).unwrap();
@@ -713,19 +691,19 @@ mod tests {
         assert!(info.contains("# Memory"));
         assert!(info.contains("vm_faults:"));
 
-        let RespValue::Bulk(Some(mem)) = run(&mut s, &[b"INFO", b"memory"]) else {
+        let RespValue::Bulk(Some(mem)) = run(&s, &[b"INFO", b"memory"]) else {
             panic!("INFO memory must return a bulk string");
         };
         let mem = String::from_utf8(mem).unwrap();
         assert!(mem.contains("rss_bytes:") && !mem.contains("# Server"));
 
-        let RespValue::Bulk(Some(prom)) = run(&mut s, &[b"STATS"]) else {
+        let RespValue::Bulk(Some(prom)) = run(&s, &[b"STATS"]) else {
             panic!("STATS must return a bulk string");
         };
         let prom = String::from_utf8(prom).unwrap();
         assert!(prom.contains("# TYPE odf_vm_faults_total counter"));
 
-        let RespValue::Bulk(Some(json)) = run(&mut s, &[b"STATS", b"json"]) else {
+        let RespValue::Bulk(Some(json)) = run(&s, &[b"STATS", b"json"]) else {
             panic!("STATS JSON must return a bulk string");
         };
         let json = String::from_utf8(json).unwrap();
@@ -926,14 +904,14 @@ mod tests {
 
     #[test]
     fn pipelined_streams_serve_in_order() {
-        let mut s = server();
+        let (_server, s) = server();
         let mut stream = Vec::new();
         stream.extend_from_slice(&encode_command(&[b"SET", b"a", b"1"]));
         stream.extend_from_slice(&encode_command(&[b"INCR", b"a"]));
         stream.extend_from_slice(&encode_command(&[b"GET", b"a"]));
         // Trailing partial command is left for the next read.
         stream.extend_from_slice(b"*1\r\n$4\r\nPI");
-        let replies = serve_stream(&mut s, &stream);
+        let replies = serve(&s, &stream, 3);
         let expected = [
             RespValue::Simple("OK".into()).encode(),
             RespValue::Integer(2).encode(),

@@ -6,6 +6,10 @@
 //! pipeline batches; each request's latency is measured from its enqueue
 //! time to its completion, so a fork-induced stall inside a batch inflates
 //! the tail exactly as a blocked server inflates memtier's.
+//!
+//! It also plays the paper's snapshot policy, Redis's `save <n>` rule:
+//! given a period, the clients send `BGSAVE` in-band right after every n-th
+//! SET, so each snapshot holds exactly the writes sent before it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -15,7 +19,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::percore::PerCoreServer;
 use crate::resp::{encode_command, skip_reply};
-use crate::server::Server;
 use crate::sharded::ShardedSnapshot;
 
 /// Traffic generator configuration.
@@ -45,48 +48,6 @@ impl Default for WorkloadConfig {
     }
 }
 
-/// Pre-loads the store with every key in the key space (the "populate
-/// Redis with N MB of data before the experiment" step).
-pub fn preload(server: &mut Server, config: &WorkloadConfig) -> odf_core::Result<()> {
-    let value = vec![0xABu8; config.value_size];
-    for i in 0..config.key_space {
-        server.set(key_bytes(i).as_slice(), &value)?;
-    }
-    Ok(())
-}
-
-/// Runs `total_requests` against the server, returning the per-request
-/// latency histogram (nanoseconds).
-pub fn run(
-    server: &mut Server,
-    config: &WorkloadConfig,
-    total_requests: u64,
-) -> odf_core::Result<Histogram> {
-    let mut hist = Histogram::new();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let value = vec![0xCDu8; config.value_size];
-    let mut issued = 0u64;
-    while issued < total_requests {
-        let batch = config.pipeline.min((total_requests - issued) as usize);
-        let sw = Stopwatch::start();
-        for slot in 0..batch {
-            let key = key_bytes(rng.gen_range(0..config.key_space));
-            if rng.gen_bool(config.set_ratio) {
-                server.set(&key, &value)?;
-            } else {
-                let _ = server.get(&key)?;
-            }
-            // Latency of request `slot`: queued at batch start, completed
-            // now. Requests later in a batch accumulate the batch's
-            // service time, like a pipelined connection.
-            let _ = slot;
-            hist.record(sw.elapsed_ns());
-        }
-        issued += batch as u64;
-    }
-    Ok(hist)
-}
-
 fn key_bytes(i: u64) -> Vec<u8> {
     format!("memtier-{i:012}").into_bytes()
 }
@@ -94,7 +55,8 @@ fn key_bytes(i: u64) -> Vec<u8> {
 /// Result of a [`run_percore`] drive: merged client-observed latencies plus
 /// whatever snapshots the run triggered.
 pub struct PerCoreReport {
-    /// Per-request latency, nanoseconds, merged across all connections.
+    /// Per-request latency, nanoseconds, merged across all connections
+    /// (`BGSAVE` replies excluded).
     pub latency: Histogram,
     /// Requests completed (reply received and parsed).
     pub requests: u64,
@@ -103,7 +65,7 @@ pub struct PerCoreReport {
     /// Error replies observed (should be zero: keys are routed per shard,
     /// so `-MOVED` never fires).
     pub errors: u64,
-    /// Snapshots collected if `bgsave_at` fired.
+    /// The snapshots the run's `BGSAVE`s produced.
     pub snapshots: Vec<ShardedSnapshot>,
 }
 
@@ -140,21 +102,22 @@ pub fn preload_percore(server: &PerCoreServer, config: &WorkloadConfig) {
 /// tail exactly as it does on a blocked socket.
 ///
 /// Keys are routed to the owning shard's connection (the smart-client
-/// model), so the run exercises the shard-local fast path; `total_requests`
-/// is split evenly across connections. If `bgsave_at` is set, the main
-/// thread triggers a BGSAVE once that many requests have completed
-/// globally, and the report carries the resulting snapshots.
+/// model), so the run exercises the shard-local fast path; exactly
+/// `total_requests` are issued, split as evenly as they go across
+/// connections. With `bgsave_every = Some(n)` (n > 0), the connection that
+/// sends the n-th, 2n-th, … SET of the run sends a `BGSAVE` right behind
+/// it, and the report carries the resulting snapshots.
 pub fn run_percore(
     server: &PerCoreServer,
     config: &WorkloadConfig,
     conns_per_shard: usize,
     total_requests: u64,
-    bgsave_at: Option<u64>,
+    bgsave_every: Option<u64>,
 ) -> PerCoreReport {
+    assert_ne!(bgsave_every, Some(0), "a BGSAVE period is at least one SET");
     let shards = server.shard_count();
-    let nconns = shards * conns_per_shard;
-    let per_conn = total_requests / nconns as u64;
-    let progress = AtomicU64::new(0);
+    let nconns = (shards * conns_per_shard) as u64;
+    let sets = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
 
     // Pre-route the key space: connection c (on shard s) draws only from
@@ -168,32 +131,53 @@ pub fn run_percore(
     let sw = Stopwatch::start();
     let mut histograms: Vec<Histogram> = Vec::new();
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nconns);
+        let mut handles = Vec::new();
         for c in 0..nconns {
-            let shard = c % shards;
+            let shard = c as usize % shards;
             let conn = server.connect_to(shard);
             let keys = &keys_by_shard[shard];
-            let progress = &progress;
-            let errors = &errors;
+            let quota = total_requests / nconns + u64::from(c < total_requests % nconns);
+            let (sets, errors) = (&sets, &errors);
             handles.push(scope.spawn(move || {
                 let mut hist = Histogram::new();
                 if keys.is_empty() {
                     return hist;
                 }
-                let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(c as u64));
+                let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(c));
                 let value = vec![0xCDu8; config.value_size];
+                let mut picks: Vec<(usize, bool)> = Vec::new();
                 let mut batch = Vec::new();
+                // Per reply slot of the batch: whether it answers a BGSAVE.
+                let mut is_bgsave: Vec<bool> = Vec::new();
                 let mut replies = Vec::new();
                 let mut done = 0u64;
-                while done < per_conn {
-                    let n = config.pipeline.min((per_conn - done) as usize);
-                    batch.clear();
+                while done < quota {
+                    let n = config.pipeline.min((quota - done) as usize);
+                    picks.clear();
                     for _ in 0..n {
-                        let key = &keys[rng.gen_range(0..keys.len())];
-                        if rng.gen_bool(config.set_ratio) {
-                            batch.extend_from_slice(&encode_command(&[b"SET", key, &value]));
-                        } else {
+                        picks.push((rng.gen_range(0..keys.len()), rng.gen_bool(config.set_ratio)));
+                    }
+                    let mut set_no = match bgsave_every {
+                        Some(_) => {
+                            let batch_sets = picks.iter().filter(|&&(_, set)| set).count();
+                            sets.fetch_add(batch_sets as u64, Ordering::Relaxed)
+                        }
+                        None => 0,
+                    };
+                    batch.clear();
+                    is_bgsave.clear();
+                    for &(k, set) in &picks {
+                        let key = &keys[k];
+                        is_bgsave.push(false);
+                        if !set {
                             batch.extend_from_slice(&encode_command(&[b"GET", key]));
+                            continue;
+                        }
+                        batch.extend_from_slice(&encode_command(&[b"SET", key, &value]));
+                        set_no += 1;
+                        if bgsave_every.is_some_and(|every| set_no % every == 0) {
+                            batch.extend_from_slice(&encode_command(&[b"BGSAVE"]));
+                            is_bgsave.push(true);
                         }
                     }
                     let bsw = Stopwatch::start();
@@ -203,7 +187,7 @@ pub fn run_percore(
                     replies.clear();
                     let mut scanned = 0;
                     let mut got = 0;
-                    while got < n {
+                    while got < is_bgsave.len() {
                         if conn.recv_into(&mut replies) == 0 {
                             if conn.is_closed() {
                                 return hist;
@@ -211,38 +195,32 @@ pub fn run_percore(
                             conn.wait_readable();
                             continue;
                         }
-                        while got < n {
+                        while got < is_bgsave.len() {
                             let Some(used) = skip_reply(&replies[scanned..]) else {
                                 break;
                             };
                             if replies[scanned] == b'-' {
                                 errors.fetch_add(1, Ordering::Relaxed);
                             }
+                            if !is_bgsave[got] {
+                                hist.record(bsw.elapsed_ns());
+                            }
                             scanned += used;
                             got += 1;
-                            hist.record(bsw.elapsed_ns());
                         }
                     }
                     done += n as u64;
-                    progress.fetch_add(n as u64, Ordering::Relaxed);
                 }
                 hist
             }));
         }
-        if let Some(at) = bgsave_at {
-            while progress.load(Ordering::Relaxed) < at {
-                std::thread::yield_now();
-            }
-            server.bgsave();
-        }
-        histograms = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        histograms = handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread panicked"))
+            .collect();
     });
     let wall_ns = sw.elapsed_ns();
-    let snapshots = if bgsave_at.is_some() {
-        server.wait_snapshots()
-    } else {
-        Vec::new()
-    };
+    let snapshots = server.wait_snapshots();
 
     let mut latency = Histogram::new();
     for h in &histograms {
@@ -261,108 +239,109 @@ pub fn run_percore(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::ServerConfig;
+    use crate::PerCoreConfig;
     use odf_core::{ForkPolicy, Kernel};
+
+    fn boot(shards: usize) -> PerCoreServer {
+        let k = Kernel::new(256 << 20);
+        PerCoreServer::new(
+            &k,
+            PerCoreConfig {
+                shards,
+                heap_per_shard: 8 << 20,
+                buckets: 256,
+                fork_policy: ForkPolicy::OnDemand,
+            },
+        )
+        .unwrap()
+    }
+
+    /// Sends one command on a fresh connection to `shard`; returns the reply.
+    fn call(server: &PerCoreServer, shard: usize, parts: &[&[u8]]) -> Vec<u8> {
+        let conn = server.connect_to(shard);
+        conn.send(&encode_command(parts));
+        let mut reply = Vec::new();
+        conn.await_replies(1, &mut reply);
+        reply
+    }
 
     #[test]
     fn preload_fills_the_key_space() {
-        let k = Kernel::new(64 << 20);
-        let mut s = Server::new(
-            &k,
-            ServerConfig {
-                heap_capacity: 16 << 20,
-                snapshot_every: u64::MAX,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let s = boot(1);
         let cfg = WorkloadConfig {
             key_space: 100,
             ..Default::default()
         };
-        preload(&mut s, &cfg).unwrap();
-        assert_eq!(s.store().len(s.process()).unwrap(), 100);
-        assert_eq!(s.get(&key_bytes(57)).unwrap().unwrap().len(), 64);
+        preload_percore(&s, &cfg);
+        assert_eq!(call(&s, 0, &[b"DBSIZE"]), b":100\r\n");
+        let reply = call(&s, 0, &[b"GET", &key_bytes(57)]);
+        assert!(reply.starts_with(b"$64\r\n"), "{reply:?}");
     }
 
     #[test]
     fn run_records_every_request() {
-        let k = Kernel::new(64 << 20);
-        let mut s = Server::new(
-            &k,
-            ServerConfig {
-                heap_capacity: 16 << 20,
-                snapshot_every: u64::MAX,
-                fork_policy: ForkPolicy::OnDemand,
-                incremental: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let s = boot(1);
         let cfg = WorkloadConfig {
             key_space: 50,
             pipeline: 7,
             ..Default::default()
         };
-        preload(&mut s, &cfg).unwrap();
-        let hist = run(&mut s, &cfg, 123).unwrap();
-        assert_eq!(hist.count(), 123);
+        preload_percore(&s, &cfg);
+        let report = run_percore(&s, &cfg, 1, 123, None);
+        assert_eq!(report.requests, 123);
+        assert!(report.snapshots.is_empty());
+        let hist = &report.latency;
         assert!(hist.percentile(99.0) >= hist.percentile(50.0));
     }
 
     #[test]
     fn deterministic_for_fixed_seed() {
         let run_once = || {
-            let k = Kernel::new(64 << 20);
-            let mut s = Server::new(
-                &k,
-                ServerConfig {
-                    heap_capacity: 16 << 20,
-                    snapshot_every: 40,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let s = boot(1);
             let cfg = WorkloadConfig {
                 key_space: 64,
                 set_ratio: 1.0,
                 ..Default::default()
             };
-            preload(&mut s, &cfg).unwrap();
-            run(&mut s, &cfg, 200).unwrap();
-            s.wait_snapshots().len()
+            preload_percore(&s, &cfg);
+            run_percore(&s, &cfg, 1, 200, Some(40)).snapshots
         };
-        assert_eq!(run_once(), run_once());
+        let (a, b) = (run_once(), run_once());
+        assert_eq!(a.len(), 5, "one BGSAVE per 40 SETs");
+        let dumps = |snaps: &[ShardedSnapshot]| -> Vec<Vec<Vec<u8>>> {
+            snaps.iter().map(|s| s.dumps.clone()).collect()
+        };
+        assert_eq!(dumps(&a), dumps(&b));
     }
 
     #[test]
     fn percore_drive_completes_and_routes_cleanly() {
-        let k = Kernel::new(256 << 20);
-        let server = crate::PerCoreServer::new(
-            &k,
-            crate::PerCoreConfig {
-                shards: 2,
-                heap_per_shard: 8 << 20,
-                buckets: 256,
-                fork_policy: ForkPolicy::OnDemand,
-            },
-        )
-        .unwrap();
+        let server = boot(2);
         let cfg = WorkloadConfig {
             key_space: 200,
             pipeline: 8,
             ..Default::default()
         };
         preload_percore(&server, &cfg);
-        let conn = server.connect_to(0);
-        conn.send(&encode_command(&[b"DBSIZE"]));
-        let mut reply = Vec::new();
-        conn.await_replies(1, &mut reply);
-        assert_eq!(reply, b":200\r\n");
-        let report = run_percore(&server, &cfg, 2, 400, Some(100));
+        assert_eq!(call(&server, 0, &[b"DBSIZE"]), b":200\r\n");
+        // About 200 of the 400 requests are SETs.
+        let report = run_percore(&server, &cfg, 2, 400, Some(150));
         assert_eq!(report.requests, 400);
         assert_eq!(report.errors, 0, "smart-client routing never sees MOVED");
         assert_eq!(report.snapshots.len(), 1);
         assert!(report.latency.percentile(99.0) >= report.latency.percentile(50.0));
+    }
+
+    #[test]
+    fn every_request_is_issued_and_a_period_past_the_end_never_fires() {
+        let s = boot(1);
+        let cfg = WorkloadConfig {
+            key_space: 50,
+            ..Default::default()
+        };
+        preload_percore(&s, &cfg);
+        let report = run_percore(&s, &cfg, 2, 1_001, Some(1_000));
+        assert_eq!(report.requests, 1_001, "the odd request is not dropped");
+        assert!(report.snapshots.is_empty(), "about 500 SETs, period 1 000");
     }
 }

@@ -9,7 +9,7 @@
 use std::sync::Mutex;
 
 use odf_core::Kernel;
-use odf_kvstore::{encode_command, serve_stream, RespValue, Server, ServerConfig};
+use odf_kvstore::{encode_command, Connection, PerCoreConfig, PerCoreServer, RespValue};
 
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -17,21 +17,39 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn server() -> Server {
+/// A one-shard server and a connection to it.
+struct Served {
+    server: PerCoreServer,
+    conn: Connection,
+}
+
+impl std::ops::Deref for Served {
+    type Target = PerCoreServer;
+
+    fn deref(&self) -> &PerCoreServer {
+        &self.server
+    }
+}
+
+fn server() -> Served {
     let kernel = Kernel::new(128 << 20);
-    Server::new(
+    let server = PerCoreServer::new(
         &kernel,
-        ServerConfig {
-            heap_capacity: 32 << 20,
-            snapshot_every: u64::MAX,
+        PerCoreConfig {
+            shards: 1,
+            heap_per_shard: 32 << 20,
             ..Default::default()
         },
     )
-    .unwrap()
+    .unwrap();
+    let conn = server.connect_to(0);
+    Served { server, conn }
 }
 
-fn run(s: &mut Server, parts: &[&[u8]]) -> RespValue {
-    let wire = serve_stream(s, &encode_command(parts));
+fn run(s: &mut Served, parts: &[&[u8]]) -> RespValue {
+    s.conn.send(&encode_command(parts));
+    let mut wire = Vec::new();
+    s.conn.await_replies(1, &mut wire);
     let (reply, used) = RespValue::decode(&wire).expect("one complete reply");
     assert_eq!(used, wire.len());
     reply
@@ -237,6 +255,8 @@ fn bgsave_fault_tail_attributes_to_server_pid() {
         run(&mut s, &[b"SET", k.as_bytes(), &[2u8; 4096]]);
     }
     s.wait_snapshots();
+    // A read on the worker merges the hits it holds per thread.
+    run(&mut s, &[b"PROBE", b"READ", b"bg_p999"]);
 
     let report = odf_probe::engine().read("bg_p999").expect("report");
     let server_key = format!("pid {}", s.process().pid().0);
@@ -298,7 +318,7 @@ fn info_stats_reads_the_metrics_window() {
         let k = format!("i-{i}");
         run(&mut s, &[b"SET", k.as_bytes(), &[5u8; 2048]]);
     }
-    let info = |s: &mut Server| bulk_string(run(s, &[b"INFO", b"stats"]));
+    let info = |s: &mut Served| bulk_string(run(s, &[b"INFO", b"stats"]));
     assert!(!info(&mut s).contains("vm_faults:0\r\n"));
     assert_eq!(
         run(&mut s, &[b"STATS", b"RESET"]),

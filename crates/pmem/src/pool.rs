@@ -1,9 +1,10 @@
 //! The frame pool: metadata, tiered (magazine + buddy) allocation, and
 //! lazily materialized data.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::buddy::{Buddy, MigrateType};
 use crate::error::{PmemError, Result};
@@ -18,6 +19,9 @@ type FrameData = RwLock<Option<Box<[u8; PAGE_SIZE]>>>;
 
 /// The all-zeros page used as the source for reads of unmaterialized frames.
 static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
+/// Most freed data buffers the pool keeps for reuse (64 MiB of host memory).
+const SPARE_BUFFERS: usize = 16 * 1024;
 
 /// Free-frame thresholds that drive the reclaim subsystem — the
 /// `zone->watermark[]` analog.
@@ -187,6 +191,14 @@ pub struct FramePool {
     /// Reclaim trigger thresholds, fixed at construction.
     watermarks: Watermarks,
     stats: PoolStats,
+    /// Data buffers of freed frames, handed to the next materialization
+    /// instead of back to the host allocator. A snapshot child's exit
+    /// frees thousands of them at once; returned to the allocator, they
+    /// would make whichever thread allocates next pay to sort them. First
+    /// in, first out: a sweep that frees frames in address order and
+    /// materializes them again in that order gets the same buffers back in
+    /// the same order, pass after pass.
+    spare: Mutex<VecDeque<Box<[u8; PAGE_SIZE]>>>,
 }
 
 impl FramePool {
@@ -221,6 +233,7 @@ impl FramePool {
             total: frames,
             watermarks: Watermarks::for_pool(frames),
             stats: PoolStats::default(),
+            spare: Mutex::new(VecDeque::new()),
         })
     }
 
@@ -721,7 +734,11 @@ impl FramePool {
             // HAS_DATA flag (set under the data lock at materialization)
             // lets clean frames skip the per-frame data lock here.
             if page.flags() & PageFlags::HAS_DATA != 0 {
-                *self.data[head.index() + i].write() = None;
+                let buf = self.data[head.index() + i].write().take();
+                let mut spare = self.spare.lock();
+                if let Some(buf) = buf.filter(|_| spare.len() < SPARE_BUFFERS) {
+                    spare.push_back(buf);
+                }
             }
             page.set_free();
         }
@@ -822,12 +839,28 @@ impl FramePool {
         assert!(offset + src.len() <= PAGE_SIZE, "write crosses frame end");
         let mut slot = self.data[frame.index()].write();
         if slot.is_none() {
-            PoolStats::bump(&self.stats.materializations);
-            self.meta[frame.index()].set_flags(PageFlags::HAS_DATA);
-            *slot = Some(Box::new([0; PAGE_SIZE]));
+            *slot = Some(self.materialize(frame, true));
         }
         let buf = slot.as_deref_mut().expect("just materialized");
         buf[offset..offset + src.len()].copy_from_slice(src);
+    }
+
+    /// A data buffer for `frame`, which has none: a spare one if the pool
+    /// holds any, else a fresh one. Zeroed when `zeroed`; otherwise the
+    /// caller overwrites all of it.
+    fn materialize(&self, frame: FrameId, zeroed: bool) -> Box<[u8; PAGE_SIZE]> {
+        PoolStats::bump(&self.stats.materializations);
+        self.meta[frame.index()].set_flags(PageFlags::HAS_DATA);
+        let spare = self.spare.lock().pop_front();
+        match spare {
+            Some(mut buf) => {
+                if zeroed {
+                    buf.fill(0);
+                }
+                buf
+            }
+            None => Box::new([0; PAGE_SIZE]),
+        }
     }
 
     /// Whether the frame's data buffer has been materialized.
@@ -852,9 +885,7 @@ impl FramePool {
             };
             let mut dst_slot = self.data[dst.index() + i].write();
             if dst_slot.is_none() {
-                PoolStats::bump(&self.stats.materializations);
-                self.meta[dst.index() + i].set_flags(PageFlags::HAS_DATA);
-                *dst_slot = Some(Box::new([0; PAGE_SIZE]));
+                *dst_slot = Some(self.materialize(FrameId(dst.0 + i as u32), false));
             }
             let dst_buf = dst_slot.as_deref_mut().expect("just materialized");
             dst_buf.copy_from_slice(src_buf);
@@ -991,6 +1022,35 @@ mod tests {
         pool.read_frame(f, 4000, &mut buf);
         assert_eq!(&buf, b"hello");
         assert!(pool.is_materialized(f));
+    }
+
+    #[test]
+    fn a_freed_frames_buffer_is_reused_and_reads_zero_again() {
+        let pool = FramePool::new(16);
+        let f = pool.alloc_page(PageKind::Anon).unwrap();
+        pool.write_frame(f, 0, &[0xEE; PAGE_SIZE]);
+        assert!(pool.ref_dec(f));
+        assert!(!pool.is_materialized(f), "a free frame holds no data");
+        assert_eq!(pool.spare.lock().len(), 1);
+
+        // A partial write gets the spare buffer, zeroed around the write.
+        let g = pool.alloc_page(PageKind::Anon).unwrap();
+        pool.write_frame(g, 100, b"x");
+        assert!(pool.spare.lock().is_empty(), "the buffer was reused");
+        let expect = |at: usize| if at == 100 { b'x' } else { 0 };
+        pool.view_frame(g, 0, PAGE_SIZE, |b| {
+            assert!(b.iter().enumerate().all(|(at, &x)| x == expect(at)))
+        });
+
+        // A block copy overwrites a reused buffer whole.
+        let h = pool.alloc_page(PageKind::Anon).unwrap();
+        pool.write_frame(h, 0, &[0x11; PAGE_SIZE]);
+        assert!(pool.ref_dec(h));
+        let dst = pool.alloc_page(PageKind::Anon).unwrap();
+        pool.copy_block(g, dst, 0);
+        pool.view_frame(dst, 0, PAGE_SIZE, |b| {
+            assert!(b.iter().enumerate().all(|(at, &x)| x == expect(at)))
+        });
     }
 
     #[test]

@@ -7,7 +7,7 @@ use odf_core::{ForkPolicy, Kernel};
 use odf_fuzz::targets::{GuestVmTarget, SqlTarget};
 use odf_fuzz::{FuzzConfig, Fuzzer, Target};
 use odf_guestvm::GuestVm;
-use odf_kvstore::{workload, Server, ServerConfig, Store};
+use odf_kvstore::{workload, PerCoreConfig, PerCoreServer, Store};
 use odf_sqldb::testkit::{DatasetConfig, ForkTestHarness, UNIT_TESTS};
 use odf_sqldb::{Database, QueryResult};
 
@@ -17,15 +17,13 @@ const MIB: u64 = 1 << 20;
 fn kvstore_snapshots_are_consistent_under_live_writes() {
     for policy in [ForkPolicy::Classic, ForkPolicy::OnDemand] {
         let kernel = Kernel::new(128 * MIB);
-        let mut server = Server::new(
+        let server = PerCoreServer::new(
             &kernel,
-            ServerConfig {
-                heap_capacity: 32 * MIB,
-                resident_bytes: 0,
+            PerCoreConfig {
+                shards: 1,
+                heap_per_shard: 32 * MIB,
                 buckets: 1024,
-                snapshot_every: 500,
                 fork_policy: policy,
-                incremental: false,
             },
         )
         .unwrap();
@@ -36,19 +34,19 @@ fn kvstore_snapshots_are_consistent_under_live_writes() {
             pipeline: 50,
             seed: 5,
         };
-        workload::preload(&mut server, &cfg).unwrap();
-        let hist = workload::run(&mut server, &cfg, 2_000).unwrap();
-        assert_eq!(hist.count(), 2_000);
-        let reports = server.wait_snapshots().to_vec();
-        assert!(!reports.is_empty(), "{policy:?}: no snapshots taken");
-        for r in &reports {
+        workload::preload_percore(&server, &cfg);
+        let report = workload::run_percore(&server, &cfg, 1, 2_000, Some(500));
+        assert_eq!(report.requests, 2_000);
+        assert_eq!(report.snapshots.len(), 4, "{policy:?}: one per 500 SETs");
+        for snap in &report.snapshots {
             // Every snapshot captured the full preloaded key space.
-            assert_eq!(r.items, 300, "{policy:?}");
+            let items = u64::from_le_bytes(snap.dumps[0][..8].try_into().unwrap());
+            assert_eq!(items, 300, "{policy:?}");
         }
         // The kernel shows the expected fork counts.
         let stats = kernel.stats();
         let forks = stats.vm.forks_classic + stats.vm.forks_odf;
-        assert_eq!(forks, reports.len() as u64);
+        assert_eq!(forks, report.snapshots.len() as u64);
     }
 }
 

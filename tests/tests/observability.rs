@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use odf_core::{ForkPolicy, Kernel};
-use odf_kvstore::{encode_command, serve_stream, RespValue, Server, ServerConfig};
+use odf_kvstore::{encode_command, Connection, PerCoreConfig, PerCoreServer, RespValue};
 use odf_pmem::assert_pool_balanced;
 use odf_trace::{EventClass, FaultKind};
 
@@ -210,36 +210,40 @@ fn smaps_accounts_swapped_pages_exactly() {
     assert_pool_balanced(kernel.machine().pool(), baseline);
 }
 
-/// A server on `kernel`: its RESP surface attaches probes and reads
-/// `INFO`.
-fn server_on(kernel: &Arc<Kernel>) -> Server {
-    Server::new(
+/// A one-shard server on `kernel` and a connection to it: its RESP surface
+/// attaches probes and reads `INFO`.
+fn server_on(kernel: &Arc<Kernel>) -> (PerCoreServer, Connection) {
+    let server = PerCoreServer::new(
         kernel,
-        ServerConfig {
-            heap_capacity: 4 * MIB,
-            snapshot_every: u64::MAX,
+        PerCoreConfig {
+            shards: 1,
+            heap_per_shard: 4 * MIB,
             ..Default::default()
         },
     )
-    .unwrap()
+    .unwrap();
+    let conn = server.connect_to(0);
+    (server, conn)
 }
 
-fn command(server: &mut Server, parts: &[&[u8]]) -> RespValue {
-    let wire = serve_stream(server, &encode_command(parts));
+fn command(conn: &Connection, parts: &[&[u8]]) -> RespValue {
+    conn.send(&encode_command(parts));
+    let mut wire = Vec::new();
+    conn.await_replies(1, &mut wire);
     RespValue::decode(&wire).expect("one complete reply").0
 }
 
-fn attach(server: &mut Server, spec: &[&[u8]]) {
+fn attach(conn: &Connection, spec: &[&[u8]]) {
     let argv: Vec<&[u8]> = [&b"PROBE"[..], b"ATTACH"]
         .into_iter()
         .chain(spec.iter().copied())
         .collect();
-    assert_eq!(command(server, &argv), RespValue::Simple("OK".into()));
+    assert_eq!(command(conn, &argv), RespValue::Simple("OK".into()));
 }
 
-fn detach(server: &mut Server, name: &[u8]) {
+fn detach(conn: &Connection, name: &[u8]) {
     assert_eq!(
-        command(server, &[b"PROBE", b"DETACH", name]),
+        command(conn, &[b"PROBE", b"DETACH", name]),
         RespValue::Integer(1)
     );
 }
@@ -303,7 +307,7 @@ fn prometheus_families_are_contiguous() {
     let _gate = trace_gate();
     odf_trace::set_enabled(true);
     let kernel = Kernel::new(128 * MIB);
-    let mut server = server_on(&kernel);
+    let (_server, conn) = server_on(&kernel);
     let setups: [&[[&[u8]; 4]]; 2] = [
         &[
             [b"a", b"fault", b"count_by", b"key=pid"],
@@ -313,12 +317,12 @@ fn prometheus_families_are_contiguous() {
     ];
     for probes in setups {
         for spec in probes {
-            attach(&mut server, spec);
+            attach(&conn, spec);
         }
         fault_under_two_pids(&kernel);
         assert_families_contiguous(&kernel.metrics_prometheus());
         for spec in probes {
-            detach(&mut server, spec[0]);
+            detach(&conn, spec[0]);
         }
     }
     odf_trace::set_enabled(false);
@@ -471,9 +475,9 @@ fn exporters_are_mutually_consistent() {
     odf_trace::set_enabled(true);
     odf_trace::set_class_enabled(EventClass::Kmem, true);
     let kernel = Kernel::new(128 * MIB);
-    let mut server = server_on(&kernel);
-    attach(&mut server, &[b"xa", b"fault", b"count_by", b"key=pid"]);
-    attach(&mut server, &[b"xb", b"fault", b"lat_hist", b"key=pid"]);
+    let (_server, conn) = server_on(&kernel);
+    attach(&conn, &[b"xa", b"fault", b"count_by", b"key=pid"]);
+    attach(&conn, &[b"xb", b"fault", b"lat_hist", b"key=pid"]);
     let parent = kernel.spawn().unwrap();
     let size = 512 << 10;
     let addr = parent.mmap_anon(size).unwrap();
@@ -531,7 +535,7 @@ fn exporters_are_mutually_consistent() {
     ] {
         assert!(summaries.contains(&family), "workload fed no {family}");
     }
-    let RespValue::Bulk(Some(info)) = command(&mut server, &[b"INFO", b"trace"]) else {
+    let RespValue::Bulk(Some(info)) = command(&conn, &[b"INFO", b"trace"]) else {
         panic!("INFO trace must return a bulk string");
     };
     let info = String::from_utf8(info).unwrap();
@@ -543,8 +547,8 @@ fn exporters_are_mutually_consistent() {
         );
     }
 
-    detach(&mut server, b"xa");
-    detach(&mut server, b"xb");
+    detach(&conn, b"xa");
+    detach(&conn, b"xb");
     odf_trace::set_class_enabled(EventClass::Kmem, false);
     odf_trace::set_enabled(false);
 }

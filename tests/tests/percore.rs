@@ -4,7 +4,8 @@
 //!
 //! - a BGSAVE barrier freezes a *consistent* image — every snapshot holds
 //!   exactly the pre-fork state, no matter how hard clients write during
-//!   the fork and the serialization that follows;
+//!   the fork and the serialization that follows — and workers that parse
+//!   `BGSAVE` at once take turns leading it;
 //! - cross-shard operations (`DBSIZE`) ride the mailbox mesh without
 //!   reordering a connection's replies relative to its shard-local
 //!   traffic;
@@ -13,8 +14,8 @@
 //!
 //! Every test captures the frame-pool balance before boot and ends with
 //! [`assert_pool_balanced`], so a leaked page table frame, lost child, or
-//! double release anywhere in the worker/coordinator protocol fails the
-//! test.
+//! double release anywhere in the worker/barrier/serializer protocol fails
+//! the test.
 
 use std::sync::Arc;
 
@@ -92,8 +93,11 @@ fn bgsave_during_traffic_freezes_generation_boundaries() {
                         }
                     });
                 }
+                let conn = server.connect_to(0);
+                let mut out = Vec::new();
                 for _ in 0..3 {
-                    server.bgsave();
+                    conn.send(&encode_command(&[b"BGSAVE"]));
+                    assert_eq!(conn.await_replies(1, &mut out), 0);
                 }
             });
 
@@ -196,7 +200,7 @@ fn shutdown_drains_mailboxes_and_wakes_blocked_clients() {
         let mut server = boot(&kernel, 4, ForkPolicy::OnDemand);
         // Queue work that exercises every mailbox path right before the
         // shutdown request: shard-local writes, cross-shard DBSIZE, and a
-        // BGSAVE that the coordinator must still run during quiesce.
+        // BGSAVE whose barrier must still run during quiesce.
         let conns: Vec<_> = (0..4).map(|s| server.connect_to(s)).collect();
         for (shard, conn) in conns.iter().enumerate() {
             let key = shard_keys(&server, 1)[shard][0].clone();
@@ -208,8 +212,8 @@ fn shutdown_drains_mailboxes_and_wakes_blocked_clients() {
         conns[0].send(&encode_command(&[b"BGSAVE"]));
 
         // Shut down immediately: workers must first drain those inboxes
-        // (quiesce), the coordinator must still serve the BGSAVE and the
-        // DBSIZE fan-out, and every client must get its replies.
+        // (quiesce), still lead and join the BGSAVE's barrier and answer
+        // the DBSIZE fan-out, and every client must get its replies.
         server.shutdown();
         for (shard, conn) in conns.iter().enumerate() {
             let mut out = Vec::new();
@@ -219,6 +223,63 @@ fn shutdown_drains_mailboxes_and_wakes_blocked_clients() {
         }
         let snaps = server.wait_snapshots();
         assert_eq!(snaps.len(), 1, "quiesce still ran the queued BGSAVE");
+    }
+    assert_eq!(kernel.process_count(), 0);
+    assert_pool_balanced(kernel.machine().pool(), baseline);
+}
+
+/// Every connection sends `BGSAVE` at the same moment, between two SETs:
+/// each worker waits its turn to lead the barrier while answering the
+/// others', so all of them fork, and every image holds the whole key space.
+#[test]
+fn concurrent_bgsaves_take_turns_leading_the_barrier() {
+    const CONNS_PER_SHARD: usize = 2;
+    let kernel = Kernel::new(256 * MIB);
+    let baseline = kernel.machine().pool().balance();
+    {
+        let mut server = boot(&kernel, 4, ForkPolicy::OnDemand);
+        let keys = shard_keys(&server, 16);
+        let total: usize = keys.iter().map(|k| k.len()).sum();
+        for (shard, keys) in keys.iter().enumerate() {
+            let conn = server.connect_to(shard);
+            let mut out = Vec::new();
+            for key in keys {
+                conn.send(&encode_command(&[b"SET", key, b"v0"]));
+            }
+            assert_eq!(conn.await_replies(keys.len(), &mut out), 0);
+        }
+
+        let conns = 4 * CONNS_PER_SHARD;
+        let start = std::sync::Barrier::new(conns);
+        std::thread::scope(|s| {
+            for c in 0..conns {
+                let shard = c % 4;
+                let conn = server.connect_to(shard);
+                let (keys, start) = (&keys[shard], &start);
+                s.spawn(move || {
+                    let mut burst = encode_command(&[b"SET", &keys[0], b"v1"]);
+                    burst.extend_from_slice(&encode_command(&[b"BGSAVE"]));
+                    burst.extend_from_slice(&encode_command(&[b"SET", &keys[1], b"v1"]));
+                    start.wait();
+                    conn.send(&burst);
+                    let mut out = Vec::new();
+                    assert_eq!(conn.await_replies(3, &mut out), 0);
+                    assert_eq!(out, b"+OK\r\n+Background saving started\r\n+OK\r\n");
+                });
+            }
+        });
+
+        let snaps = server.wait_snapshots();
+        assert_eq!(snaps.len(), conns, "one snapshot per BGSAVE");
+        for snap in &snaps {
+            let items: u64 = snap
+                .dumps
+                .iter()
+                .map(|d| u64::from_le_bytes(d[0..8].try_into().unwrap()))
+                .sum();
+            assert_eq!(items, total as u64, "torn snapshot");
+        }
+        server.shutdown();
     }
     assert_eq!(kernel.process_count(), 0);
     assert_pool_balanced(kernel.machine().pool(), baseline);
