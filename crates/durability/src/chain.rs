@@ -3,15 +3,19 @@
 //! Each bgsave publishes one [`SnapshotImage`] — full or delta — as
 //! `snap-<epoch>-<kind>.img`, written tmp-first, fsynced, then renamed
 //! into place, followed by an atomic republish of the `manifest` file that
-//! indexes every image (epoch, kind, parent pointer, length, checksum, the
-//! WAL sequence number the image covers, and opaque caller metadata). The
-//! publish order is the recovery invariant: an image is *reachable* only
-//! once the manifest naming it is durable, and the caller truncates the
-//! WAL only after `publish` returns — so at every crash point either the
-//! old chain + full WAL or the new chain + (possibly truncated) WAL
-//! recovers.
+//! lists the images recovery may read (epoch, kind, parent epoch, length,
+//! checksum, the WAL sequence number the image covers, and opaque caller
+//! metadata). The publish order is the recovery invariant: an image is
+//! *reachable* only once the manifest naming it is durable, and the caller
+//! truncates the WAL only after `publish` returns — so at every crash point
+//! either the old chain + full WAL or the new chain + (possibly truncated)
+//! WAL recovers.
 //!
-//! The manifest is line-oriented text with a trailing whole-file checksum:
+//! The manifest is a list of generations: a full row starts one, and a
+//! delta row applies on the row before it. A full-image publish keeps the
+//! generation before it and drops older ones, and [`ChainStore::prune`]
+//! then removes the files no row names. The manifest is line-oriented text
+//! with a trailing whole-file checksum:
 //!
 //! ```text
 //! odf-chain v1
@@ -31,9 +35,6 @@ use crate::stats;
 /// Manifest file name.
 pub const MANIFEST: &str = "manifest";
 
-/// Longest delta chain recovery will follow before declaring a cycle.
-const MAX_CHAIN_LINKS: usize = 64;
-
 /// One manifest row: a published image and how to validate it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ManifestEntry {
@@ -41,7 +42,7 @@ pub struct ManifestEntry {
     pub epoch: u64,
     /// Full or delta.
     pub kind: ImageKind,
-    /// For deltas, the epoch this applies on top of (== `epoch` for full).
+    /// For a delta, the epoch of the row before it (== `epoch` for full).
     pub parent_epoch: u64,
     /// Image file name.
     pub file: String,
@@ -56,20 +57,16 @@ pub struct ManifestEntry {
     pub meta: Vec<u8>,
 }
 
-/// A chain the store managed to fully materialize.
+/// The state the store rebuilt from its images.
 #[derive(Clone, Debug)]
 pub struct LoadedChain {
     /// The materialized (always full) image.
     pub image: SnapshotImage,
-    /// Epoch of the chain tip.
-    pub tip_epoch: u64,
-    /// WAL sequence covered by the tip; replay starts after it.
-    pub wal_seq: u64,
-    /// The tip's caller metadata.
-    pub meta: Vec<u8>,
-    /// Images read to materialize (1 = a bare full image).
+    /// The last row folded in: its `wal_seq` is where replay starts.
+    pub tip: ManifestEntry,
+    /// Images folded (1 = a bare full image).
     pub links: usize,
-    /// Candidate tips skipped (corrupt/missing links) before this one.
+    /// Rows newer than the tip, left out because an image did not load.
     pub skipped: usize,
 }
 
@@ -83,7 +80,8 @@ pub struct ChainStore {
 }
 
 impl ChainStore {
-    /// Opens the store, parsing the manifest if one is durable.
+    /// Opens the store, parsing the manifest if one is durable. Reads
+    /// only: files a crash left unnamed wait for the next prune.
     pub fn open(fs: Arc<dyn StorageFs>) -> Result<ChainStore, FsError> {
         let (entries, manifest_corrupt) = if fs.exists(MANIFEST)? {
             match parse_manifest(&fs.read(MANIFEST)?) {
@@ -110,9 +108,18 @@ impl ChainStore {
         &self.entries
     }
 
+    /// The newest generation: the rows from the last full image on.
+    pub fn generation(&self) -> &[ManifestEntry] {
+        &self.entries[last_full(&self.entries)..]
+    }
+
     /// Atomically publishes one image: tmp-write + fsync + rename the
     /// image file, then republish the manifest the same way, then
-    /// `sync_dir`. Returns the entry written.
+    /// `sync_dir`; the rows in memory change only after that. Rows at or
+    /// after the image's epoch are dropped (a history recovery did not
+    /// restore), a full image drops every generation before the previous
+    /// one, and a delta must apply on the last row left. Returns the entry
+    /// written.
     pub fn publish(
         &mut self,
         image: &SnapshotImage,
@@ -121,11 +128,7 @@ impl ChainStore {
     ) -> Result<ManifestEntry, FsError> {
         let sw = Stopwatch::start();
         let bytes = image.to_bytes();
-        let kind_str = match image.kind {
-            ImageKind::Full => "full",
-            ImageKind::Delta => "delta",
-        };
-        let file = format!("snap-{:010}-{}.img", image.epoch, kind_str);
+        let file = format!("snap-{:010}-{}.img", image.epoch, kind_name(image.kind));
         let tmp = format!("{file}.tmp");
         self.fs.create(&tmp)?;
         self.fs.append(&tmp, &bytes)?;
@@ -142,15 +145,15 @@ impl ChainStore {
             wal_seq,
             meta: meta.to_vec(),
         };
-        // Replace any same-epoch same-kind row (a re-publish wins), keep
-        // epoch order.
-        self.entries
-            .retain(|e| !(e.epoch == entry.epoch && e.kind == entry.kind));
-        self.entries.push(entry.clone());
-        self.entries
-            .sort_by_key(|e| (e.epoch, e.kind == ImageKind::Delta));
-        self.write_manifest()?;
+        let kept = self.entries.partition_point(|e| e.epoch < entry.epoch);
+        let mut rows = self.entries[..kept].to_vec();
+        if entry.kind == ImageKind::Full {
+            rows.drain(..last_full(&rows));
+        }
+        rows.push(entry.clone());
+        self.write_manifest(&rows)?;
         self.fs.sync_dir()?;
+        self.entries = rows;
 
         odf_trace::emit(Event::SnapshotPublish {
             epoch: image.epoch,
@@ -164,8 +167,8 @@ impl ChainStore {
         Ok(entry)
     }
 
-    fn write_manifest(&self) -> Result<(), FsError> {
-        let body = render_manifest(&self.entries);
+    fn write_manifest(&self, rows: &[ManifestEntry]) -> Result<(), FsError> {
+        let body = render_manifest(rows);
         let tmp = format!("{MANIFEST}.tmp");
         self.fs.create(&tmp)?;
         self.fs.append(&tmp, body.as_bytes())?;
@@ -174,89 +177,64 @@ impl ChainStore {
         Ok(())
     }
 
-    /// Finds the newest chain that fully materializes: candidate tips are
-    /// tried epoch-descending; each is walked back through parent pointers
-    /// to a full image, every file read and checksummed, and the chain
-    /// materialized. The first success wins; broken candidates are counted,
-    /// never fatal.
-    pub fn load_best(&self) -> Result<Option<LoadedChain>, FsError> {
-        let mut tips: Vec<&ManifestEntry> = self.entries.iter().collect();
-        // Newest epoch first; at equal epochs a full image is the cheaper
-        // tip (both encode the same state).
-        tips.sort_by_key(|e| (std::cmp::Reverse(e.epoch), e.kind == ImageKind::Delta));
-        let mut skipped = 0usize;
-        for tip in tips {
-            match self.try_chain(tip)? {
-                Some(mut loaded) => {
-                    loaded.skipped = skipped;
-                    return Ok(Some(loaded));
-                }
-                None => skipped += 1,
+    /// Removes every `snap-*` file the manifest does not name: the
+    /// generation a full-image publish retired, and tmp files a crash
+    /// left. The caller runs it after a full-image publish. `publish`
+    /// never does, so a file goes only once a durable manifest has
+    /// stopped naming it; `open` never does, so recovery only reads.
+    pub fn prune(&self) -> Result<(), FsError> {
+        let mut removed = false;
+        for name in self.fs.list()? {
+            if name.starts_with("snap-") && !self.entries.iter().any(|e| e.file == name) {
+                self.fs.remove(&name)?;
+                removed = true;
             }
         }
-        stats::stats().recovery_chains_skipped.add(skipped as u64);
-        Ok(None)
+        if removed {
+            self.fs.sync_dir()?;
+        }
+        Ok(())
     }
 
-    /// Attempts to materialize the chain ending at `tip`. `Ok(None)` means
-    /// this candidate is broken (missing/corrupt link, bad parent order);
-    /// `Err` only for a storage failure.
-    fn try_chain(&self, tip: &ManifestEntry) -> Result<Option<LoadedChain>, FsError> {
-        // Walk tip -> ... -> full, newest first.
-        let mut links: Vec<&ManifestEntry> = vec![tip];
-        let mut cur = tip;
-        while cur.kind == ImageKind::Delta {
-            if links.len() > MAX_CHAIN_LINKS {
+    /// Rebuilds the newest state the images allow, in one forward fold:
+    /// it starts at the newest full row whose file loads, applies the
+    /// delta rows after it one at a time, and stops at the first that does
+    /// not load or apply. Each image file is read at most once, and at
+    /// most one delta is held beside the state.
+    pub fn load_best(&self) -> Result<Option<LoadedChain>, FsError> {
+        let rows = &self.entries;
+        let mut end = rows.len();
+        let (start, mut image) = loop {
+            let at = last_full(&rows[..end]);
+            if at == end {
+                stats::stats().recovery_rows_skipped.add(rows.len() as u64);
                 return Ok(None);
             }
-            let parent = match self.find_parent(cur) {
-                Some(p) => p,
-                None => return Ok(None),
-            };
-            // Parent pointers must strictly decrease: a cycle or a
-            // forward pointer is manifest damage, not a chain.
-            if parent.epoch >= cur.epoch {
-                return Ok(None);
+            if let Some(base) = self.read_image(&rows[at])? {
+                break (at, base);
             }
-            links.push(parent);
-            cur = parent;
-        }
-        links.reverse(); // base full first
-        let mut images = Vec::with_capacity(links.len());
-        for entry in &links {
-            match self.read_image(entry)? {
-                Some(img) => images.push(img),
-                None => return Ok(None),
-            }
-        }
-        let deltas: Vec<&SnapshotImage> = images[1..].iter().collect();
-        let image = match materialize(&images[0], &deltas) {
-            Ok(img) => img,
-            Err(_) => return Ok(None),
+            end = at;
         };
+        let mut tip = start;
+        for row in rows[start + 1..]
+            .iter()
+            .take_while(|r| r.kind == ImageKind::Delta)
+        {
+            let delta = self.read_image(row)?;
+            let Some(next) = delta.and_then(|d| materialize(&image, &[&d]).ok()) else {
+                break;
+            };
+            image = next;
+            tip += 1;
+        }
+        let skipped = rows.len() - 1 - tip;
+        stats::stats().recovery_rows_skipped.add(skipped as u64);
         Ok(Some(LoadedChain {
             image,
-            tip_epoch: tip.epoch,
-            wal_seq: tip.wal_seq,
-            meta: tip.meta.clone(),
-            links: links.len(),
-            skipped: 0,
+            tip: rows[tip].clone(),
+            links: tip - start + 1,
+            skipped,
         }))
-    }
-
-    /// The entry a delta chains onto: an image at `parent_epoch`,
-    /// preferring a full one (it terminates the chain sooner).
-    fn find_parent(&self, delta: &ManifestEntry) -> Option<&ManifestEntry> {
-        let mut found: Option<&ManifestEntry> = None;
-        for e in &self.entries {
-            if e.epoch == delta.parent_epoch {
-                if e.kind == ImageKind::Full {
-                    return Some(e);
-                }
-                found = Some(e);
-            }
-        }
-        found
     }
 
     /// Reads and validates one image file; `Ok(None)` when missing,
@@ -270,28 +248,33 @@ impl ChainStore {
         if bytes.len() as u64 != entry.len || fnv1a(&bytes) != entry.checksum {
             return Ok(None);
         }
-        let img = match SnapshotImage::from_bytes(&bytes) {
-            Ok(img) => img,
-            Err(_) => return Ok(None),
-        };
-        if img.epoch != entry.epoch || img.kind != entry.kind {
-            return Ok(None);
-        }
-        Ok(Some(img))
+        Ok(SnapshotImage::from_bytes(&bytes).ok().filter(|img| {
+            (img.epoch, img.kind, img.parent_epoch) == (entry.epoch, entry.kind, entry.parent_epoch)
+        }))
+    }
+}
+
+/// Index of the last full row in `rows`, or `rows.len()` when none is.
+fn last_full(rows: &[ManifestEntry]) -> usize {
+    rows.iter()
+        .rposition(|e| e.kind == ImageKind::Full)
+        .unwrap_or(rows.len())
+}
+
+fn kind_name(kind: ImageKind) -> &'static str {
+    match kind {
+        ImageKind::Full => "full",
+        ImageKind::Delta => "delta",
     }
 }
 
 fn render_manifest(entries: &[ManifestEntry]) -> String {
     let mut body = String::from("odf-chain v1\n");
     for e in entries {
-        let kind = match e.kind {
-            ImageKind::Full => "full",
-            ImageKind::Delta => "delta",
-        };
         body.push_str(&format!(
             "img {} {} {} {} {} {:016x} {} {}\n",
             e.epoch,
-            kind,
+            kind_name(e.kind),
             e.parent_epoch,
             e.file,
             e.len,
@@ -306,7 +289,8 @@ fn render_manifest(entries: &[ManifestEntry]) -> String {
 }
 
 /// Parses and validates a manifest; `None` on any structural or checksum
-/// failure (the caller treats that as "no chain").
+/// failure, or rows that are not a list of generations (the caller treats
+/// that as "no chain").
 fn parse_manifest(bytes: &[u8]) -> Option<Vec<ManifestEntry>> {
     let text = std::str::from_utf8(bytes).ok()?;
     let sum_at = text.rfind("sum ")?;
@@ -319,7 +303,7 @@ fn parse_manifest(bytes: &[u8]) -> Option<Vec<ManifestEntry>> {
     if lines.next()? != "odf-chain v1" {
         return None;
     }
-    let mut entries = Vec::new();
+    let mut entries: Vec<ManifestEntry> = Vec::new();
     for line in lines {
         let mut f = line.split(' ');
         if f.next()? != "img" {
@@ -332,6 +316,16 @@ fn parse_manifest(bytes: &[u8]) -> Option<Vec<ManifestEntry>> {
             _ => return None,
         };
         let parent_epoch = f.next()?.parse().ok()?;
+        // A full row starts a generation; a delta applies on the row
+        // before it. Epochs strictly increase.
+        let prev = entries.last().map(|e| e.epoch);
+        let follows = match kind {
+            ImageKind::Full => parent_epoch == epoch,
+            ImageKind::Delta => prev == Some(parent_epoch),
+        };
+        if !follows || prev.is_some_and(|p| p >= epoch) {
+            return None;
+        }
         let file = f.next()?.to_string();
         let len = f.next()?.parse().ok()?;
         let checksum = u64::from_str_radix(f.next()?, 16).ok()?;
@@ -358,23 +352,16 @@ fn hex_encode(data: &[u8]) -> String {
     if data.is_empty() {
         return "-".to_string();
     }
-    let mut s = String::with_capacity(data.len() * 2);
-    for b in data {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
+    data.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 fn hex_decode(s: &str) -> Option<Vec<u8>> {
     if s == "-" {
         return Some(Vec::new());
     }
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
     (0..s.len())
         .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
+        .map(|i| u8::from_str_radix(s.get(i..i + 2)?, 16).ok())
         .collect()
 }
 
@@ -400,7 +387,7 @@ mod tests {
         vec![byte; PAGE]
     }
 
-    fn full(epoch: u64, byte: u8) -> SnapshotImage {
+    pub(super) fn full(epoch: u64, byte: u8) -> SnapshotImage {
         SnapshotImage {
             kind: ImageKind::Full,
             epoch,
@@ -422,7 +409,7 @@ mod tests {
         }
     }
 
-    fn delta(epoch: u64, parent: u64, byte: u8) -> SnapshotImage {
+    pub(super) fn delta(epoch: u64, parent: u64, byte: u8) -> SnapshotImage {
         SnapshotImage {
             kind: ImageKind::Delta,
             epoch,
@@ -447,15 +434,115 @@ mod tests {
         (fs, cs)
     }
 
+    /// Manifest rows `(epoch, kind, parent_epoch)`, with made-up files.
+    pub(super) fn rows(spec: &[(u64, ImageKind, u64)]) -> Vec<ManifestEntry> {
+        spec.iter()
+            .map(|&(epoch, kind, parent_epoch)| ManifestEntry {
+                epoch,
+                kind,
+                parent_epoch,
+                file: format!("snap-{epoch:010}-{}.img", kind_name(kind)),
+                len: 1234,
+                checksum: 0xDEAD_BEEF,
+                wal_seq: 99,
+                meta: vec![0, 1, 254, 255],
+            })
+            .collect()
+    }
+
+    /// Flips one byte in the middle of a file.
+    pub(super) fn corrupt(fs: &CrashFs, file: &str) {
+        let mut bytes = fs.read(file).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        fs.create(file).unwrap();
+        fs.append(file, &bytes).unwrap();
+        fs.fsync(file).unwrap();
+    }
+
+    fn snap_files(fs: &CrashFs) -> Vec<String> {
+        let mut names = fs.list().unwrap();
+        names.retain(|n| n.starts_with("snap-"));
+        names
+    }
+
+    #[test]
+    fn a_full_publish_keeps_one_generation_before_it_and_prune_drops_the_rest() {
+        let (fs, mut cs) = store();
+        cs.publish(&full(0, 1), 10, b"").unwrap();
+        cs.publish(&delta(1, 0, 2), 20, b"").unwrap();
+        cs.publish(&full(2, 3), 30, b"").unwrap();
+        cs.publish(&delta(3, 2, 4), 40, b"").unwrap();
+        cs.publish(&full(4, 5), 50, b"").unwrap();
+        let epochs: Vec<u64> = cs.entries().iter().map(|e| e.epoch).collect();
+        assert_eq!(epochs, [2, 3, 4]);
+        assert_eq!(cs.generation().len(), 1);
+        // Publishing removed nothing: the retired files wait for a prune.
+        assert_eq!(snap_files(&fs).len(), 5);
+        cs.prune().unwrap();
+        let named: Vec<String> = cs.entries().iter().map(|e| e.file.clone()).collect();
+        assert_eq!(snap_files(&fs), named);
+        // The removal is durable, and the kept chain still loads.
+        let after = Arc::new(fs.crash());
+        assert_eq!(snap_files(&after), named);
+        let cs2 = ChainStore::open(after as Arc<dyn StorageFs>).unwrap();
+        assert_eq!(cs2.load_best().unwrap().unwrap().tip.epoch, 4);
+    }
+
+    #[test]
+    fn open_leaves_unnamed_files_to_the_next_prune() {
+        let (fs, mut cs) = store();
+        cs.publish(&full(0, 1), 10, b"").unwrap();
+        // A publish that crashed before its manifest left its image behind.
+        fs.create("snap-0000000001-delta.img.tmp").unwrap();
+        fs.fsync("snap-0000000001-delta.img.tmp").unwrap();
+        let cs2 = ChainStore::open(Arc::clone(&fs) as Arc<dyn StorageFs>).unwrap();
+        cs2.load_best().unwrap().unwrap();
+        assert_eq!(snap_files(&fs).len(), 2, "open and load only read");
+        cs2.prune().unwrap();
+        assert_eq!(snap_files(&fs), ["snap-0000000000-full.img"]);
+    }
+
+    #[test]
+    fn publish_drops_the_rows_at_or_after_its_epoch() {
+        let (fs, mut cs) = store();
+        cs.publish(&full(0, 1), 10, b"").unwrap();
+        cs.publish(&delta(1, 0, 2), 20, b"").unwrap();
+        cs.publish(&delta(2, 1, 3), 30, b"").unwrap();
+        // Recovery restored epoch 0, so the next image is a full one at 1.
+        cs.publish(&full(1, 9), 15, b"").unwrap();
+        let cs2 = ChainStore::open(fs as Arc<dyn StorageFs>).unwrap();
+        let kinds: Vec<(u64, ImageKind)> =
+            cs2.entries().iter().map(|e| (e.epoch, e.kind)).collect();
+        assert_eq!(kinds, [(0, ImageKind::Full), (1, ImageKind::Full)]);
+        let loaded = cs2.load_best().unwrap().unwrap();
+        assert_eq!((loaded.tip.epoch, loaded.links), (1, 1));
+        assert_eq!(loaded.image.payloads[0], page(9));
+    }
+
+    #[test]
+    fn a_corrupt_newest_full_image_falls_back_to_the_generation_before() {
+        let (fs, mut cs) = store();
+        cs.publish(&full(0, 1), 10, b"").unwrap();
+        cs.publish(&delta(1, 0, 2), 20, b"").unwrap();
+        let newest = cs.publish(&full(2, 3), 30, b"").unwrap();
+        cs.publish(&delta(3, 2, 4), 40, b"").unwrap();
+        corrupt(&fs, &newest.file);
+        let cs2 = ChainStore::open(fs as Arc<dyn StorageFs>).unwrap();
+        let loaded = cs2.load_best().unwrap().unwrap();
+        assert_eq!((loaded.tip.epoch, loaded.links, loaded.skipped), (1, 2, 2));
+        assert_eq!(loaded.tip.wal_seq, 20);
+    }
+
     #[test]
     fn publish_then_load_round_trips() {
         let (fs, mut cs) = store();
         cs.publish(&full(0, 7), 5, b"meta!").unwrap();
         let cs2 = ChainStore::open(fs as Arc<dyn StorageFs>).unwrap();
         let loaded = cs2.load_best().unwrap().expect("chain present");
-        assert_eq!(loaded.tip_epoch, 0);
-        assert_eq!(loaded.wal_seq, 5);
-        assert_eq!(loaded.meta, b"meta!");
+        assert_eq!(loaded.tip.epoch, 0);
+        assert_eq!(loaded.tip.wal_seq, 5);
+        assert_eq!(loaded.tip.meta, b"meta!");
         assert_eq!(loaded.links, 1);
         assert_eq!(loaded.image.payloads[0], page(7));
     }
@@ -468,8 +555,8 @@ mod tests {
         cs.publish(&delta(2, 1, 3), 30, b"").unwrap();
         let cs2 = ChainStore::open(fs as Arc<dyn StorageFs>).unwrap();
         let loaded = cs2.load_best().unwrap().unwrap();
-        assert_eq!(loaded.tip_epoch, 2);
-        assert_eq!(loaded.wal_seq, 30);
+        assert_eq!(loaded.tip.epoch, 2);
+        assert_eq!(loaded.tip.wal_seq, 30);
         assert_eq!(loaded.links, 3);
     }
 
@@ -478,16 +565,11 @@ mod tests {
         let (fs, mut cs) = store();
         cs.publish(&full(0, 1), 10, b"").unwrap();
         let entry = cs.publish(&delta(1, 0, 2), 20, b"").unwrap();
-        // Flip a byte in the delta's file: its chain must be skipped.
-        let mut bytes = fs.read(&entry.file).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        fs.create(&entry.file).unwrap();
-        fs.append(&entry.file, &bytes).unwrap();
-        fs.fsync(&entry.file).unwrap();
+        // Flip a byte in the delta's file: the fold stops before it.
+        corrupt(&fs, &entry.file);
         let cs2 = ChainStore::open(fs as Arc<dyn StorageFs>).unwrap();
         let loaded = cs2.load_best().unwrap().unwrap();
-        assert_eq!(loaded.tip_epoch, 0, "fell back to the intact full image");
+        assert_eq!(loaded.tip.epoch, 0, "fell back to the intact full image");
         assert_eq!(loaded.skipped, 1);
     }
 
@@ -530,16 +612,11 @@ mod tests {
         cs.publish(&delta(2, 1, 2), 20, b"").unwrap();
         // Damage the *parent* of the newest tip, not the tip itself: the
         // epoch-2 chain dies at link 2, and recovery lands on epoch 0.
-        let mut bytes = fs.read(&mid.file).unwrap();
-        let at = bytes.len() / 2;
-        bytes[at] ^= 0x40;
-        fs.create(&mid.file).unwrap();
-        fs.append(&mid.file, &bytes).unwrap();
-        fs.fsync(&mid.file).unwrap();
+        corrupt(&fs, &mid.file);
         let cs2 = ChainStore::open(fs as Arc<dyn StorageFs>).unwrap();
         let loaded = cs2.load_best().unwrap().unwrap();
-        assert_eq!(loaded.tip_epoch, 0);
-        assert!(loaded.skipped >= 1, "the broken chains were counted");
+        assert_eq!(loaded.tip.epoch, 0);
+        assert_eq!(loaded.skipped, 2, "the rows past the tip were counted");
     }
 
     #[test]
@@ -558,8 +635,8 @@ mod tests {
         );
         let loaded = cs2.load_best().unwrap().unwrap();
         assert_eq!(loaded.image.payloads[0], page(8), "last publish wins");
-        assert_eq!(loaded.wal_seq, 12);
-        assert_eq!(loaded.meta, b"new");
+        assert_eq!(loaded.tip.wal_seq, 12);
+        assert_eq!(loaded.tip.meta, b"new");
     }
 
     #[test]
@@ -571,9 +648,9 @@ mod tests {
         }
         let cs2 = ChainStore::open(fs as Arc<dyn StorageFs>).unwrap();
         let loaded = cs2.load_best().unwrap().unwrap();
-        assert_eq!(loaded.tip_epoch, 10);
+        assert_eq!(loaded.tip.epoch, 10);
         assert_eq!(loaded.links, 11);
-        assert_eq!(loaded.wal_seq, 100);
+        assert_eq!(loaded.tip.wal_seq, 100);
         // The materialized image carries the youngest delta's payload.
         let tip_page = loaded
             .image
@@ -587,22 +664,143 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_meta_bytes() {
-        let entries = vec![ManifestEntry {
-            epoch: 3,
-            kind: ImageKind::Delta,
-            parent_epoch: 2,
-            file: "snap-0000000003-delta.img".into(),
-            len: 1234,
-            checksum: 0xDEAD_BEEF,
-            wal_seq: 99,
-            meta: vec![0, 1, 254, 255],
-        }];
+        let entries = rows(&[(2, ImageKind::Full, 2), (3, ImageKind::Delta, 2)]);
         let parsed = parse_manifest(render_manifest(&entries).as_bytes()).unwrap();
         assert_eq!(parsed, entries);
         // Empty meta round-trips through the "-" placeholder.
         let mut e2 = entries;
-        e2[0].meta.clear();
+        e2[1].meta.clear();
         let parsed2 = parse_manifest(render_manifest(&e2).as_bytes()).unwrap();
         assert_eq!(parsed2, e2);
+    }
+}
+
+#[cfg(test)]
+mod guard {
+    use std::collections::HashMap;
+    use std::sync::Mutex;
+
+    use super::tests::{corrupt, rows};
+    use super::*;
+    use crate::fs::CrashFs;
+
+    #[test]
+    fn a_manifest_parses_only_as_a_list_of_generations() {
+        use ImageKind::{Delta, Full};
+        let parses = |spec: &[(u64, ImageKind, u64)]| {
+            parse_manifest(render_manifest(&rows(spec)).as_bytes()).is_some()
+        };
+        assert!(parses(&[
+            (0, Full, 0),
+            (1, Delta, 0),
+            (2, Full, 2),
+            (3, Delta, 2)
+        ]));
+        // A delta that does not apply on the row before it.
+        assert!(!parses(&[(0, Full, 0), (1, Delta, 0), (2, Delta, 0)]));
+        assert!(!parses(&[(0, Full, 0), (2, Delta, 1)]));
+        assert!(!parses(&[(1, Delta, 0)]));
+        // Epochs that do not increase, and a full row naming a parent.
+        assert!(!parses(&[(3, Full, 3), (3, Full, 3)]));
+        assert!(!parses(&[(0, Full, 0), (1, Full, 0)]));
+    }
+
+    /// Counts the reads of each file through to a [`CrashFs`].
+    struct CountingFs {
+        inner: CrashFs,
+        reads: Mutex<HashMap<String, usize>>,
+    }
+
+    impl StorageFs for CountingFs {
+        fn create(&self, name: &str) -> Result<(), FsError> {
+            self.inner.create(name)
+        }
+        fn append(&self, name: &str, data: &[u8]) -> Result<(), FsError> {
+            self.inner.append(name, data)
+        }
+        fn fsync(&self, name: &str) -> Result<(), FsError> {
+            self.inner.fsync(name)
+        }
+        fn read(&self, name: &str) -> Result<Vec<u8>, FsError> {
+            *self.reads.lock().unwrap().entry(name.into()).or_default() += 1;
+            self.inner.read(name)
+        }
+        fn rename(&self, from: &str, to: &str) -> Result<(), FsError> {
+            self.inner.rename(from, to)
+        }
+        fn remove(&self, name: &str) -> Result<(), FsError> {
+            self.inner.remove(name)
+        }
+        fn sync_dir(&self) -> Result<(), FsError> {
+            self.inner.sync_dir()
+        }
+        fn list(&self) -> Result<Vec<String>, FsError> {
+            self.inner.list()
+        }
+        fn exists(&self, name: &str) -> Result<bool, FsError> {
+            self.inner.exists(name)
+        }
+    }
+
+    #[test]
+    fn load_best_reads_each_image_at_most_once() {
+        use super::tests::{delta, full};
+        let fs = CrashFs::new();
+        let mut cs = ChainStore::open(Arc::new(fs.clone())).unwrap();
+        cs.publish(&full(0, 1), 10, b"").unwrap();
+        cs.publish(&delta(1, 0, 2), 20, b"").unwrap();
+        cs.publish(&delta(2, 1, 3), 30, b"").unwrap();
+        let newest = cs.publish(&full(3, 4), 40, b"").unwrap();
+        cs.publish(&delta(4, 3, 5), 50, b"").unwrap();
+        // Intact, then with the newest full image corrupt: the fold starts
+        // from the generation before it, and stops at that image again.
+        for damaged in [false, true] {
+            if damaged {
+                corrupt(&fs, &newest.file);
+            }
+            let counting = Arc::new(CountingFs {
+                inner: fs.clone(),
+                reads: Mutex::default(),
+            });
+            let cs = ChainStore::open(Arc::clone(&counting) as Arc<dyn StorageFs>).unwrap();
+            let loaded = cs.load_best().unwrap().unwrap();
+            assert_eq!(loaded.tip.epoch, if damaged { 2 } else { 4 });
+            for (file, reads) in counting.reads.lock().unwrap().iter() {
+                assert!(*reads <= 1, "{file} read {reads} times");
+            }
+        }
+    }
+
+    /// `(function, line)` for each line of this file before its tests:
+    /// the function whose body the line is in, or the last one declared
+    /// above it ("" before the first).
+    fn lines_by_fn() -> Vec<(&'static str, &'static str)> {
+        let src = include_str!("chain.rs");
+        let code = &src[..src.find("#[cfg(test)]").expect("a test module")];
+        let mut current = "";
+        let mut lines = Vec::new();
+        for line in code.lines() {
+            if let Some((before, after)) = line.split_once("fn ") {
+                if before
+                    .trim()
+                    .chars()
+                    .all(|c| c.is_alphanumeric() || "() ".contains(c))
+                {
+                    current = after.split(['(', '<']).next().unwrap_or("");
+                }
+            }
+            lines.push((current, line));
+        }
+        lines
+    }
+
+    #[test]
+    fn only_prune_removes_files() {
+        for (name, line) in lines_by_fn() {
+            assert!(
+                !line.contains(".remove(") || name == "prune",
+                "{name} removes a file: only an explicit prune may\n{line}"
+            );
+        }
     }
 }

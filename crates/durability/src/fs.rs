@@ -97,6 +97,14 @@ impl DiskFs {
     }
 }
 
+/// Maps a host error on the file `name`, keeping "not found" apart.
+fn io_error(name: &str) -> impl Fn(std::io::Error) -> FsError + '_ {
+    move |e| match e.kind() {
+        std::io::ErrorKind::NotFound => FsError::NotFound(name.to_string()),
+        _ => FsError::Io(e.to_string()),
+    }
+}
+
 impl StorageFs for DiskFs {
     fn create(&self, name: &str) -> Result<(), FsError> {
         std::fs::File::create(self.path(name))
@@ -108,40 +116,25 @@ impl StorageFs for DiskFs {
         let mut f = std::fs::OpenOptions::new()
             .append(true)
             .open(self.path(name))
-            .map_err(|e| match e.kind() {
-                std::io::ErrorKind::NotFound => FsError::NotFound(name.to_string()),
-                _ => FsError::Io(e.to_string()),
-            })?;
+            .map_err(io_error(name))?;
         f.write_all(data).map_err(|e| FsError::Io(e.to_string()))
     }
 
     fn fsync(&self, name: &str) -> Result<(), FsError> {
-        let f = std::fs::File::open(self.path(name)).map_err(|e| match e.kind() {
-            std::io::ErrorKind::NotFound => FsError::NotFound(name.to_string()),
-            _ => FsError::Io(e.to_string()),
-        })?;
+        let f = std::fs::File::open(self.path(name)).map_err(io_error(name))?;
         f.sync_all().map_err(|e| FsError::Io(e.to_string()))
     }
 
     fn read(&self, name: &str) -> Result<Vec<u8>, FsError> {
-        std::fs::read(self.path(name)).map_err(|e| match e.kind() {
-            std::io::ErrorKind::NotFound => FsError::NotFound(name.to_string()),
-            _ => FsError::Io(e.to_string()),
-        })
+        std::fs::read(self.path(name)).map_err(io_error(name))
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<(), FsError> {
-        std::fs::rename(self.path(from), self.path(to)).map_err(|e| match e.kind() {
-            std::io::ErrorKind::NotFound => FsError::NotFound(from.to_string()),
-            _ => FsError::Io(e.to_string()),
-        })
+        std::fs::rename(self.path(from), self.path(to)).map_err(io_error(from))
     }
 
     fn remove(&self, name: &str) -> Result<(), FsError> {
-        std::fs::remove_file(self.path(name)).map_err(|e| match e.kind() {
-            std::io::ErrorKind::NotFound => FsError::NotFound(name.to_string()),
-            _ => FsError::Io(e.to_string()),
-        })
+        std::fs::remove_file(self.path(name)).map_err(io_error(name))
     }
 
     fn sync_dir(&self) -> Result<(), FsError> {
@@ -244,7 +237,8 @@ impl Inode {
 
 #[derive(Default)]
 struct CrashState {
-    inodes: Vec<Inode>,
+    /// Files by inode number; an inode goes once no directory names it.
+    inodes: BTreeMap<usize, Inode>,
     /// Live directory: what the running process sees.
     live: BTreeMap<String, usize>,
     /// Durable directory: the entries that survive power loss.
@@ -257,27 +251,80 @@ struct CrashState {
     dead: bool,
 }
 
+impl CrashState {
+    fn create(&mut self, inode: Inode) -> usize {
+        // A freed number is free to reuse: no name refers to it.
+        let ino = self.inodes.last_key_value().map_or(0, |(&i, _)| i + 1);
+        self.inodes.insert(ino, inode);
+        ino
+    }
+
+    /// The inode `name` names in the live directory.
+    fn named(&self, name: &str) -> Result<usize, FsError> {
+        let ino = self.live.get(name).copied();
+        ino.ok_or_else(|| FsError::NotFound(name.to_string()))
+    }
+
+    /// Frees the bytes of an inode that lost a name, unless either
+    /// directory still names it.
+    fn release(&mut self, ino: Option<usize>) {
+        let mut names = self.live.values().chain(self.durable.values());
+        if let Some(ino) = ino.filter(|ino| !names.any(|n| n == ino)) {
+            self.inodes.remove(&ino);
+        }
+    }
+
+    /// Writes back `name`'s pending bytes — all of them, or half (rounded
+    /// up) when `torn` — and persists its directory entry.
+    fn writeback(&mut self, name: &str, torn: bool) -> Result<(), FsError> {
+        let ino = self.named(name)?;
+        let inode = self.inodes.get_mut(&ino).expect("named inode");
+        let pending = inode.len - inode.synced;
+        inode.synced += if torn { pending.div_ceil(2) } else { pending };
+        let old = self.durable.insert(name.to_string(), ino);
+        self.release(old);
+        Ok(())
+    }
+
+    /// Gate for every mutating op: counts the op, fires the armed crash at
+    /// its boundary. A [`CrashMode::TornFsync`] firing at an fsync of
+    /// `fsync_target` writes half its pending bytes back first.
+    fn enter(&mut self, kind: OpKind, fsync_target: Option<&str>) -> Result<(), FsError> {
+        self.alive()?;
+        if let Some(plan) = self.plan {
+            if self.ops == plan.at {
+                if let Some(name) = fsync_target.filter(|_| plan.mode == CrashMode::TornFsync) {
+                    // A file that is not there has nothing to write back.
+                    let _ = self.writeback(name, true);
+                }
+                self.dead = true;
+                return Err(FsError::Crashed);
+            }
+        }
+        self.ops += 1;
+        self.op_log.push(kind);
+        Ok(())
+    }
+
+    /// Fails once the armed crash has fired.
+    fn alive(&self) -> Result<&CrashState, FsError> {
+        (!self.dead).then_some(self).ok_or(FsError::Crashed)
+    }
+}
+
 /// In-memory journaling-filesystem model with simulated power loss.
 ///
 /// Cloning shares the underlying state (it is a handle). See the module
 /// docs for the durability semantics modeled.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct CrashFs {
     state: Arc<Mutex<CrashState>>,
-}
-
-impl Default for CrashFs {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl CrashFs {
     /// An empty store, no crash armed.
     pub fn new() -> CrashFs {
-        CrashFs {
-            state: Arc::new(Mutex::new(CrashState::default())),
-        }
+        CrashFs::default()
     }
 
     /// Arms a crash at mutating-op index `plan.at`.
@@ -306,10 +353,9 @@ impl CrashFs {
     pub fn crash(&self) -> CrashFs {
         let s = self.state.lock().unwrap();
         let mut next = CrashState::default();
-        for (name, &ino) in &s.durable {
+        for (name, ino) in &s.durable {
             let src = &s.inodes[ino];
-            let idx = next.inodes.len();
-            next.inodes.push(Inode {
+            let idx = next.create(Inode {
                 data: Arc::clone(&src.data),
                 len: src.synced,
                 synced: src.synced,
@@ -321,128 +367,78 @@ impl CrashFs {
             state: Arc::new(Mutex::new(next)),
         }
     }
-
-    /// Gate for every mutating op: counts the op, fires the armed crash at
-    /// its boundary. On a [`CrashMode::TornFsync`] firing for `name`, the
-    /// partial writeback is applied before the handle dies.
-    fn enter_op(
-        s: &mut CrashState,
-        kind: OpKind,
-        fsync_target: Option<&str>,
-    ) -> Result<(), FsError> {
-        if s.dead {
-            return Err(FsError::Crashed);
-        }
-        if let Some(plan) = s.plan {
-            if s.ops == plan.at {
-                if plan.mode == CrashMode::TornFsync && kind == OpKind::Fsync {
-                    if let Some(name) = fsync_target {
-                        if let Some(&ino) = s.live.get(name) {
-                            let inode = &mut s.inodes[ino];
-                            let pending = inode.len - inode.synced;
-                            inode.synced += pending.div_ceil(2);
-                            let ino_copy = ino;
-                            let name = name.to_string();
-                            s.durable.insert(name, ino_copy);
-                        }
-                    }
-                }
-                s.dead = true;
-                return Err(FsError::Crashed);
-            }
-        }
-        s.ops += 1;
-        s.op_log.push(kind);
-        Ok(())
-    }
 }
 
 impl StorageFs for CrashFs {
     fn create(&self, name: &str) -> Result<(), FsError> {
         let mut s = self.state.lock().unwrap();
-        Self::enter_op(&mut s, OpKind::Create, None)?;
-        let idx = s.inodes.len();
-        s.inodes.push(Inode::default());
-        s.live.insert(name.to_string(), idx);
+        s.enter(OpKind::Create, None)?;
+        let ino = s.create(Inode::default());
+        let old = s.live.insert(name.to_string(), ino);
+        s.release(old);
         Ok(())
     }
 
     fn append(&self, name: &str, data: &[u8]) -> Result<(), FsError> {
         let mut s = self.state.lock().unwrap();
-        Self::enter_op(&mut s, OpKind::Append, None)?;
-        let &ino = s
-            .live
-            .get(name)
-            .ok_or_else(|| FsError::NotFound(name.to_string()))?;
-        s.inodes[ino].append(data);
+        s.enter(OpKind::Append, None)?;
+        let ino = s.named(name)?;
+        s.inodes.get_mut(&ino).expect("named inode").append(data);
         Ok(())
     }
 
     fn fsync(&self, name: &str) -> Result<(), FsError> {
         let mut s = self.state.lock().unwrap();
-        Self::enter_op(&mut s, OpKind::Fsync, Some(name))?;
-        let &ino = s
-            .live
-            .get(name)
-            .ok_or_else(|| FsError::NotFound(name.to_string()))?;
-        s.inodes[ino].synced = s.inodes[ino].len;
-        s.durable.insert(name.to_string(), ino);
-        Ok(())
+        s.enter(OpKind::Fsync, Some(name))?;
+        s.writeback(name, false)
     }
 
     fn read(&self, name: &str) -> Result<Vec<u8>, FsError> {
         let s = self.state.lock().unwrap();
-        if s.dead {
-            return Err(FsError::Crashed);
-        }
-        let &ino = s
-            .live
-            .get(name)
-            .ok_or_else(|| FsError::NotFound(name.to_string()))?;
-        Ok(s.inodes[ino].bytes().to_vec())
+        Ok(s.inodes[&s.alive()?.named(name)?].bytes().to_vec())
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<(), FsError> {
         let mut s = self.state.lock().unwrap();
-        Self::enter_op(&mut s, OpKind::Rename, None)?;
+        s.enter(OpKind::Rename, None)?;
         let ino = s
             .live
             .remove(from)
             .ok_or_else(|| FsError::NotFound(from.to_string()))?;
-        s.live.insert(to.to_string(), ino);
+        let old = s.live.insert(to.to_string(), ino);
+        s.release(old);
         Ok(())
     }
 
     fn remove(&self, name: &str) -> Result<(), FsError> {
         let mut s = self.state.lock().unwrap();
-        Self::enter_op(&mut s, OpKind::Remove, None)?;
-        s.live
+        s.enter(OpKind::Remove, None)?;
+        let ino = s
+            .live
             .remove(name)
             .ok_or_else(|| FsError::NotFound(name.to_string()))?;
+        s.release(Some(ino));
         Ok(())
     }
 
     fn sync_dir(&self) -> Result<(), FsError> {
         let mut s = self.state.lock().unwrap();
-        Self::enter_op(&mut s, OpKind::SyncDir, None)?;
-        s.durable = s.live.clone();
+        s.enter(OpKind::SyncDir, None)?;
+        let s = &mut *s;
+        for ino in std::mem::replace(&mut s.durable, s.live.clone()).into_values() {
+            s.release(Some(ino));
+        }
         Ok(())
     }
 
     fn list(&self) -> Result<Vec<String>, FsError> {
         let s = self.state.lock().unwrap();
-        if s.dead {
-            return Err(FsError::Crashed);
-        }
-        Ok(s.live.keys().cloned().collect())
+        Ok(s.alive()?.live.keys().cloned().collect())
     }
 
     fn exists(&self, name: &str) -> Result<bool, FsError> {
         let s = self.state.lock().unwrap();
-        if s.dead {
-            return Err(FsError::Crashed);
-        }
-        Ok(s.live.contains_key(name))
+        Ok(s.alive()?.live.contains_key(name))
     }
 }
 
@@ -554,7 +550,10 @@ mod tests {
         fs.fsync("a").unwrap();
         fs.append("a", b" pending").unwrap();
         let after = fs.crash();
-        let data = |fs: &CrashFs| Arc::clone(&fs.state.lock().unwrap().inodes[0].data);
+        let data = |fs: &CrashFs| {
+            let s = fs.state.lock().unwrap();
+            Arc::clone(&s.inodes[&s.live["a"]].data)
+        };
         assert!(Arc::ptr_eq(&data(&fs), &data(&after)));
         assert_eq!(after.read("a").unwrap(), b"synced");
     }
@@ -594,6 +593,30 @@ mod tests {
         once.append("a", b"x").unwrap();
         assert_eq!(twice.read("a").unwrap(), b"01234");
         assert_eq!(twice.crash().read("a").unwrap(), b"01234");
+    }
+
+    #[test]
+    fn a_file_no_directory_names_is_freed() {
+        let fs = CrashFs::new();
+        let held = |fs: &CrashFs| fs.state.lock().unwrap().inodes.len();
+        for name in ["a", "b", "c"] {
+            fs.create(name).unwrap();
+            fs.append(name, b"bytes").unwrap();
+            fs.fsync(name).unwrap();
+        }
+        fs.sync_dir().unwrap();
+        // Removed but still durable: a crash would bring it back.
+        fs.remove("a").unwrap();
+        assert_eq!(held(&fs), 3);
+        fs.sync_dir().unwrap();
+        assert_eq!(held(&fs), 2);
+        // Renamed over, and created over: the replaced bytes go once the
+        // directory is synced.
+        fs.rename("b", "c").unwrap();
+        fs.create("c").unwrap();
+        fs.sync_dir().unwrap();
+        assert_eq!(held(&fs), 1);
+        assert!(fs.crash().read("c").unwrap().is_empty());
     }
 
     #[test]

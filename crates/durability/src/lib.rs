@@ -9,8 +9,9 @@
 //!   and stop-at-the-tear torn-tail detection and repair on open.
 //! - [`ChainStore`]: an atomic (tmp-write + fsync + rename) publish path
 //!   for full/delta [`odf_snapshot::SnapshotImage`]s, indexed by a
-//!   checksummed manifest with parent pointers; recovery selects the
-//!   newest chain that fully materializes and falls back gracefully.
+//!   checksummed manifest that lists at most two generations (a full image
+//!   and the deltas on it); recovery folds the newest generation whose
+//!   full image loads, up to its first unreadable delta.
 //! - [`recover::open`]: chain restore + WAL tail replay, reporting a typed
 //!   [`RecoveryReport`].
 //! - [`CrashFs`]: an in-memory journaling-filesystem model that simulates

@@ -1,5 +1,5 @@
-//! Recovery: pick the newest materializable snapshot chain, then hand the
-//! caller the WAL tail to replay on top of it.
+//! Recovery: rebuild the newest state the snapshot chain allows, then hand
+//! the caller the WAL tail to replay on top of it.
 //!
 //! The flow is mechanism here, policy in the embedder: this module restores
 //! *bytes* (a materialized [`SnapshotImage`] plus ordered WAL payloads);
@@ -24,8 +24,8 @@ pub struct RecoveryReport {
     pub chain_epoch: Option<u64>,
     /// Images read to materialize the chain (0 when fresh).
     pub chain_links: usize,
-    /// Candidate chains skipped as corrupt/incomplete before one worked.
-    pub chains_skipped: usize,
+    /// Newer manifest rows left out because an image did not load.
+    pub rows_skipped: usize,
     /// Whether a manifest existed but was itself unreadable.
     pub manifest_corrupt: bool,
     /// Intact WAL records found past the chain's coverage (to replay).
@@ -72,10 +72,10 @@ pub fn open(fs: Arc<dyn StorageFs>, wal_cfg: WalConfig) -> Result<Recovered, FsE
 
     let (image, meta, covered_seq) = match loaded {
         Some(l) => {
-            report.chain_epoch = Some(l.tip_epoch);
+            report.chain_epoch = Some(l.tip.epoch);
             report.chain_links = l.links;
-            report.chains_skipped = l.skipped;
-            (Some(l.image), l.meta, l.wal_seq)
+            report.rows_skipped = l.skipped;
+            (Some(l.image), l.tip.meta, l.tip.wal_seq)
         }
         None => (None, Vec::new(), 0),
     };

@@ -29,9 +29,11 @@ odf_trace::counters! {
         recovery_records_replayed,
         /// WAL records dropped at recovery as torn/corrupt/unreachable.
         recovery_records_discarded,
-        /// Snapshot chains skipped during recovery (corrupt or missing
-        /// links) before one materialized.
-        recovery_chains_skipped,
+        /// Manifest rows recovery left out: newer than the state it
+        /// rebuilt, because an image file did not load.
+        recovery_rows_skipped,
+        /// Prunes that failed; the files they left wait for the next one.
+        prune_failures,
     }
 }
 

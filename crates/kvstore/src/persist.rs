@@ -267,6 +267,11 @@ struct BgsaveJob {
 }
 
 impl DurableServer {
+    /// Images in one generation: a full image and the deltas on it. The
+    /// chain keeps two generations, so recovery reads at most this many
+    /// images and the store names at most twice as many.
+    pub const GENERATION_IMAGES: usize = 8;
+
     /// Opens (or creates) a durable store in `fs`: recovers the newest
     /// materializable snapshot chain, replays the WAL tail, and returns
     /// the live server plus the [`RecoveryReport`] saying what happened.
@@ -467,8 +472,9 @@ impl DurableServer {
         let child_epoch = child.checkpoint_epoch();
         self.proc.advance_checkpoint_epoch()?;
         let fork_ns = stall.elapsed_ns();
-        let delta = self.config.incremental && child_epoch > 0;
-        let epoch_base = self.epoch_base;
+        // Rebase the epoch so it keeps increasing across recoveries (the
+        // process's own epoch counter restarts at 0 after a restore).
+        let epoch = self.epoch_base + child_epoch;
         let meta = StoreMeta {
             heap_base: self.store.heap().base(),
             heap_capacity: self.store.heap().capacity(),
@@ -476,6 +482,13 @@ impl DurableServer {
         }
         .encode();
         let mut chain = self.chain.take().expect("no snapshot in flight");
+        // A delta extends a generation that is not yet full and whose last
+        // row is the previous epoch (a failed publish leaves a gap).
+        let generation = chain.generation();
+        let delta = self.config.incremental
+            && child_epoch > 0
+            && generation.len() < Self::GENERATION_IMAGES
+            && generation.last().is_some_and(|e| e.epoch + 1 == epoch);
         let handle = std::thread::spawn(move || {
             let mut image = if delta {
                 capture_delta(child.mm(), child_epoch, child_epoch - 1)
@@ -483,12 +496,14 @@ impl DurableServer {
                 capture_full(child.mm(), child_epoch)
             };
             child.exit();
-            // Rebase the epoch so it keeps increasing across recoveries
-            // (the capture ran with the process's own epoch counter, which
-            // restarts at 0 after a restore).
-            image.epoch = epoch_base + child_epoch;
-            image.parent_epoch = if delta { image.epoch - 1 } else { image.epoch };
+            image.epoch = epoch;
+            image.parent_epoch = if delta { epoch - 1 } else { epoch };
             let result = chain.publish(&image, wal_seq, &meta).map_err(Into::into);
+            // A full image retired the generation two back; a failed prune
+            // leaves its files to the next.
+            if !delta && result.is_ok() && chain.prune().is_err() {
+                odf_durability::stats().prune_failures.bump();
+            }
             (chain, result)
         });
         self.bgsave_job = Some(BgsaveJob {
@@ -638,6 +653,20 @@ mod tests {
         assert_eq!(report.chain_epoch, Some(2));
         for (k, v) in [(b"a", b"1"), (b"b", b"2"), (b"c", b"3")] {
             assert_eq!(srv.get(k).unwrap().unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn a_full_image_starts_each_generation() {
+        let fs = Arc::new(CrashFs::new());
+        let kernel = small_kernel();
+        let (mut srv, _) = DurableServer::open(&kernel, fs, config()).unwrap();
+        let k = DurableServer::GENERATION_IMAGES;
+        for i in 0..2 * k + 1 {
+            srv.set(b"k", &i.to_le_bytes()).unwrap();
+            let entry = srv.bgsave().unwrap();
+            let full = entry.kind == odf_core::ImageKind::Full;
+            assert_eq!(full, i % k == 0, "snapshot {i}");
         }
     }
 

@@ -17,11 +17,14 @@
 //! reported counterexample reruns exactly with `ODF_CRASH_SEED`.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use odf_core::{ForkPolicy, Kernel};
-use odf_durability::{CrashFs, CrashMode, CrashPlan, FsError, FsyncPolicy, OpKind, WalConfig};
-use odf_kvstore::{DurableConfig, DurableServer, PersistError};
+use odf_core::{ForkPolicy, ImageKind, Kernel};
+use odf_durability::{
+    CrashFs, CrashMode, CrashPlan, FsError, FsyncPolicy, OpKind, StorageFs, WalConfig,
+};
+use odf_kvstore::{Acked, DurableConfig, DurableServer, PersistError};
 use odf_tests::{kv_script, KvOp};
 use proptest::prelude::*;
 
@@ -29,7 +32,27 @@ const MIB: u64 = 1 << 20;
 const OPS: usize = 24;
 const KEY_SPACE: u64 = 6;
 
-fn config(fsync: FsyncPolicy) -> DurableConfig {
+/// The shape of one crash sweep: script length and snapshot cadence.
+#[derive(Clone, Copy, Debug)]
+struct Sweep {
+    ops: usize,
+    snapshot_every: u64,
+}
+
+/// Three snapshots, all in one generation.
+const SHORT: Sweep = Sweep {
+    ops: OPS,
+    snapshot_every: 8,
+};
+
+/// Twenty snapshots: full images at epochs 0, 8 and 16 (two re-bases), and
+/// the prune after epoch 16 removes the first generation's eight files.
+const REBASE: Sweep = Sweep {
+    ops: 40,
+    snapshot_every: 2,
+};
+
+fn config(fsync: FsyncPolicy, snapshot_every: u64) -> DurableConfig {
     DurableConfig {
         heap_capacity: 2 * MIB,
         buckets: 64,
@@ -37,12 +60,19 @@ fn config(fsync: FsyncPolicy) -> DurableConfig {
         incremental: true,
         // Several bgsaves per script, so crash points land inside the
         // fork/publish/truncate sequence too.
-        snapshot_every: 8,
+        snapshot_every,
         wal: WalConfig {
             segment_bytes: 2048, // small segments force mid-script rotation
             fsync,
         },
     }
+}
+
+/// `prune_failures` is process-wide: the tests that can fail a prune take
+/// turns, so one of them can read the counter exactly.
+fn prunes() -> MutexGuard<'static, ()> {
+    static PRUNES: Mutex<()> = Mutex::new(());
+    PRUNES.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn kernel() -> Arc<Kernel> {
@@ -109,6 +139,15 @@ fn parse_dump(dump: &[u8]) -> Model {
     m
 }
 
+fn apply(srv: &mut DurableServer, op: &KvOp) -> Result<Acked, PersistError> {
+    match op {
+        KvOp::Set { key, value } => srv.set(key, value),
+        KvOp::Del { key } => srv.del(key),
+        KvOp::Incr { key } => srv.incr(key),
+        KvOp::Append { key, suffix } => srv.append(key, suffix),
+    }
+}
+
 struct RunOutcome {
     /// Ops attempted, including the one interrupted by the crash.
     started: usize,
@@ -134,13 +173,7 @@ fn run(fs: &Arc<CrashFs>, script: &[KvOp], cfg: DurableConfig) -> RunOutcome {
     };
     let mut acked = 0;
     for (i, op) in script.iter().enumerate() {
-        let res = match op {
-            KvOp::Set { key, value } => srv.set(key, value),
-            KvOp::Del { key } => srv.del(key),
-            KvOp::Incr { key } => srv.incr(key),
-            KvOp::Append { key, suffix } => srv.append(key, suffix),
-        };
-        match res {
+        match apply(&mut srv, op) {
             Ok(a) => {
                 if a.durable {
                     acked = i + 1;
@@ -175,8 +208,14 @@ fn recovered_state(fs: &Arc<CrashFs>, cfg: DurableConfig, ctx: &str) -> Model {
 }
 
 /// Crashes at storage-op `at`, recovers, and checks the oracle.
-fn check_crash_point(script: &[KvOp], states: &[Model], at: u64, mode: CrashMode, seed: u64) {
-    let cfg = config(FsyncPolicy::Always);
+fn check_crash_point(
+    script: &[KvOp],
+    states: &[Model],
+    cfg: DurableConfig,
+    at: u64,
+    mode: CrashMode,
+    seed: u64,
+) {
     let fs = Arc::new(CrashFs::new());
     fs.arm(CrashPlan { at, mode });
     let out = run(&fs, script, cfg);
@@ -200,17 +239,17 @@ fn check_crash_point(script: &[KvOp], states: &[Model], at: u64, mode: CrashMode
 }
 
 /// Exhaustively enumerates every storage-operation boundary for one seed.
-fn check_seed(seed: u64) {
-    let script = kv_script(seed, OPS, KEY_SPACE);
+fn check_seed(seed: u64, sweep: Sweep) {
+    let script = kv_script(seed, sweep.ops, KEY_SPACE);
     let states = prefix_states(&script);
-    let cfg = config(FsyncPolicy::Always);
+    let cfg = config(FsyncPolicy::Always, sweep.snapshot_every);
 
     // Recording pass: how many storage ops does the full run make, and
     // which of them are fsyncs (candidates for torn-fsync injection)?
     let fs = Arc::new(CrashFs::new());
     let out = run(&fs, &script, cfg);
     assert!(!out.crashed, "recording pass must complete");
-    assert_eq!(out.acked, OPS, "Always policy acks everything");
+    assert_eq!(out.acked, sweep.ops, "Always policy acks everything");
     let op_log = fs.op_log();
 
     // The completed run must recover to exactly the final state.
@@ -218,21 +257,34 @@ fn check_seed(seed: u64) {
     let final_ctx = format!("seed {seed}, clean shutdown");
     assert_eq!(
         recovered_state(&survivor, cfg, &final_ctx),
-        states[OPS],
+        states[sweep.ops],
         "clean recovery lost acknowledged writes ({final_ctx})"
     );
 
+    let torn = op_log.iter().filter(|&&k| k == OpKind::Fsync).count();
+    eprintln!(
+        "seed {seed}, {sweep:?}: {} boundaries, {} crash points",
+        op_log.len(),
+        op_log.len() + torn
+    );
     for at in 0..op_log.len() as u64 {
-        check_crash_point(&script, &states, at, CrashMode::Before, seed);
+        check_crash_point(&script, &states, cfg, at, CrashMode::Before, seed);
         if op_log[at as usize] == OpKind::Fsync {
-            check_crash_point(&script, &states, at, CrashMode::TornFsync, seed);
+            check_crash_point(&script, &states, cfg, at, CrashMode::TornFsync, seed);
         }
     }
 }
 
 #[test]
 fn crash_at_every_boundary_fixed_seed() {
-    check_seed(0xD15C_0C0A);
+    check_seed(0xD15C_0C0A, SHORT);
+}
+
+/// Crash points inside two re-bases and a prune that removes files.
+#[test]
+fn crash_at_every_boundary_across_rebases_and_a_prune() {
+    let _prunes = prunes();
+    check_seed(0xD15C_0C0A, REBASE);
 }
 
 /// CI sets `ODF_CRASH_SEED` to sweep extra seeds without recompiling.
@@ -241,15 +293,217 @@ fn crash_at_every_boundary_env_seed() {
     if let Ok(seed) = std::env::var("ODF_CRASH_SEED") {
         let seed = seed.parse::<u64>().expect("ODF_CRASH_SEED must be a u64");
         eprintln!("crash-injection sweep with ODF_CRASH_SEED={seed}");
-        check_seed(seed);
+        check_seed(seed, SHORT);
+        let _prunes = prunes();
+        check_seed(seed, REBASE);
     }
+}
+
+/// Seventy snapshots — past the 64 links recovery once followed — stay
+/// within two generations on disk and recover from one.
+#[test]
+fn seventy_snapshots_stay_bounded_and_recoverable() {
+    let k = DurableServer::GENERATION_IMAGES;
+    let cfg = config(FsyncPolicy::Always, 0);
+    let script = kv_script(0x70, 210, KEY_SPACE);
+    let states = prefix_states(&script);
+    let fs = Arc::new(CrashFs::new());
+    let snap_files = |fs: &CrashFs| {
+        let names = fs.list().unwrap();
+        names.iter().filter(|n| n.starts_with("snap-")).count()
+    };
+    {
+        let (mut srv, _) = DurableServer::open(&kernel(), fs.clone(), cfg).unwrap();
+        for (i, op) in script.iter().enumerate() {
+            apply(&mut srv, op).unwrap();
+            if (i + 1) % 3 == 0 {
+                srv.bgsave().unwrap();
+                assert!(snap_files(&fs) <= 2 * k, "after {} snapshots", (i + 1) / 3);
+            }
+        }
+    }
+    let survivor = Arc::new(fs.crash());
+    assert!(snap_files(&survivor) <= 2 * k);
+    let (srv, report) = DurableServer::open(&kernel(), survivor, cfg).unwrap();
+    assert_eq!(report.chain_epoch, Some(69));
+    assert!(report.chain_links <= k, "{} links", report.chain_links);
+    assert_eq!(parse_dump(&srv.dump().unwrap()), states[script.len()]);
+}
+
+/// A [`CrashFs`] on which, once armed, the next `kind` operation (a
+/// `rename` or a `remove`) on a file whose name starts with `prefix` fails
+/// the way a host I/O error would: nothing changes, and the store keeps
+/// running.
+struct FailNext {
+    fs: CrashFs,
+    kind: OpKind,
+    prefix: &'static str,
+    armed: AtomicBool,
+}
+
+impl FailNext {
+    fn check(&self, kind: OpKind, name: &str) -> Result<(), FsError> {
+        if kind == self.kind && name.starts_with(self.prefix) && self.armed.swap(false, SeqCst) {
+            return Err(FsError::Io(format!("injected: {kind:?} {name}")));
+        }
+        Ok(())
+    }
+}
+
+impl StorageFs for FailNext {
+    fn create(&self, name: &str) -> Result<(), FsError> {
+        self.fs.create(name)
+    }
+    fn append(&self, name: &str, data: &[u8]) -> Result<(), FsError> {
+        self.fs.append(name, data)
+    }
+    fn fsync(&self, name: &str) -> Result<(), FsError> {
+        self.fs.fsync(name)
+    }
+    fn read(&self, name: &str) -> Result<Vec<u8>, FsError> {
+        self.fs.read(name)
+    }
+    fn rename(&self, from: &str, to: &str) -> Result<(), FsError> {
+        self.check(OpKind::Rename, from)?;
+        self.fs.rename(from, to)
+    }
+    fn remove(&self, name: &str) -> Result<(), FsError> {
+        self.check(OpKind::Remove, name)?;
+        self.fs.remove(name)
+    }
+    fn sync_dir(&self) -> Result<(), FsError> {
+        self.fs.sync_dir()
+    }
+    fn list(&self) -> Result<Vec<String>, FsError> {
+        self.fs.list()
+    }
+    fn exists(&self, name: &str) -> Result<bool, FsError> {
+        self.fs.exists(name)
+    }
+}
+
+/// A publish that fails leaves its epoch without a row, so the next image
+/// cannot be a delta on it: it is a full one, and recovery holds every
+/// write.
+#[test]
+fn a_failed_publish_is_followed_by_a_full_image() {
+    let cfg = config(FsyncPolicy::Always, 0);
+    let fs = CrashFs::new();
+    let failing = Arc::new(FailNext {
+        fs: fs.clone(),
+        kind: OpKind::Rename,
+        prefix: "manifest",
+        armed: AtomicBool::new(false),
+    });
+    let (mut srv, _) = DurableServer::open(&kernel(), failing.clone(), cfg).unwrap();
+    let writes: [&[u8]; 3] = [b"a", b"b", b"c"];
+    srv.set(writes[0], b"0").unwrap();
+    srv.bgsave().unwrap();
+    srv.set(writes[1], b"1").unwrap();
+    failing.armed.store(true, SeqCst);
+    assert!(
+        srv.bgsave().is_err(),
+        "epoch 1's manifest was not published"
+    );
+    srv.set(writes[2], b"2").unwrap();
+    let entry = srv.bgsave().unwrap();
+    assert_eq!((entry.epoch, entry.kind), (2, ImageKind::Full));
+    drop(srv);
+    let (mut srv, report) = DurableServer::open(&kernel(), Arc::new(fs.crash()), cfg).unwrap();
+    assert_eq!(
+        (report.chain_epoch, report.manifest_corrupt),
+        (Some(2), false)
+    );
+    for (i, key) in writes.iter().enumerate() {
+        assert_eq!(srv.get(key).unwrap(), Some(i.to_string().into_bytes()));
+    }
+}
+
+/// A prune that fails does not fail its snapshot: the image and manifest
+/// are durable before the prune starts. The failure is counted, the next
+/// prune sweeps what it left, and recovery holds every write — after an
+/// I/O error at a prune's `remove`, and after a crash there.
+#[test]
+fn a_failed_prune_is_counted_and_the_snapshot_stands() {
+    let _prunes = prunes();
+    let failures = || odf_durability::stats().snapshot().prune_failures;
+    // Segments large enough that no WAL truncation removes a file: every
+    // `remove` is a prune's.
+    let cfg = DurableConfig {
+        wal: WalConfig {
+            segment_bytes: MIB,
+            fsync: FsyncPolicy::Always,
+        },
+        ..config(FsyncPolicy::Always, 0)
+    };
+    // 27 snapshots: prunes after the full images at epochs 16 and 24.
+    let script = kv_script(0xD15C_0C0A, 54, KEY_SPACE);
+    let states = prefix_states(&script);
+    // A bgsave after every two writes, up to the first failure; returns
+    // the writes applied (all of them acknowledged durable).
+    let run = |fs: Arc<dyn StorageFs>| {
+        let (mut srv, _) = DurableServer::open(&kernel(), fs, cfg).unwrap();
+        for (i, op) in script.iter().enumerate() {
+            if apply(&mut srv, op).is_err() {
+                return i;
+            }
+            if i % 2 == 1 && srv.bgsave().is_err() {
+                return i + 1;
+            }
+        }
+        script.len()
+    };
+    let recover = |fs: CrashFs| {
+        let (srv, report) = DurableServer::open(&kernel(), Arc::new(fs), cfg).unwrap();
+        (parse_dump(&srv.dump().unwrap()), report.chain_epoch)
+    };
+
+    // An I/O error: every bgsave returns Ok, and the prune after epoch 24
+    // removes what the one after epoch 16 left.
+    let fs = CrashFs::new();
+    let before = failures();
+    let failing = Arc::new(FailNext {
+        fs: fs.clone(),
+        kind: OpKind::Remove,
+        prefix: "snap-",
+        armed: AtomicBool::new(true),
+    });
+    assert_eq!(run(failing), script.len(), "a bgsave failed");
+    assert_eq!(failures() - before, 1);
+    let snaps = fs.list().unwrap();
+    let snaps = snaps.iter().filter(|n| n.starts_with("snap-")).count();
+    assert!(
+        snaps <= 2 * DurableServer::GENERATION_IMAGES,
+        "{snaps} files"
+    );
+    assert_eq!(
+        recover(fs.crash()),
+        (states[script.len()].clone(), Some(26))
+    );
+
+    // Power lost at the first prune's first `remove`: the full image at
+    // epoch 16 stands, and no acknowledged write is lost. (The bgsave
+    // itself reports the crash, met again by the WAL truncation after
+    // the prune.)
+    let recording = CrashFs::new();
+    run(Arc::new(recording.clone()));
+    let at = recording.op_log().iter().position(|&k| k == OpKind::Remove);
+    let fs = CrashFs::new();
+    fs.arm(CrashPlan {
+        at: at.expect("the script prunes") as u64,
+        mode: CrashMode::Before,
+    });
+    let before = failures();
+    let applied = run(Arc::new(fs.clone()));
+    assert_eq!(failures() - before, 1);
+    assert_eq!(recover(fs.crash()), (states[applied].clone(), Some(16)));
 }
 
 /// Lazy-fsync policies may lose un-acked tails but never acked writes:
 /// spot-check a few boundaries per seed under `EveryN` group commit.
 #[test]
 fn lazy_group_commit_never_loses_acked_writes() {
-    let cfg = config(FsyncPolicy::EveryN(4));
+    let cfg = config(FsyncPolicy::EveryN(4), SHORT.snapshot_every);
     for seed in [1u64, 2, 3] {
         let script = kv_script(seed, OPS, KEY_SPACE);
         let states = prefix_states(&script);
@@ -285,6 +539,6 @@ proptest! {
     /// the embedded context string; rerun with ODF_CRASH_SEED=<seed>.)
     #[test]
     fn prop_random_workloads_survive_all_crash_points(seed in 0u64..1_000_000) {
-        check_seed(seed);
+        check_seed(seed, SHORT);
     }
 }
