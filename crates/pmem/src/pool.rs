@@ -679,6 +679,31 @@ impl FramePool {
         self.meta[frame.index()].pt_share_inc();
     }
 
+    /// Batched [`FramePool::pt_share_inc`]: raises the shared-page-table
+    /// counter of every page-table frame in `tables` by one, with a single
+    /// stats update for the slice. A fork shares hundreds of tables whose
+    /// `struct Page` lines are cold; a locked `fetch_add` on each in turn
+    /// lets no later miss start until it retires, so the misses serialize.
+    /// One tight pass of plain loads first lets them overlap, and the
+    /// increments then hit warm lines. Keep the slice small enough (a few
+    /// hundred frames) that its lines stay cached between the two passes.
+    pub fn pt_share_inc_many(&self, tables: &[FrameId]) {
+        if tables.is_empty() {
+            return;
+        }
+        let mut warm = 0u32;
+        for t in tables {
+            let page = &self.meta[t.index()];
+            debug_assert_eq!(page.kind(), PageKind::PageTable);
+            warm = warm.wrapping_add(page.pt_share_count());
+        }
+        std::hint::black_box(warm);
+        PoolStats::add(&self.stats.pt_share_incs, tables.len() as u64);
+        for t in tables {
+            self.meta[t.index()].pt_share_inc();
+        }
+    }
+
     /// Decrements the shared-page-table counter, returning the new value.
     pub fn pt_share_dec(&self, frame: FrameId) -> u32 {
         debug_assert_eq!(self.meta[frame.index()].kind(), PageKind::PageTable);
@@ -967,6 +992,20 @@ mod tests {
         pool.pt_share_inc(t);
         assert_eq!(pool.pt_share_count(t), 2);
         assert_eq!(pool.pt_share_dec(t), 1);
+    }
+
+    #[test]
+    fn pt_share_inc_many_raises_each_count_once() {
+        let pool = FramePool::new(16);
+        let tables: Vec<FrameId> = (0..3).map(|_| pool.alloc_page_table().unwrap()).collect();
+        pool.pt_share_inc(tables[1]);
+        let before = pool.stats().snapshot();
+        pool.pt_share_inc_many(&tables);
+        pool.pt_share_inc_many(&[]);
+        let delta = pool.stats().snapshot() - before;
+        assert_eq!(delta.pt_share_incs, 3);
+        let counts: Vec<u32> = tables.iter().map(|&t| pool.pt_share_count(t)).collect();
+        assert_eq!(counts, [2, 3, 2]);
     }
 
     #[test]

@@ -21,12 +21,15 @@
 //!   2 MiB range in one store (§3.2) — and points the child's PMD entry at
 //!   the same table. Cost per 2 MiB drops from 512 refcounted entry copies
 //!   to one counter increment and two entry stores, which is the ~65x–270x
-//!   invocation speedup of §5.2.2.
+//!   invocation speedup of §5.2.2. The increments are batched (see
+//!   `ForkScratch::share`): the counters of a cold process sit on cold
+//!   lines, and one locked increment per chunk would take their misses one
+//!   at a time.
 
 use std::sync::atomic::Ordering;
 
-use odf_pagetable::{Entry, EntryFlags, VirtAddr};
-use odf_pmem::FrameId;
+use odf_pagetable::{Entry, EntryFlags, VirtAddr, ENTRIES_PER_TABLE};
+use odf_pmem::{FrameId, FramePool};
 use odf_trace::Event;
 
 use crate::error::Result;
@@ -81,30 +84,71 @@ struct ForkTally {
     tables_shared: u64,
 }
 
-/// Reusable scratch buffers for the batched classic copy path, allocated
-/// once per fork invocation and recycled across every 2 MiB chunk so the
-/// per-table passes never allocate.
-#[derive(Default)]
+/// Reusable scratch buffers for the batched passes of one fork
+/// invocation, recycled across every 2 MiB chunk so they never allocate.
 struct ForkScratch {
     /// `(pte index, parent entry)` for each present or swap entry of one
-    /// chunk.
+    /// chunk (Classic).
     entries: Vec<(usize, Entry)>,
-    /// The entries' frames, resolved in place to compound heads.
+    /// The entries' frames, resolved in place to compound heads (Classic).
     heads: Vec<FrameId>,
+    /// Tables the child references whose share counts are not raised yet
+    /// (On-demand); at most one PMD table's worth.
+    shared: Vec<FrameId>,
+}
+
+impl ForkScratch {
+    fn new() -> Self {
+        ForkScratch {
+            entries: Vec::new(),
+            heads: Vec::new(),
+            shared: Vec::with_capacity(ENTRIES_PER_TABLE),
+        }
+    }
+
+    /// Records that the child now references `table` alongside the
+    /// parent. Its count is raised by the next [`ForkScratch::flush_shares`],
+    /// which runs whenever the batch fills: the batch's `struct Page`
+    /// lines, about 32 KiB, stay cached between the flush's load pass and
+    /// its increments.
+    fn share(&mut self, pool: &FramePool, table: FrameId) {
+        self.shared.push(table);
+        if self.shared.len() == ENTRIES_PER_TABLE {
+            self.flush_shares(pool);
+        }
+    }
+
+    /// Raises the share count of every table recorded since the last flush.
+    fn flush_shares(&mut self, pool: &FramePool) {
+        pool.pt_share_inc_many(&self.shared);
+        self.shared.clear();
+    }
 }
 
 /// Forks `parent` under `policy`, returning the child's address space
 /// contents. The caller holds the parent's `mm` lock exclusively — which
 /// excludes every concurrent *parent* fault, so the sharing transitions
-/// below (`pt_share_inc` + clearing the PMD/PUD writable bits) need no
-/// split locks. Table pointers are published safely: the child's tree is
-/// private until this function returns, and the child `Mm` is handed to
-/// other threads only through the `RwLock` the caller wraps it in.
+/// below (raising a table's share count + clearing the PMD/PUD writable
+/// bits) need no split locks. Table pointers are published safely: the
+/// child's tree is private until this function returns, and the child
+/// `Mm` is handed to other threads only through the `RwLock` the caller
+/// wraps it in.
 ///
 /// Concurrent faults in *other* processes already sharing the parent's
 /// tables are harmless: they only ever COW *away* from a shared table
-/// (decrementing its count), never mutate it, and `pt_share_inc`/`dec` are
+/// (decrementing its count), never mutate it, and the count updates are
 /// atomic.
+///
+/// The share counts are raised in batches, after the child's entries are
+/// stored ([`ForkScratch::share`]). In between, a table's count misses
+/// only the new child, and nothing decides on that under-count: the child
+/// is unpublished until this function returns; the parent, which
+/// references every table in the batch, is excluded by its own lock; any
+/// other process that reaches the table (a sharer's fault or exit, or
+/// reclaim and THP through such a sharer) is itself counted, so it sees a
+/// count of at least 2 and only ever lowers it. The batch is flushed
+/// before `copy_all` returns, on failure too: the partial child's teardown
+/// drops a share for every table it references.
 pub(crate) fn run(machine: &Machine, parent: &mut MmInner, policy: ForkPolicy) -> Result<MmInner> {
     let stats = machine.stats();
     match policy {
@@ -127,7 +171,7 @@ pub(crate) fn run(machine: &Machine, parent: &mut MmInner, policy: ForkPolicy) -
     // child too (fork also copies every SOFT_DIRTY PTE bit below).
     child.dirty_ranges = parent.dirty_ranges.clone();
 
-    let mut scratch = ForkScratch::default();
+    let mut scratch = ForkScratch::new();
     let result = copy_all(machine, parent, &child, policy, &mut tally, &mut scratch);
     if let Err(e) = result {
         // Failed mid-copy (allocation failure): unwind the partial child.
@@ -178,12 +222,13 @@ fn copy_all(
     let mut parent_cursor = PmdCursor::new(machine, parent.pgd);
     let mut child_cursor = PmdCursor::new(machine, child.pgd);
     // Iterate VMAs in address order, chunked at PTE-table (2 MiB) spans.
-    for vma in parent.vmas.iter() {
+    let mut copied = Ok(());
+    'vmas: for vma in parent.vmas.iter() {
         for c in walk::chunks(vma.start, vma.end) {
             let Some(parent_pmd) = parent_cursor.slot(c.at) else {
                 continue;
             };
-            copy_chunk(
+            copied = copy_chunk(
                 machine,
                 &parent_pmd,
                 &mut child_cursor,
@@ -192,10 +237,16 @@ fn copy_all(
                 c,
                 tally,
                 scratch,
-            )?;
+            );
+            if copied.is_err() {
+                break 'vmas;
+            }
         }
     }
-    Ok(())
+    // Flush on failure too: the unwind's teardown of the partial child
+    // drops a share for every table the child references.
+    scratch.flush_shares(machine.pool());
+    copied
 }
 
 /// Copies (or shares) the translations of one 2 MiB chunk restricted to
@@ -219,7 +270,7 @@ fn copy_chunk(
 
     if pe.is_huge() {
         if policy == ForkPolicy::OnDemandHuge
-            && try_share_pmd_table(machine, child, parent_pmd, at, tally)?
+            && try_share_pmd_table(machine, child, parent_pmd, at, tally, scratch)?
         {
             return Ok(());
         }
@@ -228,7 +279,7 @@ fn copy_chunk(
 
     match policy {
         ForkPolicy::OnDemand | ForkPolicy::OnDemandHuge => {
-            share_pte_table(machine, child, parent_pmd, pe, at, tally)
+            share_pte_table(machine, child, parent_pmd, pe, at, tally, scratch)
         }
         ForkPolicy::Classic => copy_pte_range(machine, child, vma, pe.frame(), c, tally, scratch),
     }
@@ -244,6 +295,7 @@ fn try_share_pmd_table(
     parent_pmd: &PmdSlot,
     at: VirtAddr,
     tally: &mut ForkTally,
+    scratch: &mut ForkScratch,
 ) -> Result<bool> {
     let (child_pud, child_idx) = child.pud_create(at)?;
     let existing = child_pud.load(child_idx);
@@ -264,7 +316,7 @@ fn try_share_pmd_table(
     if present == 0 {
         return Ok(false);
     }
-    machine.pool().pt_share_inc(parent_pmd.frame);
+    scratch.share(machine.pool(), parent_pmd.frame);
     parent_pmd.store_pud(parent_pmd.load_pud().with_cleared(EntryFlags::WRITABLE));
     child_pud.store(
         child_idx,
@@ -283,6 +335,7 @@ fn share_pte_table(
     pe: Entry,
     at: VirtAddr,
     tally: &mut ForkTally,
+    scratch: &mut ForkScratch,
 ) -> Result<()> {
     let child_pmd = child.slot_create(at)?;
     if child_pmd.load().is_present() {
@@ -291,7 +344,7 @@ fn share_pte_table(
         return Ok(());
     }
     let table_frame = pe.frame();
-    machine.pool().pt_share_inc(table_frame);
+    scratch.share(machine.pool(), table_frame);
     // One store write-protects the parent's whole 2 MiB range...
     parent_pmd.store(pe.with_cleared(EntryFlags::WRITABLE));
     // ...and the child references the same table, equally protected.
@@ -404,4 +457,19 @@ fn copy_huge_entry(
     VmStats::bump(&machine.stats().fork_huge_copies);
     tally.pte_copies += 1;
     Ok(())
+}
+
+#[cfg(test)]
+mod guard {
+    #[test]
+    fn fork_raises_share_counts_only_in_batches() {
+        let text = include_str!("fork.rs");
+        let code = &text[..text.find("#[cfg(test)]").unwrap()];
+        for line in code.lines() {
+            assert!(
+                !line.contains("pt_share_inc("),
+                "fork.rs raises one share count at a time: record the table with ForkScratch::share\n{line}"
+            );
+        }
+    }
 }

@@ -548,6 +548,59 @@ fn fork_failure_unwinds_cleanly() {
 }
 
 #[test]
+fn odf_fork_failure_returns_every_table_share() {
+    // One page in each of three chunks, two in the first 1 GiB span and
+    // one in the second: pgd + pud + 2 pmd + 3 pte tables + 3 pages. The
+    // pool leaves room for the child's pgd, pud and first pmd table, so
+    // the fork shares the first span's tables and then fails at the
+    // second span's pmd table.
+    const GIB: u64 = 1 << 30;
+    let m = Machine::new((10 + 3) * PAGE);
+    let parent = new_mm(&m);
+    parent
+        .mmap_fixed(GIB, 2 * GIB, MapParams::anon_rw())
+        .unwrap();
+    let chunks = [GIB, GIB + 2 * MIB, 2 * GIB];
+    for (i, &a) in chunks.iter().enumerate() {
+        parent.write_u64(a, i as u64 + 1).unwrap();
+    }
+    let free_before = m.pool().free_frames();
+    assert_eq!(
+        free_before, 3,
+        "room for the child's pgd, pud and first pmd"
+    );
+    let tables: Vec<_> = chunks
+        .iter()
+        .map(|&a| parent.pmd_entry(a).unwrap().frame())
+        .collect();
+
+    let before = m.stats().snapshot();
+    let err = match parent.fork(ForkPolicy::OnDemand) {
+        Err(e) => e,
+        Ok(_) => panic!("fork must fail at the second span's pmd table"),
+    };
+    assert_eq!(err, VmError::NoMemory);
+    assert_eq!(m.pool().free_frames(), free_before, "partial child unwound");
+    for (&a, &t) in chunks.iter().zip(&tables) {
+        assert_eq!(
+            m.pool().pt_share_count(t),
+            1,
+            "share of the table at {a:#x}"
+        );
+    }
+    // The parent's tables are its own again: its next write reuses the
+    // write-protected table instead of copying it.
+    parent.write_u64(GIB, 7).unwrap();
+    assert_eq!(
+        m.stats().snapshot().cow_table_copies,
+        before.cow_table_copies
+    );
+    assert_eq!(parent.read_u64(GIB).unwrap(), 7);
+    assert_eq!(parent.read_u64(GIB + 2 * MIB).unwrap(), 2);
+    assert_eq!(parent.read_u64(2 * GIB).unwrap(), 3);
+}
+
+#[test]
 fn odf_fork_succeeds_where_classic_cannot_allocate() {
     // ODF needs only upper-level tables; classic needs a table per 2 MiB.
     let m = Machine::new(3 * MIB + 512 * 1024);

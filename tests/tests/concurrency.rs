@@ -84,6 +84,66 @@ fn fork_storm_preserves_isolation_and_resources() {
 }
 
 #[test]
+fn multi_span_fork_storm_preserves_isolation_and_resources() {
+    // One page in every 2 MiB chunk of a 3 GiB region: 1 536 PTE tables
+    // across four 1 GiB spans, so each On-demand fork raises share counts
+    // in several batches while other threads' children copy tables away
+    // and exit, dropping their shares of the same tables.
+    const CHUNKS: u64 = 3 * 512;
+    let kernel = Kernel::new(512 * MIB);
+    let baseline = kernel.machine().pool().balance();
+    {
+        let root = kernel.spawn().unwrap();
+        let addr = root.mmap_anon(CHUNKS * 2 * MIB).unwrap();
+        for chunk in 0..CHUNKS {
+            root.write_u64(addr + chunk * 2 * MIB, 0xBA5E_0000 + chunk)
+                .unwrap();
+        }
+        let root = Arc::new(root);
+        let violations = AtomicU64::new(0);
+
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let root = Arc::clone(&root);
+                let violations = &violations;
+                s.spawn(move || {
+                    let policies = [
+                        ForkPolicy::OnDemand,
+                        ForkPolicy::OnDemandHuge,
+                        ForkPolicy::Classic,
+                    ];
+                    for round in 0..9u64 {
+                        let policy = policies[(t + round) as usize % policies.len()];
+                        let child = root.fork_with(policy).expect("fork");
+                        for chunk in (t..CHUNKS).step_by(61).chain([CHUNKS - 1]) {
+                            let v = child.read_u64(addr + chunk * 2 * MIB).expect("read");
+                            if v != 0xBA5E_0000 + chunk {
+                                violations.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        let own = addr + ((t * 397 + round * 131) % CHUNKS) * 2 * MIB;
+                        child.write_u64(own, t * 1000 + round).expect("write");
+                        if child.read_u64(own).expect("read back") != t * 1000 + round {
+                            violations.fetch_add(1, Ordering::Relaxed);
+                        }
+                        child.exit();
+                    }
+                });
+            }
+        });
+        assert_eq!(violations.load(Ordering::Relaxed), 0, "isolation violated");
+        for chunk in 0..CHUNKS {
+            assert_eq!(
+                root.read_u64(addr + chunk * 2 * MIB).unwrap(),
+                0xBA5E_0000 + chunk
+            );
+        }
+    }
+    assert_pool_balanced(kernel.machine().pool(), baseline);
+    assert!(kernel.machine().store().is_empty(), "tables leaked");
+}
+
+#[test]
 fn snapshot_children_serialize_on_worker_threads() {
     // A store mutated by the owner thread while multiple forked children
     // serialize concurrently on other threads: every snapshot must be a
