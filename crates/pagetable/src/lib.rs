@@ -17,10 +17,13 @@
 //!   clearing one PMD entry bit.
 //! - [`Table`]: a 512-entry table of atomic entries. A `Table` is exactly
 //!   4 KiB, like the frame that backs it.
-//! - [`PtStore`]: the mapping from backing frame to table contents. Every
-//!   table is backed by a frame from the [`odf_pmem::FramePool`], so the
-//!   On-demand-fork shared-table reference counter lives in that frame's
-//!   `struct Page` — the paper's union trick (§4).
+//! - [`TableSlots`]: each table frame's contents, found by frame index —
+//!   the direct map of the simulation. Every table is backed by a frame
+//!   from the [`odf_pmem::FramePool`], so the On-demand-fork shared-table
+//!   reference counter lives in that frame's `struct Page` (the paper's
+//!   union trick, §4) and the contents in the slot the frame's index
+//!   entry names. Slots are type-stable and carry a generation, so
+//!   lockless walkers validate what they read instead of pinning tables.
 //! - [`Level`]: the level lattice with spans and child relationships.
 
 #![forbid(unsafe_code)]
@@ -28,13 +31,13 @@
 mod addr;
 mod entry;
 mod level;
-mod store;
+mod slots;
 mod table;
 
 pub use addr::VirtAddr;
 pub use entry::{Entry, EntryFlags};
 pub use level::Level;
-pub use store::PtStore;
+pub use slots::{Found, TableSlot, TableSlots};
 pub use table::{Table, ENTRIES_PER_TABLE};
 
 /// Bytes mapped by one last-level (PTE) table: 2 MiB.

@@ -135,6 +135,13 @@ impl Table {
         n
     }
 
+    /// Zeroes every entry, for a frame that becomes a table again.
+    pub fn zero(&self) {
+        for e in &self.entries {
+            e.store(0, Ordering::Release);
+        }
+    }
+
     /// Clears the writable bit of every present entry.
     ///
     /// This models the per-entry write-protection sweep that classic fork

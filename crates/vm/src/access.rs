@@ -220,7 +220,7 @@ impl Mm {
         {
             return Err(VmError::Fault { addr, write });
         }
-        let machine = self.machine().clone();
+        let machine = self.machine();
         let mut done = 0usize;
         while done < len {
             let va = VirtAddr::new(addr + done as u64);
@@ -237,55 +237,62 @@ impl Mm {
                     });
                 }
                 let inner = self.inner.read();
-                if let Some(t) = walk::translate(&machine, inner.pgd, va, write) {
-                    debug_assert!(
-                        t.writable || !write,
-                        "walker permitted a write without effective write permission"
-                    );
-                    // Pin the frame for the duration of `op` (GUP-fast).
-                    // Faults run under the shared lock, so a sibling
-                    // thread's COW can swap this PTE and drop its
-                    // reference concurrently with the other sharing
-                    // process dropping its own — without a pin the frame
-                    // could reach refcount zero and be recycled while
-                    // `op` is still copying. Take a reference unless the
-                    // page is already dead, then re-walk and require the
-                    // same frame with the same compound head: a changed
-                    // walk means the pin landed after the translation was
-                    // invalidated, so drop it and re-translate.
-                    let pool = machine.pool();
-                    let head = pool.compound_head(t.frame);
-                    if pool.try_ref_inc(head) {
-                        let live =
-                            walk::translate(&machine, inner.pgd, va, write).is_some_and(|t2| {
-                                t2.frame == t.frame && pool.compound_head(t2.frame) == head
-                            });
-                        if live {
-                            op(t.frame, page_off, done..done + piece, pool);
+                match walk::translate(machine, inner.pgd, va, write) {
+                    Ok(Some(t)) => {
+                        debug_assert!(
+                            t.writable || !write,
+                            "walker permitted a write without effective write permission"
+                        );
+                        // Pin the frame for the duration of `op` (GUP-fast).
+                        // Faults run under the shared lock, so a sibling
+                        // thread's COW can swap this PTE and drop its
+                        // reference concurrently with the other sharing
+                        // process dropping its own — without a pin the frame
+                        // could reach refcount zero and be recycled while
+                        // `op` is still copying. Take a reference unless the
+                        // page is already dead, then re-walk and require the
+                        // same frame with the same compound head: a changed
+                        // walk means the pin landed after the translation was
+                        // invalidated, so drop it and re-translate.
+                        let pool = machine.pool();
+                        let head = pool.compound_head(t.frame);
+                        if pool.try_ref_inc(head) {
+                            let live = matches!(
+                                walk::translate(machine, inner.pgd, va, write),
+                                Ok(Some(t2)) if t2.frame == t.frame
+                                    && pool.compound_head(t2.frame) == head
+                            );
+                            if live {
+                                op(t.frame, page_off, done..done + piece, pool);
+                                pool.ref_dec(head);
+                                break;
+                            }
                             pool.ref_dec(head);
-                            break;
                         }
-                        pool.ref_dec(head);
                     }
-                    // Benign race: a concurrent COW invalidated the
-                    // translation between the walk and the pin. Counted
-                    // against the retry bound so a buggy walk cannot spin
-                    // forever, but no fault handler runs — the next
-                    // iteration simply re-translates.
-                    VmStats::bump(&machine.stats().access_pin_retries);
-                    stalled += 1;
-                    continue;
+                    // A table the walk read was freed or re-pointed meanwhile.
+                    Err(walk::Raced) => {}
+                    Ok(None) => {
+                        if faults > 0 {
+                            VmStats::bump(&machine.stats().fault_retries);
+                        }
+                        faults += 1;
+                        VmStats::bump(&machine.stats().faults_shared_lock);
+                        if handler(machine, &inner, va, write)? == FaultKind::Spurious {
+                            stalled += 1;
+                        } else {
+                            stalled = 0;
+                        }
+                        continue;
+                    }
                 }
-                if faults > 0 {
-                    VmStats::bump(&machine.stats().fault_retries);
-                }
-                faults += 1;
-                VmStats::bump(&machine.stats().faults_shared_lock);
-                if handler(&machine, &inner, va, write)? == FaultKind::Spurious {
-                    stalled += 1;
-                } else {
-                    stalled = 0;
-                }
+                // Benign race: a concurrent COW invalidated the
+                // translation between the walk and the pin, or a table
+                // the walk read. Counted against the retry bound so a
+                // buggy walk cannot spin forever, but no fault handler
+                // runs — the next iteration simply re-translates.
+                VmStats::bump(&machine.stats().access_pin_retries);
+                stalled += 1;
             }
             done += piece;
         }

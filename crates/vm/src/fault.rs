@@ -31,7 +31,6 @@
 //! transient over-protection self-heals on retry.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use odf_pagetable::{Entry, EntryFlags, Level, Table, VirtAddr, ENTRIES_PER_TABLE};
 use odf_pmem::{FrameId, PageKind, PAGE_SIZE};
@@ -201,7 +200,7 @@ fn try_handle(
         *counted = true;
     }
 
-    let mut cursor = PmdCursor::new(machine, inner.pgd);
+    let cursor = PmdCursor::new(machine, inner.pgd);
     let pmd = cursor.slot_create(va)?;
     // Huge-page extension (§4): the PMD table itself may be shared. A
     // read of a present entry proceeds through it (accessed bits only);
@@ -238,36 +237,51 @@ fn try_handle(
     // 4 KiB path. Resolve (or create) the PTE table, without touching
     // sharing state yet.
     let idx = va.index(Level::Pte);
-    let Some((table_frame, table)) = resolve_table(machine, &pmd, e)? else {
+    let Some(reach) = resolve_table(machine, &pmd, e)? else {
         lock_retry(LockSite::PmdInstall);
         return Ok(Outcome::Raced);
     };
+    let (table_frame, table) = (reach.frame, reach.table);
+    // Up to here the walk was lockless: the PTE table (and, for a read
+    // through a PMD table the §4 extension shares, the PMD table too) may
+    // have been freed and reused since it was reached.
+    let path = [pmd.reach(), reach];
     let shared = machine.pool().pt_share_count(table_frame) > 1;
-    if shared && !write && table.load(idx).is_present() {
-        // Read of a present PTE through the shared table: only the
-        // accessed bit is touched, which §3.2 permits.
-        table.fetch_set(idx, EntryFlags::ACCESSED);
-        return Ok(Outcome::Done(kind));
+    if shared && !write {
+        let pte = table.load(idx);
+        if pte.is_present() {
+            // Read of a present PTE through the shared table: only the
+            // accessed bit is touched, which §3.2 permits.
+            if !walk::set_bits(&path, table, idx, pte, EntryFlags::ACCESSED) {
+                return Ok(Outcome::Raced);
+            }
+            return Ok(Outcome::Done(kind));
+        }
     }
     // Any structural change to a shared table — a write, or inserting a
     // missing PTE (populating a shared table would leak the mapping into
     // every sharer) — needs a dedicated copy first (§3.4); a write through
     // a table whose sharers have all left restores its write permission.
+    // `take` revalidates under the table's split lock. A table that is
+    // not shared is this process's own once the walk to it holds, and
+    // only this process's exclusive operations free it.
     let (table_frame, table) = if shared || (write && !pmd.load().is_writable()) {
         match share::take(machine, Slot::pte_table(&pmd, table_frame), |_| {
             Policy::Copy
         })? {
             Take::Owned(None) => (table_frame, table),
             Take::Owned(Some(owned)) => {
-                if owned.0 != table_frame {
+                if owned.frame != table_frame {
                     kind = stronger(kind, FaultKind::TableCow);
                 }
-                owned
+                (owned.frame, owned.table)
             }
             _ => return Ok(Outcome::Raced),
         }
-    } else {
+    } else if walk::holds(&path) {
         (table_frame, table)
+    } else {
+        return Ok(Outcome::Raced);
     };
 
     let mut pte = table.load(idx);
@@ -292,7 +306,7 @@ fn try_handle(
             // into the prepared frame (swap entries only occur in
             // anonymous VMAs, so `prepared` is a fresh anonymous frame).
             *swapped_slot = Some(u64::from(pte.swap_slot()));
-            pte = swap_in(machine, inner, &vma, &table, idx, pte, prepared.frame());
+            pte = swap_in(machine, inner, &vma, table, idx, pte, prepared.frame());
             kind = stronger(kind, FaultKind::SwapIn);
         } else if !pte.is_present() {
             VmStats::bump(&machine.stats().faults_demand);
@@ -307,7 +321,7 @@ fn try_handle(
     }
 
     if write && !pte.is_writable() {
-        match cow_or_enable_write(machine, &vma, &pmd, &table, table_frame, idx)? {
+        match cow_or_enable_write(machine, &vma, &pmd, table, table_frame, idx)? {
             Outcome::Done(k) => kind = stronger(kind, k),
             Outcome::Raced => return Ok(Outcome::Raced),
         }
@@ -371,7 +385,7 @@ fn swap_in(
     machine: &Machine,
     inner: &MmInner,
     vma: &Vma,
-    table: &Arc<Table>,
+    table: &Table,
     idx: usize,
     pte: Entry,
     frame: FrameId,
@@ -408,7 +422,7 @@ fn cow_or_enable_write(
     machine: &Machine,
     vma: &Vma,
     pmd: &PmdSlot,
-    table: &Arc<Table>,
+    table: &Table,
     table_frame: FrameId,
     idx: usize,
 ) -> Result<Outcome> {
@@ -586,7 +600,12 @@ fn huge_cow(machine: &Machine, vma: &Vma, pmd: &PmdSlot, write: bool) -> Result<
         }
         bits |= EntryFlags::DIRTY | EntryFlags::SOFT_DIRTY;
     }
-    pmd.table.fetch_set(pmd.idx, bits);
+    // A read did not take the lock: the PMD table may be one the §4
+    // extension shares, reached without a lock that keeps it.
+    let e = pmd.load();
+    if e.is_present() && !walk::set_bits(&[pmd.reach()], pmd.table, pmd.idx, e, bits) {
+        return Ok(Outcome::Raced);
+    }
     Ok(Outcome::Done(kind))
 }
 
@@ -613,7 +632,7 @@ pub(crate) fn populate(
         .add(1)
         .page_align_up()
         .as_u64();
-    let mut cursor = PmdCursor::new(machine, inner.pgd);
+    let cursor = PmdCursor::new(machine, inner.pgd);
     let mut at = start;
     // One VMA piece at a time (ranges can span VMAs); the first hole or
     // forbidden VMA fails the call, with the pages before it populated.
@@ -651,7 +670,7 @@ pub(crate) fn populate(
                             && e.is_writable()
                             && machine.pool().pt_share_count(e.frame()) == 1);
                     if fast {
-                        resolve_table(machine, &pmd, e)?.map(|(_, t)| t)
+                        resolve_table(machine, &pmd, e)?.map(|reach| reach.table)
                     } else {
                         None
                     }
@@ -691,6 +710,7 @@ mod tests {
     use super::*;
     use crate::mm::Mm;
     use crate::vma::MapParams;
+    use std::sync::Arc;
 
     /// A fault that arrives at `fault_in_huge` after a concurrent fault
     /// already installed a satisfying huge translation must finish the
@@ -709,7 +729,7 @@ mod tests {
         let inner = mm.inner.read();
         let va = VirtAddr::new(addr);
         let vma = inner.vmas.find(addr).unwrap().clone();
-        let mut cursor = PmdCursor::new(&machine, inner.pgd);
+        let cursor = PmdCursor::new(&machine, inner.pgd);
         let pmd = cursor.slot(va).unwrap();
         assert!(pmd.load().is_present() && pmd.load().is_huge());
 
@@ -755,18 +775,16 @@ mod tests {
         let inner = mm.inner.read();
         let va = VirtAddr::new(addr);
         let vma = inner.vmas.find(addr).unwrap().clone();
-        let mut cursor = PmdCursor::new(&machine, inner.pgd);
+        let cursor = PmdCursor::new(&machine, inner.pgd);
         let stale = cursor.slot(va).unwrap();
         // Simulate the concurrent COW: repoint the PUD entry at a copy.
-        let (new_frame, new_table) = share::cow_table(&machine, &stale.table, Level::Pmd).unwrap();
+        let (new_frame, new_table) = share::cow_table(&machine, stale.table, Level::Pmd).unwrap();
         stale.store_pud(Entry::table(new_frame));
 
         // The unlocked fast path must not hand the stale slot back even
         // though its table's share count is 1 and the (replaced) PUD entry
         // is writable — the entry no longer references this table.
-        assert!(share::own_pmd_table(&machine, stale.clone())
-            .unwrap()
-            .is_none());
+        assert!(share::own_pmd_table(&machine, stale).unwrap().is_none());
         assert!(matches!(
             fault_in_huge(&machine, &inner, &vma, &stale, true).unwrap(),
             Outcome::Raced

@@ -217,10 +217,8 @@ fn copy_all(
     tally: &mut ForkTally,
     scratch: &mut ForkScratch,
 ) -> Result<()> {
-    // One cursor per tree for the whole fork: the upper tables are
-    // resolved once per 1 GiB span, not once per chunk.
-    let mut parent_cursor = PmdCursor::new(machine, parent.pgd);
-    let mut child_cursor = PmdCursor::new(machine, child.pgd);
+    let parent_cursor = PmdCursor::new(machine, parent.pgd);
+    let child_cursor = PmdCursor::new(machine, child.pgd);
     // Iterate VMAs in address order, chunked at PTE-table (2 MiB) spans.
     let mut copied = Ok(());
     'vmas: for vma in parent.vmas.iter() {
@@ -231,7 +229,7 @@ fn copy_all(
             copied = copy_chunk(
                 machine,
                 &parent_pmd,
-                &mut child_cursor,
+                &child_cursor,
                 policy,
                 vma,
                 c,
@@ -255,7 +253,7 @@ fn copy_all(
 fn copy_chunk(
     machine: &Machine,
     parent_pmd: &PmdSlot,
-    child: &mut PmdCursor,
+    child: &PmdCursor,
     policy: ForkPolicy,
     vma: &crate::vma::Vma,
     c: Chunk,
@@ -291,7 +289,7 @@ fn copy_chunk(
 /// 512 per-huge-page copies. Returns whether the chunk was handled.
 fn try_share_pmd_table(
     machine: &Machine,
-    child: &mut PmdCursor,
+    child: &PmdCursor,
     parent_pmd: &PmdSlot,
     at: VirtAddr,
     tally: &mut ForkTally,
@@ -330,7 +328,7 @@ fn try_share_pmd_table(
 /// On-demand-fork sharing of one last-level table (§3.1, §3.5).
 fn share_pte_table(
     machine: &Machine,
-    child: &mut PmdCursor,
+    child: &PmdCursor,
     parent_pmd: &PmdSlot,
     pe: Entry,
     at: VirtAddr,
@@ -366,7 +364,7 @@ fn share_pte_table(
 /// sub-range and write-protects the parent's entries one by one.
 fn copy_pte_range(
     machine: &Machine,
-    child: &mut PmdCursor,
+    child: &PmdCursor,
     vma: &crate::vma::Vma,
     parent_table_frame: FrameId,
     c: Chunk,
@@ -374,7 +372,7 @@ fn copy_pte_range(
     scratch: &mut ForkScratch,
 ) -> Result<()> {
     let pool = machine.pool();
-    let parent_table = machine.store().get(parent_table_frame);
+    let parent_table = machine.table(parent_table_frame);
     // If the parent's table is shared (a prior On-demand-fork), its
     // entries are read-only sources: the parent is already write-protected
     // through its PMD bit and the entries must not be mutated.
@@ -383,7 +381,7 @@ fn copy_pte_range(
     let child_pmd = child.slot_create(c.at)?;
     let ce = child_pmd.load();
     let child_table = if ce.is_present() {
-        machine.store().get(ce.frame())
+        machine.table(ce.frame())
     } else {
         let (frame, table) = machine.alloc_table()?;
         child_pmd.store(Entry::table(frame));
@@ -396,7 +394,7 @@ fn copy_pte_range(
     scratch.entries.clear();
     share::ref_entries(
         machine,
-        &parent_table,
+        parent_table,
         c.ptes(),
         &mut scratch.heads,
         |idx, pte| scratch.entries.push((idx, pte)),
@@ -424,7 +422,7 @@ fn copy_pte_range(
 /// classic way, §4 "Huge Page Support").
 fn copy_huge_entry(
     machine: &Machine,
-    child: &mut PmdCursor,
+    child: &PmdCursor,
     vma: &crate::vma::Vma,
     parent_pmd: &PmdSlot,
     pe: Entry,

@@ -15,7 +15,7 @@ use odf_pagetable::{Entry, EntryFlags, VirtAddr, ENTRIES_PER_TABLE};
 use odf_pmem::PAGE_SIZE;
 
 use crate::mm::Mm;
-use crate::walk::{self, PmdCursor, PmdSlot};
+use crate::walk::{self, PmdCursor, PmdSlot, Reach};
 
 /// Exact frame pin count of one address space: every physical frame
 /// reachable from its page tables, split by what the frame holds.
@@ -192,24 +192,23 @@ impl Mm {
         let inner = self.inner.read();
         let machine = self.machine();
         let pool = machine.pool();
-        let store = machine.store();
         let mut tables = 1u64; // the PGD itself
         let mut heads: HashSet<odf_pmem::FrameId> = HashSet::new();
-        let pgd = store.get(inner.pgd);
+        let pgd = machine.table(inner.pgd);
         for pgd_idx in 0..ENTRIES_PER_TABLE {
             let pud_e = pgd.load(pgd_idx);
             if !pud_e.is_present() {
                 continue;
             }
             tables += 1;
-            let pud = store.get(pud_e.frame());
+            let pud = machine.table(pud_e.frame());
             for pud_idx in 0..ENTRIES_PER_TABLE {
                 let pmd_e = pud.load(pud_idx);
                 if !pmd_e.is_present() {
                     continue;
                 }
                 tables += 1;
-                let pmd = store.get(pmd_e.frame());
+                let pmd = machine.table(pmd_e.frame());
                 for pmd_idx in 0..ENTRIES_PER_TABLE {
                     let e = pmd.load(pmd_idx);
                     if !e.is_present() {
@@ -220,7 +219,7 @@ impl Mm {
                         continue;
                     }
                     tables += 1;
-                    let pte_table = store.get(e.frame());
+                    let pte_table = machine.table(e.frame());
                     for pte_idx in 0..ENTRIES_PER_TABLE {
                         let pte = pte_table.load(pte_idx);
                         if pte.is_present() {
@@ -245,7 +244,7 @@ impl Mm {
         let machine = self.machine();
         let pool = machine.pool();
         let mut report = Smaps::default();
-        let mut cursor = PmdCursor::new(machine, inner.pgd);
+        let cursor = PmdCursor::new(machine, inner.pgd);
         for vma in inner.vmas.iter() {
             let mut e = SmapsEntry {
                 start: vma.start,
@@ -260,10 +259,18 @@ impl Mm {
                     continue;
                 };
                 let pe = pmd.load();
+                // The walk holds only the shared mm lock, so a sibling fault
+                // can COW a shared table and the old one can be freed and
+                // reused while it is read. A span whose walk does not hold
+                // afterwards is skipped — /proc/<pid>/smaps is the same kind
+                // of racy snapshot.
                 if !pe.is_present() {
                     continue;
                 }
                 if pe.is_huge() {
+                    if !walk::holds(&[pmd.reach()]) {
+                        continue;
+                    }
                     let bytes = c.end.as_u64() - c.at.as_u64();
                     let head = pool.compound_head(pe.frame());
                     let shared = pool.pt_share_count(pmd.frame) > 1 || pool.ref_count(head) > 1;
@@ -276,19 +283,14 @@ impl Mm {
                     }
                     continue;
                 }
-                let table_shared = pool.pt_share_count(pe.frame()) > 1;
-                if table_shared {
-                    e.shared_tables += 1;
-                }
-                // The walk holds only the shared mm lock, so a sibling fault
-                // can COW this slot and the old table can vanish between the
-                // entry read and the lookup. Skip the span mid-transition —
-                // /proc/<pid>/smaps is the same kind of racy snapshot.
-                let Some(table) = machine.store().try_get(pe.frame()) else {
+                let Ok(reach) = Reach::enter(machine, pmd.table, pmd.idx, pe) else {
                     continue;
                 };
+                let table_shared = pool.pt_share_count(reach.frame) > 1;
+                let before = e;
+                e.shared_tables += u64::from(table_shared);
                 for idx in c.ptes() {
-                    let pte = table.load(idx);
+                    let pte = reach.table.load(idx);
                     if pte.is_swap() {
                         e.swap += PAGE_SIZE as u64;
                         continue;
@@ -304,6 +306,9 @@ impl Mm {
                     } else {
                         e.private += PAGE_SIZE as u64;
                     }
+                }
+                if !walk::holds(&[pmd.reach(), reach]) {
+                    e = before;
                 }
             }
             report.entries.push(e);
@@ -325,21 +330,25 @@ impl Mm {
         let pool = machine.pool();
         let first = VirtAddr::new(start).page_align_down();
         let end = VirtAddr::new(start + len - 1).add(1).page_align_up();
-        let mut cursor = PmdCursor::new(machine, inner.pgd);
+        let cursor = PmdCursor::new(machine, inner.pgd);
         for c in walk::chunks(first.as_u64(), end.as_u64()) {
             let pmd = cursor.slot(c.at);
             let pe = pmd.as_ref().map_or(Entry::NONE, PmdSlot::load);
             let upper_writable =
                 pmd.is_some_and(|pmd| pmd.load_pud().is_writable()) && pe.is_writable();
             // Shared-mm-lock walk: the slot can be COWed (and the old
-            // table freed) between the entry read and this lookup. Report
-            // the span absent for this racy snapshot rather than panic.
-            let table = (pe.is_present() && !pe.is_huge())
-                .then(|| machine.store().try_get(pe.frame()))
-                .flatten();
-            for idx in c.ptes() {
-                let pte = match &table {
-                    Some(table) => table.load(idx),
+            // table freed and reused) while it is read. Report the span
+            // absent for this racy snapshot if the walk did not hold.
+            let table = match pmd {
+                Some(pmd) if pe.is_present() && !pe.is_huge() => {
+                    Reach::enter(machine, pmd.table, pmd.idx, pe).ok()
+                }
+                _ => None,
+            };
+            let mut ptes: Vec<Entry> = c
+                .ptes()
+                .map(|idx| match &table {
+                    Some(reach) => reach.table.load(idx),
                     // Each 4 KiB piece of a huge mapping reads as a PTE
                     // mapping its sub-frame.
                     None if pe.is_present() && pe.is_huge() => {
@@ -347,7 +356,12 @@ impl Mm {
                             .with_set(pe.0 & EntryFlags::SOFT_DIRTY)
                     }
                     None => Entry::NONE,
-                };
+                })
+                .collect();
+            if !pmd.is_none_or(|pmd| pmd.reach().holds() && table.is_none_or(|r| r.holds())) {
+                ptes.fill(Entry::NONE);
+            }
+            for (idx, pte) in c.ptes().zip(ptes) {
                 out.push(PagemapEntry {
                     va: c.va(idx).as_u64(),
                     present: pte.is_present(),

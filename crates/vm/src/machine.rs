@@ -1,8 +1,8 @@
-//! The simulated machine: shared physical memory, table store, and stats.
+//! The simulated machine: shared physical memory, table slots, and stats.
 
 use std::sync::{Arc, Weak};
 
-use odf_pagetable::{PtStore, Table};
+use odf_pagetable::{Table, TableSlots};
 use odf_pmem::{FrameId, FramePool, PageKind, SwapMap};
 use parking_lot::{Mutex, MutexGuard};
 
@@ -23,12 +23,12 @@ const DIRECT_RECLAIM_BATCH: usize = 32;
 /// The shared state of one simulated machine.
 ///
 /// Every process ([`Mm`](crate::Mm)) of the same machine shares the frame
-/// pool, the page-table store (required for cross-process table sharing),
+/// pool, the page-table slots (required for cross-process table sharing),
 /// the VM statistics, and the PMD lock stripes that model the kernel's
 /// split page-table locks.
 pub struct Machine {
     pool: Arc<FramePool>,
-    store: PtStore,
+    tables: TableSlots,
     stats: VmStats,
     /// Striped locks standing in for the kernel's split page-table
     /// spinlocks (per-PMD `page->ptl`).
@@ -72,8 +72,8 @@ impl Machine {
     /// tier (compressed in-memory or file-backed).
     pub fn with_swap(pool: Arc<FramePool>, swap: SwapMap) -> Arc<Self> {
         Arc::new(Self {
+            tables: TableSlots::new(pool.total_frames()),
             pool,
-            store: PtStore::new(),
             stats: VmStats::default(),
             pmd_locks: (0..SPLIT_LOCK_STRIPES).map(|_| Mutex::new(())).collect(),
             files: Mutex::new(Vec::new()),
@@ -87,9 +87,26 @@ impl Machine {
         &self.pool
     }
 
-    /// The page-table store.
-    pub fn store(&self) -> &PtStore {
-        &self.store
+    /// The table in `frame`, for a walker whose locks keep it alive: the
+    /// mm lock, exclusive or (for this process's own unshared tables)
+    /// shared, or the split lock under which the entry naming it was
+    /// revalidated. A lockless walker goes through `walk::Reach` instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` never held a table.
+    pub fn table(&self, frame: FrameId) -> &Table {
+        self.tables.get(frame)
+    }
+
+    /// The table slots, for the lockless walkers' validation in `walk.rs`.
+    pub(crate) fn slots(&self) -> &TableSlots {
+        &self.tables
+    }
+
+    /// Number of live page tables, over every process (for leak checks).
+    pub fn live_tables(&self) -> usize {
+        self.tables.live()
     }
 
     /// Virtual-memory operation counters.
@@ -165,22 +182,23 @@ impl Machine {
         self.pmd_locks[table_frame.index() & (SPLIT_LOCK_STRIPES - 1)].try_lock()
     }
 
-    /// Allocates a page-table frame and registers an empty table for it.
-    pub(crate) fn alloc_table(&self) -> Result<(FrameId, Arc<Table>)> {
+    /// Allocates a page-table frame and makes its slot a live, empty
+    /// table. One of the two writers of a slot.
+    pub(crate) fn alloc_table(&self) -> Result<(FrameId, &Table)> {
         let frame = self.retry_after_reclaim(|| self.pool.alloc_page_table())?;
-        let table = Arc::new(Table::new());
-        self.store.insert(frame, Arc::clone(&table));
-        Ok((frame, table))
+        Ok((frame, self.tables.claim(frame)))
     }
 
-    /// Frees a page-table frame and drops its table.
+    /// Frees a page-table frame, bumping its slot's generation so that a
+    /// lockless walker still reading it sees a raced walk. The other
+    /// writer of a slot.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) if the frame's refcount does not drop to
     /// zero — table frames are owned exclusively by the paging tree.
     pub(crate) fn free_table(&self, frame: FrameId) {
-        self.store.remove(frame);
+        self.tables.release(frame);
         let freed = self.pool.ref_dec(frame);
         debug_assert!(freed, "page-table frame {frame:?} still referenced");
     }
@@ -273,10 +291,10 @@ mod tests {
     fn alloc_table_registers_in_store() {
         let m = Machine::new(1 << 20);
         let (f, t) = m.alloc_table().unwrap();
-        assert!(Arc::ptr_eq(&m.store().get(f), &t));
+        assert!(std::ptr::eq(m.table(f), t));
         assert_eq!(m.pool().pt_share_count(f), 1);
         m.free_table(f);
-        assert!(m.store().is_empty());
+        assert_eq!(m.live_tables(), 0);
         assert_eq!(m.pool().free_frames(), m.pool().total_frames());
     }
 

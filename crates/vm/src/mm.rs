@@ -133,7 +133,7 @@ impl MmInner {
     }
 
     fn free_upper(machine: &Machine, table_frame: FrameId, level: Level) {
-        let table = machine.store().get(table_frame);
+        let table = machine.table(table_frame);
         if level != Level::Pmd {
             for (_, e) in table.iter_present() {
                 Self::free_upper(machine, e.frame(), level.child().expect("non-leaf"));
@@ -355,7 +355,7 @@ impl Mm {
     pub fn resolve(&self, addr: u64) -> Option<FrameId> {
         let inner = self.inner.read();
         let va = VirtAddr::new(addr);
-        let mut cursor = PmdCursor::new(&self.machine, inner.pgd);
+        let cursor = PmdCursor::new(&self.machine, inner.pgd);
         let slot = cursor.slot(va)?;
         let e = slot.load();
         if !e.is_present() {
@@ -364,11 +364,7 @@ impl Mm {
         if e.is_huge() {
             return Some(e.frame().offset(va.index(Level::Pte)));
         }
-        let pte = self
-            .machine
-            .store()
-            .get(e.frame())
-            .load(va.index(Level::Pte));
+        let pte = self.machine.table(e.frame()).load(va.index(Level::Pte));
         pte.is_present().then(|| pte.frame())
     }
 
@@ -376,7 +372,7 @@ impl Mm {
     /// tests to observe sharing state).
     pub fn pmd_entry(&self, addr: u64) -> Option<Entry> {
         let inner = self.inner.read();
-        let mut cursor = PmdCursor::new(&self.machine, inner.pgd);
+        let cursor = PmdCursor::new(&self.machine, inner.pgd);
         let slot = cursor.slot(VirtAddr::new(addr))?;
         let e = slot.load();
         e.is_present().then_some(e)
@@ -477,7 +473,7 @@ mod tests {
         assert!(m.pool().free_frames() < free_before);
         drop(mm);
         assert_eq!(m.pool().free_frames(), free_before);
-        assert!(m.store().is_empty());
+        assert_eq!(m.live_tables(), 0);
     }
 
     #[test]

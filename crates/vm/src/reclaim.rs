@@ -146,7 +146,7 @@ impl Mm {
         // after) the hand, giving clock semantics across VMAs.
         let pivot = ranges.partition_point(|&(_, end)| end <= hand);
         let ordered = ranges[pivot..].iter().chain(ranges[..pivot].iter());
-        let mut cursor = PmdCursor::new(machine, inner.pgd);
+        let cursor = PmdCursor::new(machine, inner.pgd);
 
         'scan: for &(start, end) in ordered {
             let from = if (start..end).contains(&hand) {
@@ -237,7 +237,7 @@ impl Mm {
         if pool.pt_share_count(table_frame) > 1 {
             return;
         }
-        let table = machine.store().get(table_frame);
+        let table = machine.table(table_frame);
 
         for idx in c.ptes() {
             if stats.evicted as usize >= max_evict {
@@ -265,7 +265,7 @@ impl Mm {
                     stats.cleared += 1;
                 }
                 EvictDecision::Evict => {
-                    if evict_one(machine, inner, &table, idx, pte, frame) {
+                    if evict_one(machine, inner, table, idx, pte, frame) {
                         stats.evicted += 1;
                     } else {
                         stats.skipped += 1;

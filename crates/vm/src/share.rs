@@ -8,7 +8,6 @@
 //! DESIGN.md §4.1 "The ownership protocol" lists the callers and policies.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use odf_pagetable::{Entry, EntryFlags, Level, Table, ENTRIES_PER_TABLE};
 use odf_pmem::FrameId;
@@ -17,7 +16,7 @@ use odf_trace::LockSite;
 use crate::error::Result;
 use crate::machine::Machine;
 use crate::stats::VmStats;
-use crate::walk::{self, PmdSlot};
+use crate::walk::{self, PmdSlot, Reach};
 
 /// An entry in an upper table that references a lower table a fork may
 /// have shared: a PMD entry and its PTE table, or a PUD entry and its PMD
@@ -37,9 +36,9 @@ pub(crate) struct Slot<'a> {
 
 impl<'a> Slot<'a> {
     /// The PMD entry of `pmd`, which referenced the PTE table in `frame`.
-    pub fn pte_table(pmd: &'a PmdSlot<'_>, frame: FrameId) -> Self {
+    pub fn pte_table(pmd: &PmdSlot<'a>, frame: FrameId) -> Self {
         Slot {
-            upper: &pmd.table,
+            upper: pmd.table,
             idx: pmd.idx,
             frame,
             level: Level::Pte,
@@ -47,7 +46,7 @@ impl<'a> Slot<'a> {
     }
 
     /// The PUD entry referencing `pmd`'s PMD table.
-    pub fn pmd_table(pmd: &'a PmdSlot<'_>) -> Self {
+    pub fn pmd_table(pmd: &PmdSlot<'a>) -> Self {
         Slot {
             upper: pmd.pud_table,
             idx: pmd.pud_idx,
@@ -74,12 +73,12 @@ pub(crate) enum Policy {
 }
 
 /// The outcome of [`take`].
-pub(crate) enum Take {
+pub(crate) enum Take<'m> {
     /// The table is this process's alone and the slot writable: the
     /// caller's own (`None`, seen without locking), or the one the slot
     /// references now (`Some`: the original after its count collapsed to
     /// 1, or the copy that replaced it).
-    Owned(Option<(FrameId, Arc<Table>)>),
+    Owned(Option<Reach<'m>>),
     /// The share was dropped; `present` entries were this process's.
     Released { present: usize },
     /// Still shared, untouched ([`Policy::Leave`]).
@@ -97,23 +96,23 @@ pub(crate) enum Take {
 /// racing on 2 end with one copy and one owner, never two decrements.
 /// Fails only when a copy cannot be allocated.
 #[inline]
-pub(crate) fn take(
-    machine: &Machine,
-    slot: Slot<'_>,
+pub(crate) fn take<'m>(
+    machine: &'m Machine,
+    slot: Slot<'m>,
     policy: impl FnOnce(&Table) -> Policy,
-) -> Result<Take> {
+) -> Result<Take<'m>> {
     take_racing(machine, slot, policy, || ())
 }
 
 /// [`take`], running `racer` between the unlocked check and the lock: the
 /// window the unit tests stage races in.
 #[inline]
-fn take_racing(
-    machine: &Machine,
-    slot: Slot<'_>,
+fn take_racing<'m>(
+    machine: &'m Machine,
+    slot: Slot<'m>,
     policy: impl FnOnce(&Table) -> Policy,
     racer: impl FnOnce(),
-) -> Result<Take> {
+) -> Result<Take<'m>> {
     let e = slot.upper.load(slot.idx);
     if slot.references(e) && e.is_writable() && machine.pool().pt_share_count(slot.frame) == 1 {
         return Ok(Take::Owned(None));
@@ -122,11 +121,11 @@ fn take_racing(
     take_locked(machine, slot, policy)
 }
 
-fn take_locked(
-    machine: &Machine,
-    slot: Slot<'_>,
+fn take_locked<'m>(
+    machine: &'m Machine,
+    slot: Slot<'m>,
     policy: impl FnOnce(&Table) -> Policy,
-) -> Result<Take> {
+) -> Result<Take<'m>> {
     let pool = machine.pool();
     let _guard = machine.split_lock(slot.frame);
     let e = slot.upper.load(slot.idx);
@@ -137,7 +136,7 @@ fn take_locked(
         });
         return Ok(Take::Raced);
     }
-    let table = machine.store().get(slot.frame);
+    let table = machine.table(slot.frame);
     if pool.pt_share_count(slot.frame) == 1 {
         // §3.4: "both the previously shared table and the new table become
         // dedicated". A former sharer's copy may still co-reference these
@@ -146,9 +145,9 @@ fn take_locked(
             table.wrprotect_all();
             slot.upper.fetch_set(slot.idx, EntryFlags::WRITABLE);
         }
-        return Ok(Take::Owned(Some((slot.frame, table))));
+        return Ok(Take::Owned(Some(held(machine, slot, e))));
     }
-    Ok(match policy(&table) {
+    Ok(match policy(table) {
         Policy::Leave => Take::StillShared,
         Policy::Release => {
             let present = table.count_present();
@@ -157,22 +156,27 @@ fn take_locked(
             Take::Released { present }
         }
         Policy::Copy => {
-            let copy = cow_table(machine, &table, slot.level)?;
+            let (copy, _) = cow_table(machine, table, slot.level)?;
             pool.pt_share_dec(slot.frame);
-            slot.upper.store(slot.idx, Entry::table(copy.0));
-            Take::Owned(Some(copy))
+            slot.upper.store(slot.idx, Entry::table(copy));
+            Take::Owned(Some(held(machine, slot, Entry::table(copy))))
         }
     })
+}
+
+/// The table `slot`'s entry names as `e`, under the split lock.
+fn held<'m>(machine: &'m Machine, slot: Slot<'m>, e: Entry) -> Reach<'m> {
+    Reach::enter(machine, slot.upper, slot.idx, e).expect("the split lock keeps the entry")
 }
 
 /// [`take`] with [`Policy::Copy`] on the PUD entry above `pmd`: `pmd`
 /// through a PMD table it may modify, or `None` if raced. Inlined: on the
 /// fault path an unshared, writable PMD table costs a few loads.
 #[inline]
-pub(crate) fn own_pmd_table<'t>(
-    machine: &Machine,
-    pmd: PmdSlot<'t>,
-) -> Result<Option<PmdSlot<'t>>> {
+pub(crate) fn own_pmd_table<'m>(
+    machine: &'m Machine,
+    pmd: PmdSlot<'m>,
+) -> Result<Option<PmdSlot<'m>>> {
     Ok(
         match take(machine, Slot::pmd_table(&pmd), |_| Policy::Copy)? {
             Take::Owned(None) => Some(pmd),
@@ -187,11 +191,11 @@ pub(crate) fn own_pmd_table<'t>(
 /// the references classic fork would have taken, then write-protection so
 /// each page faults before its first write. Caller holds `src`'s split
 /// lock.
-pub(crate) fn cow_table(
-    machine: &Machine,
+pub(crate) fn cow_table<'m>(
+    machine: &'m Machine,
     src: &Table,
     level: Level,
-) -> Result<(FrameId, Arc<Table>)> {
+) -> Result<(FrameId, &'m Table)> {
     let stats = machine.stats();
     VmStats::bump(match level {
         Level::Pmd => &stats.cow_pmd_table_copies,
@@ -200,7 +204,7 @@ pub(crate) fn cow_table(
     let (frame, table) = machine.alloc_table()?;
     table.copy_from(src);
     let heads = &mut Vec::with_capacity(ENTRIES_PER_TABLE);
-    ref_entries(machine, &table, 0..ENTRIES_PER_TABLE, heads, |_, _| ());
+    ref_entries(machine, table, 0..ENTRIES_PER_TABLE, heads, |_, _| ());
     table.wrprotect_all();
     Ok((frame, table))
 }
@@ -241,6 +245,7 @@ mod tests {
 
     use super::*;
     use odf_pmem::{assert_pool_balanced, PageKind, PoolBalance, PAGE_SIZE};
+    use std::sync::Arc;
 
     /// Index of the slot under test in both upper tables.
     const IDX: usize = 5;
@@ -349,9 +354,9 @@ mod tests {
         machine: Arc<Machine>,
         baseline: PoolBalance,
         level: Level,
-        ours: Arc<Table>,
-        theirs: Arc<Table>,
-        upper_frames: [FrameId; 2],
+        /// Our upper table's frame, and the other sharer's.
+        ours: FrameId,
+        theirs: FrameId,
         original: FrameId,
         /// The mapped pages (compound heads at the PMD level).
         pages: Vec<FrameId>,
@@ -362,8 +367,8 @@ mod tests {
         fn new(level: Level, state: State) -> World {
             let machine = Machine::new(16 << 20);
             let baseline = machine.pool().balance();
-            let (ours_frame, ours) = machine.alloc_table().unwrap();
-            let (theirs_frame, theirs) = machine.alloc_table().unwrap();
+            let (ours, our_table) = machine.alloc_table().unwrap();
+            let (theirs, their_table) = machine.alloc_table().unwrap();
             let (original, lower) = machine.alloc_table().unwrap();
             let mut pages = Vec::new();
             let mut swap_slot = None;
@@ -384,12 +389,12 @@ mod tests {
                 }
             }
             if let One = state {
-                ours.store(IDX, Entry::table(original));
+                our_table.store(IDX, Entry::table(original));
             } else {
                 machine.pool().pt_share_inc(original);
                 let shared = Entry::table(original).with_cleared(EntryFlags::WRITABLE);
-                ours.store(IDX, shared);
-                theirs.store(IDX, shared);
+                our_table.store(IDX, shared);
+                their_table.store(IDX, shared);
             }
             World {
                 machine,
@@ -397,7 +402,6 @@ mod tests {
                 level,
                 ours,
                 theirs,
-                upper_frames: [ours_frame, theirs_frame],
                 original,
                 pages,
                 swap_slot,
@@ -407,15 +411,15 @@ mod tests {
         /// The other sharer leaves: drops its share and clears its slot.
         fn other_sharer_leaves(&self) {
             self.machine.pool().pt_share_dec(self.original);
-            self.theirs.store(IDX, Entry::NONE);
+            self.machine.table(self.theirs).store(IDX, Entry::NONE);
         }
 
         /// A sibling thread of our process COWs our slot away.
         fn sibling_copies(&self) {
             let m = &self.machine;
-            let (copy, _) = cow_table(m, &m.store().get(self.original), self.level).unwrap();
+            let (copy, _) = cow_table(m, m.table(self.original), self.level).unwrap();
             m.pool().pt_share_dec(self.original);
-            self.ours.store(IDX, Entry::table(copy));
+            m.table(self.ours).store(IDX, Entry::table(copy));
         }
 
         fn run(&self, state: State, policy: Policy) -> Got {
@@ -423,7 +427,7 @@ mod tests {
                 self.sibling_copies();
             }
             let slot = Slot {
-                upper: &self.ours,
+                upper: self.machine.table(self.ours),
                 idx: IDX,
                 frame: self.original,
                 level: self.level,
@@ -435,7 +439,7 @@ mod tests {
             };
             match take_racing(&self.machine, slot, |_| policy, racer).unwrap() {
                 Take::Owned(None) => Same,
-                Take::Owned(Some((f, _))) if f == self.original => Same,
+                Take::Owned(Some(owned)) if owned.frame == self.original => Same,
                 Take::Owned(Some(_)) => Copied,
                 Take::Released { present } => {
                     assert_eq!(present, self.pages.len(), "released entries");
@@ -461,19 +465,18 @@ mod tests {
                 let refs = u32::from(self.machine.swap().ref_count(slot));
                 assert_eq!(refs, row.refs, "{ctx}: swap slot refcount");
             }
-            let e = self.ours.load(IDX);
+            let e = self.machine.table(self.ours).load(IDX);
             let target = match e {
                 e if !e.is_present() => Cleared,
                 e if e.frame() == self.original => Original(e.is_writable()),
                 e => NewTable(e.is_writable()),
             };
             assert_eq!(target, row.target, "{ctx}: slot afterwards");
-            let store = self.machine.store();
-            let original = store.get(self.original);
+            let original = self.machine.table(self.original);
             if let NewTable(_) = target {
                 // A copy maps the original's pages, all write-protected.
                 assert_eq!(pool.pt_share_count(e.frame()), 1, "{ctx}: copy share count");
-                let copy = store.get(e.frame());
+                let copy = self.machine.table(e.frame());
                 for idx in 0..ENTRIES_PER_TABLE {
                     let (c, o) = (copy.load(idx), original.load(idx));
                     let rw = EntryFlags::WRITABLE;
@@ -492,7 +495,7 @@ mod tests {
         /// then requires every frame, table and swap slot back.
         fn teardown(self, ctx: &str) {
             let m = &self.machine;
-            for upper in [&self.ours, &self.theirs] {
+            for upper in [self.ours, self.theirs].map(|f| m.table(f)) {
                 let e = upper.load(IDX);
                 if !e.is_present() {
                     continue;
@@ -506,7 +509,7 @@ mod tests {
                 match take(m, slot, |_| Release).unwrap() {
                     Take::Released { .. } => {}
                     Take::Owned(_) => {
-                        let table = m.store().get(e.frame());
+                        let table = m.table(e.frame());
                         for idx in 0..ENTRIES_PER_TABLE {
                             let pe = table.load(idx);
                             if pe.is_present() {
@@ -521,11 +524,11 @@ mod tests {
                     _ => panic!("{ctx}: teardown slot raced"),
                 }
             }
-            for frame in self.upper_frames {
+            for frame in [self.ours, self.theirs] {
                 m.free_table(frame);
             }
             assert_eq!(m.swap().used_slots(), 0, "{ctx}: swap slots leaked");
-            assert!(m.store().is_empty(), "{ctx}: page tables leaked");
+            assert_eq!(m.live_tables(), 0, "{ctx}: page tables leaked");
             assert_eq!(m.pool().balance(), self.baseline, "{ctx}: pool balance");
         }
     }
@@ -554,7 +557,7 @@ mod tests {
         let world = World::new(Level::Pte, One);
         let calls = Cell::new(0);
         let slot = Slot {
-            upper: &world.ours,
+            upper: world.machine.table(world.ours),
             idx: IDX,
             frame: world.original,
             level: Level::Pte,
@@ -588,7 +591,7 @@ mod tests {
         let slot = m.swap().alloc_slot(&[1; PAGE_SIZE]);
         table.store(3, Entry::swap(slot, false));
         let mut referenced = Vec::new();
-        ref_entries(&m, &table, 1..ENTRIES_PER_TABLE, &mut Vec::new(), |i, _| {
+        ref_entries(&m, table, 1..ENTRIES_PER_TABLE, &mut Vec::new(), |i, _| {
             referenced.push(i)
         });
         assert_eq!(referenced, [1, 2, 3]);

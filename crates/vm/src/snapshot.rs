@@ -28,7 +28,7 @@ use crate::error::Result;
 use crate::mm::Mm;
 use crate::prot::Prot;
 use crate::share::{self, Policy, Slot, Take};
-use crate::walk::{self, PmdCursor, PmdSlot};
+use crate::walk::{self, PmdCursor, PmdSlot, Reach};
 
 /// One VMA of a captured address space, reduced to what a snapshot image
 /// records.
@@ -99,7 +99,7 @@ impl Mm {
             dirty_ranges: inner.dirty_ranges.clone(),
             ..Default::default()
         };
-        let mut cursor = PmdCursor::new(machine, inner.pgd);
+        let cursor = PmdCursor::new(machine, inner.pgd);
         for vma in inner.vmas.iter() {
             view.vmas.push(VmaInfo {
                 start: vma.start,
@@ -109,34 +109,33 @@ impl Mm {
                 huge: vma.huge,
                 file_backed: matches!(vma.backing, crate::vma::Backing::File { .. }),
             });
+            // A live capture holds the mm lock shared only: a sibling
+            // thread's table COW can re-point a slot mid-read, and the old
+            // table's last sharer can then clear, free and reuse it. A
+            // chunk's leaves count only if the walk to them held
+            // afterwards; otherwise the chunk is read again through the
+            // current entry, whose copy holds the same entries (DESIGN.md
+            // §4.1 rule 7). Each retry needs a table COW or free, so this
+            // ends.
             for c in walk::chunks(vma.start, vma.end) {
-                let Some(pmd) = cursor.slot(c.at) else {
-                    continue;
-                };
-                let mut e = pmd.load();
-                if e.is_present() && e.is_huge() {
-                    let ptes = c.ptes();
-                    view.pages.push(LeafPage {
-                        va: c.at.as_u64(),
-                        frame: e.frame().offset(ptes.start),
-                        pages: ptes.len() as u32,
-                        huge: true,
-                        soft_dirty: e.is_soft_dirty(),
-                    });
-                    continue;
-                }
-                // A live capture holds the mm lock shared only: a sibling
-                // thread's table COW can re-point the slot mid-read, and the
-                // old table's last sharer can then clear and free it. The
-                // leaves read count only if the slot still referenced their
-                // table afterwards; otherwise read the chunk again through
-                // the copy, which holds the same entries (DESIGN.md §4.1
-                // rule 7). Each retry needs a table COW, so this ends.
-                while e.is_present() && !e.is_huge() {
-                    let read = view.pages.len();
-                    if let Some(table) = machine.store().try_get(e.frame()) {
+                let read = view.pages.len();
+                while let Some(pmd) = cursor.slot(c.at) {
+                    let e = pmd.load();
+                    let held = if !e.is_present() {
+                        walk::holds(&[pmd.reach()])
+                    } else if e.is_huge() {
+                        let ptes = c.ptes();
+                        view.pages.push(LeafPage {
+                            va: c.at.as_u64(),
+                            frame: e.frame().offset(ptes.start),
+                            pages: ptes.len() as u32,
+                            huge: true,
+                            soft_dirty: e.is_soft_dirty(),
+                        });
+                        walk::holds(&[pmd.reach()])
+                    } else if let Ok(reach) = Reach::enter(machine, pmd.table, pmd.idx, e) {
                         for idx in c.ptes() {
-                            let mut pte = table.load(idx);
+                            let mut pte = reach.table.load(idx);
                             // An evicted page still belongs in the snapshot:
                             // fault it back in (capture holds the shared
                             // lock, same as any fault). On allocation failure
@@ -146,7 +145,7 @@ impl Mm {
                             if pte.is_swap()
                                 && crate::fault::handle(machine, &inner, c.va(idx), false).is_ok()
                             {
-                                pte = table.load(idx);
+                                pte = reach.table.load(idx);
                             }
                             if pte.is_present() {
                                 view.pages.push(LeafPage {
@@ -158,13 +157,14 @@ impl Mm {
                                 });
                             }
                         }
-                    }
-                    let now = pmd.load();
-                    if now.frame() == e.frame() {
+                        walk::holds(&[pmd.reach(), reach])
+                    } else {
+                        false
+                    };
+                    if held {
                         break;
                     }
                     view.pages.truncate(read);
-                    e = now;
                 }
             }
         }
@@ -186,7 +186,7 @@ impl Mm {
         // through one 2 MiB span).
         let mut done = HashSet::new();
         let ranges: Vec<(u64, u64)> = inner.vmas.iter().map(|v| (v.start, v.end)).collect();
-        let mut cursor = PmdCursor::new(self.machine(), inner.pgd);
+        let cursor = PmdCursor::new(self.machine(), inner.pgd);
         for (start, end) in ranges {
             for c in walk::chunks(start, end) {
                 if done.insert(c.base()) {
@@ -221,8 +221,8 @@ impl Mm {
             return Ok(old.is_soft_dirty() as u64);
         }
         let table = match share::take(machine, Slot::pte_table(&pmd, e.frame()), copy_if_dirty)? {
-            Take::Owned(None) => machine.store().get(e.frame()),
-            Take::Owned(Some((_, table))) => table,
+            Take::Owned(None) => machine.table(e.frame()),
+            Take::Owned(Some(owned)) => owned.table,
             _ => return Ok(0),
         };
         // The table is now exclusively ours: clear every entry's bit.

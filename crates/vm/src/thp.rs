@@ -40,7 +40,7 @@ use crate::machine::Machine;
 use crate::mm::{Mm, MmInner};
 use crate::stats::VmStats;
 use crate::vma::Backing;
-use crate::walk::{self, PmdCursor};
+use crate::walk::{self, PmdCursor, Reach};
 
 /// Entry bits that travel between a huge PMD entry and its 512 PTEs when
 /// a range changes granularity. `WRITABLE` is deliberately absent: it is
@@ -120,7 +120,7 @@ impl Mm {
         let machine = self.machine();
         let pool = machine.pool();
         let mut out = Vec::new();
-        let mut cursor = PmdCursor::new(machine, inner.pgd);
+        let cursor = PmdCursor::new(machine, inner.pgd);
         for vma in inner.vmas.iter() {
             if vma.huge || vma.shared || !matches!(vma.backing, Backing::Anonymous) {
                 continue;
@@ -131,6 +131,9 @@ impl Mm {
                 };
                 let e = pmd.load();
                 if e.is_present() && e.is_huge() {
+                    if !walk::holds(&[pmd.reach()]) {
+                        continue;
+                    }
                     out.push(ThpCandidate {
                         va: c.at.as_u64(),
                         huge: true,
@@ -150,35 +153,42 @@ impl Mm {
                         pmd.table.fetch_clear(pmd.idx, EntryFlags::ACCESSED);
                     }
                 } else if e.is_present() {
-                    let table_shared = pool.pt_share_count(e.frame()) > 1;
-                    if let Some(table) = machine.store().try_get(e.frame()) {
-                        let (mut resident, mut accessed, mut soft_dirty) = (0u32, 0u32, 0u32);
-                        for idx in c.ptes() {
-                            let pte = table.load(idx);
-                            if !pte.is_present() {
-                                continue;
-                            }
+                    // The scan holds the mm lock shared only: a sibling
+                    // fault can COW the table away meanwhile, and its last
+                    // sharer free it. A chunk whose walk does not hold
+                    // afterwards is skipped, like the kernel's racy scan.
+                    let Ok(reach) = Reach::enter(machine, pmd.table, pmd.idx, e) else {
+                        continue;
+                    };
+                    let table = reach.table;
+                    let (mut resident, mut accessed, mut soft_dirty) = (0u32, 0u32, 0u32);
+                    for idx in c.ptes() {
+                        let pte = table.load(idx);
+                        if pte.is_present() {
                             resident += 1;
-                            if pte.is_accessed() {
-                                accessed += 1;
-                                if clear_accessed && !table_shared {
-                                    table.fetch_clear(idx, EntryFlags::ACCESSED);
-                                }
-                            }
-                            if pte.is_soft_dirty() {
-                                soft_dirty += 1;
-                            }
-                        }
-                        if resident > 0 {
-                            out.push(ThpCandidate {
-                                va: c.at.as_u64(),
-                                huge: false,
-                                resident,
-                                accessed,
-                                soft_dirty,
-                            });
+                            accessed += u32::from(pte.is_accessed());
+                            soft_dirty += u32::from(pte.is_soft_dirty());
                         }
                     }
+                    if resident == 0 || !walk::holds(&[pmd.reach(), reach]) {
+                        continue;
+                    }
+                    // A table not shared is this process's own, kept by
+                    // the mm lock now that the walk to it held.
+                    if clear_accessed && pool.pt_share_count(reach.frame) == 1 {
+                        for idx in c.ptes() {
+                            if table.load(idx).is_accessed() {
+                                table.fetch_clear(idx, EntryFlags::ACCESSED);
+                            }
+                        }
+                    }
+                    out.push(ThpCandidate {
+                        va: c.at.as_u64(),
+                        huge: false,
+                        resident,
+                        accessed,
+                        soft_dirty,
+                    });
                 }
             }
         }
@@ -203,7 +213,7 @@ pub(crate) fn collapse_at(machine: &Machine, inner: &MmInner, addr: u64) -> Resu
     {
         return Ok(ThpOutcome::Ineligible);
     }
-    let mut cursor = PmdCursor::new(machine, inner.pgd);
+    let cursor = PmdCursor::new(machine, inner.pgd);
     let Some(pmd) = cursor.slot(va) else {
         return Ok(ThpOutcome::NotResident);
     };
@@ -219,7 +229,7 @@ pub(crate) fn collapse_at(machine: &Machine, inner: &MmInner, addr: u64) -> Resu
     if pool.pt_share_count(pmd.frame) > 1 || pool.pt_share_count(table_frame) > 1 {
         return Ok(ThpOutcome::SharedTable);
     }
-    let table = machine.store().get(table_frame);
+    let table = machine.table(table_frame);
     // Qualify every slot before paying for anything: all 512 present, all
     // order-0 anonymous. A compound sub-frame here would mean the range is
     // already huge-backed through some other mapping; a file page would
@@ -373,7 +383,7 @@ pub(crate) fn demote_at(machine: &Machine, inner: &MmInner, addr: u64) -> Result
     }
     let va = VirtAddr::new(addr);
     let pool = machine.pool();
-    let mut cursor = PmdCursor::new(machine, inner.pgd);
+    let cursor = PmdCursor::new(machine, inner.pgd);
     let Some(pmd) = cursor.slot(va) else {
         return Ok(ThpOutcome::NotHuge);
     };
@@ -662,7 +672,7 @@ mod tests {
             free_before,
             "no frame leaked through collapse/demote/teardown"
         );
-        assert!(machine.store().is_empty());
+        assert_eq!(machine.live_tables(), 0);
     }
 
     #[test]

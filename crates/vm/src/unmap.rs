@@ -7,8 +7,6 @@
 //! and copies it otherwise; a move copies both the source and the
 //! destination table.
 
-use std::sync::Arc;
-
 use odf_pagetable::{Entry, EntryFlags, Level, Table, VirtAddr, ENTRIES_PER_TABLE};
 use odf_pmem::PAGE_SIZE;
 
@@ -71,7 +69,7 @@ pub(crate) fn munmap(machine: &Machine, inner: &mut MmInner, addr: u64, len: u64
 /// ends the sweep, mirroring `tlb_finish_mmu`.
 pub(crate) fn zap_range(machine: &Machine, inner: &mut MmInner, start: u64, end: u64) {
     let mut batch = machine.pool().free_batch();
-    let mut cursor = PmdCursor::new(machine, inner.pgd);
+    let cursor = PmdCursor::new(machine, inner.pgd);
     for c in walk::chunks(start, end) {
         let Some(pmd) = cursor.slot(c.at) else {
             continue;
@@ -140,7 +138,7 @@ fn demote_first(
 /// the copy cannot be allocated (the surviving VMAs re-fault their pages
 /// through fresh tables). Released pages leave the rss. Returns `Owned` or
 /// `Released`.
-fn unmap_take(machine: &Machine, inner: &MmInner, slot: Slot<'_>, at: VirtAddr) -> Take {
+fn unmap_take<'m>(machine: &'m Machine, inner: &MmInner, slot: Slot<'m>, at: VirtAddr) -> Take<'m> {
     let span = slot.level.table_span();
     let start = at.as_u64() & !(span - 1);
     let still_needed = |_: &Table| {
@@ -157,7 +155,7 @@ fn unmap_take(machine: &Machine, inner: &MmInner, slot: Slot<'_>, at: VirtAddr) 
         Take::Released { present } => {
             inner.rss_sub(present as u64 * slot.level.entry_span() / PAGE_SIZE as u64);
         }
-        Take::Owned(Some((frame, _))) if frame != slot.frame => {
+        Take::Owned(Some(owned)) if owned.frame != slot.frame => {
             VmStats::bump(&machine.stats().unmap_table_copies);
         }
         Take::Owned(_) => {}
@@ -181,8 +179,8 @@ fn zap_table_chunk(
 ) {
     let pool = machine.pool();
     let (frame, table) = match unmap_take(machine, inner, Slot::pte_table(pmd, e.frame()), c.at) {
-        Take::Owned(None) => (e.frame(), machine.store().get(e.frame())),
-        Take::Owned(Some(owned)) => owned,
+        Take::Owned(None) => (e.frame(), machine.table(e.frame())),
+        Take::Owned(Some(owned)) => (owned.frame, owned.table),
         // Released: the entries survive for the other sharers.
         _ => return,
     };
@@ -314,8 +312,8 @@ fn move_mappings(
     new_start: u64,
 ) -> Result<()> {
     let dest = |va: VirtAddr| VirtAddr::new(new_start + (va.as_u64() - start));
-    let mut src_cursor = PmdCursor::new(machine, inner.pgd);
-    let mut dst_cursor = PmdCursor::new(machine, inner.pgd);
+    let src_cursor = PmdCursor::new(machine, inner.pgd);
+    let dst_cursor = PmdCursor::new(machine, inner.pgd);
     for c in walk::chunks(start, end) {
         let Some(pmd) = src_cursor.slot(c.at) else {
             continue;
@@ -368,7 +366,7 @@ fn move_mappings(
 /// [`share::own_pmd_table`] under the exclusive mm lock, where no other
 /// thread of this process can re-point the slot. A copy counts as an
 /// unmap-path table copy.
-fn own_pmd<'t>(machine: &Machine, pmd: PmdSlot<'t>) -> Result<PmdSlot<'t>> {
+fn own_pmd<'m>(machine: &'m Machine, pmd: PmdSlot<'m>) -> Result<PmdSlot<'m>> {
     let shared_frame = pmd.frame;
     let pmd = share::own_pmd_table(machine, pmd)?.expect("the exclusive mm lock pins the slot");
     if pmd.frame != shared_frame {
@@ -380,16 +378,16 @@ fn own_pmd<'t>(machine: &Machine, pmd: PmdSlot<'t>) -> Result<PmdSlot<'t>> {
 /// The PTE table behind the (non-huge) PMD entry `e` of `pmd`, linked in
 /// fresh when absent and copied first when shared, under the exclusive mm
 /// lock. A copy counts as an unmap-path table copy.
-fn own_pte(machine: &Machine, pmd: &PmdSlot, e: Entry) -> Result<Arc<Table>> {
-    let (frame, table) =
+fn own_pte<'m>(machine: &'m Machine, pmd: &PmdSlot<'m>, e: Entry) -> Result<&'m Table> {
+    let reach =
         walk::resolve_table(machine, pmd, e)?.expect("a moved range never lands on a huge entry");
     Ok(
-        match share::take(machine, Slot::pte_table(pmd, frame), |_| Policy::Copy)? {
-            Take::Owned(Some((owned, copy))) if owned != frame => {
+        match share::take(machine, Slot::pte_table(pmd, reach.frame), |_| Policy::Copy)? {
+            Take::Owned(Some(owned)) if owned.frame != reach.frame => {
                 VmStats::bump(&machine.stats().unmap_table_copies);
-                copy
+                owned.table
             }
-            Take::Owned(_) => table,
+            Take::Owned(_) => reach.table,
             _ => unreachable!("the exclusive mm lock pins the slot"),
         },
     )
@@ -432,7 +430,7 @@ pub(crate) fn mprotect(
 /// Write-protects the existing translations of `[start, end)`.
 fn wrprotect_range(machine: &Machine, inner: &mut MmInner, start: u64, end: u64) {
     let pool = machine.pool();
-    let mut cursor = PmdCursor::new(machine, inner.pgd);
+    let cursor = PmdCursor::new(machine, inner.pgd);
     for c in walk::chunks(start, end) {
         let Some(pmd) = cursor.slot(c.at) else {
             continue;
@@ -466,7 +464,7 @@ fn wrprotect_range(machine: &Machine, inner: &mut MmInner, start: u64, end: u64)
             // writable bit; the fault path re-checks the VMA protection
             // after any future table COW.
         } else {
-            let table = machine.store().get(e.frame());
+            let table = machine.table(e.frame());
             for idx in c.ptes() {
                 let pte = table.load(idx);
                 if pte.is_present() && pte.is_writable() {

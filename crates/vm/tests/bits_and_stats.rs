@@ -17,7 +17,7 @@ fn setup() -> (Arc<Machine>, Mm) {
 fn pte_bits(m: &Machine, mm: &Mm, addr: u64) -> (bool, bool) {
     let pmd = mm.pmd_entry(addr).expect("pmd present");
     assert!(!pmd.is_huge());
-    let table = m.store().get(pmd.frame());
+    let table = m.table(pmd.frame());
     let e = table.load(((addr >> 12) & 0x1FF) as usize);
     (e.is_accessed(), e.is_dirty())
 }

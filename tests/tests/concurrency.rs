@@ -80,7 +80,7 @@ fn fork_storm_preserves_isolation_and_resources() {
         }
     }
     assert_pool_balanced(kernel.machine().pool(), baseline);
-    assert!(kernel.machine().store().is_empty(), "tables leaked");
+    assert_eq!(kernel.machine().live_tables(), 0, "tables leaked");
 }
 
 #[test]
@@ -140,7 +140,7 @@ fn multi_span_fork_storm_preserves_isolation_and_resources() {
         }
     }
     assert_pool_balanced(kernel.machine().pool(), baseline);
-    assert!(kernel.machine().store().is_empty(), "tables leaked");
+    assert_eq!(kernel.machine().live_tables(), 0, "tables leaked");
 }
 
 #[test]
@@ -383,7 +383,7 @@ fn same_shared_pmd_table_race_installs_exactly_one_huge_copy() {
         root.exit();
     }
     assert_pool_balanced(kernel.machine().pool(), baseline);
-    assert!(kernel.machine().store().is_empty(), "tables leaked");
+    assert_eq!(kernel.machine().live_tables(), 0, "tables leaked");
 }
 
 #[test]
@@ -590,6 +590,107 @@ fn capture_of_a_live_process_survives_concurrent_table_cow_and_release() {
         Arc::try_unwrap(proc).ok().unwrap().exit();
     }
     assert_pool_balanced(kernel.machine().pool(), baseline);
+}
+
+#[test]
+fn reads_survive_table_frames_freed_and_reused_as_tables() {
+    // Page tables live in type-stable, frame-indexed slots: a lockless
+    // walk can read a table whose frame was freed — and allocated as a
+    // table again — while it read. Here readers sweep one process while
+    // its writer COWs every table a fork shared, the child forks a
+    // grandchild that COWs its own copies, and both exit: table frames
+    // are freed and handed out as tables again all through the readers'
+    // walks. Every read must see the seed, raced walks must stay rare
+    // re-walks, and every frame and table must come back.
+    let kernel = Kernel::new(256 * MIB);
+    let baseline = kernel.machine().pool().balance();
+    let stats = || kernel.machine().stats().snapshot();
+    let before = stats();
+    let reads = AtomicU64::new(0);
+    {
+        const CHUNKS: u64 = 16;
+        const PAGES_PER_CHUNK: u64 = 2;
+        const ROUNDS: u64 = 80;
+        let proc = Arc::new(kernel.spawn().unwrap());
+        let addr = proc.mmap_anon(CHUNKS * 2 * MIB).unwrap();
+        let pages: Vec<u64> = (0..CHUNKS)
+            .flat_map(|c| (0..PAGES_PER_CHUNK).map(move |p| addr + c * 2 * MIB + p * PAGE))
+            .collect();
+        for &va in &pages {
+            proc.write_u64(va, va).unwrap();
+        }
+        let bad_reads = AtomicU64::new(0);
+        for _ in 0..ROUNDS {
+            let child = proc.fork_with(ForkPolicy::OnDemand).unwrap();
+            // The readers sweep until both mutators are done.
+            let mutating = AtomicU64::new(2);
+            std::thread::scope(|s| {
+                for viewer in [false, true] {
+                    // Readers: copies and borrowed views of every page.
+                    let (proc, pages) = (Arc::clone(&proc), &pages);
+                    let (bad_reads, reads, mutating) = (&bad_reads, &reads, &mutating);
+                    s.spawn(move || loop {
+                        let last = mutating.load(Ordering::Acquire) == 0;
+                        for &va in pages {
+                            let v = if viewer {
+                                proc.read_with(va, 8, |b| u64::from_le_bytes(b.try_into().unwrap()))
+                            } else {
+                                proc.read_u64(va)
+                            };
+                            reads.fetch_add(1, Ordering::Relaxed);
+                            if v.unwrap() != va {
+                                bad_reads.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        if last {
+                            break;
+                        }
+                    });
+                }
+                {
+                    // Writer: COWs every shared table away, same values.
+                    let (proc, pages, mutating) = (Arc::clone(&proc), &pages, &mutating);
+                    s.spawn(move || {
+                        for &va in pages.iter().step_by(PAGES_PER_CHUNK as usize) {
+                            proc.write_u64(va, va).unwrap();
+                        }
+                        mutating.fetch_sub(1, Ordering::Release);
+                    });
+                }
+                // Child: forks a grandchild that diverges everywhere (a
+                // table COW per chunk), then both exit, freeing tables.
+                let (pages, mutating) = (&pages, &mutating);
+                s.spawn(move || {
+                    let grandchild = child.fork_with(ForkPolicy::OnDemand).unwrap();
+                    for &va in pages {
+                        grandchild.write_u64(va, !va).unwrap();
+                    }
+                    grandchild.exit();
+                    child.exit();
+                    mutating.fetch_sub(1, Ordering::Release);
+                });
+            });
+        }
+        assert_eq!(
+            bad_reads.load(Ordering::Relaxed),
+            0,
+            "a read observed a freed or reused table's mapping"
+        );
+        for &va in &pages {
+            assert_eq!(proc.read_u64(va).unwrap(), va);
+        }
+        Arc::try_unwrap(proc).ok().unwrap().exit();
+    }
+    // A raced walk (or missed pin) costs one re-walk; a walk that kept
+    // racing would exhaust the access loop's bound instead of reading.
+    let retries = stats().access_pin_retries - before.access_pin_retries;
+    let reads = reads.load(Ordering::Relaxed);
+    assert!(
+        retries * 10 <= reads,
+        "{retries} re-walks for {reads} reads: raced walks are not rare"
+    );
+    assert_pool_balanced(kernel.machine().pool(), baseline);
+    assert_eq!(kernel.machine().live_tables(), 0, "tables leaked");
 }
 
 #[test]

@@ -13,7 +13,7 @@ fn conserves(kernel: &Arc<Kernel>, f: impl FnOnce()) {
     let before = kernel.free_bytes();
     f();
     assert_eq!(kernel.free_bytes(), before, "physical frames leaked");
-    assert!(kernel.machine().store().is_empty(), "page tables leaked");
+    assert_eq!(kernel.machine().live_tables(), 0, "page tables leaked");
 }
 
 #[test]
