@@ -18,7 +18,7 @@
 
 use odf_bench as bench;
 use odf_core::{ForkPolicy, Keying, ProbeSpec, ProgramKind};
-use odf_trace::ProbePoint;
+use odf_trace::Point;
 
 const SWEEP: [usize; 4] = [0, 1, 4, 16];
 /// Overhead budget for four probes attached to the fault tracepoint, %.
@@ -32,24 +32,12 @@ fn attach_probes(count: usize) {
     let e = odf_probe::engine();
     for i in 0..count {
         let mut spec = match i % 4 {
-            0 => ProbeSpec::new(
-                &format!("ovh_lat_{i}"),
-                ProbePoint::Fault,
-                ProgramKind::LatHist,
-            ),
-            1 => ProbeSpec::new(
-                &format!("ovh_cnt_{i}"),
-                ProbePoint::Fault,
-                ProgramKind::CountBy,
-            ),
-            2 => ProbeSpec::new(
-                &format!("ovh_sum_{i}"),
-                ProbePoint::Fault,
-                ProgramKind::SumBy,
-            ),
+            0 => ProbeSpec::new(&format!("ovh_lat_{i}"), Point::Fault, ProgramKind::LatHist),
+            1 => ProbeSpec::new(&format!("ovh_cnt_{i}"), Point::Fault, ProgramKind::CountBy),
+            2 => ProbeSpec::new(&format!("ovh_sum_{i}"), Point::Fault, ProgramKind::SumBy),
             _ => ProbeSpec::new(
                 &format!("ovh_max_{i}"),
-                ProbePoint::Fault,
+                Point::Fault,
                 ProgramKind::Watermark,
             ),
         };

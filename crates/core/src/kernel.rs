@@ -13,7 +13,7 @@ use odf_probe::{
 };
 use odf_reclaim::{DaemonConfig, DaemonStats, ReclaimDaemon, ReclaimPolicy};
 use odf_thp::{PromotionPolicy, ThpDaemon, ThpDaemonConfig, ThpDaemonStats};
-use odf_trace::ProbePoint;
+use odf_trace::Point;
 use odf_vm::{ForkPolicy, Machine, Mm, Result, VmStatsSnapshot};
 use parking_lot::Mutex;
 
@@ -346,10 +346,10 @@ impl Kernel {
         wal_lag: u64,
     ) {
         let e = odf_probe::engine();
-        let mut fault = ProbeSpec::new("slo_fault_lat", ProbePoint::Fault, ProgramKind::LatHist);
+        let mut fault = ProbeSpec::new("slo_fault_lat", Point::Fault, ProgramKind::LatHist);
         fault.key = Keying::Pid;
         let _ = e.attach(fault);
-        let mut fork = ProbeSpec::new("slo_fork_lat", ProbePoint::Fork, ProgramKind::LatHist);
+        let mut fork = ProbeSpec::new("slo_fork_lat", Point::ForkEnd, ProgramKind::LatHist);
         fork.key = Keying::Pid;
         let _ = e.attach(fork);
         let budgets = vec![

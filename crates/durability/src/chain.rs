@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use odf_metrics::Stopwatch;
 use odf_snapshot::{materialize, ImageKind, SnapshotImage};
-use odf_trace::Event;
+use odf_trace::{Hit, Point};
 
 use crate::fs::{FsError, StorageFs};
 use crate::stats;
@@ -155,15 +155,10 @@ impl ChainStore {
         self.fs.sync_dir()?;
         self.entries = rows;
 
-        odf_trace::emit(Event::SnapshotPublish {
-            epoch: image.epoch,
-            bytes: bytes.len() as u64,
-            latency_ns: sw.elapsed_ns(),
-        });
-        stats::stats().snapshots_published.bump();
-        stats::stats()
-            .snapshot_bytes_published
-            .add(bytes.len() as u64);
+        let len = bytes.len() as u64;
+        let publish = Hit::new(Point::SnapshotPublish, &[image.epoch, len, sw.elapsed_ns()]);
+        odf_trace::emit_counted(&stats::stats().snapshots_published, publish);
+        stats::stats().snapshot_bytes_published.add(len);
         Ok(entry)
     }
 

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use odf_metrics::Stopwatch;
-use odf_trace::Event;
+use odf_trace::{Hit, Point};
 
 use crate::fs::{FsError, StorageFs};
 use crate::stats;
@@ -391,24 +391,16 @@ impl Wal {
         let sw = Stopwatch::start();
         self.fs.fsync(&self.segment)?;
         let latency_ns = sw.elapsed_ns();
-        odf_trace::emit(Event::WalFsync {
-            bytes: self.pending_bytes,
-            records: self.pending_records,
-            latency_ns,
-        });
-        stats::stats().wal_fsyncs.bump();
-        let flushed_records = self.pending_records;
         self.durable_seq = self.next_seq - 1;
+        stats::note_durable(self.durable_seq);
+        let (bytes, records) = (self.pending_bytes, self.pending_records);
+        let fsync = Hit::new(
+            Point::WalFsync,
+            &[bytes, records, latency_ns, self.durable_seq],
+        );
+        odf_trace::emit_counted(&stats::stats().wal_fsyncs, fsync);
         self.pending_records = 0;
         self.pending_bytes = 0;
-        stats::note_durable(self.durable_seq);
-        if odf_trace::probes_active() {
-            let mut cx = odf_trace::ProbeContext::at(odf_trace::ProbePoint::WalCommit);
-            cx.latency_ns = latency_ns;
-            cx.value = flushed_records;
-            cx.aux = self.durable_seq;
-            odf_trace::probe_hit(&cx);
-        }
         Ok(())
     }
 

@@ -26,7 +26,7 @@ use odf_durability::{
 };
 use odf_metrics::Stopwatch;
 use odf_snapshot::{capture_delta, capture_full};
-use odf_trace::Event;
+use odf_trace::{Hit, Point};
 
 use crate::store::Store;
 
@@ -324,10 +324,10 @@ impl DurableServer {
             server.apply(&cmd)?;
         }
         if replayed > 0 {
-            odf_trace::emit(Event::RecoveryReplay {
-                records: replayed,
-                latency_ns: sw.elapsed_ns(),
-            });
+            odf_trace::emit(Hit::new(
+                Point::RecoveryReplay,
+                &[replayed, sw.elapsed_ns()],
+            ));
         }
         odf_durability::stats()
             .recovery_records_replayed

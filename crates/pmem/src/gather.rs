@@ -20,7 +20,6 @@
 
 use crate::frame::FrameId;
 use crate::pool::FramePool;
-use crate::stats::PoolStats;
 
 /// Accumulates blocks whose refcount hit zero during a teardown sweep and
 /// returns them to the pool in one batched call. Obtained from
@@ -70,7 +69,7 @@ impl FreeBatch<'_> {
     /// and settles the sweep's counters. Idempotent; also runs on drop.
     pub fn flush(&mut self) {
         if self.decs > 0 {
-            PoolStats::add(&self.pool.stats_ref().page_ref_decs, self.decs);
+            self.pool.stats_ref().page_ref_decs.add(self.decs);
             self.decs = 0;
         }
         if self.blocks.is_empty() {
@@ -79,18 +78,10 @@ impl FreeBatch<'_> {
         let frames: u64 = self.blocks.iter().map(|&(_, o)| 1u64 << o).sum();
         self.pool.free_blocks_bulk(&self.blocks);
         let stats = self.pool.stats_ref();
-        PoolStats::bump(&stats.bulk_free_batches);
-        PoolStats::add(&stats.bulk_freed_blocks, self.blocks.len() as u64);
-        odf_trace::emit(odf_trace::Event::BulkFree {
-            blocks: self.blocks.len() as u64,
-            frames,
-        });
-        if odf_trace::probes_active() {
-            let mut cx = odf_trace::ProbeContext::at(odf_trace::ProbePoint::BulkFree);
-            cx.value = frames;
-            cx.aux = self.blocks.len() as u64;
-            odf_trace::probe_hit(&cx);
-        }
+        let blocks = self.blocks.len() as u64;
+        stats.bulk_freed_blocks.add(blocks);
+        let flush = odf_trace::Hit::new(odf_trace::Point::BulkFree, &[blocks, frames]);
+        odf_trace::emit_counted(&stats.bulk_free_batches, flush);
         self.blocks.clear();
     }
 }

@@ -37,6 +37,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use odf_trace::{Hit, Point};
 use parking_lot::Mutex;
 
 use crate::buddy::{Buddy, MigrateType};
@@ -151,17 +152,14 @@ impl PcpCache {
             let mut mag = self.slots[slot].0.lock();
             let lane = mag.lane_mut(order);
             if let Some(f) = lane.pop() {
-                PoolStats::bump(&stats.pcp_hits);
+                stats.pcp_hits.bump();
                 return Some(f);
             }
-            PoolStats::bump(&stats.pcp_misses);
+            stats.pcp_misses.bump();
             let got = buddy.lock().alloc_bulk(order, mt, Self::batch(order), lane);
             if got > 0 {
-                PoolStats::bump(&stats.pcp_refills);
-                odf_trace::emit(odf_trace::Event::MagRefill {
-                    order,
-                    blocks: got as u64,
-                });
+                let refill = Hit::new(Point::MagRefill, &[order.into(), got as u64]);
+                odf_trace::emit_counted(&stats.pcp_refills, refill);
                 return lane.pop();
             }
         }
@@ -173,7 +171,7 @@ impl PcpCache {
         let lane = mag.lane_mut(order);
         if let Some(f) = lane.pop() {
             // A racing free landed in our magazine since the drain.
-            PoolStats::bump(&stats.pcp_hits);
+            stats.pcp_hits.bump();
             return Some(f);
         }
         if buddy.lock().alloc_bulk(order, mt, 1, lane) > 0 {
@@ -198,13 +196,10 @@ impl PcpCache {
         lane.push(head);
         let batch = Self::batch(order);
         if lane.len() > high_watermark(batch) {
-            PoolStats::bump(&stats.pcp_spills);
+            stats.pcp_spills.bump();
             let spill: Vec<(FrameId, u8)> = lane.drain(..batch).map(|f| (f, order)).collect();
             buddy.lock().free_bulk(&spill);
-            odf_trace::emit(odf_trace::Event::MagDrain {
-                order,
-                blocks: batch as u64,
-            });
+            odf_trace::emit(Hit::new(Point::MagDrain, &[order.into(), batch as u64]));
         }
     }
 
@@ -224,17 +219,10 @@ impl PcpCache {
             blocks.extend(mag.small.drain(..).map(|f| (f, 0u8)));
             blocks.extend(mag.huge.drain(..).map(|f| (f, HUGE_ORDER)));
             buddy.lock().free_bulk(&blocks);
-            if small > 0 {
-                odf_trace::emit(odf_trace::Event::MagDrain {
-                    order: 0,
-                    blocks: small as u64,
-                });
-            }
-            if huge > 0 {
-                odf_trace::emit(odf_trace::Event::MagDrain {
-                    order: HUGE_ORDER,
-                    blocks: huge as u64,
-                });
+            for (order, blocks) in [(0, small), (HUGE_ORDER, huge)] {
+                if blocks > 0 {
+                    odf_trace::emit(Hit::new(Point::MagDrain, &[order.into(), blocks as u64]));
+                }
             }
         }
     }

@@ -4,6 +4,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use odf_trace::{Hit, Point};
 use parking_lot::{Mutex, RwLock};
 
 use crate::buddy::{Buddy, MigrateType};
@@ -148,7 +149,7 @@ fn dump_frame_history(pool: &FramePool) {
     for f in suspects.iter().rev().take(DUMP_FRAMES) {
         eprintln!("  frame {} ({:?}):", f.index(), pool.page(*f).kind());
         for r in trace.for_frame(f.index() as u64, DUMP_EVENTS_PER_FRAME) {
-            eprintln!("    [{} t{}] {:?}", r.ts_ns, r.thread, r.event);
+            eprintln!("    [{} t{}] {:?}", r.ts_ns, r.thread, r.hit);
         }
     }
 }
@@ -325,7 +326,7 @@ impl FramePool {
     /// whether the frame is a compound tail, and chases the head pointer if
     /// so. The lookup is counted in [`PoolStats`].
     pub fn compound_head(&self, frame: FrameId) -> FrameId {
-        PoolStats::bump(&self.stats.compound_head_lookups);
+        self.stats.compound_head_lookups.bump();
         let page = &self.meta[frame.index()];
         if page.is_compound_tail() {
             FrameId(page.compound_head_index())
@@ -356,7 +357,7 @@ impl FramePool {
             },
         };
         head.ok_or_else(|| {
-            PoolStats::bump(&self.stats.alloc_failures);
+            self.stats.alloc_failures.bump();
             PmemError::OutOfFrames {
                 order,
                 free_frames: self.free_frames() as u64,
@@ -379,11 +380,8 @@ impl FramePool {
             MigrateType::Movable
         };
         let head = self.alloc_block(order, mt)?;
-        PoolStats::bump(&self.stats.allocs);
-        odf_trace::emit_hot(odf_trace::Event::FrameAlloc {
-            frame: head.index() as u64,
-            order,
-        });
+        let alloc = Hit::new(Point::FrameAlloc, &[head.index() as u64, order.into()]);
+        odf_trace::emit_counted(&self.stats.allocs, alloc);
         if order == 0 {
             self.meta[head.index()].set_allocated(kind_flags, 0);
         } else {
@@ -455,16 +453,14 @@ impl FramePool {
             Err(PmemError::OutOfFrames { .. }) => {}
             Err(e) => return Err(e),
         }
-        PoolStats::bump(&self.stats.compact_scans);
         self.drain_magazines();
-        odf_trace::emit(odf_trace::Event::CompactScan {
-            free_frames: self.free_frames() as u64,
-            frag_milli: (self.external_fragmentation(HUGE_ORDER) * 1000.0) as u64,
-        });
+        let frag_milli = (self.external_fragmentation(HUGE_ORDER) * 1000.0) as u64;
+        let scan = Hit::new(Point::CompactScan, &[self.free_frames() as u64, frag_milli]);
+        odf_trace::emit_counted(&self.stats.compact_scans, scan);
         match self.alloc_huge(kind) {
             Ok(f) => Ok(f),
             Err(PmemError::OutOfFrames { free_frames, .. }) => {
-                PoolStats::bump(&self.stats.compact_failures);
+                self.stats.compact_failures.bump();
                 Err(PmemError::CompactionFailed {
                     order: HUGE_ORDER,
                     free_frames,
@@ -526,7 +522,7 @@ impl FramePool {
     /// The count lives on the compound head for huge pages; callers pass the
     /// head (obtained via [`FramePool::compound_head`]).
     pub fn ref_inc(&self, frame: FrameId) {
-        PoolStats::bump(&self.stats.page_ref_incs);
+        self.stats.page_ref_incs.bump();
         self.meta[frame.index()].ref_inc();
     }
 
@@ -553,7 +549,7 @@ impl FramePool {
         if heads.is_empty() {
             return;
         }
-        PoolStats::add(&self.stats.page_ref_incs, heads.len() as u64);
+        self.stats.page_ref_incs.add(heads.len() as u64);
         let mut i = 0;
         while i < heads.len() {
             let head = heads[i];
@@ -575,7 +571,7 @@ impl FramePool {
         if frames.is_empty() {
             return;
         }
-        PoolStats::add(&self.stats.compound_head_lookups, frames.len() as u64);
+        self.stats.compound_head_lookups.add(frames.len() as u64);
         for f in frames.iter_mut() {
             let page = &self.meta[f.index()];
             if page.is_compound_tail() {
@@ -595,7 +591,7 @@ impl FramePool {
     pub fn try_ref_inc(&self, frame: FrameId) -> bool {
         let taken = self.meta[frame.index()].try_ref_inc();
         if taken {
-            PoolStats::bump(&self.stats.page_ref_incs);
+            self.stats.page_ref_incs.bump();
         }
         taken
     }
@@ -608,7 +604,7 @@ impl FramePool {
         if n == 0 {
             return;
         }
-        PoolStats::add(&self.stats.page_ref_incs, u64::from(n));
+        self.stats.page_ref_incs.add(u64::from(n));
         self.meta[frame.index()].ref_add(n);
     }
 
@@ -646,14 +642,14 @@ impl FramePool {
             let flags = self.meta[head.index() + i].flags() & keep;
             self.meta[head.index() + i].set_allocated(flags, 0);
         }
-        PoolStats::bump(&self.stats.compound_splits);
+        self.stats.compound_splits.bump();
         order
     }
 
     /// Decrements a frame's reference count, freeing the block when it
     /// reaches zero. Returns `true` if the block was freed.
     pub fn ref_dec(&self, frame: FrameId) -> bool {
-        PoolStats::bump(&self.stats.page_ref_decs);
+        self.stats.page_ref_decs.bump();
         let page = &self.meta[frame.index()];
         debug_assert!(
             !page.is_compound_tail(),
@@ -675,7 +671,7 @@ impl FramePool {
     /// Increments the shared-page-table counter of a page-table frame.
     pub fn pt_share_inc(&self, frame: FrameId) {
         debug_assert_eq!(self.meta[frame.index()].kind(), PageKind::PageTable);
-        PoolStats::bump(&self.stats.pt_share_incs);
+        self.stats.pt_share_incs.bump();
         self.meta[frame.index()].pt_share_inc();
     }
 
@@ -698,7 +694,7 @@ impl FramePool {
             warm = warm.wrapping_add(page.pt_share_count());
         }
         std::hint::black_box(warm);
-        PoolStats::add(&self.stats.pt_share_incs, tables.len() as u64);
+        self.stats.pt_share_incs.add(tables.len() as u64);
         for t in tables {
             self.meta[t.index()].pt_share_inc();
         }
@@ -707,7 +703,7 @@ impl FramePool {
     /// Decrements the shared-page-table counter, returning the new value.
     pub fn pt_share_dec(&self, frame: FrameId) -> u32 {
         debug_assert_eq!(self.meta[frame.index()].kind(), PageKind::PageTable);
-        PoolStats::bump(&self.stats.pt_share_decs);
+        self.stats.pt_share_decs.bump();
         self.meta[frame.index()].pt_share_dec()
     }
 
@@ -767,11 +763,8 @@ impl FramePool {
             }
             page.set_free();
         }
-        PoolStats::bump(&self.stats.frees);
-        odf_trace::emit_hot(odf_trace::Event::FrameFree {
-            frame: head.index() as u64,
-            order,
-        });
+        let free = Hit::new(Point::FrameFree, &[head.index() as u64, order.into()]);
+        odf_trace::emit_counted(&self.stats.frees, free);
         order
     }
 
@@ -874,7 +867,7 @@ impl FramePool {
     /// holds any, else a fresh one. Zeroed when `zeroed`; otherwise the
     /// caller overwrites all of it.
     fn materialize(&self, frame: FrameId, zeroed: bool) -> Box<[u8; PAGE_SIZE]> {
-        PoolStats::bump(&self.stats.materializations);
+        self.stats.materializations.bump();
         self.meta[frame.index()].set_flags(PageFlags::HAS_DATA);
         let spare = self.spare.lock().pop_front();
         match spare {
@@ -915,7 +908,7 @@ impl FramePool {
             let dst_buf = dst_slot.as_deref_mut().expect("just materialized");
             dst_buf.copy_from_slice(src_buf);
         }
-        PoolStats::add(&self.stats.bytes_copied, (n * PAGE_SIZE) as u64);
+        self.stats.bytes_copied.add((n * PAGE_SIZE) as u64);
     }
 }
 

@@ -44,7 +44,7 @@ pub struct Slot {
 }
 
 impl Slot {
-    fn new(label: String) -> Slot {
+    pub(crate) fn new(label: String) -> Slot {
         Slot {
             label,
             hits: 0,

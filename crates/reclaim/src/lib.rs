@@ -29,7 +29,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use odf_trace::Event;
+use odf_trace::{Hit, Point};
 use odf_vm::{EvictCandidate, EvictDecision, Machine};
 
 /// An eviction policy: consulted once per candidate page during a scan.
@@ -304,9 +304,7 @@ fn daemon_loop(shared: &DaemonShared, policy: &mut dyn ReclaimPolicy, config: Da
         // evicts nothing means every remaining page is hot or pinned —
         // stop rather than spin.
         while pool.free_frames() < marks.high {
-            // Probes share the trace clock reads.
-            let pass_t0 =
-                (odf_trace::enabled() || odf_trace::probes_active()).then(odf_trace::now_ns);
+            let t0 = odf_trace::start();
             let mut evicted_this_round = 0u64;
             for mm in shared.machine.eviction_targets() {
                 if pool.free_frames() >= marks.high {
@@ -321,31 +319,12 @@ fn daemon_loop(shared: &DaemonShared, policy: &mut dyn ReclaimPolicy, config: Da
                 evicted_this_round += stats.evicted;
             }
             let free_now = pool.free_frames() as u64;
-            if let Some(t0) = pass_t0 {
-                let end = odf_trace::now_ns();
-                let latency_ns = end.saturating_sub(t0);
-                odf_trace::emit_at(
-                    end,
-                    Event::ReclaimPass {
-                        pages_evicted: evicted_this_round,
-                        free_frames: free_now,
-                        latency_ns,
-                    },
-                );
-                if odf_trace::probes_active() {
-                    let mut cx = odf_trace::ProbeContext::at(odf_trace::ProbePoint::ReclaimPass);
-                    cx.latency_ns = latency_ns;
-                    cx.value = evicted_this_round;
-                    cx.aux = free_now;
-                    odf_trace::probe_hit(&cx);
-                }
-            }
+            let pass = Hit::new(Point::ReclaimPass, &[evicted_this_round, free_now]);
+            odf_trace::emit(pass.span(t0));
             if evicted_this_round == 0 {
                 // Backoff: every remaining page is hot or pinned; record
                 // the give-up so traces explain why pressure persists.
-                odf_trace::emit(Event::ReclaimBackoff {
-                    free_frames: free_now,
-                });
+                odf_trace::emit(Hit::new(Point::ReclaimBackoff, &[free_now]));
                 break;
             }
             if shared.state.lock().expect("daemon state").stop {

@@ -37,7 +37,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use odf_trace::Event;
+use odf_trace::{Hit, Point};
 use odf_vm::{Machine, ThpCandidate, ThpOutcome};
 
 /// Verdict of a [`PromotionPolicy`] on one candidate range.
@@ -355,8 +355,7 @@ fn daemon_loop(shared: &DaemonShared, policy: &mut dyn PromotionPolicy, config: 
         }
         shared.counters.wakeups.fetch_add(1, Ordering::Relaxed);
 
-        // Probes share the trace clock reads.
-        let pass_t0 = (odf_trace::enabled() || odf_trace::probes_active()).then(odf_trace::now_ns);
+        let t0 = odf_trace::start();
         let mut pass_candidates = 0u64;
         let mut ops = 0usize;
         'pass: for mm in shared.machine.eviction_targets() {
@@ -402,31 +401,12 @@ fn daemon_loop(shared: &DaemonShared, policy: &mut dyn PromotionPolicy, config: 
                 return;
             }
         }
-        if let Some(t0) = pass_t0 {
-            let end = odf_trace::now_ns();
-            let latency_ns = end.saturating_sub(t0);
-            odf_trace::emit_at(
-                end,
-                Event::ThpPass {
-                    candidates: pass_candidates,
-                    ops: ops as u64,
-                    latency_ns,
-                },
-            );
-            if odf_trace::probes_active() {
-                let mut cx = odf_trace::ProbeContext::at(odf_trace::ProbePoint::ThpPass);
-                cx.latency_ns = latency_ns;
-                cx.value = ops as u64;
-                cx.aux = pass_candidates;
-                odf_trace::probe_hit(&cx);
-            }
-            // Backoff: candidates existed but the policy (or races) let
-            // every one of them pass — record why nothing changed.
-            if ops == 0 && pass_candidates > 0 {
-                odf_trace::emit(Event::ThpBackoff {
-                    candidates: pass_candidates,
-                });
-            }
+        let pass = Hit::new(Point::ThpPass, &[pass_candidates, ops as u64]);
+        odf_trace::emit(pass.span(t0));
+        // Backoff: candidates existed but the policy (or races) let every
+        // one of them pass — record why nothing changed.
+        if ops == 0 && pass_candidates > 0 {
+            odf_trace::emit(Hit::new(Point::ThpBackoff, &[pass_candidates]));
         }
     }
 }

@@ -6,7 +6,7 @@ use std::collections::HashSet;
 
 use odf_metrics::Histogram;
 
-use crate::{Event, Trace};
+use crate::Trace;
 
 /// What a metric family measures — its Prometheus `TYPE`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -357,170 +357,50 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders a trace as chrome://tracing's JSON object format.
+/// Renders a trace as chrome://tracing's JSON object format, reading each
+/// record's name, category and args from its point's descriptor.
 ///
-/// Events carrying a duration (`Fault`, `ForkEnd`) become complete
-/// (`"ph":"X"`) events whose span ends at the record timestamp; the rest
-/// become thread-scoped instants (`"ph":"i"`). Timestamps are microseconds
-/// as the format requires.
+/// Records of a point with a latency word become complete (`"ph":"X"`)
+/// events whose span ends at the record timestamp; the rest become
+/// thread-scoped instants (`"ph":"i"`). Timestamps are microseconds as the
+/// format requires.
 pub(crate) fn chrome_json(trace: &Trace) -> String {
-    let mut rows = Vec::with_capacity(trace.events.len());
-    for r in &trace.events {
-        let tid = r.thread;
-        let ts_us = r.ts_ns as f64 / 1000.0;
-        let row = match r.event {
-            Event::Fault {
-                kind,
-                latency_ns,
-                retries,
-                addr,
-            } => format!(
-                "{{\"name\":\"fault:{}\",\"cat\":\"fault\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"retries\":{retries},\"addr\":{addr}}}}}",
-                kind.label(),
-                (r.ts_ns.saturating_sub(latency_ns)) as f64 / 1000.0,
-                latency_ns as f64 / 1000.0,
-            ),
-            Event::ForkEnd {
-                policy,
-                pte_copies,
-                tables_shared,
-                latency_ns,
-            } => format!(
-                "{{\"name\":\"fork:{}\",\"cat\":\"fork\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"pte_copies\":{pte_copies},\"tables_shared\":{tables_shared}}}}}",
-                policy.label(),
-                (r.ts_ns.saturating_sub(latency_ns)) as f64 / 1000.0,
-                latency_ns as f64 / 1000.0,
-            ),
-            Event::ForkStart { policy } => format!(
-                "{{\"name\":\"fork_start:{}\",\"cat\":\"fork\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3}}}",
-                policy.label(),
-            ),
-            Event::CowCopy {
-                order,
-                bytes,
-                frame,
-            } => format!(
-                "{{\"name\":\"cow_copy\",\"cat\":\"cow\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3},\"args\":{{\"order\":{order},\"bytes\":{bytes},\"frame\":{frame}}}}}",
-            ),
-            Event::TlbFlush => format!(
-                "{{\"name\":\"tlb_flush\",\"cat\":\"tlb\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3}}}",
-            ),
-            Event::LockRetry { site } => format!(
-                "{{\"name\":\"lock_retry:{}\",\"cat\":\"lock\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3}}}",
-                site.label(),
-            ),
-            Event::Reclaim { frames_freed } => format!(
-                "{{\"name\":\"reclaim\",\"cat\":\"mm\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3},\"args\":{{\"frames_freed\":{frames_freed}}}}}",
-            ),
-            Event::FrameAlloc { frame, order } => format!(
-                "{{\"name\":\"frame_alloc\",\"cat\":\"mm\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3},\"args\":{{\"frame\":{frame},\"order\":{order}}}}}",
-            ),
-            Event::FrameFree { frame, order } => format!(
-                "{{\"name\":\"frame_free\",\"cat\":\"mm\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3},\"args\":{{\"frame\":{frame},\"order\":{order}}}}}",
-            ),
-            Event::MagRefill { order, blocks } => format!(
-                "{{\"name\":\"mag_refill\",\"cat\":\"mm\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3},\"args\":{{\"order\":{order},\"blocks\":{blocks}}}}}",
-            ),
-            Event::MagDrain { order, blocks } => format!(
-                "{{\"name\":\"mag_drain\",\"cat\":\"mm\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3},\"args\":{{\"order\":{order},\"blocks\":{blocks}}}}}",
-            ),
-            Event::BulkFree { blocks, frames } => format!(
-                "{{\"name\":\"bulk_free\",\"cat\":\"mm\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3},\"args\":{{\"blocks\":{blocks},\"frames\":{frames}}}}}",
-            ),
-            Event::ReclaimScanStart {
-                free_frames,
-                low_watermark,
-            } => format!(
-                "{{\"name\":\"reclaim_scan\",\"cat\":\"reclaim\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3},\"args\":{{\"free_frames\":{free_frames},\"low_watermark\":{low_watermark}}}}}",
-            ),
-            Event::Evicted {
-                frame,
-                slot,
-                latency_ns,
-            } => format!(
-                "{{\"name\":\"evict\",\"cat\":\"reclaim\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"frame\":{frame},\"slot\":{slot}}}}}",
-                (r.ts_ns.saturating_sub(latency_ns)) as f64 / 1000.0,
-                latency_ns as f64 / 1000.0,
-            ),
-            Event::SwappedIn { slot, latency_ns } => format!(
-                "{{\"name\":\"swap_in\",\"cat\":\"reclaim\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"slot\":{slot}}}}}",
-                (r.ts_ns.saturating_sub(latency_ns)) as f64 / 1000.0,
-                latency_ns as f64 / 1000.0,
-            ),
-            Event::CollapseStart { va } => format!(
-                "{{\"name\":\"collapse_start\",\"cat\":\"thp\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3},\"args\":{{\"va\":{va}}}}}",
-            ),
-            Event::CollapseEnd {
-                va,
-                frame,
-                latency_ns,
-            } => format!(
-                "{{\"name\":\"collapse\",\"cat\":\"thp\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"va\":{va},\"frame\":{frame}}}}}",
-                (r.ts_ns.saturating_sub(latency_ns)) as f64 / 1000.0,
-                latency_ns as f64 / 1000.0,
-            ),
-            Event::Demote { va, frame } => format!(
-                "{{\"name\":\"demote\",\"cat\":\"thp\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3},\"args\":{{\"va\":{va},\"frame\":{frame}}}}}",
-            ),
-            Event::CompactScan {
-                free_frames,
-                frag_milli,
-            } => format!(
-                "{{\"name\":\"compact_scan\",\"cat\":\"thp\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3},\"args\":{{\"free_frames\":{free_frames},\"frag_milli\":{frag_milli}}}}}",
-            ),
-            Event::WalFsync {
-                bytes,
-                records,
-                latency_ns,
-            } => format!(
-                "{{\"name\":\"wal_fsync\",\"cat\":\"durability\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"bytes\":{bytes},\"records\":{records}}}}}",
-                (r.ts_ns.saturating_sub(latency_ns)) as f64 / 1000.0,
-                latency_ns as f64 / 1000.0,
-            ),
-            Event::SnapshotPublish {
-                epoch,
-                bytes,
-                latency_ns,
-            } => format!(
-                "{{\"name\":\"snapshot_publish\",\"cat\":\"durability\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"epoch\":{epoch},\"bytes\":{bytes}}}}}",
-                (r.ts_ns.saturating_sub(latency_ns)) as f64 / 1000.0,
-                latency_ns as f64 / 1000.0,
-            ),
-            Event::RecoveryReplay {
-                records,
-                latency_ns,
-            } => format!(
-                "{{\"name\":\"recovery_replay\",\"cat\":\"durability\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"records\":{records}}}}}",
-                (r.ts_ns.saturating_sub(latency_ns)) as f64 / 1000.0,
-                latency_ns as f64 / 1000.0,
-            ),
-            Event::ReclaimPass {
-                pages_evicted,
-                free_frames,
-                latency_ns,
-            } => format!(
-                "{{\"name\":\"reclaim_pass\",\"cat\":\"reclaim\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"pages_evicted\":{pages_evicted},\"free_frames\":{free_frames}}}}}",
-                (r.ts_ns.saturating_sub(latency_ns)) as f64 / 1000.0,
-                latency_ns as f64 / 1000.0,
-            ),
-            Event::ReclaimBackoff { free_frames } => format!(
-                "{{\"name\":\"reclaim_backoff\",\"cat\":\"reclaim\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3},\"args\":{{\"free_frames\":{free_frames}}}}}",
-            ),
-            Event::ThpPass {
-                candidates,
-                ops,
-                latency_ns,
-            } => format!(
-                "{{\"name\":\"thp_pass\",\"cat\":\"thp\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"candidates\":{candidates},\"ops\":{ops}}}}}",
-                (r.ts_ns.saturating_sub(latency_ns)) as f64 / 1000.0,
-                latency_ns as f64 / 1000.0,
-            ),
-            Event::ThpBackoff { candidates } => format!(
-                "{{\"name\":\"thp_backoff\",\"cat\":\"thp\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3},\"args\":{{\"candidates\":{candidates}}}}}",
-            ),
-        };
-        rows.push(row);
-    }
+    let rows: Vec<String> = trace
+        .events
+        .iter()
+        .map(|r| {
+            let (hit, d) = (&r.hit, r.hit.desc());
+            let us = |ns: u64| ns as f64 / 1000.0;
+            let (name, cat) = d.chrome;
+            let name = match d.kinds {
+                Some(_) => format!("{name}:{}", hit.kind_label()),
+                None => name.to_string(),
+            };
+            let when = match d.latency {
+                Some(i) => format!(
+                    "\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}",
+                    r.thread,
+                    us(r.ts_ns.saturating_sub(hit.w[i])),
+                    us(hit.w[i])
+                ),
+                None => format!(
+                    "\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{:.3}",
+                    r.thread,
+                    us(r.ts_ns)
+                ),
+            };
+            // Args: the ring's words, less the latency the span shows.
+            let args: Vec<String> = (0..3)
+                .filter(|&i| !d.words[i].is_empty() && Some(i) != d.latency)
+                .map(|i| format!("\"{}\":{}", d.words[i], hit.w[i]))
+                .collect();
+            let args = match args.is_empty() {
+                true => String::new(),
+                false => format!(",\"args\":{{{}}}", args.join(",")),
+            };
+            format!("{{\"name\":\"{name}\",\"cat\":\"{cat}\",{when}{args}}}")
+        })
+        .collect();
     format!(
         "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{}]}}",
         rows.join(",")
@@ -530,7 +410,7 @@ pub(crate) fn chrome_json(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultKind, ForkPolicyKind, TraceRecord};
+    use crate::{FaultKind, ForkPolicyKind, Hit, Point, TraceRecord};
 
     #[test]
     fn prom_headers_emitted_once() {
@@ -630,38 +510,18 @@ mod tests {
         );
     }
 
+    fn rec(ts_ns: u64, thread: u32, hit: Hit) -> TraceRecord {
+        TraceRecord { ts_ns, thread, hit }
+    }
+
     #[test]
     fn chrome_json_renders_daemon_pass_and_backoff_rows() {
         let trace = Trace {
             events: vec![
-                TraceRecord {
-                    ts_ns: 9000,
-                    thread: 3,
-                    event: Event::ReclaimPass {
-                        pages_evicted: 12,
-                        free_frames: 90,
-                        latency_ns: 4000,
-                    },
-                },
-                TraceRecord {
-                    ts_ns: 9500,
-                    thread: 3,
-                    event: Event::ReclaimBackoff { free_frames: 90 },
-                },
-                TraceRecord {
-                    ts_ns: 12000,
-                    thread: 4,
-                    event: Event::ThpPass {
-                        candidates: 7,
-                        ops: 2,
-                        latency_ns: 2000,
-                    },
-                },
-                TraceRecord {
-                    ts_ns: 12500,
-                    thread: 4,
-                    event: Event::ThpBackoff { candidates: 7 },
-                },
+                rec(9000, 3, Hit::new(Point::ReclaimPass, &[12, 90, 4000])),
+                rec(9500, 3, Hit::new(Point::ReclaimBackoff, &[90])),
+                rec(12000, 4, Hit::new(Point::ThpPass, &[7, 2, 2000])),
+                rec(12500, 4, Hit::new(Point::ThpBackoff, &[7])),
             ],
             dropped: 0,
         };
@@ -680,33 +540,13 @@ mod tests {
 
     #[test]
     fn chrome_json_shapes_duration_and_instant_events() {
+        let fault = Hit::new(Point::Fault, &[1, 0x1000, 3000]).kind(FaultKind::TableCow.as_u8());
+        let fork = Hit::new(Point::ForkEnd, &[0, 4, 2000]).kind(ForkPolicyKind::OnDemand.as_u8());
         let trace = Trace {
             events: vec![
-                TraceRecord {
-                    ts_ns: 5000,
-                    thread: 2,
-                    event: Event::Fault {
-                        kind: FaultKind::TableCow,
-                        latency_ns: 3000,
-                        retries: 1,
-                        addr: 0x1000,
-                    },
-                },
-                TraceRecord {
-                    ts_ns: 6000,
-                    thread: 0,
-                    event: Event::ForkEnd {
-                        policy: ForkPolicyKind::OnDemand,
-                        pte_copies: 0,
-                        tables_shared: 4,
-                        latency_ns: 2000,
-                    },
-                },
-                TraceRecord {
-                    ts_ns: 7000,
-                    thread: 1,
-                    event: Event::TlbFlush,
-                },
+                rec(5000, 2, fault),
+                rec(6000, 0, fork),
+                rec(7000, 1, Hit::new(Point::TlbFlush, &[])),
             ],
             dropped: 0,
         };
@@ -714,10 +554,10 @@ mod tests {
         assert!(j.contains("\"traceEvents\":["));
         assert!(j.contains("\"name\":\"fault:table_cow\""));
         // Fault span: starts at (5000-3000)ns = 2us, lasts 3us.
-        assert!(j.contains("\"ts\":2.000,\"dur\":3.000"));
+        assert!(j.contains("\"ts\":2.000,\"dur\":3.000,\"args\":{\"retries\":1,\"addr\":4096}"));
         assert!(j.contains("\"name\":\"fork:odf\""));
         assert!(j.contains("\"tables_shared\":4"));
-        assert!(j.contains("\"ph\":\"i\""));
+        assert!(j.ends_with("\"name\":\"tlb_flush\",\"cat\":\"tlb\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":1,\"ts\":7.000}]}"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

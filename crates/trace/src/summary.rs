@@ -7,13 +7,10 @@ use std::collections::BTreeMap;
 use odf_metrics::Histogram;
 
 use crate::export::Exposition;
-use crate::{Event, FaultKind, ForkPolicyKind, Trace};
+use crate::{FaultKind, ForkPolicyKind, Trace};
 
 /// A distribution's label: `(name, value)`.
 type Label = (&'static str, &'static str);
-
-/// One sample an event feeds: (Prometheus family, help, label, value).
-type Dist = (&'static str, &'static str, Option<Label>, u64);
 
 /// Per-event-class rollup of one [`Trace`].
 #[derive(Clone, Default)]
@@ -31,125 +28,29 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Rolls `trace` up into per-class distributions. Its one `match` is
-    /// the only place a trace distribution is named.
+    /// Rolls `trace` up into per-point counts and distributions, as each
+    /// point's descriptor names them.
     pub fn build(trace: &Trace) -> TraceSummary {
         let mut s = TraceSummary {
             dropped: trace.dropped,
             ..TraceSummary::default()
         };
         for r in &trace.events {
-            let (class, dist): (Option<&str>, Option<Dist>) = match r.event {
-                Event::Fault {
-                    kind,
-                    latency_ns,
-                    retries,
-                    ..
-                } => {
-                    s.fault_retries += u64::from(retries);
-                    let help = "Page-fault latency by fault kind";
-                    let label = Some(("kind", kind.label()));
-                    let dist = ("odf_trace_fault_latency_ns", help, label, latency_ns);
-                    (None, Some(dist))
-                }
-                Event::ForkEnd {
-                    policy, latency_ns, ..
-                } => {
-                    let help = "Fork latency by policy";
-                    let label = Some(("policy", policy.label()));
-                    let dist = ("odf_trace_fork_latency_ns", help, label, latency_ns);
-                    (None, Some(dist))
-                }
-                Event::LockRetry { site } => {
-                    s.bump(&format!("lock_retry_{}", site.label()));
-                    (Some("lock_retry_total"), None)
-                }
-                Event::CowCopy { bytes, .. } => {
-                    let help = "Bytes physically copied per COW event";
-                    let dist = ("odf_trace_cow_bytes", help, None, bytes);
-                    (Some("cow_copy"), Some(dist))
-                }
-                Event::MagRefill { blocks, .. } | Event::MagDrain { blocks, .. } => {
-                    let help = "Blocks moved per magazine refill/drain";
-                    let dist = ("odf_trace_mag_transfer_blocks", help, None, blocks);
-                    (Some(r.event.class()), Some(dist))
-                }
-                Event::BulkFree { blocks, .. } => {
-                    let help = "Blocks returned per batched free flush";
-                    let dist = ("odf_trace_bulk_free_blocks", help, None, blocks);
-                    (Some("bulk_free"), Some(dist))
-                }
-                Event::Evicted { latency_ns, .. } => {
-                    let help = "Per-page eviction latency (copy-out + slot write)";
-                    let dist = ("odf_trace_evict_latency_ns", help, None, latency_ns);
-                    (Some("evicted"), Some(dist))
-                }
-                Event::SwappedIn { latency_ns, .. } => {
-                    let help = "Swap-in data-path latency (slot read + frame write)";
-                    let dist = ("odf_trace_swapin_latency_ns", help, None, latency_ns);
-                    (Some("swapped_in"), Some(dist))
-                }
-                Event::CollapseEnd { latency_ns, .. } => {
-                    let help = "Huge-page collapse latency (validate + copy + install)";
-                    let dist = ("odf_trace_collapse_latency_ns", help, None, latency_ns);
-                    (Some("collapse"), Some(dist))
-                }
-                Event::WalFsync { latency_ns, .. } => {
-                    let help = "WAL group-commit fsync latency";
-                    let dist = ("odf_trace_wal_fsync_latency_ns", help, None, latency_ns);
-                    (Some("wal_fsync"), Some(dist))
-                }
-                Event::SnapshotPublish { latency_ns, .. } => {
-                    let help = "Snapshot-image publish latency (encode + fsync + rename)";
-                    let dist = (
-                        "odf_trace_snapshot_publish_latency_ns",
-                        help,
-                        None,
-                        latency_ns,
-                    );
-                    (Some("snapshot_publish"), Some(dist))
-                }
-                Event::RecoveryReplay { latency_ns, .. } => {
-                    let help = "Recovery WAL-replay latency";
-                    let dist = (
-                        "odf_trace_recovery_replay_latency_ns",
-                        help,
-                        None,
-                        latency_ns,
-                    );
-                    (Some("recovery_replay"), Some(dist))
-                }
-                Event::ReclaimPass { latency_ns, .. } => {
-                    let help = "Reclaim-daemon scan-pass latency";
-                    let dist = ("odf_trace_reclaim_pass_latency_ns", help, None, latency_ns);
-                    (Some("reclaim_pass"), Some(dist))
-                }
-                Event::ThpPass { latency_ns, .. } => {
-                    let help = "THP-daemon scan-pass latency";
-                    let dist = ("odf_trace_thp_pass_latency_ns", help, None, latency_ns);
-                    (Some("thp_pass"), Some(dist))
-                }
-                Event::ForkStart { .. }
-                | Event::TlbFlush
-                | Event::Reclaim { .. }
-                | Event::FrameAlloc { .. }
-                | Event::FrameFree { .. }
-                | Event::ReclaimScanStart { .. }
-                | Event::CollapseStart { .. }
-                | Event::Demote { .. }
-                | Event::CompactScan { .. }
-                | Event::ReclaimBackoff { .. }
-                | Event::ThpBackoff { .. } => (Some(r.event.class()), None),
-            };
-            if let Some(class) = class {
-                s.bump(class);
+            let (hit, d) = (&r.hit, r.hit.desc());
+            s.fault_retries += hit.retries();
+            if let Some(key) = d.count {
+                s.bump(key);
             }
-            if let Some((family, help, label, value)) = dist {
+            if d.count_kinds {
+                s.bump(&format!("{}_{}", d.class, hit.kind_label()));
+            }
+            if let Some(dist) = &d.dist {
+                let label = dist.label.map(|name| (name, hit.kind_label()));
                 s.hists
-                    .entry((family, label))
-                    .or_insert_with(|| (help, Histogram::new()))
+                    .entry((dist.family, label))
+                    .or_insert_with(|| (dist.help, Histogram::new()))
                     .1
-                    .record(value);
+                    .record(hit.w[dist.word]);
             }
         }
         s
@@ -178,7 +79,7 @@ impl TraceSummary {
             .map(|(_, (_, h))| h)
     }
 
-    /// Install races lost, as observed by the trace. `LockRetry` events
+    /// Install races lost, as observed by the trace. `LockRetry` records
     /// and the per-fault `retries` tallies cover the same races from two
     /// angles (site-level vs. fault-level), so take whichever view saw
     /// more rather than summing them.
@@ -213,74 +114,37 @@ impl TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceRecord;
+    use crate::{Hit, LockSite, Point, TraceRecord};
 
-    fn rec(ts: u64, event: Event) -> TraceRecord {
+    fn rec(ts_ns: u64, hit: Hit) -> TraceRecord {
         TraceRecord {
-            ts_ns: ts,
+            ts_ns,
             thread: 0,
-            event,
+            hit,
         }
     }
 
     fn sample_trace() -> Trace {
-        let mut events = Vec::new();
-        for i in 0..100u64 {
-            events.push(rec(
-                i,
-                Event::Fault {
-                    kind: FaultKind::CowData,
-                    latency_ns: 1000 + i * 10,
-                    retries: u32::from(i % 7 == 0),
-                    addr: 0x4000 + i * 4096,
-                },
-            ));
-        }
-        events.push(rec(
-            200,
-            Event::ForkEnd {
-                policy: ForkPolicyKind::OnDemand,
-                pte_copies: 0,
-                tables_shared: 9,
-                latency_ns: 5_000,
-            },
-        ));
-        events.push(rec(201, Event::TlbFlush));
-        events.push(rec(
-            202,
-            Event::LockRetry {
-                site: crate::LockSite::PteInstall,
-            },
-        ));
-        events.push(rec(
-            203,
-            Event::CowCopy {
-                order: 9,
-                bytes: 2 << 20,
-                frame: 512,
-            },
-        ));
-        events.push(rec(
-            204,
-            Event::MagRefill {
-                order: 0,
-                blocks: 32,
-            },
-        ));
-        events.push(rec(
-            205,
-            Event::MagDrain {
-                order: 0,
-                blocks: 16,
-            },
-        ));
-        events.push(rec(
-            206,
-            Event::BulkFree {
-                blocks: 8,
-                frames: 8,
-            },
-        ));
+        let cow = FaultKind::CowData.as_u8();
+        let mut events: Vec<TraceRecord> = (0..100u64)
+            .map(|i| {
+                let words = [u64::from(i % 7 == 0), 0x4000 + i * 4096, 1000 + i * 10];
+                rec(i, Hit::new(Point::Fault, &words).kind(cow))
+            })
+            .collect();
+        let odf = ForkPolicyKind::OnDemand.as_u8();
+        events.extend([
+            rec(200, Hit::new(Point::ForkEnd, &[0, 9, 5_000]).kind(odf)),
+            rec(201, Hit::new(Point::TlbFlush, &[])),
+            rec(
+                202,
+                Hit::new(Point::LockRetry, &[]).kind(LockSite::PteInstall.as_u8()),
+            ),
+            rec(203, Hit::new(Point::CowCopy, &[9, 2 << 20, 512])),
+            rec(204, Hit::new(Point::MagRefill, &[0, 32])),
+            rec(205, Hit::new(Point::MagDrain, &[0, 16])),
+            rec(206, Hit::new(Point::BulkFree, &[8, 8])),
+        ]);
         Trace { events, dropped: 3 }
     }
 

@@ -40,7 +40,6 @@ use crate::error::{Result, VmError};
 use crate::fault;
 use crate::machine::Machine;
 use crate::mm::{Mm, MmInner};
-use crate::stats::VmStats;
 use crate::walk;
 
 /// Per-page visitor for `access_inner`: frame, in-page offset, buffer
@@ -274,10 +273,10 @@ impl Mm {
                     Err(walk::Raced) => {}
                     Ok(None) => {
                         if faults > 0 {
-                            VmStats::bump(&machine.stats().fault_retries);
+                            machine.stats().fault_retries.bump();
                         }
                         faults += 1;
-                        VmStats::bump(&machine.stats().faults_shared_lock);
+                        machine.stats().faults_shared_lock.bump();
                         if handler(machine, &inner, va, write)? == FaultKind::Spurious {
                             stalled += 1;
                         } else {
@@ -291,7 +290,7 @@ impl Mm {
                 // the walk read. Counted against the retry bound so a
                 // buggy walk cannot spin forever, but no fault handler
                 // runs — the next iteration simply re-translates.
-                VmStats::bump(&machine.stats().access_pin_retries);
+                machine.stats().access_pin_retries.bump();
                 stalled += 1;
             }
             done += piece;

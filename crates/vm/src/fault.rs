@@ -34,13 +34,12 @@ use std::sync::atomic::Ordering;
 
 use odf_pagetable::{Entry, EntryFlags, Level, Table, VirtAddr, ENTRIES_PER_TABLE};
 use odf_pmem::{FrameId, PageKind, PAGE_SIZE};
-use odf_trace::{Event, FaultKind, LockSite};
+use odf_trace::{FaultKind, Hit, LockSite, Point};
 
 use crate::error::{Result, VmError};
 use crate::machine::Machine;
 use crate::mm::MmInner;
 use crate::share::{self, Policy, Slot, Take};
-use crate::stats::VmStats;
 use crate::vma::{Backing, Vma};
 use crate::walk::{self, lock_retry, resolve_table, PmdCursor, PmdSlot};
 
@@ -97,68 +96,40 @@ pub(crate) fn handle(
     va: VirtAddr,
     write: bool,
 ) -> Result<FaultKind> {
-    // Probes share the trace clock reads: one timestamp pair serves both
-    // the ring record and the probe context. With tracing off, probe-only
-    // faults sample the clock 1-in-N — the two monotonic reads would
-    // otherwise dominate the probe budget on this sub-microsecond path —
-    // and hits without a sample carry `latency_ns == 0` ("unmeasured").
-    let tracing = odf_trace::enabled();
-    let start_ns = (tracing || (odf_trace::probes_active() && odf_trace::probe_clock_sample()))
-        .then(odf_trace::now_ns);
+    // One timestamp pair serves the ring and the probes; probe-only
+    // faults sample the clock (see `start_sampled`).
+    let t0 = odf_trace::start_sampled();
     let mut counted = false;
     let mut swapped_slot = None;
     let mut attempts = 0u32;
     loop {
         match try_handle(machine, inner, va, write, &mut counted, &mut swapped_slot)? {
             Outcome::Done(kind) => {
-                let timing = start_ns.map(|t0| {
-                    let end = odf_trace::now_ns();
-                    (end, end.saturating_sub(t0))
-                });
-                if tracing {
-                    if let Some((end, latency_ns)) = timing {
-                        odf_trace::emit_at(
-                            end,
-                            Event::Fault {
-                                kind,
-                                latency_ns,
-                                retries: attempts,
-                                addr: va.as_u64(),
-                            },
-                        );
-                        // The swap-in record shares the fault's clock
-                        // reads: the latency an application observes for a
-                        // major fault *is* the swap-in latency, and a
-                        // second timestamp pair inside `swap_in` would put
-                        // two extra clock reads on the hot path for the
-                        // same number.
-                        if let Some(slot) = swapped_slot {
-                            odf_trace::emit_at(end, Event::SwappedIn { slot, latency_ns });
-                        }
+                let mut hit = Hit::new(Point::Fault, &[u64::from(attempts), va.as_u64()])
+                    .kind(kind.as_u8())
+                    .pid(inner.owner_pid)
+                    .span(t0);
+                // The VMA lookup costs a BTreeMap walk; only pay it when an
+                // attached probe reads the vma/order fields.
+                if odf_trace::probe_detail(odf_trace::DETAIL_VMA) {
+                    if let Some(vma) = inner.vmas.find(va.as_u64()) {
+                        hit = hit.vma(vma.start, vma.end, if vma.huge { 9 } else { 0 });
                     }
                 }
-                if odf_trace::probes_active() {
-                    let mut cx = odf_trace::ProbeContext::at(odf_trace::ProbePoint::Fault);
-                    cx.pid = inner.owner_pid;
-                    cx.addr = va.as_u64();
-                    // The VMA lookup costs a BTreeMap walk; only pay it
-                    // when an attached probe reads the vma/order fields.
-                    if odf_trace::probe_detail(odf_trace::DETAIL_VMA) {
-                        if let Some(vma) = inner.vmas.find(va.as_u64()) {
-                            cx.vma_start = vma.start;
-                            cx.vma_end = vma.end;
-                            cx.order = if vma.huge { 9 } else { 0 };
-                        }
-                    }
-                    cx.kind = kind.as_u8();
-                    cx.latency_ns = timing.map_or(0, |(_, d)| d);
-                    cx.retries = attempts;
-                    odf_trace::probe_hit(&cx);
+                odf_trace::emit(hit);
+                // The swap-in record shares the fault's clock reads: the
+                // latency an application observes for a major fault *is*
+                // the swap-in latency, and a second timestamp pair inside
+                // `swap_in` would put two extra clock reads on the hot path
+                // for the same number.
+                if let Some(slot) = swapped_slot {
+                    let swap = Hit::new(Point::SwappedIn, &[slot, hit.latency()]);
+                    odf_trace::emit(Hit { at: hit.at, ..swap });
                 }
                 return Ok(kind);
             }
             Outcome::Raced => {
-                VmStats::bump(&machine.stats().install_races_lost);
+                machine.stats().install_races_lost.bump();
                 attempts += 1;
                 if attempts >= MAX_INSTALL_RETRIES {
                     return Err(VmError::FaultRetriesExhausted {
@@ -196,7 +167,7 @@ fn try_handle(
         });
     }
     if !*counted {
-        VmStats::bump(&machine.stats().faults);
+        machine.stats().faults.bump();
         *counted = true;
     }
 
@@ -309,7 +280,7 @@ fn try_handle(
             pte = swap_in(machine, inner, &vma, table, idx, pte, prepared.frame());
             kind = stronger(kind, FaultKind::SwapIn);
         } else if !pte.is_present() {
-            VmStats::bump(&machine.stats().faults_demand);
+            machine.stats().faults_demand.bump();
             pte = prepared;
             table.store(idx, pte);
             inner.rss.fetch_add(1, Ordering::Relaxed);
@@ -406,7 +377,7 @@ fn swap_in(
     table.store(idx, entry);
     machine.swap().slot_put(slot);
     inner.rss.fetch_add(1, Ordering::Relaxed);
-    VmStats::bump(&machine.stats().pages_swapped_in);
+    machine.stats().pages_swapped_in.bump();
     // The `SwappedIn` trace record is emitted by the enclosing fault
     // handler, sharing the fault's timestamp pair (see `handle`).
     entry
@@ -461,7 +432,7 @@ fn cow_or_enable_write(
         let head = pool.compound_head(pte.frame());
         if pool.page(head).kind() == PageKind::Anon && pool.ref_count(head) == 1 {
             // Sole owner: reuse in place.
-            VmStats::bump(&machine.stats().cow_reuses);
+            machine.stats().cow_reuses.bump();
             table.fetch_set(idx, EntryFlags::WRITABLE);
             return Ok(Outcome::Done(FaultKind::CowReuse));
         }
@@ -471,7 +442,7 @@ fn cow_or_enable_write(
         (pte, head)
     };
     // Copy-on-write to a fresh anonymous page, outside the lock.
-    VmStats::bump(&machine.stats().cow_data_copies);
+    machine.stats().cow_data_copies.bump();
     let new = match machine.alloc_page(PageKind::Anon) {
         Ok(f) => f,
         Err(err) => {
@@ -534,7 +505,7 @@ fn fault_in_huge(
         lock_retry(LockSite::PmdInstall);
         return Ok(Outcome::Raced);
     }
-    VmStats::bump(&machine.stats().faults_demand);
+    machine.stats().faults_demand.bump();
     let frame = machine.alloc_huge(PageKind::Anon)?;
     let mut entry = Entry::huge_page(frame, vma.prot.write)
         .with_set(EntryFlags::ACCESSED | EntryFlags::SOFT_DIRTY);
@@ -577,20 +548,18 @@ fn huge_cow(machine: &Machine, vma: &Vma, pmd: &PmdSlot, write: bool) -> Result<
                 let pool = machine.pool();
                 let head = pool.compound_head(e.frame());
                 if pool.ref_count(head) == 1 {
-                    VmStats::bump(&machine.stats().cow_reuses);
+                    machine.stats().cow_reuses.bump();
                     pmd.set_flags(EntryFlags::WRITABLE);
                     kind = FaultKind::CowReuse;
                 } else {
-                    VmStats::bump(&machine.stats().cow_huge_copies);
+                    machine.stats().cow_huge_copies.bump();
                     let new = machine.alloc_huge(PageKind::Anon)?;
                     pool.copy_block(head, new, odf_pmem::HUGE_ORDER);
                     pool.ref_dec(head);
                     pmd.store(Entry::huge_page(new, true).with_set(EntryFlags::ACCESSED));
-                    odf_trace::emit_hot(Event::CowCopy {
-                        order: odf_pmem::HUGE_ORDER,
-                        bytes: crate::HUGE_PAGE_SIZE as u64,
-                        frame: new.index() as u64,
-                    });
+                    let order = u64::from(odf_pmem::HUGE_ORDER);
+                    let words = [order, crate::HUGE_PAGE_SIZE as u64, new.index() as u64];
+                    odf_trace::emit(Hit::new(Point::CowCopy, &words));
                     kind = FaultKind::CowHuge;
                 }
             } else {
@@ -652,7 +621,7 @@ pub(crate) fn populate(
                     if let Some(pmd) = share::own_pmd_table(machine, pmd)? {
                         if let Outcome::Done(_) = fault_in_huge(machine, inner, &vma, &pmd, write)?
                         {
-                            VmStats::bump(&machine.stats().pages_populated);
+                            machine.stats().pages_populated.bump();
                         }
                     }
                 }
@@ -694,7 +663,7 @@ pub(crate) fn populate(
                     let entry = map_new_page(machine, &vma, c.va(idx))?;
                     table.store(idx, entry.with_set(EntryFlags::ACCESSED));
                     inner.rss.fetch_add(1, Ordering::Relaxed);
-                    VmStats::bump(&machine.stats().pages_populated);
+                    machine.stats().pages_populated.bump();
                 } else if write && !cur.is_writable() {
                     handle(machine, inner, c.va(idx), true)?;
                 }

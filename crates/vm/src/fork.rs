@@ -30,13 +30,12 @@ use std::sync::atomic::Ordering;
 
 use odf_pagetable::{Entry, EntryFlags, VirtAddr, ENTRIES_PER_TABLE};
 use odf_pmem::{FrameId, FramePool};
-use odf_trace::Event;
+use odf_trace::{Hit, Point};
 
 use crate::error::Result;
 use crate::machine::Machine;
 use crate::mm::MmInner;
 use crate::share;
-use crate::stats::VmStats;
 use crate::walk::{self, Chunk, PmdCursor, PmdSlot};
 
 /// Which fork implementation to use.
@@ -71,10 +70,10 @@ impl ForkPolicy {
     }
 }
 
-/// Per-invocation fork work tally, reported in the `ForkEnd` trace event.
+/// Per-invocation fork work tally, reported in the `ForkEnd` hit.
 ///
 /// Kept local to the invocation (rather than differencing the global
-/// [`VmStats`]) so concurrent forks of other processes on the same
+/// [`VmStats`](crate::VmStats)) so concurrent forks of other processes on the same
 /// machine cannot pollute the numbers.
 #[derive(Default)]
 struct ForkTally {
@@ -151,14 +150,15 @@ impl ForkScratch {
 /// drops a share for every table it references.
 pub(crate) fn run(machine: &Machine, parent: &mut MmInner, policy: ForkPolicy) -> Result<MmInner> {
     let stats = machine.stats();
-    match policy {
-        ForkPolicy::Classic => VmStats::bump(&stats.forks_classic),
-        ForkPolicy::OnDemand | ForkPolicy::OnDemandHuge => VmStats::bump(&stats.forks_odf),
-    }
-    let start_ns = (odf_trace::enabled() || odf_trace::probes_active()).then(odf_trace::now_ns);
-    odf_trace::emit(Event::ForkStart {
-        policy: policy.trace_kind(),
-    });
+    let kind = policy.trace_kind().as_u8();
+    let t0 = odf_trace::start();
+    odf_trace::emit_counted(
+        match policy {
+            ForkPolicy::Classic => &stats.forks_classic,
+            ForkPolicy::OnDemand | ForkPolicy::OnDemandHuge => &stats.forks_odf,
+        },
+        Hit::new(Point::ForkStart, &[]).kind(kind),
+    );
     let mut tally = ForkTally::default();
     let mut child = MmInner::empty(machine)?;
     child.vmas = parent.vmas.clone();
@@ -183,29 +183,14 @@ pub(crate) fn run(machine: &Machine, parent: &mut MmInner, policy: ForkPolicy) -
         return Err(e);
     }
     // The parent's write-protection changes require a TLB shootdown.
-    VmStats::bump(&stats.tlb_flushes);
-    odf_trace::emit(Event::TlbFlush);
-    if let Some(t0) = start_ns {
-        let end = odf_trace::now_ns();
-        odf_trace::emit_at(
-            end,
-            Event::ForkEnd {
-                policy: policy.trace_kind(),
-                pte_copies: tally.pte_copies,
-                tables_shared: tally.tables_shared,
-                latency_ns: end - t0,
-            },
-        );
-        if odf_trace::probes_active() {
-            let mut cx = odf_trace::ProbeContext::at(odf_trace::ProbePoint::Fork);
-            cx.pid = parent.owner_pid;
-            cx.kind = policy.trace_kind().as_u8();
-            cx.latency_ns = end - t0;
-            cx.value = tally.pte_copies;
-            cx.aux = tally.tables_shared;
-            odf_trace::probe_hit(&cx);
-        }
-    }
+    odf_trace::emit_counted(&stats.tlb_flushes, Hit::new(Point::TlbFlush, &[]));
+    let tally = [tally.pte_copies, tally.tables_shared];
+    odf_trace::emit(
+        Hit::new(Point::ForkEnd, &tally)
+            .kind(kind)
+            .pid(parent.owner_pid)
+            .span(t0),
+    );
     Ok(child)
 }
 
@@ -320,7 +305,7 @@ fn try_share_pmd_table(
         child_idx,
         Entry::table(parent_pmd.frame).with_cleared(EntryFlags::WRITABLE),
     );
-    VmStats::bump(&machine.stats().fork_pmd_tables_shared);
+    machine.stats().fork_pmd_tables_shared.bump();
     tally.tables_shared += 1;
     Ok(true)
 }
@@ -347,7 +332,7 @@ fn share_pte_table(
     parent_pmd.store(pe.with_cleared(EntryFlags::WRITABLE));
     // ...and the child references the same table, equally protected.
     child_pmd.store(Entry::table(table_frame).with_cleared(EntryFlags::WRITABLE));
-    VmStats::bump(&machine.stats().fork_tables_shared);
+    machine.stats().fork_tables_shared.bump();
     tally.tables_shared += 1;
     Ok(())
 }
@@ -412,7 +397,7 @@ fn copy_pte_range(
         child_table.store(idx, child_pte);
     }
     let copied = scratch.entries.len() as u64;
-    VmStats::add(&machine.stats().fork_pte_copies, copied);
+    machine.stats().fork_pte_copies.add(copied);
     tally.pte_copies += copied;
     Ok(())
 }
@@ -452,7 +437,7 @@ fn copy_huge_entry(
         }
     }
     child_pmd.store(ce);
-    VmStats::bump(&machine.stats().fork_huge_copies);
+    machine.stats().fork_huge_copies.bump();
     tally.pte_copies += 1;
     Ok(())
 }

@@ -252,7 +252,6 @@ impl Machine {
     /// low watermark — evicts anonymous pages from registered address
     /// spaces to the swap tier. Returns the number of frames freed.
     pub fn reclaim(&self) -> usize {
-        VmStats::bump(&self.stats.reclaim_runs);
         let mut freed = 0;
         {
             let mut files = self.files.lock();
@@ -276,9 +275,8 @@ impl Machine {
                 freed += mm.try_evict_direct(remaining);
             }
         }
-        odf_trace::emit(odf_trace::Event::Reclaim {
-            frames_freed: freed as u64,
-        });
+        let pass = odf_trace::Hit::new(odf_trace::Point::Reclaim, &[freed as u64]);
+        odf_trace::emit_counted(&self.stats.reclaim_runs, pass);
         freed
     }
 }

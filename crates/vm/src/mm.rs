@@ -11,7 +11,6 @@ use crate::error::{Result, VmError};
 use crate::fork::{self, ForkPolicy};
 use crate::machine::Machine;
 use crate::prot::Prot;
-use crate::stats::VmStats;
 use crate::unmap;
 use crate::vma::{Backing, MapParams, Vma, VmaTree};
 use crate::walk::PmdCursor;
@@ -44,7 +43,7 @@ pub(crate) struct MmInner {
     pub dirty_ranges: Vec<(u64, u64)>,
     /// Owning process id for probe attribution (0 until adopted by a
     /// kernel). Written under the exclusive `mm` lock, read under the
-    /// shared lock by the fault path's probe context assembly.
+    /// shared lock by the fault path, which stamps it on every fault hit.
     pub owner_pid: u64,
 }
 
@@ -318,7 +317,7 @@ impl Mm {
     /// Runs under the **shared** `mm` lock, like every fault.
     pub fn fault(&self, addr: u64, write: bool) -> Result<()> {
         let inner = self.inner.read();
-        VmStats::bump(&self.machine.stats().faults_shared_lock);
+        self.machine.stats().faults_shared_lock.bump();
         fault::handle(&self.machine, &inner, VirtAddr::new(addr), write).map(drop)
     }
 
@@ -386,8 +385,8 @@ impl Mm {
     pub fn destroy(&self) {
         let mut inner = self.inner.write();
         inner.destroy(&self.machine);
-        VmStats::bump(&self.machine.stats().tlb_flushes);
-        odf_trace::emit(odf_trace::Event::TlbFlush);
+        let flush = odf_trace::Hit::new(odf_trace::Point::TlbFlush, &[]);
+        odf_trace::emit_counted(&self.machine.stats().tlb_flushes, flush);
     }
 }
 

@@ -36,11 +36,10 @@ use std::sync::atomic::Ordering;
 
 use odf_pagetable::{Entry, EntryFlags, Table};
 use odf_pmem::{FrameId, PageKind, PAGE_SIZE};
-use odf_trace::Event;
+use odf_trace::{Hit, Point};
 
 use crate::machine::Machine;
 use crate::mm::{Mm, MmInner};
-use crate::stats::VmStats;
 use crate::vma::Backing;
 use crate::walk::{self, Chunk, PmdCursor, PmdSlot};
 
@@ -121,11 +120,9 @@ impl Mm {
     ) -> EvictStats {
         let machine = self.machine();
         let pool = machine.pool();
-        VmStats::bump(&machine.stats().reclaim_scans);
-        odf_trace::emit(Event::ReclaimScanStart {
-            free_frames: pool.free_frames() as u64,
-            low_watermark: pool.watermarks().low as u64,
-        });
+        let marks = [pool.free_frames() as u64, pool.watermarks().low as u64];
+        let scan = Hit::new(Point::ReclaimScanStart, &marks);
+        odf_trace::emit_counted(&machine.stats().reclaim_scans, scan);
 
         let mut stats = EvictStats::default();
         if max_evict == 0 {
@@ -291,7 +288,7 @@ fn evict_one(
     frame: FrameId,
 ) -> bool {
     let pool = machine.pool();
-    let start_ns = (odf_trace::enabled() || odf_trace::probes_active()).then(odf_trace::now_ns);
+    let t0 = odf_trace::start();
 
     if pte.is_writable() {
         // Write-protect first, then check for pins: a GUP-fast writer
@@ -317,26 +314,11 @@ fn evict_one(
     table.store(idx, Entry::swap(slot, latest.is_soft_dirty()));
     inner.rss.fetch_sub(1, Ordering::Relaxed);
     pool.ref_dec(frame);
-    VmStats::bump(&machine.stats().pages_swapped_out);
-    if let Some(t0) = start_ns {
-        let end = odf_trace::now_ns();
-        odf_trace::emit_at(
-            end,
-            Event::Evicted {
-                frame: frame.index() as u64,
-                slot: u64::from(slot),
-                latency_ns: end.saturating_sub(t0),
-            },
-        );
-        if odf_trace::probes_active() {
-            let mut cx = odf_trace::ProbeContext::at(odf_trace::ProbePoint::Evict);
-            cx.pid = inner.owner_pid;
-            cx.latency_ns = end.saturating_sub(t0);
-            cx.value = u64::from(slot);
-            cx.aux = frame.index() as u64;
-            odf_trace::probe_hit(&cx);
-        }
-    }
+    let evicted = Hit::new(Point::Evicted, &[frame.index() as u64, u64::from(slot)]);
+    odf_trace::emit_counted(
+        &machine.stats().pages_swapped_out,
+        evicted.pid(inner.owner_pid).span(t0),
+    );
     true
 }
 

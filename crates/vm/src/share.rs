@@ -15,7 +15,6 @@ use odf_trace::LockSite;
 
 use crate::error::Result;
 use crate::machine::Machine;
-use crate::stats::VmStats;
 use crate::walk::{self, PmdSlot, Reach};
 
 /// An entry in an upper table that references a lower table a fork may
@@ -197,10 +196,11 @@ pub(crate) fn cow_table<'m>(
     level: Level,
 ) -> Result<(FrameId, &'m Table)> {
     let stats = machine.stats();
-    VmStats::bump(match level {
+    match level {
         Level::Pmd => &stats.cow_pmd_table_copies,
         _ => &stats.cow_table_copies,
-    });
+    }
+    .bump();
     let (frame, table) = machine.alloc_table()?;
     table.copy_from(src);
     let heads = &mut Vec::with_capacity(ENTRIES_PER_TABLE);

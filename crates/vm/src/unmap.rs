@@ -15,7 +15,6 @@ use crate::machine::Machine;
 use crate::mm::MmInner;
 use crate::prot::Prot;
 use crate::share::{self, Policy, Slot, Take};
-use crate::stats::VmStats;
 use crate::walk::{self, Chunk, PmdCursor, PmdSlot};
 use crate::HUGE_PAGE_SIZE;
 
@@ -108,8 +107,8 @@ pub(crate) fn zap_range(machine: &Machine, inner: &mut MmInner, start: u64, end:
         }
     }
     batch.flush();
-    VmStats::bump(&machine.stats().tlb_flushes);
-    odf_trace::emit(odf_trace::Event::TlbFlush);
+    let flush = odf_trace::Hit::new(odf_trace::Point::TlbFlush, &[]);
+    odf_trace::emit_counted(&machine.stats().tlb_flushes, flush);
 }
 
 /// Demotes the collapsed chunk behind `pmd` so an operation that covers it
@@ -156,7 +155,7 @@ fn unmap_take<'m>(machine: &'m Machine, inner: &MmInner, slot: Slot<'m>, at: Vir
             inner.rss_sub(present as u64 * slot.level.entry_span() / PAGE_SIZE as u64);
         }
         Take::Owned(Some(owned)) if owned.frame != slot.frame => {
-            VmStats::bump(&machine.stats().unmap_table_copies);
+            machine.stats().unmap_table_copies.bump();
         }
         Take::Owned(_) => {}
         // Never asked to leave a table shared, and the exclusive mm lock
@@ -358,8 +357,8 @@ fn move_mappings(
             }
         }
     }
-    VmStats::bump(&machine.stats().tlb_flushes);
-    odf_trace::emit(odf_trace::Event::TlbFlush);
+    let flush = odf_trace::Hit::new(odf_trace::Point::TlbFlush, &[]);
+    odf_trace::emit_counted(&machine.stats().tlb_flushes, flush);
     Ok(())
 }
 
@@ -370,7 +369,7 @@ fn own_pmd<'m>(machine: &'m Machine, pmd: PmdSlot<'m>) -> Result<PmdSlot<'m>> {
     let shared_frame = pmd.frame;
     let pmd = share::own_pmd_table(machine, pmd)?.expect("the exclusive mm lock pins the slot");
     if pmd.frame != shared_frame {
-        VmStats::bump(&machine.stats().unmap_table_copies);
+        machine.stats().unmap_table_copies.bump();
     }
     Ok(pmd)
 }
@@ -384,7 +383,7 @@ fn own_pte<'m>(machine: &'m Machine, pmd: &PmdSlot<'m>, e: Entry) -> Result<&'m 
     Ok(
         match share::take(machine, Slot::pte_table(pmd, reach.frame), |_| Policy::Copy)? {
             Take::Owned(Some(owned)) if owned.frame != reach.frame => {
-                VmStats::bump(&machine.stats().unmap_table_copies);
+                machine.stats().unmap_table_copies.bump();
                 owned.table
             }
             Take::Owned(_) => reach.table,
@@ -422,8 +421,8 @@ pub(crate) fn mprotect(
     if losing_write {
         wrprotect_range(machine, inner, start, end);
     }
-    VmStats::bump(&machine.stats().tlb_flushes);
-    odf_trace::emit(odf_trace::Event::TlbFlush);
+    let flush = odf_trace::Hit::new(odf_trace::Point::TlbFlush, &[]);
+    odf_trace::emit_counted(&machine.stats().tlb_flushes, flush);
     Ok(())
 }
 

@@ -28,7 +28,7 @@ use std::ops::Range;
 
 use odf_pagetable::{Entry, EntryFlags, Level, Table, TableSlot, VirtAddr, PTE_TABLE_SPAN};
 use odf_pmem::{FrameId, PAGE_SIZE};
-use odf_trace::{Event, LockSite};
+use odf_trace::{Hit, LockSite};
 
 use crate::error::Result;
 use crate::machine::Machine;
@@ -82,16 +82,10 @@ pub(crate) fn chunks(start: u64, end: u64) -> impl Iterator<Item = Chunk> {
     })
 }
 
-/// Emits a `LockRetry` trace event and mirrors it to the probe layer. The
-/// probe context carries the lock class in `kind` so `count_by kind`
-/// programs attribute contention per site.
+/// Emits a `LockRetry` hit. The lock class rides in `kind`, so
+/// `count_by kind` probes attribute contention per site.
 pub(crate) fn lock_retry(site: LockSite) {
-    odf_trace::emit(Event::LockRetry { site });
-    if odf_trace::probes_active() {
-        let mut cx = odf_trace::ProbeContext::at(odf_trace::ProbePoint::LockRetry);
-        cx.kind = site.as_u8();
-        odf_trace::probe_hit(&cx);
-    }
+    odf_trace::emit(Hit::new(odf_trace::Point::LockRetry, &[]).kind(site.as_u8()));
 }
 
 /// A lower table a lockless walker reached through an upper entry, with
