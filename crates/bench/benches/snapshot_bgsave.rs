@@ -10,6 +10,10 @@
 //! snapshot. The
 //! interesting curve is image size versus dirty fraction: full images stay
 //! flat while deltas shrink toward nothing as the write rate drops.
+//!
+//! The serving thread's stall at each snapshot is the fork *and* the
+//! soft-dirty epoch advance after it (`fork_ms` and `epoch_ms`): the
+//! advance must precede the next write, so a server pays both.
 
 use odf_bench as bench;
 use odf_core::{ForkPolicy, Process};
@@ -19,6 +23,7 @@ use odf_snapshot::{capture_delta, capture_full};
 
 struct Measured {
     fork_ms: f64,
+    epoch_ms: f64,
     image_bytes: usize,
     serialize_ms: f64,
     dedup: f64,
@@ -33,7 +38,9 @@ fn snapshot(proc: &Process, policy: ForkPolicy, delta: bool) -> Measured {
     let child = proc.fork_with(policy).expect("fork");
     let fork_ns = fork.elapsed_ns();
     let epoch = child.checkpoint_epoch();
+    let advance = Stopwatch::start();
     proc.advance_checkpoint_epoch().expect("next epoch");
+    let epoch_ns = advance.elapsed_ns();
     let serialize = Stopwatch::start();
     let image = if delta {
         capture_delta(child.mm(), epoch, epoch - 1)
@@ -46,6 +53,7 @@ fn snapshot(proc: &Process, policy: ForkPolicy, delta: bool) -> Measured {
     child.exit();
     Measured {
         fork_ms: fork_ns as f64 / 1e6,
+        epoch_ms: epoch_ns as f64 / 1e6,
         image_bytes,
         serialize_ms: serialize_ns as f64 / 1e6,
         dedup,
@@ -98,7 +106,7 @@ fn main() {
         let mut report = bench::Report::new(
             &format!("snapshot_bgsave_{policy:?}").to_lowercase(),
             "dirty_keys dirty_pct full_img_bytes delta_img_bytes delta_over_full \
-             fork_ms serialize_ms dedup",
+             fork_ms epoch_ms serialize_ms dedup",
         );
         for &frac in &fractions {
             let dirty = ((keys as f64 * frac) as u64).max(1);
@@ -111,6 +119,7 @@ fn main() {
                 delta.image_bytes.into(),
                 bench::num(delta.image_bytes as f64 / full.image_bytes as f64, 3),
                 bench::num(delta.fork_ms, 3),
+                bench::num(delta.epoch_ms, 3),
                 bench::num(delta.serialize_ms, 3),
                 bench::num(delta.dedup, 2),
             ]);

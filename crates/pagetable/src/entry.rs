@@ -28,13 +28,29 @@ impl EntryFlags {
     /// level for the same purpose).
     ///
     /// Unlike `DIRTY`, which COW and write-protection logic may reset,
-    /// this bit is only cleared by an explicit
-    /// `clear_soft_dirty` sweep, so "set" means "written since the last
-    /// snapshot epoch". It is set on writes and whenever a leaf entry is
-    /// newly instantiated or moved (demand paging, populate, mremap), so a
-    /// delta image can never carry stale content forward at a reused
-    /// address.
+    /// this bit is retired only by the `clear_soft_dirty` epoch sweep, so
+    /// "set" means "written since the last snapshot epoch". It is set on
+    /// writes and whenever a leaf entry is newly instantiated or moved
+    /// (demand paging, populate, mremap), so a delta image can never carry
+    /// stale content forward at a reused address.
+    ///
+    /// The sweep clears it in place in a table the process owns; above a
+    /// table still shared from an On-demand fork it sets
+    /// [`SOFT_CLEAN`](Self::SOFT_CLEAN) on the PMD entry instead, and the
+    /// bit reads as clear through that entry.
     pub const SOFT_DIRTY: u64 = 1 << 9;
+    /// On a non-leaf PMD entry: this process's snapshot epoch began after
+    /// the `SOFT_DIRTY` bits in the PTE table below were set, so every one
+    /// of them reads as clear through this entry (bit 10, ignored by the
+    /// hardware walker).
+    ///
+    /// The epoch sweep sets it on an entry whose table is still shared
+    /// from an On-demand fork, instead of copying the table: the other
+    /// sharers keep reading the bits. The entry is write-protected while
+    /// the flag is set, and the table is settled (the bits cleared in this
+    /// process's own copy, or in place once no other process shares it)
+    /// before anything is written into it. Never set on a huge leaf.
+    pub const SOFT_CLEAN: u64 = 1 << 10;
 
     /// The entry is a typed swap entry: not present, its frame bits hold a
     /// swap-slot index instead of a frame number (bit 62, outside both the
@@ -49,7 +65,8 @@ impl EntryFlags {
         | Self::ACCESSED
         | Self::DIRTY
         | Self::HUGE
-        | Self::SOFT_DIRTY;
+        | Self::SOFT_DIRTY
+        | Self::SOFT_CLEAN;
 }
 
 /// Mask of the frame-number bits (bits 12..48).
@@ -161,6 +178,12 @@ impl Entry {
         self.0 & EntryFlags::SOFT_DIRTY != 0
     }
 
+    /// Whether this PMD entry reads the soft-dirty bits of its table as
+    /// clear ([`EntryFlags::SOFT_CLEAN`]).
+    pub fn is_soft_clean(self) -> bool {
+        self.0 & EntryFlags::SOFT_CLEAN != 0
+    }
+
     /// The referenced frame.
     pub fn frame(self) -> FrameId {
         FrameId(((self.0 & FRAME_MASK) >> PAGE_SHIFT) as u32)
@@ -192,13 +215,14 @@ impl std::fmt::Debug for Entry {
         }
         write!(
             f,
-            "Entry({:?}{}{}{}{}{}{})",
+            "Entry({:?}{}{}{}{}{}{}{})",
             self.frame(),
             if self.is_writable() { " W" } else { " RO" },
             if self.is_huge() { " HUGE" } else { "" },
             if self.is_accessed() { " A" } else { "" },
             if self.is_dirty() { " D" } else { "" },
             if self.is_soft_dirty() { " SD" } else { "" },
+            if self.is_soft_clean() { " SC" } else { "" },
             if self.0 & EntryFlags::USER != 0 {
                 " U"
             } else {
@@ -250,6 +274,16 @@ mod tests {
         let cleared = e.with_cleared(EntryFlags::SOFT_DIRTY);
         assert!(!cleared.is_soft_dirty());
         assert_eq!(cleared.frame(), FrameId(7));
+    }
+
+    #[test]
+    fn soft_clean_is_a_table_entry_flag_apart_from_the_frame() {
+        let e = Entry::table(FrameId(9)).with_set(EntryFlags::SOFT_CLEAN);
+        assert!(e.is_soft_clean());
+        assert!(!e.is_soft_dirty());
+        assert_eq!(e.frame(), FrameId(9));
+        assert!(format!("{e:?}").contains(" SC"));
+        assert!(!Entry::table(FrameId(9)).is_soft_clean());
     }
 
     #[test]

@@ -142,22 +142,26 @@ impl Table {
         }
     }
 
-    /// Clears the writable bit of every present entry.
+    /// Clears the writable bit of every present entry, and the bits `also`
+    /// of every entry holding them, present or swap — one pass.
     ///
     /// This models the per-entry write-protection sweep that classic fork
     /// performs on last-level tables (and that On-demand-fork avoids by
-    /// clearing a single PMD-entry bit instead).
+    /// clearing a single PMD-entry bit instead). `also` is
+    /// `EntryFlags::SOFT_DIRTY` when the table is settled below a
+    /// `SOFT_CLEAN` PMD entry, and 0 otherwise.
     ///
     /// Each clear is an atomic read-modify-write, so accessed/dirty bits
     /// set concurrently by the simulated MMU (`fetch_set` during
     /// translation) are never clobbered. A not-present slot observed here
     /// may be racing a concurrent install, but fresh installs are made by
     /// the exclusive owner of the page and need no protection.
-    pub fn wrprotect_all(&self) {
-        for i in 0..ENTRIES_PER_TABLE {
-            let raw = self.entries[i].load(Ordering::Acquire);
-            if raw & EntryFlags::PRESENT != 0 {
-                self.entries[i].fetch_and(!EntryFlags::WRITABLE, Ordering::AcqRel);
+    pub fn wrprotect_all(&self, also: u64) {
+        let bits = EntryFlags::WRITABLE | also;
+        for e in &self.entries {
+            let raw = e.load(Ordering::Acquire);
+            if raw & EntryFlags::PRESENT != 0 || raw & also != 0 {
+                e.fetch_and(!bits, Ordering::AcqRel);
             }
         }
     }
@@ -215,11 +219,22 @@ mod tests {
             Entry::page(FrameId(5), true).with_set(EntryFlags::ACCESSED),
         );
         t.store(2, Entry::page(FrameId(6), false));
-        t.wrprotect_all();
+        t.wrprotect_all(0);
         assert!(!t.load(1).is_writable());
         assert!(t.load(1).is_accessed());
         assert!(!t.load(2).is_writable());
         assert_eq!(t.count_present(), 2);
+    }
+
+    #[test]
+    fn wrprotect_all_clears_extra_bits_on_swap_entries_too() {
+        let t = Table::new();
+        let sd = EntryFlags::SOFT_DIRTY;
+        t.store(1, Entry::page(FrameId(5), true).with_set(sd));
+        t.store(2, Entry::swap(7, true));
+        t.wrprotect_all(sd);
+        assert!(!t.load(1).is_writable() && !t.load(1).is_soft_dirty());
+        assert_eq!(t.load(2), Entry::swap(7, false));
     }
 
     #[test]
@@ -256,7 +271,7 @@ mod tests {
         let t = Table::new();
         t.store(9, Entry::page(FrameId(3), true));
         t.fetch_set(9, EntryFlags::ACCESSED | EntryFlags::DIRTY);
-        t.wrprotect_all();
+        t.wrprotect_all(0);
         let e = t.load(9);
         assert!(!e.is_writable());
         assert!(e.is_accessed());

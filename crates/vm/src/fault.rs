@@ -233,10 +233,14 @@ fn try_handle(
     // missing PTE (populating a shared table would leak the mapping into
     // every sharer) — needs a dedicated copy first (§3.4); a write through
     // a table whose sharers have all left restores its write permission.
+    // A `SOFT_CLEAN` entry goes through `take` even for a read: the table
+    // must be settled before a page is inserted, or the new page would
+    // read clean through the flag and the next delta would miss it.
     // `take` revalidates under the table's split lock. A table that is
     // not shared is this process's own once the walk to it holds, and
     // only this process's exclusive operations free it.
-    let (table_frame, table) = if shared || (write && !pmd.load().is_writable()) {
+    let pe = pmd.load();
+    let (table_frame, table) = if shared || (write && !pe.is_writable()) || pe.is_soft_clean() {
         match share::take(machine, Slot::pte_table(&pmd, table_frame), |_| {
             Policy::Copy
         })? {
@@ -277,7 +281,7 @@ fn try_handle(
             // into the prepared frame (swap entries only occur in
             // anonymous VMAs, so `prepared` is a fresh anonymous frame).
             *swapped_slot = Some(u64::from(pte.swap_slot()));
-            pte = swap_in(machine, inner, &vma, table, idx, pte, prepared.frame());
+            pte = swap_in(machine, inner, &vma, table, cur, idx, pte, prepared.frame());
             kind = stronger(kind, FaultKind::SwapIn);
         } else if !pte.is_present() {
             machine.stats().faults_demand.bump();
@@ -342,8 +346,9 @@ fn map_new_page(machine: &Machine, vma: &Vma, va: VirtAddr) -> Result<Entry> {
 }
 
 /// Swaps an evicted page back in: reads the slot contents into the
-/// caller-prepared frame and installs the present PTE. Caller holds the
-/// split lock of the (dedicated) table, so the swap entry cannot change
+/// caller-prepared frame and installs the present PTE in `table`, which
+/// the PMD entry `pmd` references. Caller holds the split lock of the
+/// (dedicated, settled) table, so the swap entry cannot change
 /// underneath; the frame was allocated outside that lock.
 ///
 /// Every faulting process gets its own frame — there is no swap cache.
@@ -352,11 +357,13 @@ fn map_new_page(machine: &Machine, vma: &Vma, va: VirtAddr) -> Result<Entry> {
 /// COW-sharing identical contents, and each copy read from the slot is
 /// byte-identical; any divergence after the swap-in is exactly the
 /// divergence COW would have produced.
+#[allow(clippy::too_many_arguments)]
 fn swap_in(
     machine: &Machine,
     inner: &MmInner,
     vma: &Vma,
     table: &Table,
+    pmd: Entry,
     idx: usize,
     pte: Entry,
     frame: FrameId,
@@ -368,7 +375,7 @@ fn swap_in(
         machine.pool().write_frame(frame, 0, &buf);
     }
     let mut entry = Entry::page(frame, vma.prot.write).with_set(EntryFlags::ACCESSED);
-    if pte.is_soft_dirty() {
+    if walk::soft_dirty(pmd, pte) {
         // Soft-dirty survives the round trip: a page dirtied since the
         // last epoch sweep stays dirty for the next snapshot even if it
         // spent the interim in swap.
@@ -747,7 +754,8 @@ mod tests {
         let cursor = PmdCursor::new(&machine, inner.pgd);
         let stale = cursor.slot(va).unwrap();
         // Simulate the concurrent COW: repoint the PUD entry at a copy.
-        let (new_frame, new_table) = share::cow_table(&machine, stale.table, Level::Pmd).unwrap();
+        let (new_frame, new_table) =
+            share::cow_table(&machine, stale.table, Level::Pmd, 0).unwrap();
         stale.store_pud(Entry::table(new_frame));
 
         // The unlocked fast path must not hand the stale slot back even

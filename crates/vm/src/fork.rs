@@ -168,7 +168,8 @@ pub(crate) fn run(machine: &Machine, parent: &mut MmInner, policy: ForkPolicy) -
     child.next_mmap = parent.next_mmap;
     // The child inherits the epoch dirty-range log: relative to the last
     // snapshot epoch, everything logged in the parent has changed in the
-    // child too (fork also copies every SOFT_DIRTY PTE bit below).
+    // child too (fork also carries every soft-dirty bit below, as the
+    // parent reads it).
     child.dirty_ranges = parent.dirty_ranges.clone();
 
     let mut scratch = ForkScratch::new();
@@ -264,7 +265,7 @@ fn copy_chunk(
         ForkPolicy::OnDemand | ForkPolicy::OnDemandHuge => {
             share_pte_table(machine, child, parent_pmd, pe, at, tally, scratch)
         }
-        ForkPolicy::Classic => copy_pte_range(machine, child, vma, pe.frame(), c, tally, scratch),
+        ForkPolicy::Classic => copy_pte_range(machine, child, vma, pe, c, tally, scratch),
     }
 }
 
@@ -330,8 +331,15 @@ fn share_pte_table(
     scratch.share(machine.pool(), table_frame);
     // One store write-protects the parent's whole 2 MiB range...
     parent_pmd.store(pe.with_cleared(EntryFlags::WRITABLE));
-    // ...and the child references the same table, equally protected.
-    child_pmd.store(Entry::table(table_frame).with_cleared(EntryFlags::WRITABLE));
+    // ...and the child references the same table, equally protected. It
+    // reads the table's soft-dirty bits as the parent does: a
+    // `SOFT_CLEAN` flag the epoch sweep left on the parent's entry is
+    // carried.
+    child_pmd.store(
+        Entry::table(table_frame)
+            .with_cleared(EntryFlags::WRITABLE)
+            .with_set(pe.0 & EntryFlags::SOFT_CLEAN),
+    );
     machine.stats().fork_tables_shared.bump();
     tally.tables_shared += 1;
     Ok(())
@@ -346,18 +354,22 @@ fn share_pte_table(
 /// refcount pass and the store pass, and references are taken *before* any
 /// child entry becomes visible, so the invariant "a stored entry holds a
 /// reference" is never violated mid-copy. Unlike the table COW it copies a
-/// sub-range and write-protects the parent's entries one by one.
+/// sub-range and write-protects the parent's entries one by one. Below a
+/// `SOFT_CLEAN` parent entry `pe` the child's copies shed their stale
+/// soft-dirty bits, so the child reads the parent's view.
 fn copy_pte_range(
     machine: &Machine,
     child: &PmdCursor,
     vma: &crate::vma::Vma,
-    parent_table_frame: FrameId,
+    pe: Entry,
     c: Chunk,
     tally: &mut ForkTally,
     scratch: &mut ForkScratch,
 ) -> Result<()> {
     let pool = machine.pool();
+    let parent_table_frame = pe.frame();
     let parent_table = machine.table(parent_table_frame);
+    let stale = share::stale_bits(pe);
     // If the parent's table is shared (a prior On-demand-fork), its
     // entries are read-only sources: the parent is already write-protected
     // through its PMD bit and the entries must not be mutated.
@@ -387,7 +399,7 @@ fn copy_pte_range(
 
     // Publish child entries; write-protect the parent's copies.
     for &(idx, pte) in scratch.entries.iter() {
-        let mut child_pte = pte;
+        let mut child_pte = pte.with_cleared(stale);
         if pte.is_present() && !vma.shared {
             child_pte = child_pte.with_cleared(EntryFlags::WRITABLE);
             if !parent_is_shared {

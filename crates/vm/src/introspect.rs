@@ -11,7 +11,7 @@
 
 use std::collections::HashSet;
 
-use odf_pagetable::{Entry, EntryFlags, VirtAddr, ENTRIES_PER_TABLE};
+use odf_pagetable::{Entry, VirtAddr, ENTRIES_PER_TABLE};
 use odf_pmem::PAGE_SIZE;
 
 use crate::mm::Mm;
@@ -353,7 +353,6 @@ impl Mm {
                     // mapping its sub-frame.
                     None if pe.is_present() && pe.is_huge() => {
                         Entry::page(pe.frame().offset(idx), pe.is_writable())
-                            .with_set(pe.0 & EntryFlags::SOFT_DIRTY)
                     }
                     None => Entry::NONE,
                 })
@@ -368,7 +367,8 @@ impl Mm {
                     writable: pte.is_present() && upper_writable && pte.is_writable(),
                     huge: pte.is_present() && pe.is_huge(),
                     swapped: pte.is_swap(),
-                    soft_dirty: (pte.is_present() || pte.is_swap()) && pte.is_soft_dirty(),
+                    soft_dirty: (pte.is_present() || pte.is_swap())
+                        && walk::soft_dirty(pe, if pe.is_huge() { pe } else { pte }),
                     frame: if pte.is_swap() {
                         u64::from(pte.swap_slot())
                     } else if pte.is_present() {

@@ -139,9 +139,15 @@ fn take_locked<'m>(
     if pool.pt_share_count(slot.frame) == 1 {
         // §3.4: "both the previously shared table and the new table become
         // dedicated". A former sharer's copy may still co-reference these
-        // pages: write-protect them before re-enabling the slot.
+        // pages: write-protect them before re-enabling the slot. Below a
+        // `SOFT_CLEAN` entry the same pass settles the table: its
+        // soft-dirty bits are cleared before the flag is dropped, so no
+        // reader sees them without it.
         if !e.is_writable() {
-            table.wrprotect_all();
+            table.wrprotect_all(stale_bits(e));
+            if e.is_soft_clean() {
+                slot.upper.fetch_clear(slot.idx, EntryFlags::SOFT_CLEAN);
+            }
             slot.upper.fetch_set(slot.idx, EntryFlags::WRITABLE);
         }
         return Ok(Take::Owned(Some(held(machine, slot, e))));
@@ -155,7 +161,7 @@ fn take_locked<'m>(
             Take::Released { present }
         }
         Policy::Copy => {
-            let (copy, _) = cow_table(machine, table, slot.level)?;
+            let (copy, _) = cow_table(machine, table, slot.level, stale_bits(e))?;
             pool.pt_share_dec(slot.frame);
             slot.upper.store(slot.idx, Entry::table(copy));
             Take::Owned(Some(held(machine, slot, Entry::table(copy))))
@@ -185,15 +191,28 @@ pub(crate) fn own_pmd_table<'m>(
     )
 }
 
+/// The bits beside `WRITABLE` a table reached through `e` sheds when this
+/// process takes it, or a Classic child copies its entries: every
+/// soft-dirty bit, below a `SOFT_CLEAN` entry (the epoch sweep flagged the
+/// table instead of copying it).
+pub(crate) fn stale_bits(e: Entry) -> u64 {
+    if e.is_soft_clean() {
+        EntryFlags::SOFT_DIRTY
+    } else {
+        0
+    }
+}
+
 /// Copies a shared table for the calling process — the fork-time work
 /// On-demand-fork deferred: entries as stored (accessed bits too, §3.2),
 /// the references classic fork would have taken, then write-protection so
-/// each page faults before its first write. Caller holds `src`'s split
-/// lock.
+/// each page faults before its first write, clearing the bits `also` in
+/// the same pass. Caller holds `src`'s split lock.
 pub(crate) fn cow_table<'m>(
     machine: &'m Machine,
     src: &Table,
     level: Level,
+    also: u64,
 ) -> Result<(FrameId, &'m Table)> {
     let stats = machine.stats();
     match level {
@@ -205,7 +224,7 @@ pub(crate) fn cow_table<'m>(
     table.copy_from(src);
     let heads = &mut Vec::with_capacity(ENTRIES_PER_TABLE);
     ref_entries(machine, table, 0..ENTRIES_PER_TABLE, heads, |_, _| ());
-    table.wrprotect_all();
+    table.wrprotect_all(also);
     Ok((frame, table))
 }
 
@@ -287,6 +306,22 @@ mod tests {
         Cleared,
     }
 
+    /// What our slot reads of the original's soft-dirty bits after a run
+    /// whose slot started flagged `SOFT_CLEAN` (PTE level; every entry of
+    /// the original soft-dirty).
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Soft {
+        /// Not run flagged: the flag is only ever set on a
+        /// write-protected slot.
+        Never,
+        /// Still flagged, over the original.
+        Flagged,
+        /// Unflagged, over a table with no soft-dirty bit left.
+        Settled,
+        /// The slot was cleared.
+        Gone,
+    }
+
     /// One row: the inputs, then every expectation.
     struct Row {
         state: State,
@@ -300,8 +335,11 @@ mod tests {
         /// Whether the original table's present entries are all
         /// write-protected afterwards (they start writable).
         original_wp: bool,
+        /// The flagged run's soft-dirty view.
+        soft: Soft,
     }
 
+    #[allow(clippy::too_many_arguments)]
     const fn row(
         state: State,
         policy: Policy,
@@ -310,6 +348,7 @@ mod tests {
         refs: u32,
         target: Target,
         original_wp: bool,
+        soft: Soft,
     ) -> Row {
         Row {
             state,
@@ -319,41 +358,45 @@ mod tests {
             refs,
             target,
             original_wp,
+            soft,
         }
     }
 
     use Got::*;
     use Policy::{Copy, Leave, Release};
+    use Soft::{Flagged, Gone, Never, Settled};
     use State::*;
     use Target::*;
 
     #[rustfmt::skip]
     const ROWS: [Row; 15] = [
-        // state        policy   outcome      count refs slot afterwards  orig wp
-        row(One,        Copy,    Same,        1,    1,   Original(true),  false),
-        row(One,        Release, Same,        1,    1,   Original(true),  false),
-        row(One,        Leave,   Same,        1,    1,   Original(true),  false),
-        row(Two,        Copy,    Copied,      1,    2,   NewTable(true),  false),
-        row(Two,        Release, Released,    1,    1,   Cleared,         false),
-        row(Two,        Leave,   StillShared, 2,    1,   Original(false), false),
-        row(Collapsing, Copy,    Same,        1,    1,   Original(true),  true),
-        row(Collapsing, Release, Same,        1,    1,   Original(true),  true),
-        row(Collapsing, Leave,   Same,        1,    1,   Original(true),  true),
-        row(Repointed,  Copy,    Raced,       1,    2,   NewTable(true),  false),
-        row(Repointed,  Release, Raced,       1,    2,   NewTable(true),  false),
-        row(Repointed,  Leave,   Raced,       1,    2,   NewTable(true),  false),
-        row(Stale,      Copy,    Raced,       1,    2,   NewTable(true),  false),
-        row(Stale,      Release, Raced,       1,    2,   NewTable(true),  false),
-        row(Stale,      Leave,   Raced,       1,    2,   NewTable(true),  false),
+        // state        policy   outcome      count refs slot afterwards  orig wp flagged
+        row(One,        Copy,    Same,        1,    1,   Original(true),  false,  Never),
+        row(One,        Release, Same,        1,    1,   Original(true),  false,  Never),
+        row(One,        Leave,   Same,        1,    1,   Original(true),  false,  Never),
+        row(Two,        Copy,    Copied,      1,    2,   NewTable(true),  false,  Settled),
+        row(Two,        Release, Released,    1,    1,   Cleared,         false,  Gone),
+        row(Two,        Leave,   StillShared, 2,    1,   Original(false), false,  Flagged),
+        row(Collapsing, Copy,    Same,        1,    1,   Original(true),  true,   Settled),
+        row(Collapsing, Release, Same,        1,    1,   Original(true),  true,   Settled),
+        row(Collapsing, Leave,   Same,        1,    1,   Original(true),  true,   Settled),
+        row(Repointed,  Copy,    Raced,       1,    2,   NewTable(true),  false,  Settled),
+        row(Repointed,  Release, Raced,       1,    2,   NewTable(true),  false,  Settled),
+        row(Repointed,  Leave,   Raced,       1,    2,   NewTable(true),  false,  Settled),
+        row(Stale,      Copy,    Raced,       1,    2,   NewTable(true),  false,  Settled),
+        row(Stale,      Release, Raced,       1,    2,   NewTable(true),  false,  Settled),
+        row(Stale,      Leave,   Raced,       1,    2,   NewTable(true),  false,  Settled),
     ];
 
     /// Two processes' upper tables and one lower table of `level` mapping
-    /// a few pages (plus a swap entry at the PTE level), in the sharing
-    /// state a row starts from.
+    /// a few pages (plus a swap entry at the PTE level, every entry there
+    /// soft-dirty), in the sharing state a row starts from — with our slot
+    /// flagged `SOFT_CLEAN` when `flagged`.
     struct World {
         machine: Arc<Machine>,
         baseline: PoolBalance,
         level: Level,
+        flagged: bool,
         /// Our upper table's frame, and the other sharer's.
         ours: FrameId,
         theirs: FrameId,
@@ -364,7 +407,7 @@ mod tests {
     }
 
     impl World {
-        fn new(level: Level, state: State) -> World {
+        fn new(level: Level, state: State, flagged: bool) -> World {
             let machine = Machine::new(16 << 20);
             let baseline = machine.pool().balance();
             let (ours, our_table) = machine.alloc_table().unwrap();
@@ -375,11 +418,11 @@ mod tests {
             if level == Level::Pte {
                 for idx in [0, 7, 511] {
                     let f = machine.alloc_page(PageKind::Anon).unwrap();
-                    lower.store(idx, Entry::page(f, true));
+                    lower.store(idx, Entry::page(f, true).with_set(EntryFlags::SOFT_DIRTY));
                     pages.push(f);
                 }
                 let slot = machine.swap().alloc_slot(&[0x5a; PAGE_SIZE]);
-                lower.store(9, Entry::swap(slot, false));
+                lower.store(9, Entry::swap(slot, true));
                 swap_slot = Some(slot);
             } else {
                 for idx in [0, 3] {
@@ -393,13 +436,15 @@ mod tests {
             } else {
                 machine.pool().pt_share_inc(original);
                 let shared = Entry::table(original).with_cleared(EntryFlags::WRITABLE);
-                our_table.store(IDX, shared);
+                let flag = if flagged { EntryFlags::SOFT_CLEAN } else { 0 };
+                our_table.store(IDX, shared.with_set(flag));
                 their_table.store(IDX, shared);
             }
             World {
                 machine,
                 baseline,
                 level,
+                flagged,
                 ours,
                 theirs,
                 original,
@@ -417,7 +462,8 @@ mod tests {
         /// A sibling thread of our process COWs our slot away.
         fn sibling_copies(&self) {
             let m = &self.machine;
-            let (copy, _) = cow_table(m, m.table(self.original), self.level).unwrap();
+            let stale = stale_bits(m.table(self.ours).load(IDX));
+            let (copy, _) = cow_table(m, m.table(self.original), self.level, stale).unwrap();
             m.pool().pt_share_dec(self.original);
             m.table(self.ours).store(IDX, Entry::table(copy));
         }
@@ -474,12 +520,18 @@ mod tests {
             assert_eq!(target, row.target, "{ctx}: slot afterwards");
             let original = self.machine.table(self.original);
             if let NewTable(_) = target {
-                // A copy maps the original's pages, all write-protected.
+                // A copy maps the original's pages, all write-protected
+                // (and, taken through a flagged slot, none soft-dirty).
                 assert_eq!(pool.pt_share_count(e.frame()), 1, "{ctx}: copy share count");
                 let copy = self.machine.table(e.frame());
                 for idx in 0..ENTRIES_PER_TABLE {
                     let (c, o) = (copy.load(idx), original.load(idx));
-                    let rw = EntryFlags::WRITABLE;
+                    let sd = if self.flagged {
+                        EntryFlags::SOFT_DIRTY
+                    } else {
+                        0
+                    };
+                    let rw = EntryFlags::WRITABLE | sd;
                     assert_eq!(c.with_cleared(rw), o.with_cleared(rw), "{ctx}: entry {idx}");
                     assert!(
                         !c.is_present() || !c.is_writable(),
@@ -489,6 +541,41 @@ mod tests {
             }
             let wp = original.iter_present().all(|(_, e)| !e.is_writable());
             assert_eq!(wp, row.original_wp, "{ctx}: original write-protection");
+            if self.flagged {
+                self.check_soft(row.soft, e, ctx);
+            }
+        }
+
+        /// The flagged run: our slot's view of the soft-dirty bits, and
+        /// the original's bits kept for the other sharer unless our
+        /// process settled the original itself.
+        fn check_soft(&self, soft: Soft, e: Entry, ctx: &str) {
+            let dirty = |frame| {
+                let t = self.machine.table(frame);
+                (0..ENTRIES_PER_TABLE)
+                    .map(|i| t.load(i))
+                    .filter(|e| e.is_present() || e.is_swap())
+                    .map(|e| e.is_soft_dirty())
+                    .collect::<Vec<_>>()
+            };
+            let got = match e {
+                e if !e.is_present() => Gone,
+                e if e.is_soft_clean() => {
+                    assert_eq!(e.frame(), self.original, "{ctx}: flag over a copy");
+                    Flagged
+                }
+                e => {
+                    assert!(!dirty(e.frame()).contains(&true), "{ctx}: unsettled");
+                    Settled
+                }
+            };
+            assert_eq!(got, soft, "{ctx}: soft-dirty view");
+            let settled_original = soft == Settled && e.frame() == self.original;
+            assert_eq!(
+                dirty(self.original).iter().all(|&d| d),
+                !settled_original,
+                "{ctx}: the other sharer's bits"
+            );
         }
 
         /// Tears both processes' slots down through the protocol itself,
@@ -543,7 +630,7 @@ mod tests {
         for level in [Level::Pte, Level::Pmd] {
             for row in &ROWS {
                 let ctx = format!("{level:?} {:?} {:?}", row.state, row.policy);
-                let world = World::new(level, row.state);
+                let world = World::new(level, row.state, false);
                 let got = world.run(row.state, row.policy);
                 world.check(row, got, &ctx);
                 world.teardown(&ctx);
@@ -551,10 +638,27 @@ mod tests {
         }
     }
 
+    /// Every row again with our PTE-level slot flagged `SOFT_CLEAN` (as
+    /// the epoch sweep leaves a shared table): the same outcomes, counts
+    /// and targets, and the flagged column's view — a copy or a settled
+    /// original sheds every soft-dirty bit, present and swap, and drops
+    /// the flag; a table left shared keeps the flag and, like a released
+    /// or copied-away original, every bit the other sharer reads.
+    #[test]
+    fn take_settles_a_flagged_table_before_owning_it() {
+        for row in ROWS.iter().filter(|row| row.soft != Never) {
+            let ctx = format!("flagged {:?} {:?}", row.state, row.policy);
+            let world = World::new(Level::Pte, row.state, true);
+            let got = world.run(row.state, row.policy);
+            world.check(row, got, &ctx);
+            world.teardown(&ctx);
+        }
+    }
+
     /// The policy is asked about shared tables only.
     #[test]
     fn unshared_writable_slot_never_consults_the_policy() {
-        let world = World::new(Level::Pte, One);
+        let world = World::new(Level::Pte, One, false);
         let calls = Cell::new(0);
         let slot = Slot {
             upper: world.machine.table(world.ours),

@@ -7,21 +7,28 @@
 //!   every present leaf translation (with its backing frame and soft-dirty
 //!   state). The serializer turns this into an image, reading page
 //!   contents through [`odf_pmem::FramePool::read_frame`].
-//! - [`Mm::clear_soft_dirty`]: starts a new snapshot epoch by clearing
-//!   every `SOFT_DIRTY` bit reachable from this address space and draining
-//!   the epoch dirty-range log. Shared tables (from an On-demand fork) are
-//!   **copied** before clearing when they carry soft-dirty bits, so the
-//!   other sharers — typically the forked child a snapshot is being
-//!   serialized from — keep their dirty view; clean shared tables stay
-//!   shared, keeping the sweep cost proportional to the dirtied area.
+//! - [`Mm::clear_soft_dirty`]: starts a new snapshot epoch: every
+//!   `SOFT_DIRTY` bit reachable from this address space reads as clear
+//!   afterwards, and the epoch dirty-range log is drained. A table this
+//!   process owns is cleared in place. A table still shared from an
+//!   On-demand fork is neither scanned nor copied: the sweep sets
+//!   `SOFT_CLEAN` on this process's (write-protected) PMD entry, and the
+//!   bits read as clear through it ([`walk::soft_dirty`]) while the other
+//!   sharers — typically the forked child a snapshot is being serialized
+//!   from — keep reading them. The table is settled before anything is
+//!   written into it (`share::take`): the copy a write fault makes sheds
+//!   the bits, and so does the table itself once no other process shares
+//!   it. So a bgsave's table copies happen at the parent's first write
+//!   in each 2 MiB range, outside the fork's stall, where On-demand-fork
+//!   puts every table copy. A PMD table shared through a
+//!   PUD entry (the §4 huge-page extension) is still copied eagerly when
+//!   one of its huge entries is soft-dirty.
 //!
 //! The intended bgsave sequence is: fork (child freezes the state) →
 //! `parent.clear_soft_dirty()` (new epoch begins; writes after this are
 //! captured by the *next* delta) → serialize the child → destroy the child.
 
-use std::collections::HashSet;
-
-use odf_pagetable::{EntryFlags, Table, ENTRIES_PER_TABLE};
+use odf_pagetable::{EntryFlags, ENTRIES_PER_TABLE};
 use odf_pmem::FrameId;
 
 use crate::error::Result;
@@ -130,7 +137,7 @@ impl Mm {
                             frame: e.frame().offset(ptes.start),
                             pages: ptes.len() as u32,
                             huge: true,
-                            soft_dirty: e.is_soft_dirty(),
+                            soft_dirty: walk::soft_dirty(e, e),
                         });
                         walk::holds(&[pmd.reach()])
                     } else if let Ok(reach) = Reach::enter(machine, pmd.table, pmd.idx, e) {
@@ -153,7 +160,7 @@ impl Mm {
                                     frame: pte.frame(),
                                     pages: 1,
                                     huge: false,
-                                    soft_dirty: pte.is_soft_dirty(),
+                                    soft_dirty: walk::soft_dirty(e, pte),
                                 });
                             }
                         }
@@ -171,28 +178,29 @@ impl Mm {
         view
     }
 
-    /// Begins a new snapshot epoch: clears every reachable `SOFT_DIRTY`
-    /// bit and drains the dirty-range log. Returns the number of leaf
-    /// entries whose bit was cleared.
+    /// Begins a new snapshot epoch: every reachable `SOFT_DIRTY` bit reads
+    /// as clear afterwards, and the dirty-range log is drained. Returns the
+    /// number of leaf entries whose bit was cleared in place.
     ///
-    /// Shared tables carrying soft-dirty bits are copied for this process
-    /// first (the other sharers keep their view — the §3.4 table-COW rules
-    /// applied from the sweep instead of a fault); shared tables with no
-    /// soft-dirty bits stay shared untouched.
+    /// A table still shared from an On-demand fork is flagged
+    /// `SOFT_CLEAN` on this process's entry instead, in O(1) and without
+    /// counting: the other sharers keep their view, and this process's
+    /// first write in the range copies the table without the bits (module
+    /// docs).
     pub fn clear_soft_dirty(&self) -> Result<u64> {
         let mut inner = self.inner.write();
         let mut cleared = 0u64;
-        // Chunks whose table was already swept (several VMAs can map
-        // through one 2 MiB span).
-        let mut done = HashSet::new();
-        let ranges: Vec<(u64, u64)> = inner.vmas.iter().map(|v| (v.start, v.end)).collect();
         let cursor = PmdCursor::new(self.machine(), inner.pgd);
-        for (start, end) in ranges {
-            for c in walk::chunks(start, end) {
-                if done.insert(c.base()) {
-                    if let Some(pmd) = cursor.slot(c.at) {
-                        cleared += self.sweep_chunk(pmd)?;
-                    }
+        // The last chunk swept: VMAs iterate in address order, so a 2 MiB
+        // span several VMAs map through repeats only back to back.
+        let mut last = None;
+        for vma in inner.vmas.iter() {
+            for c in walk::chunks(vma.start, vma.end) {
+                if last.replace(c.base()) == Some(c.base()) {
+                    continue;
+                }
+                if let Some(pmd) = cursor.slot(c.at) {
+                    cleared += self.sweep_chunk(pmd)?;
                 }
             }
         }
@@ -200,51 +208,52 @@ impl Mm {
         Ok(cleared)
     }
 
-    /// Sweeps the soft-dirty bits of the whole table(s) behind one 2 MiB
-    /// chunk.
+    /// Sweeps the soft-dirty bits of the table (or huge entry) behind one
+    /// 2 MiB chunk.
     fn sweep_chunk(&self, pmd: PmdSlot) -> Result<u64> {
         let machine = self.machine();
-        // Huge-page extension: the PMD table itself may be shared through
-        // the PUD entry, and the *other* sharer may be COWing it from its
-        // fault path concurrently — hence the protocol, not a bare check.
-        let pmd = match share::take(machine, Slot::pmd_table(&pmd), copy_if_dirty)? {
-            Take::Owned(None) => pmd,
-            Take::Owned(Some(owned)) => pmd.with_table(owned),
-            _ => return Ok(0),
-        };
         let e = pmd.load();
         if !e.is_present() {
             return Ok(0);
         }
         if e.is_huge() {
+            if !walk::soft_dirty(e, e) {
+                return Ok(0);
+            }
+            // Huge-page extension: the PMD table itself may be shared
+            // through the PUD entry, and the *other* sharer may be COWing
+            // it from its fault path concurrently — hence the protocol,
+            // which copies the table for this process when it is shared.
+            let Some(pmd) = share::own_pmd_table(machine, pmd)? else {
+                return Ok(0);
+            };
             let old = pmd.table.fetch_clear(pmd.idx, EntryFlags::SOFT_DIRTY);
-            return Ok(old.is_soft_dirty() as u64);
+            return Ok(u64::from(walk::soft_dirty(old, old)));
         }
-        let table = match share::take(machine, Slot::pte_table(&pmd, e.frame()), copy_if_dirty)? {
+        let table = match share::take(machine, Slot::pte_table(&pmd, e.frame()), |_| Policy::Leave)?
+        {
             Take::Owned(None) => machine.table(e.frame()),
             Take::Owned(Some(owned)) => owned.table,
+            Take::StillShared => {
+                // The entry is write-protected while the table is shared,
+                // and the exclusive mm lock keeps this process's faults
+                // off it.
+                pmd.table.fetch_set(pmd.idx, EntryFlags::SOFT_CLEAN);
+                return Ok(0);
+            }
             _ => return Ok(0),
         };
-        // The table is now exclusively ours: clear every entry's bit.
+        // The table is now exclusively ours, and settled: clear every
+        // entry's bit.
+        let owned = pmd.load();
         let mut cleared = 0u64;
         for idx in 0..ENTRIES_PER_TABLE {
-            if table.load(idx).is_soft_dirty() {
+            if walk::soft_dirty(owned, table.load(idx)) {
                 table.fetch_clear(idx, EntryFlags::SOFT_DIRTY);
                 cleared += 1;
             }
         }
         Ok(cleared)
-    }
-}
-
-/// The sweep's policy for a table that is still shared: copy it when it
-/// carries soft-dirty bits, so the other sharers keep their dirty view;
-/// leave a clean one shared, keeping the sweep O(dirtied area).
-fn copy_if_dirty(table: &Table) -> Policy {
-    if (0..ENTRIES_PER_TABLE).any(|i| table.load(i).is_soft_dirty()) {
-        Policy::Copy
-    } else {
-        Policy::Leave
     }
 }
 
@@ -302,8 +311,8 @@ mod tests {
         mm.write(a, &[7]).unwrap();
         let child = mm.fork(ForkPolicy::OnDemand).unwrap();
         mm.clear_soft_dirty().unwrap();
-        // The child — sharing the (formerly) dirty table — still sees the
-        // soft-dirty bit; the parent's sweep copied the table for itself.
+        // The child — sharing the dirty table — still sees the soft-dirty
+        // bit; the parent's sweep flagged its own entry instead.
         assert!(child.capture_view().pages[0].soft_dirty);
         assert!(!mm.capture_view().pages[0].soft_dirty);
         // And the parent's copy still resolves the same content.
@@ -324,6 +333,186 @@ mod tests {
         // Nothing was dirty, so no table copy happened.
         assert_eq!(mm.machine().pool().pt_share_count(table_frame), 2);
         drop(child);
+    }
+
+    const PG: u64 = PAGE_SIZE as u64;
+
+    /// The addresses `mm` reads as soft-dirty.
+    fn dirty(mm: &Mm) -> Vec<u64> {
+        let view = mm.capture_view();
+        view.pages
+            .iter()
+            .filter(|p| p.soft_dirty)
+            .map(|p| p.va)
+            .collect()
+    }
+
+    fn table_copies(mm: &Mm) -> u64 {
+        mm.machine().stats().snapshot().cow_table_copies
+    }
+
+    /// The sweep right after a fork copies no table (the old sweep copied
+    /// one per dirty table); each copy moves to the parent's first write in
+    /// its range. Fails if the sweep takes shared tables with
+    /// `Policy::Copy`.
+    #[test]
+    fn sweep_after_fork_copies_no_table() {
+        let mm = mm();
+        let a = mm.mmap(4 << 20, MapParams::anon_rw()).unwrap();
+        let b = a + (2 << 20);
+        mm.write(a, &[1]).unwrap();
+        mm.write(b, &[2]).unwrap();
+        let child = mm.fork(ForkPolicy::OnDemand).unwrap();
+        let before = table_copies(&mm);
+        assert_eq!(mm.clear_soft_dirty().unwrap(), 0);
+        assert_eq!(table_copies(&mm), before, "the sweep copied a table");
+        assert!(mm.pmd_entry(a).unwrap().is_soft_clean());
+        assert!(!mm.pmd_entry(a).unwrap().is_writable());
+        mm.write(a, &[3]).unwrap();
+        mm.write(b, &[4]).unwrap();
+        assert_eq!(table_copies(&mm), before + 2, "one copy per first write");
+        drop(child);
+    }
+
+    /// The parent writes after the sweep while the child lives: the child
+    /// keeps every bit, and the parent's copy has none but the new write.
+    /// Fails if the table COW keeps the bits below a flagged entry
+    /// (`share::stale_bits` returning 0).
+    #[test]
+    fn parent_write_after_sweep_copies_the_table_without_the_bits() {
+        let mm = mm();
+        let a = mm.mmap(8 * PG, MapParams::anon_rw()).unwrap();
+        for pg in 0..4 {
+            mm.write(a + pg * PG, &[pg as u8]).unwrap();
+        }
+        let child = mm.fork(ForkPolicy::OnDemand).unwrap();
+        mm.clear_soft_dirty().unwrap();
+        assert!(dirty(&mm).is_empty());
+        mm.write(a + PG, &[9]).unwrap();
+        assert!(
+            !mm.pmd_entry(a).unwrap().is_soft_clean(),
+            "the copy is settled"
+        );
+        assert_eq!(dirty(&mm), vec![a + PG]);
+        assert_eq!(
+            dirty(&child),
+            (0..4).map(|pg| a + pg * PG).collect::<Vec<_>>()
+        );
+        assert_eq!(child.read_vec(a + PG, 1).unwrap(), vec![1]);
+        assert_eq!(mm.read_vec(a + PG, 1).unwrap(), vec![9]);
+    }
+
+    /// The child exits, then the parent *reads* a never-populated page in
+    /// the range: the table is settled first, so the new page reads
+    /// soft-dirty and the old ones clean. Fails if the fault handler
+    /// inserts through a flagged entry without `take` (no settle on read
+    /// insertion).
+    #[test]
+    fn read_insertion_below_a_flagged_entry_settles_the_table() {
+        let mm = mm();
+        let a = mm.mmap(8 * PG, MapParams::anon_rw()).unwrap();
+        mm.write(a, &[1]).unwrap();
+        let child = mm.fork(ForkPolicy::OnDemand).unwrap();
+        mm.clear_soft_dirty().unwrap();
+        drop(child);
+        assert!(mm.pmd_entry(a).unwrap().is_soft_clean());
+        assert_eq!(mm.read_vec(a + 5 * PG, 1).unwrap(), vec![0]);
+        let pmd = mm.pmd_entry(a).unwrap();
+        assert!(!pmd.is_soft_clean() && pmd.is_writable(), "settled");
+        assert_eq!(dirty(&mm), vec![a + 5 * PG]);
+    }
+
+    /// A second On-demand fork while the flag is pending: the new child
+    /// shares the table and reads it as the parent does, clean. Fails if
+    /// On-demand fork does not carry the flag into the child's entry.
+    #[test]
+    fn second_on_demand_fork_carries_the_flag() {
+        let mm = mm();
+        let a = mm.mmap(8 * PG, MapParams::anon_rw()).unwrap();
+        mm.write(a, &[1]).unwrap();
+        let first = mm.fork(ForkPolicy::OnDemand).unwrap();
+        mm.clear_soft_dirty().unwrap();
+        let second = mm.fork(ForkPolicy::OnDemand).unwrap();
+        assert!(second.pmd_entry(a).unwrap().is_soft_clean());
+        assert!(dirty(&second).is_empty());
+        assert_eq!(dirty(&first), vec![a]);
+        // The second child's own first write settles its copy.
+        second.write(a + PG, &[2]).unwrap();
+        assert_eq!(dirty(&second), vec![a + PG]);
+        assert_eq!(second.read_vec(a, 1).unwrap(), vec![1]);
+    }
+
+    /// A Classic fork of a flagged parent: the child's copied entries hold
+    /// no stale bit. Fails if `copy_pte_range` copies the raw bits below a
+    /// flagged entry.
+    #[test]
+    fn classic_fork_of_a_flagged_parent_copies_no_stale_bit() {
+        let mm = mm();
+        let a = mm.mmap(8 * PG, MapParams::anon_rw()).unwrap();
+        mm.write(a, &[1]).unwrap();
+        mm.write(a + PG, &[2]).unwrap();
+        let first = mm.fork(ForkPolicy::OnDemand).unwrap();
+        mm.clear_soft_dirty().unwrap();
+        let classic = mm.fork(ForkPolicy::Classic).unwrap();
+        assert!(!classic.pmd_entry(a).unwrap().is_soft_clean());
+        assert!(dirty(&classic).is_empty());
+        assert!(classic.pagemap(a, 2 * PG).iter().all(|p| !p.soft_dirty));
+        assert_eq!(dirty(&first), vec![a, a + PG]);
+        assert_eq!(classic.read_vec(a + PG, 1).unwrap(), vec![2]);
+    }
+
+    /// pagemap, `thp_scan` and collapse read through a flagged entry: all
+    /// clean. Each fails if its reader takes the raw bit instead of
+    /// `walk::soft_dirty` (pagemap's `soft_dirty`, the scan's count, the
+    /// collapsed huge entry's aggregated bit).
+    #[test]
+    fn pagemap_scan_and_collapse_read_through_the_flag() {
+        let mm = mm();
+        let huge = crate::HUGE_PAGE_SIZE as u64;
+        let a = mm
+            .mmap_fixed(0x4000_0000, huge, MapParams::anon_rw())
+            .unwrap();
+        mm.populate(a, huge, true).unwrap();
+        let child = mm.fork(ForkPolicy::OnDemand).unwrap();
+        mm.clear_soft_dirty().unwrap();
+        assert!(child.pagemap(a, huge).iter().all(|p| p.soft_dirty));
+        assert!(mm
+            .pagemap(a, huge)
+            .iter()
+            .all(|p| p.present && !p.soft_dirty));
+        let scan = mm.thp_scan(false);
+        assert_eq!(scan.len(), 1);
+        assert_eq!((scan[0].resident, scan[0].soft_dirty), (512, 0));
+        drop(child);
+        assert!(mm.pmd_entry(a).unwrap().is_soft_clean());
+        assert_eq!(mm.collapse_huge(a).unwrap(), crate::ThpOutcome::Collapsed);
+        let e = mm.pmd_entry(a).unwrap();
+        assert!(e.is_huge() && !e.is_soft_dirty() && !e.is_soft_clean());
+    }
+
+    /// Evict, then swap in, under a flagged table whose count fell to 1:
+    /// the swap entry keeps its raw bit and reads clean through the flag;
+    /// the swap-in settles the table first, so the page stays clean. Fails
+    /// if the settle clears present entries only.
+    #[test]
+    fn swap_round_trip_below_a_flagged_count_one_table() {
+        let mm = mm();
+        let a = mm.mmap(4 * PG, MapParams::anon_rw()).unwrap();
+        mm.write_u64(a, 7).unwrap();
+        mm.write_u64(a + PG, 8).unwrap();
+        let child = mm.fork(ForkPolicy::OnDemand).unwrap();
+        mm.clear_soft_dirty().unwrap();
+        drop(child);
+        let stats = mm.evict_scan(1, &mut |_| crate::EvictDecision::Evict);
+        assert_eq!(stats.evicted, 1);
+        let pm = mm.pagemap(a, PG);
+        assert!(pm[0].swapped && !pm[0].soft_dirty);
+        assert!(mm.pmd_entry(a).unwrap().is_soft_clean());
+        assert_eq!(mm.read_u64(a).unwrap(), 7);
+        assert!(!mm.pmd_entry(a).unwrap().is_soft_clean());
+        assert!(dirty(&mm).is_empty());
+        mm.write_u64(a + PG, 9).unwrap();
+        assert_eq!(dirty(&mm), vec![a + PG]);
     }
 
     #[test]
@@ -369,5 +558,26 @@ mod tests {
         assert!(page.soft_dirty);
         assert_eq!(mm.clear_soft_dirty().unwrap(), 1);
         assert!(!mm.capture_view().pages[0].soft_dirty);
+    }
+}
+
+/// The sweep flags shared tables and never copies one: no `Policy::Copy`
+/// and no `copy_if_dirty` come back in this module. (The §4 shared-PMD
+/// path copies through `share::own_pmd_table`.)
+#[cfg(test)]
+mod guard {
+    #[test]
+    fn the_sweep_never_copies_a_shared_pte_table() {
+        let text = include_str!("snapshot.rs");
+        let code = &text[..text.find("#[cfg(test)]").unwrap()];
+        for banned in [
+            ["Policy::", "Copy"].concat(),
+            ["copy_if", "_dirty"].concat(),
+        ] {
+            assert!(
+                !code.contains(banned.as_str()),
+                "snapshot.rs names {banned}: the sweep flags a shared table SOFT_CLEAN instead"
+            );
+        }
     }
 }

@@ -43,8 +43,13 @@ use crate::walk::{self, PmdCursor, Reach};
 
 /// Entry bits that travel between a huge PMD entry and its 512 PTEs when
 /// a range changes granularity. `WRITABLE` is deliberately absent: it is
-/// re-derived from the source entry, never aggregated.
-const CARRIED_BITS: u64 = EntryFlags::ACCESSED | EntryFlags::DIRTY | EntryFlags::SOFT_DIRTY;
+/// re-derived from the source entry, never aggregated. A collapse reads
+/// `SOFT_DIRTY` through [`walk::soft_dirty`] instead: below a
+/// `SOFT_CLEAN` PMD entry the PTEs' bits read as clear.
+const CARRIED_BITS: u64 = HEAT_BITS | EntryFlags::SOFT_DIRTY;
+
+/// The hardware-maintained part of [`CARRIED_BITS`].
+const HEAT_BITS: u64 = EntryFlags::ACCESSED | EntryFlags::DIRTY;
 
 /// What a collapse or demotion attempt achieved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,7 +147,7 @@ impl Mm {
                         } else {
                             0
                         },
-                        soft_dirty: if e.is_soft_dirty() {
+                        soft_dirty: if walk::soft_dirty(e, e) {
                             ENTRIES_PER_TABLE as u32
                         } else {
                             0
@@ -166,7 +171,7 @@ impl Mm {
                         if pte.is_present() {
                             resident += 1;
                             accessed += u32::from(pte.is_accessed());
-                            soft_dirty += u32::from(pte.is_soft_dirty());
+                            soft_dirty += u32::from(walk::soft_dirty(e, pte));
                         }
                     }
                     if resident == 0 || !walk::holds(&[pmd.reach(), reach]) {
@@ -327,7 +332,10 @@ pub(crate) fn collapse_at(machine: &Machine, inner: &MmInner, addr: u64) -> Resu
         if pool.is_materialized(src) {
             pool.copy_block(src, new.offset(idx), 0);
         }
-        agg |= pte.0 & CARRIED_BITS;
+        agg |= pte.0 & HEAT_BITS;
+        if walk::soft_dirty(e, pte) {
+            agg |= EntryFlags::SOFT_DIRTY;
+        }
     }
     pmd.store(Entry::huge_page(new, vma.prot.write).with_set(agg));
     // Drop the displaced references in one batched buddy pass

@@ -199,6 +199,18 @@ pub(crate) fn set_bits(
     true
 }
 
+/// Whether `leaf`, reached through the PMD entry `pmd`, reads as
+/// soft-dirty: written since this process's last snapshot epoch. Never
+/// below a `SOFT_CLEAN` entry, whose epoch began after every bit in its
+/// table was set. A huge leaf is its own PMD entry: pass it twice.
+///
+/// The one reader of a leaf's soft-dirty bit (see the guard below): a
+/// raw read would count a shared table's bits that the epoch sweep only
+/// flagged.
+pub(crate) fn soft_dirty(pmd: Entry, leaf: Entry) -> bool {
+    leaf.is_soft_dirty() && !pmd.is_soft_clean()
+}
+
 /// A handle on one PMD entry: the PMD table, its backing frame, the entry
 /// index for a given address — plus the PUD slot referencing the PMD
 /// table, needed by the huge-page extension to copy-on-write whole PMD
@@ -972,6 +984,34 @@ mod guard {
                     .iter()
                     .any(|walk| line.contains(walk)),
                     "{name} resolves a PMD slot outside walk.rs: use a walk::PmdCursor\n{line}"
+                );
+            }
+        }
+    }
+
+    /// A leaf's soft-dirty bit is read through [`soft_dirty`](super::soft_dirty)
+    /// only, which applies the PMD entry's `SOFT_CLEAN` flag. The one
+    /// raw-bit carrier is listed: reclaim's swap entry, which keeps the
+    /// bit below the same PMD entry, so the flag still applies to it. The
+    /// other carriers copy whole entries and read no bit: the table COW
+    /// (`Table::copy_from`) and Classic fork's entry copy, both of which
+    /// clear the bits below a flagged entry instead. Test modules may read
+    /// raw bits.
+    #[test]
+    fn only_the_helper_reads_a_leafs_soft_dirty_bit() {
+        let carriers = [("reclaim.rs", "Entry::swap(slot, latest.is_soft_dirty())")];
+        let reads = [
+            ["is_soft", "_dirty()"].concat(),
+            ["& EntryFlags::", "SOFT_DIRTY"].concat(),
+        ];
+        for (name, text) in crate::sources::except("") {
+            let code = &text[..text.find("#[cfg(test)]").unwrap_or(text.len())];
+            for line in code.lines() {
+                let helper = name == "walk.rs" && line.contains("leaf.is_soft_dirty() &&");
+                let carrier = carriers.iter().any(|&(f, l)| f == name && line.contains(l));
+                assert!(
+                    helper || carrier || !reads.iter().any(|r| line.contains(r.as_str())),
+                    "{name} reads a leaf's soft-dirty bit raw: use walk::soft_dirty\n{line}"
                 );
             }
         }
