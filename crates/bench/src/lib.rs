@@ -90,31 +90,43 @@ pub fn scaled(bytes: u64) -> u64 {
     s.next_multiple_of(MIB).max(MIB)
 }
 
-/// The size sweep used by Figures 2, 4, and 7 (the paper sweeps 0.5–50 GiB
-/// in 512 MiB steps; we sweep the same decades in powers of two, scaled).
+/// The full size sweep of Figures 2, 4, and 7 (the paper sweeps 0.5–50 GiB
+/// in 512 MiB steps; we sweep the same decades in powers of two).
+const FULL_SWEEP: [u64; 7] = [
+    128 * MIB,
+    256 * MIB,
+    512 * MIB,
+    GIB,
+    2 * GIB,
+    4 * GIB,
+    8 * GIB,
+];
+
+/// The size sweep used by Figures 2, 4, and 7, scaled; fast mode keeps its
+/// two smallest decades.
 pub fn size_sweep() -> Vec<u64> {
-    let full: &[u64] = if fast_mode() {
+    let sizes: &[u64] = if fast_mode() {
         &[128 * MIB, 512 * MIB]
     } else {
-        &[
-            128 * MIB,
-            256 * MIB,
-            512 * MIB,
-            GIB,
-            2 * GIB,
-            4 * GIB,
-            8 * GIB,
-        ]
+        &FULL_SWEEP
     };
-    full.iter().map(|&b| scaled(b)).collect()
+    sizes.iter().map(|&b| scaled(b)).collect()
+}
+
+/// Simulated memory for a machine that holds `working_set` bytes: the set,
+/// 1/16 of it and 64 MiB. Page tables take ~1/512 of the set (twice once a
+/// Classic fork copies them); the rest covers upper levels, heap metadata,
+/// COW copies in fault benchmarks, and keeps free memory above the pool's
+/// low watermark (total/32) after the fill. Below it, `Mm::fork` reclaims
+/// before it forks, and a fork row would time eviction.
+fn machine_bytes(working_set: u64) -> u64 {
+    working_set + working_set / 16 + 64 * MIB
 }
 
 /// Builds a kernel sized to comfortably hold `working_set` bytes of
-/// simulated memory (plus page tables and slack).
+/// simulated memory (see [`machine_bytes`]).
 pub fn kernel_for(working_set: u64) -> Arc<Kernel> {
-    // Page tables add ~1/512; slack covers upper levels, heap metadata,
-    // and COW copies in fault benchmarks.
-    Kernel::new(working_set + working_set / 64 + 64 * MIB)
+    Kernel::new(machine_bytes(working_set))
 }
 
 /// The microbenchmark core (the paper's Figure 1 program): map `size`
@@ -390,6 +402,32 @@ pub fn banner(name: &str, what: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every size of the full sweep, alone and as Figure 2's three
+    /// concurrent instances, leaves the machine above its low watermark
+    /// after the fill and a Classic fork's table copies: no fork row pays
+    /// for a reclaim pass. Arithmetic only; no machine is built.
+    #[test]
+    fn kernel_for_stays_above_the_low_watermark_across_the_full_sweep() {
+        const PAGE: u64 = odf_pmem::PAGE_SIZE as u64;
+        for size in FULL_SWEEP {
+            for instances in [1, 3] {
+                let set = size * instances;
+                let total = machine_bytes(set) / PAGE;
+                let low = odf_pmem::Watermarks::for_pool(total as usize).low as u64;
+                // The set's pages, the parents' PTE tables and the
+                // children's copies, and each tree's upper levels.
+                let tables = set.div_ceil(2 * MIB);
+                let upper = 2 * instances * (2 + size.div_ceil(GIB));
+                let free = total - set / PAGE - 2 * tables - upper;
+                assert!(
+                    free > low,
+                    "{} MiB x{instances}: {free} free frames after the fill, low watermark {low}",
+                    size / MIB
+                );
+            }
+        }
+    }
 
     #[test]
     fn scaled_rounds_to_mib() {

@@ -43,7 +43,7 @@ impl Watermarks {
     /// Derives the default watermarks for a pool of `total` frames:
     /// low ≈ total/32 (clamped to stay meaningful for tiny test pools),
     /// high = 2 × low.
-    fn for_pool(total: usize) -> Self {
+    pub fn for_pool(total: usize) -> Self {
         let low = (total / 32).max(8).min(total / 4).max(1);
         let high = (low * 2).min(total / 2).max(low);
         Self { low, high }

@@ -25,6 +25,12 @@
 //!   `ForkScratch::share`): the counters of a cold process sit on cold
 //!   lines, and one locked increment per chunk would take their misses one
 //!   at a time.
+//!
+//! Both engines go through one loop (`copy_spans`): the parent's VMAs, each
+//! cut into 1 GiB spans, each span into its 2 MiB chunks. A span's PMD
+//! tables are resolved once per tree ([`walk::PmdSpan`]), so a chunk costs
+//! only its own entry loads and stores, and the work is counted once per
+//! fork ([`ForkTally`]).
 
 use std::sync::atomic::Ordering;
 
@@ -36,6 +42,7 @@ use crate::error::Result;
 use crate::machine::Machine;
 use crate::mm::MmInner;
 use crate::share;
+use crate::stats::VmStats;
 use crate::walk::{self, Chunk, PmdCursor, PmdSlot};
 
 /// Which fork implementation to use.
@@ -70,17 +77,40 @@ impl ForkPolicy {
     }
 }
 
-/// Per-invocation fork work tally, reported in the `ForkEnd` hit.
+/// Per-invocation fork work tally: reported in the `ForkEnd` hit, and
+/// added to the machine's [`VmStats`] once per fork.
 ///
 /// Kept local to the invocation (rather than differencing the global
-/// [`VmStats`](crate::VmStats)) so concurrent forks of other processes on the same
-/// machine cannot pollute the numbers.
-#[derive(Default)]
+/// counters) so concurrent forks of other processes on the same machine
+/// cannot pollute the numbers.
+#[derive(Debug, Default, PartialEq, Eq)]
 struct ForkTally {
-    /// Leaf entries copied the classic way (PTEs and huge PMD entries).
+    /// PTEs copied the classic way.
     pte_copies: u64,
-    /// Last-level tables shared instead of copied (PTE and PMD tables).
-    tables_shared: u64,
+    /// Huge PMD entries copied the classic way.
+    huge_copies: u64,
+    /// PTE tables shared instead of copied.
+    pte_tables_shared: u64,
+    /// PMD tables shared through a PUD entry (the huge-page extension).
+    pmd_tables_shared: u64,
+}
+
+impl ForkTally {
+    /// The `ForkEnd` payload: leaf entries copied, last-level tables
+    /// shared.
+    fn words(&self) -> [u64; 2] {
+        [
+            self.pte_copies + self.huge_copies,
+            self.pte_tables_shared + self.pmd_tables_shared,
+        ]
+    }
+
+    fn count(&self, stats: &VmStats) {
+        stats.fork_pte_copies.add(self.pte_copies);
+        stats.fork_huge_copies.add(self.huge_copies);
+        stats.fork_tables_shared.add(self.pte_tables_shared);
+        stats.fork_pmd_tables_shared.add(self.pmd_tables_shared);
+    }
 }
 
 /// Reusable scratch buffers for the batched passes of one fork
@@ -146,7 +176,7 @@ impl ForkScratch {
 /// other process that reaches the table (a sharer's fault or exit, or
 /// reclaim and THP through such a sharer) is itself counted, so it sees a
 /// count of at least 2 and only ever lowers it. The batch is flushed
-/// before `copy_all` returns, on failure too: the partial child's teardown
+/// before the child is returned or unwound: the partial child's teardown
 /// drops a share for every table it references.
 pub(crate) fn run(machine: &Machine, parent: &mut MmInner, policy: ForkPolicy) -> Result<MmInner> {
     let stats = machine.stats();
@@ -160,6 +190,26 @@ pub(crate) fn run(machine: &Machine, parent: &mut MmInner, policy: ForkPolicy) -
         Hit::new(Point::ForkStart, &[]).kind(kind),
     );
     let mut tally = ForkTally::default();
+    let child = fork_tree(machine, parent, policy, &mut tally)?;
+    // The parent's write-protection changes require a TLB shootdown.
+    odf_trace::emit_counted(&stats.tlb_flushes, Hit::new(Point::TlbFlush, &[]));
+    odf_trace::emit(
+        Hit::new(Point::ForkEnd, &tally.words())
+            .kind(kind)
+            .pid(parent.owner_pid)
+            .span(t0),
+    );
+    Ok(child)
+}
+
+/// Builds the child's address space and tree, and counts `tally` into the
+/// machine's stats (on failure too: what was copied before it counts).
+fn fork_tree(
+    machine: &Machine,
+    parent: &MmInner,
+    policy: ForkPolicy,
+    tally: &mut ForkTally,
+) -> Result<MmInner> {
     let mut child = MmInner::empty(machine)?;
     child.vmas = parent.vmas.clone();
     child
@@ -173,7 +223,11 @@ pub(crate) fn run(machine: &Machine, parent: &mut MmInner, policy: ForkPolicy) -
     child.dirty_ranges = parent.dirty_ranges.clone();
 
     let mut scratch = ForkScratch::new();
-    let result = copy_all(machine, parent, &child, policy, &mut tally, &mut scratch);
+    let result = copy_spans(machine, parent, &child, policy, tally, &mut scratch);
+    // Flush on failure too: the unwind's teardown of the partial child
+    // drops a share for every table the child references.
+    scratch.flush_shares(machine.pool());
+    tally.count(machine.stats());
     if let Err(e) = result {
         // Failed mid-copy (allocation failure): unwind the partial child.
         // The wholesale rss copy above over-counts the pages actually
@@ -183,19 +237,16 @@ pub(crate) fn run(machine: &Machine, parent: &mut MmInner, policy: ForkPolicy) -
         child.destroy(machine);
         return Err(e);
     }
-    // The parent's write-protection changes require a TLB shootdown.
-    odf_trace::emit_counted(&stats.tlb_flushes, Hit::new(Point::TlbFlush, &[]));
-    let tally = [tally.pte_copies, tally.tables_shared];
-    odf_trace::emit(
-        Hit::new(Point::ForkEnd, &tally)
-            .kind(kind)
-            .pid(parent.owner_pid)
-            .span(t0),
-    );
     Ok(child)
 }
 
-fn copy_all(
+/// The one loop of every policy: the parent's VMAs in address order, each
+/// cut into 1 GiB spans, each span into its 2 MiB chunks. A span's PMD
+/// tables are resolved once: the parent's as the span is entered, the
+/// child's (created if absent) at the first chunk that needs a slot. No
+/// slot is re-validated between chunks: the parent's exclusive lock keeps
+/// its path, and nobody else can see the child's yet (DESIGN.md §4.1).
+fn copy_spans(
     machine: &Machine,
     parent: &MmInner,
     child: &MmInner,
@@ -205,74 +256,53 @@ fn copy_all(
 ) -> Result<()> {
     let parent_cursor = PmdCursor::new(machine, parent.pgd);
     let child_cursor = PmdCursor::new(machine, child.pgd);
-    // Iterate VMAs in address order, chunked at PTE-table (2 MiB) spans.
-    let mut copied = Ok(());
-    'vmas: for vma in parent.vmas.iter() {
-        for c in walk::chunks(vma.start, vma.end) {
-            let Some(parent_pmd) = parent_cursor.slot(c.at) else {
+    for vma in parent.vmas.iter() {
+        for span in walk::spans(vma.start, vma.end) {
+            let Some(parent_pmds) = parent_cursor.span(span.at) else {
                 continue;
             };
-            copied = copy_chunk(
-                machine,
-                &parent_pmd,
-                &child_cursor,
-                policy,
-                vma,
-                c,
-                tally,
-                scratch,
-            );
-            if copied.is_err() {
-                break 'vmas;
+            if policy == ForkPolicy::OnDemandHuge
+                && try_share_pmd_table(
+                    machine,
+                    &child_cursor,
+                    &parent_pmds.slot(span.at),
+                    span.at,
+                    tally,
+                    scratch,
+                )?
+            {
+                continue;
+            }
+            let mut child_pmds = None;
+            for c in span.chunks() {
+                let parent_pmd = parent_pmds.slot(c.at);
+                let pe = parent_pmd.load();
+                if !pe.is_present() {
+                    continue;
+                }
+                let child_pmds = match child_pmds {
+                    Some(pmds) => pmds,
+                    None => *child_pmds.insert(child_cursor.span_create(c.at)?),
+                };
+                let child_pmd = child_pmds.slot(c.at);
+                if pe.is_huge() {
+                    copy_huge_entry(machine, &child_pmd, vma, &parent_pmd, pe, tally);
+                } else if policy == ForkPolicy::Classic {
+                    copy_pte_range(machine, &child_pmd, vma, pe, c, tally, scratch)?;
+                } else {
+                    share_pte_table(machine, &child_pmd, &parent_pmd, pe, tally, scratch);
+                }
             }
         }
     }
-    // Flush on failure too: the unwind's teardown of the partial child
-    // drops a share for every table the child references.
-    scratch.flush_shares(machine.pool());
-    copied
+    Ok(())
 }
 
-/// Copies (or shares) the translations of one 2 MiB chunk restricted to
-/// the part `c` of one VMA, from the parent's slot `parent_pmd`.
-#[allow(clippy::too_many_arguments)]
-fn copy_chunk(
-    machine: &Machine,
-    parent_pmd: &PmdSlot,
-    child: &PmdCursor,
-    policy: ForkPolicy,
-    vma: &crate::vma::Vma,
-    c: Chunk,
-    tally: &mut ForkTally,
-    scratch: &mut ForkScratch,
-) -> Result<()> {
-    let at = c.at;
-    let pe = parent_pmd.load();
-    if !pe.is_present() {
-        return Ok(());
-    }
-
-    if pe.is_huge() {
-        if policy == ForkPolicy::OnDemandHuge
-            && try_share_pmd_table(machine, child, parent_pmd, at, tally, scratch)?
-        {
-            return Ok(());
-        }
-        return copy_huge_entry(machine, child, vma, parent_pmd, pe, at, tally);
-    }
-
-    match policy {
-        ForkPolicy::OnDemand | ForkPolicy::OnDemandHuge => {
-            share_pte_table(machine, child, parent_pmd, pe, at, tally, scratch)
-        }
-        ForkPolicy::Classic => copy_pte_range(machine, child, vma, pe, c, tally, scratch),
-    }
-}
-
-/// The huge-page extension (§4): if the parent's PMD table for this 1 GiB
-/// span consists solely of huge entries, share the whole table through the
-/// PUD entries — one counter increment and two entry stores replace up to
-/// 512 per-huge-page copies. Returns whether the chunk was handled.
+/// The huge-page extension (§4), decided once per 1 GiB span: if the
+/// parent's PMD table for the span consists solely of huge entries, share
+/// the whole table through the PUD entries — one counter increment and two
+/// entry stores replace up to 512 per-huge-page copies. Returns whether
+/// the span is handled.
 fn try_share_pmd_table(
     machine: &Machine,
     child: &PmdCursor,
@@ -281,14 +311,6 @@ fn try_share_pmd_table(
     tally: &mut ForkTally,
     scratch: &mut ForkScratch,
 ) -> Result<bool> {
-    let (child_pud, child_idx) = child.pud_create(at)?;
-    let existing = child_pud.load(child_idx);
-    if existing.is_present() {
-        // Either this span was already shared by an earlier chunk
-        // (nothing left to do), or the child built its own PMD table for
-        // it (mixed span: fall back to per-entry handling).
-        return Ok(existing.frame() == parent_pmd.frame);
-    }
     // Qualify: every present entry must describe a huge page.
     let mut present = 0usize;
     for (_, e) in parent_pmd.table.iter_present() {
@@ -300,32 +322,37 @@ fn try_share_pmd_table(
     if present == 0 {
         return Ok(false);
     }
+    let (child_pud, child_idx) = child.pud_create(at)?;
+    let existing = child_pud.load(child_idx);
+    if existing.is_present() {
+        // Either an earlier VMA in this span already shared it (nothing
+        // left to do), or the child built its own PMD table for it (mixed
+        // span: fall back to per-entry handling).
+        return Ok(existing.frame() == parent_pmd.frame);
+    }
     scratch.share(machine.pool(), parent_pmd.frame);
     parent_pmd.store_pud(parent_pmd.load_pud().with_cleared(EntryFlags::WRITABLE));
     child_pud.store(
         child_idx,
         Entry::table(parent_pmd.frame).with_cleared(EntryFlags::WRITABLE),
     );
-    machine.stats().fork_pmd_tables_shared.bump();
-    tally.tables_shared += 1;
+    tally.pmd_tables_shared += 1;
     Ok(true)
 }
 
 /// On-demand-fork sharing of one last-level table (§3.1, §3.5).
 fn share_pte_table(
     machine: &Machine,
-    child: &PmdCursor,
+    child_pmd: &PmdSlot,
     parent_pmd: &PmdSlot,
     pe: Entry,
-    at: VirtAddr,
     tally: &mut ForkTally,
     scratch: &mut ForkScratch,
-) -> Result<()> {
-    let child_pmd = child.slot_create(at)?;
+) {
     if child_pmd.load().is_present() {
         // A previous VMA in the same 2 MiB chunk already shared this
         // table; the share count tracks processes, not VMAs.
-        return Ok(());
+        return;
     }
     let table_frame = pe.frame();
     scratch.share(machine.pool(), table_frame);
@@ -340,26 +367,24 @@ fn share_pte_table(
             .with_cleared(EntryFlags::WRITABLE)
             .with_set(pe.0 & EntryFlags::SOFT_CLEAN),
     );
-    machine.stats().fork_tables_shared.bump();
-    tally.tables_shared += 1;
-    Ok(())
+    tally.pte_tables_shared += 1;
 }
 
 /// Classic per-PTE copy of one chunk (the `copy_one_pte` loop of Figure 3),
 /// batched: the per-entry `compound_head` + `ref_inc` pair is the table
 /// copy's refcount pass ([`share::ref_entries`], shared with the fault-time
-/// table COW), so a full 512-entry table costs one stats update and one
-/// grouped atomic pass instead of 512 independent calls. Safe because fork
-/// holds the parent's mm lock exclusively: no entry can change between the
-/// refcount pass and the store pass, and references are taken *before* any
-/// child entry becomes visible, so the invariant "a stored entry holds a
-/// reference" is never violated mid-copy. Unlike the table COW it copies a
-/// sub-range and write-protects the parent's entries one by one. Below a
-/// `SOFT_CLEAN` parent entry `pe` the child's copies shed their stale
-/// soft-dirty bits, so the child reads the parent's view.
+/// table COW), so a full 512-entry table costs one grouped atomic pass
+/// instead of 512 independent calls. Safe because fork holds the parent's
+/// mm lock exclusively: no entry can change between the refcount pass and
+/// the store pass, and references are taken *before* any child entry
+/// becomes visible, so the invariant "a stored entry holds a reference" is
+/// never violated mid-copy. Unlike the table COW it copies a sub-range and
+/// write-protects the parent's entries one by one. Below a `SOFT_CLEAN`
+/// parent entry `pe` the child's copies shed their stale soft-dirty bits,
+/// so the child reads the parent's view.
 fn copy_pte_range(
     machine: &Machine,
-    child: &PmdCursor,
+    child_pmd: &PmdSlot,
     vma: &crate::vma::Vma,
     pe: Entry,
     c: Chunk,
@@ -375,7 +400,6 @@ fn copy_pte_range(
     // through its PMD bit and the entries must not be mutated.
     let parent_is_shared = pool.pt_share_count(parent_table_frame) > 1;
 
-    let child_pmd = child.slot_create(c.at)?;
     let ce = child_pmd.load();
     let child_table = if ce.is_present() {
         machine.table(ce.frame())
@@ -408,9 +432,7 @@ fn copy_pte_range(
         }
         child_table.store(idx, child_pte);
     }
-    let copied = scratch.entries.len() as u64;
-    machine.stats().fork_pte_copies.add(copied);
-    tally.pte_copies += copied;
+    tally.pte_copies += scratch.entries.len() as u64;
     Ok(())
 }
 
@@ -419,16 +441,14 @@ fn copy_pte_range(
 /// classic way, §4 "Huge Page Support").
 fn copy_huge_entry(
     machine: &Machine,
-    child: &PmdCursor,
+    child_pmd: &PmdSlot,
     vma: &crate::vma::Vma,
     parent_pmd: &PmdSlot,
     pe: Entry,
-    at: VirtAddr,
     tally: &mut ForkTally,
-) -> Result<()> {
-    let child_pmd = child.slot_create(at)?;
+) {
     if child_pmd.load().is_present() {
-        return Ok(());
+        return;
     }
     // The kernel must hold the PMD split lock while copying huge entries
     // (to fence THP splits/merges) — a cost On-demand-fork's 4 KiB path
@@ -449,22 +469,395 @@ fn copy_huge_entry(
         }
     }
     child_pmd.store(ce);
-    machine.stats().fork_huge_copies.bump();
-    tally.pte_copies += 1;
-    Ok(())
+    tally.huge_copies += 1;
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    use odf_pmem::{HUGE_PAGE_SIZE, PAGE_SIZE};
+
+    use super::*;
+    use crate::mm::Mm;
+    use crate::vma::MapParams;
+
+    const GIB: u64 = 1 << 30;
+    /// What one PMD entry maps.
+    const CHUNK: u64 = HUGE_PAGE_SIZE as u64;
+    const PG: u64 = PAGE_SIZE as u64;
+    const POLICIES: [ForkPolicy; 3] = [
+        ForkPolicy::Classic,
+        ForkPolicy::OnDemand,
+        ForkPolicy::OnDemandHuge,
+    ];
+
+    /// A parent layout, and what forking it does under each of
+    /// [`POLICIES`].
+    struct Shape {
+        name: &'static str,
+        /// `(start, length, huge)` of each VMA, private and read-write.
+        vmas: Vec<(u64, u64, bool)>,
+        /// Addresses written before the fork.
+        writes: Vec<u64>,
+        /// Addresses whose PMD entry the epoch sweep flagged `SOFT_CLEAN`
+        /// (write-protected, as on a table whose other sharer has left).
+        soft_clean: Vec<u64>,
+        /// Per policy: PTEs copied, huge entries copied, PTE tables
+        /// shared, PMD tables shared, PMD tables resolved (parent's and
+        /// child's, a span with no PMD table included).
+        expect: [[u64; 5]; 3],
+    }
+
+    fn shapes() -> Vec<Shape> {
+        vec![
+            Shape {
+                name: "three whole spans, one page per chunk",
+                vmas: vec![(4 * GIB, 3 * GIB, false)],
+                writes: (0..3 * GIB / CHUNK)
+                    .map(|i| 4 * GIB + i * CHUNK + PG)
+                    .collect(),
+                soft_clean: vec![],
+                expect: [[1536, 0, 0, 0, 6], [0, 0, 1536, 0, 6], [0, 0, 1536, 0, 6]],
+            },
+            Shape {
+                name: "two VMAs in one chunk",
+                vmas: vec![
+                    (8 * GIB, 16 * PG, false),
+                    (8 * GIB + 16 * PG, 16 * PG, false),
+                ],
+                writes: vec![8 * GIB + PG, 8 * GIB + 20 * PG],
+                soft_clean: vec![],
+                expect: [[2, 0, 0, 0, 4], [0, 0, 1, 0, 4], [0, 0, 1, 0, 4]],
+            },
+            Shape {
+                name: "a VMA straddling a 1 GiB boundary",
+                vmas: vec![(10 * GIB - 2 * CHUNK, 4 * CHUNK, false)],
+                writes: (0..4)
+                    .map(|i| 10 * GIB - 2 * CHUNK + i * CHUNK + PG)
+                    .collect(),
+                soft_clean: vec![],
+                expect: [[4, 0, 0, 0, 4], [0, 0, 4, 0, 4], [0, 0, 4, 0, 4]],
+            },
+            Shape {
+                name: "holes: an absent PMD entry, a span with no PMD table",
+                vmas: vec![(12 * GIB, 3 * GIB, false)],
+                writes: vec![
+                    12 * GIB + PG,
+                    12 * GIB + 2 * CHUNK + PG,
+                    15 * GIB - CHUNK + PG,
+                ],
+                soft_clean: vec![],
+                expect: [[3, 0, 0, 0, 5], [0, 0, 3, 0, 5], [0, 0, 3, 0, 5]],
+            },
+            Shape {
+                name: "a huge entry among tables",
+                vmas: vec![
+                    (16 * GIB, 2 * CHUNK, true),
+                    (16 * GIB + 2 * CHUNK, 2 * CHUNK, false),
+                ],
+                writes: vec![
+                    16 * GIB,
+                    16 * GIB + 2 * CHUNK + PG,
+                    16 * GIB + 3 * CHUNK + PG,
+                ],
+                soft_clean: vec![],
+                expect: [[2, 1, 0, 0, 4], [0, 1, 2, 0, 4], [0, 1, 2, 0, 4]],
+            },
+            Shape {
+                name: "a SOFT_CLEAN entry beside a plain one",
+                vmas: vec![(18 * GIB, 2 * CHUNK, false)],
+                writes: vec![18 * GIB + PG, 18 * GIB + 5 * PG, 18 * GIB + CHUNK + PG],
+                soft_clean: vec![18 * GIB],
+                expect: [[3, 0, 0, 0, 2], [0, 0, 2, 0, 2], [0, 0, 2, 0, 2]],
+            },
+            Shape {
+                name: "an all-huge span",
+                vmas: vec![(20 * GIB, 8 * CHUNK, true)],
+                writes: vec![20 * GIB, 20 * GIB + 2 * CHUNK, 20 * GIB + 5 * CHUNK],
+                soft_clean: vec![],
+                expect: [[0, 3, 0, 0, 2], [0, 3, 0, 0, 2], [0, 0, 0, 1, 1]],
+            },
+        ]
+    }
+
+    /// A parent PMD entry as the fork found it.
+    struct Before {
+        pe: Entry,
+        /// The PMD table holding the entry.
+        pmd_frame: FrameId,
+        /// Whether every present entry of that table is huge (and one is).
+        all_huge: bool,
+        /// The present PTEs below a table entry.
+        ptes: Vec<(usize, Entry)>,
+    }
+
+    fn build(m: &Arc<Machine>, shape: &Shape) -> Mm {
+        let mm = Mm::new(Arc::clone(m)).unwrap();
+        for &(start, len, huge) in &shape.vmas {
+            let params = if huge {
+                MapParams::anon_rw_huge()
+            } else {
+                MapParams::anon_rw()
+            };
+            mm.mmap_fixed(start, len, params).unwrap();
+        }
+        for &va in &shape.writes {
+            mm.write(va, &[7]).unwrap();
+        }
+        let inner = mm.inner.read();
+        let cursor = PmdCursor::new(m, inner.pgd);
+        for &va in &shape.soft_clean {
+            let slot = cursor.slot(VirtAddr::new(va)).unwrap();
+            let pe = slot.load();
+            assert!(
+                pe.is_present() && !pe.is_huge(),
+                "{}: flag a table",
+                shape.name
+            );
+            slot.store(
+                pe.with_cleared(EntryFlags::WRITABLE)
+                    .with_set(EntryFlags::SOFT_CLEAN),
+            );
+        }
+        drop(inner);
+        mm
+    }
+
+    /// Every PMD entry of the parent's VMAs, by the address of its chunk.
+    fn entries(m: &Machine, inner: &MmInner) -> BTreeMap<u64, Option<Before>> {
+        let cursor = PmdCursor::new(m, inner.pgd);
+        let mut found = BTreeMap::new();
+        for vma in inner.vmas.iter() {
+            for c in walk::chunks(vma.start, vma.end) {
+                let before = cursor.slot(c.at).map(|slot| {
+                    let pe = slot.load();
+                    let present = slot.table.iter_present().map(|(_, e)| e.is_huge());
+                    let (mut any, mut all) = (false, true);
+                    for huge in present {
+                        any = true;
+                        all &= huge;
+                    }
+                    let ptes = if pe.is_present() && !pe.is_huge() {
+                        m.table(pe.frame()).iter_present().collect()
+                    } else {
+                        Vec::new()
+                    };
+                    Before {
+                        pe,
+                        pmd_frame: slot.frame,
+                        all_huge: any && all,
+                        ptes,
+                    }
+                });
+                found.insert(c.base().as_u64(), before);
+            }
+        }
+        found
+    }
+
+    /// Checks each PMD entry of the parent and the child against the entry
+    /// the fork found.
+    fn check_entries(
+        m: &Machine,
+        case: &str,
+        policy: ForkPolicy,
+        before: &BTreeMap<u64, Option<Before>>,
+        parent: &MmInner,
+        child: &MmInner,
+    ) {
+        let ro = |e: Entry| e.with_cleared(EntryFlags::WRITABLE);
+        let shares = |f| m.pool().pt_share_count(f);
+        let (pc, cc) = (PmdCursor::new(m, parent.pgd), PmdCursor::new(m, child.pgd));
+        for (&va, b) in before {
+            let at = VirtAddr::new(va);
+            let here = format!("{case}, {policy:?}, chunk {va:#x}");
+            let child_slot = cc.slot(at);
+            let ce = child_slot.map_or(Entry::NONE, |s| s.load());
+            let Some(b) = b.as_ref().filter(|b| b.pe.is_present()) else {
+                assert!(!ce.is_present(), "{here}: an absent entry stays absent");
+                continue;
+            };
+            let parent_slot = pc.slot(at).unwrap();
+            let pe = parent_slot.load();
+            let child_slot = child_slot.expect("a present entry gives the child a PMD table");
+            if policy == ForkPolicy::OnDemandHuge && b.all_huge {
+                assert_eq!(
+                    child_slot.frame, b.pmd_frame,
+                    "{here}: the PMD table is shared"
+                );
+                assert_eq!(
+                    child_slot.load_pud(),
+                    ro(Entry::table(b.pmd_frame)),
+                    "{here}"
+                );
+                assert!(
+                    !parent_slot.load_pud().is_writable(),
+                    "{here}: parent's PUD entry"
+                );
+                assert_eq!(pe, b.pe, "{here}: the shared table's entries stay");
+                assert_eq!(shares(b.pmd_frame), 2, "{here}");
+                continue;
+            }
+            assert_ne!(
+                child_slot.frame, b.pmd_frame,
+                "{here}: the child's own PMD table"
+            );
+            if b.pe.is_huge() {
+                assert_eq!((pe, ce), (ro(b.pe), ro(b.pe)), "{here}: huge entry copied");
+            } else if policy == ForkPolicy::Classic {
+                assert_eq!(pe, b.pe, "{here}: the parent's PMD entry stays");
+                assert!(ce.is_present() && ce.is_writable(), "{here}: a child table");
+                assert_ne!(ce.frame(), b.pe.frame(), "{here}: a copied table");
+                assert_eq!((shares(b.pe.frame()), shares(ce.frame())), (1, 1), "{here}");
+                let (parent_ptes, child_ptes) = (m.table(b.pe.frame()), m.table(ce.frame()));
+                let stale = share::stale_bits(b.pe);
+                for &(idx, pte) in &b.ptes {
+                    assert_eq!(parent_ptes.load(idx), ro(pte), "{here}: PTE {idx}");
+                    assert_eq!(
+                        child_ptes.load(idx),
+                        ro(pte).with_cleared(stale),
+                        "{here}: PTE {idx}"
+                    );
+                }
+                assert_eq!(child_ptes.iter_present().count(), b.ptes.len(), "{here}");
+            } else {
+                let shared =
+                    ro(Entry::table(b.pe.frame())).with_set(b.pe.0 & EntryFlags::SOFT_CLEAN);
+                assert_eq!(
+                    (pe, ce),
+                    (ro(b.pe), shared),
+                    "{here}: the PTE table is shared"
+                );
+                assert_eq!(shares(b.pe.frame()), 2, "{here}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_fork_shape_shares_copies_and_counts_per_policy() {
+        for shape in shapes() {
+            for (policy, expect) in POLICIES.into_iter().zip(shape.expect) {
+                let case = shape.name;
+                let m = Machine::new(64 << 20);
+                let baseline = m.pool().balance();
+                let mm = build(&m, &shape);
+                let parent = mm.inner.write();
+                let before = entries(&m, &parent);
+                let soft_dirty = before.values().flatten().flat_map(|b| &b.ptes);
+                assert!(
+                    soft_dirty.clone().count() == 0
+                        || soft_dirty.clone().all(|(_, e)| e.is_soft_dirty()),
+                    "{case}: written pages read as soft-dirty"
+                );
+                let stats = m.stats().snapshot();
+                let resolved = walk::pmd_resolutions();
+                let mut tally = ForkTally::default();
+                let mut child = fork_tree(&m, &parent, policy, &mut tally).unwrap();
+                let resolved = walk::pmd_resolutions() - resolved;
+                let d = m.stats().snapshot() - stats;
+
+                let [pte_copies, huge_copies, pte_tables_shared, pmd_tables_shared, resolutions] =
+                    expect;
+                let want = ForkTally {
+                    pte_copies,
+                    huge_copies,
+                    pte_tables_shared,
+                    pmd_tables_shared,
+                };
+                assert_eq!(tally, want, "{case}, {policy:?}: the tally");
+                assert_eq!(
+                    tally.words(),
+                    [
+                        pte_copies + huge_copies,
+                        pte_tables_shared + pmd_tables_shared
+                    ],
+                    "{case}, {policy:?}: the ForkEnd payload"
+                );
+                assert_eq!(
+                    [
+                        d.fork_pte_copies,
+                        d.fork_huge_copies,
+                        d.fork_tables_shared,
+                        d.fork_pmd_tables_shared
+                    ],
+                    [
+                        pte_copies,
+                        huge_copies,
+                        pte_tables_shared,
+                        pmd_tables_shared
+                    ],
+                    "{case}, {policy:?}: the counters, once per fork"
+                );
+                assert_eq!(
+                    resolved, resolutions,
+                    "{case}, {policy:?}: PMD tables resolved"
+                );
+                check_entries(&m, case, policy, &before, &parent, &child);
+
+                child.destroy(&m);
+                drop(parent);
+                drop(mm);
+                assert_eq!(m.live_tables(), 0, "{case}, {policy:?}");
+                odf_pmem::assert_pool_balanced(m.pool(), baseline);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod guard {
+    /// The code of `fork.rs`, tests left out.
+    fn code() -> &'static str {
+        let text = include_str!("fork.rs");
+        &text[..text.find("#[cfg(test)]").unwrap()]
+    }
+
     #[test]
     fn fork_raises_share_counts_only_in_batches() {
-        let text = include_str!("fork.rs");
-        let code = &text[..text.find("#[cfg(test)]").unwrap()];
-        for line in code.lines() {
+        for line in code().lines() {
             assert!(
                 !line.contains("pt_share_inc("),
                 "fork.rs raises one share count at a time: record the table with ForkScratch::share\n{line}"
             );
+        }
+    }
+
+    /// Fork resolves each span's PMD tables once ([`walk::PmdSpan`]) and
+    /// counts its work once ([`ForkTally::count`](super::ForkTally)): no
+    /// chunk looks its slot up through a cursor, and no chunk bumps a
+    /// fork counter. (Patterns are assembled so this text does not match
+    /// them.)
+    #[test]
+    fn fork_resolves_slots_per_span_and_counts_per_fork() {
+        let per_chunk = [
+            ["slot", "_create("].concat(),
+            ["cursor", ".slot("].concat(),
+            ["child", ".slot("].concat(),
+        ];
+        for line in code().lines() {
+            for call in &per_chunk {
+                assert!(
+                    !line.contains(call.as_str()),
+                    "fork.rs resolves a PMD slot per chunk: take it from the span's walk::PmdSpan\n{line}"
+                );
+            }
+        }
+        let counters = [
+            "fork_pte_copies",
+            "fork_huge_copies",
+            "fork_tables_shared",
+            "fork_pmd_tables_shared",
+        ];
+        for f in code().split("fn ").skip(1) {
+            let name = f.split('(').next().unwrap_or_default();
+            for counter in counters {
+                assert!(
+                    name == "count" || !f.contains(&format!("{counter}.")),
+                    "fork.rs counts {counter} in {name}: add it to the ForkTally, counted once per fork"
+                );
+            }
         }
     }
 }

@@ -12,7 +12,9 @@
 //! - [`PmdCursor`]: resolves (or builds) the path from the PGD down to the
 //!   PMD entry covering an address. The fork engines and the fault handler
 //!   operate at PMD granularity, because that is where On-demand-fork's
-//!   table sharing lives.
+//!   table sharing lives. Fork, which holds both trees still, takes a
+//!   [`PmdSpan`] per 1 GiB span ([`spans`]) and reads every chunk's slot
+//!   off it.
 //! - [`translate`]: the simulated MMU's translation: full walk with
 //!   hierarchical attribute resolution (effective writability is the AND of
 //!   the writable bits along the path, §3.2) and accessed/dirty bit
@@ -26,7 +28,9 @@
 use std::cell::Cell;
 use std::ops::Range;
 
-use odf_pagetable::{Entry, EntryFlags, Level, Table, TableSlot, VirtAddr, PTE_TABLE_SPAN};
+use odf_pagetable::{
+    Entry, EntryFlags, Level, Table, TableSlot, VirtAddr, ENTRIES_PER_TABLE, PTE_TABLE_SPAN,
+};
 use odf_pmem::{FrameId, PAGE_SIZE};
 use odf_trace::{Hit, LockSite};
 
@@ -68,16 +72,43 @@ impl Chunk {
 
 /// Cuts `[start, end)` into [`Chunk`]s, in address order.
 pub(crate) fn chunks(start: u64, end: u64) -> impl Iterator<Item = Chunk> {
+    cut(start, end, PTE_TABLE_SPAN).map(|(at, end)| Chunk { at, end })
+}
+
+/// Bytes mapped by one PMD table: 1 GiB.
+const PMD_TABLE_SPAN: u64 = PTE_TABLE_SPAN * ENTRIES_PER_TABLE as u64;
+
+/// The part of one PUD entry's 1 GiB span that a range covers: the chunks
+/// one PMD table maps.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Span {
+    /// First covered address.
+    pub at: VirtAddr,
+    /// One past the last covered address; never past the span's end.
+    pub end: VirtAddr,
+}
+
+impl Span {
+    /// The covered part of the span, cut into [`Chunk`]s.
+    pub fn chunks(self) -> impl Iterator<Item = Chunk> {
+        chunks(self.at.as_u64(), self.end.as_u64())
+    }
+}
+
+/// Cuts `[start, end)` into [`Span`]s, in address order.
+pub(crate) fn spans(start: u64, end: u64) -> impl Iterator<Item = Span> {
+    cut(start, end, PMD_TABLE_SPAN).map(|(at, end)| Span { at, end })
+}
+
+/// Cuts `[start, end)` at the multiples of `span` (a power of two).
+fn cut(start: u64, end: u64, span: u64) -> impl Iterator<Item = (VirtAddr, VirtAddr)> {
     let mut at = start;
     std::iter::from_fn(move || {
         (at < end).then(|| {
-            let next = ((at & !(PTE_TABLE_SPAN - 1)) + PTE_TABLE_SPAN).min(end);
-            let chunk = Chunk {
-                at: VirtAddr::new(at),
-                end: VirtAddr::new(next),
-            };
+            let next = ((at & !(span - 1)) + span).min(end);
+            let part = (VirtAddr::new(at), VirtAddr::new(next));
             at = next;
-            chunk
+            part
         })
     })
 }
@@ -283,6 +314,26 @@ impl<'m> PmdSlot<'m> {
     }
 }
 
+/// The PMD table that maps one 1 GiB span, as a [`PmdCursor`] reached it:
+/// hands out the [`PmdSlot`] of any chunk of the span with no further
+/// load. Only a walker whose locks keep the path may hold one across
+/// chunks (DESIGN.md §4.1 rule 7): fork, under the parent's exclusive
+/// lock, over a child nobody else can see yet.
+#[derive(Clone, Copy)]
+pub(crate) struct PmdSpan<'m> {
+    /// The span's first address.
+    base: u64,
+    reach: Reach<'m>,
+}
+
+impl<'m> PmdSpan<'m> {
+    /// The slot of the PMD entry that maps `va`, which lies in the span.
+    pub fn slot(&self, va: VirtAddr) -> PmdSlot<'m> {
+        debug_assert_eq!(va.as_u64() & !(PMD_TABLE_SPAN - 1), self.base);
+        PmdSlot::new(self.reach, va.index(Level::Pmd))
+    }
+}
+
 /// The one way to a PMD slot: a walk's path from its PGD down to the PMD
 /// entries it visits. A table is found by indexing the machine's table
 /// slots; the cursor also keeps the PUD table and the PMD table it last
@@ -320,9 +371,10 @@ impl<'m> PmdCursor<'m> {
         }
     }
 
-    /// The PMD slot `pud_table[pud_idx]` leads to, reached as a lockless
+    /// The PMD table `pud_table[pud_idx]` leads to, reached as a lockless
     /// walker reaches it: with a stamp taken while the entry named it.
-    fn reach_pmd(&self, va: VirtAddr, pud_table: &'m Table) -> Option<PmdSlot<'m>> {
+    fn reach_pmd(&self, va: VirtAddr, pud_table: &'m Table) -> Option<PmdSpan<'m>> {
+        race_at(Point::PmdTable);
         let pud_idx = va.index(Level::Pud);
         loop {
             let pmd_e = pud_table.load(pud_idx);
@@ -337,9 +389,10 @@ impl<'m> PmdCursor<'m> {
             // Under a lock that keeps the path this enters at once; a
             // lockless walker re-reads an entry a sibling fault re-pointed.
             match held.map_or_else(|| Reach::enter(self.machine, pud_table, pud_idx, pmd_e), Ok) {
-                Ok(pmd) => {
-                    self.pmd.set(Some(pmd));
-                    return Some(PmdSlot::new(pmd, va.index(Level::Pmd)));
+                Ok(reach) => {
+                    self.pmd.set(Some(reach));
+                    let base = va.as_u64() & !(PMD_TABLE_SPAN - 1);
+                    return Some(PmdSpan { base, reach });
                 }
                 Err(Raced) if pud_table.load(pud_idx) == pmd_e => {
                     panic!("no table registered for {frame:?}")
@@ -349,8 +402,9 @@ impl<'m> PmdCursor<'m> {
         }
     }
 
-    /// Resolves the PMD entry covering `va`, without creating tables.
-    pub fn slot(&self, va: VirtAddr) -> Option<PmdSlot<'m>> {
+    /// Resolves the PMD table of the 1 GiB span covering `va`, without
+    /// creating tables.
+    pub fn span(&self, va: VirtAddr) -> Option<PmdSpan<'m>> {
         let pud_e = self.pgd.load(va.index(Level::Pgd));
         if !pud_e.is_present() {
             return None;
@@ -358,18 +412,29 @@ impl<'m> PmdCursor<'m> {
         self.reach_pmd(va, self.pud_table(pud_e.frame()))
     }
 
-    /// Resolves the PMD entry covering `va`, creating the PUD/PMD tables
-    /// on the way if absent.
+    /// Resolves the PMD table of the 1 GiB span covering `va`, creating
+    /// the PUD/PMD tables on the way if absent.
     ///
     /// Building the upper levels of a child tree at fork time is the only
     /// table-construction work On-demand-fork performs (§3.1: "copies the
     /// top levels of page tables of the parent").
-    pub fn slot_create(&self, va: VirtAddr) -> Result<PmdSlot<'m>> {
+    pub fn span_create(&self, va: VirtAddr) -> Result<PmdSpan<'m>> {
         let (pud_table, pud_idx) = self.pud_create(va)?;
         ensure_child_table(self.machine, pud_table, pud_idx)?;
         Ok(self
             .reach_pmd(va, pud_table)
             .expect("PMD tables are freed only under the exclusive mm lock"))
+    }
+
+    /// Resolves the PMD entry covering `va`, without creating tables.
+    pub fn slot(&self, va: VirtAddr) -> Option<PmdSlot<'m>> {
+        self.span(va).map(|span| span.slot(va))
+    }
+
+    /// Resolves the PMD entry covering `va`, creating the PUD/PMD tables
+    /// on the way if absent.
+    pub fn slot_create(&self, va: VirtAddr) -> Result<PmdSlot<'m>> {
+        self.span_create(va).map(|span| span.slot(va))
     }
 
     /// Resolves (creating if needed) the PUD table and entry index covering
@@ -524,8 +589,9 @@ pub(crate) fn translate(
     )
 }
 
-/// A point of a lockless walk, where a unit test stages a race
-/// (`tests::once_at`). Outside tests the points compile to nothing.
+/// A point of a walk, where a unit test stages a race (`tests::once_at`)
+/// or counts what the walk did. Outside tests the points compile to
+/// nothing.
 #[cfg_attr(not(test), allow(dead_code))]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Point {
@@ -534,6 +600,8 @@ enum Point {
     Entered(FrameId),
     /// The path was validated; the A/D bits are set next.
     Validated,
+    /// A cursor resolves a PMD table, which tests count.
+    PmdTable,
 }
 
 #[inline(always)]
@@ -543,10 +611,16 @@ fn race_at(point: Point) {
     let _ = point;
 }
 
+/// PMD tables this thread's cursors resolved so far, counting every
+/// [`PmdCursor::span`] and every slot resolved through one.
+#[cfg(test)]
+pub(crate) fn pmd_resolutions() -> u64 {
+    tests::PMD_RESOLUTIONS.get()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odf_pagetable::ENTRIES_PER_TABLE;
     use odf_pmem::PageKind;
     use std::sync::Arc;
 
@@ -794,11 +868,17 @@ mod tests {
     type Hook = (Point, Box<dyn FnOnce()>);
 
     thread_local! {
+        /// PMD tables this thread's cursors resolved ([`PmdCursor::span`]
+        /// and everything built on it), for the tests that count them.
+        pub(super) static PMD_RESOLUTIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
         /// What this thread's walks run at the next [`Point`] they pass.
         static HOOK: std::cell::Cell<Option<Hook>> = const { std::cell::Cell::new(None) };
     }
 
     pub(super) fn race_at(point: Point) {
+        if point == Point::PmdTable {
+            PMD_RESOLUTIONS.set(PMD_RESOLUTIONS.get() + 1);
+        }
         match HOOK.take() {
             Some((at, f)) if at == point => f(),
             hook => HOOK.set(hook),
