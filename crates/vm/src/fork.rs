@@ -633,12 +633,8 @@ mod tests {
             for c in walk::chunks(vma.start, vma.end) {
                 let before = cursor.slot(c.at).map(|slot| {
                     let pe = slot.load();
-                    let present = slot.table.iter_present().map(|(_, e)| e.is_huge());
-                    let (mut any, mut all) = (false, true);
-                    for huge in present {
-                        any = true;
-                        all &= huge;
-                    }
+                    let mut present = slot.table.iter_present().peekable();
+                    let all_huge = present.peek().is_some() && present.all(|(_, e)| e.is_huge());
                     let ptes = if pe.is_present() && !pe.is_huge() {
                         m.table(pe.frame()).iter_present().collect()
                     } else {
@@ -647,7 +643,7 @@ mod tests {
                     Before {
                         pe,
                         pmd_frame: slot.frame,
-                        all_huge: any && all,
+                        all_huge,
                         ptes,
                     }
                 });
@@ -745,10 +741,9 @@ mod tests {
                 let mm = build(&m, &shape);
                 let parent = mm.inner.write();
                 let before = entries(&m, &parent);
-                let soft_dirty = before.values().flatten().flat_map(|b| &b.ptes);
+                let mut ptes = before.values().flatten().flat_map(|b| &b.ptes);
                 assert!(
-                    soft_dirty.clone().count() == 0
-                        || soft_dirty.clone().all(|(_, e)| e.is_soft_dirty()),
+                    ptes.all(|(_, e)| e.is_soft_dirty()),
                     "{case}: written pages read as soft-dirty"
                 );
                 let stats = m.stats().snapshot();
