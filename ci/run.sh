@@ -149,17 +149,23 @@ run_job() {
       # must show; criterion's micro_ops is not one of them. observability
       # traces its whole run; probe_overhead must not: its detached
       # baseline takes the true fast path (one relaxed load), as
-      # production would.
-      local f b
+      # production would. Every bench runs even after one fails; the job
+      # then fails, listing each failing bench and its time.
+      local f b start failed=()
       for f in crates/bench/benches/*.rs; do
         b=$(basename "$f" .rs)
         echo "=== bench $b ==="
+        start=$SECONDS
         case $b in
-          micro_ops) ;;
+          micro_ops) continue ;;
           observability) ODF_TRACE=1 cargo bench -p odf-bench --bench "$b" ;;
           *) cargo bench -p odf-bench --bench "$b" ;;
-        esac
+        esac || failed+=("$b ($((SECONDS - start))s)")
       done
+      if ((${#failed[@]})); then
+        printf 'FAILED bench %s\n' "${failed[@]}" >&2
+        return 1
+      fi
       ;;
   esac
 }

@@ -71,8 +71,6 @@ pub struct Kernel {
     live_processes: AtomicU64,
     /// Per-process fork policy overrides (the procfs file analog).
     policies: Mutex<HashMap<Pid, ForkPolicy>>,
-    /// Policy used when a process has no override.
-    default_policy: Mutex<ForkPolicy>,
     /// The background reclaim daemon (kswapd analog), when started.
     /// Stopped and joined when the last kernel handle drops.
     reclaim_daemon: Mutex<Option<ReclaimDaemon>>,
@@ -107,7 +105,6 @@ impl Kernel {
             next_pid: AtomicU64::new(1),
             live_processes: AtomicU64::new(0),
             policies: Mutex::new(HashMap::new()),
-            default_policy: Mutex::new(ForkPolicy::Classic),
             reclaim_daemon: Mutex::new(None),
             thp_daemon: Mutex::new(None),
             slo_watchdog: Mutex::new(None),
@@ -204,11 +201,6 @@ impl Kernel {
         self.live_processes.load(Ordering::Relaxed)
     }
 
-    /// Sets the machine-wide default fork policy.
-    pub fn set_default_fork_policy(&self, policy: ForkPolicy) {
-        *self.default_policy.lock() = policy;
-    }
-
     /// Sets (or, with `None`, clears) a per-process fork policy override —
     /// the `/proc/<pid>/` switch of §4 that enables On-demand-fork without
     /// changing application code.
@@ -224,13 +216,14 @@ impl Kernel {
         }
     }
 
-    /// The policy a plain `fork()` by `pid` will use.
+    /// The policy a plain `fork()` by `pid` will use: its override, or
+    /// [`ForkPolicy::Classic`], as on a kernel where nobody opted in.
     pub fn effective_fork_policy(&self, pid: Pid) -> ForkPolicy {
         self.policies
             .lock()
             .get(&pid)
             .copied()
-            .unwrap_or(*self.default_policy.lock())
+            .unwrap_or(ForkPolicy::Classic)
     }
 
     // ------------------------------------------------------------------
@@ -259,13 +252,6 @@ impl Kernel {
         self.reclaim_daemon.lock().take();
     }
 
-    /// Wakes the reclaim daemon immediately, if one is running.
-    pub fn kick_reclaim_daemon(&self) {
-        if let Some(d) = self.reclaim_daemon.lock().as_ref() {
-            d.kick();
-        }
-    }
-
     /// Activity counters of the running reclaim daemon, if any.
     pub fn reclaim_daemon_stats(&self) -> Option<DaemonStats> {
         self.reclaim_daemon
@@ -289,14 +275,6 @@ impl Kernel {
     pub fn start_thp_daemon(&self, policy: Box<dyn PromotionPolicy>, config: ThpDaemonConfig) {
         let daemon = ThpDaemon::spawn(Arc::clone(&self.machine), policy, config);
         *self.thp_daemon.lock() = Some(daemon);
-    }
-
-    /// Starts the THP daemon with the default heat policy and config.
-    pub fn start_default_thp_daemon(&self) {
-        self.start_thp_daemon(
-            Box::new(odf_thp::HeatPolicy::default()),
-            ThpDaemonConfig::default(),
-        );
     }
 
     /// Stops (and joins) the THP daemon, if one is running.
@@ -389,13 +367,6 @@ impl Kernel {
     /// probes it attached stay attached (detach via the probe engine).
     pub fn stop_slo_watchdog(&self) {
         self.slo_watchdog.lock().take();
-    }
-
-    /// Wakes the watchdog for an immediate asynchronous evaluation.
-    pub fn kick_slo_watchdog(&self) {
-        if let Some(wd) = self.slo_watchdog.lock().as_ref() {
-            wd.kick();
-        }
     }
 
     /// Runs one budget-evaluation round synchronously, returning any
@@ -529,12 +500,10 @@ mod tests {
         let k = Kernel::new(16 << 20);
         let p = k.spawn().unwrap();
         assert_eq!(k.effective_fork_policy(p.pid()), ForkPolicy::Classic);
-        k.set_default_fork_policy(ForkPolicy::OnDemand);
+        k.set_fork_policy(p.pid(), Some(ForkPolicy::OnDemand));
         assert_eq!(k.effective_fork_policy(p.pid()), ForkPolicy::OnDemand);
-        k.set_fork_policy(p.pid(), Some(ForkPolicy::Classic));
-        assert_eq!(k.effective_fork_policy(p.pid()), ForkPolicy::Classic);
         k.set_fork_policy(p.pid(), None);
-        assert_eq!(k.effective_fork_policy(p.pid()), ForkPolicy::OnDemand);
+        assert_eq!(k.effective_fork_policy(p.pid()), ForkPolicy::Classic);
     }
 
     #[test]

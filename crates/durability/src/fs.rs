@@ -2,22 +2,18 @@
 //!
 //! Everything in this crate — WAL segments, snapshot images, the chain
 //! manifest — goes through [`StorageFs`], a deliberately small flat-namespace
-//! file API with *explicit* durability points (`fsync`, `sync_dir`). Two
-//! implementations exist:
-//!
-//! - [`DiskFs`]: the real thing, a directory on the host filesystem.
-//! - [`CrashFs`]: an in-memory model of a journaling filesystem that tracks,
-//!   per file, which prefix has reached "stable storage" and which directory
-//!   entries have been persisted. It can be armed to simulate power loss at
-//!   any mutating-operation boundary, which is what the crash-injection
-//!   harness in `tests/` enumerates. The model follows ext4-like semantics:
-//!   `fsync(file)` persists both the file's contents and its directory entry;
-//!   `rename`/`remove` become durable only after `sync_dir`; un-fsynced
-//!   appends may survive *partially* (torn tail) — see [`CrashMode`].
+//! file API with *explicit* durability points (`fsync`, `sync_dir`). Its
+//! one implementation here is [`CrashFs`]: an in-memory model of a
+//! journaling filesystem that tracks, per file, which prefix has reached
+//! "stable storage" and which directory entries have been persisted. It can
+//! be armed to simulate power loss at any mutating-operation boundary, which
+//! is what the crash-injection harness in `tests/` enumerates. The model
+//! follows ext4-like semantics: `fsync(file)` persists both the file's
+//! contents and its directory entry; `rename`/`remove` become durable only
+//! after `sync_dir`; un-fsynced appends may survive *partially* (torn tail)
+//! — see [`CrashMode`]. Tests wrap it in fakes that inject errors.
 
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// Errors surfaced by a [`StorageFs`] operation.
@@ -28,7 +24,8 @@ pub enum FsError {
     Crashed,
     /// The named file does not exist.
     NotFound(String),
-    /// A host I/O error (real backend only).
+    /// A storage I/O error. [`CrashFs`] never raises it; error-injecting
+    /// [`StorageFs`] wrappers in tests do.
     Io(String),
 }
 
@@ -72,91 +69,6 @@ pub trait StorageFs: Send + Sync {
     fn list(&self) -> Result<Vec<String>, FsError>;
     /// Does the named file exist (live view)?
     fn exists(&self, name: &str) -> Result<bool, FsError>;
-}
-
-// ---------------------------------------------------------------------------
-// DiskFs — the real backend
-// ---------------------------------------------------------------------------
-
-/// [`StorageFs`] over a real directory.
-pub struct DiskFs {
-    root: PathBuf,
-}
-
-impl DiskFs {
-    /// Opens (creating if needed) `root` as the store's directory.
-    pub fn open(root: impl Into<PathBuf>) -> Result<DiskFs, FsError> {
-        let root = root.into();
-        std::fs::create_dir_all(&root).map_err(|e| FsError::Io(e.to_string()))?;
-        Ok(DiskFs { root })
-    }
-
-    fn path(&self, name: &str) -> PathBuf {
-        debug_assert!(!name.contains('/'), "flat namespace only: {name}");
-        self.root.join(name)
-    }
-}
-
-/// Maps a host error on the file `name`, keeping "not found" apart.
-fn io_error(name: &str) -> impl Fn(std::io::Error) -> FsError + '_ {
-    move |e| match e.kind() {
-        std::io::ErrorKind::NotFound => FsError::NotFound(name.to_string()),
-        _ => FsError::Io(e.to_string()),
-    }
-}
-
-impl StorageFs for DiskFs {
-    fn create(&self, name: &str) -> Result<(), FsError> {
-        std::fs::File::create(self.path(name))
-            .map(|_| ())
-            .map_err(|e| FsError::Io(e.to_string()))
-    }
-
-    fn append(&self, name: &str, data: &[u8]) -> Result<(), FsError> {
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(self.path(name))
-            .map_err(io_error(name))?;
-        f.write_all(data).map_err(|e| FsError::Io(e.to_string()))
-    }
-
-    fn fsync(&self, name: &str) -> Result<(), FsError> {
-        let f = std::fs::File::open(self.path(name)).map_err(io_error(name))?;
-        f.sync_all().map_err(|e| FsError::Io(e.to_string()))
-    }
-
-    fn read(&self, name: &str) -> Result<Vec<u8>, FsError> {
-        std::fs::read(self.path(name)).map_err(io_error(name))
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<(), FsError> {
-        std::fs::rename(self.path(from), self.path(to)).map_err(io_error(from))
-    }
-
-    fn remove(&self, name: &str) -> Result<(), FsError> {
-        std::fs::remove_file(self.path(name)).map_err(io_error(name))
-    }
-
-    fn sync_dir(&self) -> Result<(), FsError> {
-        let d = std::fs::File::open(&self.root).map_err(|e| FsError::Io(e.to_string()))?;
-        d.sync_all().map_err(|e| FsError::Io(e.to_string()))
-    }
-
-    fn list(&self) -> Result<Vec<String>, FsError> {
-        let mut names = Vec::new();
-        for entry in std::fs::read_dir(&self.root).map_err(|e| FsError::Io(e.to_string()))? {
-            let entry = entry.map_err(|e| FsError::Io(e.to_string()))?;
-            if entry.path().is_file() {
-                names.push(entry.file_name().to_string_lossy().into_owned());
-            }
-        }
-        names.sort();
-        Ok(names)
-    }
-
-    fn exists(&self, name: &str) -> Result<bool, FsError> {
-        Ok(self.path(name).is_file())
-    }
 }
 
 // ---------------------------------------------------------------------------

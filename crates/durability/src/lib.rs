@@ -5,7 +5,7 @@
 //! crate supplies that disk story:
 //!
 //! - [`Wal`]: an append-only write-ahead log with length+CRC32 framing,
-//!   group commit under a configurable [`FsyncPolicy`], segment rotation,
+//!   group commit under an [`FsyncPolicy`], segment rotation,
 //!   and stop-at-the-tear torn-tail detection and repair on open.
 //! - [`ChainStore`]: an atomic (tmp-write + fsync + rename) publish path
 //!   for full/delta [`odf_snapshot::SnapshotImage`]s, indexed by a
@@ -33,7 +33,7 @@ mod stats;
 mod wal;
 
 pub use chain::{ChainStore, LoadedChain, ManifestEntry, MANIFEST};
-pub use fs::{CrashFs, CrashMode, CrashPlan, DiskFs, FsError, OpKind, StorageFs};
+pub use fs::{CrashFs, CrashMode, CrashPlan, FsError, OpKind, StorageFs};
 pub use recover::{Recovered, RecoveryReport};
 pub use stats::{group_commit_lag, stats, wal_seqs, DurabilityStats, DurabilityStatsSnapshot};
 pub use wal::{FsyncPolicy, Wal, WalConfig, WalRecord, WalScan, FRAME_HEADER, MAX_PAYLOAD};

@@ -24,7 +24,6 @@
 //! (good prefix rewritten atomically) so a recovered log appends cleanly.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use odf_metrics::Stopwatch;
 use odf_trace::{Hit, Point};
@@ -48,15 +47,6 @@ pub enum FsyncPolicy {
     /// Fsync every `n` commits — bounded loss window, amortized cost
     /// (Redis `appendfsync everysec` in spirit).
     EveryN(u32),
-    /// Time-based group commit: fsync once the *oldest unfsynced* record
-    /// has waited at least this long. The sync piggybacks on the next
-    /// [`Wal::commit`] after the deadline, or on a [`Wal::kick`] from a
-    /// timer — so the unacknowledged window is bounded by wall-clock time
-    /// rather than commit count (PostgreSQL `commit_delay` in spirit).
-    Deadline(Duration),
-    /// Never fsync from `commit`; durability only via rotation, explicit
-    /// [`Wal::sync`], or snapshot publish (`appendfsync no`).
-    Never,
 }
 
 /// Configuration for a [`Wal`].
@@ -116,9 +106,6 @@ pub struct Wal {
     pending_bytes: u64,
     /// Commits since the last fsync (for [`FsyncPolicy::EveryN`]).
     commits_since_sync: u32,
-    /// When the oldest currently-unfsynced record was appended (for
-    /// [`FsyncPolicy::Deadline`]); `None` while nothing is pending.
-    oldest_pending: Option<Instant>,
 }
 
 fn segment_name(first_seq: u64) -> String {
@@ -204,7 +191,6 @@ impl Wal {
                     pending_records: 0,
                     pending_bytes: 0,
                     commits_since_sync: 0,
-                    oldest_pending: None,
                 },
                 WalScan::default(),
             ));
@@ -292,7 +278,6 @@ impl Wal {
             pending_records: 0,
             pending_bytes: 0,
             commits_since_sync: 0,
-            oldest_pending: None,
         };
         Ok((wal, scan))
     }
@@ -311,9 +296,6 @@ impl Wal {
         self.segment_len += frame.len() as u64;
         self.pending_records += 1;
         self.pending_bytes += frame.len() as u64;
-        if self.oldest_pending.is_none() {
-            self.oldest_pending = Some(Instant::now());
-        }
         stats::stats().wal_appends.bump();
         stats::stats().wal_bytes_appended.add(frame.len() as u64);
         stats::note_appended(seq);
@@ -350,41 +332,12 @@ impl Wal {
                     Ok(self.pending_records == 0)
                 }
             }
-            FsyncPolicy::Deadline(deadline) => {
-                if self.deadline_expired(deadline) {
-                    self.sync()?;
-                    Ok(true)
-                } else {
-                    Ok(self.pending_records == 0)
-                }
-            }
-            FsyncPolicy::Never => Ok(self.pending_records == 0),
         }
-    }
-
-    /// Timer entry point for [`FsyncPolicy::Deadline`]: fsyncs if the
-    /// oldest unfsynced record has outlived the deadline (a quiet
-    /// connection never commits, so a periodic kick bounds its loss
-    /// window). No-op under the other policies. Returns whether everything
-    /// appended so far is durable afterwards.
-    pub fn kick(&mut self) -> Result<bool, FsError> {
-        if let FsyncPolicy::Deadline(deadline) = self.cfg.fsync {
-            if self.deadline_expired(deadline) {
-                self.sync()?;
-            }
-        }
-        Ok(self.pending_records == 0)
-    }
-
-    fn deadline_expired(&self, deadline: Duration) -> bool {
-        self.oldest_pending
-            .is_some_and(|at| at.elapsed() >= deadline)
     }
 
     /// Forces everything appended so far to stable storage.
     pub fn sync(&mut self) -> Result<(), FsError> {
         self.commits_since_sync = 0;
-        self.oldest_pending = None;
         if self.pending_records == 0 {
             return Ok(());
         }
@@ -575,95 +528,13 @@ mod tests {
         wal.append(b"c").unwrap();
         assert!(wal.commit().unwrap());
         assert_eq!(wal.durable_seq(), 3);
-    }
-
-    #[test]
-    fn never_policy_only_syncs_explicitly() {
-        let fs = mem();
-        let (mut wal, _) = Wal::open(
-            fs,
-            WalConfig {
-                segment_bytes: 1 << 20,
-                fsync: FsyncPolicy::Never,
-            },
-        )
-        .unwrap();
-        wal.append(b"a").unwrap();
+        // An explicit sync makes the record durable between fsync points,
+        // and a commit with nothing pending then reports durable.
+        wal.append(b"d").unwrap();
         assert!(!wal.commit().unwrap());
-        assert_eq!(wal.durable_seq(), 0);
         wal.sync().unwrap();
-        assert_eq!(wal.durable_seq(), 1);
-        // Nothing pending: commit may report durable.
+        assert_eq!(wal.durable_seq(), 4);
         assert!(wal.commit().unwrap());
-    }
-
-    fn deadline_cfg(deadline: Duration) -> WalConfig {
-        WalConfig {
-            segment_bytes: 1 << 20,
-            fsync: FsyncPolicy::Deadline(deadline),
-        }
-    }
-
-    #[test]
-    fn deadline_policy_holds_acks_until_the_deadline() {
-        let fs = mem();
-        let (mut wal, _) = Wal::open(fs, deadline_cfg(Duration::from_secs(3600))).unwrap();
-        wal.append(b"a").unwrap();
-        assert!(!wal.commit().unwrap(), "deadline far away: not durable yet");
-        assert!(!wal.kick().unwrap(), "kick before the deadline is a no-op");
-        assert_eq!(wal.durable_seq(), 0);
-        wal.sync().unwrap();
-        assert_eq!(wal.durable_seq(), 1);
-        // The expiry clock resets with nothing pending: commit with an
-        // empty pipeline reports durable without another fsync.
-        assert!(wal.commit().unwrap());
-    }
-
-    #[test]
-    fn deadline_commit_acks_survive_a_crash() {
-        // Satellite acceptance: a write acknowledged as durable under
-        // Deadline (the piggybacked fsync fired because the oldest pending
-        // record outlived the deadline) must survive a hard crash.
-        let fs = Arc::new(CrashFs::new());
-        let dyn_fs: Arc<dyn StorageFs> = Arc::clone(&fs) as _;
-        let (mut wal, _) = Wal::open(dyn_fs, deadline_cfg(Duration::from_millis(2))).unwrap();
-        wal.append(b"acked").unwrap();
-        std::thread::sleep(Duration::from_millis(5));
-        // Deadline expired: this commit fsyncs and acknowledges durability.
-        assert!(wal.commit().unwrap());
-        // A younger write inside a fresh deadline window is *not* acked...
-        wal.append(b"unacked").unwrap();
-        assert!(!wal.commit().unwrap());
-        drop(wal);
-        // ...and the machine dies.
-        let rebooted: Arc<dyn StorageFs> = Arc::new(fs.crash()) as _;
-        let (_, scan) = Wal::open(rebooted, deadline_cfg(Duration::from_millis(2))).unwrap();
-        let payloads: Vec<&[u8]> = scan.records.iter().map(|r| r.payload.as_slice()).collect();
-        assert!(
-            payloads.contains(&b"acked".as_slice()),
-            "acknowledged-durable write must survive the crash, got {payloads:?}"
-        );
-        assert!(
-            !payloads.contains(&b"unacked".as_slice()),
-            "the unacked write was inside its loss window"
-        );
-    }
-
-    #[test]
-    fn deadline_kick_fsyncs_a_quiet_connection() {
-        let fs = Arc::new(CrashFs::new());
-        let dyn_fs: Arc<dyn StorageFs> = Arc::clone(&fs) as _;
-        let (mut wal, _) = Wal::open(dyn_fs, deadline_cfg(Duration::from_millis(2))).unwrap();
-        wal.append(b"quiet").unwrap();
-        assert_eq!(wal.durable_seq(), 0);
-        std::thread::sleep(Duration::from_millis(5));
-        // No further commit arrives; the timer kick must flush instead.
-        assert!(wal.kick().unwrap());
-        assert_eq!(wal.durable_seq(), 1);
-        let rebooted: Arc<dyn StorageFs> = Arc::new(fs.crash()) as _;
-        let (_, scan) = Wal::open(rebooted, deadline_cfg(Duration::from_millis(2))).unwrap();
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.records[0].payload, b"quiet");
     }
 
     // -- satellite: table-driven framing corruption tests ------------------

@@ -73,11 +73,6 @@ impl GuestVm {
         self.size
     }
 
-    /// Host virtual address where guest-physical memory starts.
-    pub fn mem_base(&self) -> u64 {
-        self.base
-    }
-
     /// Pre-faults the whole guest memory in the host process, like a
     /// fully booted emulator whose guest RAM is resident.
     pub fn prefault(&self, proc: &Process) -> Result<()> {

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use odf_core::{ForkPolicy, Kernel, Process, Result, UserHeap, VmError};
+use odf_core::{ForkPolicy, Kernel, Process, Result, UserHeap};
 use odf_metrics::Stopwatch;
 
 pub mod wrk;
@@ -283,14 +283,6 @@ impl PreforkServer {
     pub fn control_mapped_bytes(&self) -> u64 {
         self.control.memory_report().mapped_bytes
     }
-}
-
-/// Returns `Err` for configurations the server cannot start with.
-pub fn validate_config(config: &HttpConfig) -> std::result::Result<(), VmError> {
-    if config.workers == 0 || config.documents == 0 {
-        return Err(VmError::InvalidArgument);
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -323,7 +323,6 @@ pub struct PerCoreServer {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     serializer: Option<JoinHandle<()>>,
-    next_conn: AtomicUsize,
     down: bool,
     shards: usize,
 }
@@ -378,7 +377,6 @@ impl PerCoreServer {
             shared,
             workers,
             serializer: Some(serializer),
-            next_conn: AtomicUsize::new(0),
             down: false,
             shards: n,
         })
@@ -403,12 +401,6 @@ impl PerCoreServer {
     /// The serving process.
     pub fn process(&self) -> Arc<Process> {
         self.shared.proc()
-    }
-
-    /// Opens a connection placed round-robin across shards.
-    pub fn connect(&self) -> Connection {
-        let shard = self.next_conn.fetch_add(1, Ordering::Relaxed) % self.shards;
-        self.connect_to(shard)
     }
 
     /// Opens a connection placed on `shard`'s worker.

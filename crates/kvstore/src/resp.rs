@@ -503,11 +503,6 @@ impl ReplyBuf {
         chunk.ready = true;
     }
 
-    /// Whether any reserved slot is still unfilled.
-    pub fn has_pending(&self) -> bool {
-        self.chunks.iter().any(|c| !c.ready)
-    }
-
     /// Moves the ready prefix into `out`, recycling drained chunk buffers.
     /// Returns the number of bytes flushed.
     pub fn flush_into(&mut self, out: &mut Vec<u8>) -> usize {
@@ -840,11 +835,9 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(reply.flush_into(&mut out), 5);
         assert_eq!(out, b"+OK\r\n");
-        assert!(reply.has_pending());
         reply.complete(token, |buf| buf.extend_from_slice(b":42\r\n"));
         reply.flush_into(&mut out);
         assert_eq!(out, b"+OK\r\n:42\r\n:7\r\n");
-        assert!(!reply.has_pending());
     }
 
     #[test]

@@ -314,22 +314,35 @@ mod tests {
         assert_eq!(dumps(&a), dumps(&b));
     }
 
+    /// Under either fork policy: smart-client routing never sees `MOVED`,
+    /// and the multi-shard `BGSAVE` forks and dumps every shard.
     #[test]
     fn percore_drive_completes_and_routes_cleanly() {
-        let server = boot(2);
-        let cfg = WorkloadConfig {
-            key_space: 200,
-            pipeline: 8,
-            ..Default::default()
-        };
-        preload_percore(&server, &cfg);
-        assert_eq!(call(&server, 0, &[b"DBSIZE"]), b":200\r\n");
-        // About 200 of the 400 requests are SETs.
-        let report = run_percore(&server, &cfg, 2, 400, Some(150));
-        assert_eq!(report.requests, 400);
-        assert_eq!(report.errors, 0, "smart-client routing never sees MOVED");
-        assert_eq!(report.snapshots.len(), 1);
-        assert!(report.latency.percentile(99.0) >= report.latency.percentile(50.0));
+        for fork_policy in [ForkPolicy::Classic, ForkPolicy::OnDemand] {
+            let k = Kernel::new(256 << 20);
+            let config = PerCoreConfig {
+                shards: 2,
+                heap_per_shard: 8 << 20,
+                buckets: 256,
+                fork_policy,
+            };
+            let server = PerCoreServer::new(&k, config).unwrap();
+            let cfg = WorkloadConfig {
+                key_space: 200,
+                pipeline: 8,
+                ..Default::default()
+            };
+            preload_percore(&server, &cfg);
+            assert_eq!(call(&server, 0, &[b"DBSIZE"]), b":200\r\n");
+            // About 200 of the 400 requests are SETs.
+            let report = run_percore(&server, &cfg, 2, 400, Some(150));
+            assert_eq!(report.requests, 400);
+            assert_eq!(report.errors, 0, "smart-client routing never sees MOVED");
+            assert_eq!(report.snapshots.len(), 1);
+            assert!(report.snapshots[0].fork_ns > 0, "{fork_policy:?}: no fork");
+            assert_eq!(report.snapshots[0].dumps.len(), 2, "one dump per shard");
+            assert!(report.latency.percentile(99.0) >= report.latency.percentile(50.0));
+        }
     }
 
     #[test]

@@ -37,14 +37,6 @@ impl Stopwatch {
     pub fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
-
-    /// Restarts the stopwatch and returns the elapsed time up to that point.
-    pub fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let elapsed = now - self.start;
-        self.start = now;
-        elapsed
-    }
 }
 
 /// Runs `f` and returns its result together with the elapsed wall-clock time.
@@ -72,16 +64,6 @@ mod tests {
         let a = sw.elapsed_ns();
         let b = sw.elapsed_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn lap_restarts_the_clock() {
-        let mut sw = Stopwatch::start();
-        std::thread::sleep(Duration::from_millis(2));
-        let first = sw.lap();
-        assert!(first >= Duration::from_millis(2));
-        // After the lap, elapsed restarts near zero.
-        assert!(sw.elapsed() < first);
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl VirtAddr {
         Self::new(self.0.div_ceil(PAGE_SIZE as u64) << PAGE_SHIFT)
     }
 
-    /// Whether the address is page-aligned.
-    pub fn is_page_aligned(self) -> bool {
-        self.page_offset() == 0
-    }
-
     /// The 9-bit table index this address selects at a given level.
     pub fn index(self, level: Level) -> usize {
         ((self.0 >> level.index_shift()) & 0x1FF) as usize
@@ -107,7 +102,7 @@ mod tests {
         let va = VirtAddr::new(0x1234);
         assert_eq!(va.page_align_down().as_u64(), 0x1000);
         assert_eq!(va.page_align_up().as_u64(), 0x2000);
-        assert!(va.page_align_down().is_page_aligned());
+        assert_eq!(va.page_align_down().page_offset(), 0);
         assert_eq!(va.page_offset(), 0x234);
         let aligned = VirtAddr::new(0x3000);
         assert_eq!(aligned.page_align_up().as_u64(), 0x3000);

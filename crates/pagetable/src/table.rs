@@ -124,17 +124,6 @@ impl Table {
         })
     }
 
-    /// Clears every entry and returns how many were present.
-    pub fn clear_all(&self) -> usize {
-        let mut n = 0;
-        for i in 0..ENTRIES_PER_TABLE {
-            if Entry(self.entries[i].swap(0, Ordering::AcqRel)).is_present() {
-                n += 1;
-            }
-        }
-        n
-    }
-
     /// Zeroes every entry, for a frame that becomes a table again.
     pub fn zero(&self) {
         for e in &self.entries {
@@ -276,15 +265,6 @@ mod tests {
         assert!(!e.is_writable());
         assert!(e.is_accessed());
         assert!(e.is_dirty());
-    }
-
-    #[test]
-    fn clear_all_reports_present_count() {
-        let t = Table::new();
-        t.store(10, Entry::page(FrameId(1), true));
-        t.store(20, Entry::page(FrameId(2), true));
-        assert_eq!(t.clear_all(), 2);
-        assert!(t.is_empty());
     }
 
     #[test]

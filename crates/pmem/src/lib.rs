@@ -47,4 +47,4 @@ pub use gather::FreeBatch;
 pub use page::{Page, PageFlags, PageKind};
 pub use pool::{assert_pool_balanced, FramePool, PoolBalance, Watermarks};
 pub use stats::{PoolStats, StatsSnapshot};
-pub use swap::{CompressedBackend, FileBackend, SwapBackend, SwapMap};
+pub use swap::SwapMap;

@@ -1,12 +1,10 @@
-//! The swap tier: pluggable page-out storage behind the frame pool.
+//! The swap tier: compressed page-out storage behind the frame pool.
 //!
 //! Under memory pressure the reclaim subsystem evicts cold anonymous pages
 //! out of the [`crate::FramePool`] into a *swap slot* — an index into a
-//! [`SwapMap`], whose storage lives behind the [`SwapBackend`] trait. Two
-//! backends ship: a compressed in-memory store (the zswap analog) and a
-//! plain file (the swapfile analog). The page-table layer encodes the slot
-//! in a non-present *swap entry* PTE; a later fault reads the data back and
-//! releases the slot.
+//! [`SwapMap`], whose storage is a [`CompressedStore`] (the zswap
+//! analog). The page-table layer encodes the slot in a non-present *swap
+//! entry* PTE; a later fault reads the data back and releases the slot.
 //!
 //! Slot lifetime mirrors the kernel's `swap_map` counts: each physical PTE
 //! copy holding a swap entry owns one reference on the slot (a classic fork
@@ -15,41 +13,12 @@
 //! last reference drops — at swap-in or at unmap.
 
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::Write as _;
-use std::os::unix::fs::FileExt;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::frame::PAGE_SIZE;
 
-/// Storage behind the swap-slot map.
-///
-/// Implementations are the zswap/swapfile analogs: `write` persists one
-/// page of data under a slot id, `read` returns it verbatim, `free` drops
-/// the stored copy. The [`SwapMap`] guarantees `write` happens before any
-/// `read`/`free` of a slot and that slot ids are never aliased while live,
-/// so backends need no internal lifetime tracking beyond a slot → data map.
-pub trait SwapBackend: Send + Sync {
-    /// Stores one page of data under `slot`, replacing any prior contents.
-    fn write(&self, slot: u32, data: &[u8]);
-
-    /// Reads the page stored under `slot` into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot has no stored data (a [`SwapMap`] accounting bug).
-    fn read(&self, slot: u32, out: &mut [u8]);
-
-    /// Releases the storage held for `slot`.
-    fn free(&self, slot: u32);
-
-    /// Short backend name for stats/bench labels (`"zswap"`, `"file"`).
-    fn name(&self) -> &'static str;
-}
-
-/// Compressed in-memory backend — the zswap analog.
+/// Compressed in-memory page store — the zswap analog.
 ///
 /// Pages are run-length encoded before storage: evicted pages in the
 /// simulation are dominated by zero runs and small working-set writes, so
@@ -58,9 +27,8 @@ pub trait SwapBackend: Send + Sync {
 /// dependency. Incompressible pages are stored raw (never more than one
 /// byte of overhead), so the pool is bounded by `pages * (PAGE_SIZE + 1)`.
 #[derive(Default)]
-pub struct CompressedBackend {
+struct CompressedStore {
     store: Mutex<HashMap<u32, Box<[u8]>>>,
-    stored_bytes: AtomicU64,
 }
 
 /// Leading tag byte of a stored buffer: run-length encoded payload.
@@ -68,18 +36,7 @@ const TAG_RLE: u8 = 0;
 /// Leading tag byte of a stored buffer: raw page bytes (incompressible).
 const TAG_RAW: u8 = 1;
 
-impl CompressedBackend {
-    /// Creates an empty compressed store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bytes currently held by the compressed store (post-compression, the
-    /// zswap `zpool` size analog).
-    pub fn stored_bytes(&self) -> u64 {
-        self.stored_bytes.load(Ordering::Relaxed)
-    }
-
+impl CompressedStore {
     fn compress(data: &[u8]) -> Box<[u8]> {
         // (run_length, byte) pairs; runs cap at 255.
         let mut out = Vec::with_capacity(64);
@@ -121,19 +78,20 @@ impl CompressedBackend {
             tag => panic!("corrupt swap payload tag {tag}"),
         }
     }
-}
 
-impl SwapBackend for CompressedBackend {
+    /// Stores one page of data under `slot`, replacing any prior contents.
     fn write(&self, slot: u32, data: &[u8]) {
-        let compressed = Self::compress(data);
-        self.stored_bytes
-            .fetch_add(compressed.len() as u64, Ordering::Relaxed);
-        if let Some(old) = self.store.lock().unwrap().insert(slot, compressed) {
-            self.stored_bytes
-                .fetch_sub(old.len() as u64, Ordering::Relaxed);
-        }
+        self.store
+            .lock()
+            .unwrap()
+            .insert(slot, Self::compress(data));
     }
 
+    /// Reads the page stored under `slot` into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot has no stored data (a [`SwapMap`] accounting bug).
     fn read(&self, slot: u32, out: &mut [u8]) {
         let store = self.store.lock().unwrap();
         let stored = store
@@ -142,71 +100,9 @@ impl SwapBackend for CompressedBackend {
         Self::decompress(stored, out);
     }
 
+    /// Releases the storage held for `slot`.
     fn free(&self, slot: u32) {
-        if let Some(old) = self.store.lock().unwrap().remove(&slot) {
-            self.stored_bytes
-                .fetch_sub(old.len() as u64, Ordering::Relaxed);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "zswap"
-    }
-}
-
-/// File-backed backend — the swapfile analog.
-///
-/// Each slot owns a fixed `PAGE_SIZE` extent at `slot * PAGE_SIZE`; the
-/// backing file lives in the system temp directory and is removed on drop.
-/// `free` is a no-op (the extent is simply overwritten on reuse), matching
-/// a real swapfile, where freeing a slot touches only the in-memory map.
-pub struct FileBackend {
-    file: File,
-    path: PathBuf,
-}
-
-impl FileBackend {
-    /// Creates a fresh backing file in the system temp directory.
-    pub fn new() -> std::io::Result<Self> {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "odf-swap-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        let file = File::options()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&path)?;
-        Ok(Self { file, path })
-    }
-}
-
-impl Drop for FileBackend {
-    fn drop(&mut self) {
-        let _ = self.file.flush();
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-impl SwapBackend for FileBackend {
-    fn write(&self, slot: u32, data: &[u8]) {
-        self.file
-            .write_all_at(data, slot as u64 * PAGE_SIZE as u64)
-            .expect("swap file write");
-    }
-
-    fn read(&self, slot: u32, out: &mut [u8]) {
-        self.file
-            .read_exact_at(out, slot as u64 * PAGE_SIZE as u64)
-            .expect("swap file read");
-    }
-
-    fn free(&self, _slot: u32) {}
-
-    fn name(&self) -> &'static str {
-        "file"
+        self.store.lock().unwrap().remove(&slot);
     }
 }
 
@@ -223,36 +119,17 @@ struct SlotTable {
 /// evicted pages — the `swap_map` + `swap_info_struct` analog.
 ///
 /// Thread-safe; shared via `Arc` between the reclaim daemon and every
-/// faulting process. Slot data I/O goes straight to the backend outside the
-/// slot lock, so concurrent swap-ins do not serialize on each other.
+/// faulting process. Slot data goes to the store outside the slot lock, so
+/// concurrent swap-ins do not serialize on the slot table.
+#[derive(Default)]
 pub struct SwapMap {
-    backend: Box<dyn SwapBackend>,
+    store: CompressedStore,
     slots: Mutex<SlotTable>,
     swap_outs: AtomicU64,
     swap_ins: AtomicU64,
 }
 
 impl SwapMap {
-    /// Creates a map over an arbitrary backend.
-    pub fn new(backend: Box<dyn SwapBackend>) -> Self {
-        Self {
-            backend,
-            slots: Mutex::new(SlotTable::default()),
-            swap_outs: AtomicU64::new(0),
-            swap_ins: AtomicU64::new(0),
-        }
-    }
-
-    /// Creates a map over the compressed in-memory backend (the default).
-    pub fn compressed() -> Self {
-        Self::new(Box::new(CompressedBackend::new()))
-    }
-
-    /// Creates a map over a fresh temp-file backend.
-    pub fn file_backed() -> std::io::Result<Self> {
-        Ok(Self::new(Box::new(FileBackend::new()?)))
-    }
-
     /// Allocates a slot with reference count 1 and stores one page of data
     /// in it. Returns the slot id to encode into the swap-entry PTE.
     pub fn alloc_slot(&self, data: &[u8]) -> u32 {
@@ -270,7 +147,7 @@ impl SwapMap {
                 }
             }
         };
-        self.backend.write(slot, data);
+        self.store.write(slot, data);
         self.swap_outs.fetch_add(1, Ordering::Relaxed);
         slot
     }
@@ -280,7 +157,7 @@ impl SwapMap {
     pub fn read(&self, slot: u32, out: &mut [u8]) {
         assert_eq!(out.len(), PAGE_SIZE, "swap slots hold whole pages");
         debug_assert!(self.ref_count(slot) > 0, "read of a free swap slot");
-        self.backend.read(slot, out);
+        self.store.read(slot, out);
         self.swap_ins.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -305,12 +182,12 @@ impl SwapMap {
             *r == 0
         };
         if freed {
-            // The backend free runs outside the slot lock (it may do real
-            // I/O), so the slot must not become allocatable until it is
-            // done: push to the free list only afterwards, or a concurrent
-            // `alloc_slot` could reuse the id and have its freshly written
-            // payload deleted by this late free.
-            self.backend.free(slot);
+            // The payload is freed outside the slot lock, so the slot must
+            // not become allocatable until that is done: push to the free
+            // list only afterwards, or a concurrent `alloc_slot` could
+            // reuse the id and have its freshly written payload deleted by
+            // this late free.
+            self.store.free(slot);
             self.slots.lock().unwrap().free.push(slot);
         }
         freed
@@ -336,11 +213,6 @@ impl SwapMap {
     pub fn swap_ins(&self) -> u64 {
         self.swap_ins.load(Ordering::Relaxed)
     }
-
-    /// The backend's short name for stats/bench labels.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
 }
 
 #[cfg(test)]
@@ -352,26 +224,25 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_through_both_backends() {
-        for map in [SwapMap::compressed(), SwapMap::file_backed().unwrap()] {
-            let mut data = page_of(0);
-            data[17] = 0xAB;
-            data[PAGE_SIZE - 1] = 0xCD;
-            let slot = map.alloc_slot(&data);
-            let mut out = page_of(0xFF);
-            map.read(slot, &mut out);
-            assert_eq!(out, data, "{} backend", map.backend_name());
-            assert_eq!(map.used_slots(), 1);
-            assert!(map.slot_put(slot));
-            assert_eq!(map.used_slots(), 0);
-            assert_eq!(map.swap_outs(), 1);
-            assert_eq!(map.swap_ins(), 1);
-        }
+    fn round_trip_through_the_map() {
+        let map = SwapMap::default();
+        let mut data = page_of(0);
+        data[17] = 0xAB;
+        data[PAGE_SIZE - 1] = 0xCD;
+        let slot = map.alloc_slot(&data);
+        let mut out = page_of(0xFF);
+        map.read(slot, &mut out);
+        assert_eq!(out, data);
+        assert_eq!(map.used_slots(), 1);
+        assert!(map.slot_put(slot));
+        assert_eq!(map.used_slots(), 0);
+        assert_eq!(map.swap_outs(), 1);
+        assert_eq!(map.swap_ins(), 1);
     }
 
     #[test]
     fn slots_are_reference_counted_and_reused() {
-        let map = SwapMap::compressed();
+        let map = SwapMap::default();
         let a = map.alloc_slot(&page_of(1));
         map.slot_get(a);
         assert_eq!(map.ref_count(a), 2);
@@ -392,16 +263,17 @@ mod tests {
 
     #[test]
     fn compressed_backend_shrinks_sparse_pages_and_survives_noise() {
-        let be = CompressedBackend::new();
+        let be = CompressedStore::default();
+        let stored = |slot| be.store.lock().unwrap().get(&slot).map_or(0, |b| b.len());
         // A near-zero page compresses far below PAGE_SIZE...
         let mut sparse = page_of(0);
         sparse[100] = 7;
         be.write(0, &sparse);
-        assert!(be.stored_bytes() < 256, "{} bytes", be.stored_bytes());
+        assert!(stored(0) < 256, "{} bytes", stored(0));
         // ...and an incompressible page is stored raw, bounded at +1 byte.
         let noisy: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 131 + i / 7) as u8).collect();
         be.write(1, &noisy);
-        assert!(be.stored_bytes() <= 256 + PAGE_SIZE as u64 + 1);
+        assert!(stored(1) <= PAGE_SIZE + 1);
         let mut out = page_of(0);
         be.read(0, &mut out);
         assert_eq!(out, sparse);
@@ -409,23 +281,13 @@ mod tests {
         assert_eq!(out[..], noisy[..]);
         be.free(0);
         be.free(1);
-        assert_eq!(be.stored_bytes(), 0);
-    }
-
-    #[test]
-    fn file_backend_removes_its_file_on_drop() {
-        let be = FileBackend::new().unwrap();
-        let path = be.path.clone();
-        be.write(0, &page_of(9));
-        assert!(path.exists());
-        drop(be);
-        assert!(!path.exists());
+        assert!(be.store.lock().unwrap().is_empty());
     }
 
     #[test]
     #[should_panic(expected = "slot_put on free swap slot")]
     fn double_put_is_detected() {
-        let map = SwapMap::compressed();
+        let map = SwapMap::default();
         let s = map.alloc_slot(&page_of(0));
         map.slot_put(s);
         map.slot_put(s);

@@ -134,7 +134,7 @@ pub struct WatchdogStats {
 }
 
 struct Shared {
-    state: Mutex<DaemonState>,
+    stop: Mutex<bool>,
     wake: Condvar,
     config: WatchdogConfig,
     budgets: Vec<SloBudget>,
@@ -144,12 +144,6 @@ struct Shared {
     // Serializes breach handling: concurrent evaluate_now calls must not
     // interleave bundle writes or double-count the bundle cap.
     dump_gate: Mutex<Option<PathBuf>>,
-}
-
-#[derive(Default)]
-struct DaemonState {
-    stop: bool,
-    kicked: bool,
 }
 
 impl Shared {
@@ -219,7 +213,7 @@ impl SloWatchdog {
         context: Option<ContextProvider>,
     ) -> Self {
         let shared = Arc::new(Shared {
-            state: Mutex::new(DaemonState::default()),
+            stop: Mutex::new(false),
             wake: Condvar::new(),
             config,
             budgets,
@@ -240,18 +234,10 @@ impl SloWatchdog {
     }
 
     /// Runs one evaluation round synchronously on the calling thread —
-    /// deterministic triggering for tests and `kick`-style callers that
-    /// need the result.
+    /// deterministic triggering for tests and callers that need the
+    /// result.
     pub fn evaluate_now(&self) -> Vec<Breach> {
         self.shared.evaluate()
-    }
-
-    /// Wakes the daemon for an immediate asynchronous evaluation.
-    pub fn kick(&self) {
-        let mut state = self.shared.state.lock().expect("watchdog state");
-        state.kicked = true;
-        drop(state);
-        self.shared.wake.notify_all();
     }
 
     /// Activity counters so far.
@@ -274,10 +260,7 @@ impl SloWatchdog {
 
     /// Stops the daemon and joins its thread (also runs on drop).
     pub fn stop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("watchdog state");
-            state.stop = true;
-        }
+        *self.shared.stop.lock().expect("watchdog state") = true;
         self.shared.wake.notify_all();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
@@ -294,15 +277,14 @@ impl Drop for SloWatchdog {
 fn daemon_loop(shared: &Shared) {
     loop {
         {
-            let state = shared.state.lock().expect("watchdog state");
-            let (mut state, _timeout) = shared
+            let stop = shared.stop.lock().expect("watchdog state");
+            let (stop, _timeout) = shared
                 .wake
-                .wait_timeout_while(state, shared.config.interval, |s| !s.stop && !s.kicked)
+                .wait_timeout_while(stop, shared.config.interval, |stop| !*stop)
                 .expect("watchdog wait");
-            if state.stop {
+            if *stop {
                 return;
             }
-            state.kicked = false;
         }
         shared.evaluate();
     }

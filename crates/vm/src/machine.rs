@@ -57,27 +57,17 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Creates a machine with `bytes` of simulated physical memory.
-    pub fn new(bytes: u64) -> Arc<Self> {
-        Self::with_pool(FramePool::with_bytes(bytes))
-    }
-
-    /// Creates a machine over an existing frame pool, with the default
+    /// Creates a machine with `bytes` of simulated physical memory and a
     /// compressed in-memory swap tier (the zswap analog).
-    pub fn with_pool(pool: Arc<FramePool>) -> Arc<Self> {
-        Self::with_swap(pool, SwapMap::compressed())
-    }
-
-    /// Creates a machine over an existing frame pool and a specific swap
-    /// tier (compressed in-memory or file-backed).
-    pub fn with_swap(pool: Arc<FramePool>, swap: SwapMap) -> Arc<Self> {
+    pub fn new(bytes: u64) -> Arc<Self> {
+        let pool = FramePool::with_bytes(bytes);
         Arc::new(Self {
             tables: TableSlots::new(pool.total_frames()),
             pool,
             stats: VmStats::default(),
             pmd_locks: (0..SPLIT_LOCK_STRIPES).map(|_| Mutex::new(())).collect(),
             files: Mutex::new(Vec::new()),
-            swap: Arc::new(swap),
+            swap: Arc::default(),
             mms: Mutex::new(Vec::new()),
         })
     }

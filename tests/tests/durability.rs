@@ -330,6 +330,36 @@ fn seventy_snapshots_stay_bounded_and_recoverable() {
     assert_eq!(parse_dump(&srv.dump().unwrap()), states[script.len()]);
 }
 
+/// Under `Always`, with `BGSAVE` forking under either policy, every write
+/// is acknowledged durable, and recovery after a crash replays the WAL
+/// tail past the last snapshot onto the chain and lands on the final state.
+#[test]
+fn always_acks_every_write_durable_under_both_fork_policies() {
+    let script = kv_script(0xA1, OPS, KEY_SPACE);
+    let states = prefix_states(&script);
+    for fork_policy in [ForkPolicy::Classic, ForkPolicy::OnDemand] {
+        let cfg = DurableConfig {
+            fork_policy,
+            ..config(FsyncPolicy::Always, 5)
+        };
+        let fs = Arc::new(CrashFs::new());
+        let out = run(&fs, &script, cfg);
+        assert!(!out.crashed);
+        assert_eq!(out.acked, OPS, "{fork_policy:?}: a non-durable ack");
+        let (srv, report) = DurableServer::open(&kernel(), Arc::new(fs.crash()), cfg).unwrap();
+        assert!(report.chain_epoch.is_some(), "{fork_policy:?}: no BGSAVE");
+        assert!(
+            report.wal_records_to_replay > 0,
+            "{fork_policy:?}: recovery replayed no WAL tail"
+        );
+        assert_eq!(
+            parse_dump(&srv.dump().unwrap()),
+            states[OPS],
+            "{fork_policy:?}"
+        );
+    }
+}
+
 /// A [`CrashFs`] on which, once armed, the next `kind` operation (a
 /// `rename` or a `remove`) on a file whose name starts with `prefix` fails
 /// the way a host I/O error would: nothing changes, and the store keeps
