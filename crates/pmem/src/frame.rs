@@ -43,11 +43,6 @@ impl FrameId {
     pub fn phys_addr(self) -> u64 {
         u64::from(self.0) << PAGE_SHIFT
     }
-
-    /// Frame containing the given simulated physical address.
-    pub fn of_phys_addr(addr: u64) -> FrameId {
-        FrameId((addr >> PAGE_SHIFT) as u32)
-    }
 }
 
 impl std::fmt::Debug for FrameId {
@@ -65,14 +60,6 @@ mod tests {
         assert_eq!(1usize << PAGE_SHIFT, PAGE_SIZE);
         assert_eq!(HUGE_PAGE_SIZE, 2 * 1024 * 1024);
         const { assert!(HUGE_ORDER < MAX_ORDER) };
-    }
-
-    #[test]
-    fn phys_addr_round_trips() {
-        let f = FrameId(12345);
-        assert_eq!(FrameId::of_phys_addr(f.phys_addr()), f);
-        assert_eq!(FrameId::of_phys_addr(f.phys_addr() + 4095), f);
-        assert_eq!(FrameId::of_phys_addr(f.phys_addr() + 4096), f.offset(1));
     }
 
     #[test]

@@ -10,9 +10,14 @@
 //!   [`Magazine`]s. Threads are assigned a slot round-robin on first use,
 //!   so with up to [`SLOTS`] concurrently allocating threads every thread
 //!   has an uncontended fast path (a slot mutex nobody else holds).
-//! - Each magazine has two lanes: order-0 frames (data pages and page
-//!   tables) and order-[`HUGE_ORDER`] blocks (2 MiB compound pages) — the
-//!   two orders the fork/fault paths allocate.
+//! - Each magazine has three lanes, one per kind of block the fork/fault
+//!   paths allocate: order-0 movable frames (data pages), order-0
+//!   unmovable frames (page tables) and order-[`HUGE_ORDER`] blocks
+//!   (2 MiB compound pages). The two order-0 lanes are the kernel's
+//!   per-migratetype pcplists: a table lane refills from unmovable
+//!   pageblocks, so a process's page tables sit together in frame order
+//!   instead of one between every ~511 data frames, and a fork's
+//!   shared-table counters ([`crate::Page`]) share cache lines.
 //! - An empty lane refills from the buddy via [`Buddy::alloc_bulk`] (one
 //!   lock for the whole batch); a lane past its watermark spills the
 //!   coldest half back via [`Buddy::free_bulk`].
@@ -77,17 +82,22 @@ thread_local! {
 /// freed block is the warmest and is handed out first).
 #[derive(Default)]
 struct Magazine {
+    /// Order-0 movable frames: data pages.
     small: Vec<FrameId>,
+    /// Order-0 unmovable frames: page tables.
+    tables: Vec<FrameId>,
     huge: Vec<FrameId>,
 }
 
 impl Magazine {
-    fn lane_mut(&mut self, order: u8) -> &mut Vec<FrameId> {
-        if order == 0 {
-            &mut self.small
-        } else {
-            debug_assert_eq!(order, HUGE_ORDER);
-            &mut self.huge
+    fn lane_mut(&mut self, order: u8, mt: MigrateType) -> &mut Vec<FrameId> {
+        match (order, mt) {
+            (0, MigrateType::Movable) => &mut self.small,
+            (0, MigrateType::Unmovable) => &mut self.tables,
+            _ => {
+                debug_assert_eq!(order, HUGE_ORDER);
+                &mut self.huge
+            }
         }
     }
 }
@@ -134,11 +144,9 @@ impl PcpCache {
     /// pcplists before declaring OOM — so exhaustion behaviour is
     /// indistinguishable from a flat buddy-only pool.
     ///
-    /// Magazine lanes are migratetype-blind (the kernel splits pcplists by
-    /// migratetype; one shared lane is a documented approximation): `mt`
-    /// only steers the *refill*, so a movable refill can hand a parked
-    /// frame to a later unmovable request from the same thread. The buddy's
-    /// pageblock tags — which drive compaction — remain exact.
+    /// An order-0 request is served from the lane of its migratetype `mt`,
+    /// so a page table never gets a frame a data page parked, nor the
+    /// reverse. The huge lane serves any `mt` (only data is huge).
     pub(crate) fn alloc(
         &self,
         buddy: &SpinMutex<Buddy>,
@@ -150,7 +158,7 @@ impl PcpCache {
         let slot = MY_SLOT.with(|s| *s);
         {
             let mut mag = self.slots[slot].0.lock();
-            let lane = mag.lane_mut(order);
+            let lane = mag.lane_mut(order, mt);
             if let Some(f) = lane.pop() {
                 stats.pcp_hits.bump();
                 return Some(f);
@@ -168,7 +176,7 @@ impl PcpCache {
         // scarce pool is not re-hoarded by one thread's refill.
         self.drain_all(buddy);
         let mut mag = self.slots[slot].0.lock();
-        let lane = mag.lane_mut(order);
+        let lane = mag.lane_mut(order, mt);
         if let Some(f) = lane.pop() {
             // A racing free landed in our magazine since the drain.
             stats.pcp_hits.bump();
@@ -180,19 +188,21 @@ impl PcpCache {
         None
     }
 
-    /// Returns one free block of `order` to the calling thread's magazine,
-    /// spilling the coldest `batch` blocks to the buddy past the watermark.
+    /// Returns one free block of `order` to the calling thread's magazine
+    /// lane for `mt`, spilling the coldest `batch` blocks to the buddy past
+    /// the watermark.
     pub(crate) fn free(
         &self,
         buddy: &SpinMutex<Buddy>,
         head: FrameId,
         order: u8,
+        mt: MigrateType,
         stats: &PoolStats,
     ) {
         debug_assert!(Self::caches(order));
         let slot = MY_SLOT.with(|s| *s);
         let mut mag = self.slots[slot].0.lock();
-        let lane = mag.lane_mut(order);
+        let lane = mag.lane_mut(order, mt);
         lane.push(head);
         let batch = Self::batch(order);
         if lane.len() > high_watermark(batch) {
@@ -210,13 +220,19 @@ impl PcpCache {
     pub(crate) fn drain_all(&self, buddy: &SpinMutex<Buddy>) {
         for slot in &self.slots {
             let mut mag = slot.0.lock();
-            let small = mag.small.len();
+            let small = mag.small.len() + mag.tables.len();
             let huge = mag.huge.len();
             if small == 0 && huge == 0 {
                 continue;
             }
+            let mag = &mut *mag;
             let mut blocks: Vec<(FrameId, u8)> = Vec::with_capacity(small + huge);
-            blocks.extend(mag.small.drain(..).map(|f| (f, 0u8)));
+            blocks.extend(
+                mag.small
+                    .drain(..)
+                    .chain(mag.tables.drain(..))
+                    .map(|f| (f, 0u8)),
+            );
             blocks.extend(mag.huge.drain(..).map(|f| (f, HUGE_ORDER)));
             buddy.lock().free_bulk(&blocks);
             for (order, blocks) in [(0, small), (HUGE_ORDER, huge)] {
@@ -235,7 +251,7 @@ impl PcpCache {
             .iter()
             .map(|s| {
                 let mag = s.0.lock();
-                mag.small.len() + (mag.huge.len() << HUGE_ORDER)
+                mag.small.len() + mag.tables.len() + (mag.huge.len() << HUGE_ORDER)
             })
             .sum()
     }
@@ -246,6 +262,12 @@ mod tests {
     use super::*;
 
     const MOV: MigrateType = MigrateType::Movable;
+    const UNMOV: MigrateType = MigrateType::Unmovable;
+
+    /// The calling thread's magazine, for inspecting its lanes.
+    fn my_magazine(pcp: &PcpCache) -> parking_lot::MutexGuard<'_, Magazine> {
+        pcp.slots[MY_SLOT.with(|s| *s)].0.lock()
+    }
 
     #[test]
     fn miss_refills_a_batch_then_hits() {
@@ -263,7 +285,7 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!(snap.pcp_refills, 1);
         assert_eq!(snap.pcp_hits, SMALL_BATCH as u64 - 1);
-        pcp.free(&buddy, f, 0, &stats);
+        pcp.free(&buddy, f, 0, MOV, &stats);
         assert_eq!(pcp.cached_frames(), 1);
     }
 
@@ -276,7 +298,7 @@ mod tests {
             .map(|_| buddy.lock().alloc(0, MOV).unwrap())
             .collect();
         for f in frames {
-            pcp.free(&buddy, f, 0, &stats);
+            pcp.free(&buddy, f, 0, MOV, &stats);
         }
         // Crossing the watermark pushed one batch back to the buddy.
         assert_eq!(stats.snapshot().pcp_spills, 1);
@@ -287,14 +309,42 @@ mod tests {
     }
 
     #[test]
+    fn table_requests_never_pop_a_frame_parked_by_a_data_free() {
+        let buddy = SpinMutex::new(Buddy::new(1 << 11));
+        let pcp = PcpCache::new();
+        let stats = PoolStats::default();
+        let data = pcp.alloc(&buddy, 0, MOV, &stats).unwrap();
+        pcp.free(&buddy, data, 0, MOV, &stats);
+        let parked = my_magazine(&pcp).small.clone();
+        assert_eq!(parked.len(), SMALL_BATCH);
+        // Two refills' worth of tables: none is a parked data frame, and
+        // none shares a pageblock with one.
+        let tables: Vec<FrameId> = (0..2 * SMALL_BATCH)
+            .map(|_| pcp.alloc(&buddy, 0, UNMOV, &stats).unwrap())
+            .collect();
+        for t in &tables {
+            assert!(!parked.contains(t), "table got parked data frame {t:?}");
+            assert_ne!(t.0 >> HUGE_ORDER, data.0 >> HUGE_ORDER);
+        }
+        assert_eq!(my_magazine(&pcp).small, parked);
+    }
+
+    #[test]
     fn drain_returns_everything_and_merges() {
         let buddy = SpinMutex::new(Buddy::new(1 << 11));
         let pcp = PcpCache::new();
         let stats = PoolStats::default();
         let small = pcp.alloc(&buddy, 0, MOV, &stats).unwrap();
+        let table = pcp.alloc(&buddy, 0, UNMOV, &stats).unwrap();
         let huge = pcp.alloc(&buddy, HUGE_ORDER, MOV, &stats).unwrap();
-        pcp.free(&buddy, small, 0, &stats);
-        pcp.free(&buddy, huge, HUGE_ORDER, &stats);
+        pcp.free(&buddy, small, 0, MOV, &stats);
+        pcp.free(&buddy, table, 0, UNMOV, &stats);
+        pcp.free(&buddy, huge, HUGE_ORDER, MOV, &stats);
+        {
+            let mag = my_magazine(&pcp);
+            assert!(!mag.small.is_empty() && !mag.tables.is_empty() && !mag.huge.is_empty());
+        }
+        assert_eq!(pcp.cached_frames() + buddy.lock().free_frames(), 1 << 11);
         pcp.drain_all(&buddy);
         assert_eq!(pcp.cached_frames(), 0);
         assert_eq!(buddy.lock().free_frames(), 1 << 11);
@@ -311,12 +361,28 @@ mod tests {
         let pcp = PcpCache::new();
         let stats = PoolStats::default();
         let f = pcp.alloc(&buddy, 0, MOV, &stats).unwrap();
-        pcp.free(&buddy, f, 0, &stats);
+        pcp.free(&buddy, f, 0, MOV, &stats);
         assert_eq!(buddy.lock().free_frames(), 512 - SMALL_BATCH);
         let huge = pcp.alloc(&buddy, HUGE_ORDER, MOV, &stats).unwrap();
         assert_eq!(huge.0 % 512, 0);
         // And true exhaustion still reports failure.
         assert!(pcp.alloc(&buddy, HUGE_ORDER, MOV, &stats).is_none());
-        pcp.free(&buddy, huge, HUGE_ORDER, &stats);
+        pcp.free(&buddy, huge, HUGE_ORDER, MOV, &stats);
+    }
+
+    #[test]
+    fn exhaustion_drains_the_table_lane_too() {
+        // A pool of one batch, all of it parked in the table lane: a data
+        // request succeeds only through the drain.
+        let buddy = SpinMutex::new(Buddy::new(SMALL_BATCH));
+        let pcp = PcpCache::new();
+        let stats = PoolStats::default();
+        let t = pcp.alloc(&buddy, 0, UNMOV, &stats).unwrap();
+        pcp.free(&buddy, t, 0, UNMOV, &stats);
+        assert_eq!(my_magazine(&pcp).tables.len(), SMALL_BATCH);
+        assert_eq!(buddy.lock().free_frames(), 0);
+        let d = pcp.alloc(&buddy, 0, MOV, &stats).unwrap();
+        assert!(my_magazine(&pcp).tables.is_empty());
+        pcp.free(&buddy, d, 0, MOV, &stats);
     }
 }

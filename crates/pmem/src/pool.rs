@@ -256,9 +256,12 @@ impl FramePool {
     }
 
     /// Whether free frames have dropped below the low watermark — the
-    /// background reclaim daemon's wake condition.
+    /// background reclaim daemon's wake condition, and fork's pre-check.
+    /// Magazine residue only adds free frames, so when the buddy alone
+    /// holds `low` the answer is no without taking the 16 stripe locks.
     pub fn below_low_watermark(&self) -> bool {
-        self.free_frames() < self.watermarks.low
+        let buddy_free = self.buddy.lock().free_frames();
+        buddy_free < self.watermarks.low && self.free_frames() < self.watermarks.low
     }
 
     /// Currently free base frames, summed over both tiers: blocks in the
@@ -366,20 +369,22 @@ impl FramePool {
         })
     }
 
-    /// Allocates a block of `2^order` frames with raw metadata.
-    ///
     /// Page-table frames are unmovable (nothing can relocate a live table;
     /// entries point at it by frame number), so they are steered to
-    /// unmovable pageblocks; every data kind is movable — reclaim can
-    /// evict it and a collapse can migrate it.
-    fn alloc_order(&self, order: u8, kind_flags: u32) -> Result<FrameId> {
-        assert!(order <= MAX_ORDER);
-        let mt = if kind_flags & PageFlags::PAGETABLE != 0 {
+    /// unmovable pageblocks and their own magazine lane; every data kind
+    /// is movable — reclaim can evict it and a collapse can migrate it.
+    fn migrate_type(kind_flags: u32) -> MigrateType {
+        if kind_flags & PageFlags::PAGETABLE != 0 {
             MigrateType::Unmovable
         } else {
             MigrateType::Movable
-        };
-        let head = self.alloc_block(order, mt)?;
+        }
+    }
+
+    /// Allocates a block of `2^order` frames with raw metadata.
+    fn alloc_order(&self, order: u8, kind_flags: u32) -> Result<FrameId> {
+        assert!(order <= MAX_ORDER);
+        let head = self.alloc_block(order, Self::migrate_type(kind_flags))?;
         let alloc = Hit::new(Point::FrameAlloc, &[head.index() as u64, order.into()]);
         odf_trace::emit_counted(&self.stats.allocs, alloc);
         if order == 0 {
@@ -712,10 +717,13 @@ impl FramePool {
         self.meta[frame.index()].pt_share_count()
     }
 
-    /// Returns the block to the free tier and drops its data.
+    /// Returns the block to the free tier and drops its data. The
+    /// migratetype is read before the teardown clears the flags, so a
+    /// freed table goes back to the table lane.
     fn release(&self, head: FrameId) {
+        let mt = Self::migrate_type(self.meta[head.index()].flags());
         let order = self.release_prepare(head);
-        self.free_block(head, order);
+        self.free_block(head, order, mt);
     }
 
     /// Tears down a zero-refcount block's identity — metadata to the free
@@ -769,10 +777,12 @@ impl FramePool {
     }
 
     /// Hands a torn-down block back to the free tier: the calling thread's
-    /// magazine for cached orders, the buddy otherwise.
-    fn free_block(&self, head: FrameId, order: u8) {
+    /// magazine lane for cached orders, the buddy otherwise.
+    fn free_block(&self, head: FrameId, order: u8, mt: MigrateType) {
         match &self.pcp {
-            Some(pcp) if PcpCache::caches(order) => pcp.free(&self.buddy, head, order, &self.stats),
+            Some(pcp) if PcpCache::caches(order) => {
+                pcp.free(&self.buddy, head, order, mt, &self.stats)
+            }
             _ => self.buddy.lock().free(head, order),
         }
     }
@@ -1189,6 +1199,60 @@ mod tests {
         let b = pool.balance();
         assert_eq!(b.free_frames, 256);
         assert_eq!(pool.free_frames(), 256);
+    }
+
+    #[test]
+    fn watermark_check_agrees_with_free_frames_whatever_the_lanes_hold() {
+        // Fill the pool a data page, a table and a huge page at a time,
+        // then free it all, so every lane holds residue at some point; the
+        // buddy-first check must answer as the full sum does throughout.
+        let pool = FramePool::new(4096);
+        let low = pool.watermarks().low;
+        let mut residue_decided = 0;
+        let mut check = |pool: &FramePool| {
+            let free = pool.free_frames();
+            assert_eq!(
+                pool.below_low_watermark(),
+                free < low,
+                "{free} free, low {low}"
+            );
+            if pool.buddy.lock().free_frames() < low && free >= low {
+                residue_decided += 1;
+            }
+        };
+        let mut live = Vec::new();
+        loop {
+            let got = [
+                pool.alloc_page(PageKind::Anon),
+                pool.alloc_page_table(),
+                pool.alloc_huge(PageKind::Anon),
+            ];
+            let before = live.len();
+            live.extend(got.into_iter().flatten());
+            check(&pool);
+            if live.len() == before {
+                break;
+            }
+        }
+        assert_eq!(pool.free_frames(), 0);
+        while let Some(f) = live.pop() {
+            assert!(pool.ref_dec(f));
+            check(&pool);
+        }
+        assert!(
+            residue_decided > 0,
+            "magazine residue never decided the check"
+        );
+    }
+
+    #[test]
+    fn a_freed_table_is_reused_as_a_table_not_as_data() {
+        let pool = FramePool::new(2048);
+        let t = pool.alloc_page_table().unwrap();
+        assert!(pool.ref_dec(t));
+        let d = pool.alloc_page(PageKind::Anon).unwrap();
+        assert_ne!(d, t, "a freed table went to the data lane");
+        assert_eq!(pool.alloc_page_table().unwrap(), t);
     }
 
     #[test]

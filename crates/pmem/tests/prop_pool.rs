@@ -28,8 +28,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// Live-set bounds for the differential test: small enough that neither
 /// configuration can ever fail an allocation in a 4096-frame (8 huge
 /// block) pool, however fragmented — at most `DIFF_HUGE_CAP` huge regions
-/// are held and `DIFF_SMALL_CAP` more are fragmented by small blocks,
-/// leaving at least one whole huge region free.
+/// are held and `DIFF_SMALL_CAP` more are fragmented by small blocks
+/// (data pages and tables together), leaving at least one whole huge
+/// region free.
 const DIFF_SMALL_CAP: usize = 3;
 const DIFF_HUGE_CAP: usize = 4;
 
@@ -38,8 +39,11 @@ const DIFF_HUGE_CAP: usize = 4;
 enum DiffOp {
     AllocSmall,
     AllocHuge,
+    AllocTable,
     /// Free the i-th (mod len) live small block.
     FreeSmall(usize),
+    /// Free the i-th (mod len) live page table.
+    FreeTable(usize),
     /// Free the i-th (mod len) live huge block.
     FreeHuge(usize),
     /// Write a byte into the i-th live small block (same offset both
@@ -53,7 +57,9 @@ fn diff_op_strategy() -> impl Strategy<Value = DiffOp> {
     prop_oneof![
         4 => Just(DiffOp::AllocSmall),
         2 => Just(DiffOp::AllocHuge),
+        2 => Just(DiffOp::AllocTable),
         3 => any::<usize>().prop_map(DiffOp::FreeSmall),
+        2 => any::<usize>().prop_map(DiffOp::FreeTable),
         2 => any::<usize>().prop_map(DiffOp::FreeHuge),
         2 => (any::<usize>(), any::<u8>()).prop_map(|(i, b)| DiffOp::Write(i, b)),
         1 => any::<usize>().prop_map(DiffOp::Pulse),
@@ -146,6 +152,9 @@ proptest! {
     /// accounting after every step, reference counts, data contents, and
     /// the allocation/free statistics.
     ///
+    /// Page tables take the magazines' own unmovable lane, so they are
+    /// held to the flat pool op by op too.
+    ///
     /// The live set is bounded (at most [`DIFF_SMALL_CAP`] small blocks
     /// and [`DIFF_HUGE_CAP`] huge blocks in a 4096-frame pool), so both
     /// configurations always have room: any success/failure divergence is
@@ -162,11 +171,12 @@ proptest! {
         // though the frame ids differ.
         let mut small: Vec<(odf_pmem::FrameId, odf_pmem::FrameId)> = Vec::new();
         let mut huge: Vec<(odf_pmem::FrameId, odf_pmem::FrameId)> = Vec::new();
+        let mut tables: Vec<(odf_pmem::FrameId, odf_pmem::FrameId)> = Vec::new();
 
         for op in ops {
             match op {
                 DiffOp::AllocSmall => {
-                    if small.len() < DIFF_SMALL_CAP {
+                    if small.len() + tables.len() < DIFF_SMALL_CAP {
                         let t = tiered.alloc_page(PageKind::Anon);
                         let f = flat.alloc_page(PageKind::Anon);
                         prop_assert_eq!(t.is_ok(), f.is_ok(), "alloc_page diverged");
@@ -181,9 +191,23 @@ proptest! {
                         huge.push((t.unwrap(), f.unwrap()));
                     }
                 }
+                DiffOp::AllocTable => {
+                    if small.len() + tables.len() < DIFF_SMALL_CAP {
+                        let t = tiered.alloc_page_table();
+                        let f = flat.alloc_page_table();
+                        prop_assert_eq!(t.is_ok(), f.is_ok(), "alloc_page_table diverged");
+                        tables.push((t.unwrap(), f.unwrap()));
+                    }
+                }
                 DiffOp::FreeSmall(i) => {
                     if !small.is_empty() {
                         let (t, f) = small.swap_remove(i % small.len());
+                        prop_assert_eq!(tiered.ref_dec(t), flat.ref_dec(f));
+                    }
+                }
+                DiffOp::FreeTable(i) => {
+                    if !tables.is_empty() {
+                        let (t, f) = tables.swap_remove(i % tables.len());
                         prop_assert_eq!(tiered.ref_dec(t), flat.ref_dec(f));
                     }
                 }
@@ -212,8 +236,11 @@ proptest! {
             // Accounting must agree after *every* op — magazine residue is
             // free memory and free_frames() must report it as such.
             prop_assert_eq!(tiered.free_frames(), flat.free_frames());
-            for &(t, f) in small.iter().chain(huge.iter()) {
+            for &(t, f) in small.iter().chain(huge.iter()).chain(tables.iter()) {
                 prop_assert_eq!(tiered.ref_count(t), flat.ref_count(f));
+            }
+            for &(t, f) in &tables {
+                prop_assert_eq!(tiered.pt_share_count(t), flat.pt_share_count(f));
             }
         }
 
@@ -229,7 +256,7 @@ proptest! {
         // the logical op counters equal. (Magazine counters are tiered-only
         // by design and excluded; placement-dependent counters are not
         // part of the comparison.)
-        for (t, f) in small.drain(..).chain(huge.drain(..)) {
+        for (t, f) in small.drain(..).chain(huge.drain(..)).chain(tables.drain(..)) {
             prop_assert!(tiered.ref_dec(t));
             prop_assert!(flat.ref_dec(f));
         }

@@ -1,8 +1,10 @@
 //! Accessed/dirty bit behavior and statistics accounting — the §3.2
 //! details the paper calls out explicitly.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
+use odf_pmem::Page;
 use odf_vm::{ForkPolicy, Machine, MapParams, Mm};
 
 const MIB: u64 = 1 << 20;
@@ -147,4 +149,33 @@ fn pool_counters_show_the_512x_asymmetry() {
     assert_eq!(classic.page_ref_incs, 2048);
     assert_eq!(odf.pt_share_incs, 4);
     assert!(classic.page_ref_incs / odf.pt_share_incs.max(1) == 512);
+}
+
+/// On-demand-fork's cost per 2 MiB is one increment of the shared-table
+/// counter in the PTE table frame's `Page`, so a cold fork's cost is the
+/// cache lines those counters sit on. Page tables have their own magazine
+/// lane, refilled from unmovable pageblocks, so the 512 tables of a
+/// populated GiB sit together in frame order, four `Page`s to a 64-byte
+/// line. Carved from the data frames' lane, each table would sit between
+/// the ~511 data frames it maps, on a line of its own: 512 lines.
+#[test]
+fn a_gibs_pte_tables_share_counter_cache_lines() {
+    const CHUNKS: u64 = 512;
+    let m = Machine::new(CHUNKS * 2 * MIB + 64 * MIB);
+    let mm = Mm::new(Arc::clone(&m)).unwrap();
+    let len = CHUNKS * 2 * MIB;
+    let addr = mm.mmap(len, MapParams::anon_rw()).unwrap();
+    mm.populate(addr, len, true).unwrap();
+    let lines: HashSet<usize> = (0..CHUNKS)
+        .map(|i| {
+            let pmd = mm.pmd_entry(addr + i * 2 * MIB).expect("pmd present");
+            assert!(!pmd.is_huge());
+            pmd.frame().index() * std::mem::size_of::<Page>() / 64
+        })
+        .collect();
+    assert!(
+        lines.len() <= 130,
+        "{CHUNKS} PTE tables' counters span {} cache lines",
+        lines.len()
+    );
 }

@@ -8,7 +8,7 @@
 //! the eviction scanner is running.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use odf_core::{DaemonConfig, EvictDecision, FifoPolicy, ForkPolicy, Kernel, LruPolicy, Process};
@@ -101,7 +101,8 @@ fn pressured_replay_stats_balance() {
 /// Four mutator threads read-modify-write a shared-kernel working set
 /// while a fifth thread runs the eviction scanner flat out. Every page
 /// carries a self-describing value, so a single lost or torn swap
-/// round-trip shows up as a value mismatch.
+/// round-trip shows up as a value mismatch. The writers start only once
+/// the scanner has finished its first scan, so the two always overlap.
 #[test]
 fn fault_vs_evict_race_preserves_every_write() {
     let kernel = Kernel::new(128 * PAGE);
@@ -113,26 +114,33 @@ fn fault_vs_evict_race_preserves_every_write() {
         proc.write_u64(addr + pg * PAGE, pg << 8).unwrap();
     }
 
+    let writers = 4u64;
+    let rounds = 200u64;
     let stop = Arc::new(AtomicBool::new(false));
+    let first_scan = Arc::new(Barrier::new(writers as usize + 1));
     let evictor = {
         let proc = Arc::clone(&proc);
         let stop = Arc::clone(&stop);
+        let first_scan = Arc::clone(&first_scan);
         std::thread::spawn(move || {
             let mut scans = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 proc.mm().evict_scan(8, &mut |_| EvictDecision::Evict);
                 scans += 1;
+                if scans == 1 {
+                    first_scan.wait();
+                }
             }
             scans
         })
     };
 
-    let writers = 4u64;
-    let rounds = 200u64;
     std::thread::scope(|s| {
         for t in 0..writers {
             let proc = Arc::clone(&proc);
+            let first_scan = Arc::clone(&first_scan);
             s.spawn(move || {
+                first_scan.wait();
                 // Each thread owns a disjoint page stripe; within it, every
                 // round increments the page's counter through a read — so a
                 // stale swap copy resurfacing would freeze or skip counts.
